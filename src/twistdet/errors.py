@@ -40,7 +40,7 @@ class NeedsRationalCoefficients(TwistdetError):
 
 
 class NeedsTrace(TwistdetError):
-    """The coefficient ring does not provide a rational-valued trace."""
+    """No usable rational-valued trace: none on the ring, or letters are twisted."""
 
 
 class FlavorViolated(TwistdetError):

@@ -235,9 +235,12 @@ def cyc_log(u: TwistedSeries) -> CycLogVector:
 
 def coset_probably_equal(u: TwistedSeries, v: TwistedSeries) -> str:
     """'distinct' certifies different C-cosets; 'indistinguishable' proves
-    nothing."""
+    nothing. Refused on twisted rings, where cyc_log need not vanish on C."""
     if u.ring != v.ring:
         raise RingMismatch("u and v live in different series rings")
+    if any(name != "id" for name in u.ring.twist_names):
+        raise NeedsTrace("coset verdicts need untwisted letters: the plain trace "
+                         "does not kill C generators of a twisted ring")
     return "distinct" if cyc_log(u) != cyc_log(v) else "indistinguishable"
 
 

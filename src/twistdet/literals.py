@@ -22,7 +22,7 @@ import re
 from fractions import Fraction
 
 from .errors import LiteralSyntaxError
-from .rings import RationalField
+from .rings import RationalField, frac_from_str
 from .series import SeriesRing, TwistedSeries
 
 _TOKEN = re.compile(r"""
@@ -97,7 +97,7 @@ def parse_series(text: str, ring: SeriesRing) -> TwistedSeries:
         word = None
         for kind, val in factors:
             if kind == "rat":
-                q *= Fraction(val)
+                q *= frac_from_str(val)
             elif kind == "elem":
                 if word is not None:
                     raise LiteralSyntaxError(

@@ -19,7 +19,7 @@ from .errors import (
     NotInvertible,
     RingMismatch,
 )
-from .series import SeriesRing, TwistedSeries
+from .series import SeriesRing, TwistedSeries, graded_inverse
 
 
 class SeriesMatrix:
@@ -91,6 +91,9 @@ class SeriesMatrix:
     def augmentation(self):
         return tuple(tuple(e.augmentation() for e in row) for row in self.rows)
 
+    def is_zero(self) -> bool:
+        return all(e.is_zero() for row in self.rows for e in row)
+
     def __eq__(self, other):
         return (isinstance(other, SeriesMatrix) and self.ring == other.ring
                 and self.rows == other.rows)
@@ -156,25 +159,18 @@ def mat_is_invertible(m: SeriesMatrix) -> bool:
 
 
 def mat_invert(m: SeriesMatrix) -> SeriesMatrix:
-    """Inverse via the matrix geometric series over the augmentation."""
+    """Inverse, degree by degree from the inverse of the augmentation."""
     if not m.is_square():
         raise DimensionMismatch("only square matrices can be inverted")
     A = m.ring.coeff
     aug = m.augmentation()
     if not A.mat_is_invertible(aug):
         raise NotInvertible(f"augmentation matrix is not invertible over {A.name}")
-    n = m.nrows
-    cinv = SeriesMatrix.lift(m.ring, A.mat_invert(aug))
-    ident = SeriesMatrix.identity(m.ring, n)
-    m0 = cinv * m - ident
-    acc = ident
-    power = ident
-    for _ in range(m.ring.order):
-        power = -(power * m0)
-        if all(e.is_zero() for row in power.rows for e in row):
-            break
-        acc = acc + power
-    return acc * cinv
+    split = [[e.graded_parts() for e in row] for row in m.rows]
+    parts = [SeriesMatrix(m.ring, [[e[d] for e in row] for row in split])
+             for d in range(m.ring.order + 1)]
+    out = graded_inverse(parts, SeriesMatrix.lift(m.ring, A.mat_invert(aug)))
+    return sum(out[1:], out[0])
 
 
 def split_augmentation(m: SeriesMatrix) -> tuple[SeriesMatrix, SeriesMatrix]:

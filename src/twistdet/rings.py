@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import LiteralSyntaxError, NeedsRationalCoefficients, NeedsTrace, NotAUnit
@@ -842,8 +843,9 @@ class TruncatedFreeAlgebra(CoeffRing):
 
     Elements: graded-lex sorted tuples of (word, nonzero Fraction) where a
     word is a tuple of generator indices. Units are elements with nonzero
-    scalar part; the ideal of positive-degree terms is nilpotent, so inverses
-    come from a finite geometric series. The trace is the projection onto
+    scalar part. As a word -> Fraction map an element is also a series of the
+    untwisted ring Q<<gens>> at order max_degree, and inverses (of elements
+    and of matrices) are computed there. The trace is the projection onto
     cyclic word classes. Automorphisms: permutations of the generators.
     """
 
@@ -866,6 +868,12 @@ class TruncatedFreeAlgebra(CoeffRing):
         self.one = (((), Fraction(1)),)
         self._gen_index = {g: i for i, g in enumerate(gens)}
         self._perms: dict[str, tuple] = {}
+
+    @cached_property
+    def _series_ring(self):
+        """Q<<gens>> at order max_degree, built on first use (series imports rings)."""
+        from .series import SeriesRing
+        return SeriesRing(RationalField(), self.generators, order=self.max_degree)
 
     def register_generator_permutation(self, name: str, perm: Sequence[int]) -> RingAutomorphism:
         perm = tuple(int(x) for x in perm)
@@ -939,16 +947,11 @@ class TruncatedFreeAlgebra(CoeffRing):
         return self.scalar_part(a) != 0
 
     def invert(self, a):
-        c = self.scalar_part(a)
-        if c == 0:
+        if self.scalar_part(a) == 0:
             raise NotAUnit(f"zero scalar part: non-unit of {self.name}")
-        # a = c(1 + n) with n in the nilpotent ideal; finite geometric series.
-        n = self.sub(self.scalar_mul(1 / c, a), self.one)
-        acc, power = self.one, self.one
-        for _ in range(self.max_degree):
-            power = self.neg(self.mul(power, n))
-            acc = self.add(acc, power)
-        return self.scalar_mul(1 / c, acc)
+        from .series import TwistedSeries
+        inv = TwistedSeries(self._series_ring, dict(a)).inverse()
+        return _free_canon(inv.terms.items())
 
     def generating_elements(self):
         return [((tuple([i]), Fraction(1)),) for i in range(len(self.generators))]
@@ -971,27 +974,14 @@ class TruncatedFreeAlgebra(CoeffRing):
         return frac_mat_invert(scal) is not None
 
     def mat_invert(self, rows):
-        n = len(rows)
-        scal = frac_mat_invert([[self.scalar_part(x) for x in row] for row in rows])
-        if scal is None:
+        if not self.mat_is_invertible(rows):
             raise NotAUnit(f"matrix has singular scalar part over {self.name}")
-        sinv = tuple(tuple((((), q),) if q else () for q in row) for row in scal)
-        # rows = S(I + N) with N entrywise in the nilpotent ideal.
-        nmat = self.emat_sub(self.emat_mul(sinv, rows), self.emat_identity(n))
-        acc, power = self.emat_identity(n), self.emat_identity(n)
-        for _ in range(self.max_degree):
-            power = tuple(tuple(self.neg(x) for x in row)
-                          for row in self.emat_mul(power, nmat))
-            acc = self.emat_add(acc, power)
-        return self.emat_mul(acc, sinv)
-
-    def emat_add(self, a, b):
-        return tuple(tuple(self.add(x, y) for x, y in zip(ra, rb))
-                     for ra, rb in zip(a, b))
-
-    def emat_sub(self, a, b):
-        return tuple(tuple(self.sub(x, y) for x, y in zip(ra, rb))
-                     for ra, rb in zip(a, b))
+        from .matrices import SeriesMatrix, mat_invert
+        from .series import TwistedSeries
+        R = self._series_ring
+        inv = mat_invert(SeriesMatrix(R, [[TwistedSeries(R, dict(x)) for x in row]
+                                          for row in rows]))
+        return tuple(tuple(_free_canon(e.terms.items()) for e in row) for row in inv.rows)
 
     def all_words(self, min_len: int = 0) -> list[tuple]:
         words: list[tuple] = []

@@ -9,9 +9,9 @@ automorphisms of its letters right-to-left.
 
 The augmentation eps reads off the empty-word coefficient; it is a ring map
 onto A with section lift(). A series is invertible exactly when eps of it is
-a unit of A (the ring is local over the augmentation), and the inverse is a
-finite geometric series because the augmentation ideal is nilpotent at any
-finite order.
+a unit of A (the ring is local over the augmentation), and because the
+augmentation ideal is nilpotent at any finite order the inverse is fixed
+degree by degree from eps^{-1} (graded_inverse, shared with series matrices).
 """
 
 from __future__ import annotations
@@ -264,29 +264,51 @@ class TwistedSeries:
                                     if len(w) <= order})
 
     # -- inversion -------------------------------------------------------------------
-    def inverse(self) -> "TwistedSeries":
-        """Two-sided inverse via the finite geometric series.
+    def graded_parts(self) -> list["TwistedSeries"]:
+        """The homogeneous components by word length, degrees 0..order."""
+        buckets = [{} for _ in range(self.ring.order + 1)]
+        for w, c in self.terms.items():
+            buckets[len(w)][w] = c
+        return [TwistedSeries(self.ring, b) for b in buckets]
 
-        Requires eps of the series to be a unit of A. With
-        alpha0 = eps(s)^{-1} s - 1 (which has augmentation 0), the inverse is
-        (sum_{k<=N} (-alpha0)^k) * eps(s)^{-1}.
-        """
-        R = self.ring
-        A = R.coeff
+    def inverse(self) -> "TwistedSeries":
+        """Two-sided inverse; needs eps of the series to be a unit of A."""
+        A = self.ring.coeff
         e = self.augmentation()
         if not A.is_unit(e):
-            raise AugmentationNotUnit(
-                f"augmentation {e!r} is not a unit of {A.name}")
-        einv = R.lift(A.invert(e))
-        alpha0 = einv * self - R.one()
-        acc = R.one()
-        power = R.one()
-        for _ in range(R.order):
-            power = -(power * alpha0)
-            if power.is_zero():
-                break
-            acc = acc + power
-        return acc * einv
+            raise AugmentationNotUnit(f"augmentation {e!r} is not a unit of {A.name}")
+        out = graded_inverse(self.graded_parts(), self.ring.lift(A.invert(e)))
+        return sum(out[1:], out[0])
+
+
+def graded_inverse(parts: list, inv0) -> list:
+    """Components out[d] of the inverse of x = sum(parts), parts[d] of degree d.
+
+    out[0] = inv0 = parts[0]^-1 and out[d] = -inv0 * sum_{k=1..d} parts[k]*out[d-k],
+    so x * sum(out) = 1; in a ring local over the augmentation this right
+    inverse is two-sided. Serves series and series matrices alike.
+    """
+    out = [inv0]
+    for d in range(1, len(parts)):
+        acc = parts[d] * inv0
+        for k in range(1, d):
+            if not (parts[k].is_zero() or out[d - k].is_zero()):
+                acc = acc + parts[k] * out[d - k]
+        out.append(-(inv0 * acc))
+    return out
+
+
+def _power_sum(theta: TwistedSeries, coeff) -> TwistedSeries:
+    """sum_{k>=1} coeff(k) * theta^k, stopping once theta^k truncates to 0."""
+    R = theta.ring
+    acc = R.zero()
+    power = R.one()
+    for k in range(1, R.order + 1):
+        power = power * theta
+        if power.is_zero():
+            break
+        acc = acc + power.scale(coeff(k))
+    return acc
 
 
 def formal_log(u: TwistedSeries) -> TwistedSeries:
@@ -297,15 +319,7 @@ def formal_log(u: TwistedSeries) -> TwistedSeries:
         raise NeedsRationalCoefficients(f"formal log needs Q inside {A.name}")
     if not A.is_one(u.augmentation()):
         raise AugmentationNotOne("formal log needs augmentation exactly 1")
-    theta = u - R.one()
-    acc = R.zero()
-    power = R.one()
-    for k in range(1, R.order + 1):
-        power = power * theta
-        if power.is_zero():
-            break
-        acc = acc + power.scale(Fraction((-1) ** (k + 1), k))
-    return acc
+    return _power_sum(u - R.one(), lambda k: Fraction((-1) ** (k + 1), k))
 
 
 def formal_exp(t: TwistedSeries) -> TwistedSeries:
@@ -316,11 +330,4 @@ def formal_exp(t: TwistedSeries) -> TwistedSeries:
         raise NeedsRationalCoefficients(f"formal exp needs Q inside {A.name}")
     if not A.is_zero(t.augmentation()):
         raise AugmentationNotOne("formal exp needs augmentation exactly 0")
-    acc = R.one()
-    power = R.one()
-    for k in range(1, R.order + 1):
-        power = power * t
-        if power.is_zero():
-            break
-        acc = acc + power.scale(Fraction(1, math.factorial(k)))
-    return acc
+    return R.one() + _power_sum(t, lambda k: Fraction(1, math.factorial(k)))

@@ -137,16 +137,29 @@ def test_exit_code_1_on_bad_input(capsys, ring_file, tmp_path):
     code, _, err = run_cli(capsys, "inv", "--ring", ring, 'w("q")')
     assert code == 1
     assert json.loads(err)["error"]["type"] == "LiteralSyntaxError"
+    # zero denominator in a rational factor
+    code, out, err = run_cli(capsys, "inv", "--ring", ring, "1/0")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "LiteralSyntaxError"
     # missing ring file
     code, _, err = run_cli(capsys, "inv", "--ring", str(tmp_path / "nope.json"), "1")
     assert code == 1
 
 
-def test_exit_code_2_on_domain_error(capsys, qring):
+def test_exit_code_2_on_domain_error(capsys, qring, ring_file):
     # eps = 0: schema-valid input refused on mathematical grounds
     code, _, err = run_cli(capsys, "inv", "--ring", qring, 'w("x")')
     assert code == 2
     assert json.loads(err)["error"]["type"] == "AugmentationNotUnit"
+    # coset verdicts are refused on a ring with a twisted letter
+    c4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    ring = ring_file({"coeff": {"kind": "group_algebra", "group": {"table": c4},
+                                "automorphisms": {"inv": [0, 3, 2, 1]}},
+                      "alphabet": ["x"], "twist": {"x": "inv"}, "order": 2})
+    code, out, err = run_cli(capsys, "coset", "--ring", ring,
+                             '1+[-12*g1+12*g3]*w("xx")', "1")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "NeedsTrace"
 
 
 def test_run_job_file(capsys, tmp_path):

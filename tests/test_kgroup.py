@@ -17,6 +17,8 @@ from twistdet import (
     cyc_log,
     dieudonne_det,
     endo_class_invariant,
+    parse_series,
+    render_series,
     vaserstein_transform,
 )
 from twistdet.kgroup import least_rotation
@@ -247,6 +249,18 @@ def test_coset_verdicts(free_yz):
     assert coset_probably_equal(u, u * g) == "indistinguishable"
     x = R.from_terms([("x", free_yz.one)])
     assert coset_probably_equal(R.one() + x, R.one()) == "distinct"
+
+
+def test_coset_refuses_twisted_rings(qc4):
+    # g lies in C, but the plain-trace cyc_log does not vanish on it, so a
+    # verdict against 1 would be a false "distinct"
+    R = one_letter(qc4, 2, twist="inv")
+    a = parse_series('[g1-3*g3]*w("x")+[-3*g1-2*g2]*w("xx")', R)
+    b = parse_series('[3*g0]+[-2*g1+3*g2+3*g3]*w("x")+[-2*g3]*w("xx")', R)
+    g = c_generator(a, b)
+    assert render_series(g) == '1+[-12*g1+12*g3]*w("xx")'
+    with pytest.raises(NeedsTrace):
+        coset_probably_equal(g, R.one())
 
 
 # -- endomorphism invariants ---------------------------------------------------

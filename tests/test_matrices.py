@@ -82,12 +82,25 @@ def test_ldu_random_recompose_unique(qq, m2, qc4):
                 assert (g.l, g.d1, g.d2, g.u) == (f.l, f.d1, f.d2, f.u)
 
 
-def test_matrix_inverse_random(qq, m2):
+def random_invertible_matrix(R, rng, n):
+    # augmentation: an invertible coefficient matrix other than the identity
+    A = R.coeff
+    while True:
+        aug = tuple(tuple(A.random_element(rng) for _ in range(n)) for _ in range(n))
+        if aug != A.emat_identity(n) and A.mat_is_invertible(aug):
+            return SeriesMatrix.lift(R, aug) + random_kernel_matrix(R, rng, n, n)
+
+
+def test_matrix_inverse_random(qq, m2, qc4, free_yz):
     rng = random.Random(32)
-    for R in (SeriesRing(qq, order=3), one_letter(m2, 3, twist="swap")):
-        for n in (1, 2, 3):
+    cases = [(SeriesRing(qq, order=3), random_unipotent_matrix, (1, 2, 3)),
+             (one_letter(m2, 3, twist="swap"), random_unipotent_matrix, (1, 2, 3)),
+             (one_letter(qc4, 3, twist="inv"), random_invertible_matrix, (1, 2)),
+             (one_letter(free_yz, 3, twist="flip"), random_invertible_matrix, (1, 2))]
+    for R, sample, sizes in cases:
+        for n in sizes:
             for _ in range(5):
-                m = random_unipotent_matrix(R, rng, n)
+                m = sample(R, rng, n)
                 assert mat_is_invertible(m)
                 assert mat_invert(m) * m == SeriesMatrix.identity(R, n)
                 assert m * mat_invert(m) == SeriesMatrix.identity(R, n)

@@ -154,6 +154,17 @@ def test_free_units(free_yz):
     assert not free_yz.is_unit(free_yz.parse_element_literal("y"))
 
 
+def test_free_matrix_inverse_non_scalar_entries(free_yz):
+    f = free_yz.parse_element_literal
+    rows = ((f("2+y"), f("z-yz")), (f("1+zz"), f("3+y-zy")))
+    inv = free_yz.mat_invert(rows)
+    ident = free_yz.emat_identity(2)
+    assert free_yz.emat_mul(inv, rows) == ident
+    assert free_yz.emat_mul(rows, inv) == ident
+    with pytest.raises(NotAUnit):
+        free_yz.mat_invert(((f("y"), f("1")), (f("z"), f("1+y"))))
+
+
 def test_free_trace_buckets_by_cyclic_word(free_yz):
     assert free_yz.trace(free_yz.parse_element_literal("yz-zy")) == {}
     assert free_yz.trace(free_yz.parse_element_literal("yz+zy")) == {"yz": F(2)}

@@ -95,6 +95,8 @@ def test_inverse_random_two_sided(qq, m2, qc4, free_yz):
         one_letter(m2, 3, twist="swap"),
         one_letter(qc4, 3, twist="inv"),
         one_letter(free_yz, 3, twist="flip"),
+        SeriesRing(m2, alphabet=("x", "y"), twist={"x": "swap"}, order=3),
+        SeriesRing(m2, alphabet=("x", "y"), order=3, letters_commute=True),
     ]
     for R in rings:
         for _ in range(10):
