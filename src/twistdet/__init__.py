@@ -42,7 +42,6 @@ from .matrices import (
     mat_invert,
     mat_is_invertible,
     rearrange_inverses_check,
-    split_augmentation,
     whitehead_identity_check,
 )
 from .kgroup import (

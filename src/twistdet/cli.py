@@ -1,9 +1,13 @@
 """Batch command line front end.
 
 Every invocation is normalized into a single job document, validated against
-the job schema, executed, and answered with one canonical JSON document on
-stdout (or --out). Exit codes: 0 success, 1 schema or input-format error,
+the schema of its op, executed, and answered with one canonical JSON document
+on stdout (or --out). Exit codes: 0 success, 1 schema or input-format error,
 2 domain error (and a failed selftest suite).
+
+The per-op validators are built once, at import; the schemas themselves are
+checked against the draft 2020-12 meta-schema by the tests, not per process.
+A schema error's message names the failing JSON path.
 
 Series operands are literal strings like '1+[g1]*w("x")'. Matrix and
 Novikov operands are JSON, given inline or as @path to read a file.
@@ -18,7 +22,7 @@ import sys
 import jsonschema
 
 from .documents import (
-    JOB_SCHEMA,
+    OP_SCHEMAS,
     canonical_json,
     coeff_matrix_from_doc,
     cyclog_to_doc,
@@ -46,6 +50,30 @@ from .selftest import SUITE_NAMES, selftest
 from .series import formal_log
 
 
+_VALIDATORS = {op: jsonschema.Draft202012Validator(schema)
+               for op, schema in OP_SCHEMAS.items()}
+
+
+def validate_job(job) -> None:
+    """Raise jsonschema.ValidationError unless job matches the schema of its op.
+
+    Accepts exactly the documents that documents.JOB_SCHEMA accepts, and picks
+    the reported error the way jsonschema.validate does.
+    """
+    if not isinstance(job, dict):
+        raise jsonschema.ValidationError(
+            f"a job must be a JSON object, not {type(job).__name__}")
+    op = job.get("op")
+    validator = _VALIDATORS.get(op) if isinstance(op, str) else None
+    if validator is None:
+        raise jsonschema.ValidationError(
+            f"unknown op {op!r}; expected one of {', '.join(_VALIDATORS)}",
+            path=["op"])
+    error = jsonschema.exceptions.best_match(validator.iter_errors(job))
+    if error is not None:
+        raise error
+
+
 def _load_json_arg(text: str):
     if text.startswith("@"):
         with open(text[1:], encoding="utf-8") as fh:
@@ -65,9 +93,8 @@ def _build_job(args) -> dict:
             job["trials"] = args.trials
         return job
     ring_doc = _load_json_arg("@" + args.ring)
-    if args.order is not None:
-        ring_doc = dict(ring_doc)
-        ring_doc["order"] = args.order
+    if args.order is not None and isinstance(ring_doc, dict):
+        ring_doc = {**ring_doc, "order": args.order}
     job = {"op": op, "ring": ring_doc}
     if args.seed is not None:
         job["seed"] = args.seed
@@ -257,7 +284,7 @@ def main(argv=None) -> int:
         else:
             job = _build_job(args)
             out_path = args.out
-        jsonschema.validate(job, JOB_SCHEMA)
+        validate_job(job)
         doc, code = execute_job(job)
     except (jsonschema.ValidationError, json.JSONDecodeError,
             LiteralSyntaxError, ValueError) as exc:
@@ -274,7 +301,12 @@ def main(argv=None) -> int:
 
 
 def _emit_error(exc) -> None:
-    doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+    if isinstance(exc, jsonschema.ValidationError):
+        # str(exc) embeds the whole schema and instance
+        message = f"{exc.json_path}: {exc.message}"
+    else:
+        message = str(exc)
+    doc = {"error": {"type": type(exc).__name__, "message": message}}
     sys.stderr.write(canonical_json(doc))
 
 

@@ -306,4 +306,7 @@ def _op_branch(op: str) -> dict:
             "required": required, "additionalProperties": False}
 
 
-JOB_SCHEMA = {"oneOf": [_op_branch(op) for op in sorted(_OPERAND_SCHEMAS)]}
+# One schema per job op; a job is valid when it matches the schema of its op.
+OP_SCHEMAS = {op: _op_branch(op) for op in sorted(_OPERAND_SCHEMAS)}
+
+JOB_SCHEMA = {"oneOf": list(OP_SCHEMAS.values())}

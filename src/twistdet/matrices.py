@@ -138,9 +138,6 @@ class SeriesMatrix:
             out.append(row)
         return SeriesMatrix(self.ring, out)
 
-    def scale_series(self, s: TwistedSeries) -> "SeriesMatrix":
-        return SeriesMatrix(self.ring, [[s * e for e in row] for row in self.rows])
-
 
 def augmentation_is_identity(m: SeriesMatrix) -> bool:
     A = m.ring.coeff
@@ -171,18 +168,6 @@ def mat_invert(m: SeriesMatrix) -> SeriesMatrix:
              for d in range(m.ring.order + 1)]
     out = graded_inverse(parts, SeriesMatrix.lift(m.ring, A.mat_invert(aug)))
     return sum(out[1:], out[0])
-
-
-def split_augmentation(m: SeriesMatrix) -> tuple[SeriesMatrix, SeriesMatrix]:
-    """Write m = c * m_tilde with c a lifted coefficient matrix and
-    m_tilde of augmentation identity."""
-    if not mat_is_invertible(m):
-        raise NotInvertible("split needs an invertible augmentation")
-    A = m.ring.coeff
-    aug = m.augmentation()
-    c = SeriesMatrix.lift(m.ring, aug)
-    tilde = SeriesMatrix.lift(m.ring, A.mat_invert(aug)) * m
-    return c, tilde
 
 
 @dataclass

@@ -147,10 +147,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def is_abelian(self) -> bool:
-        n = self.order
-        return all(self.table[a][b] == self.table[b][a] for a in range(n) for b in range(n))
-
     def conjugacy_classes(self) -> list[frozenset]:
         n = self.order
         seen, classes = set(), []
@@ -907,9 +903,6 @@ class TruncatedFreeAlgebra(CoeffRing):
 
     def word_str(self, w: tuple) -> str:
         return "".join(self.generators[i] for i in w)
-
-    def generator_element(self, name: str):
-        return ((self.word(name), Fraction(1)),)
 
     def scalar_part(self, a) -> Fraction:
         for w, c in a:

@@ -67,6 +67,8 @@ class SeriesRing:
                 self.order, self.letters_commute)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         return isinstance(other, SeriesRing) and self.signature() == other.signature()
 
     def __hash__(self):

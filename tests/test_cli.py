@@ -1,6 +1,7 @@
 import json
 import pathlib
 
+import jsonschema
 import pytest
 
 from twistdet.cli import main
@@ -132,6 +133,11 @@ def test_exit_code_1_on_bad_input(capsys, ring_file, tmp_path):
     ring = ring_file({"coeff": {"kind": "octonions"}, "order": 2})
     code, _, err = run_cli(capsys, "inv", "--ring", ring, "1")
     assert code == 1
+    # a ring file that is not a JSON object, with the order overridden
+    ring = ring_file([1])
+    code, out, err = run_cli(capsys, "inv", "--ring", ring, "--order", "2", "1")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["message"].startswith("$.ring:")
     # bad series literal
     ring = ring_file(QRING_DOC)
     code, _, err = run_cli(capsys, "inv", "--ring", ring, 'w("q")')
@@ -177,6 +183,34 @@ def test_run_rejects_unknown_op(capsys, tmp_path):
     p.write_text(json.dumps({"op": "frobnicate"}))
     code, _, err = run_cli(capsys, "run", str(p))
     assert code == 1
+
+
+def test_no_meta_schema_check_per_job(capsys, qring, monkeypatch):
+    def refuse(cls, schema, **kwargs):
+        raise AssertionError("the job schema was re-checked while running a job")
+    monkeypatch.setattr(jsonschema.Draft202012Validator, "check_schema",
+                        classmethod(refuse))
+    code, out, err = run_cli(capsys, "inv", "--ring", qring, '1+w("x")')
+    assert code == 0 and err == ""
+    assert json.loads(out)["result"] == '1-w("x")+w("xx")-w("xxx")'
+
+
+@pytest.mark.parametrize("job, names", [
+    ({"op": "inv", "ring": QRING_DOC, "series": ["1"], "colour": "red"},
+     "colour"),
+    ({"op": "cgen", "ring": QRING_DOC, "series": ["1"]}, "$.series"),
+    ({"op": "frobnicate", "ring": QRING_DOC}, "frobnicate"),
+    ([{"op": "inv"}], "JSON object"),
+])
+def test_run_schema_errors_are_readable(capsys, tmp_path, job, names):
+    p = tmp_path / "job.json"
+    p.write_text(json.dumps(job))
+    code, out, err = run_cli(capsys, "run", str(p))
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValidationError"
+    assert names in error["message"]
+    assert len(error["message"]) < 1024
 
 
 def test_out_flag_writes_canonical_file(capsys, qring, tmp_path):

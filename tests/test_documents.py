@@ -4,8 +4,10 @@ import jsonschema
 import pytest
 
 from twistdet import NovikovSeries, SeriesMatrix, SeriesRing, cyc_log, orbit_counts
+from twistdet.cli import validate_job
 from twistdet.documents import (
     JOB_SCHEMA,
+    OP_SCHEMAS,
     RING_SCHEMA,
     canonical_json,
     coeff_ring_from_doc,
@@ -109,53 +111,78 @@ def test_orbit_report_doc_shape(qc2):
                               "3": {"g1": "-1/3"}}
 
 
+RING = {"coeff": {"kind": "rational"}, "order": 3}
+
+
 def job(**kw):
-    base = {"op": "inv",
-            "ring": {"coeff": {"kind": "rational"}, "order": 3},
-            "series": ['1+w("x")']}
+    base = {"op": "inv", "ring": RING, "series": ['1+w("x")']}
     base.update(kw)
     return base
 
 
+GOOD_JOBS = [
+    job(),
+    job(op="mul", series=["1", '1-w("x")']),
+    job(op="log", series=['1+w("x")']),
+    {"op": "ldu", "ring": RING, "matrix": [["1", "0"], ["0", "1"]]},
+    {"op": "det", "ring": RING, "matrix": [["1"]]},
+    {"op": "cgen", "ring": RING, "series": ['w("x")', 'w("x")'],
+     "flavor": "ab_ba_in_kernel"},
+    {"op": "vaserstein", "ring": RING, "series": ['w("x")', 'w("x")', "2"]},
+    {"op": "cyclog", "ring": RING, "series": ['1+w("x")']},
+    {"op": "coset", "ring": RING, "series": ["1", "1"]},
+    {"op": "endoclass", "ring": RING, "alpha": [["2"]]},
+    {"op": "addcheck", "ring": RING, "alpha": [["1"]], "alpha2": [["1"]],
+     "coupling": [["1"]]},
+    {"op": "novikov", "ring": RING, "novikov": {"degrees": {"0": "1"}},
+     "lefschetz": True},
+    {"op": "selftest", "suite": "rings", "seed": 1, "trials": 2},
+]
+
+BAD_JOBS = [
+    job(op="nope"),
+    job(extra_field=1),
+    {"op": "inv", "series": ["1"]},                      # ring missing
+    job(op="cgen", series=["1"]),                        # wrong arity
+    job(op="mul", series=["1"]),                         # mul needs two
+    {"op": "selftest", "suite": "rings",
+     "ring": {"coeff": {"kind": "rational"}, "order": 1}},  # no ring here
+    job(ring={"coeff": {"kind": "int_mod"}, "order": 3}),   # modulus missing
+    job(seed=-1),
+]
+
+
 def test_job_schema_accepts_each_op():
-    ring = {"coeff": {"kind": "rational"}, "order": 3}
-    jobs = [
-        job(),
-        job(op="mul", series=["1", '1-w("x")']),
-        job(op="log", series=['1+w("x")']),
-        {"op": "ldu", "ring": ring, "matrix": [["1", "0"], ["0", "1"]]},
-        {"op": "det", "ring": ring, "matrix": [["1"]]},
-        {"op": "cgen", "ring": ring, "series": ['w("x")', 'w("x")'],
-         "flavor": "ab_ba_in_kernel"},
-        {"op": "vaserstein", "ring": ring, "series": ['w("x")', 'w("x")', "2"]},
-        {"op": "cyclog", "ring": ring, "series": ['1+w("x")']},
-        {"op": "coset", "ring": ring, "series": ["1", "1"]},
-        {"op": "endoclass", "ring": ring, "alpha": [["2"]]},
-        {"op": "addcheck", "ring": ring, "alpha": [["1"]], "alpha2": [["1"]],
-         "coupling": [["1"]]},
-        {"op": "novikov", "ring": ring, "novikov": {"degrees": {"0": "1"}},
-         "lefschetz": True},
-        {"op": "selftest", "suite": "rings", "seed": 1, "trials": 2},
-    ]
-    for doc in jobs:
+    for doc in GOOD_JOBS:
         jsonschema.validate(doc, JOB_SCHEMA)
 
 
 def test_job_schema_rejects_bad_jobs():
-    bad = [
-        job(op="nope"),
-        job(extra_field=1),
-        {"op": "inv", "series": ["1"]},                      # ring missing
-        job(op="cgen", series=["1"]),                        # wrong arity
-        job(op="mul", series=["1"]),                         # mul needs two
-        {"op": "selftest", "suite": "rings",
-         "ring": {"coeff": {"kind": "rational"}, "order": 1}},  # no ring here
-        job(ring={"coeff": {"kind": "int_mod"}, "order": 3}),   # modulus missing
-        job(seed=-1),
-    ]
-    for doc in bad:
+    for doc in BAD_JOBS:
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(doc, JOB_SCHEMA)
+
+
+def test_job_schemas_are_valid_draft_2020_12():
+    # the CLI never checks its schemas; this test is where that happens
+    jsonschema.Draft202012Validator.check_schema(JOB_SCHEMA)
+    for schema in OP_SCHEMAS.values():
+        jsonschema.Draft202012Validator.check_schema(schema)
+
+
+def _accepts(check, doc) -> bool:
+    try:
+        check(doc)
+    except jsonschema.ValidationError:
+        return False
+    return True
+
+
+def test_per_op_validation_matches_job_schema():
+    odd = [[], "inv", {}, {"op": None}, {"op": ["inv"]}]
+    for doc in GOOD_JOBS + BAD_JOBS + odd:
+        assert _accepts(validate_job, doc) == _accepts(
+            lambda d: jsonschema.validate(d, JOB_SCHEMA), doc), doc
 
 
 def test_canonical_json_stable():
