@@ -5,9 +5,11 @@ the schema of its op, executed, and answered with one canonical JSON document
 on stdout (or --out). Exit codes: 0 success, 1 schema or input-format error,
 2 domain error (and a failed selftest suite).
 
-The per-op validators are built once, at import; the schemas themselves are
-checked against the draft 2020-12 meta-schema by the tests, not per process.
-A schema error's message names the failing JSON path.
+A job is checked by documents.validate, a small interpreter of the JSON Schema
+keywords the schemas use, so a process never imports jsonschema; the tests
+compare the interpreter with jsonschema and check the schemas themselves
+against the draft 2020-12 meta-schema. A schema error's message names the
+failing JSON path. An integral float such as 3.0 is not an integer.
 
 Series operands are literal strings like '1+[g1]*w("x")'. Matrix and
 Novikov operands are JSON, given inline or as @path to read a file.
@@ -19,8 +21,6 @@ import argparse
 import json
 import sys
 
-import jsonschema
-
 from .documents import (
     OP_SCHEMAS,
     canonical_json,
@@ -31,8 +31,9 @@ from .documents import (
     novikov_from_doc,
     orbit_report_to_doc,
     series_ring_from_doc,
+    validate,
 )
-from .errors import LiteralSyntaxError, TwistdetError
+from .errors import LiteralSyntaxError, TwistdetError, ValidationError
 from .kgroup import (
     FLAVOR_AB_BA_KERNEL,
     FLAVORS,
@@ -50,28 +51,32 @@ from .selftest import SUITE_NAMES, selftest
 from .series import formal_log
 
 
-_VALIDATORS = {op: jsonschema.Draft202012Validator(schema)
-               for op, schema in OP_SCHEMAS.items()}
-
-
 def validate_job(job) -> None:
-    """Raise jsonschema.ValidationError unless job matches the schema of its op.
+    """Raise ValidationError unless job matches the schema of its op.
 
-    Accepts exactly the documents that documents.JOB_SCHEMA accepts, and picks
-    the reported error the way jsonschema.validate does.
+    Accepts exactly the documents that documents.JOB_SCHEMA accepts (integral
+    floats aside), and reports the error jsonschema's best_match would pick.
     """
     if not isinstance(job, dict):
-        raise jsonschema.ValidationError(
+        raise ValidationError(
             f"a job must be a JSON object, not {type(job).__name__}")
     op = job.get("op")
-    validator = _VALIDATORS.get(op) if isinstance(op, str) else None
-    if validator is None:
-        raise jsonschema.ValidationError(
-            f"unknown op {op!r}; expected one of {', '.join(_VALIDATORS)}",
+    schema = OP_SCHEMAS.get(op) if isinstance(op, str) else None
+    if schema is None:
+        raise ValidationError(
+            f"unknown op {op!r}; expected one of {', '.join(OP_SCHEMAS)}",
             path=["op"])
-    error = jsonschema.exceptions.best_match(validator.iter_errors(job))
-    if error is not None:
-        raise error
+    validate(job, schema)
+
+
+def __getattr__(name):
+    # The traced benchmark run (perfbench/spans.py) wraps
+    # twistdet.cli.jsonschema.validate; jsonschema is imported only when that
+    # name is read, so no CLI process pays for it.
+    if name == "jsonschema":
+        import jsonschema
+        return jsonschema
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _load_json_arg(text: str):
@@ -286,7 +291,7 @@ def main(argv=None) -> int:
             out_path = args.out
         validate_job(job)
         doc, code = execute_job(job)
-    except (jsonschema.ValidationError, json.JSONDecodeError,
+    except (ValidationError, json.JSONDecodeError,
             LiteralSyntaxError, ValueError) as exc:
         _emit_error(exc)
         return 1
@@ -301,8 +306,7 @@ def main(argv=None) -> int:
 
 
 def _emit_error(exc) -> None:
-    if isinstance(exc, jsonschema.ValidationError):
-        # str(exc) embeds the whole schema and instance
+    if isinstance(exc, ValidationError):
         message = f"{exc.json_path}: {exc.message}"
     else:
         message = str(exc)

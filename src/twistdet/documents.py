@@ -1,4 +1,5 @@
-"""JSON documents: ring descriptions, operands, reports, and the job schema.
+"""JSON documents: ring descriptions, operands, reports, the job schema and
+the validator that checks a job against it.
 
 Output dicts are built in their final key order and rendered with indent=2
 and a trailing newline; keys are never re-sorted at dump time (series words
@@ -8,9 +9,11 @@ destroy). Fixed inputs therefore produce byte-identical outputs.
 
 from __future__ import annotations
 
+import heapq
 import json
+import re
 
-from .errors import LiteralSyntaxError
+from .errors import LiteralSyntaxError, ValidationError
 from .literals import parse_series, render_series
 from .matrices import SeriesMatrix
 from .novikov import NovikovSeries, OrbitCountReport
@@ -310,3 +313,107 @@ def _op_branch(op: str) -> dict:
 OP_SCHEMAS = {op: _op_branch(op) for op in sorted(_OPERAND_SCHEMAS)}
 
 JOB_SCHEMA = {"oneOf": list(OP_SCHEMAS.values())}
+
+
+# -- validation -------------------------------------------------------------------------
+#
+# Documents are checked by this interpreter of the keywords the schemas above use,
+# not by jsonschema, whose import alone costs a CLI process about as much as the
+# rest of its start-up. It reports the error that jsonschema.exceptions.best_match
+# picks from a draft 2020-12 validator, with the same path and message, except
+# that an integral float such as 3.0 is not an "integer" here.
+
+_TYPES = {"object": lambda x: isinstance(x, dict),
+          "array": lambda x: isinstance(x, list),
+          "string": lambda x: isinstance(x, str),
+          "integer": lambda x: type(x) is int,
+          "boolean": lambda x: isinstance(x, bool)}
+
+
+def validate(doc, schema: dict) -> None:
+    """Raise ValidationError unless doc matches schema."""
+    best = max(_errors(schema, doc), key=_relevance, default=None)
+    if best is None:
+        return
+    path = best[0]
+    # a oneOf error gives way to its least relevant sub-error, unless two of them tie
+    while best[4]:
+        first, *rest = heapq.nsmallest(2, best[4], key=_relevance)
+        if rest and _relevance(first) == _relevance(rest[0]):
+            break
+        best = first
+        path += first[0]
+    raise ValidationError(best[3], path)
+
+
+def _relevance(error):
+    # the key of jsonschema.exceptions.relevance, less its always-false "strong" term
+    path, keyword, type_matches = error[:3]
+    return -len(path), path, keyword != "oneOf", not type_matches
+
+
+def _errors(schema: dict, x, path=()):
+    """Yield (path, keyword, type_matches, message, context) for each failure of x,
+    in jsonschema's order. Paths in a oneOf's context are relative to its value."""
+    type_matches = "type" in schema and _TYPES[schema["type"]](x)
+
+    def fail(message, context=()):
+        return path, key, type_matches, message, context
+
+    for key, value in schema.items():
+        if key == "type":
+            if not type_matches:
+                yield fail(f"{x!r} is not of type {value!r}")
+        elif key == "properties":
+            if isinstance(x, dict):
+                for name, sub in value.items():
+                    if name in x:
+                        yield from _errors(sub, x[name], path + (name,))
+        elif key == "required":
+            if isinstance(x, dict):
+                for name in value:
+                    if name not in x:
+                        yield fail(f"{name!r} is a required property")
+        elif key == "additionalProperties":
+            if isinstance(x, dict):
+                extras = [name for name in x if name not in schema.get("properties", {})]
+                if isinstance(value, dict):
+                    for name in extras:
+                        yield from _errors(value, x[name], path + (name,))
+                elif value is False and extras:
+                    names = ", ".join(repr(name) for name in sorted(extras, key=str))
+                    verb = "was" if len(extras) == 1 else "were"
+                    yield fail("Additional properties are not allowed "
+                               f"({names} {verb} unexpected)")
+        elif key == "const":
+            if x != value or isinstance(x, bool) != isinstance(value, bool):
+                yield fail(f"{value!r} was expected")
+        elif key == "items":
+            if isinstance(x, list):
+                for i, item in enumerate(x):
+                    yield from _errors(value, item, path + (i,))
+        elif key in ("minItems", "minLength"):
+            if isinstance(x, list if key == "minItems" else str) and len(x) < value:
+                yield fail(f"{x!r} should be non-empty" if value == 1
+                           else f"{x!r} is too short")
+        elif key in ("maxItems", "maxLength"):
+            if isinstance(x, list if key == "maxItems" else str) and len(x) > value:
+                yield fail(f"{x!r} is expected to be empty" if value == 0
+                           else f"{x!r} is too long")
+        elif key == "minimum":
+            if type(x) in (int, float) and x < value:
+                yield fail(f"{x!r} is less than the minimum of {value!r}")
+        elif key == "pattern":
+            if isinstance(x, str) and not re.search(value, x):
+                yield fail(f"{x!r} does not match {value!r}")
+        elif key == "oneOf":
+            results = [list(_errors(sub, x)) for sub in value]
+            valid = [sub for sub, errors in zip(value, results) if not errors]
+            if not valid:
+                yield fail(f"{x!r} is not valid under any of the given schemas",
+                           [error for errors in results for error in errors])
+            elif len(valid) > 1:
+                reprs = ", ".join(repr(sub) for sub in valid[1:] + valid[:1])
+                yield fail(f"{x!r} is valid under each of {reprs}")
+        else:
+            raise NotImplementedError(f"schema keyword {key!r}")

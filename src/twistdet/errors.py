@@ -1,10 +1,13 @@
 """Typed errors shared across the library.
 
 Every precondition failure raises a subclass of TwistdetError so the CLI can
-map domain problems to a single exit code without string matching.
+map domain problems to a single exit code without string matching. A document
+that does not match its schema raises ValidationError, a ValueError.
 """
 
 from __future__ import annotations
+
+import re
 
 
 class TwistdetError(Exception):
@@ -73,3 +76,31 @@ class ClassRegroupIncompatible(TwistdetError):
 
 class LiteralSyntaxError(TwistdetError):
     """A series or coefficient literal could not be parsed."""
+
+
+_PLAIN_KEY = re.compile(r"^[a-zA-Z][a-zA-Z0-9_]*$")
+
+
+class ValidationError(ValueError):
+    """A JSON document does not match its schema.
+
+    `path` holds the keys and indices from the document's root to the failing
+    value; `json_path` spells it the way jsonschema does, e.g. `$.ring.order`.
+    """
+
+    def __init__(self, message: str, path=()):
+        super().__init__(message)
+        self.message = message
+        self.path = tuple(path)
+
+    @property
+    def json_path(self) -> str:
+        out = "$"
+        for elem in self.path:
+            if isinstance(elem, int):
+                out += f"[{elem}]"
+            elif _PLAIN_KEY.match(elem):
+                out += "." + elem
+            else:
+                out += "['" + elem.replace("\\", "\\\\").replace("'", "\\'") + "']"
+        return out

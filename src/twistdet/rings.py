@@ -495,6 +495,8 @@ class RationalMatrixRing(CoeffRing):
 
     def register_conjugation(self, name: str, matrix) -> RingAutomorphism:
         p = frac_matrix(matrix)
+        if len(p) != self.size or any(len(row) != self.size for row in p):
+            raise ValueError(f"conjugating matrix must be {self.size}x{self.size}")
         pinv = frac_mat_invert(p)
         if pinv is None:
             raise NotAUnit("conjugating matrix must be invertible")

@@ -46,6 +46,9 @@ class SeriesRing:
         if twist is None:
             twist = {}
         if isinstance(twist, dict):
+            stray = sorted(set(twist) - set(alphabet))
+            if stray:
+                raise ValueError(f"twist names letters not in the alphabet: {stray}")
             names = tuple(twist.get(a, "id") for a in alphabet)
         else:
             names = tuple(twist)

@@ -1,9 +1,14 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 
 import jsonschema
 import pytest
 
+import twistdet
 from twistdet.cli import main
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
@@ -152,6 +157,35 @@ def test_exit_code_1_on_bad_input(capsys, ring_file, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("ring, error_type, fragment", [
+    # jsonschema counts an integral float as an integer; twistdet does not
+    ({"coeff": {"kind": "rational"}, "order": 3.0}, "ValidationError",
+     "$.ring.order: 3.0 is not of type 'integer'"),
+    ({"coeff": {"kind": "int_mod", "modulus": 12.0}, "order": 2}, "ValidationError",
+     "$.ring.coeff:"),
+    ({"coeff": {"kind": "matrix", "size": 2.0}, "order": 2}, "ValidationError",
+     "$.ring.coeff:"),
+    ({"coeff": {"kind": "free_trunc", "generators": ["y"], "max_degree": 2.0},
+      "order": 2}, "ValidationError", "$.ring.coeff:"),
+    # conjugating matrices of the wrong size, and ragged ones
+    ({"coeff": {"kind": "matrix", "size": 2, "conjugations": {"p": [["1"]]}},
+      "alphabet": ["x"], "twist": {"x": "p"}, "order": 2}, "ValueError", "2x2"),
+    ({"coeff": {"kind": "matrix", "size": 2,
+                "conjugations": {"p": [["0", "1"], ["1"]]}},
+      "alphabet": ["x"], "twist": {"x": "p"}, "order": 2}, "ValueError", "2x2"),
+    # a twist for a letter that is not in the alphabet
+    ({"coeff": {"kind": "rational"}, "alphabet": ["x"], "twist": {"q": "swap"},
+      "order": 2}, "ValueError", "'q'"),
+], ids=["order-3.0", "modulus-12.0", "size-2.0", "max_degree-2.0", "conjugation-1x1",
+        "conjugation-ragged", "twist-stray-letter"])
+def test_exit_code_1_on_bad_ring(capsys, ring_file, ring, error_type, fragment):
+    code, out, err = run_cli(capsys, "inv", "--ring", ring_file(ring), '1+w("x")')
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == error_type
+    assert fragment in error["message"]
+
+
 def test_exit_code_2_on_domain_error(capsys, qring, ring_file):
     # eps = 0: schema-valid input refused on mathematical grounds
     code, _, err = run_cli(capsys, "inv", "--ring", qring, 'w("x")')
@@ -193,6 +227,24 @@ def test_no_meta_schema_check_per_job(capsys, qring, monkeypatch):
     code, out, err = run_cli(capsys, "inv", "--ring", qring, '1+w("x")')
     assert code == 0 and err == ""
     assert json.loads(out)["result"] == '1-w("x")+w("xx")-w("xxx")'
+
+
+def test_cli_process_does_not_import_jsonschema(tmp_path):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"op": "inv", "ring": QRING_DOC, "series": ['1+w("x")']}))
+    code = textwrap.dedent(f"""
+        import sys
+        import twistdet.cli
+        assert "jsonschema" not in sys.modules, "imported by twistdet.cli"
+        assert twistdet.cli.main(["run", {str(job)!r}]) == 0
+        assert "jsonschema" not in sys.modules, "imported while running a job"
+        # the traced benchmark run wraps this function
+        assert callable(twistdet.cli.jsonschema.validate)
+    """)
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(twistdet.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("job, names", [

@@ -1,7 +1,10 @@
+import contextlib
+import copy
 import random
 
 import jsonschema
 import pytest
+from jsonschema.exceptions import best_match
 
 from twistdet import NovikovSeries, SeriesMatrix, SeriesRing, cyc_log, orbit_counts
 from twistdet.cli import validate_job
@@ -20,7 +23,9 @@ from twistdet.documents import (
     orbit_report_to_doc,
     series_ring_from_doc,
     series_ring_to_doc,
+    validate,
 )
+from twistdet.errors import ValidationError
 from twistdet.randgen import random_series
 
 
@@ -149,6 +154,7 @@ BAD_JOBS = [
      "ring": {"coeff": {"kind": "rational"}, "order": 1}},  # no ring here
     job(ring={"coeff": {"kind": "int_mod"}, "order": 3}),   # modulus missing
     job(seed=-1),
+    job(ring={**RING, "alphabet": []}),
 ]
 
 
@@ -170,19 +176,125 @@ def test_job_schemas_are_valid_draft_2020_12():
         jsonschema.Draft202012Validator.check_schema(schema)
 
 
-def _accepts(check, doc) -> bool:
+def _error(check, doc):
+    """The CLI's form of the error check(doc) raises, or None if it accepts."""
     try:
         check(doc)
-    except jsonschema.ValidationError:
-        return False
-    return True
+    except ValidationError as exc:
+        return f"{exc.json_path}: {exc.message}"
+    return None
+
+
+def _accepts(check, doc) -> bool:
+    return _error(check, doc) is None
+
+
+def _best_match(schema, doc):
+    error = best_match(jsonschema.Draft202012Validator(schema).iter_errors(doc))
+    return None if error is None else f"{error.json_path}: {error.message}"
 
 
 def test_per_op_validation_matches_job_schema():
     odd = [[], "inv", {}, {"op": None}, {"op": ["inv"]}]
+    oracle = jsonschema.Draft202012Validator(JOB_SCHEMA)
     for doc in GOOD_JOBS + BAD_JOBS + odd:
-        assert _accepts(validate_job, doc) == _accepts(
-            lambda d: jsonschema.validate(d, JOB_SCHEMA), doc), doc
+        assert _accepts(validate_job, doc) == oracle.is_valid(doc), doc
+
+
+@pytest.mark.parametrize("doc", BAD_JOBS)
+def test_errors_match_jsonschema_best_match(doc):
+    schemas = [JOB_SCHEMA] + ([OP_SCHEMAS[doc["op"]]] if doc["op"] in OP_SCHEMAS else [])
+    for schema in schemas:
+        assert _error(lambda d: validate(d, schema), doc) == _best_match(schema, doc)
+
+
+def test_error_messages_name_the_failing_value():
+    ring = job(ring={"coeff": {"kind": "int_mod"}, "order": 3})
+    assert _error(validate_job, ring) == (
+        "$.ring.coeff: {'kind': 'int_mod'} is not valid under any of the given schemas")
+    alphabet = job(ring={**RING, "alphabet": []})
+    assert _error(validate_job, alphabet) == "$.ring.alphabet: [] should be non-empty"
+
+
+def _subschemas(schema):
+    yield schema
+    for key, value in schema.items():
+        if key == "properties":
+            subs = value.values()
+        elif key == "oneOf":
+            subs = value
+        elif key in ("items", "additionalProperties") and isinstance(value, dict):
+            subs = [value]
+        else:
+            continue
+        for sub in subs:
+            yield from _subschemas(sub)
+
+
+def test_validator_implements_every_schema_keyword():
+    for schema in OP_SCHEMAS.values():
+        for node in _subschemas(schema):
+            for key, value in node.items():
+                # an unknown keyword raises NotImplementedError
+                with contextlib.suppress(ValidationError):
+                    validate(None, {key: value})
+
+
+# Seeds for the mutation test: GOOD_JOBS, and one job over each kind of ring.
+MUTATION_SEEDS = GOOD_JOBS + [
+    job(ring={"coeff": doc, "alphabet": ["x", "y"], "twist": {"x": "t"},
+              "order": 2, "letters_commute": False})
+    for doc in RING_DOCS]
+MUTATION_KEYS = ["op", "ring", "coeff", "kind", "order", "seed", "size", "modulus",
+                 "alphabet", "twist", "group", "table", "degrees", "max_degree", "extra"]
+
+
+def _values(doc):
+    yield doc
+    if isinstance(doc, (dict, list)):
+        for value in (doc.values() if isinstance(doc, dict) else doc):
+            yield from _values(value)
+
+
+def _mutant(rng, pool):
+    """A seed job with one to three values swapped, keys dropped or added, or
+    items appended, at random places."""
+    doc = copy.deepcopy(rng.choice(MUTATION_SEEDS))
+    for _ in range(rng.randint(1, 3)):
+        node = rng.choice([v for v in _values(doc) if isinstance(v, (dict, list))])
+        value = copy.deepcopy(rng.choice(pool))
+        edit = rng.randrange(4)
+        if isinstance(node, dict):
+            if edit == 0 and node:
+                node[rng.choice(list(node))] = value
+            elif edit == 1 and node:
+                del node[rng.choice(list(node))]
+            else:
+                node[rng.choice(MUTATION_KEYS)] = value
+        elif edit == 0 and node:
+            node[rng.randrange(len(node))] = value
+        elif edit == 1 and node:
+            del node[rng.randrange(len(node))]
+        else:
+            node.append(value)
+    return doc
+
+
+def test_validation_matches_jsonschema_on_mutants():
+    pool = [None, True, False, 0, 1, 2, -1, 3.0, -1.0, 2.5, "", "x", "xy", "1/2",
+            "a/b", [], {}]
+    pool += [v for seed in MUTATION_SEEDS for v in _values(seed)]
+    oracle = jsonschema.Draft202012Validator(JOB_SCHEMA)
+    rng = random.Random(5)
+    for _ in range(5000):
+        doc = _mutant(rng, pool)
+        has_float = any(isinstance(v, float) for v in _values(doc))
+        error = _error(validate_job, doc)
+        # jsonschema counts an integral float such as 3.0 as an integer; twistdet does not
+        assert (error is None) == (oracle.is_valid(doc) and not has_float), doc
+        schema = OP_SCHEMAS.get(doc.get("op")) if isinstance(doc.get("op"), str) else None
+        if error is not None and not has_float and schema is not None:
+            assert error == _best_match(schema, doc), doc
 
 
 def test_canonical_json_stable():

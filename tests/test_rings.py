@@ -99,6 +99,13 @@ def test_m2_rejects_singular_conjugation():
         ring.register_conjugation("bad", [[1, 1], [1, 1]])
 
 
+@pytest.mark.parametrize("matrix", [[[1]], [[0, 1], [1]], [[1, 0], [0, 1], [0, 0]]])
+def test_m2_rejects_conjugation_of_wrong_shape(matrix):
+    ring = RationalMatrixRing(2)
+    with pytest.raises(ValueError, match="2x2"):
+        ring.register_conjugation("bad", matrix)
+
+
 # -- group algebras ----------------------------------------------------------
 
 def test_group_table_validation():

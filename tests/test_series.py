@@ -154,6 +154,11 @@ def test_commuting_letters_reject_twists(m2):
                    letters_commute=True)
 
 
+def test_twist_of_a_letter_outside_the_alphabet_rejected(m2):
+    with pytest.raises(ValueError, match="'q'"):
+        SeriesRing(m2, alphabet=("x",), twist={"q": "swap"}, order=2)
+
+
 def test_with_order_truncates(qq):
     R = SeriesRing(qq, order=4)
     u = (R.one() + R.letter("x")).power(3)
