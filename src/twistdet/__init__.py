@@ -8,6 +8,7 @@ from .errors import (
     CommutationFailed,
     DimensionMismatch,
     FlavorViolated,
+    InternalInvariantError,
     LeadingCoeffNotUnit,
     LiteralSyntaxError,
     NeedsRationalCoefficients,

@@ -3,7 +3,7 @@
 Every invocation is normalized into a single job document, validated against
 the schema of its op, executed, and answered with one canonical JSON document
 on stdout (or --out). Exit codes: 0 success, 1 schema or input-format error,
-2 domain error (and a failed selftest suite).
+2 domain error (and a failed selftest suite), 3 a failed internal self-check.
 
 A job is checked by documents.validate, a small interpreter of the JSON Schema
 keywords the schemas use, so a process never imports jsonschema; the tests
@@ -33,7 +33,13 @@ from .documents import (
     series_ring_from_doc,
     validate,
 )
-from .errors import LiteralSyntaxError, TwistdetError, ValidationError
+from .errors import (
+    InternalInvariantError,
+    LiteralSyntaxError,
+    NeedsTrace,
+    TwistdetError,
+    ValidationError,
+)
 from .kgroup import (
     FLAVOR_AB_BA_KERNEL,
     FLAVORS,
@@ -172,6 +178,9 @@ def execute_job(job: dict):
         return {"op": "vaserstein", "b_prime": render_series(b2),
                 "check": ok}, 0
     if op == "cyclog":
+        if any(name != "id" for name in ring.twist_names):
+            raise NeedsTrace("cyclog needs untwisted letters: the plain trace "
+                             "does not kill C generators of a twisted ring")
         s = parse_series(job["series"][0], ring)
         return {"op": "cyclog", **cyclog_to_doc(cyc_log(s))}, 0
     if op == "coset":
@@ -298,6 +307,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         _emit_error(exc)
         return 1
+    except InternalInvariantError as exc:
+        _emit_error(exc)
+        return 3
     except TwistdetError as exc:
         _emit_error(exc)
         return 2

@@ -2,7 +2,9 @@
 
 Every precondition failure raises a subclass of TwistdetError so the CLI can
 map domain problems to a single exit code without string matching. A document
-that does not match its schema raises ValidationError, a ValueError.
+that does not match its schema raises ValidationError, a ValueError. A failed
+internal self-check raises InternalInvariantError, which is not a
+TwistdetError: it reports broken arithmetic, not a bad input.
 """
 
 from __future__ import annotations
@@ -76,6 +78,10 @@ class ClassRegroupIncompatible(TwistdetError):
 
 class LiteralSyntaxError(TwistdetError):
     """A series or coefficient literal could not be parsed."""
+
+
+class InternalInvariantError(RuntimeError):
+    """An identity the arithmetic must satisfy failed on valid input."""
 
 
 _PLAIN_KEY = re.compile(r"^[a-zA-Z][a-zA-Z0-9_]*$")

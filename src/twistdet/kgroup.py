@@ -18,10 +18,10 @@ from .errors import (
     CommutationFailed,
     DimensionMismatch,
     FlavorViolated,
+    InternalInvariantError,
     NeedsTrace,
     NotInvertible,
     RingMismatch,
-    TwistdetError,
 )
 from .matrices import SeriesMatrix, dieudonne_det
 from .series import SeriesRing, TwistedSeries, formal_log
@@ -139,7 +139,7 @@ def commutator_as_c_generator(alpha: TwistedSeries, beta: TwistedSeries):
     lhs = (one + a * b) * (one + b * a).inverse()
     rhs = alpha * beta * b * beta.inverse()
     if lhs != rhs:
-        raise TwistdetError("commutator identity failed; ring arithmetic is broken")
+        raise InternalInvariantError("commutator identity failed; ring arithmetic is broken")
     return a, b
 
 

@@ -18,10 +18,10 @@ from fractions import Fraction
 
 from .errors import (
     ClassRegroupIncompatible,
+    InternalInvariantError,
     LeadingCoeffNotUnit,
     NotInWOne,
     RingMismatch,
-    TwistdetError,
     WindowUnderflow,
 )
 from .kgroup import CycLogVector, cyc_log
@@ -215,7 +215,7 @@ def nov_invert(u: NovikovSeries, max_shift=None) -> NovikovSeries:
         result = NovikovSeries(shifted, -t)
     check = nov_mul(u, result)
     if not check.matches_one_on_window():
-        raise TwistdetError("inverse failed its multiply-back check")
+        raise InternalInvariantError("inverse failed its multiply-back check")
     return result
 
 

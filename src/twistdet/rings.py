@@ -202,6 +202,9 @@ class CoeffRing:
                 f"ring {self.name} has no automorphism named {name!r}") from None
 
     def _register_pair(self, name, fn, data, inv_name, inv_fn, inv_data):
+        if name == "id":
+            # every layer reads a twist named "id" as the identity
+            raise ValueError("'id' names the identity automorphism")
         fwd = RingAutomorphism(name, fn, data)
         bwd = RingAutomorphism(inv_name, inv_fn, inv_data)
         _pair(fwd, bwd)
@@ -328,6 +331,9 @@ class RationalField(CoeffRing):
 
     def mul(self, a, b):
         return a * b
+
+    def is_zero(self, a):
+        return not a
 
     def scalar_mul(self, q, a):
         return Fraction(q) * a
@@ -516,6 +522,9 @@ class RationalMatrixRing(CoeffRing):
 
     def mul(self, a, b):
         return frac_mat_mul(a, b)
+
+    def is_zero(self, a):
+        return not any(map(any, a))
 
     def scalar_mul(self, q, a):
         q = Fraction(q)
@@ -842,9 +851,10 @@ class TruncatedFreeAlgebra(CoeffRing):
     Elements: graded-lex sorted tuples of (word, nonzero Fraction) where a
     word is a tuple of generator indices. Units are elements with nonzero
     scalar part. As a word -> Fraction map an element is also a series of the
-    untwisted ring Q<<gens>> at order max_degree, and inverses (of elements
-    and of matrices) are computed there. The trace is the projection onto
-    cyclic word classes. Automorphisms: permutations of the generators.
+    untwisted ring Q<<gens>> at order max_degree, and products and inverses
+    (of elements and of matrices) are computed there. The trace is the
+    projection onto cyclic word classes. Automorphisms: permutations of the
+    generators.
     """
 
     kind = "free_trunc"
@@ -922,15 +932,10 @@ class TruncatedFreeAlgebra(CoeffRing):
         return tuple((w, -c) for w, c in a)
 
     def mul(self, a, b):
-        d = self.max_degree
-        acc: dict[tuple, Fraction] = {}
-        for w1, c1 in a:
-            for w2, c2 in b:
-                if len(w1) + len(w2) > d:
-                    continue
-                w = w1 + w2
-                acc[w] = acc.get(w, Fraction(0)) + c1 * c2
-        return _free_canon(acc.items())
+        from .series import TwistedSeries
+        R = self._series_ring
+        product = TwistedSeries(R, dict(a)) * TwistedSeries(R, dict(b))
+        return _free_canon(product.terms.items())
 
     def scalar_mul(self, q, a):
         q = Fraction(q)

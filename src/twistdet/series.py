@@ -7,6 +7,14 @@ left of words. The defining relation is a*x = x*xi_x(a) for each letter x,
 so moving a coefficient leftward past a word applies the inverse
 automorphisms of its letters right-to-left.
 
+The product is one convolution kernel. The right operand's terms are sorted
+by word length, so a left word's inner loop ends at the first pair that would
+overshoot the order. A word's move depends only on its twist key, the ids of
+its twisted letters (letters sharing an automorphism share an id): untwisted
+words move nothing, and within one product each (key, right word) is moved
+once, reusing the move of the key's suffix. Inverse, log/exp, series
+matrices and the free algebra's product all go through this kernel.
+
 The augmentation eps reads off the empty-word coefficient; it is a ring map
 onto A with section lift(). A series is invertible exactly when eps of it is
 a unit of A (the ring is local over the augmentation), and because the
@@ -18,6 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import (
     AugmentationNotOne,
@@ -31,6 +40,9 @@ from .rings import CoeffRing
 
 def _grlex(word: tuple) -> tuple:
     return (len(word), word)
+
+
+_first = itemgetter(0)
 
 
 class SeriesRing:
@@ -63,6 +75,12 @@ class SeriesRing:
         if self.letters_commute and any(n != "id" for n in names):
             raise ValueError("commuting letters require identity twists")
         self._letter_index = {a: i for i, a in enumerate(alphabet)}
+        # Twist keys for the product: each twisted letter maps to an id, and
+        # letters twisted by one automorphism share it; _inverse_twists[id]
+        # is that automorphism's inverse.
+        ids = {n: k for k, n in enumerate(dict.fromkeys(n for n in names if n != "id"))}
+        self._twist_ids = {i: ids[n] for i, n in enumerate(names) if n != "id"}
+        self._inverse_twists = tuple(coeff.automorphism(n).inverse for n in ids)
 
     # -- identity ------------------------------------------------------------
     def signature(self) -> tuple:
@@ -104,6 +122,15 @@ class SeriesRing:
     def normalize_word(self, word: tuple) -> tuple:
         return tuple(sorted(word)) if self.letters_commute else word
 
+    def twist_key(self, word: tuple) -> tuple:
+        """The ids of the twisted letters of `word`, in order.
+
+        move_left(word, b) depends on the word only through this key; an
+        untwisted word has the empty key.
+        """
+        ids = self._twist_ids
+        return tuple(ids[i] for i in word if i in ids)
+
     def move_left(self, word: tuple, b):
         """Coefficient b moved from the right of `word` to its left.
 
@@ -113,6 +140,21 @@ class SeriesRing:
         for i in reversed(word):
             b = self._autos[i].inverse.apply(b)
         return b
+
+    def _move_keyed(self, key: tuple, w: tuple, b, memo: dict):
+        """move_left(v, b) for every word v whose twist key is the nonempty `key`.
+
+        b is the coefficient of the right operand's word w, so (key, w) names
+        the result within one product. Since move_left(v, b) is
+        xi_{v0}^-1(move_left(v[1:], b)), each suffix of the key costs one
+        automorphism per w, and `memo` keeps them all.
+        """
+        moved = memo.get((key, w))
+        if moved is None:
+            rest = key[1:]
+            inner = self._move_keyed(rest, w, b, memo) if rest else b
+            moved = memo[key, w] = self._inverse_twists[key[0]].apply(inner)
+        return moved
 
     def move_right(self, word: tuple, a):
         """Coefficient a moved from the left of `word` to its right.
@@ -233,26 +275,50 @@ class TwistedSeries:
 
     # -- multiplication ----------------------------------------------------------
     def __mul__(self, other: "TwistedSeries") -> "TwistedSeries":
+        """The truncated product, as one convolution over the pairs that fit.
+
+        The right operand's terms are sorted by word length once, so for a
+        left word v the inner loop stops at the first right word w with
+        |v| + |w| > order. Moving b leftward past v depends only on v's twist
+        key: an untwisted v moves nothing, and a twisted one shares one
+        automorphism per distinct (key, w) with every left word of that key.
+        """
         self._check_ring(other)
         R = self.ring
         A = R.coeff
-        N = R.order
+        add, mul, is_zero = A.add, A.mul, A.is_zero
+        commute = R.letters_commute
+        twisted = bool(R._twist_ids)
+        order = R.order
+        right = [(len(w), w, b) for w, b in other.terms.items()]
+        if len(right) > 1:
+            right.sort(key=_first)
+        memo: dict = {}
         acc: dict[tuple, object] = {}
         for v, a in self.terms.items():
-            lv = len(v)
-            for w, b in other.terms.items():
-                if lv + len(w) > N:
+            room = order - len(v)
+            key = R.twist_key(v) if twisted else ()
+            for lw, w, b in right:
+                if lw > room:
+                    break
+                if key:
+                    b = R._move_keyed(key, w, b, memo)
+                c = mul(a, b)
+                if is_zero(c):
                     continue
-                c = A.mul(a, R.move_left(v, b))
-                if A.is_zero(c):
+                word = v + w
+                if commute:
+                    word = tuple(sorted(word))
+                prev = acc.get(word)
+                if prev is None:
+                    acc[word] = c
                     continue
-                word = R.normalize_word(v + w)
-                s = A.add(acc.get(word, A.zero), c)
-                if A.is_zero(s):
-                    acc.pop(word, None)
+                s = add(prev, c)
+                if is_zero(s):
+                    del acc[word]
                 else:
                     acc[word] = s
-        return TwistedSeries(self.ring, acc)
+        return TwistedSeries(R, acc)
 
     def power(self, k: int) -> "TwistedSeries":
         if k < 0:

@@ -10,6 +10,7 @@ import pytest
 
 import twistdet
 from twistdet.cli import main
+from twistdet.series import TwistedSeries
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
@@ -176,8 +177,12 @@ def test_exit_code_1_on_bad_input(capsys, ring_file, tmp_path):
     # a twist for a letter that is not in the alphabet
     ({"coeff": {"kind": "rational"}, "alphabet": ["x"], "twist": {"q": "swap"},
       "order": 2}, "ValueError", "'q'"),
+    # an automorphism registered under the identity's name
+    ({"coeff": {"kind": "matrix", "size": 2,
+                "conjugations": {"id": [["0", "1"], ["1", "0"]]}},
+      "alphabet": ["x"], "twist": {"x": "id"}, "order": 2}, "ValueError", "'id'"),
 ], ids=["order-3.0", "modulus-12.0", "size-2.0", "max_degree-2.0", "conjugation-1x1",
-        "conjugation-ragged", "twist-stray-letter"])
+        "conjugation-ragged", "twist-stray-letter", "automorphism-named-id"])
 def test_exit_code_1_on_bad_ring(capsys, ring_file, ring, error_type, fragment):
     code, out, err = run_cli(capsys, "inv", "--ring", ring_file(ring), '1+w("x")')
     assert code == 1 and out == ""
@@ -200,6 +205,34 @@ def test_exit_code_2_on_domain_error(capsys, qring, ring_file):
                              '1+[-12*g1+12*g3]*w("xx")', "1")
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["type"] == "NeedsTrace"
+    # so is cyc_log, whose plain-trace buckets are not invariant there
+    code, out, err = run_cli(capsys, "cyclog", "--ring", ring,
+                             '1+[-12*g1+12*g3]*w("xx")')
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "NeedsTrace"
+
+
+@pytest.mark.parametrize("suite,kind,message", [
+    ("cyclog", "matrix", "commutator identity failed"),
+    ("novikov", "group_algebra", "multiply-back check"),
+])
+def test_exit_code_3_on_broken_self_check(capsys, monkeypatch, suite, kind, message):
+    # a product over one coefficient kind gains a stray top-degree term, so a
+    # self-check fails on valid input: broken arithmetic, not a domain error
+    product = TwistedSeries.__mul__
+
+    def broken(self, other):
+        out = product(self, other)
+        R = self.ring
+        if R.coeff.kind == kind:
+            out = out + R.from_terms([((0,) * R.order, R.coeff.one)])
+        return out
+    monkeypatch.setattr(TwistedSeries, "__mul__", broken)
+    code, out, err = run_cli(capsys, "selftest", suite)
+    assert code == 3 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "InternalInvariantError"
+    assert message in error["message"]
 
 
 def test_run_job_file(capsys, tmp_path):

@@ -159,14 +159,17 @@ BAD_JOBS = [
 
 
 def test_job_schema_accepts_each_op():
+    # one validator for all documents; the meta-schema check has its own test
+    validator = jsonschema.Draft202012Validator(JOB_SCHEMA)
     for doc in GOOD_JOBS:
-        jsonschema.validate(doc, JOB_SCHEMA)
+        validator.validate(doc)
 
 
 def test_job_schema_rejects_bad_jobs():
+    validator = jsonschema.Draft202012Validator(JOB_SCHEMA)
     for doc in BAD_JOBS:
         with pytest.raises(jsonschema.ValidationError):
-            jsonschema.validate(doc, JOB_SCHEMA)
+            validator.validate(doc)
 
 
 def test_job_schemas_are_valid_draft_2020_12():

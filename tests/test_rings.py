@@ -106,6 +106,17 @@ def test_m2_rejects_conjugation_of_wrong_shape(matrix):
         ring.register_conjugation("bad", matrix)
 
 
+def test_automorphisms_cannot_take_the_identitys_name(qc4, free_yz):
+    m2 = RationalMatrixRing(2)
+    with pytest.raises(ValueError, match="'id'"):
+        m2.register_conjugation("id", [[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="'id'"):
+        qc4.register_group_automorphism("id", [0, 3, 2, 1])
+    with pytest.raises(ValueError, match="'id'"):
+        free_yz.register_generator_permutation("id", [1, 0])
+    assert m2.automorphism("id").apply(m2.one) == m2.one
+
+
 # -- group algebras ----------------------------------------------------------
 
 def test_group_table_validation():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -6,13 +7,15 @@ import pytest
 from twistdet import (
     AugmentationNotOne,
     AugmentationNotUnit,
+    IntegersMod,
     NeedsRationalCoefficients,
+    RationalMatrixRing,
     RingMismatch,
     SeriesRing,
     formal_exp,
     formal_log,
 )
-from twistdet.randgen import random_fiber_one, random_kernel, random_unit
+from twistdet.randgen import random_fiber_one, random_kernel, random_series, random_unit
 
 from conftest import one_letter
 
@@ -172,3 +175,92 @@ def test_cross_ring_operations_rejected(qq):
     R4 = SeriesRing(qq, order=4)
     with pytest.raises(RingMismatch):
         R3.one() + R4.one()
+
+
+# -- the product kernel against an independent all-pairs product ---------------------
+
+def all_pairs_product(s, t):
+    """s*t by definition: every pair of terms, each right coefficient moved
+    leftward past the left word one letter at a time."""
+    R = s.ring
+    A = R.coeff
+    acc = {}
+    for v, a in s.terms.items():
+        for w, b in t.terms.items():
+            if len(v) + len(w) > R.order:
+                continue
+            word = R.normalize_word(v + w)
+            acc[word] = A.add(acc.get(word, A.zero), A.mul(a, R.move_left(v, b)))
+    return {w: c for w, c in acc.items() if c != A.zero}
+
+
+def dense_series(R, rng, max_len):
+    words = [w for n in range(min(max_len, R.order) + 1)
+             for w in itertools.product(range(len(R.alphabet)), repeat=n)]
+    return R.from_terms([(w, R.coeff.random_element(rng)) for w in words])
+
+
+@pytest.fixture
+def m2_two_twists():
+    ring = RationalMatrixRing(2)
+    ring.register_conjugation("swap", [[0, 1], [1, 0]])
+    ring.register_conjugation("shear", [[1, 1], [0, 1]])
+    return ring
+
+
+def kernel_rings(qq, m2, m2_two_twists):
+    z12 = IntegersMod(12)
+    xy = ("x", "y")
+    return [
+        SeriesRing(qq, alphabet=xy, order=5),
+        SeriesRing(m2, alphabet=xy, twist={"x": "swap"}, order=3),
+        SeriesRing(m2, alphabet=xy, twist={"x": "swap", "y": "swap"}, order=3),
+        SeriesRing(m2_two_twists, alphabet=xy, twist={"x": "swap", "y": "shear"}, order=3),
+        SeriesRing(qq, alphabet=("x", "y", "z"), order=4, letters_commute=True),
+        SeriesRing(z12, alphabet=xy, order=4),
+        SeriesRing(qq, alphabet=xy, order=0),
+        SeriesRing(m2_two_twists, alphabet=xy, twist={"x": "shear"}, order=1),
+    ]
+
+
+def test_product_matches_all_pairs_reference(qq, m2, m2_two_twists):
+    rng = random.Random(13)
+    for R in kernel_rings(qq, m2, m2_two_twists):
+        operands = [R.zero(), R.one()]
+        for _ in range(4):
+            operands.append(random_series(R, rng, terms=rng.randint(1, 6)))
+            operands.append(dense_series(R, rng, rng.randint(0, R.order)))
+        for s in operands:
+            for t in rng.sample(operands, 4) + [R.zero()]:
+                assert (s * t).terms == all_pairs_product(s, t), (R, s, t)
+
+
+def test_letters_sharing_a_twist_share_a_key(m2, m2_two_twists):
+    shared = SeriesRing(m2, alphabet=("x", "y"), twist={"x": "swap", "y": "swap"}, order=3)
+    assert shared.twist_key((0, 1)) == shared.twist_key((1, 0)) == shared.twist_key((1, 1))
+    mixed = SeriesRing(m2_two_twists, alphabet=("x", "y", "t"),
+                       twist={"x": "swap", "y": "shear"}, order=3)
+    assert mixed.twist_key((0, 2, 1)) != mixed.twist_key((1, 2, 0))
+    assert mixed.twist_key((2, 0)) == mixed.twist_key((0,))
+    assert mixed.twist_key((2, 2)) == ()
+
+
+def test_product_cancels_to_zero_over_z12():
+    R = SeriesRing(IntegersMod(12), alphabet=("x", "y"), order=3)
+    u = R.from_terms([((), 1), ("x", 6), ("y", 4)])
+    v = R.from_terms([((), 1), ("x", 6), ("y", 8)])
+    # 6*6, 6*8 and 4*6 vanish; the sums 6+6 at x and 8+4 at y cancel
+    assert (u * v).terms == all_pairs_product(u, v) == {(): 1, (1, 1): 8}
+
+
+def test_twisted_product_is_associative(m2_two_twists, qc4):
+    rng = random.Random(14)
+    rings = [
+        SeriesRing(m2_two_twists, alphabet=("x", "y"), twist={"x": "swap", "y": "shear"},
+                   order=5),
+        SeriesRing(qc4, alphabet=("x", "y"), twist={"x": "inv"}, order=6),
+    ]
+    for R in rings:
+        for _ in range(5):
+            s, t, u = (random_series(R, rng, terms=4) for _ in range(3))
+            assert (s * t) * u == s * (t * u)
