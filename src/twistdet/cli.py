@@ -2,8 +2,10 @@
 
 Every invocation is normalized into a single job document, validated against
 the schema of its op, executed, and answered with one canonical JSON document
-on stdout (or --out). Exit codes: 0 success, 1 schema or input-format error,
-2 domain error (and a failed selftest suite), 3 a failed internal self-check.
+on stdout (or --out). Exit codes: 0 success, 1 usage, schema or input-format
+error, 2 domain error (and a failed selftest suite), 3 a failed internal
+self-check. Every error is one JSON document on stderr; only --help prints
+plain text.
 
 A job is checked by documents.validate, a small interpreter of the JSON Schema
 keywords the schemas use, so a process never imports jsonschema; the tests
@@ -220,8 +222,17 @@ def _add_common(sub, ring_required=True):
                      help="write the output document here instead of stdout")
 
 
+class UsageError(ValueError):
+    """A command line argparse rejects; main reports it as a JSON error."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twistdet",
         description="Exact invariants of truncated twisted power series")
     subs = parser.add_subparsers(dest="op", required=True)
@@ -290,8 +301,8 @@ def _emit(doc: dict, out_path) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.op == "run":
             job = _load_json_arg("@" + args.job)
             out_path = args.out or (job.get("out") if isinstance(job, dict) else None)

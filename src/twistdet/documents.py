@@ -17,7 +17,7 @@ from .errors import LiteralSyntaxError, ValidationError
 from .literals import parse_series, render_series
 from .matrices import SeriesMatrix
 from .novikov import NovikovSeries, OrbitCountReport
-from .kgroup import CycLogVector
+from .kgroup import FLAVORS, CycLogVector
 from .rings import (
     CoeffRing,
     FiniteGroup,
@@ -27,6 +27,7 @@ from .rings import (
     RationalMatrixRing,
     TruncatedFreeAlgebra,
 )
+from .selftest import SUITE_NAMES
 from .series import SeriesRing, TwistedSeries
 
 
@@ -257,13 +258,19 @@ _NOVIKOV = {"type": "object",
                                        "additionalProperties": {"type": "string"}}},
             "required": ["degrees"], "additionalProperties": False}
 
+
+def _one_of(names) -> dict:
+    # in Python's re, a bare $ also matches before a final newline
+    return {"type": "string", "pattern": f"^({'|'.join(names)})(?!\\n)$"}
+
+
 _OPERAND_SCHEMAS = {
     "inv": {"series": ([_SERIES], 1)},
     "mul": {"series": ([_SERIES], (2, None))},
     "log": {"series": ([_SERIES], 1)},
     "ldu": {"matrix": (_SERIES_MATRIX, None)},
     "det": {"matrix": (_SERIES_MATRIX, None)},
-    "cgen": {"series": ([_SERIES], 2), "flavor": ({"type": "string"}, None)},
+    "cgen": {"series": ([_SERIES], 2), "flavor": (_one_of(FLAVORS), None)},
     "vaserstein": {"series": ([_SERIES], 3)},
     "cyclog": {"series": ([_SERIES], 1)},
     "coset": {"series": ([_SERIES], 2)},
@@ -272,7 +279,7 @@ _OPERAND_SCHEMAS = {
                  "coupling": (_COEFF_MATRIX, None)},
     "novikov": {"novikov": (_NOVIKOV, None),
                 "lefschetz": ({"type": "boolean"}, None)},
-    "selftest": {"suite": ({"type": "string"}, None)},
+    "selftest": {"suite": (_one_of(SUITE_NAMES), None)},
 }
 
 

@@ -1,5 +1,6 @@
-"""Seeded random elements for property suites. Everything goes through one
-random.Random instance passed in by the caller, so runs are reproducible."""
+"""Seeded random elements for the property registry (selftest.py). Everything
+goes through one random.Random instance passed in by the caller, so runs are
+reproducible."""
 
 from __future__ import annotations
 
@@ -123,3 +124,12 @@ def random_flavor_pair(ring: SeriesRing, rng, flavor: str, terms=2):
         b = ring.lift(cb) + random_kernel(ring, rng, terms=terms)
         return a, b
     raise ValueError(f"unknown flavor {flavor!r}")
+
+
+def random_invertible_matrix(ring: SeriesRing, rng, n: int) -> SeriesMatrix:
+    """Invertible augmentation other than the identity, plus a kernel part."""
+    A = ring.coeff
+    while True:
+        aug = tuple(tuple(A.random_element(rng) for _ in range(n)) for _ in range(n))
+        if aug != A.emat_identity(n) and A.mat_is_invertible(aug):
+            return SeriesMatrix.lift(ring, aug) + random_kernel_matrix(ring, rng, n, n)

@@ -1,10 +1,19 @@
-"""Named property suites runnable from the CLI.
+"""The property registry behind `twistdet selftest` and the tier-1 tests.
 
-Each suite runs a seeded ensemble of identity checks and returns a plain
-report dict (no timestamps, no environment data) so fixed inputs give
-byte-identical reports. The commutative determinant suite checks the
-recursive determinant against an independent cofactor-expansion oracle
-written on plain degree->Fraction polynomials.
+Each entry of REGISTRY is one randomized identity over one ring: a report
+name such as "vaserstein[Q]", the identity it checks, the suite it belongs
+to, a trial function `trial(ring, rng, *shape) -> bool`, a builder of the
+ring the trials run over, the shapes the trials cycle through (matrix
+sizes, flavors, ...) and how many trials a requested count means.
+selftest() runs the entries of a suite in registry order and returns a plain
+report dict (no timestamps, no environment data); every entry draws from its
+own generator seeded by the seed and its name, so a fixed seed gives a
+byte-identical report. tests/test_properties.py runs the same entries.
+
+The commutative determinant entry checks the recursive determinant against
+an independent cofactor-expansion oracle on plain degree->Fraction
+polynomials; the End_0 entry checks cyc_log(D(1-alpha x)) against the
+trace formula -sum_k tr(alpha^k)/k x^k.
 """
 
 from __future__ import annotations
@@ -18,14 +27,17 @@ from .kgroup import (
     c_generator,
     commutator_as_c_generator,
     cyc_log,
+    endo_class_invariant,
     exact_sequence_additivity_check,
     vaserstein_transform,
 )
+from .literals import parse_series, render_series
 from .matrices import (
     SeriesMatrix,
     dieudonne_det,
     ldu_decompose,
     mat_invert,
+    mat_is_invertible,
     rearrange_inverses_check,
     whitehead_identity_check,
 )
@@ -40,13 +52,14 @@ from .novikov import (
 from .randgen import (
     random_fiber_one,
     random_flavor_pair,
+    random_invertible_matrix,
+    random_kernel,
     random_kernel_matrix,
     random_series,
     random_unipotent_matrix,
     random_unit,
 )
 from .rings import (
-    FiniteGroup,
     GroupAlgebra,
     IntegersMod,
     RationalField,
@@ -55,7 +68,7 @@ from .rings import (
     cyclic_group,
     ring_axiom_check,
 )
-from .series import SeriesRing
+from .series import SeriesRing, formal_exp, formal_log
 
 
 # -- plain polynomial oracle (independent of the series engine) -----------------
@@ -63,352 +76,367 @@ from .series import SeriesRing
 def poly_from_series(s) -> dict:
     return {len(w): c for w, c in s.terms.items()}
 
-def _poly_add(p, q):
-    out = dict(p)
-    for d, c in q.items():
-        s = out.get(d, Fraction(0)) + c
-        if s == 0:
-            out.pop(d, None)
-        else:
-            out[d] = s
-    return out
-
-def _poly_scale(p, k):
-    return {d: k * c for d, c in p.items()} if k else {}
-
-def _poly_mul(p, q, order):
-    out: dict = {}
-    for d1, c1 in p.items():
-        for d2, c2 in q.items():
-            d = d1 + d2
-            if d > order:
-                continue
-            s = out.get(d, Fraction(0)) + c1 * c2
-            if s == 0:
-                out.pop(d, None)
-            else:
-                out[d] = s
-    return out
-
 def cofactor_det(poly_rows, order) -> dict:
     """First-row cofactor expansion; entries are degree->Fraction dicts."""
-    n = len(poly_rows)
-    if n == 1:
+    if len(poly_rows) == 1:
         return dict(poly_rows[0][0])
     acc: dict = {}
-    for j in range(n):
-        entry = poly_rows[0][j]
-        if not entry:
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in poly_rows[1:]]
-        term = _poly_mul(entry, cofactor_det(minor, order), order)
-        acc = _poly_add(acc, _poly_scale(term, Fraction((-1) ** j)))
-    return acc
+    for j, entry in enumerate(poly_rows[0]):
+        minor = [row[:j] + row[j + 1:] for row in poly_rows[1:]]
+        for d1, c1 in entry.items():
+            for d2, c2 in cofactor_det(minor, order).items():
+                if d1 + d2 <= order:
+                    acc[d1 + d2] = acc.get(d1 + d2, 0) + (-1) ** j * c1 * c2
+    return {d: c for d, c in acc.items() if c}
 
 
-# -- fixture rings ----------------------------------------------------------------
+# -- rings ------------------------------------------------------------------------
 
-def _m2_with_swap() -> RationalMatrixRing:
+def m2_swap() -> RationalMatrixRing:
     ring = RationalMatrixRing(2)
     ring.register_conjugation("swap", [[0, 1], [1, 0]])
     return ring
 
-def _qc2() -> GroupAlgebra:
+def m2_two_twists() -> RationalMatrixRing:
+    ring = m2_swap()
+    ring.register_conjugation("shear", [[1, 1], [0, 1]])
+    return ring
+
+def qc2() -> GroupAlgebra:
     return GroupAlgebra(cyclic_group(2))
 
-def _qc4_with_inv() -> GroupAlgebra:
+def qc4_inv() -> GroupAlgebra:
     ring = GroupAlgebra(cyclic_group(4))
     ring.register_group_automorphism("inv", [0, 3, 2, 1])
     return ring
 
-def _free_yz(max_degree=2) -> TruncatedFreeAlgebra:
-    return TruncatedFreeAlgebra(("y", "z"), max_degree)
-
-def _coeff_instances():
-    return [RationalField(), IntegersMod(6), _m2_with_swap(), _qc2(), _free_yz()]
-
-
-# -- suites -----------------------------------------------------------------------
-
-def _check(name, identity, trials, passed):
-    return {"name": name, "identity": identity, "trials": trials,
-            "passed": bool(passed)}
+def free_yz(max_degree=2) -> TruncatedFreeAlgebra:
+    ring = TruncatedFreeAlgebra(("y", "z"), max_degree)
+    ring.register_generator_permutation("flip", [1, 0])
+    return ring
 
 
-def _suite_ldu(seed: int, order: int, trials: int) -> list[dict]:
-    rng = random.Random(seed)
-    checks = []
-    for coeff in (RationalField(), _m2_with_swap(), _qc2()):
-        twist = {"x": "swap"} if coeff.kind == "matrix" else None
-        ring = SeriesRing(coeff, ("x", "t"), twist=twist, order=order)
-        ok_rec, ok_uni, ok_inv = True, True, True
-        for _ in range(trials):
-            n = rng.randint(2, 4)
-            m = random_unipotent_matrix(ring, rng, n)
-            f = ldu_decompose(m)
-            if f.recompose() != m:
-                ok_rec = False
-            g = ldu_decompose(f.recompose())
-            if (g.l, g.d1, g.d2, g.u) != (f.l, f.d1, f.d2, f.u):
-                ok_uni = False
-            if mat_invert(m) * m != SeriesMatrix.identity(ring, n):
-                ok_inv = False
-        tag = coeff.name
-        checks.append(_check(f"ldu-recompose[{tag}]",
-                             "L*diag(d1,d2)*U == M", trials, ok_rec))
-        checks.append(_check(f"ldu-unique[{tag}]",
-                             "decompose(recompose(F)) == F", trials, ok_uni))
-        checks.append(_check(f"mat-inverse[{tag}]",
-                             "inv(M)*M == 1", trials, ok_inv))
-    return checks
+def series(coeff, letters=("x", "t"), twist=None, min_order=0, commute=False):
+    """Builder of a series ring over coeff() at max(order, min_order)."""
+    return lambda order: SeriesRing(coeff(), letters, twist=twist, letters_commute=commute,
+                                    order=max(order, min_order))
+
+def coeffs(factory):
+    """Builder of a coefficient ring, for trials that take no series ring."""
+    return lambda order: factory()
 
 
-def _suite_dieudonne(seed: int, order: int, trials: int) -> list[dict]:
-    rng = random.Random(seed)
-    ring = SeriesRing(RationalField(), ("x",), order=order)
-    ok = True
-    for _ in range(trials):
-        n = rng.randint(1, 4)
-        m = random_unipotent_matrix(ring, rng, n)
-        d = dieudonne_det(m)
-        oracle = cofactor_det([[poly_from_series(e) for e in row]
-                               for row in m.rows], order)
-        if poly_from_series(d) != oracle:
-            ok = False
-    return [_check("dieudonne-vs-cofactor[Q]",
-                   "D(M) == cofactor_det(M) for commutative coefficients",
-                   trials, ok)]
+# -- trials: trial(ring, rng, *shape) -> bool ----------------------------------------
 
+def _axioms(A, rng):
+    return ring_axiom_check(A, seed=rng.getrandbits(32), trials=5)["passed"]
 
-def _suite_cgroup(seed: int, order: int, trials: int) -> list[dict]:
-    rng = random.Random(seed)
-    checks = []
-    ring = SeriesRing(_m2_with_swap(), ("x", "t"), order=order)
-    ok_white, ok_rear = True, True
-    for _ in range(trials):
-        n, m = rng.randint(1, 3), rng.randint(1, 2)
-        a = random_kernel_matrix(ring, rng, n, m)
-        b = random_kernel_matrix(ring, rng, m, n)
-        if not whitehead_identity_check(a, b):
-            ok_white = False
-        if not rearrange_inverses_check(a, b):
-            ok_rear = False
-    checks.append(_check("whitehead-2x2[M2(Q)]",
-                         "(1,-a;0,1)(1+ab,0;0,1)(1,0;b,1) == "
-                         "(1,0;b,1)(1,0;0,1+ba)(1,-a;0,1)", trials, ok_white))
-    checks.append(_check("rearrange-inverses[M2(Q)]",
-                         "1 - b*inv(1+ab)*a == inv(1+ba)", trials, ok_rear))
-    for coeff in (RationalField(), _qc2(), _free_yz()):
-        sring = SeriesRing(coeff, ("x",), order=order)
-        ok_vas = True
-        for _ in range(trials):
-            a = random_series(sring, rng, terms=2)
-            b = random_series(sring, rng, terms=2)
-            c = sring.lift(coeff.random_central(rng))
-            try:
-                _, ok = vaserstein_transform(a, b, c)
-            except NotInvertible:
-                continue
-            if not ok:
-                ok_vas = False
-        checks.append(_check(f"vaserstein[{coeff.name}]",
-                             "(1+ab)inv(1+ba) == (1+ab')inv(1+b'a), "
-                             "b' = b+c+bac, central c", trials, ok_vas))
-    return checks
+def _series_inverse(R, rng):
+    u = random_unit(R, rng)
+    return (u * u.inverse()).is_one() and (u.inverse() * u).is_one()
 
+def _log_exp(R, rng):
+    u, k = random_fiber_one(R, rng), random_kernel(R, rng)
+    return formal_exp(formal_log(u)) == u and formal_log(formal_exp(k)) == k
 
-def _suite_cyclog(seed: int, order: int, trials: int) -> list[dict]:
-    rng = random.Random(seed)
-    checks = []
-    rings = [SeriesRing(_free_yz(), ("x", "t"), order=order),
-             SeriesRing(_m2_with_swap(), ("x", "t"), order=order)]
-    for ring in rings:
-        tag = ring.coeff.name
-        for flavor in FLAVORS:
-            ok = True
-            for _ in range(trials):
-                a, b = random_flavor_pair(ring, rng, flavor)
-                if not cyc_log(c_generator(a, b, flavor)).is_zero():
-                    ok = False
-            checks.append(_check(f"annihilation[{tag}:{flavor}]",
-                                 "cyc_log((1+ab)inv(1+ba)) == 0", trials, ok))
-        ok_add = True
-        for _ in range(trials):
-            u = random_fiber_one(ring, rng)
-            v = random_fiber_one(ring, rng)
-            if cyc_log(u * v) != cyc_log(u) + cyc_log(v):
-                ok_add = False
-        checks.append(_check(f"additivity[{tag}]",
-                             "cyc_log(u*v) == cyc_log(u)+cyc_log(v)",
-                             trials, ok_add))
-        ok_comm = True
-        for i in range(trials):
-            # beta in the fiber keeps the commutator there for noncommutative A
-            alpha = random_unit(ring, rng) if i % 2 else random_fiber_one(ring, rng)
-            beta = random_fiber_one(ring, rng)
-            a, b = commutator_as_c_generator(alpha, beta)
-            gen = (ring.one() + a * b) * (ring.one() + b * a).inverse()
-            if not cyc_log(gen).is_zero():
-                ok_comm = False
-        checks.append(_check(f"commutator-inclusion[{tag}]",
-                             "cyc_log(alpha beta inv(alpha) inv(beta)) == 0",
-                             trials, ok_comm))
-        ok_dm, ok_cs = True, True
-        half = max(1, trials // 2)
-        for _ in range(half):
-            n = rng.randint(1, 3)
-            m1 = random_unipotent_matrix(ring, rng, n)
-            m2 = random_unipotent_matrix(ring, rng, n)
-            lhs = cyc_log(dieudonne_det(m1 * m2))
-            rhs = cyc_log(dieudonne_det(m1)) + cyc_log(dieudonne_det(m2))
-            if lhs != rhs:
-                ok_dm = False
-            p, q = rng.randint(1, 3), rng.randint(1, 2)
-            a = random_kernel_matrix(ring, rng, p, q)
-            b = random_kernel_matrix(ring, rng, q, p)
-            da = dieudonne_det(SeriesMatrix.identity(ring, p) + a * b)
-            db = dieudonne_det(SeriesMatrix.identity(ring, q) + b * a)
-            if cyc_log(da) != cyc_log(db):
-                ok_cs = False
-        checks.append(_check(f"det-multiplicative-mod-C[{tag}]",
-                             "cyc_log(D(MN)) == cyc_log(D(M))+cyc_log(D(N))",
-                             half, ok_dm))
-        checks.append(_check(f"det-cyclic-symmetry[{tag}]",
-                             "cyc_log(D(1+ab)) == cyc_log(D(1+ba))",
-                             half, ok_cs))
-    ok_endo = True
-    for coeff in (RationalField(), _m2_with_swap()):
-        for _ in range(max(1, trials // 2)):
-            n, m = rng.randint(1, 2), rng.randint(1, 2)
-            alpha = tuple(tuple(coeff.random_element(rng) for _ in range(n))
-                          for _ in range(n))
-            alpha2 = tuple(tuple(coeff.random_element(rng) for _ in range(m))
-                           for _ in range(m))
-            coupling = tuple(tuple(coeff.random_element(rng) for _ in range(m))
-                             for _ in range(n))
-            if not exact_sequence_additivity_check(coeff, alpha, alpha2,
-                                                   coupling, order):
-                ok_endo = False
-    checks.append(_check("endo-additivity[Q,M2(Q)]",
-                         "D(1-(a,c;0,a2)x) == D(1-a x)*D(1-a2 x)",
-                         2 * max(1, trials // 2), ok_endo))
-    return checks
+def _associative(R, rng):
+    s, t, u = (random_series(R, rng, terms=4) for _ in range(3))
+    return (s * t) * u == s * (t * u)
 
+def _parse_render(R, rng):
+    s = random_series(R, rng)
+    return parse_series(render_series(s), R) == s
 
-def _suite_novikov(seed: int, order: int, trials: int) -> list[dict]:
-    rng = random.Random(seed)
-    checks = []
-    q_ring = SeriesRing(RationalField(), ("z",), order=max(order, 3))
-    one = q_ring.one()
-    u = NovikovSeries(one - q_ring.letter("z"))
-    w = w1_invariant(u)
-    expect = {("1", "z" * n): Fraction(-1, n) for n in range(1, q_ring.order + 1)}
-    checks.append(_check("log-coefficients[Q]",
-                         "w1(1-z) == {z^n: -1/n}", 1, w.entries == expect))
-    gz = _qc2_gz(order)
+def _ldu_recompose(R, rng, n):
+    m = random_unipotent_matrix(R, rng, n)
+    return ldu_decompose(m).recompose() == m
+
+def _ldu_unique(R, rng, n):
+    f = ldu_decompose(random_unipotent_matrix(R, rng, n))
+    g = ldu_decompose(f.recompose())
+    return (g.l, g.d1, g.d2, g.u) == (f.l, f.d1, f.d2, f.u)
+
+def _mat_inverse(R, rng, n, general):
+    m = (random_invertible_matrix if general else random_unipotent_matrix)(R, rng, n)
+    inv, one = mat_invert(m), SeriesMatrix.identity(R, n)
+    return mat_is_invertible(m) and inv * m == one and m * inv == one
+
+def _dieudonne(R, rng, n):
+    m = random_unipotent_matrix(R, rng, n)
+    oracle = cofactor_det([[poly_from_series(e) for e in row] for row in m.rows], R.order)
+    return poly_from_series(dieudonne_det(m)) == oracle
+
+def _whitehead(R, rng, n, k):
+    a, b = random_kernel_matrix(R, rng, n, k), random_kernel_matrix(R, rng, k, n)
+    return whitehead_identity_check(a, b)
+
+def _rearrange(R, rng, n, k):
+    a, b = random_kernel_matrix(R, rng, n, k), random_kernel_matrix(R, rng, k, n)
+    return rearrange_inverses_check(a, b)
+
+def _vaserstein(R, rng, constant):
+    a, b = (random_series(R, rng, constant=constant) for _ in range(2))
+    c = R.lift(R.coeff.random_central(rng))
+    try:
+        return vaserstein_transform(a, b, c)[1]
+    except NotInvertible:
+        return True
+
+def _annihilation(R, rng, flavor):
+    a, b = random_flavor_pair(R, rng, flavor)
+    g, one = c_generator(a, b, flavor), R.one()
+    return (g.augmentation() == R.coeff.one and g * (one + b * a) == one + a * b
+            and cyc_log(g).is_zero())
+
+def _additivity(R, rng):
+    u, v = random_fiber_one(R, rng), random_fiber_one(R, rng)
+    return cyc_log(u * v) == cyc_log(u) + cyc_log(v)
+
+def _commutator(R, rng, unit):
+    # beta in the fiber keeps the commutator there for noncommutative A
+    alpha = (random_unit if unit else random_fiber_one)(R, rng)
+    beta = random_fiber_one(R, rng)
+    a, b = commutator_as_c_generator(alpha, beta)
+    ab, ba = R.one() + a * b, R.one() + b * a
+    return (ab == alpha * beta * alpha.inverse() and ba == beta
+            and cyc_log(ab * ba.inverse()).is_zero())
+
+def _det_multiplicative(R, rng, n):
+    m1, m2 = random_unipotent_matrix(R, rng, n), random_unipotent_matrix(R, rng, n)
+    return (cyc_log(dieudonne_det(m1 * m2))
+            == cyc_log(dieudonne_det(m1)) + cyc_log(dieudonne_det(m2)))
+
+def _det_cyclic(R, rng, p, q):
+    a, b = random_kernel_matrix(R, rng, p, q), random_kernel_matrix(R, rng, q, p)
+    return (cyc_log(dieudonne_det(SeriesMatrix.identity(R, p) + a * b))
+            == cyc_log(dieudonne_det(SeriesMatrix.identity(R, q) + b * a)))
+
+def _coeff_matrix(A, rng, n, m):
+    return tuple(tuple(A.random_element(rng) for _ in range(m)) for _ in range(n))
+
+def _endo_additivity(rings, rng, k, n, m):
+    R = rings[k]
+    alpha, alpha2 = _coeff_matrix(R.coeff, rng, n, n), _coeff_matrix(R.coeff, rng, m, m)
+    coupling = _coeff_matrix(R.coeff, rng, n, m)
+    return exact_sequence_additivity_check(R.coeff, alpha, alpha2, coupling, R.order)
+
+def _endo_trace_log(R, rng, n):
+    A = R.coeff
+    alpha = power = _coeff_matrix(A, rng, n, n)
+    expect = {}
+    for k in range(1, R.order + 1):
+        diagonal = A.zero
+        for i in range(n):
+            diagonal = A.add(diagonal, power[i][i])
+        for label, value in A.trace(diagonal).items():
+            if value:
+                expect[(label, R.word_to_str((0,) * k))] = -value / k
+        power = A.emat_mul(power, alpha)
+    return cyc_log(endo_class_invariant(A, alpha, R.order)).entries == expect
+
+def _log_coefficients(R, rng):
+    w = w1_invariant(NovikovSeries(R.one() - R.letter("z")))
+    return w.entries == {("1", "z" * n): Fraction(-1, n) for n in range(1, R.order + 1)}
+
+def _monomial_inverse(R, rng):
+    gz = NovikovSeries(R.from_terms([((0,), R.coeff.basis_element(1))]))
     inv = nov_invert(gz)
-    checks.append(_check("twisted-monomial-inverse[Q[C2]]",
-                         "(g z) * inv(g z) == 1", 1,
-                         nov_mul(gz, inv).matches_one_on_window()
-                         and inv.shift == 1))
-    c2 = _qc2()
-    zr = SeriesRing(c2, ("z",), order=max(order, 3))
-    g = c2.basis_element(1)
-    u2 = NovikovSeries(zr.one() - zr.from_terms([((0,), g)]))
-    rep = orbit_counts(u2)
-    expect_rep = {
-        (n, c2.group.names[min(c2.group.class_of(_pow_index(c2.group, 1, n)))]):
-        Fraction(-1, n) for n in range(1, zr.order + 1)}
-    checks.append(_check("orbit-counts[Q[C2]]",
-                         "degree-n bucket of class(g^n) == -1/n", 1,
-                         rep.entries == expect_rep))
-    qc4 = _qc4_with_inv()
-    group = qc4.group
-    perm = qc4._perms["inv"]
-    ok_part = True
-    for n in range(1, 4):
-        classes = twisted_conjugacy_classes(group, perm, n)
-        covered = sorted(g for cls in classes for g in cls)
-        if covered != list(range(group.order)):
-            ok_part = False
-        if sum(len(c) for c in classes) != group.order:
-            ok_part = False
-    checks.append(_check("twisted-partition[C4:inv]",
-                         "twisted conjugacy classes partition G", 3, ok_part))
-    zr4 = SeriesRing(qc4, ("z",), twist={"z": "inv"}, order=max(order, 3))
-    ok_mul = True
-    for _ in range(trials):
-        a = random_unit(zr4, rng, terms=2)
-        b = random_unit(zr4, rng, terms=2)
-        ua, ub = NovikovSeries(a), NovikovSeries(b)
-        prod = nov_mul(ua, ub)
-        if not nov_mul(prod, nov_invert(prod)).matches_one_on_window():
-            ok_mul = False
-    checks.append(_check("inverse-roundtrip[Q[C4]:inv-twist]",
-                         "u*inv(u) == 1 on the window", trials, ok_mul))
-    ok_w1add = True
-    for _ in range(trials):
-        u = NovikovSeries(random_fiber_one(q_ring, rng))
-        v = NovikovSeries(random_fiber_one(q_ring, rng))
-        if w1_invariant(nov_mul(u, v)) != w1_invariant(u) + w1_invariant(v):
-            ok_w1add = False
-    checks.append(_check("w1-additivity[Q]",
-                         "w1(u*v) == w1(u)+w1(v)", trials, ok_w1add))
-    return checks
+    return nov_mul(gz, inv).matches_one_on_window() and inv.shift == 1
+
+def _orbit_counts(R, rng):
+    group = R.coeff.group
+    expect, g = {}, group.identity
+    for n in range(1, R.order + 1):
+        g = group.mul(g, 1)
+        expect[(n, group.names[min(group.class_of(g))])] = Fraction(-1, n)
+    u = NovikovSeries(R.one() - R.from_terms([((0,), R.coeff.basis_element(1))]))
+    return orbit_counts(u).entries == expect
+
+def _twisted_partition(A, rng, n):
+    classes = twisted_conjugacy_classes(A.group, A._perms["inv"], n)
+    return sorted(g for cls in classes for g in cls) == list(range(A.group.order))
+
+def _nov_roundtrip(R, rng, shift, constant):
+    a, b = (random_series(R, rng, constant=constant, terms=2) for _ in range(2))
+    u = nov_mul(NovikovSeries(a, shift=shift), NovikovSeries(b))
+    return nov_mul(u, nov_invert(u, max_shift=6), max_shift=6).matches_one_on_window()
+
+def _w1_additivity(R, rng):
+    u, v = NovikovSeries(random_fiber_one(R, rng)), NovikovSeries(random_fiber_one(R, rng))
+    return w1_invariant(nov_mul(u, v)) == w1_invariant(u) + w1_invariant(v)
 
 
-def _pow_index(group, g: int, n: int) -> int:
-    acc = group.identity
-    for _ in range(n):
-        acc = group.mul(acc, g)
-    return acc
+# -- the registry -------------------------------------------------------------------
+
+def _asked(t):
+    return t
+
+def _half(t):
+    return max(1, t // 2)
+
+def _once(t):
+    return 1
 
 
-def _qc2_gz(order: int) -> NovikovSeries:
-    c2 = _qc2()
-    ring = SeriesRing(c2, ("z",), order=max(order, 2))
-    g = c2.basis_element(1)
-    return NovikovSeries(ring.from_terms([((0,), g)]))
+class Check:
+    """One registry entry, reported as `prop[tag]`."""
+
+    __slots__ = ("prop", "tag", "name", "identity", "suite", "trial", "build", "shapes",
+                 "trials")
+
+    def __init__(self, prop, tag, identity, suite, trial, build, shapes=((),),
+                 trials=_asked):
+        self.prop, self.tag, self.name = prop, tag, f"{prop}[{tag}]"
+        self.identity, self.suite, self.trial, self.build = identity, suite, trial, build
+        self.shapes, self.trials = shapes, trials
+
+    def over(self, build) -> "Check":
+        """The same check over another ring."""
+        return Check(self.prop, self.tag, self.identity, self.suite, self.trial, build,
+                     self.shapes, self.trials)
 
 
-def _suite_rings(seed: int, order: int, trials: int) -> list[dict]:
-    checks = []
-    for coeff in _coeff_instances():
-        rep = ring_axiom_check(coeff, seed=seed, trials=trials)
-        checks.append(_check(f"ring-axioms[{coeff.name}]",
-                             "associativity, distributivity, units",
-                             trials, rep["passed"]))
-    return checks
+REGISTRY: list[Check] = []
+
+def _add(suite, prop, identity, trial, cases, shapes=((),), trials=_asked):
+    for tag, build in cases:
+        REGISTRY.append(Check(prop, tag, identity, suite, trial, build, shapes, trials))
 
 
-_SUITES = {
-    "rings": _suite_rings,
-    "ldu": _suite_ldu,
-    "dieudonne": _suite_dieudonne,
-    "dieudonne-commutative": _suite_dieudonne,
-    "cgroup": _suite_cgroup,
-    "cyclog": _suite_cyclog,
-    "novikov": _suite_novikov,
-}
+_SIZES = ((1, 1), (2, 2), (3, 2), (2, 3))
+_ANNIHILATION = "cyc_log((1+ab)inv(1+ba)) == 0"
+_VASERSTEIN = "(1+ab)inv(1+ba) == (1+ab')inv(1+b'a), b' = b+c+bac, central c"
+_WHITEHEAD = "(1,-a;0,1)(1+ab,0;0,1)(1,0;b,1) == (1,0;b,1)(1,0;0,1+ba)(1,-a;0,1)"
+_REARRANGE = "1 - b*inv(1+ab)*a == inv(1+ba)"
+_RING_AXIOMS = "associativity, distributivity, units"
+
+_add("rings", "ring-axioms", _RING_AXIOMS, _axioms,
+     [("Q", coeffs(RationalField)), ("Z/6", coeffs(lambda: IntegersMod(6))),
+      ("M2(Q)", coeffs(m2_swap)), ("Q[C2]", coeffs(qc2)), ("Q<y,z>/deg>2", coeffs(free_yz))])
+for _tag, _build in (("Q", series(RationalField)),
+                     ("M2(Q)", series(m2_swap, twist={"x": "swap"})),
+                     ("Q[C2]", series(qc2))):
+    _add("ldu", "ldu-recompose", "L*diag(d1,d2)*U == M", _ldu_recompose,
+         [(_tag, _build)], shapes=((2,), (3,), (4,)))
+    _add("ldu", "ldu-unique", "decompose(recompose(F)) == F", _ldu_unique,
+         [(_tag, _build)], shapes=((2,), (3,), (4,)))
+    _add("ldu", "mat-inverse", "inv(M)*M == 1", _mat_inverse, [(_tag, _build)],
+         shapes=((1, False), (2, False), (3, False), (4, False)))
+_add("dieudonne-commutative", "dieudonne-vs-cofactor",
+     "D(M) == cofactor_det(M) for commutative coefficients", _dieudonne,
+     [("Q", series(RationalField, ("x",)))], shapes=((1,), (2,), (3,), (4,)))
+_add("cgroup", "whitehead-2x2", _WHITEHEAD, _whitehead, [("M2(Q)", series(m2_swap))],
+     shapes=_SIZES)
+_add("cgroup", "rearrange-inverses", _REARRANGE, _rearrange, [("M2(Q)", series(m2_swap))],
+     shapes=_SIZES)
+_add("cgroup", "vaserstein", _VASERSTEIN, _vaserstein,
+     [("Q", series(RationalField, ("x",))), ("Q[C2]", series(qc2, ("x",))),
+      ("Q<y,z>/deg>2", series(free_yz, ("x",)))],
+     shapes=(("any",), ("unit",)))
+for _tag, _build in (("Q<y,z>/deg>2", series(free_yz)), ("M2(Q)", series(m2_swap))):
+    for _flavor in FLAVORS:
+        _add("cyclog", "annihilation", _ANNIHILATION, _annihilation,
+             [(f"{_tag}:{_flavor}", _build)], shapes=((_flavor,),))
+    _add("cyclog", "additivity", "cyc_log(u*v) == cyc_log(u)+cyc_log(v)", _additivity,
+         [(_tag, _build)])
+    _add("cyclog", "commutator-inclusion", "cyc_log(alpha beta inv(alpha) inv(beta)) == 0",
+         _commutator, [(_tag, _build)], shapes=((False,), (True,)))
+    _add("cyclog", "det-multiplicative-mod-C",
+         "cyc_log(D(MN)) == cyc_log(D(M))+cyc_log(D(N))", _det_multiplicative,
+         [(_tag, _build)], shapes=((1,), (2,), (3,)), trials=_half)
+    _add("cyclog", "det-cyclic-symmetry", "cyc_log(D(1+ab)) == cyc_log(D(1+ba))",
+         _det_cyclic, [(_tag, _build)], shapes=((1, 1), (2, 1), (2, 2), (3, 2)),
+         trials=_half)
+_add("cyclog", "endo-additivity", "D(1-(a,c;0,a2)x) == D(1-a x)*D(1-a2 x)",
+     _endo_additivity, [("Q,M2(Q)", lambda order: (SeriesRing(RationalField(), order=order),
+                                                   SeriesRing(m2_swap(), order=order)))],
+     shapes=tuple((k, n, m) for n in (1, 2) for m in (1, 2) for k in (0, 1)),
+     trials=lambda t: 2 * _half(t))
+_add("novikov", "log-coefficients", "w1(1-z) == {z^n: -1/n}", _log_coefficients,
+     [("Q", series(RationalField, ("z",), min_order=3))], trials=_once)
+_add("novikov", "twisted-monomial-inverse", "(g z) * inv(g z) == 1", _monomial_inverse,
+     [("Q[C2]", series(qc2, ("z",), min_order=2))], trials=_once)
+_add("novikov", "orbit-counts", "degree-n bucket of class(g^n) == -1/n", _orbit_counts,
+     [("Q[C2]", series(qc2, ("z",), min_order=3))], trials=_once)
+_add("novikov", "twisted-partition", "twisted conjugacy classes partition G",
+     _twisted_partition, [("C4:inv", coeffs(qc4_inv))], shapes=((1,), (2,), (3,)),
+     trials=lambda t: 3)
+_add("novikov", "inverse-roundtrip", "u*inv(u) == 1 on the window", _nov_roundtrip,
+     [("Q[C4]:inv-twist", series(qc4_inv, ("z",), twist={"z": "inv"}, min_order=3))],
+     shapes=tuple((s, c) for c in ("unit", "one") for s in (0, 1, 2)))
+_add("novikov", "w1-additivity", "w1(u*v) == w1(u)+w1(v)", _w1_additivity,
+     [("Q", series(RationalField, ("z",), min_order=3))])
+
+# New entries go below this line, so the reports of earlier versions are
+# prefixes (per suite) of today's.
+_XY = ("x", "y")
+_add("rings", "ring-axioms", _RING_AXIOMS, _axioms, [("Q[C4]", coeffs(qc4_inv))])
+_add("rings", "series-inverse", "u*inv(u) == 1 == inv(u)*u", _series_inverse, [
+    ("Q<<x,y>>", series(RationalField, _XY)),
+    ("M2(Q)<<x>>:swap", series(m2_swap, ("x",), {"x": "swap"})),
+    ("Q[C4]<<x>>:inv", series(qc4_inv, ("x",), {"x": "inv"})),
+    ("Q<y,z><<x>>:flip", series(free_yz, ("x",), {"x": "flip"})),
+    ("M2(Q)<<x,y>>:x-swap", series(m2_swap, _XY, {"x": "swap"})),
+    ("M2(Q)[x,y]", series(m2_swap, _XY, commute=True))])
+_add("rings", "log-exp-roundtrip", "exp(log(u)) == u, log(exp(k)) == k", _log_exp, [
+    ("Q<<x,y>>", series(RationalField, _XY)),
+    ("M2(Q)<<x,y>>", series(m2_swap, _XY)),
+    ("Q<y,z><<x,y>>", series(free_yz, _XY))])
+_add("rings", "product-associative", "(s*t)*u == s*(t*u)", _associative, [
+    ("M2(Q)<<x,y>>:swap,shear",
+     series(m2_two_twists, _XY, {"x": "swap", "y": "shear"}, min_order=5)),
+    ("Q[C4]<<x,y>>:x-inv", series(qc4_inv, _XY, {"x": "inv"}, min_order=6))])
+_add("rings", "parse-render-roundtrip", "parse(render(s)) == s", _parse_render, [
+    ("Q<<x,y>>", series(RationalField, _XY)),
+    ("M2(Q)<<x>>:swap", series(m2_swap, ("x",), {"x": "swap"})),
+    ("Q[C4]<<x>>", series(qc4_inv, ("x",))),
+    ("Q[C4]<<x>>:inv", series(qc4_inv, ("x",), {"x": "inv"})),
+    ("Q<y,z><<x>>", series(free_yz, ("x",)))])
+_add("ldu", "ldu-recompose", "L*diag(d1,d2)*U == M", _ldu_recompose,
+     [("Q[C4]<<x>>:inv", series(qc4_inv, ("x",), {"x": "inv"}))], shapes=((2,), (3,)))
+_add("ldu", "ldu-unique", "decompose(recompose(F)) == F", _ldu_unique,
+     [("Q[C4]<<x>>:inv", series(qc4_inv, ("x",), {"x": "inv"}))], shapes=((2,), (3,)))
+_add("ldu", "mat-inverse", "inv(M)*M == 1", _mat_inverse, [
+    ("Q[C4]<<x>>:inv", series(qc4_inv, ("x",), {"x": "inv"})),
+    ("Q<y,z><<x>>:flip", series(free_yz, ("x",), {"x": "flip"}))],
+     shapes=((1, True), (2, True)))
+_ONE_LETTER = [("Q<<x>>", series(RationalField, ("x",))),
+               ("M2(Q)<<x>>:swap", series(m2_swap, ("x",), {"x": "swap"})),
+               ("Q<y,z><<x>>", series(free_yz, ("x",)))]
+_add("cgroup", "whitehead-2x2", _WHITEHEAD, _whitehead, _ONE_LETTER, shapes=_SIZES)
+_add("cgroup", "rearrange-inverses", _REARRANGE, _rearrange, _ONE_LETTER, shapes=_SIZES)
+_add("cgroup", "vaserstein", _VASERSTEIN, _vaserstein, [
+    ("Q<<x,y>>", series(RationalField, _XY)),
+    ("Q[C4]<<x,y>>", series(qc4_inv, _XY)),
+    ("Q<y,z><<x,y>>", series(free_yz, _XY))], shapes=(("any",), ("unit",)))
+_add("cyclog", "endo-trace-log", "cyc_log(D(1-a x)) == -sum_k tr(a^k)/k x^k",
+     _endo_trace_log, [
+         ("Q", series(RationalField, ("x",))), ("M2(Q)", series(m2_swap, ("x",))),
+         ("Q[C3]", series(lambda: GroupAlgebra(cyclic_group(3)), ("x",))),
+         ("Q<y,z>/deg>3", series(lambda: free_yz(3), ("x",)))], shapes=((1,), (2,), (3,)))
 
 SUITE_NAMES = ("rings", "ldu", "dieudonne-commutative", "cgroup", "cyclog",
                "novikov", "all")
 
 
+def run_check(check: Check, seed: int, order: int, trials: int) -> dict:
+    """One report item: the check's trials, cycling through its shapes."""
+    rng = random.Random(f"{seed}:{check.name}")
+    ring = check.build(order)
+    count = check.trials(trials)
+    shapes = check.shapes
+    passed = all(check.trial(ring, rng, *shapes[i % len(shapes)]) for i in range(count))
+    return {"name": check.name, "identity": check.identity, "trials": count,
+            "passed": passed}
+
+
 def selftest(suite: str, seed: int = 42, order: int = 4,
              trials: int = 10) -> dict:
     """Run one named suite (or 'all') and return its report dict."""
-    if suite == "all":
-        names = ["rings", "ldu", "dieudonne-commutative", "cgroup", "cyclog",
-                 "novikov"]
-    elif suite in _SUITES:
-        names = [suite]
-    else:
+    if suite not in SUITE_NAMES:
         raise ValueError(
             f"unknown suite {suite!r}; pick one of {', '.join(SUITE_NAMES)}")
-    checks = []
-    for name in names:
-        fn = _SUITES[name]
-        checks.extend(fn(seed, order, trials))
+    checks = [run_check(c, seed, order, trials) for c in REGISTRY
+              if suite in ("all", c.suite)]
     return {"suite": suite, "seed": seed, "order": order,
             "checks": checks, "passed": all(c["passed"] for c in checks)}

@@ -2,15 +2,8 @@ import sys
 
 import pytest
 
-from twistdet import (
-    GroupAlgebra,
-    IntegersMod,
-    RationalField,
-    RationalMatrixRing,
-    SeriesRing,
-    TruncatedFreeAlgebra,
-    cyclic_group,
-)
+from twistdet import IntegersMod, RationalField, SeriesRing
+from twistdet.selftest import REGISTRY, free_yz, m2_swap, qc2, qc4_inv
 
 
 @pytest.fixture
@@ -23,35 +16,65 @@ def z6():
     return IntegersMod(6)
 
 
-@pytest.fixture
-def m2():
-    ring = RationalMatrixRing(2)
-    ring.register_conjugation("swap", [[0, 1], [1, 0]])
-    return ring
-
-
-@pytest.fixture
-def qc2():
-    return GroupAlgebra(cyclic_group(2))
-
-
-@pytest.fixture
-def qc4():
-    ring = GroupAlgebra(cyclic_group(4))
-    ring.register_group_automorphism("inv", [0, 3, 2, 1])
-    return ring
-
-
-@pytest.fixture
-def free_yz():
-    ring = TruncatedFreeAlgebra(("y", "z"), 2)
-    ring.register_generator_permutation("flip", [1, 0])
-    return ring
+m2 = pytest.fixture(m2_swap, name="m2")
+qc2 = pytest.fixture(qc2, name="qc2")
+qc4 = pytest.fixture(qc4_inv, name="qc4")
+free_yz = pytest.fixture(free_yz, name="free_yz")
 
 
 def one_letter(coeff, order, twist=None):
     tw = {"x": twist} if twist else None
     return SeriesRing(coeff, alphabet=("x",), twist=tw, order=order)
+
+
+def two_letter(coeff, order, twist=None):
+    return SeriesRing(coeff, alphabet=("x", "y"), twist=twist, order=order)
+
+
+# -- the property registry in tier-1 (tests/test_properties.py) ----------------------
+
+SEED, ORDER = 42, 4
+# requested trials per check, as `twistdet selftest --trials` takes them
+TRIALS = {"ring-axioms": 20, "ldu-recompose": 18, "ldu-unique": 18, "mat-inverse": 20,
+          "dieudonne-vs-cofactor": 32, "whitehead-2x2": 16, "rearrange-inverses": 16,
+          "vaserstein": 16, "annihilation": 5, "additivity": 6,
+          "commutator-inclusion": 12, "det-multiplicative-mod-C": 24,
+          "det-cyclic-symmetry": 32, "endo-additivity": 48, "inverse-roundtrip": 18,
+          "w1-additivity": 8, "series-inverse": 10, "log-exp-roundtrip": 8,
+          "product-associative": 5, "parse-render-roundtrip": 10}
+
+
+def tier1_trials(check):
+    return TRIALS.get(check.prop, 10)
+
+
+def _draws(check, shape):
+    count = check.trials(tier1_trials(check))
+    if shape is None:
+        return count
+    return sum(check.shapes[i % len(check.shapes)] == shape for i in range(count))
+
+
+def _contains(big, small):
+    # small is a subring of big: same coefficients, its letters (with their
+    # twists) come first in big, and big is truncated no lower
+    if isinstance(big, tuple):
+        return any(_contains(ring, small) for ring in big)
+    if not isinstance(small, SeriesRing):
+        return big == small
+    return (isinstance(big, SeriesRing) and big.coeff == small.coeff
+            and big.twist_names[:len(small.alphabet)] == small.twist_names
+            and big.letters_commute == small.letters_commute
+            and big.order >= small.order)
+
+
+def assert_folded(prop, rings, trials, shapes=(None,)):
+    """A randomized test of this name now lives in the registry as `prop`:
+    tier-1 must still draw `trials` samples of each shape over each ring."""
+    for ring in rings:
+        for shape in shapes:
+            assert any(_contains(c.build(ORDER), ring) and _draws(c, shape) >= trials
+                       for c in REGISTRY if c.prop == prop), (prop, ring, shape)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -121,11 +121,11 @@ def test_novikov_report(capsys, ring_file):
 
 
 def test_selftest_op(capsys):
-    code, out, _ = run_cli(capsys, "selftest", "rings", "--seed", "3",
-                           "--trials", "5")
+    code, out, _ = run_cli(capsys, "selftest", "all", "--trials", "2")
     assert code == 0
     doc = json.loads(out)
-    assert doc["passed"] is True and doc["suite"] == "rings"
+    assert doc["passed"] is True and doc["suite"] == "all"
+    assert [c["name"] for c in doc["checks"] if not c["passed"]] == []
 
 
 def test_exit_code_1_on_bad_input(capsys, ring_file, tmp_path):
@@ -156,6 +156,16 @@ def test_exit_code_1_on_bad_input(capsys, ring_file, tmp_path):
     # missing ring file
     code, _, err = run_cli(capsys, "inv", "--ring", str(tmp_path / "nope.json"), "1")
     assert code == 1
+    # usage errors: an unknown suite or flavor, a missing --ring
+    for argv in (["selftest", "bogus"],
+                 ["cgen", "--flavor", "nope", "--ring", ring, "1", "1"],
+                 ["inv", "1"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["type"] == "UsageError"
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
 
 
 @pytest.mark.parametrize("ring, error_type, fragment", [
@@ -286,6 +296,9 @@ def test_cli_process_does_not_import_jsonschema(tmp_path):
     ({"op": "cgen", "ring": QRING_DOC, "series": ["1"]}, "$.series"),
     ({"op": "frobnicate", "ring": QRING_DOC}, "frobnicate"),
     ([{"op": "inv"}], "JSON object"),
+    ({"op": "cgen", "ring": QRING_DOC, "series": ["1", "1"], "flavor": "nope"}, "$.flavor"),
+    ({"op": "cgen", "ring": QRING_DOC, "series": ["1", "1"], "flavor": "b_unit\n"}, "$.flavor"),
+    ({"op": "selftest", "suite": "dieudonne"}, "$.suite"),
 ])
 def test_run_schema_errors_are_readable(capsys, tmp_path, job, names):
     p = tmp_path / "job.json"

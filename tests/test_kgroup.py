@@ -12,28 +12,17 @@ from twistdet import (
     NotInvertible,
     SeriesRing,
     c_generator,
-    commutator_as_c_generator,
     coset_probably_equal,
     cyc_log,
-    dieudonne_det,
     endo_class_invariant,
     parse_series,
     render_series,
     vaserstein_transform,
 )
 from twistdet.kgroup import least_rotation
-from twistdet.randgen import (
-    random_fiber_one,
-    random_flavor_pair,
-    random_kernel_matrix,
-    random_unit,
-)
+from twistdet.randgen import random_fiber_one, random_flavor_pair
 
-from conftest import one_letter
-
-
-def two_letter(coeff, order):
-    return SeriesRing(coeff, alphabet=("x", "y"), order=order)
+from conftest import assert_folded, one_letter, two_letter
 
 
 # -- C generators ------------------------------------------------------------
@@ -91,15 +80,8 @@ def test_not_invertible_rejected(qq):
 
 
 def test_random_generators_land_in_fiber(free_yz, m2):
-    rng = random.Random(41)
-    for coeff in (free_yz, m2):
-        R = two_letter(coeff, 3)
-        for flavor in FLAVORS:
-            for _ in range(5):
-                a, b = random_flavor_pair(R, rng, flavor)
-                g = c_generator(a, b, flavor=flavor)
-                assert g.augmentation() == coeff.one
-                assert g * (R.one() + b * a) == R.one() + a * b
+    assert_folded("annihilation", [two_letter(free_yz, 3), two_letter(m2, 3)], 5,
+                  shapes=[(flavor,) for flavor in FLAVORS])
 
 
 # -- vaserstein --------------------------------------------------------------
@@ -124,32 +106,15 @@ def test_vaserstein_needs_commuting_c(m2):
 
 
 def test_vaserstein_random(qq, qc4, free_yz):
-    rng = random.Random(42)
-    for coeff in (qq, qc4, free_yz):
-        R = two_letter(coeff, 3)
-        for _ in range(8):
-            a = random_unit(R, rng)
-            b = random_unit(R, rng)
-            c = R.lift(coeff.random_central(rng))
-            try:
-                _, ok = vaserstein_transform(a, b, c)
-            except NotInvertible:
-                continue
-            assert ok
+    assert_folded("vaserstein", [two_letter(c, 3) for c in (qq, qc4, free_yz)], 8,
+                  shapes=[("unit",)])
 
 
 # -- commutators -------------------------------------------------------------
 
 def test_commutator_realization(m2, free_yz):
-    rng = random.Random(43)
-    for coeff in (m2, free_yz):
-        R = two_letter(coeff, 3)
-        for _ in range(6):
-            alpha = random_unit(R, rng)
-            beta = random_fiber_one(R, rng)
-            a, b = commutator_as_c_generator(alpha, beta)
-            assert R.one() + a * b == alpha * beta * alpha.inverse()
-            assert R.one() + b * a == beta
+    assert_folded("commutator-inclusion", [two_letter(m2, 3), two_letter(free_yz, 3)], 6,
+                  shapes=[(True,)])
 
 
 # -- cyc_log -----------------------------------------------------------------
@@ -186,23 +151,12 @@ def test_cyc_log_requires_fiber_and_trace(qq, z6):
 
 
 def test_cyc_log_additive(free_yz, m2):
-    rng = random.Random(44)
-    for coeff in (free_yz, m2):
-        R = two_letter(coeff, 4)
-        for _ in range(6):
-            u = random_fiber_one(R, rng)
-            v = random_fiber_one(R, rng)
-            assert cyc_log(u * v) == cyc_log(u) + cyc_log(v)
+    assert_folded("additivity", [two_letter(free_yz, 4), two_letter(m2, 4)], 6)
 
 
 def test_cyc_log_kills_generators(free_yz, m2):
-    rng = random.Random(45)
-    for coeff in (free_yz, m2):
-        R = two_letter(coeff, 4)
-        for flavor in FLAVORS:
-            for _ in range(5):
-                a, b = random_flavor_pair(R, rng, flavor)
-                assert cyc_log(c_generator(a, b, flavor=flavor)).is_zero()
+    assert_folded("annihilation", [two_letter(free_yz, 4), two_letter(m2, 4)], 5,
+                  shapes=[(flavor,) for flavor in FLAVORS])
 
 
 def test_cyc_log_vector_algebra():
@@ -214,28 +168,12 @@ def test_cyc_log_vector_algebra():
 
 
 def test_det_multiplicative_mod_c(free_yz):
-    rng = random.Random(46)
-    R = two_letter(free_yz, 3)
-    from twistdet.randgen import random_unipotent_matrix
-    for _ in range(4):
-        m = random_unipotent_matrix(R, rng, 2)
-        n = random_unipotent_matrix(R, rng, 2)
-        lhs = cyc_log(dieudonne_det(m * n))
-        rhs = cyc_log(dieudonne_det(m)) + cyc_log(dieudonne_det(n))
-        assert lhs == rhs
+    assert_folded("det-multiplicative-mod-C", [two_letter(free_yz, 3)], 4, shapes=[(2,)])
 
 
 def test_det_cyclic_symmetry(m2):
-    rng = random.Random(47)
-    R = one_letter(m2, 3)
-    from twistdet import SeriesMatrix
-    for n, k in ((2, 2), (2, 1), (3, 2)):
-        for _ in range(4):
-            a = random_kernel_matrix(R, rng, n, k)
-            b = random_kernel_matrix(R, rng, k, n)
-            lhs = cyc_log(dieudonne_det(SeriesMatrix.identity(R, n) + a * b))
-            rhs = cyc_log(dieudonne_det(SeriesMatrix.identity(R, k) + b * a))
-            assert lhs == rhs
+    assert_folded("det-cyclic-symmetry", [one_letter(m2, 3)], 4,
+                  shapes=[(2, 2), (2, 1), (3, 2)])
 
 
 # -- cosets ------------------------------------------------------------------

@@ -12,14 +12,10 @@ from twistdet import (
     dieudonne_det,
     exact_sequence_additivity_check,
     ldu_decompose,
-    mat_invert,
-    mat_is_invertible,
-    rearrange_inverses_check,
-    whitehead_identity_check,
 )
 from twistdet.randgen import random_kernel_matrix, random_unipotent_matrix
 
-from conftest import one_letter
+from conftest import assert_folded, one_letter, two_letter
 
 
 def poly(s):
@@ -66,83 +62,22 @@ def test_ldu_needs_square_2x2_or_more(qq):
 
 
 def test_ldu_random_recompose_unique(qq, m2, qc4):
-    rng = random.Random(31)
-    rings = [
-        SeriesRing(qq, alphabet=("x", "y"), order=3),
-        one_letter(m2, 3, twist="swap"),
-        one_letter(qc4, 3, twist="inv"),
-    ]
-    for R in rings:
-        for n in (2, 3):
-            for _ in range(6):
-                m = random_unipotent_matrix(R, rng, n)
-                f = ldu_decompose(m)
-                assert f.recompose() == m
-                g = ldu_decompose(f.recompose())
-                assert (g.l, g.d1, g.d2, g.u) == (f.l, f.d1, f.d2, f.u)
-
-
-def random_invertible_matrix(R, rng, n):
-    # augmentation: an invertible coefficient matrix other than the identity
-    A = R.coeff
-    while True:
-        aug = tuple(tuple(A.random_element(rng) for _ in range(n)) for _ in range(n))
-        if aug != A.emat_identity(n) and A.mat_is_invertible(aug):
-            return SeriesMatrix.lift(R, aug) + random_kernel_matrix(R, rng, n, n)
+    rings = [two_letter(qq, 3), one_letter(m2, 3, twist="swap"), one_letter(qc4, 3, twist="inv")]
+    for prop in ("ldu-recompose", "ldu-unique"):
+        assert_folded(prop, rings, 6, shapes=[(2,), (3,)])
 
 
 def test_matrix_inverse_random(qq, m2, qc4, free_yz):
-    rng = random.Random(32)
-    cases = [(SeriesRing(qq, order=3), random_unipotent_matrix, (1, 2, 3)),
-             (one_letter(m2, 3, twist="swap"), random_unipotent_matrix, (1, 2, 3)),
-             (one_letter(qc4, 3, twist="inv"), random_invertible_matrix, (1, 2)),
-             (one_letter(free_yz, 3, twist="flip"), random_invertible_matrix, (1, 2))]
-    for R, sample, sizes in cases:
-        for n in sizes:
-            for _ in range(5):
-                m = sample(R, rng, n)
-                assert mat_is_invertible(m)
-                assert mat_invert(m) * m == SeriesMatrix.identity(R, n)
-                assert m * mat_invert(m) == SeriesMatrix.identity(R, n)
-
-
-def cofactor_poly_det(m, N):
-    # independent oracle: expansion along the first row of a poly matrix
-    def pmul(p, q):
-        r = {}
-        for d1, c1 in p.items():
-            for d2, c2 in q.items():
-                if d1 + d2 <= N:
-                    r[d1 + d2] = r.get(d1 + d2, F(0)) + c1 * c2
-        return r
-    def padd(p, q):
-        r = dict(p)
-        for d, c in q.items():
-            r[d] = r.get(d, F(0)) + c
-        return r
-    def det(rows):
-        n = len(rows)
-        if n == 1:
-            return rows[0][0]
-        acc = {}
-        for j in range(n):
-            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-            term = pmul(rows[0][j], det(minor))
-            if j % 2:
-                term = {d: -c for d, c in term.items()}
-            acc = padd(acc, term)
-        return acc
-    rows = [[poly(m.entry(i, j)) for j in range(m.ncols)] for i in range(m.nrows)]
-    return {d: c for d, c in det(rows).items() if c}
+    # unipotent matrices, and augmentations other than the identity
+    assert_folded("mat-inverse", [one_letter(qq, 3), one_letter(m2, 3, twist="swap")], 5,
+                  shapes=[(1, False), (2, False), (3, False)])
+    assert_folded("mat-inverse", [one_letter(qc4, 3, twist="inv"),
+                                  one_letter(free_yz, 3, twist="flip")], 5,
+                  shapes=[(1, True), (2, True)])
 
 
 def test_dieudonne_matches_cofactor_commutative(qq):
-    rng = random.Random(33)
-    R = SeriesRing(qq, order=4)
-    for n in (2, 3, 4):
-        for _ in range(8):
-            m = random_unipotent_matrix(R, rng, n)
-            assert poly(dieudonne_det(m)) == cofactor_poly_det(m, 4)
+    assert_folded("dieudonne-vs-cofactor", [one_letter(qq, 4)], 8, shapes=[(2,), (3,), (4,)])
 
 
 def test_block_triangular_det_multiplies_exactly(m2):
@@ -165,24 +100,13 @@ def test_det_stabilize(qq):
 
 
 def test_whitehead_identity_square_and_rectangular(qq, m2):
-    rng = random.Random(36)
-    for R in (SeriesRing(qq, order=3), one_letter(m2, 3, twist="swap")):
-        for n, k in ((1, 1), (2, 2), (3, 2), (2, 3)):
-            for _ in range(4):
-                a = random_kernel_matrix(R, rng, n, k)
-                b = random_kernel_matrix(R, rng, k, n)
-                assert whitehead_identity_check(a, b)
+    assert_folded("whitehead-2x2", [one_letter(qq, 3), one_letter(m2, 3, twist="swap")], 4,
+                  shapes=[(1, 1), (2, 2), (3, 2), (2, 3)])
 
 
 def test_rearrange_inverses(qq, m2, free_yz):
-    rng = random.Random(37)
-    rings = [SeriesRing(qq, order=3), one_letter(m2, 3), one_letter(free_yz, 3)]
-    for R in rings:
-        for n, k in ((2, 2), (3, 2)):
-            for _ in range(4):
-                a = random_kernel_matrix(R, rng, n, k)
-                b = random_kernel_matrix(R, rng, k, n)
-                assert rearrange_inverses_check(a, b)
+    assert_folded("rearrange-inverses", [one_letter(c, 3) for c in (qq, m2, free_yz)], 4,
+                  shapes=[(2, 2), (3, 2)])
 
 
 def test_shape_mismatch_rejected(qq):
@@ -202,10 +126,6 @@ def test_additivity_frozen_triangular(qq):
 
 
 def test_additivity_random_couplings(qq, m2):
-    rng = random.Random(38)
-    for coeff in (qq, m2):
-        for _ in range(6):
-            a = [[coeff.random_element(rng) for _ in range(2)] for _ in range(2)]
-            b = [[coeff.random_element(rng)]]
-            c = [[coeff.random_element(rng)] for _ in range(2)]
-            assert exact_sequence_additivity_check(coeff, a, b, c, 4)
+    # alpha 2x2, alpha2 1x1, a 2x1 coupling; shape (k, n, m) draws over ring k
+    for k, coeff in enumerate((qq, m2)):
+        assert_folded("endo-additivity", [one_letter(coeff, 4)], 6, shapes=[(k, 2, 1)])

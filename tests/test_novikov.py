@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +17,8 @@ from twistdet import (
     twisted_conjugacy_classes,
     w1_invariant,
 )
-from twistdet.randgen import random_fiber_one
+
+from conftest import assert_folded
 
 
 def zring(coeff, order, twist=None):
@@ -136,12 +136,9 @@ def test_invert_rejects_non_unit_leading(z6):
 
 
 def test_invert_roundtrip_twisted(qc4):
-    rng = random.Random(51)
-    R = zring(qc4, 4, twist="inv")
-    for _ in range(8):
-        u = NovikovSeries(random_fiber_one(R, rng), shift=rng.randint(0, 2))
-        v = nov_invert(u, max_shift=6)
-        assert nov_mul(u, v, max_shift=6).matches_one_on_window()
+    # fiber-one draws (each the product of two) at every shift 0-2
+    assert_folded("inverse-roundtrip", [zring(qc4, 4, twist="inv")], 3,
+                  shapes=[(shift, "one") for shift in (0, 1, 2)])
 
 
 # -- w1 ----------------------------------------------------------------------
@@ -162,13 +159,7 @@ def test_w1_domain_checks(qq):
 
 
 def test_w1_additive(qq):
-    rng = random.Random(52)
-    R = zring(qq, 4)
-    for _ in range(8):
-        u = NovikovSeries(random_fiber_one(R, rng))
-        v = NovikovSeries(random_fiber_one(R, rng))
-        lhs = w1_invariant(nov_mul(u, v))
-        assert lhs == w1_invariant(u) + w1_invariant(v)
+    assert_folded("w1-additivity", [zring(qq, 4)], 8)
 
 
 # -- orbit counts ------------------------------------------------------------

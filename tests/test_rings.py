@@ -16,11 +16,11 @@ from twistdet import (
     ring_axiom_check,
 )
 
+from conftest import assert_folded
+
 
 def test_axioms_hold_on_samples(qq, z6, m2, qc2, qc4, free_yz):
-    for ring in (qq, z6, m2, qc2, qc4, free_yz):
-        report = ring_axiom_check(ring, seed=3, trials=20)
-        assert report["passed"], (ring.name, report)
+    assert_folded("ring-axioms", [qq, z6, m2, qc2, qc4, free_yz], 20)
 
 
 def test_axiom_report_flags_commutativity(qq, m2):

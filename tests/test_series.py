@@ -9,15 +9,14 @@ from twistdet import (
     AugmentationNotUnit,
     IntegersMod,
     NeedsRationalCoefficients,
-    RationalMatrixRing,
     RingMismatch,
     SeriesRing,
-    formal_exp,
     formal_log,
 )
-from twistdet.randgen import random_fiber_one, random_kernel, random_series, random_unit
+from twistdet.randgen import random_series
+from twistdet.selftest import m2_two_twists
 
-from conftest import one_letter
+from conftest import assert_folded, one_letter, two_letter
 
 
 def poly(s):
@@ -92,20 +91,15 @@ def test_inverse_requires_unit_augmentation(qq, z6):
 
 
 def test_inverse_random_two_sided(qq, m2, qc4, free_yz):
-    rng = random.Random(11)
     rings = [
-        SeriesRing(qq, alphabet=("x", "y"), order=3),
+        two_letter(qq, 3),
         one_letter(m2, 3, twist="swap"),
         one_letter(qc4, 3, twist="inv"),
         one_letter(free_yz, 3, twist="flip"),
-        SeriesRing(m2, alphabet=("x", "y"), twist={"x": "swap"}, order=3),
+        two_letter(m2, 3, twist={"x": "swap"}),
         SeriesRing(m2, alphabet=("x", "y"), order=3, letters_commute=True),
     ]
-    for R in rings:
-        for _ in range(10):
-            u = random_unit(R, rng)
-            assert (u * u.inverse()).is_one()
-            assert (u.inverse() * u).is_one()
+    assert_folded("series-inverse", rings, 10)
 
 
 def test_scale_and_map_coefficients(qc4):
@@ -125,14 +119,7 @@ def test_log_frozen(qq):
 
 
 def test_log_exp_roundtrip(qq, m2, free_yz):
-    rng = random.Random(12)
-    for coeff in (qq, m2, free_yz):
-        R = SeriesRing(coeff, alphabet=("x", "y"), order=4)
-        for _ in range(8):
-            u = random_fiber_one(R, rng)
-            assert formal_exp(formal_log(u)) == u
-            k = random_kernel(R, rng)
-            assert formal_log(formal_exp(k)) == k
+    assert_folded("log-exp-roundtrip", [two_letter(c, 4) for c in (qq, m2, free_yz)], 8)
 
 
 def test_log_needs_fiber_and_rationals(qq, z6):
@@ -200,12 +187,7 @@ def dense_series(R, rng, max_len):
     return R.from_terms([(w, R.coeff.random_element(rng)) for w in words])
 
 
-@pytest.fixture
-def m2_two_twists():
-    ring = RationalMatrixRing(2)
-    ring.register_conjugation("swap", [[0, 1], [1, 0]])
-    ring.register_conjugation("shear", [[1, 1], [0, 1]])
-    return ring
+m2_two_twists = pytest.fixture(m2_two_twists)
 
 
 def kernel_rings(qq, m2, m2_two_twists):
@@ -254,13 +236,6 @@ def test_product_cancels_to_zero_over_z12():
 
 
 def test_twisted_product_is_associative(m2_two_twists, qc4):
-    rng = random.Random(14)
-    rings = [
-        SeriesRing(m2_two_twists, alphabet=("x", "y"), twist={"x": "swap", "y": "shear"},
-                   order=5),
-        SeriesRing(qc4, alphabet=("x", "y"), twist={"x": "inv"}, order=6),
-    ]
-    for R in rings:
-        for _ in range(5):
-            s, t, u = (random_series(R, rng, terms=4) for _ in range(3))
-            assert (s * t) * u == s * (t * u)
+    rings = [two_letter(m2_two_twists, 5, twist={"x": "swap", "y": "shear"}),
+             two_letter(qc4, 6, twist={"x": "inv"})]
+    assert_folded("product-associative", rings, 5)
