@@ -53,7 +53,7 @@ from .kgroup import (
     vaserstein_transform,
 )
 from .literals import parse_series, render_series
-from .matrices import dieudonne_det, ldu_decompose, mat_invert
+from .matrices import dieudonne_det, ldu_decompose
 from .novikov import orbit_counts, w1_invariant
 from .selftest import SUITE_NAMES, selftest
 from .series import formal_log

@@ -24,6 +24,7 @@ from .errors import (
     RingMismatch,
 )
 from .matrices import SeriesMatrix, dieudonne_det
+from .rings import least_rotation
 from .series import SeriesRing, TwistedSeries, formal_log
 
 FLAVOR_A_KERNEL = "a_in_kernel"
@@ -188,16 +189,6 @@ class CycLogVector:
     def sorted_items(self):
         return sorted(self.entries.items(),
                       key=lambda kv: (len(kv[0][1]), kv[0][1], kv[0][0]))
-
-
-def least_rotation(word: tuple) -> int:
-    """Index r minimizing word[r:]+word[:r]; smallest such r on ties."""
-    best, best_r = word, 0
-    for r in range(1, len(word)):
-        cand = word[r:] + word[:r]
-        if cand < best:
-            best, best_r = cand, r
-    return best_r
 
 
 def cyc_log(u: TwistedSeries) -> CycLogVector:

@@ -6,6 +6,14 @@ groups, and a degree-truncated free associative algebra over Q. Elements are
 immutable canonical values (Fraction, int, nested tuples); all operations go
 through the ring object. Every ring carries a registry of named automorphisms
 (with registered inverses) usable as letter twists by the series layer.
+
+Rings represented over Q share two bases. `_RepresentedRing` (M_k(Q) and
+Q[G]) decides and computes inverses of elements and of matrices over the
+ring by one Gauss-Jordan inverse of the block image under a faithful
+representation into M_d(Q). `_BasisAlgebra` (Q[G] and Q<gens>/deg>N) holds
+the sparse (basis key, Fraction) arithmetic, the trace by basis-key label,
+random units, element literals and permutation automorphisms. Elements are
+read and written as literals only.
 """
 
 from __future__ import annotations
@@ -278,18 +286,15 @@ class CoeffRing:
         raise NotImplementedError
 
     def random_unit(self, rng):
-        raise NotImplementedError
+        while True:
+            a = self.random_element(rng)
+            if self.is_unit(a):
+                return a
 
     def random_central(self, rng):
         return self.scalar_mul(Fraction(rng.randint(-4, 4)), self.one)
 
-    # -- serialization ---------------------------------------------------------
-    def element_to_json(self, a):
-        raise NotImplementedError
-
-    def element_from_json(self, data):
-        raise NotImplementedError
-
+    # -- literals ----------------------------------------------------------------
     def element_to_literal(self, a) -> str:
         raise NotImplementedError
 
@@ -360,20 +365,6 @@ class RationalField(CoeffRing):
 
     def random_element(self, rng):
         return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
-
-    def random_unit(self, rng):
-        while True:
-            a = self.random_element(rng)
-            if a != 0:
-                return a
-
-    def element_to_json(self, a):
-        return str(a)
-
-    def element_from_json(self, data):
-        if not isinstance(data, str):
-            raise LiteralSyntaxError(f"rational coefficient must be a string, got {data!r}")
-        return frac_from_str(data)
 
     def element_to_literal(self, a):
         return str(a)
@@ -450,20 +441,6 @@ class IntegersMod(CoeffRing):
     def random_element(self, rng):
         return rng.randrange(self.modulus)
 
-    def random_unit(self, rng):
-        while True:
-            a = rng.randrange(self.modulus)
-            if self.is_unit(a):
-                return a
-
-    def element_to_json(self, a):
-        return int(a)
-
-    def element_from_json(self, data):
-        if not isinstance(data, int) or isinstance(data, bool):
-            raise LiteralSyntaxError(f"Z/m coefficient must be an integer, got {data!r}")
-        return data % self.modulus
-
     def element_to_literal(self, a):
         return str(a % self.modulus)
 
@@ -477,8 +454,46 @@ class IntegersMod(CoeffRing):
         return ("zmod", self.modulus)
 
 
-class RationalMatrixRing(CoeffRing):
-    """M_k(Q): k x k matrices of Fractions, stored as nested tuples.
+class _RepresentedRing(CoeffRing):
+    """A ring with a faithful representation over Q: `_rep(a)` is a d x d
+    rational matrix (d = `_dim`) and `_unrep(big, r, c)` reads an element back
+    from the d x d block of `big` at rows r.., columns c... Units and
+    invertible matrices are decided, and inverted, by one Gauss-Jordan
+    inverse of the block image. Subclasses restate `invert` in their own
+    body (`invert = _RepresentedRing.invert`): perfbench/spans.py wraps it
+    per class through vars(cls)."""
+
+    def _block_inverse(self, rows) -> Optional[tuple]:
+        d = self._dim
+        big = []
+        for row in rows:
+            reps = [self._rep(a) for a in row]
+            big.extend([x for rep in reps for x in rep[r]] for r in range(d))
+        return frac_mat_invert(big)
+
+    def is_unit(self, a):
+        return self._block_inverse(((a,),)) is not None
+
+    def invert(self, a):
+        inv = self._block_inverse(((a,),))
+        if inv is None:
+            raise NotAUnit(f"non-unit of {self.name}")
+        return self._unrep(inv, 0, 0)
+
+    def mat_is_invertible(self, rows):
+        return self._block_inverse(rows) is not None
+
+    def mat_invert(self, rows):
+        inv = self._block_inverse(rows)
+        if inv is None:
+            raise NotAUnit(f"singular matrix over {self.name}")
+        d, n = self._dim, len(rows)
+        return tuple(tuple(self._unrep(inv, i * d, j * d) for j in range(n)) for i in range(n))
+
+
+class RationalMatrixRing(_RepresentedRing):
+    """M_k(Q): k x k matrices of Fractions, stored as nested tuples, and
+    represented over Q by themselves (d = k).
 
     Automorphisms: inner (conjugation by an invertible matrix), registered by
     name together with the inverse conjugation.
@@ -493,7 +508,7 @@ class RationalMatrixRing(CoeffRing):
         super().__init__()
         if size < 1:
             raise ValueError("matrix size must be >= 1")
-        self.size = size
+        self.size = self._dim = size
         self.name = f"M{size}(Q)"
         self.zero = tuple(tuple(Fraction(0) for _ in range(size)) for _ in range(size))
         self.one = frac_identity(size)
@@ -523,6 +538,8 @@ class RationalMatrixRing(CoeffRing):
     def mul(self, a, b):
         return frac_mat_mul(a, b)
 
+    invert = _RepresentedRing.invert
+
     def is_zero(self, a):
         return not any(map(any, a))
 
@@ -530,14 +547,12 @@ class RationalMatrixRing(CoeffRing):
         q = Fraction(q)
         return tuple(tuple(q * x for x in row) for row in a)
 
-    def is_unit(self, a):
-        return frac_mat_invert(a) is not None
+    def _rep(self, a):
+        return a
 
-    def invert(self, a):
-        inv = frac_mat_invert(a)
-        if inv is None:
-            raise NotAUnit(f"singular element of {self.name}")
-        return inv
+    def _unrep(self, big, r0, c0):
+        k = self.size
+        return tuple(tuple(big[r0 + r][c0 + c] for c in range(k)) for r in range(k))
 
     def generating_elements(self):
         k = self.size
@@ -552,55 +567,9 @@ class RationalMatrixRing(CoeffRing):
         t = sum((a[i][i] for i in range(self.size)), Fraction(0))
         return {} if t == 0 else {"tr": t}
 
-    def _flatten(self, rows):
-        n = len(rows)
-        k = self.size
-        big = [[Fraction(0)] * (n * k) for _ in range(n * k)]
-        for i in range(n):
-            for j in range(n):
-                blk = rows[i][j]
-                for r in range(k):
-                    for c in range(k):
-                        big[i * k + r][j * k + c] = blk[r][c]
-        return tuple(tuple(row) for row in big)
-
-    def _unflatten(self, big, n):
-        k = self.size
-        return tuple(tuple(
-            tuple(tuple(big[i * k + r][j * k + c] for c in range(k)) for r in range(k))
-            for j in range(n)) for i in range(n))
-
-    def mat_is_invertible(self, rows):
-        return frac_mat_invert(self._flatten(rows)) is not None
-
-    def mat_invert(self, rows):
-        inv = frac_mat_invert(self._flatten(rows))
-        if inv is None:
-            raise NotAUnit(f"singular matrix over {self.name}")
-        return self._unflatten(inv, len(rows))
-
     def random_element(self, rng):
         return tuple(tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2)))
                            for _ in range(self.size)) for _ in range(self.size))
-
-    def random_unit(self, rng):
-        while True:
-            a = self.random_element(rng)
-            if self.is_unit(a):
-                return a
-
-    def random_central(self, rng):
-        return self.scalar_mul(Fraction(rng.randint(-4, 4)), self.one)
-
-    def element_to_json(self, a):
-        return [[str(x) for x in row] for row in a]
-
-    def element_from_json(self, data):
-        if (not isinstance(data, list) or len(data) != self.size
-                or any(not isinstance(row, list) or len(row) != self.size for row in data)):
-            raise LiteralSyntaxError(f"matrix coefficient must be {self.size}x{self.size}")
-        return tuple(tuple(frac_from_str(x) if isinstance(x, str) else Fraction(x)
-                           for x in row) for row in data)
 
     def element_to_literal(self, a):
         return ";".join(",".join(str(x) for x in row) for row in a)
@@ -621,26 +590,120 @@ def _mat_key(rows) -> tuple:
     return tuple(tuple(str(x) for x in row) for row in rows)
 
 
-class GroupAlgebra(CoeffRing):
-    """Q[G] for a finite group G given by its multiplication table.
+class _BasisAlgebra(CoeffRing):
+    """A Q-algebra with a named basis: an element is a tuple of (basis key,
+    nonzero Fraction) pairs sorted by `_sort_key`. A subclass supplies the
+    key of 1 (`one`), `_keys()` (the basis), `_key_name`/`_parse_key` (a
+    key's literal name and back) and `_trace_label` (the trace bucket of a
+    key); automorphisms are permutations acting on keys. Subclasses restate
+    `add` in their own body, as for `_RepresentedRing.invert`."""
 
-    Elements: sorted tuples of (element index, nonzero Fraction). Units are
-    decided through the left regular representation. The trace is the full
-    conjugacy-class vector; the identity-class component is the classical
-    trace functional. Automorphisms are induced by group automorphisms
-    (permutations preserving the table).
-    """
-
-    kind = "group_algebra"
     contains_rationals = True
     has_trace = True
     trace_is_rational = True
+    _sort_key = None
+
+    def __init__(self):
+        super().__init__()
+        self.zero = ()
+        self._perms: dict[str, tuple] = {}
+
+    def _canon(self, pairs) -> tuple:
+        acc: dict = {}
+        for k, c in pairs:
+            acc[k] = acc.get(k, Fraction(0)) + c
+        return tuple((k, acc[k]) for k in sorted(acc, key=self._sort_key) if acc[k] != 0)
+
+    def _register_permutation(self, name, perm, tag, move) -> RingAutomorphism:
+        """Register perm (and its inverse) acting on keys by move(perm, key)."""
+        inv = [0] * len(perm)
+        for i, p in enumerate(perm):
+            inv[p] = i
+        inv = tuple(inv)
+        fwd = self._register_pair(
+            name, lambda a, p=perm: self._canon((move(p, k), c) for k, c in a), (tag, perm),
+            name + "^-1", lambda a, p=inv: self._canon((move(p, k), c) for k, c in a), (tag, inv))
+        self._perms[name] = perm
+        return fwd
+
+    def add(self, a, b):
+        acc = dict(a)
+        for k, c in b:
+            acc[k] = acc.get(k, Fraction(0)) + c
+        return self._canon(acc.items())
+
+    def neg(self, a):
+        return tuple((k, -c) for k, c in a)
+
+    def scalar_mul(self, q, a):
+        q = Fraction(q)
+        if q == 0:
+            return ()
+        return tuple((k, q * c) for k, c in a)
+
+    def trace(self, a):
+        acc: dict[str, Fraction] = {}
+        for k, c in a:
+            label = self._trace_label(k)
+            acc[label] = acc.get(label, Fraction(0)) + c
+        return {k: v for k, v in sorted(acc.items()) if v != 0}
+
+    def random_element(self, rng):
+        keys = self._keys()
+        picks = rng.sample(keys, k=min(len(keys), rng.randint(1, 3)))
+        return self._canon((k, Fraction(rng.randint(-3, 3))) for k in picks)
+
+    def random_unit(self, rng):
+        while True:
+            a = self.add(self.scalar_mul(Fraction(rng.randint(1, 4)), self.one),
+                         self.random_element(rng))
+            if self.is_unit(a):
+                return a
+
+    def element_to_literal(self, a):
+        if not a:
+            return "0"
+        parts = []
+        for k, c in a:
+            name = self._key_name(k)
+            if not name:
+                term = str(c)
+            elif c == 1:
+                term = name
+            elif c == -1:
+                term = f"-{name}"
+            else:
+                term = f"{c}*{name}"
+            parts.append(term)
+        return "+".join(parts).replace("+-", "-")
+
+    def parse_element_literal(self, text):
+        acc = self.zero
+        for sign, body in _split_terms(text):
+            q, name = _split_coeff(body)
+            basis = self.one if name is None else ((self._parse_key(name), Fraction(1)),)
+            acc = self.add(acc, self.scalar_mul(sign * q, basis))
+        return acc
+
+
+class GroupAlgebra(_BasisAlgebra, _RepresentedRing):
+    """Q[G] for a finite group G given by its multiplication table.
+
+    Elements: sorted tuples of (element index, nonzero Fraction). Units and
+    inverses come from the left regular representation (d = |G|), read back
+    from the column of the identity. The trace is the full conjugacy-class
+    vector; the identity-class component is the classical trace functional.
+    Automorphisms are induced by group automorphisms (permutations preserving
+    the table).
+    """
+
+    kind = "group_algebra"
 
     def __init__(self, group: FiniteGroup):
         super().__init__()
         self.group = group
+        self._dim = group.order
         self.name = f"Q[{group.name}]"
-        self.zero = ()
         self.one = ((group.identity, Fraction(1)),)
         self._classes = group.conjugacy_classes()
         self._class_label = {}
@@ -648,36 +711,14 @@ class GroupAlgebra(CoeffRing):
             label = group.names[min(cls)]
             for g in cls:
                 self._class_label[g] = label
-        self._perms: dict[str, tuple] = {}
 
     def register_group_automorphism(self, name: str, perm: Sequence[int]) -> RingAutomorphism:
         perm = tuple(int(x) for x in perm)
         if not self.group.is_automorphism(perm):
             raise ValueError(f"{perm} is not an automorphism of {self.group.name}")
-        inv = [0] * len(perm)
-        for i, p in enumerate(perm):
-            inv[p] = i
-        inv = tuple(inv)
+        return self._register_permutation(name, perm, "gperm", lambda p, g: p[g])
 
-        def apply(a, perm=perm):
-            return _galg_canon((perm[g], c) for g, c in a)
-
-        def apply_inv(a, inv=inv):
-            return _galg_canon((inv[g], c) for g, c in a)
-
-        fwd = self._register_pair(name, apply, ("gperm", perm),
-                                  name + "^-1", apply_inv, ("gperm", inv))
-        self._perms[name] = perm
-        return fwd
-
-    def add(self, a, b):
-        acc = dict(a)
-        for g, c in b:
-            acc[g] = acc.get(g, Fraction(0)) + c
-        return _galg_canon(acc.items())
-
-    def neg(self, a):
-        return tuple((g, -c) for g, c in a)
+    add = _BasisAlgebra.add
 
     def mul(self, a, b):
         acc: dict[int, Fraction] = {}
@@ -687,13 +728,9 @@ class GroupAlgebra(CoeffRing):
             for h, d in b:
                 k = row[h]
                 acc[k] = acc.get(k, Fraction(0)) + c * d
-        return _galg_canon(acc.items())
+        return self._canon(acc.items())
 
-    def scalar_mul(self, q, a):
-        q = Fraction(q)
-        if q == 0:
-            return ()
-        return tuple((g, q * c) for g, c in a)
+    invert = _RepresentedRing.invert
 
     def basis_element(self, g: int):
         return ((g % self.group.order, Fraction(1)),)
@@ -707,7 +744,8 @@ class GroupAlgebra(CoeffRing):
     def generating_elements(self):
         return [self.basis_element(g) for g in range(self.group.order)]
 
-    def regular_representation(self, a):
+    def _rep(self, a):
+        """The left regular representation: column j holds a * g_j."""
         n = self.group.order
         mat = [[Fraction(0)] * n for _ in range(n)]
         for g, c in a:
@@ -715,64 +753,29 @@ class GroupAlgebra(CoeffRing):
                 mat[self.group.table[g][j]][j] += c
         return tuple(tuple(row) for row in mat)
 
-    def _from_matrix_column(self, big, col_base, row_base):
+    def _unrep(self, big, r0, c0):
         e = self.group.identity
-        n = self.group.order
-        return _galg_canon((i, big[row_base + i][col_base + e]) for i in range(n))
+        return self._canon((g, big[r0 + g][c0 + e]) for g in range(self.group.order))
 
-    def is_unit(self, a):
-        return frac_mat_invert(self.regular_representation(a)) is not None
+    def _keys(self):
+        return range(self.group.order)
 
-    def invert(self, a):
-        inv = frac_mat_invert(self.regular_representation(a))
-        if inv is None:
-            raise NotAUnit(f"non-unit of {self.name}")
-        n = self.group.order
-        e = self.group.identity
-        return _galg_canon((i, inv[i][e]) for i in range(n))
+    def _key_name(self, g):
+        return self.group.names[g]
 
-    def trace(self, a):
-        acc: dict[str, Fraction] = {}
-        for g, c in a:
-            label = self._class_label[g]
-            acc[label] = acc.get(label, Fraction(0)) + c
-        return {k: v for k, v in sorted(acc.items()) if v != 0}
+    def _parse_key(self, name):
+        if not name.startswith("g"):
+            raise LiteralSyntaxError(f"bad group element name {name!r}")
+        try:
+            idx = int(name[1:])
+        except ValueError:
+            raise LiteralSyntaxError(f"bad group element name {name!r}") from None
+        if not (0 <= idx < self.group.order):
+            raise LiteralSyntaxError(f"group element {name!r} out of range")
+        return idx
 
-    def mat_is_invertible(self, rows):
-        return frac_mat_invert(self._flatten(rows)) is not None
-
-    def _flatten(self, rows):
-        n = len(rows)
-        k = self.group.order
-        big = [[Fraction(0)] * (n * k) for _ in range(n * k)]
-        for i in range(n):
-            for j in range(n):
-                rep = self.regular_representation(rows[i][j])
-                for r in range(k):
-                    for c in range(k):
-                        big[i * k + r][j * k + c] = rep[r][c]
-        return tuple(tuple(row) for row in big)
-
-    def mat_invert(self, rows):
-        big = frac_mat_invert(self._flatten(rows))
-        if big is None:
-            raise NotAUnit(f"singular matrix over {self.name}")
-        n = len(rows)
-        k = self.group.order
-        return tuple(tuple(self._from_matrix_column(big, j * k, i * k)
-                           for j in range(n)) for i in range(n))
-
-    def random_element(self, rng):
-        n = self.group.order
-        picks = rng.sample(range(n), k=min(n, rng.randint(1, 3)))
-        return _galg_canon((g, Fraction(rng.randint(-3, 3))) for g in picks)
-
-    def random_unit(self, rng):
-        while True:
-            a = self.add(self.scalar_mul(Fraction(rng.randint(1, 4)), self.one),
-                         self.random_element(rng))
-            if self.is_unit(a):
-                return a
+    def _trace_label(self, g):
+        return self._class_label[g]
 
     def random_central(self, rng):
         acc = ()
@@ -782,70 +785,22 @@ class GroupAlgebra(CoeffRing):
                 acc = self.add(acc, tuple((g, q) for g in sorted(cls)))
         return acc
 
-    def element_to_json(self, a):
-        return [[g, str(c)] for g, c in a]
-
-    def element_from_json(self, data):
-        if not isinstance(data, list):
-            raise LiteralSyntaxError("group algebra coefficient must be a list of pairs")
-        out = []
-        for item in data:
-            if not (isinstance(item, list) and len(item) == 2):
-                raise LiteralSyntaxError(f"bad group algebra term {item!r}")
-            g, c = item
-            if not isinstance(g, int) or not (0 <= g < self.group.order):
-                raise LiteralSyntaxError(f"bad group element index {g!r}")
-            out.append((g, frac_from_str(c) if isinstance(c, str) else Fraction(c)))
-        return _galg_canon(out)
-
-    def element_to_literal(self, a):
-        if not a:
-            return "0"
-        parts = []
-        for g, c in a:
-            name = self.group.names[g]
-            if c == 1:
-                term = name
-            elif c == -1:
-                term = f"-{name}"
-            else:
-                term = f"{c}*{name}"
-            parts.append(term)
-        text = "+".join(parts)
-        return text.replace("+-", "-")
-
-    def parse_element_literal(self, text):
-        acc = self.zero
-        for sign, body in _split_terms(text):
-            q, name = _split_coeff(body)
-            if name is None:
-                term = self.scalar_mul(sign * q, self.one)
-            else:
-                if not name.startswith("g"):
-                    raise LiteralSyntaxError(f"bad group element name {name!r}")
-                try:
-                    idx = int(name[1:])
-                except ValueError:
-                    raise LiteralSyntaxError(f"bad group element name {name!r}") from None
-                if not (0 <= idx < self.group.order):
-                    raise LiteralSyntaxError(f"group element {name!r} out of range")
-                term = self.scalar_mul(sign * q, self.basis_element(idx))
-            acc = self.add(acc, term)
-        return acc
-
     def signature(self):
         perms = tuple(sorted((n, p) for n, p in self._perms.items()))
         return ("group_algebra", self.group.table, perms)
 
 
-def _galg_canon(pairs) -> tuple:
-    acc: dict[int, Fraction] = {}
-    for g, c in pairs:
-        acc[g] = acc.get(g, Fraction(0)) + c
-    return tuple((g, acc[g]) for g in sorted(acc) if acc[g] != 0)
+def least_rotation(word: tuple) -> int:
+    """Index r minimizing word[r:]+word[:r]; smallest such r on ties."""
+    best, best_r = word, 0
+    for r in range(1, len(word)):
+        cand = word[r:] + word[:r]
+        if cand < best:
+            best, best_r = cand, r
+    return best_r
 
 
-class TruncatedFreeAlgebra(CoeffRing):
+class TruncatedFreeAlgebra(_BasisAlgebra):
     """Q<gens> / (words of degree > max_degree).
 
     Elements: graded-lex sorted tuples of (word, nonzero Fraction) where a
@@ -853,14 +808,12 @@ class TruncatedFreeAlgebra(CoeffRing):
     scalar part. As a word -> Fraction map an element is also a series of the
     untwisted ring Q<<gens>> at order max_degree, and products and inverses
     (of elements and of matrices) are computed there. The trace is the
-    projection onto cyclic word classes. Automorphisms: permutations of the
-    generators.
+    projection onto cyclic word classes, labelled by least rotation.
+    Automorphisms: permutations of the generators.
     """
 
     kind = "free_trunc"
-    contains_rationals = True
-    has_trace = True
-    trace_is_rational = True
+    _sort_key = staticmethod(lambda w: (len(w), w))
 
     def __init__(self, generators: Sequence[str], max_degree: int):
         super().__init__()
@@ -872,10 +825,8 @@ class TruncatedFreeAlgebra(CoeffRing):
         self.generators = gens
         self.max_degree = max_degree
         self.name = f"Q<{','.join(gens)}>/deg>{max_degree}"
-        self.zero = ()
         self.one = (((), Fraction(1)),)
         self._gen_index = {g: i for i, g in enumerate(gens)}
-        self._perms: dict[str, tuple] = {}
 
     @cached_property
     def _series_ring(self):
@@ -887,21 +838,8 @@ class TruncatedFreeAlgebra(CoeffRing):
         perm = tuple(int(x) for x in perm)
         if sorted(perm) != list(range(len(self.generators))):
             raise ValueError("bad generator permutation")
-        inv = [0] * len(perm)
-        for i, p in enumerate(perm):
-            inv[p] = i
-        inv = tuple(inv)
-
-        def apply(a, perm=perm):
-            return _free_canon((tuple(perm[i] for i in w), c) for w, c in a)
-
-        def apply_inv(a, inv=inv):
-            return _free_canon((tuple(inv[i] for i in w), c) for w, c in a)
-
-        fwd = self._register_pair(name, apply, ("fperm", perm),
-                                  name + "^-1", apply_inv, ("fperm", inv))
-        self._perms[name] = perm
-        return fwd
+        return self._register_permutation(name, perm, "fperm",
+                                          lambda p, w: tuple(p[i] for i in w))
 
     def word(self, text: str) -> tuple:
         try:
@@ -916,32 +854,25 @@ class TruncatedFreeAlgebra(CoeffRing):
     def word_str(self, w: tuple) -> str:
         return "".join(self.generators[i] for i in w)
 
+    _parse_key, _key_name = word, word_str
+
+    def _trace_label(self, w):
+        r = least_rotation(w)
+        return self.word_str(w[r:] + w[:r]) if w else "1"
+
     def scalar_part(self, a) -> Fraction:
         for w, c in a:
             if w == ():
                 return c
         return Fraction(0)
 
-    def add(self, a, b):
-        acc = dict(a)
-        for w, c in b:
-            acc[w] = acc.get(w, Fraction(0)) + c
-        return _free_canon(acc.items())
-
-    def neg(self, a):
-        return tuple((w, -c) for w, c in a)
+    add = _BasisAlgebra.add
 
     def mul(self, a, b):
         from .series import TwistedSeries
         R = self._series_ring
         product = TwistedSeries(R, dict(a)) * TwistedSeries(R, dict(b))
-        return _free_canon(product.terms.items())
-
-    def scalar_mul(self, q, a):
-        q = Fraction(q)
-        if q == 0:
-            return ()
-        return tuple((w, q * c) for w, c in a)
+        return self._canon(product.terms.items())
 
     def is_unit(self, a):
         return self.scalar_part(a) != 0
@@ -951,23 +882,10 @@ class TruncatedFreeAlgebra(CoeffRing):
             raise NotAUnit(f"zero scalar part: non-unit of {self.name}")
         from .series import TwistedSeries
         inv = TwistedSeries(self._series_ring, dict(a)).inverse()
-        return _free_canon(inv.terms.items())
+        return self._canon(inv.terms.items())
 
     def generating_elements(self):
         return [((tuple([i]), Fraction(1)),) for i in range(len(self.generators))]
-
-    def cyclic_label(self, w: tuple) -> str:
-        if not w:
-            return "1"
-        best = min(w[i:] + w[:i] for i in range(len(w)))
-        return self.word_str(best)
-
-    def trace(self, a):
-        acc: dict[str, Fraction] = {}
-        for w, c in a:
-            label = self.cyclic_label(w)
-            acc[label] = acc.get(label, Fraction(0)) + c
-        return {k: v for k, v in sorted(acc.items()) if v != 0}
 
     def mat_is_invertible(self, rows):
         scal = [[self.scalar_part(x) for x in row] for row in rows]
@@ -981,7 +899,7 @@ class TruncatedFreeAlgebra(CoeffRing):
         R = self._series_ring
         inv = mat_invert(SeriesMatrix(R, [[TwistedSeries(R, dict(x)) for x in row]
                                           for row in rows]))
-        return tuple(tuple(_free_canon(e.terms.items()) for e in row) for row in inv.rows)
+        return tuple(tuple(self._canon(e.terms.items()) for e in row) for row in inv.rows)
 
     def all_words(self, min_len: int = 0) -> list[tuple]:
         words: list[tuple] = []
@@ -991,17 +909,7 @@ class TruncatedFreeAlgebra(CoeffRing):
             words.extend(frontier)
         return [w for w in ([()] + words) if len(w) >= min_len]
 
-    def random_element(self, rng):
-        words = self.all_words()
-        picks = rng.sample(words, k=min(len(words), rng.randint(1, 3)))
-        return _free_canon((w, Fraction(rng.randint(-3, 3))) for w in picks)
-
-    def random_unit(self, rng):
-        while True:
-            a = self.add(self.scalar_mul(Fraction(rng.randint(1, 4)), self.one),
-                         self.random_element(rng))
-            if self.is_unit(a):
-                return a
+    _keys = all_words
 
     def random_central(self, rng):
         # scalars plus top-degree words (degree-d words are central: any
@@ -1012,60 +920,9 @@ class TruncatedFreeAlgebra(CoeffRing):
             acc = self.add(acc, ((w, Fraction(rng.randint(-2, 2))),))
         return acc
 
-    def element_to_json(self, a):
-        return [[self.word_str(w), str(c)] for w, c in a]
-
-    def element_from_json(self, data):
-        if not isinstance(data, list):
-            raise LiteralSyntaxError("free algebra coefficient must be a list of pairs")
-        out = []
-        for item in data:
-            if not (isinstance(item, list) and len(item) == 2):
-                raise LiteralSyntaxError(f"bad free algebra term {item!r}")
-            word, c = item
-            if not isinstance(word, str):
-                raise LiteralSyntaxError(f"bad word {word!r}")
-            out.append((self.word(word), frac_from_str(c) if isinstance(c, str) else Fraction(c)))
-        return _free_canon(out)
-
-    def element_to_literal(self, a):
-        if not a:
-            return "0"
-        parts = []
-        for w, c in a:
-            word = self.word_str(w)
-            if not word:
-                term = str(c)
-            elif c == 1:
-                term = word
-            elif c == -1:
-                term = f"-{word}"
-            else:
-                term = f"{c}*{word}"
-            parts.append(term)
-        return "+".join(parts).replace("+-", "-")
-
-    def parse_element_literal(self, text):
-        acc = self.zero
-        for sign, body in _split_terms(text):
-            q, name = _split_coeff(body)
-            if name is None:
-                term = self.scalar_mul(sign * q, self.one)
-            else:
-                term = self.scalar_mul(sign * q, ((self.word(name), Fraction(1)),))
-            acc = self.add(acc, term)
-        return acc
-
     def signature(self):
         perms = tuple(sorted((n, p) for n, p in self._perms.items()))
         return ("free_trunc", self.generators, self.max_degree, perms)
-
-
-def _free_canon(pairs) -> tuple:
-    acc: dict[tuple, Fraction] = {}
-    for w, c in pairs:
-        acc[w] = acc.get(w, Fraction(0)) + c
-    return tuple((w, acc[w]) for w in sorted(acc, key=lambda w: (len(w), w)) if acc[w] != 0)
 
 
 def _split_terms(text: str) -> list[tuple[int, str]]:

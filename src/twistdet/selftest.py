@@ -4,11 +4,12 @@ Each entry of REGISTRY is one randomized identity over one ring: a report
 name such as "vaserstein[Q]", the identity it checks, the suite it belongs
 to, a trial function `trial(ring, rng, *shape) -> bool`, a builder of the
 ring the trials run over, the shapes the trials cycle through (matrix
-sizes, flavors, ...) and how many trials a requested count means.
-selftest() runs the entries of a suite in registry order and returns a plain
-report dict (no timestamps, no environment data); every entry draws from its
-own generator seeded by the seed and its name, so a fixed seed gives a
-byte-identical report. tests/test_properties.py runs the same entries.
+sizes, flavors, ...), how many trials a requested count means and the lowest
+order its ring is built at. selftest() runs the entries of a suite in
+registry order and returns a plain report dict (no timestamps, no
+environment data) in which each item names the order it ran at; every entry
+draws from its own generator seeded by the seed and its name, so a fixed
+seed gives a byte-identical report. tests/test_properties.py runs the same entries.
 
 The commutative determinant entry checks the recursive determinant against
 an independent cofactor-expansion oracle on plain degree->Fraction
@@ -21,7 +22,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import NotInvertible
+from .errors import NotAUnit, NotInvertible
 from .kgroup import (
     FLAVORS,
     c_generator,
@@ -116,10 +117,10 @@ def free_yz(max_degree=2) -> TruncatedFreeAlgebra:
     return ring
 
 
-def series(coeff, letters=("x", "t"), twist=None, min_order=0, commute=False):
-    """Builder of a series ring over coeff() at max(order, min_order)."""
+def series(coeff, letters=("x", "t"), twist=None, commute=False):
+    """Builder of a series ring over coeff() at a given order."""
     return lambda order: SeriesRing(coeff(), letters, twist=twist, letters_commute=commute,
-                                    order=max(order, min_order))
+                                    order=order)
 
 def coeffs(factory):
     """Builder of a coefficient ring, for trials that take no series ring."""
@@ -214,6 +215,21 @@ def _det_cyclic(R, rng, p, q):
 def _coeff_matrix(A, rng, n, m):
     return tuple(tuple(A.random_element(rng) for _ in range(m)) for _ in range(n))
 
+def _coeff_mat_inverse(A, rng, n):
+    # entries are units half the time, so both outcomes occur over every ring
+    m = tuple(tuple(rng.choice((A.random_element, A.random_unit))(rng) for _ in range(n))
+              for _ in range(n))
+    a = A.random_element(rng)
+    if A.is_unit(a) != A.mat_is_invertible(((a,),)) or (
+            A.is_unit(a) and A.invert(a) != A.mat_invert(((a,),))[0][0]):
+        return False
+    try:
+        inv = A.mat_invert(m)
+    except NotAUnit:
+        return not A.mat_is_invertible(m)
+    one = A.emat_identity(n)
+    return A.mat_is_invertible(m) and A.emat_mul(inv, m) == one == A.emat_mul(m, inv)
+
 def _endo_additivity(rings, rng, k, n, m):
     R = rings[k]
     alpha, alpha2 = _coeff_matrix(R.coeff, rng, n, n), _coeff_matrix(R.coeff, rng, m, m)
@@ -282,25 +298,26 @@ class Check:
     """One registry entry, reported as `prop[tag]`."""
 
     __slots__ = ("prop", "tag", "name", "identity", "suite", "trial", "build", "shapes",
-                 "trials")
+                 "trials", "min_order")
 
     def __init__(self, prop, tag, identity, suite, trial, build, shapes=((),),
-                 trials=_asked):
+                 trials=_asked, min_order=0):
         self.prop, self.tag, self.name = prop, tag, f"{prop}[{tag}]"
         self.identity, self.suite, self.trial, self.build = identity, suite, trial, build
-        self.shapes, self.trials = shapes, trials
+        self.shapes, self.trials, self.min_order = shapes, trials, min_order
 
     def over(self, build) -> "Check":
         """The same check over another ring."""
         return Check(self.prop, self.tag, self.identity, self.suite, self.trial, build,
-                     self.shapes, self.trials)
+                     self.shapes, self.trials, self.min_order)
 
 
 REGISTRY: list[Check] = []
 
-def _add(suite, prop, identity, trial, cases, shapes=((),), trials=_asked):
+def _add(suite, prop, identity, trial, cases, shapes=((),), trials=_asked, min_order=0):
     for tag, build in cases:
-        REGISTRY.append(Check(prop, tag, identity, suite, trial, build, shapes, trials))
+        REGISTRY.append(Check(prop, tag, identity, suite, trial, build, shapes, trials,
+                              min_order))
 
 
 _SIZES = ((1, 1), (2, 2), (3, 2), (2, 3))
@@ -353,19 +370,19 @@ _add("cyclog", "endo-additivity", "D(1-(a,c;0,a2)x) == D(1-a x)*D(1-a2 x)",
      shapes=tuple((k, n, m) for n in (1, 2) for m in (1, 2) for k in (0, 1)),
      trials=lambda t: 2 * _half(t))
 _add("novikov", "log-coefficients", "w1(1-z) == {z^n: -1/n}", _log_coefficients,
-     [("Q", series(RationalField, ("z",), min_order=3))], trials=_once)
+     [("Q", series(RationalField, ("z",)))], trials=_once, min_order=3)
 _add("novikov", "twisted-monomial-inverse", "(g z) * inv(g z) == 1", _monomial_inverse,
-     [("Q[C2]", series(qc2, ("z",), min_order=2))], trials=_once)
+     [("Q[C2]", series(qc2, ("z",)))], trials=_once, min_order=2)
 _add("novikov", "orbit-counts", "degree-n bucket of class(g^n) == -1/n", _orbit_counts,
-     [("Q[C2]", series(qc2, ("z",), min_order=3))], trials=_once)
+     [("Q[C2]", series(qc2, ("z",)))], trials=_once, min_order=3)
 _add("novikov", "twisted-partition", "twisted conjugacy classes partition G",
      _twisted_partition, [("C4:inv", coeffs(qc4_inv))], shapes=((1,), (2,), (3,)),
      trials=lambda t: 3)
 _add("novikov", "inverse-roundtrip", "u*inv(u) == 1 on the window", _nov_roundtrip,
-     [("Q[C4]:inv-twist", series(qc4_inv, ("z",), twist={"z": "inv"}, min_order=3))],
-     shapes=tuple((s, c) for c in ("unit", "one") for s in (0, 1, 2)))
+     [("Q[C4]:inv-twist", series(qc4_inv, ("z",), twist={"z": "inv"}))],
+     shapes=tuple((s, c) for c in ("unit", "one") for s in (0, 1, 2)), min_order=3)
 _add("novikov", "w1-additivity", "w1(u*v) == w1(u)+w1(v)", _w1_additivity,
-     [("Q", series(RationalField, ("z",), min_order=3))])
+     [("Q", series(RationalField, ("z",)))], min_order=3)
 
 # New entries go below this line, so the reports of earlier versions are
 # prefixes (per suite) of today's.
@@ -383,9 +400,10 @@ _add("rings", "log-exp-roundtrip", "exp(log(u)) == u, log(exp(k)) == k", _log_ex
     ("M2(Q)<<x,y>>", series(m2_swap, _XY)),
     ("Q<y,z><<x,y>>", series(free_yz, _XY))])
 _add("rings", "product-associative", "(s*t)*u == s*(t*u)", _associative, [
-    ("M2(Q)<<x,y>>:swap,shear",
-     series(m2_two_twists, _XY, {"x": "swap", "y": "shear"}, min_order=5)),
-    ("Q[C4]<<x,y>>:x-inv", series(qc4_inv, _XY, {"x": "inv"}, min_order=6))])
+    ("M2(Q)<<x,y>>:swap,shear", series(m2_two_twists, _XY, {"x": "swap", "y": "shear"}))],
+     min_order=5)
+_add("rings", "product-associative", "(s*t)*u == s*(t*u)", _associative,
+     [("Q[C4]<<x,y>>:x-inv", series(qc4_inv, _XY, {"x": "inv"}))], min_order=6)
 _add("rings", "parse-render-roundtrip", "parse(render(s)) == s", _parse_render, [
     ("Q<<x,y>>", series(RationalField, _XY)),
     ("M2(Q)<<x>>:swap", series(m2_swap, ("x",), {"x": "swap"})),
@@ -414,6 +432,13 @@ _add("cyclog", "endo-trace-log", "cyc_log(D(1-a x)) == -sum_k tr(a^k)/k x^k",
          ("Q", series(RationalField, ("x",))), ("M2(Q)", series(m2_swap, ("x",))),
          ("Q[C3]", series(lambda: GroupAlgebra(cyclic_group(3)), ("x",))),
          ("Q<y,z>/deg>3", series(lambda: free_yz(3), ("x",)))], shapes=((1,), (2,), (3,)))
+_add("rings", "coeff-mat-inverse",
+     "mat_invert(M) is a two-sided inverse iff mat_is_invertible(M); "
+     "invert(a) == mat_invert((a))",
+     _coeff_mat_inverse, [
+         ("Q", coeffs(RationalField)), ("Z/6", coeffs(lambda: IntegersMod(6))),
+         ("M2(Q)", coeffs(m2_swap)), ("Q[C2]", coeffs(qc2)), ("Q[C4]", coeffs(qc4_inv)),
+         ("Q<y,z>/deg>2", coeffs(free_yz))], shapes=((1,), (2,), (3,)))
 
 SUITE_NAMES = ("rings", "ldu", "dieudonne-commutative", "cgroup", "cyclog",
                "novikov", "all")
@@ -422,12 +447,13 @@ SUITE_NAMES = ("rings", "ldu", "dieudonne-commutative", "cgroup", "cyclog",
 def run_check(check: Check, seed: int, order: int, trials: int) -> dict:
     """One report item: the check's trials, cycling through its shapes."""
     rng = random.Random(f"{seed}:{check.name}")
+    order = max(order, check.min_order)
     ring = check.build(order)
     count = check.trials(trials)
     shapes = check.shapes
     passed = all(check.trial(ring, rng, *shapes[i % len(shapes)]) for i in range(count))
-    return {"name": check.name, "identity": check.identity, "trials": count,
-            "passed": passed}
+    return {"name": check.name, "identity": check.identity, "order": order,
+            "trials": count, "passed": passed}
 
 
 def selftest(suite: str, seed: int = 42, order: int = 4,

@@ -73,7 +73,8 @@ def assert_folded(prop, rings, trials, shapes=(None,)):
     tier-1 must still draw `trials` samples of each shape over each ring."""
     for ring in rings:
         for shape in shapes:
-            assert any(_contains(c.build(ORDER), ring) and _draws(c, shape) >= trials
+            assert any(_contains(c.build(max(ORDER, c.min_order)), ring)
+                       and _draws(c, shape) >= trials
                        for c in REGISTRY if c.prop == prop), (prop, ring, shape)
 
 

@@ -128,6 +128,16 @@ def test_selftest_op(capsys):
     assert [c["name"] for c in doc["checks"] if not c["passed"]] == []
 
 
+def test_selftest_reports_the_order_each_check_ran_at(capsys):
+    code, out, _ = run_cli(capsys, "selftest", "novikov", "--order", "1", "--trials", "1")
+    assert code == 0
+    doc = json.loads(out)
+    orders = {c["name"]: c["order"] for c in doc["checks"]}
+    assert doc["order"] == 1
+    assert orders["log-coefficients[Q]"] == 3
+    assert orders["twisted-monomial-inverse[Q[C2]]"] == 2
+
+
 def test_exit_code_1_on_bad_input(capsys, ring_file, tmp_path):
     # malformed ring JSON
     p = tmp_path / "bad.json"

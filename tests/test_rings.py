@@ -6,12 +6,9 @@ import pytest
 from twistdet import (
     FiniteGroup,
     GroupAlgebra,
-    IntegersMod,
     LiteralSyntaxError,
     NotAUnit,
-    RationalField,
     RationalMatrixRing,
-    TruncatedFreeAlgebra,
     cyclic_group,
     ring_axiom_check,
 )
@@ -204,15 +201,6 @@ def test_central_detection(m2, qc2):
     assert qc2.is_central(qc2.parse_element_literal("1+g1"))
 
 
-def test_json_roundtrip_all_rings(qq, z6, m2, qc2, free_yz):
-    import random
-    rng = random.Random(9)
-    for ring in (qq, z6, m2, qc2, free_yz):
-        for _ in range(5):
-            a = ring.random_element(rng)
-            assert ring.element_from_json(ring.element_to_json(a)) == a
-
-
 def test_literal_roundtrip_all_rings(qq, z6, m2, qc2, free_yz):
     import random
     rng = random.Random(10)
@@ -229,3 +217,10 @@ def test_bad_literals_raise(qq, qc2):
             qc2.parse_element_literal(text)
     with pytest.raises(LiteralSyntaxError):
         qq.parse_element_literal("x")
+
+
+def test_ring_classes_define_benchmark_hooks(qq, z6, m2, qc2, free_yz):
+    # perfbench/spans.py wraps mul, add and invert per class, through
+    # vars(cls): each ring class must define them in its own body
+    for ring in (qq, z6, m2, qc2, free_yz):
+        assert {"mul", "add", "invert"} <= set(vars(type(ring))), type(ring).__name__
