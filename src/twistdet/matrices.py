@@ -109,11 +109,19 @@ class SeriesMatrix:
             raise RingMismatch("matrices live in different rings")
 
     def __add__(self, other: "SeriesMatrix") -> "SeriesMatrix":
+        copy = [[TwistedSeries(e.ring, dict(e.terms)) for e in row] for row in self.rows]
+        return SeriesMatrix(self.ring, copy)._add_in_place(other)
+
+    def _add_in_place(self, other: "SeriesMatrix") -> "SeriesMatrix":
+        """self + other, written into self's entries: only for a matrix that its
+        caller built, whose entries are its own and distinct."""
         self._check(other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch("shape mismatch in matrix addition")
-        return SeriesMatrix(self.ring, [[a + b for a, b in zip(ra, rb)]
-                                        for ra, rb in zip(self.rows, other.rows)])
+        for ra, rb in zip(self.rows, other.rows):
+            for a, b in zip(ra, rb):
+                a._add_in_place(b)
+        return self
 
     def __neg__(self) -> "SeriesMatrix":
         return SeriesMatrix(self.ring, [[-a for a in row] for row in self.rows])
@@ -126,14 +134,13 @@ class SeriesMatrix:
         if self.ncols != other.nrows:
             raise DimensionMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        zero = self.ring.zero()
         out = []
         for i in range(self.nrows):
             row = []
             for j in range(other.ncols):
-                acc = zero
+                acc = self.ring.zero()
                 for t in range(self.ncols):
-                    acc = acc + self.rows[i][t] * other.rows[t][j]
+                    acc._add_in_place(self.rows[i][t] * other.rows[t][j])
                 row.append(acc)
             out.append(row)
         return SeriesMatrix(self.ring, out)
@@ -166,8 +173,7 @@ def mat_invert(m: SeriesMatrix) -> SeriesMatrix:
     split = [[e.graded_parts() for e in row] for row in m.rows]
     parts = [SeriesMatrix(m.ring, [[e[d] for e in row] for row in split])
              for d in range(m.ring.order + 1)]
-    out = graded_inverse(parts, SeriesMatrix.lift(m.ring, A.mat_invert(aug)))
-    return sum(out[1:], out[0])
+    return graded_inverse(parts, SeriesMatrix.lift(m.ring, A.mat_invert(aug)))
 
 
 @dataclass

@@ -7,21 +7,27 @@ immutable canonical values (Fraction, int, nested tuples); all operations go
 through the ring object. Every ring carries a registry of named automorphisms
 (with registered inverses) usable as letter twists by the series layer.
 
-Rings represented over Q share two bases. `_RepresentedRing` (M_k(Q) and
-Q[G]) decides and computes inverses of elements and of matrices over the
-ring by one Gauss-Jordan inverse of the block image under a faithful
-representation into M_d(Q). `_BasisAlgebra` (Q[G] and Q<gens>/deg>N) holds
-the sparse (basis key, Fraction) arithmetic, the trace by basis-key label,
-random units, element literals and permutation automorphisms. Elements are
-read and written as literals only.
+Rings represented over Q share two bases. `_RepresentedRing` (Q, M_k(Q)
+and Q[G]) decides invertible matrices over the ring by the determinant of
+their block image under a faithful representation into M_d(Q), and inverts
+them by one elimination of it. `_BasisAlgebra` (Q[G] and Q<gens>/deg>N)
+holds the sparse (basis key, Fraction) arithmetic, the trace by basis-key
+label, random units, element literals and permutation automorphisms.
+Elements are read and written as literals only.
+
+Values stay Fractions; the kernels behind them work on integers: a matrix
+or a Q[G] element is cleared to integer numerators over one denominator,
+multiplied in integers and rebuilt with one Fraction per entry. Every
+inverse, over Q, M_k(Q), Q[G] and Z/m, is one `fraction_free` elimination.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import LiteralSyntaxError, NeedsRationalCoefficients, NeedsTrace, NotAUnit
 
@@ -56,62 +62,74 @@ def _pair(fwd: RingAutomorphism, bwd: RingAutomorphism):
 
 
 # ---------------------------------------------------------------------------
-# Rational matrix helpers (shared by several rings)
+# Integer kernels for rational matrices (shared by several rings)
 
-def frac_matrix(rows: Iterable[Iterable]) -> tuple:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+def _clear(rows) -> tuple[list, int]:
+    """Integer rows N and one denominator d (the lcm of the entries') with rows = N/d."""
+    den = math.lcm(*[x.denominator for row in rows for x in row])
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
-def frac_identity(n: int) -> tuple:
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+def _clear_pairs(pairs) -> tuple[list, int]:
+    """_clear for the (key, Fraction) pairs of a basis-algebra element."""
+    den = math.lcm(*[c.denominator for _, c in pairs])
+    return [(k, c.numerator * (den // c.denominator)) for k, c in pairs], den
+
+
+def _from_ints(rows, den: int) -> tuple:
+    """The rational matrix rows/den, one Fraction per entry."""
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+
+
+def _int_mat_mul(a, b) -> list:
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 
 
 def frac_mat_mul(a, b) -> tuple:
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    return tuple(
-        tuple(sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(m))
-        for i in range(n)
-    )
+    (na, da), (nb, db) = _clear(a), _clear(b)
+    return _from_ints(_int_mat_mul(na, nb), da * db)
+
+
+def fraction_free(rows, inverse: bool = True) -> tuple[int, Optional[list]]:
+    """(det M, adj M) of a square integer matrix M, so M * adj M = det M * I, by
+    fraction-free Gauss-Jordan elimination (Bareiss 1968): a step replaces each
+    row r by (p*r - f*pivot_row) / (previous pivot), an exact division, and the
+    last pivot is det M up to the sign of the row swaps. inverse=False only
+    eliminates below the pivots, without the identity half, for det M alone;
+    adj is None then, and whenever det M = 0."""
+    n = len(rows)
+    m = [list(row) + [int(i == j) for j in range(n if inverse else 0)]
+         for i, row in enumerate(rows)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        pivot_row = m[k]
+        p = pivot_row[k]
+        for i in range(0 if inverse else k + 1, n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], pivot_row)]
+        prev = p
+    if not inverse:
+        return sign * prev, None
+    return sign * prev, [[sign * x for x in row[n:]] for row in m]
 
 
 def frac_mat_invert(rows) -> Optional[tuple]:
-    """Gauss-Jordan inverse over Q; None if singular."""
-    n = len(rows)
-    aug = [list(rows[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    """Inverse over Q, None if singular: rows = N/d gives rows^-1 = d adj(N)/det(N)."""
+    ints, den = _clear(rows)
+    det, adj = fraction_free(ints)
+    return None if not det else _from_ints([[den * x for x in row] for row in adj], det)
 
 
-def int_det(rows) -> int:
-    """Fraction-free (Bareiss) determinant of an integer matrix."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(map(int, row)) for row in rows]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[-1][-1]
+def frac_mat_is_invertible(rows) -> bool:
+    return fraction_free(_clear(rows)[0], inverse=False)[0] != 0
 
 
 # ---------------------------------------------------------------------------
@@ -125,31 +143,24 @@ class FiniteGroup:
     """
 
     def __init__(self, table: Sequence[Sequence[int]], name: str = "G"):
-        self.table = tuple(tuple(int(x) for x in row) for row in table)
+        self.table = t = tuple(tuple(int(x) for x in row) for row in table)
         self.name = name
-        n = len(self.table)
-        self.order = n
-        if n == 0 or any(len(row) != n for row in self.table):
+        self.order = n = len(t)
+        if n == 0 or any(len(row) != n for row in t):
             raise ValueError("group table must be square and nonempty")
-        if any(not (0 <= x < n) for row in self.table for x in row):
+        if any(not (0 <= x < n) for row in t for x in row):
             raise ValueError("group table entries out of range")
-        idents = [e for e in range(n)
-                  if all(self.table[e][a] == a and self.table[a][e] == a for a in range(n))]
+        idents = [e for e in range(n) if all(t[e][a] == a == t[a][e] for a in range(n))]
         if len(idents) != 1:
             raise ValueError("group table has no unique identity")
-        self.identity = idents[0]
-        self.inv = [None] * n
-        for a in range(n):
-            for b in range(n):
-                if self.table[a][b] == self.identity and self.table[b][a] == self.identity:
-                    self.inv[a] = b
-            if self.inv[a] is None:
-                raise ValueError(f"element {a} has no inverse")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
-                        raise ValueError("group table is not associative")
+        self.identity = e = idents[0]
+        self.inv = [next((b for b in range(n) if t[a][b] == e == t[b][a]), None)
+                    for a in range(n)]
+        if None in self.inv:
+            raise ValueError(f"element {self.inv.index(None)} has no inverse")
+        if any(t[t[a][b]][c] != t[a][t[b][c]]
+               for a in range(n) for b in range(n) for c in range(n)):
+            raise ValueError("group table is not associative")
         self.names = tuple(f"g{i}" for i in range(n))
 
     def mul(self, a: int, b: int) -> int:
@@ -263,17 +274,12 @@ class CoeffRing:
                      for i in range(n))
 
     def emat_mul(self, a, b):
-        n, k, m = len(a), len(b), len(b[0]) if b else 0
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(m):
-                acc = self.zero
-                for t in range(k):
-                    acc = self.add(acc, self.mul(a[i][t], b[t][j]))
-                row.append(acc)
-            out.append(tuple(row))
-        return tuple(out)
+        def entry(row, col):
+            acc = self.zero
+            for x, y in zip(row, col):
+                acc = self.add(acc, self.mul(x, y))
+            return acc
+        return tuple(tuple(entry(row, col) for col in zip(*b)) for row in a)
 
     def mat_is_invertible(self, rows) -> bool:
         raise NotImplementedError
@@ -314,8 +320,44 @@ class CoeffRing:
         return self.name
 
 
-class RationalField(CoeffRing):
-    """Q with Fraction elements."""
+class _RepresentedRing(CoeffRing):
+    """A ring with a faithful representation over Q: `_rep(a)` is a d x d
+    rational matrix (d = `_dim`) and `_unrep(big, r, c)` reads an element back
+    from the d x d block of `big` at rows r.., columns c... A unit or matrix is
+    invertible iff its block image has nonzero determinant, and is inverted by
+    one fraction-free elimination of it. Subclasses restate `invert` in their
+    own body: perfbench/spans.py wraps it per class through vars(cls)."""
+
+    def _block_image(self, rows) -> list:
+        d = self._dim
+        big = []
+        for row in rows:
+            reps = [self._rep(a) for a in row]
+            big.extend([x for rep in reps for x in rep[r]] for r in range(d))
+        return big
+
+    def is_unit(self, a):
+        return frac_mat_is_invertible(self._rep(a))
+
+    def invert(self, a):
+        inv = frac_mat_invert(self._rep(a))
+        if inv is None:
+            raise NotAUnit(f"non-unit of {self.name}")
+        return self._unrep(inv, 0, 0)
+
+    def mat_is_invertible(self, rows):
+        return frac_mat_is_invertible(self._block_image(rows))
+
+    def mat_invert(self, rows):
+        inv = frac_mat_invert(self._block_image(rows))
+        if inv is None:
+            raise NotAUnit(f"singular matrix over {self.name}")
+        d, n = self._dim, len(rows)
+        return tuple(tuple(self._unrep(inv, i * d, j * d) for j in range(n)) for i in range(n))
+
+
+class RationalField(_RepresentedRing):
+    """Q with Fraction elements, represented over Q by 1 x 1 matrices (d = 1)."""
 
     kind = "rational"
     contains_rationals = True
@@ -354,14 +396,13 @@ class RationalField(CoeffRing):
     def trace(self, a):
         return {} if a == 0 else {"1": Fraction(a)}
 
-    def mat_is_invertible(self, rows):
-        return frac_mat_invert(rows) is not None
+    _dim = 1
 
-    def mat_invert(self, rows):
-        inv = frac_mat_invert(rows)
-        if inv is None:
-            raise NotAUnit("singular matrix over Q")
-        return inv
+    def _rep(self, a):
+        return ((a,),)
+
+    def _unrep(self, big, r0, c0):
+        return big[r0][c0]
 
     def random_element(self, rng):
         return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
@@ -421,22 +462,15 @@ class IntegersMod(CoeffRing):
         return {} if a % self.modulus == 0 else {"1": a % self.modulus}
 
     def mat_is_invertible(self, rows):
-        return math.gcd(int_det(rows) % self.modulus, self.modulus) == 1
+        return self.is_unit(fraction_free(rows, inverse=False)[0])
 
     def mat_invert(self, rows):
-        n = len(rows)
-        d = int_det(rows) % self.modulus
-        if math.gcd(d, self.modulus) != 1:
-            raise NotAUnit(f"matrix determinant {d} is not a unit of {self.name}")
-        dinv = pow(d, -1, self.modulus)
-        out = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = [[rows[r][c] for c in range(n) if c != j]
-                         for r in range(n) if r != i]
-                cof = (-1) ** (i + j) * int_det(minor)
-                out[j][i] = (cof * dinv) % self.modulus
-        return tuple(tuple(row) for row in out)
+        det, adj = fraction_free(rows)
+        m = self.modulus
+        if not self.is_unit(det):
+            raise NotAUnit(f"matrix determinant {det % m} is not a unit of {self.name}")
+        dinv = pow(det, -1, m)
+        return tuple(tuple(x * dinv % m for x in row) for row in adj)
 
     def random_element(self, rng):
         return rng.randrange(self.modulus)
@@ -452,43 +486,6 @@ class IntegersMod(CoeffRing):
 
     def signature(self):
         return ("zmod", self.modulus)
-
-
-class _RepresentedRing(CoeffRing):
-    """A ring with a faithful representation over Q: `_rep(a)` is a d x d
-    rational matrix (d = `_dim`) and `_unrep(big, r, c)` reads an element back
-    from the d x d block of `big` at rows r.., columns c... Units and
-    invertible matrices are decided, and inverted, by one Gauss-Jordan
-    inverse of the block image. Subclasses restate `invert` in their own
-    body (`invert = _RepresentedRing.invert`): perfbench/spans.py wraps it
-    per class through vars(cls)."""
-
-    def _block_inverse(self, rows) -> Optional[tuple]:
-        d = self._dim
-        big = []
-        for row in rows:
-            reps = [self._rep(a) for a in row]
-            big.extend([x for rep in reps for x in rep[r]] for r in range(d))
-        return frac_mat_invert(big)
-
-    def is_unit(self, a):
-        return self._block_inverse(((a,),)) is not None
-
-    def invert(self, a):
-        inv = self._block_inverse(((a,),))
-        if inv is None:
-            raise NotAUnit(f"non-unit of {self.name}")
-        return self._unrep(inv, 0, 0)
-
-    def mat_is_invertible(self, rows):
-        return self._block_inverse(rows) is not None
-
-    def mat_invert(self, rows):
-        inv = self._block_inverse(rows)
-        if inv is None:
-            raise NotAUnit(f"singular matrix over {self.name}")
-        d, n = self._dim, len(rows)
-        return tuple(tuple(self._unrep(inv, i * d, j * d) for j in range(n)) for i in range(n))
 
 
 class RationalMatrixRing(_RepresentedRing):
@@ -511,21 +508,18 @@ class RationalMatrixRing(_RepresentedRing):
         self.size = self._dim = size
         self.name = f"M{size}(Q)"
         self.zero = tuple(tuple(Fraction(0) for _ in range(size)) for _ in range(size))
-        self.one = frac_identity(size)
+        self.one = tuple(tuple(Fraction(int(i == j)) for j in range(size)) for i in range(size))
         self._conjugators: dict[str, tuple] = {}
 
     def register_conjugation(self, name: str, matrix) -> RingAutomorphism:
-        p = frac_matrix(matrix)
+        p = tuple(tuple(Fraction(x) for x in row) for row in matrix)
         if len(p) != self.size or any(len(row) != self.size for row in p):
             raise ValueError(f"conjugating matrix must be {self.size}x{self.size}")
         pinv = frac_mat_invert(p)
         if pinv is None:
             raise NotAUnit("conjugating matrix must be invertible")
-        fwd = self._register_pair(
-            name, lambda a, p=p, pinv=pinv: frac_mat_mul(frac_mat_mul(p, a), pinv),
-            ("conj", _mat_key(p)),
-            name + "^-1", lambda a, p=p, pinv=pinv: frac_mat_mul(frac_mat_mul(pinv, a), p),
-            ("conj", _mat_key(pinv)))
+        fwd = self._register_pair(name, _conjugation(p, pinv), ("conj", _mat_key(p)),
+                                  name + "^-1", _conjugation(pinv, p), ("conj", _mat_key(pinv)))
         self._conjugators[name] = p
         return fwd
 
@@ -588,6 +582,16 @@ class RationalMatrixRing(_RepresentedRing):
 
 def _mat_key(rows) -> tuple:
     return tuple(tuple(str(x) for x in row) for row in rows)
+
+
+def _conjugation(p, pinv) -> Callable:
+    """a -> p a pinv as one integer triple product, p and pinv cleared once."""
+    (np_, dp), (nq, dq) = _clear(p), _clear(pinv)
+
+    def conj(a):
+        na, da = _clear(a)
+        return _from_ints(_int_mat_mul(_int_mat_mul(np_, na), nq), dp * da * dq)
+    return conj
 
 
 class _BasisAlgebra(CoeffRing):
@@ -721,25 +725,22 @@ class GroupAlgebra(_BasisAlgebra, _RepresentedRing):
     add = _BasisAlgebra.add
 
     def mul(self, a, b):
-        acc: dict[int, Fraction] = {}
+        # integer numerators over da * db, one Fraction per product term
+        (na, da), (nb, db) = _clear_pairs(a), _clear_pairs(b)
+        acc: dict[int, int] = {}
         table = self.group.table
-        for g, c in a:
+        for g, x in na:
             row = table[g]
-            for h, d in b:
+            for h, y in nb:
                 k = row[h]
-                acc[k] = acc.get(k, Fraction(0)) + c * d
-        return self._canon(acc.items())
+                acc[k] = acc.get(k, 0) + x * y
+        den = da * db
+        return tuple((k, Fraction(acc[k], den)) for k in sorted(acc) if acc[k])
 
     invert = _RepresentedRing.invert
 
     def basis_element(self, g: int):
         return ((g % self.group.order, Fraction(1)),)
-
-    def coefficient(self, a, g: int) -> Fraction:
-        for h, c in a:
-            if h == g:
-                return c
-        return Fraction(0)
 
     def generating_elements(self):
         return [self.basis_element(g) for g in range(self.group.order)]
@@ -749,9 +750,9 @@ class GroupAlgebra(_BasisAlgebra, _RepresentedRing):
         n = self.group.order
         mat = [[Fraction(0)] * n for _ in range(n)]
         for g, c in a:
-            for j in range(n):
-                mat[self.group.table[g][j]][j] += c
-        return tuple(tuple(row) for row in mat)
+            for j, gj in enumerate(self.group.table[g]):
+                mat[gj][j] = c
+        return mat
 
     def _unrep(self, big, r0, c0):
         e = self.group.identity
@@ -888,8 +889,7 @@ class TruncatedFreeAlgebra(_BasisAlgebra):
         return [((tuple([i]), Fraction(1)),) for i in range(len(self.generators))]
 
     def mat_is_invertible(self, rows):
-        scal = [[self.scalar_part(x) for x in row] for row in rows]
-        return frac_mat_invert(scal) is not None
+        return frac_mat_is_invertible([[self.scalar_part(x) for x in row] for row in rows])
 
     def mat_invert(self, rows):
         if not self.mat_is_invertible(rows):

@@ -432,13 +432,18 @@ _add("cyclog", "endo-trace-log", "cyc_log(D(1-a x)) == -sum_k tr(a^k)/k x^k",
          ("Q", series(RationalField, ("x",))), ("M2(Q)", series(m2_swap, ("x",))),
          ("Q[C3]", series(lambda: GroupAlgebra(cyclic_group(3)), ("x",))),
          ("Q<y,z>/deg>3", series(lambda: free_yz(3), ("x",)))], shapes=((1,), (2,), (3,)))
-_add("rings", "coeff-mat-inverse",
-     "mat_invert(M) is a two-sided inverse iff mat_is_invertible(M); "
-     "invert(a) == mat_invert((a))",
-     _coeff_mat_inverse, [
-         ("Q", coeffs(RationalField)), ("Z/6", coeffs(lambda: IntegersMod(6))),
-         ("M2(Q)", coeffs(m2_swap)), ("Q[C2]", coeffs(qc2)), ("Q[C4]", coeffs(qc4_inv)),
-         ("Q<y,z>/deg>2", coeffs(free_yz))], shapes=((1,), (2,), (3,)))
+_COEFF_RINGS = [("Q", coeffs(RationalField)), ("Z/6", coeffs(lambda: IntegersMod(6))),
+                ("M2(Q)", coeffs(m2_swap)), ("Q[C2]", coeffs(qc2)), ("Q[C4]", coeffs(qc4_inv)),
+                ("Q<y,z>/deg>2", coeffs(free_yz))]
+_COEFF_MAT_INVERSE = ("mat_invert(M) is a two-sided inverse iff mat_is_invertible(M); "
+                      "invert(a) == mat_invert((a))")
+_add("rings", "coeff-mat-inverse", _COEFF_MAT_INVERSE, _coeff_mat_inverse, _COEFF_RINGS,
+     shapes=((1,), (2,), (3,)))
+_add("rings", "coeff-mat-inverse", _COEFF_MAT_INVERSE, _coeff_mat_inverse, [
+    ("Z/12", coeffs(lambda: IntegersMod(12))), ("M3(Q)", coeffs(lambda: RationalMatrixRing(3)))],
+     shapes=((1,), (2,), (3,), (4,)))
+_add("rings", "coeff-mat-inverse", _COEFF_MAT_INVERSE, _coeff_mat_inverse,
+     [(f"{tag}:4x4", build) for tag, build in _COEFF_RINGS], shapes=((4,),))
 
 SUITE_NAMES = ("rings", "ldu", "dieudonne-commutative", "cgroup", "cyclog",
                "novikov", "all")

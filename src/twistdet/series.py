@@ -242,16 +242,22 @@ class TwistedSeries:
 
     # -- linear structure -------------------------------------------------------
     def __add__(self, other: "TwistedSeries") -> "TwistedSeries":
+        return TwistedSeries(self.ring, dict(self.terms))._add_in_place(other)
+
+    def _add_in_place(self, other: "TwistedSeries") -> "TwistedSeries":
+        """self + other, written into self's terms: only for a series that its
+        caller built and shares with no one, such as a running sum."""
         self._check_ring(other)
         A = self.ring.coeff
-        acc = dict(self.terms)
+        add, is_zero, zero = A.add, A.is_zero, A.zero
+        acc = self.terms
         for w, c in other.terms.items():
-            s = A.add(acc.get(w, A.zero), c)
-            if A.is_zero(s):
+            s = add(acc.get(w, zero), c)
+            if is_zero(s):
                 acc.pop(w, None)
             else:
                 acc[w] = s
-        return TwistedSeries(self.ring, acc)
+        return self
 
     def __neg__(self) -> "TwistedSeries":
         A = self.ring.coeff
@@ -347,26 +353,30 @@ class TwistedSeries:
         A = self.ring.coeff
         e = self.augmentation()
         if not A.is_unit(e):
-            raise AugmentationNotUnit(f"augmentation {e!r} is not a unit of {A.name}")
-        out = graded_inverse(self.graded_parts(), self.ring.lift(A.invert(e)))
-        return sum(out[1:], out[0])
+            raise AugmentationNotUnit(
+                f"augmentation {A.element_to_literal(e)} is not a unit of {A.name}")
+        return graded_inverse(self.graded_parts(), self.ring.lift(A.invert(e)))
 
 
-def graded_inverse(parts: list, inv0) -> list:
-    """Components out[d] of the inverse of x = sum(parts), parts[d] of degree d.
+def graded_inverse(parts: list, inv0):
+    """The inverse of x = sum(parts), parts[d] of degree d, from inv0 = parts[0]^-1.
 
-    out[0] = inv0 = parts[0]^-1 and out[d] = -inv0 * sum_{k=1..d} parts[k]*out[d-k],
-    so x * sum(out) = 1; in a ring local over the augmentation this right
-    inverse is two-sided. Serves series and series matrices alike.
+    Its components are out[0] = inv0 and
+    out[d] = -inv0 * sum_{k=1..d} parts[k]*out[d-k], so x * sum(out) = 1; in a
+    ring local over the augmentation this right inverse is two-sided. Sums
+    are accumulated in place (`_add_in_place`), the total into inv0, which
+    must be the caller's own. Serves series and series matrices alike.
     """
     out = [inv0]
     for d in range(1, len(parts)):
         acc = parts[d] * inv0
         for k in range(1, d):
             if not (parts[k].is_zero() or out[d - k].is_zero()):
-                acc = acc + parts[k] * out[d - k]
+                acc._add_in_place(parts[k] * out[d - k])
         out.append(-(inv0 * acc))
-    return out
+    for part in out[1:]:
+        inv0._add_in_place(part)
+    return inv0
 
 
 def _power_sum(theta: TwistedSeries, coeff) -> TwistedSeries:
@@ -378,7 +388,7 @@ def _power_sum(theta: TwistedSeries, coeff) -> TwistedSeries:
         power = power * theta
         if power.is_zero():
             break
-        acc = acc + power.scale(coeff(k))
+        acc._add_in_place(power.scale(coeff(k)))
     return acc
 
 

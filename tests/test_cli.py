@@ -216,6 +216,13 @@ def test_exit_code_2_on_domain_error(capsys, qring, ring_file):
     code, _, err = run_cli(capsys, "inv", "--ring", qring, 'w("x")')
     assert code == 2
     assert json.loads(err)["error"]["type"] == "AugmentationNotUnit"
+    # the refused augmentation is named by its literal, not a Python repr
+    m2 = ring_file({"coeff": {"kind": "matrix", "size": 2}, "order": 2}, "m2.json")
+    code, out, err = run_cli(capsys, "inv", "--ring", m2, "[0,0;0,0]")
+    error = json.loads(err)["error"]
+    assert code == 2 and out == "" and error["type"] == "AugmentationNotUnit"
+    assert "augmentation 0,0;0,0 is not a unit of M2(Q)" in error["message"]
+    assert "Fraction(" not in error["message"]
     # coset verdicts are refused on a ring with a twisted letter
     c4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
     ring = ring_file({"coeff": {"kind": "group_algebra", "group": {"table": c4},

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction as F
 from itertools import permutations
 
@@ -6,12 +8,15 @@ import pytest
 from twistdet import (
     FiniteGroup,
     GroupAlgebra,
+    IntegersMod,
     LiteralSyntaxError,
     NotAUnit,
+    RationalField,
     RationalMatrixRing,
     cyclic_group,
     ring_axiom_check,
 )
+from twistdet.rings import fraction_free
 
 from conftest import assert_folded
 
@@ -121,12 +126,15 @@ def test_group_table_validation():
         FiniteGroup([[0, 1], [1, 1]])  # not a bijection in row 1
 
 
-def test_s3_conjugacy_classes():
+def s3():
     perms = sorted(permutations(range(3)))
     compose = lambda p, q: tuple(p[q[k]] for k in range(3))
     table = [[perms.index(compose(p, q)) for q in perms] for p in perms]
-    g = FiniteGroup(table, name="S3")
-    assert sorted(len(c) for c in g.conjugacy_classes()) == [1, 2, 3]
+    return FiniteGroup(table, name="S3")
+
+
+def test_s3_conjugacy_classes():
+    assert sorted(len(c) for c in s3().conjugacy_classes()) == [1, 2, 3]
 
 
 def test_qc3_inverse_frozen():
@@ -224,3 +232,188 @@ def test_ring_classes_define_benchmark_hooks(qq, z6, m2, qc2, free_yz):
     # vars(cls): each ring class must define them in its own body
     for ring in (qq, z6, m2, qc2, free_yz):
         assert {"mul", "add", "invert"} <= set(vars(type(ring))), type(ring).__name__
+
+
+# -- the integer kernels against Fraction references ---------------------------
+
+def ref_mat_mul(a, b):
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), F(0)) for col in zip(*b))
+                 for row in a)
+
+
+def ref_invert(rows):
+    """Gauss-Jordan over Fractions; None if singular."""
+    n = len(rows)
+    aug = [list(map(F, rows[i])) + [F(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def ref_det(rows):
+    """Laplace expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * ref_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]))
+
+
+def ref_zmod_invert(rows, m):
+    """The cofactor inverse mod m; None if det is not a unit mod m."""
+    rows = [list(r) for r in rows]
+    n, d = len(rows), ref_det(rows) % m
+    if math.gcd(d, m) != 1:
+        return None
+    dinv = pow(d, -1, m)
+    return tuple(tuple((-1) ** (i + j) * ref_det([r[:i] + r[i + 1:] for k, r in enumerate(rows)
+                                                   if k != j]) * dinv % m
+                       for j in range(n)) for i in range(n))
+
+
+def random_rational_matrix(rng, n, entries=(-3, -2, -1, 0, 0, 1, 2, 5), dens=(1, 1, 2, 3, 7)):
+    return tuple(tuple(F(rng.choice(entries), rng.choice(dens)) for _ in range(n))
+                 for _ in range(n))
+
+
+EDGE_MATRICES = [
+    [[0]], [[F(-3, 2)]], [[7]],                      # 1x1: singular and units
+    [[0, 1], [1, 0]],                                # zero leading pivot, det -1
+    [[0, 2, 1], [1, 0, 0], [0, 0, 3]],               # row swap, det -6
+    [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+    [[1, 2, 3], [2, 4, 6], [1, 0, 1]],               # singular: dependent rows
+    [[1, 2], [2, 4]],
+    [[0, 0], [0, 1]],                                # singular with a zero column
+    [[F(1, 2), F(1, 3)], [F(1, 4), F(-1, 5)]],
+]
+
+
+@pytest.mark.parametrize("rows", EDGE_MATRICES)
+def test_fraction_free_edge_cases(rows):
+    qq = RationalField()
+    rows = tuple(tuple(F(x) for x in row) for row in rows)
+    expected = ref_invert(rows)
+    assert qq.mat_is_invertible(rows) == (expected is not None)
+    if expected is None:
+        with pytest.raises(NotAUnit):
+            qq.mat_invert(rows)
+    else:
+        assert qq.mat_invert(rows) == expected
+
+
+@pytest.mark.parametrize("rows,det", [
+    ([[5]], 5), ([[0, 1], [1, 0]], -1), ([[0, 2, 1], [1, 0, 0], [0, 0, 3]], -6),
+    ([[2, 0], [0, 3]], 6), ([[1, 2], [2, 4]], 0), ([], 1)])
+def test_fraction_free_gives_determinant_and_adjugate(rows, det):
+    n = len(rows)
+    assert fraction_free(rows, inverse=False) == (det, None)
+    got, adj = fraction_free(rows)
+    assert got == det == ref_det(rows)
+    if det:
+        prod = [[sum(rows[i][t] * adj[t][j] for t in range(n)) for j in range(n)]
+                for i in range(n)]
+        assert prod == [[det * (i == j) for j in range(n)] for i in range(n)]
+    else:
+        assert adj is None
+
+
+def test_rational_inverse_matches_gauss_jordan():
+    rng = random.Random(2024)
+    qq, singular = RationalField(), 0
+    for trial in range(600):
+        rows = random_rational_matrix(rng, 1 + trial % 6)
+        expected = ref_invert(rows)
+        singular += expected is None
+        assert qq.mat_is_invertible(rows) == (expected is not None), rows
+        if expected is not None:
+            assert qq.mat_invert(rows) == expected, rows
+    assert 20 < singular < 580  # both outcomes were drawn
+
+
+@pytest.mark.parametrize("modulus", [2, 6, 7, 12, 101])
+def test_zmod_inverse_matches_cofactors(modulus):
+    rng = random.Random(modulus)
+    ring, refused = IntegersMod(modulus), 0
+    for trial in range(300):
+        n = 1 + trial % 4
+        rows = tuple(tuple(rng.randrange(modulus) for _ in range(n)) for _ in range(n))
+        expected = ref_zmod_invert(rows, modulus)
+        refused += expected is None
+        assert ring.mat_is_invertible(rows) == (expected is not None), rows
+        if expected is None:
+            with pytest.raises(NotAUnit):
+                ring.mat_invert(rows)
+        else:
+            assert ring.mat_invert(rows) == expected, rows
+    assert 0 < refused < 300
+
+
+def test_z12_zero_divisor_determinants():
+    z12 = IntegersMod(12)
+    for rows in (((2, 0), (0, 1)), ((3, 1), (1, 3)), ((4, 1), (1, 1)), ((0, 6), (2, 0))):
+        assert not z12.mat_is_invertible(rows)  # det 2, 8, 3, -12
+        with pytest.raises(NotAUnit, match="determinant"):
+            z12.mat_invert(rows)
+    rows = ((0, 1), (1, 0))  # det -1 = 11, zero leading pivot
+    assert z12.mat_invert(rows) == ((0, 1), (1, 0))
+    rows = ((2, 1), (1, 3))  # det 5
+    assert z12.emat_mul(rows, z12.mat_invert(rows)) == z12.emat_identity(2)
+
+
+def test_matrix_ring_products_match_fractions():
+    rng = random.Random(7)
+    for k in (1, 2, 3):
+        ring = RationalMatrixRing(k)
+        for _ in range(40):
+            a, b = random_rational_matrix(rng, k), random_rational_matrix(rng, k)
+            assert ring.mul(a, b) == ref_mat_mul(a, b)
+            expected = ref_invert(a)
+            assert ring.is_unit(a) == (expected is not None)
+            if expected is not None:
+                assert ring.invert(a) == expected
+
+
+def test_conjugation_by_non_integral_matrix():
+    ring = RationalMatrixRing(2)
+    p = f2([[2, 1], [0, F(1, 3)]])
+    pinv = ref_invert(p)
+    assert pinv == f2([[F(1, 2), F(-3, 2)], [0, 3]])
+    conj = ring.register_conjugation("p", [[2, 1], [0, F(1, 3)]])
+    rng = random.Random(3)
+    for _ in range(30):
+        a = random_rational_matrix(rng, 2)
+        assert conj.apply(a) == ref_mat_mul(ref_mat_mul(p, a), pinv)
+        assert conj.inverse.apply(a) == ref_mat_mul(ref_mat_mul(pinv, a), p)
+        assert conj.inverse.apply(conj.apply(a)) == a
+    assert conj.inverse.data == ("conj", (("1/2", "-3/2"), ("0", "3")))
+
+
+def test_s3_products_with_fractional_coefficients():
+    ring = GroupAlgebra(s3())
+    table = ring.group.table
+
+    def ref_mul(a, b):
+        acc = {}
+        for g, c in a:
+            for h, d in b:
+                acc[table[g][h]] = acc.get(table[g][h], F(0)) + c * d
+        return tuple((k, acc[k]) for k in sorted(acc) if acc[k])
+
+    rng = random.Random(5)
+    draw = lambda: ring._canon((rng.randrange(6), F(rng.randint(-4, 4), rng.choice((1, 2, 3, 5))))
+                               for _ in range(rng.randint(0, 6)))
+    for _ in range(200):
+        a, b = draw(), draw()
+        assert ring.mul(a, b) == ref_mul(a, b), (a, b)
+    a = ring.parse_element_literal("1/2+2/3*g1-3/4*g3")
+    b = ring.parse_element_literal("-2+1/5*g3+g5")
+    assert ring.mul(ring.mul(a, b), ring.invert(b)) == a
+    assert ring.mul(a, ring.invert(a)) == ring.one
