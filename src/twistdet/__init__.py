@@ -30,7 +30,6 @@ from .rings import (
     RingAutomorphism,
     TruncatedFreeAlgebra,
     cyclic_group,
-    ring_axiom_check,
 )
 from .series import SeriesRing, TwistedSeries, formal_exp, formal_log
 from .literals import parse_series, render_series

@@ -38,7 +38,6 @@ from .documents import (
 from .errors import (
     InternalInvariantError,
     LiteralSyntaxError,
-    NeedsTrace,
     TwistdetError,
     ValidationError,
 )
@@ -50,6 +49,7 @@ from .kgroup import (
     cyc_log,
     endo_class_invariant,
     exact_sequence_additivity_check,
+    refuse_twisted_trace,
     vaserstein_transform,
 )
 from .literals import parse_series, render_series
@@ -180,9 +180,7 @@ def execute_job(job: dict):
         return {"op": "vaserstein", "b_prime": render_series(b2),
                 "check": ok}, 0
     if op == "cyclog":
-        if any(name != "id" for name in ring.twist_names):
-            raise NeedsTrace("cyclog needs untwisted letters: the plain trace "
-                             "does not kill C generators of a twisted ring")
+        refuse_twisted_trace(ring, "cyclog needs")
         s = parse_series(job["series"][0], ring)
         return {"op": "cyclog", **cyclog_to_doc(cyc_log(s))}, 0
     if op == "coset":

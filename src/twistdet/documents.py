@@ -68,27 +68,26 @@ def coeff_ring_to_doc(ring: CoeffRing) -> dict:
         return {"kind": "rational"}
     if ring.kind == "int_mod":
         return {"kind": "int_mod", "modulus": ring.modulus}
+    # a twist's data is (tag, conjugator rows of literals or a permutation)
+    twists = {name: [list(x) if ring.kind == "matrix" else x for x in data[1]]
+              for name, data in ring.twists()}
     if ring.kind == "matrix":
         doc = {"kind": "matrix", "size": ring.size}
-        if ring._conjugators:
-            doc["conjugations"] = {
-                name: [[str(x) for x in row] for row in mat]
-                for name, mat in sorted(ring._conjugators.items())}
+        if twists:
+            doc["conjugations"] = twists
         return doc
     if ring.kind == "group_algebra":
         doc = {"kind": "group_algebra",
                "group": {"name": ring.group.name,
                          "table": [list(row) for row in ring.group.table]}}
-        if ring._perms:
-            doc["automorphisms"] = {name: list(perm)
-                                    for name, perm in sorted(ring._perms.items())}
+        if twists:
+            doc["automorphisms"] = twists
         return doc
     if ring.kind == "free_trunc":
         doc = {"kind": "free_trunc", "generators": list(ring.generators),
                "max_degree": ring.max_degree}
-        if ring._perms:
-            doc["permutations"] = {name: list(perm)
-                                   for name, perm in sorted(ring._perms.items())}
+        if twists:
+            doc["permutations"] = twists
         return doc
     raise LiteralSyntaxError(f"ring {ring.name} has no document form")
 

@@ -11,7 +11,6 @@ The converse direction is not claimed anywhere in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     AugmentationNotOne,
@@ -24,7 +23,7 @@ from .errors import (
     RingMismatch,
 )
 from .matrices import SeriesMatrix, dieudonne_det
-from .rings import least_rotation
+from .rings import least_rotation, sum_by_key
 from .series import SeriesRing, TwistedSeries, formal_log
 
 FLAVOR_A_KERNEL = "a_in_kernel"
@@ -162,23 +161,11 @@ class CycLogVector:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def __eq__(self, other):
-        return (isinstance(other, CycLogVector) and self.order == other.order
-                and self.entries == other.entries)
-
-    __hash__ = None
-
     def __add__(self, other: "CycLogVector") -> "CycLogVector":
         if not isinstance(other, CycLogVector) or other.order != self.order:
             raise RingMismatch("cannot add cyclic-log vectors of different orders")
-        acc = dict(self.entries)
-        for k, v in other.entries.items():
-            s = acc.get(k, Fraction(0)) + v
-            if s == 0:
-                acc.pop(k, None)
-            else:
-                acc[k] = s
-        return CycLogVector(self.order, acc)
+        return CycLogVector(self.order, sum_by_key([*self.entries.items(),
+                                                    *other.entries.items()]))
 
     def __neg__(self) -> "CycLogVector":
         return CycLogVector(self.order, {k: -v for k, v in self.entries.items()})
@@ -200,28 +187,28 @@ def cyc_log(u: TwistedSeries) -> CycLogVector:
     """
     ring = u.ring
     A = ring.coeff
-    if not (A.has_trace and A.trace_is_rational):
+    if not A.contains_rationals:
         raise NeedsTrace(f"{A.name} has no rational-valued trace")
     if not A.is_one(u.augmentation()):
         raise AugmentationNotOne("cyc_log needs augmentation exactly 1")
-    log_u = formal_log(u)
-    entries = {}
-    for word, coeff in log_u.terms.items():
-        if not word:
-            continue
-        r = least_rotation(word)
-        canon = word[r:] + word[:r]
-        moved = ring.move_right(word[:r], coeff)
-        for label, val in A.trace(moved).items():
-            if val == 0:
-                continue
-            key = (label, ring.word_to_str(canon))
-            s = entries.get(key, Fraction(0)) + val
-            if s == 0:
-                entries.pop(key, None)
-            else:
-                entries[key] = s
-    return CycLogVector(ring.order, entries)
+
+    def buckets():
+        for word, coeff in formal_log(u).terms.items():
+            if word:
+                r = least_rotation(word)
+                key = ring.word_to_str(word[r:] + word[:r])
+                for label, val in A.trace(ring.move_right(word[:r], coeff)).items():
+                    yield (label, key), val
+    return CycLogVector(ring.order, sum_by_key(buckets()))
+
+
+def refuse_twisted_trace(ring: SeriesRing, subject: str):
+    """NeedsTrace, worded from subject ("cyclog needs", "coset verdicts
+    need"), if a letter of ring is twisted: there cyc_log's plain-trace
+    buckets need not vanish on C."""
+    if any(name != "id" for name in ring.twist_names):
+        raise NeedsTrace(f"{subject} untwisted letters: the plain trace "
+                         "does not kill C generators of a twisted ring")
 
 
 def coset_probably_equal(u: TwistedSeries, v: TwistedSeries) -> str:
@@ -229,9 +216,7 @@ def coset_probably_equal(u: TwistedSeries, v: TwistedSeries) -> str:
     nothing. Refused on twisted rings, where cyc_log need not vanish on C."""
     if u.ring != v.ring:
         raise RingMismatch("u and v live in different series rings")
-    if any(name != "id" for name in u.ring.twist_names):
-        raise NeedsTrace("coset verdicts need untwisted letters: the plain trace "
-                         "does not kill C generators of a twisted ring")
+    refuse_twisted_trace(u.ring, "coset verdicts need")
     return "distinct" if cyc_log(u) != cyc_log(v) else "indistinguishable"
 
 

@@ -25,6 +25,7 @@ from .errors import (
     WindowUnderflow,
 )
 from .kgroup import CycLogVector, cyc_log
+from .rings import sum_by_key
 from .series import SeriesRing, TwistedSeries
 
 
@@ -248,16 +249,6 @@ class OrbitCountReport:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def __eq__(self, other):
-        return (isinstance(other, OrbitCountReport)
-                and self.order == other.order
-                and self.group_name == other.group_name
-                and self.twist_name == other.twist_name
-                and self.lefschetz == other.lefschetz
-                and self.entries == other.entries)
-
-    __hash__ = None
-
     def sorted_items(self):
         return sorted(self.entries.items())
 
@@ -297,7 +288,7 @@ def orbit_counts(u: NovikovSeries, lefschetz: bool = False) -> OrbitCountReport:
             f"twist {auto.name!r} is not induced by a group automorphism")
     w = w1_invariant(u)
     plain = {group.names[min(cls)]: cls for cls in group.conjugacy_classes()}
-    entries: dict = {}
+    pairs = []
     degrees = {len(word) for _, word in w.entries}
     twisted_at: dict[int, list] = {n: twisted_conjugacy_classes(group, perm, n)
                                    for n in degrees}
@@ -309,12 +300,7 @@ def orbit_counts(u: NovikovSeries, lefschetz: bool = False) -> OrbitCountReport:
             raise ClassRegroupIncompatible(
                 f"plain class {label} splits across xi^{n}-twisted classes; "
                 "per-element counts were already merged")
-        key = (n, group.names[min(hits[0])])
-        s = entries.get(key, Fraction(0)) + (q * n if lefschetz else q)
-        if s == 0:
-            entries.pop(key, None)
-        else:
-            entries[key] = s
+        pairs.append(((n, group.names[min(hits[0])]), q * n if lefschetz else q))
     return OrbitCountReport(order=u.base.ring.order, group_name=group.name,
                             twist_name=auto.name, lefschetz=lefschetz,
-                            entries=entries)
+                            entries=sum_by_key(pairs))

@@ -4,8 +4,25 @@ Five exact-arithmetic ring instances share one interface: the rationals,
 integers mod m, k x k rational matrices, rational group algebras of finite
 groups, and a degree-truncated free associative algebra over Q. Elements are
 immutable canonical values (Fraction, int, nested tuples); all operations go
-through the ring object. Every ring carries a registry of named automorphisms
-(with registered inverses) usable as letter twists by the series layer.
+through the ring object.
+
+The contract, `CoeffRing`, is what the series, matrix, K-group, Novikov and
+document layers call:
+- `zero`, `one`, `name`, `kind` and `contains_rationals`, the one capability
+  flag: Q sits in the centre, so the ring scales by rationals and has a
+  rational-valued `trace(a)` (a dict label -> Fraction, zeros dropped);
+- `add`, `neg`, `sub`, `mul`, `scalar_mul`, `is_zero`, `is_one`, `is_unit`
+  and `invert` on elements;
+- `emat_identity`, `emat_mul`, `mat_is_invertible` and `mat_invert` on
+  square matrices (tuples of rows) of elements;
+- `random_element`, `random_unit` and `random_central` for sampling;
+- `element_to_literal` and `parse_element_literal`, the only way elements
+  are read and written;
+- `automorphisms`/`automorphism(name)`, the registry of named automorphisms
+  (each with its registered inverse) usable as letter twists. It is the one
+  record of a ring's twists: `twists()` lists the registered forward
+  automorphisms' `RingAutomorphism.data`, which `signature()` (ring
+  equality) and the ring's document form read.
 
 Rings represented over Q share two bases. `_RepresentedRing` (Q, M_k(Q)
 and Q[G]) decides invertible matrices over the ring by the determinant of
@@ -13,7 +30,6 @@ their block image under a faithful representation into M_d(Q), and inverts
 them by one elimination of it. `_BasisAlgebra` (Q[G] and Q<gens>/deg>N)
 holds the sparse (basis key, Fraction) arithmetic, the trace by basis-key
 label, random units, element literals and permutation automorphisms.
-Elements are read and written as literals only.
 
 Values stay Fractions; the kernels behind them work on integers: a matrix
 or a Q[G] element is cleared to integer numerators over one denominator,
@@ -37,6 +53,15 @@ def frac_from_str(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise LiteralSyntaxError(f"bad rational literal {text!r}") from exc
+
+
+def sum_by_key(pairs) -> dict:
+    """Sum the values of (key, value) pairs with equal keys, in first-seen key
+    order: a key's first value is stored as it is, and zero sums are dropped."""
+    acc: dict = {}
+    for k, v in pairs:
+        acc[k] = acc[k] + v if k in acc else v
+    return {k: v for k, v in acc.items() if v}
 
 
 class RingAutomorphism:
@@ -204,8 +229,6 @@ class CoeffRing:
     kind: str = "?"
     name: str = "?"
     contains_rationals: bool = False
-    has_trace: bool = False
-    trace_is_rational: bool = False
 
     def __init__(self):
         self.automorphisms: dict[str, RingAutomorphism] = {}
@@ -230,6 +253,11 @@ class CoeffRing:
         self.automorphisms[name] = fwd
         self.automorphisms[inv_name] = bwd
         return fwd
+
+    def twists(self) -> tuple:
+        """(name, data) of each registered forward automorphism, by name."""
+        return tuple((name, auto.data) for name, auto in sorted(self.automorphisms.items())
+                     if auto.inverse.name == name + "^-1")
 
     # -- arithmetic (overridden) --------------------------------------------
     def add(self, a, b):
@@ -258,12 +286,6 @@ class CoeffRing:
 
     def invert(self, a):
         raise NotImplementedError
-
-    def generating_elements(self) -> list:
-        return []
-
-    def is_central(self, a) -> bool:
-        return all(self.mul(a, g) == self.mul(g, a) for g in self.generating_elements())
 
     def trace(self, a) -> dict:
         raise NeedsTrace(f"ring {self.name} has no trace")
@@ -361,8 +383,6 @@ class RationalField(_RepresentedRing):
 
     kind = "rational"
     contains_rationals = True
-    has_trace = True
-    trace_is_rational = True
 
     def __init__(self):
         super().__init__()
@@ -418,12 +438,9 @@ class RationalField(_RepresentedRing):
 
 
 class IntegersMod(CoeffRing):
-    """Z/m with int elements in [0, m). Trace exists but is not rational."""
+    """Z/m with int elements in [0, m). It has no rational-valued trace."""
 
     kind = "int_mod"
-    contains_rationals = False
-    has_trace = True
-    trace_is_rational = False
 
     def __init__(self, modulus: int):
         super().__init__()
@@ -457,9 +474,6 @@ class IntegersMod(CoeffRing):
         if not self.is_unit(a):
             raise NotAUnit(f"{a} is not a unit of {self.name}")
         return pow(a % self.modulus, -1, self.modulus)
-
-    def trace(self, a):
-        return {} if a % self.modulus == 0 else {"1": a % self.modulus}
 
     def mat_is_invertible(self, rows):
         return self.is_unit(fraction_free(rows, inverse=False)[0])
@@ -498,8 +512,6 @@ class RationalMatrixRing(_RepresentedRing):
 
     kind = "matrix"
     contains_rationals = True
-    has_trace = True
-    trace_is_rational = True
 
     def __init__(self, size: int):
         super().__init__()
@@ -509,7 +521,6 @@ class RationalMatrixRing(_RepresentedRing):
         self.name = f"M{size}(Q)"
         self.zero = tuple(tuple(Fraction(0) for _ in range(size)) for _ in range(size))
         self.one = tuple(tuple(Fraction(int(i == j)) for j in range(size)) for i in range(size))
-        self._conjugators: dict[str, tuple] = {}
 
     def register_conjugation(self, name: str, matrix) -> RingAutomorphism:
         p = tuple(tuple(Fraction(x) for x in row) for row in matrix)
@@ -518,10 +529,8 @@ class RationalMatrixRing(_RepresentedRing):
         pinv = frac_mat_invert(p)
         if pinv is None:
             raise NotAUnit("conjugating matrix must be invertible")
-        fwd = self._register_pair(name, _conjugation(p, pinv), ("conj", _mat_key(p)),
-                                  name + "^-1", _conjugation(pinv, p), ("conj", _mat_key(pinv)))
-        self._conjugators[name] = p
-        return fwd
+        return self._register_pair(name, _conjugation(p, pinv), ("conj", _mat_key(p)),
+                                   name + "^-1", _conjugation(pinv, p), ("conj", _mat_key(pinv)))
 
     def add(self, a, b):
         return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
@@ -548,15 +557,6 @@ class RationalMatrixRing(_RepresentedRing):
         k = self.size
         return tuple(tuple(big[r0 + r][c0 + c] for c in range(k)) for r in range(k))
 
-    def generating_elements(self):
-        k = self.size
-        gens = []
-        for i in range(k):
-            for j in range(k):
-                gens.append(tuple(tuple(Fraction(int(r == i and c == j))
-                                        for c in range(k)) for r in range(k)))
-        return gens
-
     def trace(self, a):
         t = sum((a[i][i] for i in range(self.size)), Fraction(0))
         return {} if t == 0 else {"tr": t}
@@ -576,8 +576,7 @@ class RationalMatrixRing(_RepresentedRing):
         return tuple(tuple(frac_from_str(x) for x in row) for row in rows)
 
     def signature(self):
-        conj = tuple(sorted((n, _mat_key(p)) for n, p in self._conjugators.items()))
-        return ("matrix", self.size, conj)
+        return ("matrix", self.size, self.twists())
 
 
 def _mat_key(rows) -> tuple:
@@ -603,20 +602,15 @@ class _BasisAlgebra(CoeffRing):
     `add` in their own body, as for `_RepresentedRing.invert`."""
 
     contains_rationals = True
-    has_trace = True
-    trace_is_rational = True
     _sort_key = None
 
     def __init__(self):
         super().__init__()
         self.zero = ()
-        self._perms: dict[str, tuple] = {}
 
     def _canon(self, pairs) -> tuple:
-        acc: dict = {}
-        for k, c in pairs:
-            acc[k] = acc.get(k, Fraction(0)) + c
-        return tuple((k, acc[k]) for k in sorted(acc, key=self._sort_key) if acc[k] != 0)
+        acc = sum_by_key(pairs)
+        return tuple((k, acc[k]) for k in sorted(acc, key=self._sort_key))
 
     def _register_permutation(self, name, perm, tag, move) -> RingAutomorphism:
         """Register perm (and its inverse) acting on keys by move(perm, key)."""
@@ -624,17 +618,12 @@ class _BasisAlgebra(CoeffRing):
         for i, p in enumerate(perm):
             inv[p] = i
         inv = tuple(inv)
-        fwd = self._register_pair(
+        return self._register_pair(
             name, lambda a, p=perm: self._canon((move(p, k), c) for k, c in a), (tag, perm),
             name + "^-1", lambda a, p=inv: self._canon((move(p, k), c) for k, c in a), (tag, inv))
-        self._perms[name] = perm
-        return fwd
 
     def add(self, a, b):
-        acc = dict(a)
-        for k, c in b:
-            acc[k] = acc.get(k, Fraction(0)) + c
-        return self._canon(acc.items())
+        return self._canon(a + b)
 
     def neg(self, a):
         return tuple((k, -c) for k, c in a)
@@ -646,11 +635,7 @@ class _BasisAlgebra(CoeffRing):
         return tuple((k, q * c) for k, c in a)
 
     def trace(self, a):
-        acc: dict[str, Fraction] = {}
-        for k, c in a:
-            label = self._trace_label(k)
-            acc[label] = acc.get(label, Fraction(0)) + c
-        return {k: v for k, v in sorted(acc.items()) if v != 0}
+        return dict(sorted(sum_by_key((self._trace_label(k), c) for k, c in a).items()))
 
     def random_element(self, rng):
         keys = self._keys()
@@ -742,9 +727,6 @@ class GroupAlgebra(_BasisAlgebra, _RepresentedRing):
     def basis_element(self, g: int):
         return ((g % self.group.order, Fraction(1)),)
 
-    def generating_elements(self):
-        return [self.basis_element(g) for g in range(self.group.order)]
-
     def _rep(self, a):
         """The left regular representation: column j holds a * g_j."""
         n = self.group.order
@@ -787,8 +769,7 @@ class GroupAlgebra(_BasisAlgebra, _RepresentedRing):
         return acc
 
     def signature(self):
-        perms = tuple(sorted((n, p) for n, p in self._perms.items()))
-        return ("group_algebra", self.group.table, perms)
+        return ("group_algebra", self.group.table, self.twists())
 
 
 def least_rotation(word: tuple) -> int:
@@ -885,9 +866,6 @@ class TruncatedFreeAlgebra(_BasisAlgebra):
         inv = TwistedSeries(self._series_ring, dict(a)).inverse()
         return self._canon(inv.terms.items())
 
-    def generating_elements(self):
-        return [((tuple([i]), Fraction(1)),) for i in range(len(self.generators))]
-
     def mat_is_invertible(self, rows):
         return frac_mat_is_invertible([[self.scalar_part(x) for x in row] for row in rows])
 
@@ -921,8 +899,7 @@ class TruncatedFreeAlgebra(_BasisAlgebra):
         return acc
 
     def signature(self):
-        perms = tuple(sorted((n, p) for n, p in self._perms.items()))
-        return ("free_trunc", self.generators, self.max_degree, perms)
+        return ("free_trunc", self.generators, self.max_degree, self.twists())
 
 
 def _split_terms(text: str) -> list[tuple[int, str]]:
@@ -965,53 +942,3 @@ def _split_coeff(body: str) -> tuple[Fraction, Optional[str]]:
     except LiteralSyntaxError:
         return Fraction(1), body
 
-
-def ring_axiom_check(ring: CoeffRing, seed: int = 0, trials: int = 25) -> dict:
-    """Sample elements and exercise the ring axioms.
-
-    Returns a deterministic report: per-axiom pass flags plus whether
-    multiplication looked commutative on the sample (generator pairs are
-    always included so noncommutativity is detected deterministically).
-    """
-    import random
-
-    rng = random.Random(seed)
-    elems = [ring.zero, ring.one] + [ring.random_element(rng) for _ in range(trials)]
-    gens = ring.generating_elements()
-    axioms = {
-        "add_comm": True, "add_assoc": True, "add_zero": True, "add_neg": True,
-        "mul_assoc": True, "mul_one": True, "dist_left": True, "dist_right": True,
-    }
-    commutative = True
-    for _ in range(trials):
-        a, b, c = (rng.choice(elems) for _ in range(3))
-        if ring.add(a, b) != ring.add(b, a):
-            axioms["add_comm"] = False
-        if ring.add(ring.add(a, b), c) != ring.add(a, ring.add(b, c)):
-            axioms["add_assoc"] = False
-        if ring.add(a, ring.zero) != a:
-            axioms["add_zero"] = False
-        if ring.add(a, ring.neg(a)) != ring.zero:
-            axioms["add_neg"] = False
-        if ring.mul(ring.mul(a, b), c) != ring.mul(a, ring.mul(b, c)):
-            axioms["mul_assoc"] = False
-        if ring.mul(a, ring.one) != a or ring.mul(ring.one, a) != a:
-            axioms["mul_one"] = False
-        if ring.mul(a, ring.add(b, c)) != ring.add(ring.mul(a, b), ring.mul(a, c)):
-            axioms["dist_left"] = False
-        if ring.mul(ring.add(a, b), c) != ring.add(ring.mul(a, c), ring.mul(b, c)):
-            axioms["dist_right"] = False
-        if ring.mul(a, b) != ring.mul(b, a):
-            commutative = False
-    for g in gens:
-        for h in gens:
-            if ring.mul(g, h) != ring.mul(h, g):
-                commutative = False
-    return {
-        "ring": ring.name,
-        "seed": seed,
-        "trials": trials,
-        "axioms": axioms,
-        "commutative": commutative,
-        "passed": all(axioms.values()),
-    }

@@ -55,17 +55,11 @@ class SeriesRing:
             raise ValueError("alphabet letters must be distinct single characters")
         if order < 0:
             raise ValueError("order must be >= 0")
-        if twist is None:
-            twist = {}
-        if isinstance(twist, dict):
-            stray = sorted(set(twist) - set(alphabet))
-            if stray:
-                raise ValueError(f"twist names letters not in the alphabet: {stray}")
-            names = tuple(twist.get(a, "id") for a in alphabet)
-        else:
-            names = tuple(twist)
-            if len(names) != len(alphabet):
-                raise ValueError("twist must name one automorphism per letter")
+        twist = twist or {}
+        stray = sorted(set(twist) - set(alphabet))
+        if stray:
+            raise ValueError(f"twist names letters not in the alphabet: {stray}")
+        names = tuple(twist.get(a, "id") for a in alphabet)
         self.coeff = coeff
         self.alphabet = alphabet
         self.twist_names = names
