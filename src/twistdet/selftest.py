@@ -97,6 +97,12 @@ def m2_swap() -> RationalMatrixRing:
     ring.register_conjugation("swap", [[0, 1], [1, 0]])
     return ring
 
+def m2_nonintegral() -> RationalMatrixRing:
+    """M2(Q) twisted by conjugation with a non-integral matrix of det 2/3."""
+    ring = RationalMatrixRing(2)
+    ring.register_conjugation("p", [[2, 1], [0, Fraction(1, 3)]])
+    return ring
+
 def m2_two_twists() -> RationalMatrixRing:
     ring = m2_swap()
     ring.register_conjugation("shear", [[1, 1], [0, 1]])
@@ -151,6 +157,23 @@ def _log_exp(R, rng):
 def _associative(R, rng):
     s, t, u = (random_series(R, rng, terms=4) for _ in range(3))
     return (s * t) * u == s * (t * u)
+
+def _twist_convention(R, rng):
+    # Right multiplication by s is left A-linear on the A-basis 1, x, ..., x^N
+    # of A_xi<<x>>/(x^{N+1}); row i of its matrix is x^i*s, which holds
+    # xi^-i(s_j) at column i+j, by x*b = xi^-1(b)*x. The map is faithful
+    # (row 0 is s) and multiplicative, and it uses no series product.
+    A, n = R.coeff, R.order + 1
+    xi_inv = A.automorphism(R.twist_names[0]).inverse
+
+    def image(s):
+        coeffs, rows = [s.coefficient((0,) * j) for j in range(n)], []
+        for i in range(n):
+            rows.append(tuple(coeffs[k - i] if k >= i else A.zero for k in range(n)))
+            coeffs = [xi_inv.apply(c) for c in coeffs]
+        return tuple(rows)
+    s, t = (random_series(R, rng, terms=n) for _ in range(2))
+    return image(s * t) == A.emat_mul(image(s), image(t))
 
 def _parse_render(R, rng):
     s = random_series(R, rng)
@@ -452,6 +475,14 @@ _add("rings", "coeff-mat-inverse", _COEFF_MAT_INVERSE, _coeff_mat_inverse, [
      shapes=((1,), (2,), (3,), (4,)))
 _add("rings", "coeff-mat-inverse", _COEFF_MAT_INVERSE, _coeff_mat_inverse,
      [(f"{tag}:4x4", build) for tag, build in _COEFF_RINGS], shapes=((4,),))
+
+_add("rings", "twist-convention", "M(s*t) == M(s)M(t), M(s)[i][i+j] = xi^-i(s_j)",
+     _twist_convention, [
+         ("Q<<x>>", series(RationalField, ("x",))),
+         ("Z/12<<x>>", series(lambda: IntegersMod(12), ("x",))),
+         ("M2(Q)<<x>>:p", series(m2_nonintegral, ("x",), {"x": "p"})),
+         ("Q[C4]<<x>>:inv", series(qc4_inv, ("x",), {"x": "inv"})),
+         ("Q<y,z><<x>>:flip", series(free_yz, ("x",), {"x": "flip"}))])
 
 SUITE_NAMES = ("rings", "ldu", "dieudonne-commutative", "cgroup", "cyclog",
                "novikov", "all")
