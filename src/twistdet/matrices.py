@@ -19,7 +19,7 @@ from .errors import (
     NotInvertible,
     RingMismatch,
 )
-from .series import SeriesRing, TwistedSeries, graded_inverse
+from .series import SeriesRing, TwistedSeries, graded_inverse, sums_of_products
 
 
 class SeriesMatrix:
@@ -134,16 +134,18 @@ class SeriesMatrix:
         if self.ncols != other.nrows:
             raise DimensionMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = self.ring.zero()
-                for t in range(self.ncols):
-                    acc._add_in_place(self.rows[i][t] * other.rows[t][j])
-                row.append(acc)
-            out.append(row)
-        return SeriesMatrix(self.ring, out)
+        return SeriesMatrix.dot(self.ring, ((self, other),))
+
+    @staticmethod
+    def dot(ring: SeriesRing, pairs) -> "SeriesMatrix":
+        """sum a*b over a nonempty list of (a, b) pairs of matrices of one
+        shape pair, in one kernel call: entry (i, j) sums every a_it * b_tj."""
+        first, second = pairs[0]
+        n, m = first.nrows, second.ncols
+        entries = sums_of_products(ring, [[(a.rows[i][t], b.rows[t][j])
+                                           for a, b in pairs for t in range(a.ncols)]
+                                          for i in range(n) for j in range(m)])
+        return SeriesMatrix(ring, [entries[i * m:(i + 1) * m] for i in range(n)])
 
 
 def augmentation_is_identity(m: SeriesMatrix) -> bool:

@@ -13,6 +13,10 @@ document layers call:
   rational-valued `trace(a)` (a dict label -> Fraction, zeros dropped);
 - `add`, `neg`, `sub`, `mul`, `scalar_mul`, `is_zero`, `is_one`, `is_unit`
   and `invert` on elements;
+- the Z-linear view: `clear` turns a list of values into integer vectors
+  over one shared denominator, `dot` computes the integer vector of a sum
+  of products sum_i x_i * y_i, and `rebuild` turns a vector and a
+  denominator back into one value;
 - `emat_identity`, `emat_mul`, `mat_is_invertible` and `mat_invert` on
   square matrices (tuples of rows) of elements;
 - `random_element`, `random_unit` and `random_central` for sampling;
@@ -31,10 +35,15 @@ them by one elimination of it. `_BasisAlgebra` (Q[G] and Q<gens>/deg>N)
 holds the sparse (basis key, Fraction) arithmetic, the trace by basis-key
 label, random units, element literals and permutation automorphisms.
 
-Values stay Fractions; the kernels behind them work on integers: a matrix
-or a Q[G] element is cleared to integer numerators over one denominator,
-multiplied in integers and rebuilt with one Fraction per entry. Every
-inverse, over Q, M_k(Q), Q[G] and Z/m, is one `fraction_free` elimination.
+Values stay Fractions; every product works on integers, through the view
+(after FLINT's fmpq_poly layout: integer numerators over one shared
+denominator). Z/m has denominator 1 and reduces mod m once per output
+entry; Q's vector is the numerator, M_k(Q)'s the k*k entries row by row,
+Q[G]'s a |G|-vector multiplied through the group table and Q<gens>/deg>N's a
+sparse word vector. `mul` of M_k(Q), Q[G] and Q<gens>/deg>N, the conjugation
+twists of M_k(Q), `emat_mul` and the series kernel (series.py) all multiply
+this way, with one `rebuild` per output entry. Every inverse, over Q,
+M_k(Q), Q[G] and Z/m, is one `fraction_free` elimination.
 """
 
 from __future__ import annotations
@@ -95,25 +104,9 @@ def _clear(rows) -> tuple[list, int]:
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
-def _clear_pairs(pairs) -> tuple[list, int]:
-    """_clear for the (key, Fraction) pairs of a basis-algebra element."""
-    den = math.lcm(*[c.denominator for _, c in pairs])
-    return [(k, c.numerator * (den // c.denominator)) for k, c in pairs], den
-
-
 def _from_ints(rows, den: int) -> tuple:
     """The rational matrix rows/den, one Fraction per entry."""
     return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
-
-
-def _int_mat_mul(a, b) -> list:
-    cols = list(zip(*b))
-    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
-
-
-def frac_mat_mul(a, b) -> tuple:
-    (na, da), (nb, db) = _clear(a), _clear(b)
-    return _from_ints(_int_mat_mul(na, nb), da * db)
 
 
 def fraction_free(rows, inverse: bool = True) -> tuple[int, Optional[list]]:
@@ -290,18 +283,39 @@ class CoeffRing:
     def trace(self, a) -> dict:
         raise NeedsTrace(f"ring {self.name} has no trace")
 
+    # -- the Z-linear view (overridden) ---------------------------------------
+    def clear(self, values) -> tuple[list, int]:
+        """(vecs, den): integer vectors with values[i] = vecs[i] / den, over
+        one shared denominator den."""
+        raise NotImplementedError
+
+    def dot(self, lefts, rights):
+        """The integer vector of sum_i lefts[i] * rights[i], for vectors from
+        clear; it stands over the product of the two sides' denominators."""
+        raise NotImplementedError
+
+    def rebuild(self, vec, den: int):
+        """The value vec / den."""
+        raise NotImplementedError
+
+    def _view_mul(self, a, b):
+        (x, y), d = self.clear((a, b))
+        return self.rebuild(self.dot((x,), (y,)), d * d)
+
     # -- matrices over the ring (lists of lists of elements) ----------------
     def emat_identity(self, n: int):
         return tuple(tuple(self.one if i == j else self.zero for j in range(n))
                      for i in range(n))
 
     def emat_mul(self, a, b):
-        def entry(row, col):
-            acc = self.zero
-            for x, y in zip(row, col):
-                acc = self.add(acc, self.mul(x, y))
-            return acc
-        return tuple(tuple(entry(row, col) for col in zip(*b)) for row in a)
+        """Each entry is one integer dot product of a row of a and a column of b."""
+        n = len(b)
+        va, da = self.clear([x for row in a for x in row])
+        vb, db = self.clear([y for col in zip(*b) for y in col])
+        den = da * db
+        return tuple(tuple(self.rebuild(self.dot(va[i:i + n], vb[j:j + n]), den)
+                           for j in range(0, len(vb), n))
+                     for i in range(0, len(va), n))
 
     def mat_is_invertible(self, rows) -> bool:
         raise NotImplementedError
@@ -416,6 +430,16 @@ class RationalField(_RepresentedRing):
     def trace(self, a):
         return {} if a == 0 else {"1": Fraction(a)}
 
+    def clear(self, values):
+        den = math.lcm(*[c.denominator for c in values])
+        return [c.numerator * (den // c.denominator) for c in values], den
+
+    def dot(self, lefts, rights):
+        return sum(map(operator.mul, lefts, rights))
+
+    def rebuild(self, vec, den):
+        return Fraction(vec, den)
+
     _dim = 1
 
     def _rep(self, a):
@@ -475,6 +499,15 @@ class IntegersMod(CoeffRing):
             raise NotAUnit(f"{a} is not a unit of {self.name}")
         return pow(a % self.modulus, -1, self.modulus)
 
+    def clear(self, values):
+        return list(values), 1
+
+    def dot(self, lefts, rights):
+        return sum(map(operator.mul, lefts, rights)) % self.modulus
+
+    def rebuild(self, vec, den):
+        return vec
+
     def mat_is_invertible(self, rows):
         return self.is_unit(fraction_free(rows, inverse=False)[0])
 
@@ -528,9 +561,19 @@ class RationalMatrixRing(_RepresentedRing):
             raise ValueError(f"conjugating matrix must be {self.size}x{self.size}")
         pinv = frac_mat_invert(p)
         if pinv is None:
-            raise NotAUnit("conjugating matrix must be invertible")
-        return self._register_pair(name, _conjugation(p, pinv), ("conj", _mat_key(p)),
-                                   name + "^-1", _conjugation(pinv, p), ("conj", _mat_key(pinv)))
+            raise ValueError("conjugating matrix must be invertible")
+        return self._register_pair(name, self._conjugation(p, pinv), ("conj", _mat_key(p)),
+                                   name + "^-1", self._conjugation(pinv, p),
+                                   ("conj", _mat_key(pinv)))
+
+    def _conjugation(self, p, pinv) -> Callable:
+        """a -> p a pinv as one integer triple product, p and pinv cleared once."""
+        (np_, nq), d = self.clear((p, pinv))
+
+        def conj(a):
+            (na,), da = self.clear((a,))
+            return self.rebuild(self.dot((self.dot((np_,), (na,)),), (nq,)), d * da * d)
+        return conj
 
     def add(self, a, b):
         return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
@@ -539,9 +582,27 @@ class RationalMatrixRing(_RepresentedRing):
         return tuple(tuple(-x for x in row) for row in a)
 
     def mul(self, a, b):
-        return frac_mat_mul(a, b)
+        return self._view_mul(a, b)
 
     invert = _RepresentedRing.invert
+
+    def clear(self, values):
+        """Each matrix as its k*k entries, row by row."""
+        den = math.lcm(*[x.denominator for a in values for row in a for x in row])
+        return [[x.numerator * (den // x.denominator) for row in a for x in row]
+                for a in values], den
+
+    def dot(self, lefts, rights):
+        # entry (r, c) is one dot product of row r of the left operands, laid
+        # side by side, with column c of the right ones, stacked
+        k = self.size
+        rows = [[x for a in lefts for x in a[r:r + k]] for r in range(0, k * k, k)]
+        cols = [[y for b in rights for y in b[c::k]] for c in range(k)]
+        return [sum(map(operator.mul, row, col)) for row in rows for col in cols]
+
+    def rebuild(self, vec, den):
+        k = self.size
+        return tuple(tuple(Fraction(x, den) for x in vec[r:r + k]) for r in range(0, k * k, k))
 
     def is_zero(self, a):
         return not any(map(any, a))
@@ -583,16 +644,6 @@ def _mat_key(rows) -> tuple:
     return tuple(tuple(str(x) for x in row) for row in rows)
 
 
-def _conjugation(p, pinv) -> Callable:
-    """a -> p a pinv as one integer triple product, p and pinv cleared once."""
-    (np_, dp), (nq, dq) = _clear(p), _clear(pinv)
-
-    def conj(a):
-        na, da = _clear(a)
-        return _from_ints(_int_mat_mul(_int_mat_mul(np_, na), nq), dp * da * dq)
-    return conj
-
-
 class _BasisAlgebra(CoeffRing):
     """A Q-algebra with a named basis: an element is a tuple of (basis key,
     nonzero Fraction) pairs sorted by `_sort_key`. A subclass supplies the
@@ -624,6 +675,11 @@ class _BasisAlgebra(CoeffRing):
 
     def add(self, a, b):
         return self._canon(a + b)
+
+    def clear(self, values):
+        """Each element as its (basis key, integer) pairs."""
+        den = math.lcm(*[c.denominator for a in values for _, c in a])
+        return [[(k, c.numerator * (den // c.denominator)) for k, c in a] for a in values], den
 
     def neg(self, a):
         return tuple((k, -c) for k, c in a)
@@ -710,19 +766,22 @@ class GroupAlgebra(_BasisAlgebra, _RepresentedRing):
     add = _BasisAlgebra.add
 
     def mul(self, a, b):
-        # integer numerators over da * db, one Fraction per product term
-        (na, da), (nb, db) = _clear_pairs(a), _clear_pairs(b)
-        acc: dict[int, int] = {}
-        table = self.group.table
-        for g, x in na:
-            row = table[g]
-            for h, y in nb:
-                k = row[h]
-                acc[k] = acc.get(k, 0) + x * y
-        den = da * db
-        return tuple((k, Fraction(acc[k], den)) for k in sorted(acc) if acc[k])
+        return self._view_mul(a, b)
 
     invert = _RepresentedRing.invert
+
+    def dot(self, lefts, rights):
+        """The |G|-vector of the sum, through the group table."""
+        table, acc = self.group.table, [0] * self.group.order
+        for a, b in zip(lefts, rights):
+            for g, x in a:
+                row = table[g]
+                for h, y in b:
+                    acc[row[h]] += x * y
+        return acc
+
+    def rebuild(self, vec, den):
+        return tuple((g, Fraction(x, den)) for g, x in enumerate(vec) if x)
 
     def basis_element(self, g: int):
         return ((g % self.group.order, Fraction(1)),)
@@ -851,10 +910,24 @@ class TruncatedFreeAlgebra(_BasisAlgebra):
     add = _BasisAlgebra.add
 
     def mul(self, a, b):
-        from .series import TwistedSeries
-        R = self._series_ring
-        product = TwistedSeries(R, dict(a)) * TwistedSeries(R, dict(b))
-        return self._canon(product.terms.items())
+        return self._view_mul(a, b)
+
+    def dot(self, lefts, rights):
+        """The sparse word vector of the sum; words above max_degree drop."""
+        top, acc = self.max_degree, {}
+        for a, b in zip(lefts, rights):
+            for u, x in a:
+                room = top - len(u)
+                for w, y in b:  # graded-lex, so the first long word ends the row
+                    if len(w) > room:
+                        break
+                    k = u + w
+                    acc[k] = acc.get(k, 0) + x * y
+        return acc
+
+    def rebuild(self, vec, den):
+        return tuple((w, Fraction(vec[w], den)) for w in sorted(vec, key=self._sort_key)
+                     if vec[w])
 
     def is_unit(self, a):
         return self.scalar_part(a) != 0

@@ -7,13 +7,21 @@ left of words. The defining relation is a*x = x*xi_x(a) for each letter x,
 so moving a coefficient leftward past a word applies the inverse
 automorphisms of its letters right-to-left.
 
-The product is one convolution kernel. The right operand's terms are sorted
-by word length, so a left word's inner loop ends at the first pair that would
-overshoot the order. A word's move depends only on its twist key, the ids of
-its twisted letters (letters sharing an automorphism share an id): untwisted
-words move nothing, and within one product each (key, right word) is moved
-once, reusing the move of the key's suffix. Inverse, log/exp, series
-matrices and the free algebra's product all go through this kernel.
+Every product is one kernel, `sums_of_products`, which computes sums
+sum_i s_i * t_i in the coefficient ring's Z-linear view (see rings.py), after
+FLINT's fmpq_poly layout: each operand's coefficients are cleared once to
+integer vectors over one shared denominator, the pairs' vectors are gathered
+per output word (named by an integer code, so no word tuple is built or
+hashed per pair) and summed by one integer `dot`, and each output word's
+value is rebuilt once. The right operand's terms are sorted by word length,
+so a left word's inner loop ends at the first pair that would overshoot the
+order. A word's move depends only on its twist key, the ids of its twisted
+letters (letters sharing an automorphism share an id): untwisted words move
+nothing, and within one call each (key, right word) is moved once, reusing
+the move of the key's suffix, and only if it fits under the order. A series
+product, a whole series-matrix product, each degree of an inverse (of a
+series or a series matrix) and each step of Horner's rule for log/exp are
+one call of this kernel each.
 
 The augmentation eps reads off the empty-word coefficient; it is a ring map
 onto A with section lift(). A series is invertible exactly when eps of it is
@@ -26,7 +34,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import itemgetter
 
 from .errors import (
     AugmentationNotOne,
@@ -40,9 +47,6 @@ from .rings import CoeffRing
 
 def _grlex(word: tuple) -> tuple:
     return (len(word), word)
-
-
-_first = itemgetter(0)
 
 
 class SeriesRing:
@@ -75,6 +79,7 @@ class SeriesRing:
         ids = {n: k for k, n in enumerate(dict.fromkeys(n for n in names if n != "id"))}
         self._twist_ids = {i: ids[n] for i, n in enumerate(names) if n != "id"}
         self._inverse_twists = tuple(coeff.automorphism(n).inverse for n in ids)
+        self._infos: dict[tuple, tuple] = {}
 
     # -- identity ------------------------------------------------------------
     def signature(self) -> tuple:
@@ -125,6 +130,22 @@ class SeriesRing:
         ids = self._twist_ids
         return tuple(ids[i] for i in word if i in ids)
 
+    def _word_info(self, word: tuple) -> tuple:
+        """(code, scale, twist key) of a word, memoized. The code is an integer
+        that names the word (its normal form, if letters commute), and
+        code(v + w) = code(v) * scale(w) + code(w)."""
+        info = self._infos.get(word)
+        if info is None:
+            if self.letters_commute:  # exponents, in base order + 1
+                code, scale = sum((self.order + 1) ** i for i in word), 1
+            else:  # letters as the digits 1..k, in base k + 1
+                base, code = len(self.alphabet) + 1, 0
+                for i in word:
+                    code = code * base + i + 1
+                scale = base ** len(word)
+            info = self._infos[word] = (code, scale, self.twist_key(word))
+        return info
+
     def move_left(self, word: tuple, b):
         """Coefficient b moved from the right of `word` to its left.
 
@@ -138,8 +159,8 @@ class SeriesRing:
     def _move_keyed(self, key: tuple, w: tuple, b, memo: dict):
         """move_left(v, b) for every word v whose twist key is the nonempty `key`.
 
-        b is the coefficient of the right operand's word w, so (key, w) names
-        the result within one product. Since move_left(v, b) is
+        b is the coefficient of a right operand's word w, so (key, w) names
+        the result for that operand (`memo` is the operand's own). Since move_left(v, b) is
         xi_{v0}^-1(move_left(v[1:], b)), each suffix of the key costs one
         automorphism per w, and `memo` keeps them all.
         """
@@ -243,12 +264,16 @@ class TwistedSeries:
         caller built and shares with no one, such as a running sum."""
         self._check_ring(other)
         A = self.ring.coeff
-        add, is_zero, zero = A.add, A.is_zero, A.zero
+        add, is_zero = A.add, A.is_zero
         acc = self.terms
         for w, c in other.terms.items():
-            s = add(acc.get(w, zero), c)
+            prev = acc.get(w)
+            if prev is None:
+                acc[w] = c
+                continue
+            s = add(prev, c)
             if is_zero(s):
-                acc.pop(w, None)
+                del acc[w]
             else:
                 acc[w] = s
         return self
@@ -261,13 +286,12 @@ class TwistedSeries:
         return self + (-other)
 
     def scale(self, q) -> "TwistedSeries":
-        """Multiply every coefficient by a rational scalar."""
+        """Multiply every coefficient by a rational scalar (an integer over
+        Z/m, where a nonzero one can still send a coefficient to 0)."""
         A = self.ring.coeff
-        q = Fraction(q)
-        if q == 0:
-            return self.ring.zero()
-        return TwistedSeries(self.ring, {w: A.scalar_mul(q, c)
-                                         for w, c in self.terms.items()})
+        return TwistedSeries(self.ring, {w: c for w, c in (
+            (w, A.scalar_mul(Fraction(q), c)) for w, c in self.terms.items())
+            if not A.is_zero(c)})
 
     def map_coefficients(self, auto) -> "TwistedSeries":
         return TwistedSeries(self.ring, {w: auto.apply(c)
@@ -275,50 +299,13 @@ class TwistedSeries:
 
     # -- multiplication ----------------------------------------------------------
     def __mul__(self, other: "TwistedSeries") -> "TwistedSeries":
-        """The truncated product, as one convolution over the pairs that fit.
-
-        The right operand's terms are sorted by word length once, so for a
-        left word v the inner loop stops at the first right word w with
-        |v| + |w| > order. Moving b leftward past v depends only on v's twist
-        key: an untwisted v moves nothing, and a twisted one shares one
-        automorphism per distinct (key, w) with every left word of that key.
-        """
         self._check_ring(other)
-        R = self.ring
-        A = R.coeff
-        add, mul, is_zero = A.add, A.mul, A.is_zero
-        commute = R.letters_commute
-        twisted = bool(R._twist_ids)
-        order = R.order
-        right = [(len(w), w, b) for w, b in other.terms.items()]
-        if len(right) > 1:
-            right.sort(key=_first)
-        memo: dict = {}
-        acc: dict[tuple, object] = {}
-        for v, a in self.terms.items():
-            room = order - len(v)
-            key = R.twist_key(v) if twisted else ()
-            for lw, w, b in right:
-                if lw > room:
-                    break
-                if key:
-                    b = R._move_keyed(key, w, b, memo)
-                c = mul(a, b)
-                if is_zero(c):
-                    continue
-                word = v + w
-                if commute:
-                    word = tuple(sorted(word))
-                prev = acc.get(word)
-                if prev is None:
-                    acc[word] = c
-                    continue
-                s = add(prev, c)
-                if is_zero(s):
-                    del acc[word]
-                else:
-                    acc[word] = s
-        return TwistedSeries(R, acc)
+        return sums_of_products(self.ring, [[(self, other)]])[0]
+
+    @staticmethod
+    def dot(R: SeriesRing, pairs) -> "TwistedSeries":
+        """sum s*t over the (s, t) pairs of series of R, in one kernel call."""
+        return sums_of_products(R, [pairs])[0]
 
     def power(self, k: int) -> "TwistedSeries":
         if k < 0:
@@ -352,38 +339,128 @@ class TwistedSeries:
         return graded_inverse(self.graded_parts(), self.ring.lift(A.invert(e)))
 
 
+def sums_of_products(R: SeriesRing, sums: list, top=None) -> list:
+    """[sum of s*t over pairs, for pairs in sums], for lists of (s, t) series
+    of R: one convolution in the coefficient ring's integer view, truncated
+    at degree `top` (at most, and by default, R.order).
+
+    Every operand is cleared once, all of them by one `A.clear` to integer
+    vectors over one denominator d: the left ones as they are, the right ones
+    moved leftward past every twist key of the left words they meet (one
+    `_move_keyed` memo per operand), for the words that fit only. The pairs'
+    vectors are gathered per output word, named by its `_word_info` code, and
+    each output word's value is one `A.dot` and one `A.rebuild` over d*d.
+    For a left word v the inner loop stops at the first right word w with
+    |v| + |w| > top.
+    """
+    A, info = R.coeff, R._word_info
+    top = R.order if top is None else top
+    # Every value to clear, lefts first: each left operand's words that fit,
+    # as (v, code, room, key, index of its value), with the most room its
+    # words leave under each twist key; a right operand needs, under each
+    # key, the most room of any left operand it meets.
+    values: list = []
+    left: dict = {}
+    need: dict = {}
+    for pairs in sums:
+        for s, t in pairs:
+            entry = left.get(id(s))
+            if entry is None:
+                rows, reach = [], {}
+                for v, a in s.terms.items():
+                    room = top - len(v)
+                    if room >= 0:
+                        code, _, key = info(v)
+                        rows.append((v, code, room, key, len(values)))
+                        values.append(a)
+                        if reach.get(key, -1) < room:
+                            reach[key] = room
+                entry = left[id(s)] = (rows, reach)
+            keys = need.setdefault(id(t), (t, {}))[1]
+            for key, room in entry[1].items():
+                if keys.get(key, -1) < room:
+                    keys[key] = room
+    nleft, plan = len(values), []
+    for i, (t, keys) in need.items():
+        terms, memo = t.terms, {}
+        words = sorted(terms, key=len)
+        for key, room in keys.items():
+            fit = [w for w in words if len(w) <= room]
+            if key:
+                values += [R._move_keyed(key, w, terms[w], memo) for w in fit]
+            else:
+                values += map(terms.__getitem__, fit)
+            plan.append((i, key, fit))
+    vecs, d = A.clear(values)
+    it = iter(vecs[nleft:])
+    right: dict = {i: {} for i in need}
+    for i, key, fit in plan:
+        rows = right[i][key] = []
+        for w, b in zip(fit, it):
+            code, scale, _ = info(w)
+            rows.append((len(w), w, scale, code, b))
+    dot, rebuild, is_zero, den = A.dot, A.rebuild, A.is_zero, d * d
+    commute = R.letters_commute
+    results = []
+    for pairs in sums:
+        gathered: dict = {}
+        for s, t in pairs:
+            moved = right[id(t)]
+            for v, cv, room, key, ia in left[id(s)][0]:
+                a = vecs[ia]
+                for lw, w, sw, cw, b in moved[key]:
+                    if lw > room:
+                        break
+                    code = cv * sw + cw
+                    both = gathered.get(code)
+                    if both is None:
+                        gathered[code] = (v, w, [a], [b])
+                    else:
+                        both[2].append(a)
+                        both[3].append(b)
+        out = {}
+        for v, w, xs, ys in gathered.values():
+            c = rebuild(dot(xs, ys), den)
+            if not is_zero(c):
+                word = v + w
+                out[tuple(sorted(word)) if commute else word] = c
+        results.append(TwistedSeries(R, out))
+    return results
+
+
 def graded_inverse(parts: list, inv0):
     """The inverse of x = sum(parts), parts[d] of degree d, from inv0 = parts[0]^-1.
 
     Its components are out[0] = inv0 and
     out[d] = -inv0 * sum_{k=1..d} parts[k]*out[d-k], so x * sum(out) = 1; in a
-    ring local over the augmentation this right inverse is two-sided. Sums
-    are accumulated in place (`_add_in_place`), the total into inv0, which
-    must be the caller's own. Serves series and series matrices alike.
+    ring local over the augmentation this right inverse is two-sided. With
+    q[k] = -inv0 * parts[k], out[d] is one `dot` (of series or of series
+    matrices) over the pairs (q[k], out[d-k]). The total is accumulated into
+    inv0, which must be the caller's own.
     """
+    dot, neg0 = type(inv0).dot, -inv0
+    q = [None] + [neg0 * part for part in parts[1:]]
     out = [inv0]
     for d in range(1, len(parts)):
-        acc = parts[d] * inv0
-        for k in range(1, d):
-            if not (parts[k].is_zero() or out[d - k].is_zero()):
-                acc._add_in_place(parts[k] * out[d - k])
-        out.append(-(inv0 * acc))
+        out.append(dot(inv0.ring, [(q[k], out[d - k]) for k in range(1, d + 1)]))
     for part in out[1:]:
         inv0._add_in_place(part)
     return inv0
 
 
 def _power_sum(theta: TwistedSeries, coeff) -> TwistedSeries:
-    """sum_{k>=1} coeff(k) * theta^k, stopping once theta^k truncates to 0."""
+    """sum_{k=1..N} coeff(k) * theta^k for theta of augmentation 0, by Horner's
+    rule: h = coeff(k) + theta*h for k = N down to 1, then theta*h. Only the
+    degrees up to N - k of the h at k reach the order, so its product stops
+    there, and the rational coefficients are only ever added to the constant
+    term."""
     R = theta.ring
-    acc = R.zero()
-    power = R.one()
-    for k in range(1, R.order + 1):
-        power = power * theta
-        if power.is_zero():
-            break
-        acc._add_in_place(power.scale(coeff(k)))
-    return acc
+    A, n = R.coeff, R.order
+    h = R.zero()
+    for k in range(n, 0, -1):
+        h = sums_of_products(R, [[(theta, h)]], top=n - k)[0]
+        h._add_in_place(R.lift(A.scalar_mul(coeff(k), A.one)))
+    return theta * h
 
 
 def formal_log(u: TwistedSeries) -> TwistedSeries:

@@ -194,6 +194,11 @@ def test_exit_code_1_on_bad_input(capsys, ring_file, tmp_path):
     ({"coeff": {"kind": "matrix", "size": 2,
                 "conjugations": {"p": [["0", "1"], ["1"]]}},
       "alphabet": ["x"], "twist": {"x": "p"}, "order": 2}, "ValueError", "2x2"),
+    # a singular conjugating matrix defines no automorphism either
+    ({"coeff": {"kind": "matrix", "size": 2,
+                "conjugations": {"p": [["1", "1"], ["1", "1"]]}},
+      "alphabet": ["x"], "twist": {"x": "p"}, "order": 2}, "ValueError",
+     "conjugating matrix must be invertible"),
     # a twist for a letter that is not in the alphabet
     ({"coeff": {"kind": "rational"}, "alphabet": ["x"], "twist": {"q": "swap"},
       "order": 2}, "ValueError", "'q'"),
@@ -202,7 +207,8 @@ def test_exit_code_1_on_bad_input(capsys, ring_file, tmp_path):
                 "conjugations": {"id": [["0", "1"], ["1", "0"]]}},
       "alphabet": ["x"], "twist": {"x": "id"}, "order": 2}, "ValueError", "'id'"),
 ], ids=["order-3.0", "modulus-12.0", "size-2.0", "max_degree-2.0", "conjugation-1x1",
-        "conjugation-ragged", "twist-stray-letter", "automorphism-named-id"])
+        "conjugation-ragged", "conjugation-singular", "twist-stray-letter",
+        "automorphism-named-id"])
 def test_exit_code_1_on_bad_ring(capsys, ring_file, ring, error_type, fragment):
     code, out, err = run_cli(capsys, "inv", "--ring", ring_file(ring), '1+w("x")')
     assert code == 1 and out == ""

@@ -85,7 +85,7 @@ def test_m2_trace_and_inverse(m2):
 
 def test_m2_rejects_singular_conjugation():
     ring = RationalMatrixRing(2)
-    with pytest.raises(NotAUnit):
+    with pytest.raises(ValueError, match="invertible"):
         ring.register_conjugation("bad", [[1, 1], [1, 1]])
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -10,11 +11,22 @@ from twistdet import (
     IntegersMod,
     NeedsRationalCoefficients,
     RingMismatch,
+    SeriesMatrix,
     SeriesRing,
+    TwistedSeries,
+    formal_exp,
     formal_log,
+    mat_invert,
 )
-from twistdet.randgen import random_series
-from twistdet.selftest import m2_two_twists
+from twistdet.randgen import (
+    random_fiber_one,
+    random_invertible_matrix,
+    random_kernel,
+    random_kernel_matrix,
+    random_series,
+    random_unit,
+)
+from twistdet.selftest import free_yz, m2_nonintegral, m2_two_twists, qc4_inv
 
 from conftest import assert_folded, one_letter, two_letter
 
@@ -109,6 +121,9 @@ def test_scale_and_map_coefficients(qc4):
     assert s.coefficient("x") == qc4.parse_element_literal("3*g1")
     inv = qc4.automorphism("inv")
     assert s.map_coefficients(inv).coefficient("x") == qc4.parse_element_literal("3*g3")
+    Rz = one_letter(IntegersMod(12), 2)
+    t = Rz.from_terms([((), 3), ("x", 2)])
+    assert t.scale(6).terms == {(): 6} and t.scale(4).terms == {(0,): 8} and t.scale(0).is_zero()
 
 
 def test_log_frozen(qq):
@@ -164,7 +179,12 @@ def test_cross_ring_operations_rejected(qq):
         R3.one() + R4.one()
 
 
-# -- the product kernel against an independent all-pairs product ---------------------
+# -- the kernel against the per-pair loop ---------------------------------------------
+# The reference is the product as it was before the integer kernel: one A.mul
+# and one A.add per pair of terms that fits, each right coefficient moved
+# leftward past the left word one letter at a time. Log, exp and series
+# matrix products are built on it; inverses are checked with it from both
+# sides.
 
 def all_pairs_product(s, t):
     """s*t by definition: every pair of terms, each right coefficient moved
@@ -202,7 +222,49 @@ def kernel_rings(qq, m2, m2_two_twists):
         SeriesRing(z12, alphabet=xy, order=4),
         SeriesRing(qq, alphabet=xy, order=0),
         SeriesRing(m2_two_twists, alphabet=xy, twist={"x": "shear"}, order=1),
+        SeriesRing(m2_nonintegral(), alphabet=("x",), twist={"x": "p"}, order=4),
+        SeriesRing(m2, alphabet=xy, order=3, letters_commute=True),
+        SeriesRing(qc4_inv(), alphabet=xy, twist={"x": "inv"}, order=3),
+        SeriesRing(free_yz(), alphabet=xy, twist={"x": "flip"}, order=3),
     ]
+
+
+def ref_mul(s, t):
+    return TwistedSeries(s.ring, all_pairs_product(s, t))
+
+
+def ref_add(s, t):
+    A = s.ring.coeff
+    acc = dict(s.terms)
+    for w, c in t.terms.items():
+        acc[w] = A.add(acc.get(w, A.zero), c)
+    return TwistedSeries(s.ring, {w: c for w, c in acc.items() if not A.is_zero(c)})
+
+
+def ref_power_sum(theta, coeff):
+    R = theta.ring
+    acc, power = R.zero(), R.one()
+    for k in range(1, R.order + 1):
+        power = ref_mul(power, theta)
+        acc = ref_add(acc, power.scale(coeff(k)))
+    return acc
+
+
+def ref_mat_mul(a, b):
+    R = a.ring
+    rows = []
+    for row in a.rows:
+        rows.append([])
+        for col in zip(*b.rows):
+            acc = R.zero()
+            for x, y in zip(row, col):
+                acc = ref_add(acc, ref_mul(x, y))
+            rows[-1].append(acc)
+    return SeriesMatrix(R, rows)
+
+
+def dense_kernel(R, rng):
+    return TwistedSeries(R, {w: c for w, c in dense_series(R, rng, R.order).terms.items() if w})
 
 
 def test_product_matches_all_pairs_reference(qq, m2, m2_two_twists):
@@ -215,6 +277,78 @@ def test_product_matches_all_pairs_reference(qq, m2, m2_two_twists):
         for s in operands:
             for t in rng.sample(operands, 4) + [R.zero()]:
                 assert (s * t).terms == all_pairs_product(s, t), (R, s, t)
+
+
+def test_inverse_log_exp_match_per_pair_reference(qq, m2, m2_two_twists):
+    rng = random.Random(17)
+    for R in kernel_rings(qq, m2, m2_two_twists):
+        A, one = R.coeff, R.one()
+        units = [random_unit(R, rng, terms=5) for _ in range(3)]
+        units.append(R.lift(A.random_unit(rng)) + dense_kernel(R, rng))
+        for u in units:
+            inv = u.inverse()
+            assert ref_mul(u, inv) == one == ref_mul(inv, u), (R, u)
+        if A.contains_rationals:
+            for _ in range(3):
+                u, k = random_fiber_one(R, rng, terms=5), random_kernel(R, rng, terms=5)
+                assert formal_log(u) == ref_power_sum(u - one, lambda n: F((-1) ** (n + 1), n))
+                assert formal_exp(k) == ref_add(one, ref_power_sum(
+                    k, lambda n: F(1, math.factorial(n))))
+            k = dense_kernel(R, rng)
+            assert formal_log(one + k) == ref_power_sum(k, lambda n: F((-1) ** (n + 1), n))
+
+
+def test_series_matrices_match_per_pair_reference(qq, m2, m2_two_twists):
+    rng = random.Random(19)
+    for R in kernel_rings(qq, m2, m2_two_twists):
+        for n, m in ((1, 1), (2, 2), (2, 3), (3, 3)):
+            a, b = random_kernel_matrix(R, rng, n, m, 3), random_kernel_matrix(R, rng, m, n, 3)
+            assert a * b == ref_mat_mul(a, b), R
+            assert b * a == ref_mat_mul(b, a), R
+            if n == m:
+                u = random_invertible_matrix(R, rng, n)
+                inv, ident = mat_invert(u), SeriesMatrix.identity(R, n)
+                assert ref_mat_mul(u, inv) == ident == ref_mat_mul(inv, u), R
+
+
+def test_kernel_sums_that_cancel_leave_no_zero_terms(qq, m2):
+    R = SeriesRing(qq, alphabet=("x", "y"), order=3)
+    s = R.from_terms([((), 1), ("x", F(1, 2)), ("xy", F(-2, 3))])
+    t = R.from_terms([("y", 3), ("yx", F(1, 5)), ((), F(-7, 2))])
+    # s*t - s*t as one sum of products over a row times a column
+    assert (SeriesMatrix(R, [[s, -s]]) * SeriesMatrix(R, [[t], [t]])).rows[0][0].terms == {}
+    # the pairs (1, -x) and (x, 1) cancel within the output word x
+    one, x = R.one(), R.letter("x")
+    assert ((one + x) * (one - x)).terms == {(): F(1), (0, 0): F(-1)}
+    # over M2(Q) every pair of e12 * x^i and e12 * x^j multiplies to 0
+    e12 = ((F(0), F(1)), (F(0), F(0)))
+    Rm = SeriesRing(m2, alphabet=("x", "y"), order=3)
+    u = Rm.from_terms([((), e12), ("x", e12), ("xy", e12)])
+    assert (u * u).terms == {}
+    # over Z/12: 6*2 at xx and 4*3 at yy vanish, and 6 + 6*3 cancels at xy
+    Rz = SeriesRing(IntegersMod(12), alphabet=("x", "y"), order=2)
+    v = Rz.from_terms([((), 1), ("x", 6), ("y", 4)])
+    w = Rz.from_terms([((), 1), ("x", 2), ("y", 3), ("xy", 6)])
+    assert (v * w).terms == ref_mul(v, w).terms == {(): 1, (0,): 8, (1,): 7, (1, 0): 8}
+
+
+def _forbidden(*args):
+    raise AssertionError("a per-pair coefficient call")
+
+
+def test_kernel_makes_no_per_pair_ring_calls(monkeypatch, qq, m2, m2_two_twists):
+    rng = random.Random(23)
+    for R in kernel_rings(qq, m2, m2_two_twists):
+        A = R.coeff
+        s, t = dense_series(R, rng, R.order), dense_series(R, rng, R.order)
+        u = R.lift(A.random_unit(rng)) + dense_kernel(R, rng)
+        a, b = random_kernel_matrix(R, rng, 2, 2, 3), random_kernel_matrix(R, rng, 2, 2, 3)
+        expected = (ref_mul(s, t), ref_mat_mul(a, b))
+        monkeypatch.setattr(A, "mul", _forbidden)
+        monkeypatch.setattr(A, "add", _forbidden)
+        assert (s * t, a * b) == expected
+        u.inverse()
+        monkeypatch.undo()
 
 
 def test_letters_sharing_a_twist_share_a_key(m2, m2_two_twists):
