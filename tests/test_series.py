@@ -180,11 +180,10 @@ def test_cross_ring_operations_rejected(qq):
 
 
 # -- the kernel against the per-pair loop ---------------------------------------------
-# The reference is the product as it was before the integer kernel: one A.mul
-# and one A.add per pair of terms that fits, each right coefficient moved
-# leftward past the left word one letter at a time. Log, exp and series
-# matrix products are built on it; inverses are checked with it from both
-# sides.
+# The reference is the product by definition, a per-pair loop: one A.mul and
+# one A.add per pair of terms that fits, each right coefficient moved leftward
+# past the left word one letter at a time. Log, exp and series-matrix products
+# are built on it; inverses are checked with it from both sides.
 
 def all_pairs_product(s, t):
     """s*t by definition: every pair of terms, each right coefficient moved
