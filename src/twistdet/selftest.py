@@ -308,6 +308,21 @@ def _nov_roundtrip(R, rng, shift, constant):
     u = nov_mul(NovikovSeries(a, shift=shift), NovikovSeries(b))
     return nov_mul(u, nov_invert(u, max_shift=6), max_shift=6).matches_one_on_window()
 
+def _nov_twist_convention(R, rng):
+    # z^-1 a z == xi(a) and z a z^-1 == xi^-1(a), read against the automorphism
+    # itself; a non-involutive twist tells the two directions apart
+    A, a = R.coeff, R.coeff.random_element(rng)
+    xi = A.automorphism(R.twist_names[0])
+    z, z_inv = NovikovSeries(R.letter("z")), NovikovSeries(R.one(), shift=1)
+
+    def is_constant(u, c):
+        return u.min_degree <= 0 <= u.max_degree and all(
+            u.coefficient(d) == (c if d == 0 else A.zero)
+            for d in range(u.min_degree, u.max_degree + 1))
+    az, az_inv = (NovikovSeries.from_degree_map(R, {d: a}) for d in (1, -1))
+    return (is_constant(nov_mul(z_inv, az), xi.apply(a))
+            and is_constant(nov_mul(z, az_inv), xi.inverse.apply(a)))
+
 def _w1_additivity(R, rng):
     u, v = NovikovSeries(random_fiber_one(R, rng)), NovikovSeries(random_fiber_one(R, rng))
     return w1_invariant(nov_mul(u, v)) == w1_invariant(u) + w1_invariant(v)
@@ -483,6 +498,12 @@ _add("rings", "twist-convention", "M(s*t) == M(s)M(t), M(s)[i][i+j] = xi^-i(s_j)
          ("M2(Q)<<x>>:p", series(m2_nonintegral, ("x",), {"x": "p"})),
          ("Q[C4]<<x>>:inv", series(qc4_inv, ("x",), {"x": "inv"})),
          ("Q<y,z><<x>>:flip", series(free_yz, ("x",), {"x": "flip"}))])
+
+_NOV_P = [("M2(Q):p", series(m2_nonintegral, ("z",), twist={"z": "p"}))]
+_add("novikov", "novikov-twist-convention", "z^-1*(a z) == xi(a), z*(a z^-1) == xi^-1(a)",
+     _nov_twist_convention, _NOV_P, min_order=3)
+_add("novikov", "inverse-roundtrip", "u*inv(u) == 1 on the window", _nov_roundtrip, _NOV_P,
+     shapes=tuple((s, c) for c in ("unit", "one") for s in (0, 1, 2)), min_order=3)
 
 SUITE_NAMES = ("rings", "ldu", "dieudonne-commutative", "cgroup", "cyclog",
                "novikov", "all")
