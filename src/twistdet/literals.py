@@ -61,7 +61,7 @@ def parse_series(text: str, ring: SeriesRing) -> TwistedSeries:
     if not tokens:
         raise LiteralSyntaxError("empty series literal")
     A = ring.coeff
-    total = ring.zero()
+    terms = []
 
     # split into sign-prefixed terms on top-level +/-
     idx = 0
@@ -111,8 +111,8 @@ def parse_series(text: str, ring: SeriesRing) -> TwistedSeries:
         if coeff is None:
             coeff = A.one
         coeff = A.scalar_mul(q, coeff)
-        total = total + ring.from_terms([(word if word is not None else (), coeff)])
-    return total
+        terms.append((word if word is not None else (), coeff))
+    return ring.from_terms(terms)
 
 
 def render_series(s: TwistedSeries) -> str:

@@ -188,18 +188,10 @@ class LduFactors:
     u: SeriesMatrix   # 1 x (n-1)
 
     def recompose(self) -> SeriesMatrix:
-        ring = self.d2.ring
-        n1 = self.d2.nrows
-        top = SeriesMatrix(ring, [[self.d1]])
-        lower = SeriesMatrix.block([[SeriesMatrix.identity(ring, 1),
-                                     SeriesMatrix.zero(ring, 1, n1)],
-                                    [self.l, SeriesMatrix.identity(ring, n1)]])
-        diag = SeriesMatrix.block([[top, SeriesMatrix.zero(ring, 1, n1)],
-                                   [SeriesMatrix.zero(ring, n1, 1), self.d2]])
-        upper = SeriesMatrix.block([[SeriesMatrix.identity(ring, 1), self.u],
-                                    [SeriesMatrix.zero(ring, n1, 1),
-                                     SeriesMatrix.identity(ring, n1)]])
-        return lower * diag * upper
+        """(d1, d1 u; l d1, l d1 u + d2), the product of the three factors."""
+        d1 = SeriesMatrix(self.d2.ring, [[self.d1]])
+        d1u, ld1 = d1 * self.u, self.l * d1
+        return SeriesMatrix.block([[d1, d1u], [ld1, ld1 * self.u + self.d2]])
 
 
 def ldu_decompose(m: SeriesMatrix) -> LduFactors:

@@ -5,10 +5,13 @@ twisted conjugacy classes.
 An element is stored as z^(-shift) * base where base is an ordinary
 truncated series in z and shift >= 0. The representation is normalized:
 whenever shift > 0 and the base is nonzero, the base has a nonzero z^0
-coefficient. Stripping a factor z off the base shortens the reliable window
-by one degree, so the base's truncation order drops with each strip; every
+coefficient. Stripping a factor z^j off the base shortens the reliable
+window by j degrees, so the base's truncation order drops by j; every
 coefficient kept is exact. A zero base keeps its shift: the object then
 asserts only that the window [-shift, order-shift] vanishes.
+
+Coefficients cross powers of z only through the series ring's move_left and
+move_right on the word z^k, so z*b = xi^-1(b)*z here as in the series ring.
 """
 
 from __future__ import annotations
@@ -29,16 +32,14 @@ from .rings import sum_by_key
 from .series import SeriesRing, TwistedSeries
 
 
-def _letter_auto(ring: SeriesRing):
-    return ring.coeff.automorphism(ring.twist_names[0])
-
-
-def _apply_power(auto, a, k: int):
-    """auto^k (a), with negative k meaning the inverse automorphism."""
-    step = auto if k >= 0 else auto.inverse
-    for _ in range(abs(k)):
-        a = step.apply(a)
-    return a
+def _z_times(base: TwistedSeries, k: int, order: int) -> TwistedSeries:
+    """z^k * base at `order`. For k < 0 every word of base has at least -k
+    letters, and z^-k is stripped off base's left."""
+    ring = base.ring.with_order(order)
+    z = (0,) * abs(k)
+    move = ring.move_left if k >= 0 else ring.move_right
+    return ring.from_terms([((0,) * (len(w) + k), move(z, c))
+                            for w, c in base.terms.items()])
 
 
 class NovikovSeries:
@@ -52,11 +53,9 @@ class NovikovSeries:
             raise RingMismatch("Novikov elements need a one-letter series ring")
         if shift < 0:
             raise ValueError("shift must be >= 0")
-        if not base.is_zero():
-            auto = _letter_auto(ring)
-            while shift > 0 and ring.coeff.is_zero(base.coefficient(())):
-                base = _strip(base, 1, auto)
-                shift -= 1
+        j = min(shift, *map(len, base.terms)) if base.terms else 0
+        if j:
+            base, shift = _z_times(base, -j, ring.order - j), shift - j
         self.base = base
         self.shift = shift
 
@@ -79,7 +78,7 @@ class NovikovSeries:
         if d < self.min_degree:
             return A.zero
         raw = self.base.coefficient((0,) * (d + self.shift))
-        return _apply_power(_letter_auto(self.base.ring), raw, self.shift)
+        return self.base.ring.move_right((0,) * self.shift, raw)
 
     def is_zero(self) -> bool:
         return self.base.is_zero()
@@ -124,23 +123,15 @@ class NovikovSeries:
             raise WindowUnderflow(
                 f"degrees {min(nonzero)}..{max(nonzero)} span more than "
                 f"order {ring.order} allows")
-        auto = _letter_auto(ring)
-        terms = [((0,) * (d + shift), _apply_power(auto, c, -shift))
-                 for d, c in nonzero.items()]
+        z = (0,) * shift
+        terms = [((0,) * (d + shift), ring.move_left(z, c)) for d, c in nonzero.items()]
         return NovikovSeries(ring.from_terms(terms), shift)
-
-
-def _strip(base: TwistedSeries, j: int, auto) -> TwistedSeries:
-    """base = z^j * result; drops the window's top j degrees."""
-    ring = base.ring.with_order(base.ring.order - j)
-    terms = [(word[j:], _apply_power(auto, c, j)) for word, c in base.terms.items()]
-    return ring.from_terms(terms)
 
 
 def _common_ring(u: NovikovSeries, v: NovikovSeries):
     ru, rv = u.base.ring, v.base.ring
-    if (ru.coeff != rv.coeff or ru.alphabet != rv.alphabet
-            or ru.twist_names != rv.twist_names):
+    if (ru.coeff, ru.alphabet, ru.twist_names, ru.letters_commute) != (
+            rv.coeff, rv.alphabet, rv.twist_names, rv.letters_commute):
         raise RingMismatch("Novikov operands live over different rings")
 
 
@@ -149,16 +140,8 @@ def nov_add(u: NovikovSeries, v: NovikovSeries) -> NovikovSeries:
     shift = max(u.shift, v.shift)
     order = min(u.base.ring.order + (shift - u.shift),
                 v.base.ring.order + (shift - v.shift))
-    ring = u.base.ring.with_order(order)
-    auto = _letter_auto(ring)
-
-    def aligned_terms(w: NovikovSeries):
-        d = shift - w.shift
-        return [((0,) * (len(word) + d), _apply_power(auto, c, -d))
-                for word, c in w.base.terms.items()]
-
-    total = ring.from_terms(aligned_terms(u) + aligned_terms(v))
-    return NovikovSeries(total, shift)
+    return NovikovSeries(_z_times(u.base, shift - u.shift, order)
+                         + _z_times(v.base, shift - v.shift, order), shift)
 
 
 def nov_neg(u: NovikovSeries) -> NovikovSeries:
@@ -170,7 +153,7 @@ def nov_sub(u: NovikovSeries, v: NovikovSeries) -> NovikovSeries:
 
 
 def nov_mul(u: NovikovSeries, v: NovikovSeries, max_shift=None) -> NovikovSeries:
-    """z^-(s+t) * (xi^-t applied to u.base) * v.base; window = min of operands."""
+    """z^-(s+t) * (z^t u.base z^-t) * v.base; window = min of operands."""
     _common_ring(u, v)
     shift = u.shift + v.shift
     if max_shift is not None and shift > max_shift:
@@ -178,11 +161,9 @@ def nov_mul(u: NovikovSeries, v: NovikovSeries, max_shift=None) -> NovikovSeries
             f"product needs {shift} negative degrees, window allows {max_shift}")
     order = min(u.base.ring.order, v.base.ring.order)
     ring = u.base.ring.with_order(order)
-    auto = _letter_auto(ring)
-    left = ring.from_terms([(w, _apply_power(auto, c, -v.shift))
-                            for w, c in u.base.terms.items()])
-    right = ring.from_terms(list(v.base.terms.items()))
-    return NovikovSeries(left * right, shift)
+    z = (0,) * v.shift
+    left = ring.from_terms([(w, ring.move_left(z, c)) for w, c in u.base.terms.items()])
+    return NovikovSeries(left * v.base.truncated(order), shift)
 
 
 def nov_invert(u: NovikovSeries, max_shift=None) -> NovikovSeries:
@@ -191,14 +172,12 @@ def nov_invert(u: NovikovSeries, max_shift=None) -> NovikovSeries:
         raise LeadingCoeffNotUnit("zero has no inverse")
     ring = u.base.ring
     A = ring.coeff
-    auto = _letter_auto(ring)
-    j = min(len(w) for w in u.base.terms)
+    j = min(map(len, u.base.terms))
     lead = u.base.coefficient((0,) * j)
     if not A.is_unit(lead):
         raise LeadingCoeffNotUnit(
             f"leading coefficient at degree {j - u.shift} is not a unit of {A.name}")
-    body = _strip(u.base, j, auto) if j else u.base
-    inv_body = body.inverse()
+    inv_body = _z_times(u.base, -j, ring.order - j).inverse()
     t = u.shift - j
     if t >= 0:
         if t > inv_body.ring.order:
@@ -210,10 +189,10 @@ def nov_invert(u: NovikovSeries, max_shift=None) -> NovikovSeries:
         if max_shift is not None and -t > max_shift:
             raise WindowUnderflow(
                 f"inverse needs {-t} negative degrees, window allows {max_shift}")
-        shifted = inv_body.map_coefficients(auto.inverse)
-        for _ in range(-t - 1):
-            shifted = shifted.map_coefficients(auto.inverse)
-        result = NovikovSeries(shifted, -t)
+        # inv_body * z^t = z^t * (z^-t inv_body z^t)
+        R, z = inv_body.ring, (0,) * -t
+        result = NovikovSeries(R.from_terms([(w, R.move_left(z, c))
+                                             for w, c in inv_body.terms.items()]), -t)
     check = nov_mul(u, result)
     if not check.matches_one_on_window():
         raise InternalInvariantError("inverse failed its multiply-back check")
@@ -278,7 +257,7 @@ def orbit_counts(u: NovikovSeries, lefschetz: bool = False) -> OrbitCountReport:
         raise ClassRegroupIncompatible(
             f"orbit counting needs group-algebra coefficients, got {A.name}")
     group = A.group
-    auto = _letter_auto(u.base.ring)
+    auto = A.automorphism(u.base.ring.twist_names[0])
     if auto.data == ("id",):
         perm = tuple(range(group.order))
     elif auto.data[0] == "gperm":

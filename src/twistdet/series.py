@@ -293,10 +293,6 @@ class TwistedSeries:
             (w, A.scalar_mul(Fraction(q), c)) for w, c in self.terms.items())
             if not A.is_zero(c)})
 
-    def map_coefficients(self, auto) -> "TwistedSeries":
-        return TwistedSeries(self.ring, {w: auto.apply(c)
-                                         for w, c in self.terms.items()})
-
     # -- multiplication ----------------------------------------------------------
     def __mul__(self, other: "TwistedSeries") -> "TwistedSeries":
         self._check_ring(other)

@@ -18,6 +18,8 @@ from twistdet import (
     w1_invariant,
 )
 
+from twistdet.selftest import m2_nonintegral
+
 from conftest import assert_folded
 
 
@@ -28,6 +30,29 @@ def zring(coeff, order, twist=None):
 
 def poly(s):
     return {len(w): c for w, c in s.terms.items()}
+
+
+# M2(Q) twisted by conjugation with [[2,1],[0,1/3]], where xi != xi^-1; the
+# expected values below are pinned outputs of the Novikov layer
+M2P_A, M2P_B, M2P_C = "1,2;3,4", "0,1;0,0", "2,0;1,1"
+
+
+@pytest.fixture
+def m2p():
+    return m2_nonintegral()
+
+
+def p_series(m2p, order, literals):
+    """{z-degree: element literal} as a series of M2(Q)<<z>>:p at `order`."""
+    return zring(m2p, order, twist="p").from_terms(
+        [((0,) * d, m2p.parse_element_literal(lit)) for d, lit in literals.items()])
+
+
+def p_read(u):
+    """(shift, base order, {base degree: element literal}) of a Novikov element."""
+    A = u.base.ring.coeff
+    return (u.shift, u.base.ring.order,
+            {len(w): A.element_to_literal(c) for w, c in u.base.terms.items()})
 
 
 # -- representation ----------------------------------------------------------
@@ -41,6 +66,22 @@ def test_normalization_strips_leading_zeros(qq):
     assert poly(u.base) == {0: F(1), 1: F(1)}
     assert u.base.ring.order == 2
     assert u.min_degree == -1 and u.max_degree == 1
+
+
+@pytest.mark.parametrize("degrees, shift, expect", [
+    # z^-3 (a z^2 + b z^3): two degrees stripped at once, shift 1 left
+    ({2: M2P_A, 3: M2P_B}, 3, (1, 2, {0: "11/4,393/4;1/12,9/4", 1: "0,36;0,0"})),
+    # z^-2 a z^3: the whole shift is stripped
+    ({3: M2P_A}, 2, (0, 2, {1: "11/4,393/4;1/12,9/4"})),
+], ids=["shift-left", "shift-spent"])
+def test_normalization_strips_leading_zeros_under_twist(m2p, degrees, shift, expect):
+    u = NovikovSeries(p_series(m2p, 4, degrees), shift)
+    assert p_read(u) == expect
+    # z^-shift a z^2 = xi^shift(a) z^(2-shift)
+    xi, a = m2p.automorphism("p"), m2p.parse_element_literal(M2P_A)
+    for _ in range(shift):
+        a = xi.apply(a)
+    assert u.coefficient(min(degrees) - shift) == a
 
 
 def test_zero_base_keeps_window(qq):
@@ -90,6 +131,16 @@ def test_add_aligns_windows(qq):
     assert d.coefficient(-1) == F(1) and d.coefficient(1) == F(0)
 
 
+@pytest.mark.parametrize("op, expect", [
+    (nov_add, (2, 4, {0: "1,2;3,4", 1: "-1,0;6,4", 3: "0,1/6;0,0"})),
+    (nov_sub, (2, 4, {0: "1,2;3,4", 1: "1,2;-6,-4", 3: "0,-1/6;0,0"})),
+], ids=["add", "sub"])
+def test_add_aligns_windows_under_twist(m2p, op, expect):
+    u = NovikovSeries(p_series(m2p, 4, {0: M2P_A, 1: M2P_B}), 2)    # z^-2 (a + b z)
+    v = NovikovSeries(p_series(m2p, 4, {0: M2P_C, 2: M2P_B}), 1)    # z^-1 (c + b z^2)
+    assert p_read(op(u, v)) == expect
+
+
 def test_mul_twisted_monomials(qc4):
     R = zring(qc4, 3, twist="inv")
     g1 = R.lift(qc4.parse_element_literal("g1"))
@@ -98,6 +149,16 @@ def test_mul_twisted_monomials(qc4):
     p = nov_mul(u, v, max_shift=2)
     # z^-1 g1 z^-1 g1 = z^-2 inv(g1) g1 = z^-2 (g3 g1) = z^-2 g0
     assert p.shift == 2 and p.coefficient(-2) == qc4.one
+
+
+@pytest.mark.parametrize("left, right, expect", [
+    (({0: M2P_A}, 1), ({0: M2P_C}, 1), (2, 3, {0: "-65/3,-17/3;49,13"})),
+    (({1: M2P_A}, 0), ({0: M2P_C}, 1), (0, 2, {0: "4,2;10,4"})),
+    (({0: M2P_A}, 2), ({1: M2P_C}, 0), (1, 2, {0: "9,-3;5/3,-1"})),
+], ids=["z^-1a*z^-1c", "az*z^-1c", "z^-2a*cz"])
+def test_mul_twisted_monomials_under_twist(m2p, left, right, expect):
+    u, v = (NovikovSeries(p_series(m2p, 3, degrees), shift) for degrees, shift in (left, right))
+    assert p_read(nov_mul(u, v)) == expect
 
 
 def test_mul_window_underflow(qq):
@@ -126,6 +187,19 @@ def test_invert_frozen_strip(qq):
     v = nov_invert(NovikovSeries(z - z * z))
     assert v.shift == 1
     assert poly(v.base) == {0: F(1), 1: F(1), 2: F(1)}
+
+
+@pytest.mark.parametrize("degrees, shift, expect", [
+    # t = shift - (lowest base degree) >= 0: z^-1 (c + a z) has inverse (c + a z)^-1 z
+    ({0: M2P_C, 1: M2P_A}, 1, (0, 4, {1: "1/2,0;-1/2,1", 2: "2,1/4;4,1/4",
+                                      3: "-19,-233/24;-47,-577/24",
+                                      4: "221,18625/144;541,45593/144"})),
+    # t < 0: c z^2 + a z^3, two orders spent stripping
+    ({2: M2P_C, 3: M2P_A}, 0, (2, 2, {0: "1/2,0;-1/2,1", 1: "2,1/4;4,1/4",
+                                      2: "-19,-233/24;-47,-577/24"})),
+], ids=["t>=0", "t<0"])
+def test_invert_frozen_strip_under_twist(m2p, degrees, shift, expect):
+    assert p_read(nov_invert(NovikovSeries(p_series(m2p, 4, degrees), shift))) == expect
 
 
 def test_invert_rejects_non_unit_leading(z6):
