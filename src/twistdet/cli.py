@@ -74,7 +74,10 @@ def validate_job(job) -> None:
         raise ValidationError(
             f"unknown op {op!r}; expected one of {', '.join(OP_SCHEMAS)}",
             path=["op"])
-    validate(job, schema)
+    try:
+        validate(job, schema)
+    except RecursionError:
+        raise ValidationError("JSON nested too deeply") from None
 
 
 def __getattr__(name):
@@ -90,8 +93,11 @@ def __getattr__(name):
 def _load_json_arg(text: str):
     if text.startswith("@"):
         with open(text[1:], encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.loads(text)
+            text = fh.read()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def _build_job(args) -> dict:
@@ -309,6 +315,7 @@ def main(argv=None) -> int:
             out_path = args.out
         validate_job(job)
         doc, code = execute_job(job)
+        _emit(doc, out_path)
     except (ValidationError, json.JSONDecodeError,
             LiteralSyntaxError, ValueError) as exc:
         _emit_error(exc)
@@ -322,7 +329,6 @@ def main(argv=None) -> int:
     except TwistdetError as exc:
         _emit_error(exc)
         return 2
-    _emit(doc, out_path)
     return code
 
 

@@ -10,8 +10,6 @@ The converse direction is not claimed anywhere in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     AugmentationNotOne,
     CommutationFailed,
@@ -41,7 +39,6 @@ FLAVORS = (
 )
 
 
-@dataclass
 class CGenerator:
     """A pair (a, b) defining the group element (1+ab)(1+ba)^{-1}.
 
@@ -50,35 +47,41 @@ class CGenerator:
     to have augmentation 1, which pins eps(ab) = eps(ba).
     """
 
-    a: TwistedSeries
-    b: TwistedSeries
-    flavor: str = FLAVOR_AB_BA_KERNEL
+    __slots__ = ("a", "b", "flavor")
 
-    def __post_init__(self):
-        a, b = self.a, self.b
+    def __init__(self, a: TwistedSeries, b: TwistedSeries,
+                 flavor: str = FLAVOR_AB_BA_KERNEL):
+        self.a, self.b, self.flavor = a, b, flavor
         if a.ring != b.ring:
             raise RingMismatch("a and b live in different series rings")
-        if self.flavor not in FLAVORS:
-            raise FlavorViolated(f"unknown flavor {self.flavor!r}")
+        if flavor not in FLAVORS:
+            raise FlavorViolated(f"unknown flavor {flavor!r}")
         A = a.ring.coeff
         ea, eb = a.augmentation(), b.augmentation()
         e_ab = A.mul(ea, eb)
         e_ba = A.mul(eb, ea)
         one_ba = A.add(A.one, e_ba)
-        f = self.flavor
-        if f == FLAVOR_A_KERNEL and not A.is_zero(ea):
+        if flavor == FLAVOR_A_KERNEL and not A.is_zero(ea):
             raise FlavorViolated("flavor needs eps(a) = 0")
-        if f == FLAVOR_AB_BA_KERNEL and not (A.is_zero(e_ab) and A.is_zero(e_ba)):
+        if flavor == FLAVOR_AB_BA_KERNEL and not (A.is_zero(e_ab) and A.is_zero(e_ba)):
             raise FlavorViolated("flavor needs eps(ab) = eps(ba) = 0")
-        if f == FLAVOR_BA_KERNEL and not A.is_zero(e_ba):
+        if flavor == FLAVOR_BA_KERNEL and not A.is_zero(e_ba):
             raise FlavorViolated("flavor needs eps(ba) = 0")
-        if f == FLAVOR_B_UNIT and not A.is_unit(eb):
+        if flavor == FLAVOR_B_UNIT and not A.is_unit(eb):
             raise FlavorViolated("flavor needs eps(b) to be a unit")
         if not A.is_unit(one_ba):
             raise NotInvertible("1 + ba is not invertible")
         if not A.is_zero(A.sub(e_ab, e_ba)):
             raise FlavorViolated(
                 "eps(ab) != eps(ba): the element would leave the augmentation fiber")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b, self.flavor) == (other.a, other.b, other.flavor)
+
+    def __repr__(self):
+        return f"CGenerator(a={self.a!r}, b={self.b!r}, flavor={self.flavor!r})"
 
     def element(self) -> TwistedSeries:
         ring = self.a.ring
@@ -143,20 +146,28 @@ def commutator_as_c_generator(alpha: TwistedSeries, beta: TwistedSeries):
     return a, b
 
 
-@dataclass
 class CycLogVector:
     """Exact rational vector indexed by (trace label, cyclic word class).
 
     Cyclic classes are keyed by the lexicographically least rotation of the
     word (letter indices compared in alphabet order). The empty word never
-    appears: augmentation-1 inputs have no constant log term.
+    appears: augmentation-1 inputs have no constant log term. Zero entries
+    are dropped.
     """
 
-    order: int
-    entries: dict
+    __slots__ = ("order", "entries")
 
-    def __post_init__(self):
-        self.entries = {k: v for k, v in self.entries.items() if v != 0}
+    def __init__(self, order: int, entries: dict):
+        self.order = order
+        self.entries = {k: v for k, v in entries.items() if v != 0}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.order, self.entries) == (other.order, other.entries)
+
+    def __repr__(self):
+        return f"CycLogVector(order={self.order!r}, entries={self.entries!r})"
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -227,8 +238,6 @@ def one_minus_alpha_x(coeff, alpha, order: int) -> SeriesMatrix:
     n = len(alpha)
     if n == 0 or any(len(row) != n for row in alpha):
         raise DimensionMismatch("alpha must be square and nonempty")
-    if order < 1:
-        raise ValueError("order must be >= 1")
     ring = SeriesRing(coeff, ("x",), order=order)
     rows = []
     for i in range(n):

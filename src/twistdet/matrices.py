@@ -11,8 +11,6 @@ upper-triangular assemblies) covered by the checks below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     AugmentationNotIdentity,
     DimensionMismatch,
@@ -178,14 +176,27 @@ def mat_invert(m: SeriesMatrix) -> SeriesMatrix:
     return graded_inverse(parts, SeriesMatrix.lift(m.ring, A.mat_invert(aug)))
 
 
-@dataclass
 class LduFactors:
     """Factors of M = (1 0; l 1)(d1 0; 0 d2)(1 u; 0 1) pivoted at (1,1)."""
 
-    l: SeriesMatrix   # (n-1) x 1
-    d1: TwistedSeries
-    d2: SeriesMatrix  # (n-1) x (n-1)
-    u: SeriesMatrix   # 1 x (n-1)
+    __slots__ = ("l", "d1", "d2", "u")
+
+    def __init__(self, l: SeriesMatrix, d1: TwistedSeries, d2: SeriesMatrix,
+                 u: SeriesMatrix):
+        self.l = l    # (n-1) x 1
+        self.d1 = d1
+        self.d2 = d2  # (n-1) x (n-1)
+        self.u = u    # 1 x (n-1)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.l, self.d1, self.d2, self.u)
+                == (other.l, other.d1, other.d2, other.u))
+
+    def __repr__(self):
+        return (f"LduFactors(l={self.l!r}, d1={self.d1!r}, d2={self.d2!r}, "
+                f"u={self.u!r})")
 
     def recompose(self) -> SeriesMatrix:
         """(d1, d1 u; l d1, l d1 u + d2), the product of the three factors."""

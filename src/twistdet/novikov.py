@@ -16,7 +16,6 @@ move_right on the word z^k, so z*b = xi^-1(b)*z here as in the series ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -208,22 +207,35 @@ def w1_invariant(u: NovikovSeries) -> CycLogVector:
     return cyc_log(u.base)
 
 
-@dataclass
 class OrbitCountReport:
     """Exact rationals per (z-degree n, twisted conjugacy class of G).
 
     Classes at degree n are orbits of g ~ h g xi^n(h^-1), keyed by the name
-    of the least element they contain.
+    of the least element they contain. Zero entries are dropped.
     """
 
-    order: int
-    group_name: str
-    twist_name: str
-    lefschetz: bool
-    entries: dict
+    __slots__ = ("order", "group_name", "twist_name", "lefschetz", "entries")
 
-    def __post_init__(self):
-        self.entries = {k: v for k, v in self.entries.items() if v != 0}
+    def __init__(self, order: int, group_name: str, twist_name: str,
+                 lefschetz: bool, entries: dict):
+        self.order = order
+        self.group_name = group_name
+        self.twist_name = twist_name
+        self.lefschetz = lefschetz
+        self.entries = {k: v for k, v in entries.items() if v != 0}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.order, self.group_name, self.twist_name, self.lefschetz,
+                 self.entries)
+                == (other.order, other.group_name, other.twist_name, other.lefschetz,
+                    other.entries))
+
+    def __repr__(self):
+        return (f"OrbitCountReport(order={self.order!r}, group_name={self.group_name!r}, "
+                f"twist_name={self.twist_name!r}, lefschetz={self.lefschetz!r}, "
+                f"entries={self.entries!r})")
 
     def is_zero(self) -> bool:
         return not self.entries

@@ -9,7 +9,8 @@ import jsonschema
 import pytest
 
 import twistdet
-from twistdet.cli import main
+from twistdet.cli import main, validate_job
+from twistdet.errors import ValidationError
 from twistdet.series import TwistedSeries
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
@@ -104,6 +105,16 @@ def test_endoclass_and_addcheck(capsys, ring_file):
                            json.dumps([["5"]]))
     assert code == 0
     assert json.loads(out)["equal"] is True
+    # at order 0, 1 - alpha*x is the identity and D is 1 for every alpha
+    code, out, _ = run_cli(capsys, "endoclass", "--ring", ring, "--order", "0",
+                           json.dumps([["2", "1"], ["0", "3"]]))
+    assert code == 0
+    assert json.loads(out) == {"op": "endoclass", "order": 0, "result": "1"}
+    code, out, _ = run_cli(capsys, "addcheck", "--ring", ring, "--order", "0",
+                           json.dumps([["2"]]), json.dumps([["3"]]),
+                           json.dumps([["5"]]))
+    assert code == 0
+    assert json.loads(out)["equal"] is True
 
 
 def test_novikov_report(capsys, ring_file):
@@ -166,6 +177,27 @@ def test_exit_code_1_on_bad_input(capsys, ring_file, tmp_path):
     # missing ring file
     code, _, err = run_cli(capsys, "inv", "--ring", str(tmp_path / "nope.json"), "1")
     assert code == 1
+    # an unwritable output path, given as --out or as a job's "out" field
+    job = tmp_path / "job.json"
+    for out_path in (tmp_path / "no" / "dir" / "x.json", tmp_path):
+        job.write_text(json.dumps({"op": "inv", "ring": QRING_DOC, "series": ["1"],
+                                   "out": str(out_path)}))
+        for argv in (["inv", "--ring", ring, "1", "--out", str(out_path)],
+                     ["run", str(job)]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1 and out == ""
+            assert json.loads(err)["error"]["type"] in ("FileNotFoundError",
+                                                         "IsADirectoryError")
+    # JSON nested too deeply: a ring file, an inline matrix, a job and a job field
+    deep = "[" * 100000 + "]" * 100000
+    deep_ring = tmp_path / "deep.json"
+    deep_ring.write_text(deep)
+    job.write_text('{"op": "det", "ring": %s, "matrix": %s}' % (json.dumps(QRING_DOC), deep))
+    for argv in (["inv", "--ring", str(deep_ring), "1"], ["det", "--ring", ring, deep],
+                 ["run", str(deep_ring)], ["run", str(job)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["message"].endswith("JSON nested too deeply")
     # usage errors: an unknown suite or flavor, a missing --ring
     for argv in (["selftest", "bogus"],
                  ["cgen", "--flavor", "nope", "--ring", ring, "1", "1"],
@@ -311,6 +343,40 @@ def test_cli_process_does_not_import_jsonschema(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_validate_job_rejects_nesting_too_deep_to_check():
+    # json.loads accepts a little more nesting than the validator can walk
+    deep = []
+    for _ in range(100000):
+        deep = [deep]
+    with pytest.raises(ValidationError, match="JSON nested too deeply"):
+        validate_job({"op": "det", "ring": QRING_DOC, "matrix": deep})
+
+
+@pytest.mark.parametrize("argv", [
+    ["inv", "--ring", "{ring}", '1+w("x")'],
+    ["ldu", "--ring", "{ring}", json.dumps([['1+w("x")', 'w("x")'], ['w("x")', "1"]])],
+    ["cgen", "--ring", "{ring}", 'w("x")', 'w("x")'],
+    ["cyclog", "--ring", "{ring}", '1+w("x")'],
+    ["novikov", "--ring", "{c2ring}", json.dumps({"degrees": {"0": "1", "1": "-1*g1"}})],
+])
+def test_cli_process_does_not_import_dataclasses(ring_file, argv):
+    # spawned as the benchmark spawns a job; -X importtime lists on stderr every
+    # module the process imports, including any imported while the job runs
+    rings = {"{ring}": ring_file(QRING_DOC),
+             "{c2ring}": ring_file({"coeff": {"kind": "group_algebra", "group": {
+                 "name": "C2", "table": [[0, 1], [1, 0]]}}, "alphabet": ["z"], "order": 3},
+                 name="c2.json")}
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(twistdet.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "twistdet.cli",
+                           *(rings.get(a, a) for a in argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {"twistdet.kgroup", "twistdet.matrices", "twistdet.novikov"} <= imported
+    assert not imported & {"dataclasses", "inspect", "jsonschema"}
 
 
 @pytest.mark.parametrize("job, names", [

@@ -6,10 +6,12 @@ import pytest
 from twistdet import (
     FLAVORS,
     AugmentationNotOne,
+    CGenerator,
     CycLogVector,
     FlavorViolated,
     NeedsTrace,
     NotInvertible,
+    RingMismatch,
     SeriesRing,
     c_generator,
     coset_probably_equal,
@@ -59,6 +61,13 @@ def test_flavor_conditions_enforced(qq):
         c_generator(x, x, flavor="b_unit")
     with pytest.raises(FlavorViolated):
         c_generator(x, x, flavor="no_such_flavor")
+    with pytest.raises(RingMismatch, match="different series rings"):
+        CGenerator(x, SeriesRing(qq, order=2).letter("x"))
+    g = CGenerator(a=x, b=x)
+    assert g == CGenerator(x, R.letter("x"), "ab_ba_in_kernel")
+    assert g != CGenerator(x, x, "ba_in_kernel")
+    with pytest.raises(TypeError):
+        hash(g)
 
 
 def test_fiber_violation_rejected(m2):
@@ -165,6 +174,8 @@ def test_cyc_log_vector_algebra():
     assert (v + w).entries == {("1", "xx"): F(2)}
     assert (v - v).is_zero()
     assert v.sorted_items() == [(("1", "x"), F(1))]
+    assert v == CycLogVector(3, {("1", "x"): F(1), ("1", "y"): F(0)})
+    assert v != CycLogVector(4, v.entries)
 
 
 def test_det_multiplicative_mod_c(free_yz):

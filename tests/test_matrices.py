@@ -37,6 +37,10 @@ def test_ldu_frozen_example(qq):
     assert poly(f.d1) == {0: F(1), 1: F(1)}
     assert poly(f.d2.entry(0, 0)) == {0: F(1), 1: F(1), 2: F(-1), 3: F(1)}
     assert f.recompose() == m
+    assert f == ldu_decompose(pivot_matrix(qq)[1])
+    assert f != ldu_decompose(SeriesMatrix.identity(R, 2))
+    with pytest.raises(TypeError):
+        hash(f)
 
 
 def test_dieudonne_frozen_example(qq):

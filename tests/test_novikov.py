@@ -7,6 +7,7 @@ from twistdet import (
     LeadingCoeffNotUnit,
     NotInWOne,
     NovikovSeries,
+    OrbitCountReport,
     SeriesRing,
     cyclic_group,
     nov_add,
@@ -257,6 +258,8 @@ def test_orbit_counts_frozen(qc2):
     lef = orbit_counts(u, lefschetz=True)
     assert lef.entries == {(1, "g1"): F(-1), (2, "g0"): F(-1),
                            (3, "g1"): F(-1)}
+    assert rep == OrbitCountReport(3, "C2", "id", False, {**rep.entries, (2, "g1"): F(0)})
+    assert rep != lef
 
 
 def test_orbit_counts_twisted_merges_classes(qc4):
