@@ -26,6 +26,7 @@ from .rings import (
     RationalField,
     RationalMatrixRing,
     TruncatedFreeAlgebra,
+    frac_str,
 )
 from .selftest import SUITE_NAMES
 from .series import SeriesRing, TwistedSeries
@@ -169,14 +170,14 @@ def novikov_to_doc(u: NovikovSeries) -> dict:
 def cyclog_to_doc(v: CycLogVector) -> dict:
     entries: dict = {}
     for (label, word), q in v.sorted_items():
-        entries.setdefault(word, {})[label] = str(q)
+        entries.setdefault(word, {})[label] = frac_str(q)
     return {"order": v.order, "entries": entries}
 
 
 def orbit_report_to_doc(r: OrbitCountReport) -> dict:
     entries: dict = {}
     for (n, label), q in r.sorted_items():
-        entries.setdefault(str(n), {})[label] = str(q)
+        entries.setdefault(str(n), {})[label] = frac_str(q)
     return {"order": r.order, "group": r.group_name, "twist": r.twist_name,
             "lefschetz": r.lefschetz, "entries": entries}
 

@@ -22,7 +22,7 @@ import re
 from fractions import Fraction
 
 from .errors import LiteralSyntaxError
-from .rings import RationalField, frac_from_str
+from .rings import RationalField, frac_from_str, frac_str
 from .series import SeriesRing, TwistedSeries
 
 _TOKEN = re.compile(r"""
@@ -130,14 +130,14 @@ def render_series(s: TwistedSeries) -> str:
             if A.is_one(c):
                 parts.append("1")
             else:
-                parts.append(str(c) if rational else f"[{A.element_to_literal(c)}]")
+                parts.append(frac_str(c) if rational else f"[{A.element_to_literal(c)}]")
         elif rational:
             if c == 1:
                 parts.append(word)
             elif c == -1:
                 parts.append(f"-{word}")
             else:
-                parts.append(f"{c}*{word}")
+                parts.append(f"{frac_str(c)}*{word}")
         elif A.is_one(c):
             parts.append(word)
         else:

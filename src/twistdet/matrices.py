@@ -132,18 +132,19 @@ class SeriesMatrix:
         if self.ncols != other.nrows:
             raise DimensionMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        return SeriesMatrix.dot(self.ring, ((self, other),))
+        return SeriesMatrix.sums(self.ring, [[(self, other)]])[0]
 
     @staticmethod
-    def dot(ring: SeriesRing, pairs) -> "SeriesMatrix":
-        """sum a*b over a nonempty list of (a, b) pairs of matrices of one
-        shape pair, in one kernel call: entry (i, j) sums every a_it * b_tj."""
-        first, second = pairs[0]
-        n, m = first.nrows, second.ncols
-        entries = sums_of_products(ring, [[(a.rows[i][t], b.rows[t][j])
-                                           for a, b in pairs for t in range(a.ncols)]
-                                          for i in range(n) for j in range(m)])
-        return SeriesMatrix(ring, [entries[i * m:(i + 1) * m] for i in range(n)])
+    def sums(ring: SeriesRing, sums: list) -> list:
+        """[sum of a*b over pairs, for pairs in sums], for nonempty lists of
+        (a, b) pairs of matrices of one shape pair each, in one kernel call:
+        entry (i, j) of a sum adds every a_it * b_tj."""
+        shapes = [(pairs[0][0].nrows, pairs[0][1].ncols) for pairs in sums]
+        entries = iter(sums_of_products(ring, [
+            [(a.rows[i][t], b.rows[t][j]) for a, b in pairs for t in range(a.ncols)]
+            for pairs, (n, m) in zip(sums, shapes) for i in range(n) for j in range(m)]))
+        return [SeriesMatrix(ring, [[next(entries) for _ in range(m)] for _ in range(n)])
+                for n, m in shapes]
 
 
 def augmentation_is_identity(m: SeriesMatrix) -> bool:
@@ -213,11 +214,13 @@ def ldu_decompose(m: SeriesMatrix) -> LduFactors:
         raise AugmentationNotIdentity("LDU needs augmentation equal to the identity")
     a11 = m.entry(0, 0)
     a11_inv = a11.inverse()
-    a12 = m.submatrix(slice(0, 1), slice(1, None))
     a21 = m.submatrix(slice(1, None), slice(0, 1))
     a22 = m.submatrix(slice(1, None), slice(1, None))
-    l = SeriesMatrix(m.ring, [[row[0] * a11_inv] for row in a21.rows])
-    u = SeriesMatrix(m.ring, [[a11_inv * e for e in a12.rows[0]]])
+    # the entries of l and u, one kernel call
+    lu = sums_of_products(m.ring, [[(row[0], a11_inv)] for row in a21.rows]
+                          + [[(a11_inv, e)] for e in m.rows[0][1:]])
+    l = SeriesMatrix(m.ring, [[e] for e in lu[:m.nrows - 1]])
+    u = SeriesMatrix(m.ring, [lu[m.nrows - 1:]])
     d2 = a22 - a21 * u
     return LduFactors(l=l, d1=a11, d2=d2, u=u)
 

@@ -15,18 +15,23 @@ document layers call:
   and `invert` on elements;
 - the Z-linear view: `clear` turns a list of values into integer vectors
   over one shared denominator, `dot` computes the integer vector of a sum
-  of products sum_i x_i * y_i, and `rebuild` turns a vector and a
-  denominator back into one value;
+  of products sum_i x_i * y_i, and `rebuild` (for dot's vectors) and
+  `unclear` (for clear's) turn a vector and a denominator back into one
+  value;
 - `emat_identity`, `emat_mul`, `mat_is_invertible` and `mat_invert` on
   square matrices (tuples of rows) of elements;
 - `random_element`, `random_unit` and `random_central` for sampling;
 - `element_to_literal` and `parse_element_literal`, the only way elements
-  are read and written;
+  are read and written (rationals through `frac_str` and `frac_from_str`,
+  which also handle integers past Python's int-string digit limit: written
+  exactly, refused by name when read);
 - `automorphisms`/`automorphism(name)`, the registry of named automorphisms
   (each with its registered inverse) usable as letter twists. It is the one
   record of a ring's twists: `twists()` lists the registered forward
   automorphisms' `RingAutomorphism.data`, which `signature()` (ring
-  equality) and the ring's document form read.
+  equality) and the ring's document form read. Each automorphism is defined
+  once, by an integer action on the Z-linear view below and a fixed
+  denominator factor.
 
 Rings represented over Q share two bases. `_RepresentedRing` (Q, M_k(Q)
 and Q[G]) decides invertible matrices over the ring by the determinant of
@@ -40,16 +45,23 @@ Values stay Fractions; every product works on integers, through the view
 denominator). Z/m has denominator 1 and reduces mod m once per output
 entry; Q's vector is the numerator, M_k(Q)'s the k*k entries row by row,
 Q[G]'s a |G|-vector multiplied through the group table and Q<gens>/deg>N's a
-sparse word vector. `mul` of M_k(Q), Q[G] and Q<gens>/deg>N, the conjugation
-twists of M_k(Q), `emat_mul` and the series kernel (series.py) all multiply
-this way, with one `rebuild` per output entry. Every inverse, over Q,
-M_k(Q), Q[G] and Z/m, is one `fraction_free` elimination.
+sparse word vector. `mul` of M_k(Q), Q[G] and Q<gens>/deg>N, `emat_mul` and
+the series kernel (series.py) all multiply this way, with one `rebuild` per
+output entry. Automorphisms act on the view too: an M_k(Q) conjugation by P
+is one precomputed k*k x k*k integer matrix (a -> N a adj(N) for N = d P
+integral, factor |det N|), and a permutation of Q[G] or Q<gens>/deg>N
+relabels the (key, integer) pairs (factor 1). The series kernel moves
+cleared vectors with these actions; `RingAutomorphism.apply` is clear, act
+and `unclear`. Every inverse, over Q, M_k(Q), Q[G] and Z/m, is one
+`fraction_free` elimination.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -61,7 +73,29 @@ def frac_from_str(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise LiteralSyntaxError(f"bad rational literal {text!r}") from exc
+        raise _bad_literal("rational", text) from exc
+
+
+def _bad_literal(kind: str, text: str) -> LiteralSyntaxError:
+    """The error for a `kind` literal that does not convert. It shows at most
+    80 characters of the text, and names Python's limit on int-string
+    conversion (sys.get_int_max_str_digits) when the text has more digits."""
+    shown = repr(text) if len(text) <= 80 else f"{text[:80]!r}... ({len(text)} characters)"
+    limit = sys.get_int_max_str_digits()
+    if limit and sum(map(str.isdigit, text)) > limit:
+        return LiteralSyntaxError(f"{kind} literal {shown} has more than {limit} digits, "
+                                  "the limit of int-string conversion")
+    return LiteralSyntaxError(f"bad {kind} literal {shown}")
+
+
+def frac_str(q: Fraction) -> str:
+    """str(q), also for numerators and denominators past the int-string
+    digit limit (written through Decimal, which has none)."""
+    try:
+        return str(q)
+    except ValueError:
+        num, den = (str(Decimal(x)) for x in (q.numerator, q.denominator))
+        return num if den == "1" else f"{num}/{den}"
 
 
 def sum_by_key(pairs) -> dict:
@@ -74,25 +108,29 @@ def sum_by_key(pairs) -> dict:
 
 
 class RingAutomorphism:
-    """A named ring automorphism with a registered inverse."""
+    """A named ring automorphism with a registered inverse, defined once by an
+    integer action on its ring's Z-linear view: `act` maps a vector from
+    `clear` to the vector of the image, which stands over `factor` times the
+    vector's denominator (a fixed positive integer). `apply` is clear, act
+    and `unclear`; the series kernel moves cleared vectors with `act` alone.
+    `data` is the automorphism's defining data, as signatures read it."""
 
-    def __init__(self, name: str, fn: Callable, data: tuple):
+    def __init__(self, ring: "CoeffRing", name: str, data: tuple, act: Callable,
+                 factor: int = 1):
+        self.ring = ring
         self.name = name
-        self._fn = fn
         self.data = data
-        self.inverse: "RingAutomorphism" = self  # fixed up by _pair
+        self.act = act
+        self.factor = factor
+        self.inverse: "RingAutomorphism" = self  # fixed up by _register_pair
 
     def apply(self, a):
-        return self._fn(a)
+        ring = self.ring
+        (vec,), den = ring.clear((a,))
+        return ring.unclear(self.act(vec), den * self.factor)
 
     def __repr__(self):
         return f"RingAutomorphism({self.name})"
-
-
-def _pair(fwd: RingAutomorphism, bwd: RingAutomorphism):
-    fwd.inverse = bwd
-    bwd.inverse = fwd
-    return fwd, bwd
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +262,8 @@ class CoeffRing:
     contains_rationals: bool = False
 
     def __init__(self):
-        self.automorphisms: dict[str, RingAutomorphism] = {}
-        ident = RingAutomorphism("id", lambda a: a, ("id",))
-        self.automorphisms["id"] = ident
+        self.automorphisms: dict[str, RingAutomorphism] = {
+            "id": RingAutomorphism(self, "id", ("id",), lambda vec: vec)}
 
     # -- registry ----------------------------------------------------------
     def automorphism(self, name: str) -> RingAutomorphism:
@@ -236,15 +273,16 @@ class CoeffRing:
             raise LiteralSyntaxError(
                 f"ring {self.name} has no automorphism named {name!r}") from None
 
-    def _register_pair(self, name, fn, data, inv_name, inv_fn, inv_data):
+    def _register_pair(self, name, data, act, factor, inv_data, inv_act, inv_factor):
+        """Register `name` and its inverse `name^-1` from their view actions."""
         if name == "id":
             # every layer reads a twist named "id" as the identity
             raise ValueError("'id' names the identity automorphism")
-        fwd = RingAutomorphism(name, fn, data)
-        bwd = RingAutomorphism(inv_name, inv_fn, inv_data)
-        _pair(fwd, bwd)
-        self.automorphisms[name] = fwd
-        self.automorphisms[inv_name] = bwd
+        fwd = RingAutomorphism(self, name, data, act, factor)
+        bwd = RingAutomorphism(self, name + "^-1", inv_data, inv_act, inv_factor)
+        fwd.inverse, bwd.inverse = bwd, fwd
+        self.automorphisms[fwd.name] = fwd
+        self.automorphisms[bwd.name] = bwd
         return fwd
 
     def twists(self) -> tuple:
@@ -295,7 +333,17 @@ class CoeffRing:
         raise NotImplementedError
 
     def rebuild(self, vec, den: int):
-        """The value vec / den."""
+        """The value vec / den, for a vector from dot."""
+        raise NotImplementedError
+
+    def unclear(self, vec, den: int):
+        """The value vec / den, for a vector from clear (or an automorphism's
+        action on one); it is rebuild wherever dot and clear share a form."""
+        return self.rebuild(vec, den)
+
+    def scale_vector(self, vec, s: int):
+        """s * vec for a vector from clear. Only a twist whose factor is not 1
+        (an M_k(Q) conjugation) ever needs it."""
         raise NotImplementedError
 
     def _view_mul(self, a, b):
@@ -452,7 +500,7 @@ class RationalField(_RepresentedRing):
         return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
 
     def element_to_literal(self, a):
-        return str(a)
+        return frac_str(a)
 
     def parse_element_literal(self, text):
         return frac_from_str(text)
@@ -529,7 +577,7 @@ class IntegersMod(CoeffRing):
         try:
             return int(text.strip()) % self.modulus
         except ValueError as exc:
-            raise LiteralSyntaxError(f"bad Z/m literal {text!r}") from exc
+            raise _bad_literal("Z/m", text) from exc
 
     def signature(self):
         return ("zmod", self.modulus)
@@ -562,18 +610,21 @@ class RationalMatrixRing(_RepresentedRing):
         pinv = frac_mat_invert(p)
         if pinv is None:
             raise ValueError("conjugating matrix must be invertible")
-        return self._register_pair(name, self._conjugation(p, pinv), ("conj", _mat_key(p)),
-                                   name + "^-1", self._conjugation(pinv, p),
-                                   ("conj", _mat_key(pinv)))
+        return self._register_pair(name, ("conj", _mat_key(p)), *self._conjugation(p),
+                                   ("conj", _mat_key(pinv)), *self._conjugation(pinv))
 
-    def _conjugation(self, p, pinv) -> Callable:
-        """a -> p a pinv as one integer triple product, p and pinv cleared once."""
-        (np_, nq), d = self.clear((p, pinv))
-
-        def conj(a):
-            (na,), da = self.clear((a,))
-            return self.rebuild(self.dot((self.dot((np_,), (na,)),), (nq,)), d * da * d)
-        return conj
+    def _conjugation(self, p) -> tuple:
+        """(act, factor) of a -> p a p^-1 on the view. With N = d p integral,
+        p a p^-1 = N a adj(N) / det N: act is one precomputed k*k x k*k integer
+        matrix applied to a's entries, and factor is |det N| (the sign of
+        det N goes into the matrix)."""
+        k = self.size
+        n = _clear(p)[0]
+        det, adj = fraction_free(n)
+        sign = 1 if det > 0 else -1
+        rows = [[sign * n[r][i] * adj[j][c] for i in range(k) for j in range(k)]
+                for r in range(k) for c in range(k)]
+        return (lambda vec: [sum(map(operator.mul, row, vec)) for row in rows]), abs(det)
 
     def add(self, a, b):
         return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
@@ -604,6 +655,9 @@ class RationalMatrixRing(_RepresentedRing):
         k = self.size
         return tuple(tuple(Fraction(x, den) for x in vec[r:r + k]) for r in range(0, k * k, k))
 
+    def scale_vector(self, vec, s):
+        return [x * s for x in vec]
+
     def is_zero(self, a):
         return not any(map(any, a))
 
@@ -627,7 +681,7 @@ class RationalMatrixRing(_RepresentedRing):
                            for _ in range(self.size)) for _ in range(self.size))
 
     def element_to_literal(self, a):
-        return ";".join(",".join(str(x) for x in row) for row in a)
+        return ";".join(",".join(map(frac_str, row)) for row in a)
 
     def parse_element_literal(self, text):
         rows = [part.split(",") for part in text.split(";")]
@@ -641,7 +695,7 @@ class RationalMatrixRing(_RepresentedRing):
 
 
 def _mat_key(rows) -> tuple:
-    return tuple(tuple(str(x) for x in row) for row in rows)
+    return tuple(tuple(map(frac_str, row)) for row in rows)
 
 
 class _BasisAlgebra(CoeffRing):
@@ -664,14 +718,18 @@ class _BasisAlgebra(CoeffRing):
         return tuple((k, acc[k]) for k in sorted(acc, key=self._sort_key))
 
     def _register_permutation(self, name, perm, tag, move) -> RingAutomorphism:
-        """Register perm (and its inverse) acting on keys by move(perm, key)."""
+        """Register perm (and its inverse) relabelling the keys of a cleared
+        vector by move(perm, key), with factor 1."""
         inv = [0] * len(perm)
         for i, p in enumerate(perm):
             inv[p] = i
         inv = tuple(inv)
         return self._register_pair(
-            name, lambda a, p=perm: self._canon((move(p, k), c) for k, c in a), (tag, perm),
-            name + "^-1", lambda a, p=inv: self._canon((move(p, k), c) for k, c in a), (tag, inv))
+            name, (tag, perm), lambda vec, p=perm: [(move(p, k), c) for k, c in vec], 1,
+            (tag, inv), lambda vec, p=inv: [(move(p, k), c) for k, c in vec], 1)
+
+    def unclear(self, vec, den):
+        return self._canon((k, Fraction(c, den)) for k, c in vec)
 
     def add(self, a, b):
         return self._canon(a + b)
@@ -712,13 +770,13 @@ class _BasisAlgebra(CoeffRing):
         for k, c in a:
             name = self._key_name(k)
             if not name:
-                term = str(c)
+                term = frac_str(c)
             elif c == 1:
                 term = name
             elif c == -1:
                 term = f"-{name}"
             else:
-                term = f"{c}*{name}"
+                term = f"{frac_str(c)}*{name}"
             parts.append(term)
         return "+".join(parts).replace("+-", "-")
 

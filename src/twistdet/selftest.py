@@ -19,6 +19,7 @@ trace formula -sum_k tr(alpha^k)/k x^k.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -61,6 +62,7 @@ from .randgen import (
     random_unit,
 )
 from .rings import (
+    FiniteGroup,
     GroupAlgebra,
     IntegersMod,
     RationalField,
@@ -119,6 +121,20 @@ def qc4_inv() -> GroupAlgebra:
 def free_yz(max_degree=2) -> TruncatedFreeAlgebra:
     ring = TruncatedFreeAlgebra(("y", "z"), max_degree)
     ring.register_generator_permutation("flip", [1, 0])
+    return ring
+
+def m3_cyclic() -> RationalMatrixRing:
+    ring = RationalMatrixRing(3)
+    ring.register_conjugation("cyc", [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    return ring
+
+def qs3_conj() -> GroupAlgebra:
+    """Q[S3] twisted by conjugation with a 3-cycle, an automorphism of order 3."""
+    perms = sorted(itertools.permutations(range(3)))
+    table = [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms] for p in perms]
+    ring = GroupAlgebra(FiniteGroup(table, name="S3"))
+    t, t_inv = perms.index((1, 2, 0)), perms.index((2, 0, 1))
+    ring.register_group_automorphism("conj", [table[table[t][g]][t_inv] for g in range(6)])
     return ring
 
 
@@ -323,6 +339,28 @@ def _nov_twist_convention(R, rng):
     return (is_constant(nov_mul(z_inv, az), xi.apply(a))
             and is_constant(nov_mul(z, az_inv), xi.inverse.apply(a)))
 
+def _twist_definition(A, rng, name):
+    # the automorphism against its defining data (RingAutomorphism.data), not
+    # its view action: a conjugation by P is P a P^-1 through A.mul and
+    # A.invert; a permutation sends each basis key where its data says, and a
+    # random element by linearity; each direction undoes the other
+    xi, a = A.automorphism(name), A.random_element(rng)
+    tag, spec = xi.data
+    if tag == "conj":
+        p = tuple(tuple(Fraction(x) for x in row) for row in spec)
+        keys_ok, expect = True, A.mul(A.mul(p, a), A.invert(p))
+    else:
+        if tag == "gperm":
+            keys, move = range(A.group.order), spec.__getitem__
+        else:
+            keys, move = A.all_words(), lambda w: tuple(spec[i] for i in w)
+        one = Fraction(1)
+        keys_ok = all(xi.apply(((k, one),)) == ((move(k), one),) for k in keys)
+        expect = A.zero
+        for k, c in a:
+            expect = A.add(expect, ((move(k), c),))
+    return keys_ok and xi.apply(a) == expect and xi.inverse.apply(xi.apply(a)) == a
+
 def _w1_additivity(R, rng):
     u, v = NovikovSeries(random_fiber_one(R, rng)), NovikovSeries(random_fiber_one(R, rng))
     return w1_invariant(nov_mul(u, v)) == w1_invariant(u) + w1_invariant(v)
@@ -504,6 +542,13 @@ _add("novikov", "novikov-twist-convention", "z^-1*(a z) == xi(a), z*(a z^-1) == 
      _nov_twist_convention, _NOV_P, min_order=3)
 _add("novikov", "inverse-roundtrip", "u*inv(u) == 1 on the window", _nov_roundtrip, _NOV_P,
      shapes=tuple((s, c) for c in ("unit", "one") for s in (0, 1, 2)), min_order=3)
+
+for _tag, _build, _name in (("M2(Q):swap", m2_swap, "swap"), ("M2(Q):p", m2_nonintegral, "p"),
+                            ("M3(Q):cyc", m3_cyclic, "cyc"), ("Q[C4]:inv", qc4_inv, "inv"),
+                            ("Q[S3]:conj", qs3_conj, "conj"), ("Q<y,z>:flip", free_yz, "flip")):
+    _add("rings", "twist-definition",
+         "xi(a) == P a P^-1, or xi permutes the basis keys; xi^-1(xi(a)) == a",
+         _twist_definition, [(_tag, coeffs(_build))], shapes=((_name,), (_name + "^-1",)))
 
 SUITE_NAMES = ("rings", "ldu", "dieudonne-commutative", "cgroup", "cyclog",
                "novikov", "all")

@@ -17,11 +17,13 @@ value is rebuilt once. The right operand's terms are sorted by word length,
 so a left word's inner loop ends at the first pair that would overshoot the
 order. A word's move depends only on its twist key, the ids of its twisted
 letters (letters sharing an automorphism share an id): untwisted words move
-nothing, and within one call each (key, right word) is moved once, reusing
-the move of the key's suffix, and only if it fits under the order. A series
-product, a whole series-matrix product, each degree of an inverse (of a
-series or a series matrix) and each step of Horner's rule for log/exp are
-one call of this kernel each.
+nothing, and within one call each (key, right word) is moved once, as an
+integer vector through the twists' view actions (rings.RingAutomorphism),
+reusing the move of the key's suffix, and only if it fits under the order.
+A series product, a whole series-matrix product, all the products
+-inv0 * part that start an inverse (of a series or a series matrix), each
+degree of that inverse, all the entries of l and u in an LDU split and each
+step of Horner's rule for log/exp are one call of this kernel each.
 
 The augmentation eps reads off the empty-word coefficient; it is a ring map
 onto A with section lift(). A series is invertible exactly when eps of it is
@@ -64,22 +66,22 @@ class SeriesRing:
         if stray:
             raise ValueError(f"twist names letters not in the alphabet: {stray}")
         names = tuple(twist.get(a, "id") for a in alphabet)
+        # Twist keys for the product: each twisted letter maps to an id, and
+        # letters twisted by one automorphism share it; _inverse_twists[id]
+        # is that automorphism's inverse.
+        ids = {n: k for k, n in enumerate(dict.fromkeys(n for n in names if n != "id"))}
+        self._inverse_twists = tuple(coeff.automorphism(n).inverse for n in ids)
         self.coeff = coeff
         self.alphabet = alphabet
         self.twist_names = names
         self.order = order
         self.letters_commute = bool(letters_commute)
-        self._autos = tuple(coeff.automorphism(n) for n in names)
         if self.letters_commute and any(n != "id" for n in names):
             raise ValueError("commuting letters require identity twists")
         self._letter_index = {a: i for i, a in enumerate(alphabet)}
-        # Twist keys for the product: each twisted letter maps to an id, and
-        # letters twisted by one automorphism share it; _inverse_twists[id]
-        # is that automorphism's inverse.
-        ids = {n: k for k, n in enumerate(dict.fromkeys(n for n in names if n != "id"))}
         self._twist_ids = {i: ids[n] for i, n in enumerate(names) if n != "id"}
-        self._inverse_twists = tuple(coeff.automorphism(n).inverse for n in ids)
         self._infos: dict[tuple, tuple] = {}
+        self._key_factors: dict[tuple, int] = {}
 
     # -- identity ------------------------------------------------------------
     def signature(self) -> tuple:
@@ -133,7 +135,8 @@ class SeriesRing:
     def _word_info(self, word: tuple) -> tuple:
         """(code, scale, twist key) of a word, memoized. The code is an integer
         that names the word (its normal form, if letters commute), and
-        code(v + w) = code(v) * scale(w) + code(w)."""
+        code(v + w) = code(v) * scale(w) + code(w). It also records the key's
+        factor in _key_factors: the product of its inverse twists' factors."""
         info = self._infos.get(word)
         if info is None:
             if self.letters_commute:  # exponents, in base order + 1
@@ -143,41 +146,31 @@ class SeriesRing:
                 for i in word:
                     code = code * base + i + 1
                 scale = base ** len(word)
-            info = self._infos[word] = (code, scale, self.twist_key(word))
+            key = self.twist_key(word)
+            if key not in self._key_factors:
+                self._key_factors[key] = math.prod(self._inverse_twists[j].factor for j in key)
+            info = self._infos[word] = (code, scale, key)
         return info
 
     def move_left(self, word: tuple, b):
         """Coefficient b moved from the right of `word` to its left.
 
-        Applies the inverse twist automorphisms of the letters right-to-left,
-        per x * b = xi_x^{-1}(b) * x.
+        Applies the inverse twist automorphisms of the twisted letters
+        right-to-left, per x * b = xi_x^{-1}(b) * x.
         """
-        for i in reversed(word):
-            b = self._autos[i].inverse.apply(b)
+        twists = self._inverse_twists
+        for j in reversed(self.twist_key(word)):
+            b = twists[j].apply(b)
         return b
-
-    def _move_keyed(self, key: tuple, w: tuple, b, memo: dict):
-        """move_left(v, b) for every word v whose twist key is the nonempty `key`.
-
-        b is the coefficient of a right operand's word w, so (key, w) names
-        the result for that operand (`memo` is the operand's own). Since move_left(v, b) is
-        xi_{v0}^-1(move_left(v[1:], b)), each suffix of the key costs one
-        automorphism per w, and `memo` keeps them all.
-        """
-        moved = memo.get((key, w))
-        if moved is None:
-            rest = key[1:]
-            inner = self._move_keyed(rest, w, b, memo) if rest else b
-            moved = memo[key, w] = self._inverse_twists[key[0]].apply(inner)
-        return moved
 
     def move_right(self, word: tuple, a):
         """Coefficient a moved from the left of `word` to its right.
 
         Inverse of move_left: a * w = w * move_right(w, a).
         """
-        for i in word:
-            a = self._autos[i].apply(a)
+        twists = self._inverse_twists
+        for j in self.twist_key(word):
+            a = twists[j].inverse.apply(a)
         return a
 
     # -- constructors ---------------------------------------------------------
@@ -299,9 +292,10 @@ class TwistedSeries:
         return sums_of_products(self.ring, [[(self, other)]])[0]
 
     @staticmethod
-    def dot(R: SeriesRing, pairs) -> "TwistedSeries":
-        """sum s*t over the (s, t) pairs of series of R, in one kernel call."""
-        return sums_of_products(R, [pairs])[0]
+    def sums(R: SeriesRing, sums: list) -> list:
+        """[sum of s*t over pairs, for pairs in sums], for lists of (s, t)
+        series of R, in one kernel call."""
+        return sums_of_products(R, sums)
 
     def power(self, k: int) -> "TwistedSeries":
         if k < 0:
@@ -341,13 +335,18 @@ def sums_of_products(R: SeriesRing, sums: list, top=None) -> list:
     at degree `top` (at most, and by default, R.order).
 
     Every operand is cleared once, all of them by one `A.clear` to integer
-    vectors over one denominator d: the left ones as they are, the right ones
-    moved leftward past every twist key of the left words they meet (one
-    `_move_keyed` memo per operand), for the words that fit only. The pairs'
+    vectors over one denominator d: the left ones for the words that fit, the
+    right ones whole. A right vector is then moved leftward past every twist
+    key of the left words it meets, if its word fits under that key, by the
+    view actions (`act`) of the key's inverse twists: one memo per operand
+    keeps the move through each suffix of a key, and no moved value is ever
+    built. A move through key K stands over d * F_K, F_K the product of its
+    twists' factors, so the right vectors are scaled to d * L, L the lcm of
+    the F_K met (1 unless a twist has a factor other than 1). The pairs'
     vectors are gathered per output word, named by its `_word_info` code, and
-    each output word's value is one `A.dot` and one `A.rebuild` over d*d.
-    For a left word v the inner loop stops at the first right word w with
-    |v| + |w| > top.
+    each output word's value is one `A.dot` and one `A.rebuild` over
+    d * d * L. For a left word v the inner loop stops at the first right word
+    w with |v| + |w| > top.
     """
     A, info = R.coeff, R._word_info
     top = R.order if top is None else top
@@ -358,6 +357,7 @@ def sums_of_products(R: SeriesRing, sums: list, top=None) -> list:
     values: list = []
     left: dict = {}
     need: dict = {}
+    seen: dict = {}  # every key a left word has
     for pairs in sums:
         for s, t in pairs:
             entry = left.get(id(s))
@@ -372,39 +372,53 @@ def sums_of_products(R: SeriesRing, sums: list, top=None) -> list:
                         if reach.get(key, -1) < room:
                             reach[key] = room
                 entry = left[id(s)] = (rows, reach)
+                seen.update(reach)
             keys = need.setdefault(id(t), (t, {}))[1]
             for key, room in entry[1].items():
                 if keys.get(key, -1) < room:
                     keys[key] = room
-    nleft, plan = len(values), []
-    for i, (t, keys) in need.items():
-        terms, memo = t.terms, {}
-        words = sorted(terms, key=len)
-        for key, room in keys.items():
-            fit = [w for w in words if len(w) <= room]
-            if key:
-                values += [R._move_keyed(key, w, terms[w], memo) for w in fit]
-            else:
-                values += map(terms.__getitem__, fit)
-            plan.append((i, key, fit))
+    # then every word of each right operand, shortest first
+    spans = []
+    for t, _ in need.values():
+        words = sorted(t.terms, key=len)
+        spans.append((words, len(values)))
+        values += map(t.terms.__getitem__, words)
     vecs, d = A.clear(values)
-    it = iter(vecs[nleft:])
-    right: dict = {i: {} for i in need}
-    for i, key, fit in plan:
-        rows = right[i][key] = []
-        for w, b in zip(fit, it):
-            code, scale, _ = info(w)
-            rows.append((len(w), w, scale, code, b))
-    dot, rebuild, is_zero, den = A.dot, A.rebuild, A.is_zero, d * d
+    twists, factor = R._inverse_twists, R._key_factors
+    scale = math.lcm(*map(factor.__getitem__, seen))
+    # a right operand's rows (|w|, w, scale, code, vector) under each key
+    right: dict = {}
+    for (i, (_, keys)), (words, start) in zip(need.items(), spans):
+        rows = []
+        for w, b in zip(words, vecs[start:start + len(words)]):
+            cw, sw, _ = info(w)
+            rows.append((len(w), w, sw, cw, b))
+        memo, by_key = {}, {}
+        right[i] = by_key
+        for key, room in keys.items():
+            times = scale // factor[key]
+            if times == 1 and not key:
+                by_key[key] = rows
+                continue
+            moved = by_key[key] = []
+            for lw, w, sw, cw, b in rows:
+                if lw > room:
+                    break
+                if key:
+                    b = _move(twists, key, w, b, memo)
+                if times != 1:
+                    b = A.scale_vector(b, times)
+                moved.append((lw, w, sw, cw, b))
+    dot, rebuild, is_zero, den = A.dot, A.rebuild, A.is_zero, d * d * scale
     commute = R.letters_commute
     results = []
     for pairs in sums:
         gathered: dict = {}
         for s, t in pairs:
-            moved = right[id(t)]
+            by_key = right[id(t)]
             for v, cv, room, key, ia in left[id(s)][0]:
                 a = vecs[ia]
-                for lw, w, sw, cw, b in moved[key]:
+                for lw, w, sw, cw, b in by_key[key]:
                     if lw > room:
                         break
                     code = cv * sw + cw
@@ -424,21 +438,34 @@ def sums_of_products(R: SeriesRing, sums: list, top=None) -> list:
     return results
 
 
+def _move(twists, key: tuple, w: tuple, b, memo: dict):
+    """The vector b of a right word w moved leftward past the nonempty twist
+    key: the view actions of the key's inverse twists, last letter first.
+    Since the move through key is twists[key[0]] after the move through
+    key[1:], `memo` (the operand's own) keeps every suffix's move."""
+    vec = memo.get((key, w))
+    if vec is None:
+        rest = key[1:]
+        vec = memo[key, w] = twists[key[0]].act(_move(twists, rest, w, b, memo) if rest else b)
+    return vec
+
+
 def graded_inverse(parts: list, inv0):
     """The inverse of x = sum(parts), parts[d] of degree d, from inv0 = parts[0]^-1.
 
     Its components are out[0] = inv0 and
     out[d] = -inv0 * sum_{k=1..d} parts[k]*out[d-k], so x * sum(out) = 1; in a
-    ring local over the augmentation this right inverse is two-sided. With
-    q[k] = -inv0 * parts[k], out[d] is one `dot` (of series or of series
-    matrices) over the pairs (q[k], out[d-k]). The total is accumulated into
-    inv0, which must be the caller's own.
+    ring local over the augmentation this right inverse is two-sided. The
+    products q[k] = -inv0 * parts[k] are one call of the kernel (through the
+    `sums` of series or of series matrices), and each out[d] is one more,
+    over the pairs (q[k], out[d-k]). The total is accumulated into inv0,
+    which must be the caller's own.
     """
-    dot, neg0 = type(inv0).dot, -inv0
-    q = [None] + [neg0 * part for part in parts[1:]]
+    sums, ring, neg0 = type(inv0).sums, inv0.ring, -inv0
+    q = [None] + sums(ring, [[(neg0, part)] for part in parts[1:]])
     out = [inv0]
     for d in range(1, len(parts)):
-        out.append(dot(inv0.ring, [(q[k], out[d - k]) for k in range(1, d + 1)]))
+        out.append(sums(ring, [[(q[k], out[d - k]) for k in range(1, d + 1)]])[0])
     for part in out[1:]:
         inv0._add_in_place(part)
     return inv0

@@ -210,6 +210,30 @@ def test_exit_code_1_on_bad_input(capsys, ring_file, tmp_path):
     assert exc.value.code == 0
 
 
+def test_integers_past_the_int_string_digit_limit(capsys, qring, ring_file):
+    # Python refuses to convert ints of more than `limit` digits to or from
+    # str. An exact result that long is still printed; a literal that long is
+    # refused by name, and its message shows only the literal's start.
+    limit = sys.get_int_max_str_digits()
+    digits = limit - 1
+    n = "9" * digits
+    code, out, err = run_cli(capsys, "mul", "--ring", qring, n, n)
+    assert code == 0 and err == ""
+    # (10^k - 1)^2 = 9...98 0...01
+    assert json.loads(out)["result"] == "9" * (digits - 1) + "8" + "0" * (digits - 1) + "1"
+    z12 = ring_file({"coeff": {"kind": "int_mod", "modulus": 12}, "order": 2}, "z12.json")
+    m2 = ring_file({"coeff": {"kind": "matrix", "size": 2}, "order": 2}, "m2.json")
+    long = "9" * (limit + 700)
+    for ring, literal in ((qring, long), (qring, f"[{long}]"), (qring, f"1/{long}"),
+                          (z12, f"[{long}]"), (m2, f"[1,{long};0,1]")):
+        code, out, err = run_cli(capsys, "mul", "--ring", ring, literal, "1")
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "LiteralSyntaxError"
+        assert f"more than {limit} digits" in error["message"]
+        assert len(error["message"]) < 200 and "9" * 81 not in error["message"]
+
+
 @pytest.mark.parametrize("ring, error_type, fragment", [
     # jsonschema counts an integral float as an integer; twistdet does not
     ({"coeff": {"kind": "rational"}, "order": 3.0}, "ValidationError",

@@ -10,20 +10,25 @@ from twistdet import (
     AugmentationNotUnit,
     IntegersMod,
     NeedsRationalCoefficients,
+    RingAutomorphism,
     RingMismatch,
     SeriesMatrix,
     SeriesRing,
     TwistedSeries,
     formal_exp,
     formal_log,
+    ldu_decompose,
     mat_invert,
 )
+from twistdet import matrices as matrices_module
+from twistdet import series as series_module
 from twistdet.randgen import (
     random_fiber_one,
     random_invertible_matrix,
     random_kernel,
     random_kernel_matrix,
     random_series,
+    random_unipotent_matrix,
     random_unit,
 )
 from twistdet.selftest import free_yz, m2_nonintegral, m2_two_twists, qc4_inv
@@ -334,18 +339,64 @@ def _forbidden(*args):
 
 
 def test_kernel_makes_no_per_pair_ring_calls(monkeypatch, qq, m2, m2_two_twists):
+    # nor does it apply an automorphism to a value: twisted coefficients move
+    # as integer vectors (over M2(Q):swap, :shear and :p, Q[C4]:inv and
+    # Q<y,z>:flip among the kernel rings)
     rng = random.Random(23)
     for R in kernel_rings(qq, m2, m2_two_twists):
         A = R.coeff
         s, t = dense_series(R, rng, R.order), dense_series(R, rng, R.order)
         u = R.lift(A.random_unit(rng)) + dense_kernel(R, rng)
         a, b = random_kernel_matrix(R, rng, 2, 2, 3), random_kernel_matrix(R, rng, 2, 2, 3)
+        m = random_invertible_matrix(R, rng, 2)
         expected = (ref_mul(s, t), ref_mat_mul(a, b))
         monkeypatch.setattr(A, "mul", _forbidden)
         monkeypatch.setattr(A, "add", _forbidden)
+        monkeypatch.setattr(RingAutomorphism, "apply", _forbidden)
         assert (s * t, a * b) == expected
-        u.inverse()
+        inv, m_inv = u.inverse(), mat_invert(m)
         monkeypatch.undo()
+        assert ref_mul(u, inv) == R.one() and ref_mat_mul(m, m_inv) == SeriesMatrix.identity(R, 2)
+
+
+def count_kernel_calls(monkeypatch):
+    """A list that gets one entry per call of the kernel, through series.py's
+    name for it and through the one matrices.py imports."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+    kernel = series_module.sums_of_products
+    monkeypatch.setattr(series_module, "sums_of_products", counted)
+    monkeypatch.setattr(matrices_module, "sums_of_products", counted)
+    return calls
+
+
+@pytest.mark.parametrize("order", [0, 1, 4, 7])
+def test_inverse_makes_one_kernel_call_per_degree_and_one_more(monkeypatch, m2, order):
+    # all the products -inv0 * part are one call, then one call per degree;
+    # for series and for series matrices alike
+    rng = random.Random(order)
+    R = SeriesRing(m2, alphabet=("x", "y"), twist={"x": "swap"}, order=order)
+    u, m = random_unit(R, rng, terms=6), random_invertible_matrix(R, rng, 3)
+    calls = count_kernel_calls(monkeypatch)
+    u.inverse()
+    assert len(calls) == order + 1
+    del calls[:]
+    mat_invert(m)
+    assert len(calls) == order + 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_ldu_computes_l_and_u_in_one_kernel_call(monkeypatch, qq, n):
+    R = SeriesRing(qq, alphabet=("x", "y"), order=3)
+    m = random_unipotent_matrix(R, random.Random(n), n)
+    calls = count_kernel_calls(monkeypatch)
+    ldu_decompose(m)
+    # the inverse of the pivot (order + 1 calls), then l and u, then d2
+    assert len(calls) == R.order + 1 + 2
+    assert len(calls[-2][1]) == 2 * (n - 1)
 
 
 def test_letters_sharing_a_twist_share_a_key(m2, m2_two_twists):
