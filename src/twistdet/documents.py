@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import json
 import re
+from fractions import Fraction
 
 from .errors import LiteralSyntaxError, ValidationError
 from .literals import parse_series, render_series
@@ -26,7 +27,9 @@ from .rings import (
     RationalField,
     RationalMatrixRing,
     TruncatedFreeAlgebra,
+    frac_from_str,
     frac_str,
+    quoted,
 )
 from .selftest import SUITE_NAMES
 from .series import SeriesRing, TwistedSeries
@@ -64,38 +67,7 @@ def coeff_ring_from_doc(doc: dict) -> CoeffRing:
     raise LiteralSyntaxError(f"unknown coefficient ring kind {kind!r}")
 
 
-def coeff_ring_to_doc(ring: CoeffRing) -> dict:
-    if ring.kind == "rational":
-        return {"kind": "rational"}
-    if ring.kind == "int_mod":
-        return {"kind": "int_mod", "modulus": ring.modulus}
-    # a twist's data is (tag, conjugator rows of literals or a permutation)
-    twists = {name: [list(x) if ring.kind == "matrix" else x for x in data[1]]
-              for name, data in ring.twists()}
-    if ring.kind == "matrix":
-        doc = {"kind": "matrix", "size": ring.size}
-        if twists:
-            doc["conjugations"] = twists
-        return doc
-    if ring.kind == "group_algebra":
-        doc = {"kind": "group_algebra",
-               "group": {"name": ring.group.name,
-                         "table": [list(row) for row in ring.group.table]}}
-        if twists:
-            doc["automorphisms"] = twists
-        return doc
-    if ring.kind == "free_trunc":
-        doc = {"kind": "free_trunc", "generators": list(ring.generators),
-               "max_degree": ring.max_degree}
-        if twists:
-            doc["permutations"] = twists
-        return doc
-    raise LiteralSyntaxError(f"ring {ring.name} has no document form")
-
-
 def _frac(x):
-    from .rings import frac_from_str
-    from fractions import Fraction
     return frac_from_str(x) if isinstance(x, str) else Fraction(x)
 
 
@@ -108,18 +80,6 @@ def series_ring_from_doc(doc: dict) -> SeriesRing:
                       twist=doc.get("twist") or {},
                       order=doc["order"],
                       letters_commute=doc.get("letters_commute", False))
-
-
-def series_ring_to_doc(ring: SeriesRing) -> dict:
-    doc = {"coeff": coeff_ring_to_doc(ring.coeff),
-           "alphabet": list(ring.alphabet),
-           "order": ring.order}
-    twist = {a: n for a, n in zip(ring.alphabet, ring.twist_names) if n != "id"}
-    if twist:
-        doc["twist"] = twist
-    if ring.letters_commute:
-        doc["letters_commute"] = True
-    return doc
 
 
 # -- operands ---------------------------------------------------------------------
@@ -150,7 +110,7 @@ def novikov_from_doc(ring: SeriesRing, doc: dict) -> NovikovSeries:
         try:
             d = int(key)
         except ValueError:
-            raise LiteralSyntaxError(f"bad z-degree {key!r}") from None
+            raise LiteralSyntaxError(f"bad z-degree {quoted(key)}") from None
         degrees[d] = ring.coeff.parse_element_literal(literal)
     return NovikovSeries.from_degree_map(ring, degrees)
 

@@ -21,7 +21,7 @@ from .errors import (
     RingMismatch,
 )
 from .matrices import SeriesMatrix, dieudonne_det
-from .rings import least_rotation, sum_by_key
+from .rings import Record, least_rotation, sum_by_key
 from .series import SeriesRing, TwistedSeries, formal_log
 
 FLAVOR_A_KERNEL = "a_in_kernel"
@@ -39,7 +39,7 @@ FLAVORS = (
 )
 
 
-class CGenerator:
+class CGenerator(Record):
     """A pair (a, b) defining the group element (1+ab)(1+ba)^{-1}.
 
     The flavor names the defining condition the pair must satisfy. All
@@ -74,14 +74,6 @@ class CGenerator:
         if not A.is_zero(A.sub(e_ab, e_ba)):
             raise FlavorViolated(
                 "eps(ab) != eps(ba): the element would leave the augmentation fiber")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b, self.flavor) == (other.a, other.b, other.flavor)
-
-    def __repr__(self):
-        return f"CGenerator(a={self.a!r}, b={self.b!r}, flavor={self.flavor!r})"
 
     def element(self) -> TwistedSeries:
         ring = self.a.ring
@@ -146,7 +138,7 @@ def commutator_as_c_generator(alpha: TwistedSeries, beta: TwistedSeries):
     return a, b
 
 
-class CycLogVector:
+class CycLogVector(Record):
     """Exact rational vector indexed by (trace label, cyclic word class).
 
     Cyclic classes are keyed by the lexicographically least rotation of the
@@ -160,14 +152,6 @@ class CycLogVector:
     def __init__(self, order: int, entries: dict):
         self.order = order
         self.entries = {k: v for k, v in entries.items() if v != 0}
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.order, self.entries) == (other.order, other.entries)
-
-    def __repr__(self):
-        return f"CycLogVector(order={self.order!r}, entries={self.entries!r})"
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -239,15 +223,9 @@ def one_minus_alpha_x(coeff, alpha, order: int) -> SeriesMatrix:
     if n == 0 or any(len(row) != n for row in alpha):
         raise DimensionMismatch("alpha must be square and nonempty")
     ring = SeriesRing(coeff, ("x",), order=order)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            terms = [((), coeff.one if i == j else coeff.zero),
-                     ((0,), coeff.neg(alpha[i][j]))]
-            row.append(ring.from_terms(terms))
-        rows.append(row)
-    return SeriesMatrix(ring, rows)
+    return SeriesMatrix(ring, [[ring.from_terms([((), coeff.one if i == j else coeff.zero),
+                                                 ((0,), coeff.neg(alpha[i][j]))])
+                                for j in range(n)] for i in range(n)])
 
 
 def endo_class_invariant(coeff, alpha, order: int) -> TwistedSeries:
@@ -266,11 +244,8 @@ def exact_sequence_additivity_check(coeff, alpha, alpha2, coupling,
     n, m = len(alpha), len(alpha2)
     if len(coupling) != n or any(len(row) != m for row in coupling):
         raise DimensionMismatch(f"coupling must be {n}x{m}")
-    big = []
-    for i in range(n):
-        big.append(tuple(alpha[i]) + tuple(coupling[i]))
-    for i in range(m):
-        big.append(tuple(coeff.zero for _ in range(n)) + tuple(alpha2[i]))
+    big = ([alpha[i] + coupling[i] for i in range(n)]
+           + [(coeff.zero,) * n + alpha2[i] for i in range(m)])
     left = endo_class_invariant(coeff, big, order)
     right = (endo_class_invariant(coeff, alpha, order)
              * endo_class_invariant(coeff, alpha2, order))

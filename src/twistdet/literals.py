@@ -22,7 +22,7 @@ import re
 from fractions import Fraction
 
 from .errors import LiteralSyntaxError
-from .rings import RationalField, frac_from_str, frac_str
+from .rings import RationalField, frac_from_str, quoted, rational_sum_literal
 from .series import SeriesRing, TwistedSeries
 
 _TOKEN = re.compile(r"""
@@ -85,7 +85,7 @@ def parse_series(text: str, ring: SeriesRing) -> TwistedSeries:
                 idx += 1
                 continue
             if not expect_factor:
-                raise LiteralSyntaxError(f"missing '*' before {val!r}")
+                raise LiteralSyntaxError(f"missing '*' before {quoted(val)}")
             factors.append((kind, val))
             expect_factor = False
             idx += 1
@@ -119,27 +119,13 @@ def render_series(s: TwistedSeries) -> str:
     """Canonical literal for a series: graded-lex terms joined by '+'."""
     ring = s.ring
     A = ring.coeff
-    rational = isinstance(A, RationalField)
-    if not s.terms:
-        return "0"
+    terms = [(f'w("{ring.word_to_str(w)}")' if w else "", s.terms[w]) for w in s.support()]
+    if isinstance(A, RationalField):
+        return rational_sum_literal(terms)
+    # a bracketed coefficient and the word, either left out when it is 1;
+    # no term starts with "-", so none needs the rational "+-" rule
     parts = []
-    for w in s.support():
-        c = s.terms[w]
-        word = f'w("{ring.word_to_str(w)}")' if w else None
-        if word is None:
-            if A.is_one(c):
-                parts.append("1")
-            else:
-                parts.append(frac_str(c) if rational else f"[{A.element_to_literal(c)}]")
-        elif rational:
-            if c == 1:
-                parts.append(word)
-            elif c == -1:
-                parts.append(f"-{word}")
-            else:
-                parts.append(f"{frac_str(c)}*{word}")
-        elif A.is_one(c):
-            parts.append(word)
-        else:
-            parts.append(f"[{A.element_to_literal(c)}]*{word}")
-    return "+".join(parts).replace("+-", "-")
+    for word, c in terms:
+        coeff = "" if A.is_one(c) else f"[{A.element_to_literal(c)}]"
+        parts.append("*".join(filter(None, (coeff, word))) or "1")
+    return "+".join(parts) or "0"

@@ -14,9 +14,11 @@ from __future__ import annotations
 from .errors import (
     AugmentationNotIdentity,
     DimensionMismatch,
+    NotAUnit,
     NotInvertible,
     RingMismatch,
 )
+from .rings import Record
 from .series import SeriesRing, TwistedSeries, graded_inverse, sums_of_products
 
 
@@ -168,16 +170,17 @@ def mat_invert(m: SeriesMatrix) -> SeriesMatrix:
     if not m.is_square():
         raise DimensionMismatch("only square matrices can be inverted")
     A = m.ring.coeff
-    aug = m.augmentation()
-    if not A.mat_is_invertible(aug):
-        raise NotInvertible(f"augmentation matrix is not invertible over {A.name}")
+    try:
+        inv0 = A.mat_invert(m.augmentation())
+    except NotAUnit:
+        raise NotInvertible(f"augmentation matrix is not invertible over {A.name}") from None
     split = [[e.graded_parts() for e in row] for row in m.rows]
     parts = [SeriesMatrix(m.ring, [[e[d] for e in row] for row in split])
              for d in range(m.ring.order + 1)]
-    return graded_inverse(parts, SeriesMatrix.lift(m.ring, A.mat_invert(aug)))
+    return graded_inverse(parts, SeriesMatrix.lift(m.ring, inv0))
 
 
-class LduFactors:
+class LduFactors(Record):
     """Factors of M = (1 0; l 1)(d1 0; 0 d2)(1 u; 0 1) pivoted at (1,1)."""
 
     __slots__ = ("l", "d1", "d2", "u")
@@ -188,16 +191,6 @@ class LduFactors:
         self.d1 = d1
         self.d2 = d2  # (n-1) x (n-1)
         self.u = u    # 1 x (n-1)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.l, self.d1, self.d2, self.u)
-                == (other.l, other.d1, other.d2, other.u))
-
-    def __repr__(self):
-        return (f"LduFactors(l={self.l!r}, d1={self.d1!r}, d2={self.d2!r}, "
-                f"u={self.u!r})")
 
     def recompose(self) -> SeriesMatrix:
         """(d1, d1 u; l d1, l d1 u + d2), the product of the three factors."""

@@ -27,7 +27,7 @@ from .errors import (
     WindowUnderflow,
 )
 from .kgroup import CycLogVector, cyc_log
-from .rings import sum_by_key
+from .rings import Record, sum_by_key, twisted_conjugacy_classes
 from .series import SeriesRing, TwistedSeries
 
 
@@ -39,6 +39,14 @@ def _z_times(base: TwistedSeries, k: int, order: int) -> TwistedSeries:
     move = ring.move_left if k >= 0 else ring.move_right
     return ring.from_terms([((0,) * (len(w) + k), move(z, c))
                             for w, c in base.terms.items()])
+
+
+def _z_conjugate(base: TwistedSeries, k: int, order: int) -> TwistedSeries:
+    """z^k * base * z^-k at `order`, for k >= 0: each coefficient of base
+    moved left past z^k, on its own word."""
+    ring = base.ring.with_order(order)
+    z = (0,) * k
+    return ring.from_terms([(w, ring.move_left(z, c)) for w, c in base.terms.items()])
 
 
 class NovikovSeries:
@@ -159,10 +167,7 @@ def nov_mul(u: NovikovSeries, v: NovikovSeries, max_shift=None) -> NovikovSeries
         raise WindowUnderflow(
             f"product needs {shift} negative degrees, window allows {max_shift}")
     order = min(u.base.ring.order, v.base.ring.order)
-    ring = u.base.ring.with_order(order)
-    z = (0,) * v.shift
-    left = ring.from_terms([(w, ring.move_left(z, c)) for w, c in u.base.terms.items()])
-    return NovikovSeries(left * v.base.truncated(order), shift)
+    return NovikovSeries(_z_conjugate(u.base, v.shift, order) * v.base.truncated(order), shift)
 
 
 def nov_invert(u: NovikovSeries, max_shift=None) -> NovikovSeries:
@@ -189,9 +194,7 @@ def nov_invert(u: NovikovSeries, max_shift=None) -> NovikovSeries:
             raise WindowUnderflow(
                 f"inverse needs {-t} negative degrees, window allows {max_shift}")
         # inv_body * z^t = z^t * (z^-t inv_body z^t)
-        R, z = inv_body.ring, (0,) * -t
-        result = NovikovSeries(R.from_terms([(w, R.move_left(z, c))
-                                             for w, c in inv_body.terms.items()]), -t)
+        result = NovikovSeries(_z_conjugate(inv_body, -t, inv_body.ring.order), -t)
     check = nov_mul(u, result)
     if not check.matches_one_on_window():
         raise InternalInvariantError("inverse failed its multiply-back check")
@@ -207,7 +210,7 @@ def w1_invariant(u: NovikovSeries) -> CycLogVector:
     return cyc_log(u.base)
 
 
-class OrbitCountReport:
+class OrbitCountReport(Record):
     """Exact rationals per (z-degree n, twisted conjugacy class of G).
 
     Classes at degree n are orbits of g ~ h g xi^n(h^-1), keyed by the name
@@ -224,42 +227,11 @@ class OrbitCountReport:
         self.lefschetz = lefschetz
         self.entries = {k: v for k, v in entries.items() if v != 0}
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.order, self.group_name, self.twist_name, self.lefschetz,
-                 self.entries)
-                == (other.order, other.group_name, other.twist_name, other.lefschetz,
-                    other.entries))
-
-    def __repr__(self):
-        return (f"OrbitCountReport(order={self.order!r}, group_name={self.group_name!r}, "
-                f"twist_name={self.twist_name!r}, lefschetz={self.lefschetz!r}, "
-                f"entries={self.entries!r})")
-
     def is_zero(self) -> bool:
         return not self.entries
 
     def sorted_items(self):
         return sorted(self.entries.items())
-
-
-def twisted_conjugacy_classes(group, perm, n: int) -> list[frozenset]:
-    """Orbits of g -> h g perm^n(h^-1) over all h, as frozensets of indices."""
-    def sigma_n(x: int) -> int:
-        for _ in range(n):
-            x = perm[x]
-        return x
-
-    seen, classes = set(), []
-    for g in range(group.order):
-        if g in seen:
-            continue
-        orbit = frozenset(group.mul(group.mul(h, g), sigma_n(group.inv[h]))
-                          for h in range(group.order))
-        classes.append(orbit)
-        seen |= orbit
-    return classes
 
 
 def orbit_counts(u: NovikovSeries, lefschetz: bool = False) -> OrbitCountReport:

@@ -102,28 +102,18 @@ def random_flavor_pair(ring: SeriesRing, rng, flavor: str, terms=2):
                 random_series(ring, rng, terms=terms))
     if flavor in (FLAVOR_AB_BA_KERNEL, FLAVOR_BA_KERNEL):
         ca, cb = _annihilating_constants(A, rng)
-        a = ring.lift(ca) + random_kernel(ring, rng, terms=terms)
-        b = ring.lift(cb) + random_kernel(ring, rng, terms=terms)
-        return a, b
-    if flavor == FLAVOR_UNIT:
+    elif flavor in (FLAVOR_UNIT, FLAVOR_B_UNIT):
+        draw_b = A.random_element if flavor == FLAVOR_UNIT else A.random_unit
         while True:
             ca = A.random_central(rng)
-            cb = A.random_element(rng)
+            cb = draw_b(rng)
             if A.is_unit(A.add(A.one, A.mul(cb, ca))):
                 break
-        a = ring.lift(ca) + random_kernel(ring, rng, terms=terms)
-        b = ring.lift(cb) + random_kernel(ring, rng, terms=terms)
-        return a, b
-    if flavor == FLAVOR_B_UNIT:
-        while True:
-            ca = A.random_central(rng)
-            cb = A.random_unit(rng)
-            if A.is_unit(A.add(A.one, A.mul(cb, ca))):
-                break
-        a = ring.lift(ca) + random_kernel(ring, rng, terms=terms)
-        b = ring.lift(cb) + random_kernel(ring, rng, terms=terms)
-        return a, b
-    raise ValueError(f"unknown flavor {flavor!r}")
+    else:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    a = ring.lift(ca) + random_kernel(ring, rng, terms=terms)
+    b = ring.lift(cb) + random_kernel(ring, rng, terms=terms)
+    return a, b
 
 
 def random_invertible_matrix(ring: SeriesRing, rng, n: int) -> SeriesMatrix:

@@ -15,45 +15,48 @@ document layers call:
   and `invert` on elements;
 - the Z-linear view: `clear` turns a list of values into integer vectors
   over one shared denominator, `dot` computes the integer vector of a sum
-  of products sum_i x_i * y_i, and `rebuild` (for dot's vectors) and
-  `unclear` (for clear's) turn a vector and a denominator back into one
-  value;
+  of products sum_i x_i * y_i, and `rebuild` is the one read-back: it turns
+  a vector from either (or an automorphism's action on one) and a
+  denominator back into a value;
 - `emat_identity`, `emat_mul`, `mat_is_invertible` and `mat_invert` on
   square matrices (tuples of rows) of elements;
 - `random_element`, `random_unit` and `random_central` for sampling;
 - `element_to_literal` and `parse_element_literal`, the only way elements
   are read and written (rationals through `frac_str` and `frac_from_str`,
   which also handle integers past Python's int-string digit limit: written
-  exactly, refused by name when read);
+  exactly, refused by name when read; errors show literals `quoted`);
 - `automorphisms`/`automorphism(name)`, the registry of named automorphisms
   (each with its registered inverse) usable as letter twists. It is the one
   record of a ring's twists: `twists()` lists the registered forward
   automorphisms' `RingAutomorphism.data`, which `signature()` (ring
-  equality) and the ring's document form read. Each automorphism is defined
-  once, by an integer action on the Z-linear view below and a fixed
-  denominator factor.
+  equality) reads; no ring is written back to a document. Each automorphism
+  is defined once, by an integer action on the Z-linear view below and a
+  fixed denominator factor.
 
 Rings represented over Q share two bases. `_RepresentedRing` (Q, M_k(Q)
 and Q[G]) decides invertible matrices over the ring by the determinant of
 their block image under a faithful representation into M_d(Q), and inverts
 them by one elimination of it. `_BasisAlgebra` (Q[G] and Q<gens>/deg>N)
-holds the sparse (basis key, Fraction) arithmetic, the trace by basis-key
-label, random units, element literals and permutation automorphisms.
+holds the sparse (basis key, Fraction) arithmetic and its read-back, the
+trace by basis-key label, random units, element literals and permutation
+automorphisms.
 
 Values stay Fractions; every product works on integers, through the view
 (after FLINT's fmpq_poly layout: integer numerators over one shared
 denominator). Z/m has denominator 1 and reduces mod m once per output
 entry; Q's vector is the numerator, M_k(Q)'s the k*k entries row by row,
-Q[G]'s a |G|-vector multiplied through the group table and Q<gens>/deg>N's a
-sparse word vector. `mul` of M_k(Q), Q[G] and Q<gens>/deg>N, `emat_mul` and
-the series kernel (series.py) all multiply this way, with one `rebuild` per
-output entry. Automorphisms act on the view too: an M_k(Q) conjugation by P
-is one precomputed k*k x k*k integer matrix (a -> N a adj(N) for N = d P
-integral, factor |det N|), and a permutation of Q[G] or Q<gens>/deg>N
-relabels the (key, integer) pairs (factor 1). The series kernel moves
-cleared vectors with these actions; `RingAutomorphism.apply` is clear, act
-and `unclear`. Every inverse, over Q, M_k(Q), Q[G] and Z/m, is one
-`fraction_free` elimination.
+Q[G]'s and Q<gens>/deg>N's their (basis key, integer) pairs, multiplied
+through the group table or by word concatenation. `mul` of M_k(Q), Q[G]
+and Q<gens>/deg>N, `emat_mul` and the series kernel (series.py) all
+multiply this way, with one `rebuild` per output entry. Automorphisms act
+on the view too: an M_k(Q) conjugation by P is one precomputed
+k*k x k*k integer matrix (a -> N a adj(N) for N = d P integral, factor
+|det N|), and a permutation of Q[G] or Q<gens>/deg>N relabels the (key,
+integer) pairs (factor 1). The series kernel moves cleared vectors with
+these actions; `RingAutomorphism.apply` is clear, act and `rebuild`. Every
+inverse, over Q, M_k(Q), Q[G] and Z/m, is one `fraction_free` elimination.
+The layers above also share `Record` (their result records),
+`rational_sum_literal` and `twisted_conjugacy_classes` from here.
 """
 
 from __future__ import annotations
@@ -76,11 +79,17 @@ def frac_from_str(text: str) -> Fraction:
         raise _bad_literal("rational", text) from exc
 
 
+def quoted(text: str) -> str:
+    """repr(text) for an error message, clipped to its first 80 characters
+    and its length when it is longer."""
+    return repr(text) if len(text) <= 80 else f"{text[:80]!r}... ({len(text)} characters)"
+
+
 def _bad_literal(kind: str, text: str) -> LiteralSyntaxError:
-    """The error for a `kind` literal that does not convert. It shows at most
-    80 characters of the text, and names Python's limit on int-string
-    conversion (sys.get_int_max_str_digits) when the text has more digits."""
-    shown = repr(text) if len(text) <= 80 else f"{text[:80]!r}... ({len(text)} characters)"
+    """The error for a `kind` literal that does not convert. It shows the text
+    `quoted`, and names Python's limit on int-string conversion
+    (sys.get_int_max_str_digits) when the text has more digits."""
+    shown = quoted(text)
     limit = sys.get_int_max_str_digits()
     if limit and sum(map(str.isdigit, text)) > limit:
         return LiteralSyntaxError(f"{kind} literal {shown} has more than {limit} digits, "
@@ -98,6 +107,23 @@ def frac_str(q: Fraction) -> str:
         return num if den == "1" else f"{num}/{den}"
 
 
+def rational_sum_literal(terms) -> str:
+    """The literal of a sum of (name, nonzero Fraction) terms: "q*name",
+    "name" for q = 1, "-name" for q = -1 and the bare q for the empty name,
+    joined by "+" with "+-" written "-"; "0" for no terms."""
+    parts = []
+    for name, q in terms:
+        if not name:
+            parts.append(frac_str(q))
+        elif q == 1:
+            parts.append(name)
+        elif q == -1:
+            parts.append(f"-{name}")
+        else:
+            parts.append(f"{frac_str(q)}*{name}")
+    return "+".join(parts).replace("+-", "-") if parts else "0"
+
+
 def sum_by_key(pairs) -> dict:
     """Sum the values of (key, value) pairs with equal keys, in first-seen key
     order: a key's first value is stored as it is, and zero sums are dropped."""
@@ -107,12 +133,32 @@ def sum_by_key(pairs) -> dict:
     return {k: v for k, v in acc.items() if v}
 
 
+class Record:
+    """A result record whose fields are its `__slots__`: two records are
+    equal when they are of one class with equal fields (NotImplemented for
+    any other class), the repr names every field, and records are
+    unhashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ([getattr(self, f) for f in self.__slots__]
+                == [getattr(other, f) for f in self.__slots__])
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
 class RingAutomorphism:
     """A named ring automorphism with a registered inverse, defined once by an
     integer action on its ring's Z-linear view: `act` maps a vector from
     `clear` to the vector of the image, which stands over `factor` times the
     vector's denominator (a fixed positive integer). `apply` is clear, act
-    and `unclear`; the series kernel moves cleared vectors with `act` alone.
+    and `rebuild`; the series kernel moves cleared vectors with `act` alone.
     `data` is the automorphism's defining data, as signatures read it."""
 
     def __init__(self, ring: "CoeffRing", name: str, data: tuple, act: Callable,
@@ -127,7 +173,7 @@ class RingAutomorphism:
     def apply(self, a):
         ring = self.ring
         (vec,), den = ring.clear((a,))
-        return ring.unclear(self.act(vec), den * self.factor)
+        return ring.rebuild(self.act(vec), den * self.factor)
 
     def __repr__(self):
         return f"RingAutomorphism({self.name})"
@@ -223,15 +269,7 @@ class FiniteGroup:
         return self.table[a][b]
 
     def conjugacy_classes(self) -> list[frozenset]:
-        n = self.order
-        seen, classes = set(), []
-        for g in range(n):
-            if g in seen:
-                continue
-            cls = frozenset(self.table[self.table[h][g]][self.inv[h]] for h in range(n))
-            classes.append(cls)
-            seen |= cls
-        return classes
+        return twisted_conjugacy_classes(self, None, 0)
 
     def class_of(self, g: int) -> frozenset:
         for cls in self.conjugacy_classes():
@@ -245,6 +283,23 @@ class FiniteGroup:
             return False
         return all(self.table[perm[a]][perm[b]] == perm[self.table[a][b]]
                    for a in range(n) for b in range(n))
+
+
+def twisted_conjugacy_classes(group: FiniteGroup, perm, n: int) -> list[frozenset]:
+    """Orbits of g -> h g perm^n(h^-1) over all h, as frozensets of indices;
+    at n = 0 (perm unused) the conjugacy classes."""
+    sigma_n = range(group.order)
+    for _ in range(n):
+        sigma_n = [perm[x] for x in sigma_n]
+    seen, classes = set(), []
+    for g in range(group.order):
+        if g in seen:
+            continue
+        orbit = frozenset(group.mul(group.mul(h, g), sigma_n[group.inv[h]])
+                          for h in range(group.order))
+        classes.append(orbit)
+        seen |= orbit
+    return classes
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -271,7 +326,7 @@ class CoeffRing:
             return self.automorphisms[name]
         except KeyError:
             raise LiteralSyntaxError(
-                f"ring {self.name} has no automorphism named {name!r}") from None
+                f"ring {self.name} has no automorphism named {quoted(name)}") from None
 
     def _register_pair(self, name, data, act, factor, inv_data, inv_act, inv_factor):
         """Register `name` and its inverse `name^-1` from their view actions."""
@@ -333,13 +388,9 @@ class CoeffRing:
         raise NotImplementedError
 
     def rebuild(self, vec, den: int):
-        """The value vec / den, for a vector from dot."""
+        """The value vec / den, for a vector from dot or from clear (or an
+        automorphism's action on one): both have one form."""
         raise NotImplementedError
-
-    def unclear(self, vec, den: int):
-        """The value vec / den, for a vector from clear (or an automorphism's
-        action on one); it is rebuild wherever dot and clear share a form."""
-        return self.rebuild(vec, den)
 
     def scale_vector(self, vec, s: int):
         """s * vec for a vector from clear. Only a twist whose factor is not 1
@@ -700,11 +751,14 @@ def _mat_key(rows) -> tuple:
 
 class _BasisAlgebra(CoeffRing):
     """A Q-algebra with a named basis: an element is a tuple of (basis key,
-    nonzero Fraction) pairs sorted by `_sort_key`. A subclass supplies the
-    key of 1 (`one`), `_keys()` (the basis), `_key_name`/`_parse_key` (a
-    key's literal name and back) and `_trace_label` (the trace bucket of a
-    key); automorphisms are permutations acting on keys. Subclasses restate
-    `add` in their own body, as for `_RepresentedRing.invert`."""
+    nonzero Fraction) pairs with distinct keys, sorted by `_sort_key` (a sort
+    key on the pairs; None sorts them by basis key). Its view is its (basis
+    key, integer) pairs, and `dot` gives pairs with distinct keys too. A
+    subclass supplies the key of 1 (`one`), `_keys()` (the basis),
+    `_key_name`/`_parse_key` (a key's literal name and back) and
+    `_trace_label` (the trace bucket of a key); automorphisms are
+    permutations acting on keys. Subclasses restate `add` in their own body,
+    as for `_RepresentedRing.invert`."""
 
     contains_rationals = True
     _sort_key = None
@@ -714,22 +768,18 @@ class _BasisAlgebra(CoeffRing):
         self.zero = ()
 
     def _canon(self, pairs) -> tuple:
-        acc = sum_by_key(pairs)
-        return tuple((k, acc[k]) for k in sorted(acc, key=self._sort_key))
+        return tuple(sorted(sum_by_key(pairs).items(), key=self._sort_key))
 
     def _register_permutation(self, name, perm, tag, move) -> RingAutomorphism:
         """Register perm (and its inverse) relabelling the keys of a cleared
         vector by move(perm, key), with factor 1."""
-        inv = [0] * len(perm)
-        for i, p in enumerate(perm):
-            inv[p] = i
-        inv = tuple(inv)
+        inv = tuple(sorted(range(len(perm)), key=perm.__getitem__))
         return self._register_pair(
             name, (tag, perm), lambda vec, p=perm: [(move(p, k), c) for k, c in vec], 1,
             (tag, inv), lambda vec, p=inv: [(move(p, k), c) for k, c in vec], 1)
 
-    def unclear(self, vec, den):
-        return self._canon((k, Fraction(c, den)) for k, c in vec)
+    def rebuild(self, vec, den):
+        return tuple(sorted(((k, Fraction(c, den)) for k, c in vec if c), key=self._sort_key))
 
     def add(self, a, b):
         return self._canon(a + b)
@@ -764,21 +814,7 @@ class _BasisAlgebra(CoeffRing):
                 return a
 
     def element_to_literal(self, a):
-        if not a:
-            return "0"
-        parts = []
-        for k, c in a:
-            name = self._key_name(k)
-            if not name:
-                term = frac_str(c)
-            elif c == 1:
-                term = name
-            elif c == -1:
-                term = f"-{name}"
-            else:
-                term = f"{frac_str(c)}*{name}"
-            parts.append(term)
-        return "+".join(parts).replace("+-", "-")
+        return rational_sum_literal((self._key_name(k), c) for k, c in a)
 
     def parse_element_literal(self, text):
         acc = self.zero
@@ -829,17 +865,14 @@ class GroupAlgebra(_BasisAlgebra, _RepresentedRing):
     invert = _RepresentedRing.invert
 
     def dot(self, lefts, rights):
-        """The |G|-vector of the sum, through the group table."""
+        """The (element, integer) pairs of the sum, through the group table."""
         table, acc = self.group.table, [0] * self.group.order
         for a, b in zip(lefts, rights):
             for g, x in a:
                 row = table[g]
                 for h, y in b:
                     acc[row[h]] += x * y
-        return acc
-
-    def rebuild(self, vec, den):
-        return tuple((g, Fraction(x, den)) for g, x in enumerate(vec) if x)
+        return list(enumerate(acc))
 
     def basis_element(self, g: int):
         return ((g % self.group.order, Fraction(1)),)
@@ -865,13 +898,13 @@ class GroupAlgebra(_BasisAlgebra, _RepresentedRing):
 
     def _parse_key(self, name):
         if not name.startswith("g"):
-            raise LiteralSyntaxError(f"bad group element name {name!r}")
+            raise LiteralSyntaxError(f"bad group element name {quoted(name)}")
         try:
             idx = int(name[1:])
         except ValueError:
-            raise LiteralSyntaxError(f"bad group element name {name!r}") from None
+            raise LiteralSyntaxError(f"bad group element name {quoted(name)}") from None
         if not (0 <= idx < self.group.order):
-            raise LiteralSyntaxError(f"group element {name!r} out of range")
+            raise LiteralSyntaxError(f"group element {quoted(name)} out of range")
         return idx
 
     def _trace_label(self, g):
@@ -912,7 +945,7 @@ class TruncatedFreeAlgebra(_BasisAlgebra):
     """
 
     kind = "free_trunc"
-    _sort_key = staticmethod(lambda w: (len(w), w))
+    _sort_key = staticmethod(lambda pair: (len(pair[0]), pair[0]))
 
     def __init__(self, generators: Sequence[str], max_degree: int):
         super().__init__()
@@ -947,7 +980,7 @@ class TruncatedFreeAlgebra(_BasisAlgebra):
             raise LiteralSyntaxError(f"unknown generator {exc.args[0]!r}") from None
         if len(w) > self.max_degree:
             raise LiteralSyntaxError(
-                f"word {text!r} exceeds max degree {self.max_degree}")
+                f"word {quoted(text)} exceeds max degree {self.max_degree}")
         return w
 
     def word_str(self, w: tuple) -> str:
@@ -960,10 +993,7 @@ class TruncatedFreeAlgebra(_BasisAlgebra):
         return self.word_str(w[r:] + w[:r]) if w else "1"
 
     def scalar_part(self, a) -> Fraction:
-        for w, c in a:
-            if w == ():
-                return c
-        return Fraction(0)
+        return a[0][1] if a and a[0][0] == () else Fraction(0)  # () sorts first
 
     add = _BasisAlgebra.add
 
@@ -971,7 +1001,7 @@ class TruncatedFreeAlgebra(_BasisAlgebra):
         return self._view_mul(a, b)
 
     def dot(self, lefts, rights):
-        """The sparse word vector of the sum; words above max_degree drop."""
+        """The (word, integer) pairs of the sum; words above max_degree drop."""
         top, acc = self.max_degree, {}
         for a, b in zip(lefts, rights):
             for u, x in a:
@@ -981,11 +1011,7 @@ class TruncatedFreeAlgebra(_BasisAlgebra):
                         break
                     k = u + w
                     acc[k] = acc.get(k, 0) + x * y
-        return acc
-
-    def rebuild(self, vec, den):
-        return tuple((w, Fraction(vec[w], den)) for w in sorted(vec, key=self._sort_key)
-                     if vec[w])
+        return acc.items()
 
     def is_unit(self, a):
         return self.scalar_part(a) != 0
@@ -1045,7 +1071,7 @@ def _split_terms(text: str) -> list[tuple[int, str]]:
         if ch in "+-" and not start:
             body = "".join(buf).strip()
             if not body:
-                raise LiteralSyntaxError(f"dangling sign in {text!r}")
+                raise LiteralSyntaxError(f"dangling sign in {quoted(text)}")
             terms.append((sign, body))
             sign, buf = (1 if ch == "+" else -1), []
         elif ch in "+-" and start:
@@ -1055,7 +1081,7 @@ def _split_terms(text: str) -> list[tuple[int, str]]:
             start = False
     body = "".join(buf).strip()
     if not body:
-        raise LiteralSyntaxError(f"dangling sign in {text!r}")
+        raise LiteralSyntaxError(f"dangling sign in {quoted(text)}")
     terms.append((sign, body))
     return terms
 

@@ -42,6 +42,7 @@ from .errors import (
     AugmentationNotUnit,
     LiteralSyntaxError,
     NeedsRationalCoefficients,
+    NotAUnit,
     RingMismatch,
 )
 from .rings import CoeffRing
@@ -323,10 +324,12 @@ class TwistedSeries:
         """Two-sided inverse; needs eps of the series to be a unit of A."""
         A = self.ring.coeff
         e = self.augmentation()
-        if not A.is_unit(e):
+        try:
+            inv0 = A.invert(e)
+        except NotAUnit:
             raise AugmentationNotUnit(
-                f"augmentation {A.element_to_literal(e)} is not a unit of {A.name}")
-        return graded_inverse(self.graded_parts(), self.ring.lift(A.invert(e)))
+                f"augmentation {A.element_to_literal(e)} is not a unit of {A.name}") from None
+        return graded_inverse(self.graded_parts(), self.ring.lift(inv0))
 
 
 def sums_of_products(R: SeriesRing, sums: list, top=None) -> list:

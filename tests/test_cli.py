@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import pathlib
@@ -234,6 +235,32 @@ def test_integers_past_the_int_string_digit_limit(capsys, qring, ring_file):
         assert len(error["message"]) < 200 and "9" * 81 not in error["message"]
 
 
+LONG = 5000
+
+
+@pytest.mark.parametrize("ring, argv", [
+    # a group element name, a word over the max degree, a dangling sign
+    ({"coeff": {"kind": "group_algebra", "group": {"table": [[0, 1], [1, 0]]}}, "order": 2},
+     ["mul", "[g" + "1" * (LONG - 1) + "]", "1"]),
+    ({"coeff": {"kind": "free_trunc", "generators": ["y", "z"], "max_degree": 2},
+      "order": 2}, ["mul", "[" + "y" * LONG + "]", "1"]),
+    ({"coeff": {"kind": "group_algebra", "group": {"table": [[0, 1], [1, 0]]}}, "order": 2},
+     ["mul", "[" + "g1+" * (LONG // 3) + "-]", "1"]),
+    # a Novikov z-degree key, an automorphism name in a twist
+    ({"coeff": {"kind": "rational"}, "alphabet": ["z"], "order": 3},
+     ["novikov", json.dumps({"degrees": {"d" * LONG: "1"}})]),
+    ({"coeff": {"kind": "rational"}, "alphabet": ["x"], "twist": {"x": "q" * LONG},
+      "order": 2}, ["inv", "1"]),
+], ids=["group-element", "max-degree", "dangling-sign", "z-degree", "automorphism"])
+def test_long_literals_are_clipped_in_errors(capsys, ring_file, ring, argv):
+    # an error echoes at most the first 80 characters of a literal
+    code, out, err = run_cli(capsys, argv[0], "--ring", ring_file(ring), *argv[1:])
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "LiteralSyntaxError"
+    assert len(error["message"]) < 200 and " characters)" in error["message"]
+
+
 @pytest.mark.parametrize("ring, error_type, fragment", [
     # jsonschema counts an integral float as an integer; twistdet does not
     ({"coeff": {"kind": "rational"}, "order": 3.0}, "ValidationError",
@@ -422,6 +449,26 @@ def test_run_schema_errors_are_readable(capsys, tmp_path, job, names):
     assert error["type"] == "ValidationError"
     assert names in error["message"]
     assert len(error["message"]) < 1024
+
+
+def test_tracer_installs_on_the_package_and_uninstalls(capsys, qring):
+    # perfbench/spans.py wraps functions and methods of the loaded package by
+    # name; a hook it looks up that is gone fails here
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", pathlib.Path(__file__).parents[1] / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        wrapped = list(tracer._restore)
+        code = twistdet.cli.main(["mul", "--ring", qring, '1+w("x")', '2-w("x")'])
+    finally:
+        tracer.uninstall()
+    assert code == 0 and json.loads(capsys.readouterr().out)["result"] == '2+w("x")-w("xx")'
+    assert tracer.calls["cli.self"] == 1 and tracer.calls["literals.parse"] == 2
+    assert tracer.calls["series.mul"] == 1 and tracer.calls["literals.render"] == 1
+    assert all(getattr(owner, attr) is original for owner, attr, original in wrapped)
 
 
 def test_out_flag_writes_canonical_file(capsys, qring, tmp_path):

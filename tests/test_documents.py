@@ -14,7 +14,6 @@ from twistdet.documents import (
     RING_SCHEMA,
     canonical_json,
     coeff_ring_from_doc,
-    coeff_ring_to_doc,
     cyclog_to_doc,
     matrix_from_doc,
     matrix_to_doc,
@@ -22,11 +21,19 @@ from twistdet.documents import (
     novikov_to_doc,
     orbit_report_to_doc,
     series_ring_from_doc,
-    series_ring_to_doc,
     validate,
 )
 from twistdet.errors import ValidationError
 from twistdet.randgen import random_series
+from twistdet.rings import (
+    FiniteGroup,
+    GroupAlgebra,
+    IntegersMod,
+    RationalField,
+    RationalMatrixRing,
+    TruncatedFreeAlgebra,
+    cyclic_group,
+)
 
 
 RING_DOCS = [
@@ -43,18 +50,30 @@ RING_DOCS = [
 ]
 
 
+def _hand_built_rings():
+    """The rings of RING_DOCS, built without documents."""
+    m2 = RationalMatrixRing(2)
+    m2.register_conjugation("swap", [[0, 1], [1, 0]])
+    qc4 = GroupAlgebra(cyclic_group(4))
+    qc4.register_group_automorphism("inv", [0, 3, 2, 1])
+    qyz = TruncatedFreeAlgebra(("y", "z"), 2)
+    qyz.register_generator_permutation("flip", [1, 0])
+    return [RationalField(), IntegersMod(6), m2, qc4, qyz]
+
+
 def test_coeff_ring_doc_roundtrip():
-    for doc in RING_DOCS:
+    # a ring read from its document equals the ring built by hand, with the
+    # same name (signature() leaves out the group name) and twists
+    for doc, want in zip(RING_DOCS, _hand_built_rings()):
         jsonschema.validate(doc, RING_SCHEMA)
         ring = coeff_ring_from_doc(doc)
-        assert coeff_ring_to_doc(ring) == doc
-        # the registered automorphisms came through
-        if doc["kind"] == "matrix":
-            ring.automorphism("swap")
-        if doc["kind"] in ("group_algebra", "free_trunc"):
-            names = doc.get("automorphisms") or doc.get("permutations")
-            for name in names:
-                ring.automorphism(name)
+        assert ring == want and ring.name == want.name
+        assert ring.twists() == want.twists()
+    # a group without a name is "G": equal to Q[C4] as a ring, but not by name
+    unnamed = {"kind": "group_algebra", "group": {"table": RING_DOCS[3]["group"]["table"]}}
+    ring = coeff_ring_from_doc(unnamed)
+    assert ring == GroupAlgebra(cyclic_group(4)) and ring.name == "Q[G]"
+    assert ring == GroupAlgebra(FiniteGroup(cyclic_group(4).table))
 
 
 def test_series_ring_doc_roundtrip():
@@ -67,8 +86,15 @@ def test_series_ring_doc_roundtrip():
            "order": 3,
            "twist": {"z": "inv"}}
     ring = series_ring_from_doc(doc)
+    qc4 = _hand_built_rings()[3]
+    want = SeriesRing(qc4, ("z",), twist={"z": "inv"}, order=3)
+    assert ring == want and repr(ring) == repr(want) == "Q[C4]<<z>>@3"
+    assert ring.coeff.name == want.coeff.name
     assert ring.twist_names == ("inv",)
-    assert series_ring_to_doc(ring) == doc
+    # the defaults: alphabet x, no twist, noncommuting letters
+    plain = series_ring_from_doc({"coeff": {"kind": "rational"}, "order": 2})
+    assert plain == SeriesRing(RationalField(), ("x",), order=2)
+    assert plain != SeriesRing(RationalField(), ("x",), order=2, letters_commute=True)
 
 
 def test_series_and_matrix_docs(qq):

@@ -22,9 +22,27 @@ from twistdet import (
     vaserstein_transform,
 )
 from twistdet.kgroup import least_rotation
+from twistdet.novikov import OrbitCountReport
 from twistdet.randgen import random_fiber_one, random_flavor_pair
 
 from conftest import assert_folded, one_letter, two_letter
+
+
+# -- result records ------------------------------------------------------------
+
+def test_records_compare_by_field_and_repr_every_field():
+    v = CycLogVector(3, {("1", "x"): F(1, 2), ("1", "xx"): F(0)})
+    assert repr(v) == "CycLogVector(order=3, entries={('1', 'x'): Fraction(1, 2)})"
+    assert v == CycLogVector(3, {("1", "x"): F(1, 2)}) != CycLogVector(4, v.entries)
+    r = OrbitCountReport(2, "C4", "inv", False, {(1, "g0"): F(1), (2, "g1"): F(0)})
+    assert repr(r) == ("OrbitCountReport(order=2, group_name='C4', twist_name='inv', "
+                       "lefschetz=False, entries={(1, 'g0'): Fraction(1, 1)})")
+    assert r == OrbitCountReport(2, "C4", "inv", False, {(1, "g0"): F(1)})
+    assert r != OrbitCountReport(2, "C4", "inv", True, {(1, "g0"): F(1)})
+    # a record of another class is not equal, whatever its fields
+    assert v.__eq__(r) is NotImplemented and v != r
+    with pytest.raises(TypeError):
+        hash(v)
 
 
 # -- C generators ------------------------------------------------------------

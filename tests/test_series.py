@@ -10,6 +10,7 @@ from twistdet import (
     AugmentationNotUnit,
     IntegersMod,
     NeedsRationalCoefficients,
+    NotInvertible,
     RingAutomorphism,
     RingMismatch,
     SeriesMatrix,
@@ -21,6 +22,7 @@ from twistdet import (
     mat_invert,
 )
 from twistdet import matrices as matrices_module
+from twistdet import rings as rings_module
 from twistdet import series as series_module
 from twistdet.randgen import (
     random_fiber_one,
@@ -386,6 +388,33 @@ def test_inverse_makes_one_kernel_call_per_degree_and_one_more(monkeypatch, m2, 
     del calls[:]
     mat_invert(m)
     assert len(calls) == order + 1
+
+
+def test_inverse_eliminates_once_over_m2(monkeypatch, m2):
+    # the inverse of a series or of a series matrix over M2(Q) inverts its
+    # augmentation by one fraction-free elimination, with no unit test first,
+    # and a singular augmentation still gets the error it had
+    R = one_letter(m2, 3, twist="swap")
+    u = R.lift(m2.parse_element_literal("1,2;3,4")) + R.letter("x")
+    m = SeriesMatrix(R, [[u, R.letter("x")], [R.zero(), u]])
+    singular = R.lift(m2.parse_element_literal("1,1;1,1")) + R.letter("x")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eliminate(*args, **kwargs)
+    eliminate = rings_module.fraction_free
+    monkeypatch.setattr(rings_module, "fraction_free", counted)
+    for invert, x in ((TwistedSeries.inverse, u), (mat_invert, m)):
+        del calls[:]
+        invert(x)
+        assert len(calls) == 1
+    with pytest.raises(AugmentationNotUnit,
+                       match=r"^augmentation 1,1;1,1 is not a unit of M2\(Q\)$"):
+        singular.inverse()
+    with pytest.raises(NotInvertible,
+                       match=r"^augmentation matrix is not invertible over M2\(Q\)$"):
+        mat_invert(SeriesMatrix(R, [[singular]]))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
