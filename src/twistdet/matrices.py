@@ -11,6 +11,8 @@ upper-triangular assemblies) covered by the checks below.
 
 from __future__ import annotations
 
+import math
+
 from .errors import (
     AugmentationNotIdentity,
     DimensionMismatch,
@@ -109,7 +111,7 @@ class SeriesMatrix:
             raise RingMismatch("matrices live in different rings")
 
     def __add__(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        copy = [[TwistedSeries(e.ring, dict(e.terms)) for e in row] for row in self.rows]
+        copy = [[e._copy() for e in row] for row in self.rows]
         return SeriesMatrix(self.ring, copy)._add_in_place(other)
 
     def _add_in_place(self, other: "SeriesMatrix") -> "SeriesMatrix":
@@ -150,12 +152,10 @@ class SeriesMatrix:
 
 
 def augmentation_is_identity(m: SeriesMatrix) -> bool:
-    A = m.ring.coeff
     if not m.is_square():
         return False
-    aug = m.augmentation()
-    return all(A.is_one(aug[i][j]) if i == j else A.is_zero(aug[i][j])
-               for i in range(m.nrows) for j in range(m.nrows))
+    return all(e.augmentation_is_one() if i == j else () not in e.vecs
+               for i, row in enumerate(m.rows) for j, e in enumerate(row))
 
 
 def mat_is_invertible(m: SeriesMatrix) -> bool:
@@ -169,15 +169,18 @@ def mat_invert(m: SeriesMatrix) -> SeriesMatrix:
     """Inverse, degree by degree from the inverse of the augmentation."""
     if not m.is_square():
         raise DimensionMismatch("only square matrices can be inverted")
-    A = m.ring.coeff
+    R, n = m.ring, m.nrows
+    A, entries = R.coeff, [e for row in m.rows for e in row]
+    den = math.lcm(*[e.den for e in entries])
     try:
-        inv0 = A.mat_invert(m.augmentation())
+        vecs, den = A.invert_vectors([A.scale_vector(e.vecs[()], den // e.den) if () in e.vecs
+                                      else R._zero_vec for e in entries], den, n)
     except NotAUnit:
         raise NotInvertible(f"augmentation matrix is not invertible over {A.name}") from None
+    lift = [TwistedSeries._make(R, {(): v} if A.nonzero(v) else {}, den) for v in vecs]
     split = [[e.graded_parts() for e in row] for row in m.rows]
-    parts = [SeriesMatrix(m.ring, [[e[d] for e in row] for row in split])
-             for d in range(m.ring.order + 1)]
-    return graded_inverse(parts, SeriesMatrix.lift(m.ring, inv0))
+    parts = [SeriesMatrix(R, [[e[d] for e in row] for row in split]) for d in range(R.order + 1)]
+    return graded_inverse(parts, SeriesMatrix(R, [lift[i:i + n] for i in range(0, n * n, n)]))
 
 
 class LduFactors(Record):
@@ -279,10 +282,8 @@ def rearrange_inverses_check(a: SeriesMatrix, b: SeriesMatrix) -> bool:
     ring = a.ring
     i_n = SeriesMatrix.identity(ring, a.nrows)
     i_m = SeriesMatrix.identity(ring, a.ncols)
-    one_ab = i_n + a * b
-    one_ba = i_m + b * a
-    if not mat_is_invertible(one_ab):
-        raise NotInvertible("1 + ab is not invertible")
-    lhs = i_m - b * mat_invert(one_ab) * a
-    rhs = mat_invert(one_ba)
-    return lhs == rhs
+    try:
+        inv_ab = mat_invert(i_n + a * b)
+    except NotInvertible:
+        raise NotInvertible("1 + ab is not invertible") from None
+    return i_m - b * inv_ab * a == mat_invert(i_m + b * a)

@@ -10,13 +10,11 @@ window by j degrees, so the base's truncation order drops by j; every
 coefficient kept is exact. A zero base keeps its shift: the object then
 asserts only that the window [-shift, order-shift] vanishes.
 
-Coefficients cross powers of z only through the series ring's move_left and
-move_right on the word z^k, so z*b = xi^-1(b)*z here as in the series ring.
+Coefficients cross powers of z only through the series ring's moves past
+z^k (`SeriesRing._moved`), so z*b = xi^-1(b)*z here as in the series ring.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import (
     ClassRegroupIncompatible,
@@ -35,18 +33,17 @@ def _z_times(base: TwistedSeries, k: int, order: int) -> TwistedSeries:
     """z^k * base at `order`. For k < 0 every word of base has at least -k
     letters, and z^-k is stripped off base's left."""
     ring = base.ring.with_order(order)
-    z = (0,) * abs(k)
-    move = ring.move_left if k >= 0 else ring.move_right
-    return ring.from_terms([((0,) * (len(w) + k), move(z, c))
-                            for w, c in base.terms.items()])
+    vecs, den = ring._moved((0,) * abs(k), base.vecs, base.den, right=k < 0)
+    return TwistedSeries._make(ring, {(0,) * (len(w) + k): v for w, v in vecs.items()
+                                      if len(w) + k <= order}, den)
 
 
 def _z_conjugate(base: TwistedSeries, k: int, order: int) -> TwistedSeries:
     """z^k * base * z^-k at `order`, for k >= 0: each coefficient of base
     moved left past z^k, on its own word."""
     ring = base.ring.with_order(order)
-    z = (0,) * k
-    return ring.from_terms([(w, ring.move_left(z, c)) for w, c in base.terms.items()])
+    vecs, den = ring._moved((0,) * k, base.vecs, base.den)
+    return TwistedSeries._make(ring, {w: v for w, v in vecs.items() if len(w) <= order}, den)
 
 
 class NovikovSeries:
@@ -60,7 +57,7 @@ class NovikovSeries:
             raise RingMismatch("Novikov elements need a one-letter series ring")
         if shift < 0:
             raise ValueError("shift must be >= 0")
-        j = min(shift, *map(len, base.terms)) if base.terms else 0
+        j = min(shift, *map(len, base.vecs)) if base.vecs else 0
         if j:
             base, shift = _z_times(base, -j, ring.order - j), shift - j
         self.base = base
@@ -77,15 +74,16 @@ class NovikovSeries:
 
     def coefficient(self, d: int):
         """Exact coefficient of z^d; degrees above the window are unknown."""
-        A = self.base.ring.coeff
+        R = self.base.ring
         if d > self.max_degree:
             raise WindowUnderflow(
                 f"degree {d} lies beyond the represented window "
                 f"[{self.min_degree}, {self.max_degree}]")
-        if d < self.min_degree:
-            return A.zero
-        raw = self.base.coefficient((0,) * (d + self.shift))
-        return self.base.ring.move_right((0,) * self.shift, raw)
+        vec = self.base.vecs.get((0,) * (d + self.shift)) if d >= self.min_degree else None
+        if vec is None:
+            return R.coeff.zero
+        vecs, den = R._moved((0,) * self.shift, {(): vec}, self.base.den, right=True)
+        return R.coeff.rebuild(vecs[()], den)
 
     def is_zero(self) -> bool:
         return self.base.is_zero()
@@ -130,9 +128,10 @@ class NovikovSeries:
             raise WindowUnderflow(
                 f"degrees {min(nonzero)}..{max(nonzero)} span more than "
                 f"order {ring.order} allows")
-        z = (0,) * shift
-        terms = [((0,) * (d + shift), ring.move_left(z, c)) for d, c in nonzero.items()]
-        return NovikovSeries(ring.from_terms(terms), shift)
+        vecs, den = A.clear(list(nonzero.values()))
+        vecs = {(0,) * (d + shift): v for d, v in zip(nonzero, vecs) if A.nonzero(v)}
+        vecs, den = ring._moved((0,) * shift, vecs, den)
+        return NovikovSeries(TwistedSeries._make(ring, vecs, den), shift)
 
 
 def _common_ring(u: NovikovSeries, v: NovikovSeries):
@@ -152,7 +151,7 @@ def nov_add(u: NovikovSeries, v: NovikovSeries) -> NovikovSeries:
 
 
 def nov_neg(u: NovikovSeries) -> NovikovSeries:
-    return NovikovSeries(u.base.scale(Fraction(-1)), u.shift)
+    return NovikovSeries(-u.base, u.shift)
 
 
 def nov_sub(u: NovikovSeries, v: NovikovSeries) -> NovikovSeries:
@@ -176,7 +175,7 @@ def nov_invert(u: NovikovSeries, max_shift=None) -> NovikovSeries:
         raise LeadingCoeffNotUnit("zero has no inverse")
     ring = u.base.ring
     A = ring.coeff
-    j = min(map(len, u.base.terms))
+    j = min(map(len, u.base.vecs))
     lead = u.base.coefficient((0,) * j)
     if not A.is_unit(lead):
         raise LeadingCoeffNotUnit(
@@ -187,7 +186,7 @@ def nov_invert(u: NovikovSeries, max_shift=None) -> NovikovSeries:
         if t > inv_body.ring.order:
             raise WindowUnderflow(
                 "the inverse starts beyond the representable window")
-        monomial = inv_body.ring.from_terms([((0,) * t, A.one)])
+        monomial = TwistedSeries._make(inv_body.ring, {(0,) * t: ring._one_vec})
         result = NovikovSeries(inv_body * monomial, 0)
     else:
         if max_shift is not None and -t > max_shift:

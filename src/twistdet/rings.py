@@ -17,7 +17,10 @@ document layers call:
   over one shared denominator, `dot` computes the integer vector of a sum
   of products sum_i x_i * y_i, and `rebuild` is the one read-back: it turns
   a vector from either (or an automorphism's action on one) and a
-  denominator back into a value;
+  denominator back into a value. Vectors are canonical (`clear`, `dot`,
+  `act`, `add_vectors` and `scale_vector` drop zero entries and sort keys),
+  and `nonzero`, `content`, `divide_vector` and `invert_vectors` (of an
+  n x n matrix of vectors) serve the series layer;
 - `emat_identity`, `emat_mul`, `mat_is_invertible` and `mat_invert` on
   square matrices (tuples of rows) of elements;
 - `random_element`, `random_unit` and `random_central` for sampling;
@@ -41,20 +44,19 @@ holds the sparse (basis key, Fraction) arithmetic and its read-back, the
 trace by basis-key label, random units, element literals and permutation
 automorphisms.
 
-Values stay Fractions; every product works on integers, through the view
-(after FLINT's fmpq_poly layout: integer numerators over one shared
-denominator). Z/m has denominator 1 and reduces mod m once per output
-entry; Q's vector is the numerator, M_k(Q)'s the k*k entries row by row,
-Q[G]'s and Q<gens>/deg>N's their (basis key, integer) pairs, multiplied
-through the group table or by word concatenation. `mul` of M_k(Q), Q[G]
-and Q<gens>/deg>N, `emat_mul` and the series kernel (series.py) all
-multiply this way, with one `rebuild` per output entry. Automorphisms act
-on the view too: an M_k(Q) conjugation by P is one precomputed
-k*k x k*k integer matrix (a -> N a adj(N) for N = d P integral, factor
-|det N|), and a permutation of Q[G] or Q<gens>/deg>N relabels the (key,
-integer) pairs (factor 1). The series kernel moves cleared vectors with
-these actions; `RingAutomorphism.apply` is clear, act and `rebuild`. Every
-inverse, over Q, M_k(Q), Q[G] and Z/m, is one `fraction_free` elimination.
+Values are Fractions, but products and inverses work on integers, through
+the view (after FLINT's fmpq_poly layout: integer numerators over one
+shared denominator), and series keep their coefficients in it (series.py).
+Z/m has denominator 1 and reduces mod m once per output entry; Q's vector
+is the numerator, M_k(Q)'s the k*k entries row by row, Q[G]'s and
+Q<gens>/deg>N's their (basis key, integer) pairs, multiplied through the
+group table or by word concatenation. Automorphisms act on the view too:
+an M_k(Q) conjugation by P is one precomputed k*k x k*k integer matrix
+(a -> N a adj(N) for N = d P integral, factor |det N|), and a permutation
+of Q[G] or Q<gens>/deg>N relabels the (key, integer) pairs (factor 1);
+`RingAutomorphism.apply` is clear, act and `rebuild`. Every inverse, over
+Q, M_k(Q), Q[G] and Z/m, is one `fraction_free` elimination of integers,
+of which only the entries read back are built.
 The layers above also share `Record` (their result records),
 `rational_sum_literal` and `twisted_conjugacy_classes` from here.
 """
@@ -69,7 +71,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from .errors import LiteralSyntaxError, NeedsRationalCoefficients, NeedsTrace, NotAUnit
+from .errors import (LiteralSyntaxError, NeedsRationalCoefficients, NeedsTrace, NotAUnit,
+                     NotInvertible)
 
 
 def frac_from_str(text: str) -> Fraction:
@@ -188,11 +191,6 @@ def _clear(rows) -> tuple[list, int]:
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
-def _from_ints(rows, den: int) -> tuple:
-    """The rational matrix rows/den, one Fraction per entry."""
-    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
-
-
 def fraction_free(rows, inverse: bool = True) -> tuple[int, Optional[list]]:
     """(det M, adj M) of a square integer matrix M, so M * adj M = det M * I, by
     fraction-free Gauss-Jordan elimination (Bareiss 1968): a step replaces each
@@ -221,17 +219,6 @@ def fraction_free(rows, inverse: bool = True) -> tuple[int, Optional[list]]:
     if not inverse:
         return sign * prev, None
     return sign * prev, [[sign * x for x in row[n:]] for row in m]
-
-
-def frac_mat_invert(rows) -> Optional[tuple]:
-    """Inverse over Q, None if singular: rows = N/d gives rows^-1 = d adj(N)/det(N)."""
-    ints, den = _clear(rows)
-    det, adj = fraction_free(ints)
-    return None if not det else _from_ints([[den * x for x in row] for row in adj], det)
-
-
-def frac_mat_is_invertible(rows) -> bool:
-    return fraction_free(_clear(rows)[0], inverse=False)[0] != 0
 
 
 # ---------------------------------------------------------------------------
@@ -368,15 +355,19 @@ class CoeffRing:
         return a == self.one
 
     def is_unit(self, a) -> bool:
-        raise NotImplementedError
+        return self.mat_is_invertible(((a,),))
 
     def invert(self, a):
-        raise NotImplementedError
+        """One elimination through mat_invert; NotAUnit worded by `_non_unit`."""
+        try:
+            return self.mat_invert(((a,),))[0][0]
+        except NotAUnit:
+            raise NotAUnit(self._non_unit.format(self.name)) from None
 
     def trace(self, a) -> dict:
         raise NeedsTrace(f"ring {self.name} has no trace")
 
-    # -- the Z-linear view (overridden) ---------------------------------------
+    # -- the Z-linear view (overridden; the defaults are an integer's) ---------
     def clear(self, values) -> tuple[list, int]:
         """(vecs, den): integer vectors with values[i] = vecs[i] / den, over
         one shared denominator den."""
@@ -392,9 +383,25 @@ class CoeffRing:
         automorphism's action on one): both have one form."""
         raise NotImplementedError
 
+    nonzero = bool  # whether a canonical vector is not 0
+
     def scale_vector(self, vec, s: int):
-        """s * vec for a vector from clear. Only a twist whose factor is not 1
-        (an M_k(Q) conjugation) ever needs it."""
+        """s * vec, for an integer s != 0."""
+        return vec * s
+
+    def add_vectors(self, x, y):
+        return x + y
+
+    def content(self, vec) -> int:
+        """The gcd of the vector's entries."""
+        return vec
+
+    def divide_vector(self, vec, g: int):
+        """vec / g, for g dividing every entry."""
+        return vec // g
+
+    def invert_vectors(self, vecs, den: int, n: int):
+        """(vecs, den) of the inverse of the n x n matrix vecs / den (row-major)."""
         raise NotImplementedError
 
     def _view_mul(self, a, b):
@@ -420,7 +427,10 @@ class CoeffRing:
         raise NotImplementedError
 
     def mat_invert(self, rows):
-        raise NotImplementedError
+        n = len(rows)
+        vecs, den = self.invert_vectors(*self.clear([x for row in rows for x in row]), n)
+        return tuple(tuple(self.rebuild(v, den) for v in vecs[i:i + n])
+                     for i in range(0, n * n, n))
 
     # -- sampling ------------------------------------------------------------
     def random_element(self, rng):
@@ -456,39 +466,35 @@ class CoeffRing:
 
 
 class _RepresentedRing(CoeffRing):
-    """A ring with a faithful representation over Q: `_rep(a)` is a d x d
-    rational matrix (d = `_dim`) and `_unrep(big, r, c)` reads an element back
-    from the d x d block of `big` at rows r.., columns c... A unit or matrix is
-    invertible iff its block image has nonzero determinant, and is inverted by
-    one fraction-free elimination of it. Subclasses restate `invert` in their
-    own body: perfbench/spans.py wraps it per class through vars(cls)."""
+    """A ring with a faithful representation over Q: `_rep(vec)` is the d x d
+    integer matrix (d = `_dim`) of a vector, and `_unrep(big, r, c)` reads a
+    vector back from the d x d block of the integer matrix `big` at rows r..,
+    columns c... A matrix M = N/d is invertible iff det of N's block image is
+    not 0, and M^-1 = d adj(N)/det(N) is one fraction-free elimination, of
+    which only the read-back entries are kept. Subclasses restate `invert` in
+    their body: perfbench/spans.py wraps it per class through vars(cls)."""
 
-    def _block_image(self, rows) -> list:
-        d = self._dim
+    _non_unit = "non-unit of {}"
+
+    def _image(self, vecs, n: int) -> list:
+        """The integer block image of the n x n matrix of vectors vecs."""
         big = []
-        for row in rows:
-            reps = [self._rep(a) for a in row]
-            big.extend([x for rep in reps for x in rep[r]] for r in range(d))
+        for i in range(0, n * n, n):
+            reps = [self._rep(v) for v in vecs[i:i + n]]
+            big.extend([x for rep in reps for x in rep[r]] for r in range(self._dim))
         return big
 
-    def is_unit(self, a):
-        return frac_mat_is_invertible(self._rep(a))
-
-    def invert(self, a):
-        inv = frac_mat_invert(self._rep(a))
-        if inv is None:
-            raise NotAUnit(f"non-unit of {self.name}")
-        return self._unrep(inv, 0, 0)
-
     def mat_is_invertible(self, rows):
-        return frac_mat_is_invertible(self._block_image(rows))
+        vecs, _ = self.clear([x for row in rows for x in row])
+        return fraction_free(self._image(vecs, len(rows)), inverse=False)[0] != 0
 
-    def mat_invert(self, rows):
-        inv = frac_mat_invert(self._block_image(rows))
-        if inv is None:
+    def invert_vectors(self, vecs, den, n):
+        det, adj = fraction_free(self._image(vecs, n))
+        if not det:
             raise NotAUnit(f"singular matrix over {self.name}")
-        d, n = self._dim, len(rows)
-        return tuple(tuple(self._unrep(inv, i * d, j * d) for j in range(n)) for i in range(n))
+        d, s = self._dim, den if det > 0 else -den
+        return [self.scale_vector(self._unrep(adj, i * d, j * d), s)
+                for i in range(n) for j in range(n)], abs(det)
 
 
 class RationalField(_RepresentedRing):
@@ -541,8 +547,8 @@ class RationalField(_RepresentedRing):
 
     _dim = 1
 
-    def _rep(self, a):
-        return ((a,),)
+    def _rep(self, vec):
+        return ((vec,),)
 
     def _unrep(self, big, r0, c0):
         return big[r0][c0]
@@ -599,7 +605,7 @@ class IntegersMod(CoeffRing):
         return pow(a % self.modulus, -1, self.modulus)
 
     def clear(self, values):
-        return list(values), 1
+        return [a % self.modulus for a in values], 1
 
     def dot(self, lefts, rights):
         return sum(map(operator.mul, lefts, rights)) % self.modulus
@@ -607,16 +613,22 @@ class IntegersMod(CoeffRing):
     def rebuild(self, vec, den):
         return vec
 
-    def mat_is_invertible(self, rows):
-        return self.is_unit(fraction_free(rows, inverse=False)[0])
+    def scale_vector(self, vec, s):
+        return vec * s % self.modulus
 
-    def mat_invert(self, rows):
-        det, adj = fraction_free(rows)
+    def add_vectors(self, x, y):
+        return (x + y) % self.modulus
+
+    def invert_vectors(self, vecs, den, n):
+        det, adj = fraction_free([vecs[i:i + n] for i in range(0, n * n, n)])
         m = self.modulus
         if not self.is_unit(det):
             raise NotAUnit(f"matrix determinant {det % m} is not a unit of {self.name}")
         dinv = pow(det, -1, m)
-        return tuple(tuple(x * dinv % m for x in row) for row in adj)
+        return [x * dinv % m for row in adj for x in row], 1
+
+    def mat_is_invertible(self, rows):
+        return self.is_unit(fraction_free(rows, inverse=False)[0])
 
     def random_element(self, rng):
         return rng.randrange(self.modulus)
@@ -658,9 +670,10 @@ class RationalMatrixRing(_RepresentedRing):
         p = tuple(tuple(Fraction(x) for x in row) for row in matrix)
         if len(p) != self.size or any(len(row) != self.size for row in p):
             raise ValueError(f"conjugating matrix must be {self.size}x{self.size}")
-        pinv = frac_mat_invert(p)
-        if pinv is None:
-            raise ValueError("conjugating matrix must be invertible")
+        try:
+            pinv = self.invert(p)
+        except NotAUnit:
+            raise ValueError("conjugating matrix must be invertible") from None
         return self._register_pair(name, ("conj", _mat_key(p)), *self._conjugation(p),
                                    ("conj", _mat_key(pinv)), *self._conjugation(pinv))
 
@@ -686,7 +699,7 @@ class RationalMatrixRing(_RepresentedRing):
     def mul(self, a, b):
         return self._view_mul(a, b)
 
-    invert = _RepresentedRing.invert
+    invert = CoeffRing.invert
 
     def clear(self, values):
         """Each matrix as its k*k entries, row by row."""
@@ -709,6 +722,17 @@ class RationalMatrixRing(_RepresentedRing):
     def scale_vector(self, vec, s):
         return [x * s for x in vec]
 
+    nonzero = any
+
+    def add_vectors(self, x, y):
+        return list(map(operator.add, x, y))
+
+    def content(self, vec):
+        return math.gcd(*vec)
+
+    def divide_vector(self, vec, g):
+        return [x // g for x in vec]
+
     def is_zero(self, a):
         return not any(map(any, a))
 
@@ -716,12 +740,13 @@ class RationalMatrixRing(_RepresentedRing):
         q = Fraction(q)
         return tuple(tuple(q * x for x in row) for row in a)
 
-    def _rep(self, a):
-        return a
+    def _rep(self, vec):
+        k = self.size
+        return [vec[r:r + k] for r in range(0, k * k, k)]
 
     def _unrep(self, big, r0, c0):
         k = self.size
-        return tuple(tuple(big[r0 + r][c0 + c] for c in range(k)) for r in range(k))
+        return [big[r0 + r][c0 + c] for r in range(k) for c in range(k)]
 
     def trace(self, a):
         t = sum((a[i][i] for i in range(self.size)), Fraction(0))
@@ -767,19 +792,34 @@ class _BasisAlgebra(CoeffRing):
         super().__init__()
         self.zero = ()
 
+    def _merge(self, pairs) -> list:  # summed by key, zeros dropped, sorted
+        return sorted(sum_by_key(pairs).items(), key=self._sort_key)
+
     def _canon(self, pairs) -> tuple:
-        return tuple(sorted(sum_by_key(pairs).items(), key=self._sort_key))
+        return tuple(self._merge(pairs))
 
     def _register_permutation(self, name, perm, tag, move) -> RingAutomorphism:
         """Register perm (and its inverse) relabelling the keys of a cleared
         vector by move(perm, key), with factor 1."""
         inv = tuple(sorted(range(len(perm)), key=perm.__getitem__))
-        return self._register_pair(
-            name, (tag, perm), lambda vec, p=perm: [(move(p, k), c) for k, c in vec], 1,
-            (tag, inv), lambda vec, p=inv: [(move(p, k), c) for k, c in vec], 1)
+        def act(p):
+            return lambda vec: sorted([(move(p, k), c) for k, c in vec], key=self._sort_key)
+        return self._register_pair(name, (tag, perm), act(perm), 1, (tag, inv), act(inv), 1)
 
     def rebuild(self, vec, den):
-        return tuple(sorted(((k, Fraction(c, den)) for k, c in vec if c), key=self._sort_key))
+        return tuple((k, Fraction(c, den)) for k, c in vec)
+
+    def scale_vector(self, vec, s):
+        return [(k, c * s) for k, c in vec]
+
+    def add_vectors(self, x, y):
+        return self._merge(x + y)
+
+    def content(self, vec):
+        return math.gcd(*[c for _, c in vec])
+
+    def divide_vector(self, vec, g):
+        return [(k, c // g) for k, c in vec]
 
     def add(self, a, b):
         return self._canon(a + b)
@@ -862,7 +902,7 @@ class GroupAlgebra(_BasisAlgebra, _RepresentedRing):
     def mul(self, a, b):
         return self._view_mul(a, b)
 
-    invert = _RepresentedRing.invert
+    invert = CoeffRing.invert
 
     def dot(self, lefts, rights):
         """The (element, integer) pairs of the sum, through the group table."""
@@ -872,23 +912,24 @@ class GroupAlgebra(_BasisAlgebra, _RepresentedRing):
                 row = table[g]
                 for h, y in b:
                     acc[row[h]] += x * y
-        return list(enumerate(acc))
+        return [(g, c) for g, c in enumerate(acc) if c]
 
     def basis_element(self, g: int):
         return ((g % self.group.order, Fraction(1)),)
 
-    def _rep(self, a):
+    def _rep(self, vec):
         """The left regular representation: column j holds a * g_j."""
         n = self.group.order
-        mat = [[Fraction(0)] * n for _ in range(n)]
-        for g, c in a:
+        mat = [[0] * n for _ in range(n)]
+        for g, c in vec:
             for j, gj in enumerate(self.group.table[g]):
                 mat[gj][j] = c
         return mat
 
     def _unrep(self, big, r0, c0):
-        e = self.group.identity
-        return self._canon((g, big[r0 + g][c0 + e]) for g in range(self.group.order))
+        """The column of the identity."""
+        col = c0 + self.group.identity
+        return [(g, big[r0 + g][col]) for g in range(self.group.order) if big[r0 + g][col]]
 
     def _keys(self):
         return range(self.group.order)
@@ -1011,30 +1052,32 @@ class TruncatedFreeAlgebra(_BasisAlgebra):
                         break
                     k = u + w
                     acc[k] = acc.get(k, 0) + x * y
-        return acc.items()
+        return sorted([(k, c) for k, c in acc.items() if c], key=self._sort_key)
 
     def is_unit(self, a):
         return self.scalar_part(a) != 0
 
-    def invert(self, a):
-        if self.scalar_part(a) == 0:
-            raise NotAUnit(f"zero scalar part: non-unit of {self.name}")
-        from .series import TwistedSeries
-        inv = TwistedSeries(self._series_ring, dict(a)).inverse()
-        return self._canon(inv.terms.items())
+    _non_unit = "zero scalar part: non-unit of {}"
+    invert = CoeffRing.invert
 
-    def mat_is_invertible(self, rows):
-        return frac_mat_is_invertible([[self.scalar_part(x) for x in row] for row in rows])
-
-    def mat_invert(self, rows):
-        if not self.mat_is_invertible(rows):
-            raise NotAUnit(f"matrix has singular scalar part over {self.name}")
+    def invert_vectors(self, vecs, den, n):
+        """Through the series matrix over Q<<gens>> of the (word, integer) pairs."""
         from .matrices import SeriesMatrix, mat_invert
         from .series import TwistedSeries
         R = self._series_ring
-        inv = mat_invert(SeriesMatrix(R, [[TwistedSeries(R, dict(x)) for x in row]
-                                          for row in rows]))
-        return tuple(tuple(self._canon(e.terms.items()) for e in row) for row in inv.rows)
+        entries = [TwistedSeries._make(R, dict(v), den) for v in vecs]
+        try:
+            inv = mat_invert(SeriesMatrix(R, [entries[i:i + n] for i in range(0, n * n, n)]))
+        except NotInvertible:
+            raise NotAUnit(f"matrix has singular scalar part over {self.name}") from None
+        out = [e for row in inv.rows for e in row]
+        d = math.lcm(*[e.den for e in out])
+        return [self.scale_vector(sorted(e.vecs.items(), key=self._sort_key), d // e.den)
+                for e in out], d
+
+    def mat_is_invertible(self, rows):
+        scalars = _clear([[self.scalar_part(x) for x in row] for row in rows])[0]
+        return fraction_free(scalars, inverse=False)[0] != 0
 
     def all_words(self, min_len: int = 0) -> list[tuple]:
         words: list[tuple] = []

@@ -502,3 +502,16 @@ def test_golden_cgen_coefficient_commutator(capsys, tmp_path):
 
 def test_golden_cgen_unit_conjugation(capsys, tmp_path):
     byte_golden(capsys, tmp_path, "cgen_conjugation")
+
+
+ARITHMETIC_GOLDENS = sorted(p.name[:-len("_job.json")] for p in GOLDENS.glob("*_job.json")
+                            if not p.name.startswith("cgen_co"))
+
+
+@pytest.mark.parametrize("stem", ARITHMETIC_GOLDENS)
+def test_golden_arithmetic_stdout(capsys, stem):
+    # one inv, log, ldu, det, cgen and novikov job per coefficient kind, on
+    # the ring shapes of perfbench's cli-jobs: `run` prints these exact bytes
+    want = (GOLDENS / f"{stem}_out.json").read_text()
+    code, out, _ = run_cli(capsys, "run", str(GOLDENS / f"{stem}_job.json"))
+    assert code == 0 and out == want

@@ -10,7 +10,9 @@ from twistdet import (
     AugmentationNotUnit,
     IntegersMod,
     NeedsRationalCoefficients,
+    NotAUnit,
     NotInvertible,
+    RationalField,
     RingAutomorphism,
     RingMismatch,
     SeriesMatrix,
@@ -33,7 +35,7 @@ from twistdet.randgen import (
     random_unipotent_matrix,
     random_unit,
 )
-from twistdet.selftest import free_yz, m2_nonintegral, m2_two_twists, qc4_inv
+from twistdet.selftest import free_yz, m2_nonintegral, m2_swap, m2_two_twists, qc4_inv
 
 from conftest import assert_folded, one_letter, two_letter
 
@@ -450,3 +452,115 @@ def test_twisted_product_is_associative(m2_two_twists, qc4):
     rings = [two_letter(m2_two_twists, 5, twist={"x": "swap", "y": "shear"}),
              two_letter(qc4, 6, twist={"x": "inv"})]
     assert_folded("product-associative", rings, 5)
+
+
+def count_eliminations(monkeypatch):
+    calls = []
+    eliminate = rings_module.fraction_free
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eliminate(*args, **kwargs)
+    monkeypatch.setattr(rings_module, "fraction_free", counted)
+    return calls
+
+
+def test_free_algebra_matrix_inverse_eliminates_once(monkeypatch):
+    # a 2x2 matrix over Q<y,z>/deg>2 is inverted through one elimination of
+    # its scalar part, with no invertibility test first
+    A = free_yz(2)
+    f = A.parse_element_literal
+    rows = ((f("1+y"), f("z")), (f("2*yz"), f("3-z")))
+    calls = count_eliminations(monkeypatch)
+    inv = A.mat_invert(rows)
+    assert len(calls) == 1
+    assert A.emat_mul(rows, inv) == A.emat_identity(2) == A.emat_mul(inv, rows)
+    with pytest.raises(NotAUnit, match=r"^matrix has singular scalar part over Q<y,z>/deg>2$"):
+        A.mat_invert(((f("y"), f("1")), (f("z"), f("1+y"))))
+
+
+def test_rearrange_check_eliminates_twice(monkeypatch, m2):
+    # 1 - b(1+ab)^-1 a == (1+ba)^-1 needs the two inverses and nothing else
+    R = one_letter(m2, 3, twist="swap")
+    rng = random.Random(3)
+    a, b = (SeriesMatrix(R, [[random_series(R, rng)]]) for _ in range(2))
+    calls = count_eliminations(monkeypatch)
+    assert matrices_module.rearrange_inverses_check(a, b)
+    assert len(calls) == 2
+    minus_one = SeriesMatrix(R, [[R.lift(m2.parse_element_literal("-1,0;0,-1"))]])
+    one = SeriesMatrix.identity(R, 1)
+    with pytest.raises(NotInvertible, match=r"^1 \+ ab is not invertible$"):
+        matrices_module.rearrange_inverses_check(minus_one, one)
+
+
+def five_rings():
+    """One ring of each coefficient kind, twisted where the kind has a twist."""
+    return [SeriesRing(RationalField(), ("x", "y"), order=3),
+            SeriesRing(IntegersMod(12), ("x", "y"), order=3),
+            one_letter(m2_swap(), 3, twist="swap"),
+            one_letter(qc4_inv(), 3, twist="inv"),
+            one_letter(free_yz(2), 3, twist="flip")]
+
+
+def assert_canonical(s):
+    A = s.ring.coeff
+    assert s.den > 0 and all(A.nonzero(v) for v in s.vecs.values())
+    if A.contains_rationals:
+        assert math.gcd(s.den, *[A.content(v) for v in s.vecs.values()]) == 1
+    else:
+        assert s.den == 1 and all(0 <= v < A.modulus for v in s.vecs.values())
+
+
+@pytest.mark.parametrize("ring", five_rings(), ids=lambda R: R.coeff.kind)
+def test_equality_does_not_depend_on_construction(ring):
+    # a series built through the kernel equals the same element built from
+    # its values, and reads the same terms, support and literal
+    R, A = ring, ring.coeff
+    rng = random.Random(7)
+
+    def agree(built, want):
+        fresh = R.from_terms(dict(want.terms))
+        assert_canonical(built)
+        assert built == fresh and fresh == built
+        assert built.terms == fresh.terms and built.support() == fresh.support()
+        assert repr(built) == repr(fresh)
+
+    for _ in range(6):
+        u, v = random_series(R, rng, terms=4), random_unit(R, rng, terms=4)
+        agree((u * v) * v.inverse(), u)
+        assert (u + (-u)).is_zero() and u + (-u) == R.zero() == u - u
+        q, back = (F(3, 2), F(2, 3)) if A.contains_rationals else (5, 5)  # 5 * 5 = 1 mod 12
+        agree(u.scale(q).scale(back), u)
+        agree(v.inverse().inverse(), v)
+        if A.contains_rationals:
+            w = random_fiber_one(R, rng, terms=4)
+            agree(formal_exp(formal_log(w)), w)
+
+
+@pytest.mark.parametrize("make,twist", [(m2_swap, "swap"), (qc4_inv, "inv")])
+def test_inverse_and_log_stay_in_the_integer_view(monkeypatch, make, twist):
+    # an order-4 inverse and a formal log clear only the operand built from
+    # values, and build no value until .terms or augmentation() is read
+    A = make()
+    R = one_letter(A, 4, twist=twist)
+    u = random_fiber_one(R, random.Random(11), terms=5)
+    cleared, rebuilt = [], []
+    clear, rebuild = A.clear, A.rebuild
+
+    def counted_clear(values):
+        cleared.append(list(values))
+        return clear(values)
+
+    def counted_rebuild(vec, den):
+        rebuilt.append(vec)
+        return rebuild(vec, den)
+    monkeypatch.setattr(A, "clear", counted_clear)
+    monkeypatch.setattr(A, "rebuild", counted_rebuild)
+    values = list(u.terms.values())
+    inv, log = u.inverse(), formal_log(u)
+    assert cleared == [values] and rebuilt == []
+    assert inv.augmentation() == A.one and len(rebuilt) == 1
+    del rebuilt[:]
+    words = len(inv.terms) + len(log.terms)
+    assert len(rebuilt) == words and inv.terms == inv.terms  # built once, on first read
+    assert len(rebuilt) == words and cleared == [values]
