@@ -115,8 +115,6 @@ def _build_job(args) -> dict:
     if args.order is not None and isinstance(ring_doc, dict):
         ring_doc = {**ring_doc, "order": args.order}
     job = {"op": op, "ring": ring_doc}
-    if args.seed is not None:
-        job["seed"] = args.seed
     if op in ("inv", "log", "cyclog"):
         job["series"] = [args.series]
     elif op == "mul":
@@ -221,7 +219,6 @@ def _add_common(sub, ring_required=True):
                      help="path to a series-ring JSON document")
     sub.add_argument("--order", type=int, default=None,
                      help="override the ring document's truncation order")
-    sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--out", default=None,
                      help="write the output document here instead of stdout")
 

@@ -247,7 +247,6 @@ def _op_branch(op: str) -> dict:
     operands = _OPERAND_SCHEMAS[op]
     props = {"op": {"const": op},
              "ring": SERIES_RING_SCHEMA,
-             "seed": {"type": "integer", "minimum": 0},
              "out": {"type": "string"}}
     required = ["op", "ring"]
     for key, (schema, count) in operands.items():
@@ -270,6 +269,7 @@ def _op_branch(op: str) -> dict:
     if op == "selftest":
         required.remove("ring")
         props.pop("ring")
+        props["seed"] = {"type": "integer", "minimum": 0}
         props["order"] = {"type": "integer", "minimum": 0}
         props["trials"] = {"type": "integer", "minimum": 1}
     return {"type": "object", "properties": props,

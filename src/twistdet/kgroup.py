@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from .errors import (
     AugmentationNotOne,
+    AugmentationNotUnit,
     CommutationFailed,
     DimensionMismatch,
     FlavorViolated,
@@ -39,15 +40,24 @@ FLAVORS = (
 )
 
 
+def _inverse(u: TwistedSeries, message: str) -> TwistedSeries:
+    """u^-1, or NotInvertible(message) where eps(u) is not a unit."""
+    try:
+        return u.inverse()
+    except AugmentationNotUnit:
+        raise NotInvertible(message) from None
+
+
 class CGenerator(Record):
     """A pair (a, b) defining the group element (1+ab)(1+ba)^{-1}.
 
     The flavor names the defining condition the pair must satisfy. All
     flavors additionally require 1+ba to be a unit and the resulting element
-    to have augmentation 1, which pins eps(ab) = eps(ba).
+    to have augmentation 1, which pins eps(ab) = eps(ba). The check of 1+ba
+    is its inversion, kept (outside the record's fields) for `element`.
     """
 
-    __slots__ = ("a", "b", "flavor")
+    __slots__ = ("a", "b", "flavor", "_ba_inverse")
 
     def __init__(self, a: TwistedSeries, b: TwistedSeries,
                  flavor: str = FLAVOR_AB_BA_KERNEL):
@@ -60,7 +70,6 @@ class CGenerator(Record):
         ea, eb = a.augmentation(), b.augmentation()
         e_ab = A.mul(ea, eb)
         e_ba = A.mul(eb, ea)
-        one_ba = A.add(A.one, e_ba)
         if flavor == FLAVOR_A_KERNEL and not A.is_zero(ea):
             raise FlavorViolated("flavor needs eps(a) = 0")
         if flavor == FLAVOR_AB_BA_KERNEL and not (A.is_zero(e_ab) and A.is_zero(e_ba)):
@@ -69,18 +78,13 @@ class CGenerator(Record):
             raise FlavorViolated("flavor needs eps(ba) = 0")
         if flavor == FLAVOR_B_UNIT and not A.is_unit(eb):
             raise FlavorViolated("flavor needs eps(b) to be a unit")
-        if not A.is_unit(one_ba):
-            raise NotInvertible("1 + ba is not invertible")
+        self._ba_inverse = _inverse(a.ring.one() + b * a, "1 + ba is not invertible")
         if not A.is_zero(A.sub(e_ab, e_ba)):
             raise FlavorViolated(
                 "eps(ab) != eps(ba): the element would leave the augmentation fiber")
 
     def element(self) -> TwistedSeries:
-        ring = self.a.ring
-        one = ring.one()
-        ab = self.a * self.b
-        ba = self.b * self.a
-        return (one + ab) * (one + ba).inverse()
+        return (self.a.ring.one() + self.a * self.b) * self._ba_inverse
 
 
 def c_generator(a: TwistedSeries, b: TwistedSeries,
@@ -103,17 +107,13 @@ def vaserstein_transform(a: TwistedSeries, b: TwistedSeries, c: TwistedSeries):
     A = ring.coeff
     one = ring.one()
     ac = a * c
-    ba = b * a
     if not A.is_unit(A.add(A.one, ac.augmentation())):
         raise NotInvertible("1 + ac is not invertible")
-    if not A.is_unit(A.add(A.one, ba.augmentation())):
-        raise NotInvertible("1 + ba is not invertible")
+    ba_inverse = _inverse(one + b * a, "1 + ba is not invertible")
     b2 = b + c + b * ac
-    b2a = b2 * a
-    if not A.is_unit(A.add(A.one, b2a.augmentation())):
-        raise NotInvertible("1 + b'a is not invertible")
-    lhs = (one + a * b) * (one + ba).inverse()
-    rhs = (one + a * b2) * (one + b2a).inverse()
+    b2a_inverse = _inverse(one + b2 * a, "1 + b'a is not invertible")
+    lhs = (one + a * b) * ba_inverse
+    rhs = (one + a * b2) * b2a_inverse
     return b2, lhs == rhs
 
 
@@ -123,16 +123,12 @@ def commutator_as_c_generator(alpha: TwistedSeries, beta: TwistedSeries):
     ring = alpha.ring
     if beta.ring != ring:
         raise RingMismatch("alpha and beta live in different series rings")
-    A = ring.coeff
-    if not A.is_unit(alpha.augmentation()):
-        raise NotInvertible("alpha is not a unit")
-    if not A.is_unit(beta.augmentation()):
-        raise NotInvertible("beta is not a unit")
+    b = _inverse(alpha, "alpha is not a unit")
+    beta_inverse = _inverse(beta, "beta is not a unit")
     a = alpha * beta - alpha
-    b = alpha.inverse()
     one = ring.one()
     lhs = (one + a * b) * (one + b * a).inverse()
-    rhs = alpha * beta * b * beta.inverse()
+    rhs = alpha * beta * b * beta_inverse
     if lhs != rhs:
         raise InternalInvariantError("commutator identity failed; ring arithmetic is broken")
     return a, b

@@ -12,7 +12,7 @@ document layers call:
   flag: Q sits in the centre, so the ring scales by rationals and has a
   rational-valued `trace(a)` (a dict label -> Fraction, zeros dropped);
 - `add`, `neg`, `sub`, `mul`, `scalar_mul`, `is_zero`, `is_one`, `is_unit`
-  and `invert` on elements;
+  and `invert` on elements, defined once, in `CoeffRing`, through the view;
 - the Z-linear view: `clear` turns a list of values into integer vectors
   over one shared denominator, `dot` computes the integer vector of a sum
   of products sum_i x_i * y_i, and `rebuild` is the one read-back: it turns
@@ -36,11 +36,16 @@ document layers call:
   is defined once, by an integer action on the Z-linear view below and a
   fixed denominator factor.
 
+A ring kind supplies only its basis and view (`clear`, `dot`, `rebuild` and
+the vector helpers), its twist actions, its literals and its trace. Each
+concrete class restates `add`, `mul` and `invert` by one alias line, because
+perfbench/spans.py wraps them per class through vars(cls).
+
 Rings represented over Q share two bases. `_RepresentedRing` (Q, M_k(Q)
 and Q[G]) decides invertible matrices over the ring by the determinant of
 their block image under a faithful representation into M_d(Q), and inverts
 them by one elimination of it. `_BasisAlgebra` (Q[G] and Q<gens>/deg>N)
-holds the sparse (basis key, Fraction) arithmetic and its read-back, the
+holds the sparse (basis key, integer) view and its read-back, the
 trace by basis-key label, random units, element literals and permutation
 automorphisms.
 
@@ -137,22 +142,26 @@ def sum_by_key(pairs) -> dict:
 
 
 class Record:
-    """A result record whose fields are its `__slots__`: two records are
-    equal when they are of one class with equal fields (NotImplemented for
-    any other class), the repr names every field, and records are
-    unhashable."""
+    """A result record whose fields are its `__slots__` (a slot named with a
+    leading "_" caches what the fields determine, and is no field): two
+    records are equal when they are of one class with equal fields
+    (NotImplemented for any other class), the repr names every field, and
+    records are unhashable."""
 
     __slots__ = ()
     __hash__ = None
 
+    def _fields(self) -> list:
+        return [f for f in self.__slots__ if f[0] != "_"]
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ([getattr(self, f) for f in self.__slots__]
-                == [getattr(other, f) for f in self.__slots__])
+        return ([getattr(self, f) for f in self._fields()]
+                == [getattr(other, f) for f in self._fields()])
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields())
         return f"{type(self).__name__}({fields})"
 
 
@@ -297,7 +306,8 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 
 class CoeffRing:
-    """Common interface of the coefficient rings."""
+    """Common interface of the coefficient rings, and their value arithmetic:
+    clear the values, compute on the integer vectors, and `rebuild`."""
 
     kind: str = "?"
     name: str = "?"
@@ -332,27 +342,38 @@ class CoeffRing:
         return tuple((name, auto.data) for name, auto in sorted(self.automorphisms.items())
                      if auto.inverse.name == name + "^-1")
 
-    # -- arithmetic (overridden) --------------------------------------------
+    # -- arithmetic on values, through the view ------------------------------
     def add(self, a, b):
-        raise NotImplementedError
+        (x, y), den = self.clear((a, b))
+        return self.rebuild(self.add_vectors(x, y), den)
 
     def neg(self, a):
-        raise NotImplementedError
+        return self.scalar_mul(-1, a)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        raise NotImplementedError
+        (x, y), den = self.clear((a, b))
+        return self.rebuild(self.dot((x,), (y,)), den * den)
 
     def scalar_mul(self, q: Fraction, a):
-        raise NotImplementedError
+        """q * a; a ring without Q refuses a non-integral q."""
+        q = Fraction(q)
+        if not q:
+            return self.zero
+        if q.denominator != 1 and not self.contains_rationals:
+            raise NeedsRationalCoefficients(f"cannot scale by {q} over {self.name}")
+        (vec,), den = self.clear((a,))
+        return self.rebuild(self.scale_vector(vec, q.numerator), den * q.denominator)
 
     def is_zero(self, a) -> bool:
         return a == self.zero
 
     def is_one(self, a) -> bool:
         return a == self.one
+
+    _non_unit = "non-unit of {}"
 
     def is_unit(self, a) -> bool:
         return self.mat_is_invertible(((a,),))
@@ -403,10 +424,6 @@ class CoeffRing:
     def invert_vectors(self, vecs, den: int, n: int):
         """(vecs, den) of the inverse of the n x n matrix vecs / den (row-major)."""
         raise NotImplementedError
-
-    def _view_mul(self, a, b):
-        (x, y), d = self.clear((a, b))
-        return self.rebuild(self.dot((x,), (y,)), d * d)
 
     # -- matrices over the ring (lists of lists of elements) ----------------
     def emat_identity(self, n: int):
@@ -471,10 +488,7 @@ class _RepresentedRing(CoeffRing):
     vector back from the d x d block of the integer matrix `big` at rows r..,
     columns c... A matrix M = N/d is invertible iff det of N's block image is
     not 0, and M^-1 = d adj(N)/det(N) is one fraction-free elimination, of
-    which only the read-back entries are kept. Subclasses restate `invert` in
-    their body: perfbench/spans.py wraps it per class through vars(cls)."""
-
-    _non_unit = "non-unit of {}"
+    which only the read-back entries are kept."""
 
     def _image(self, vecs, n: int) -> list:
         """The integer block image of the n x n matrix of vectors vecs."""
@@ -509,28 +523,7 @@ class RationalField(_RepresentedRing):
         self.zero = Fraction(0)
         self.one = Fraction(1)
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a):
-        return not a
-
-    def scalar_mul(self, q, a):
-        return Fraction(q) * a
-
-    def is_unit(self, a):
-        return a != 0
-
-    def invert(self, a):
-        if a == 0:
-            raise NotAUnit("0 is not a unit of Q")
-        return 1 / Fraction(a)
+    add, mul, invert = CoeffRing.add, CoeffRing.mul, CoeffRing.invert
 
     def trace(self, a):
         return {} if a == 0 else {"1": Fraction(a)}
@@ -580,29 +573,7 @@ class IntegersMod(CoeffRing):
         self.zero = 0
         self.one = 1 % modulus
 
-    def add(self, a, b):
-        return (a + b) % self.modulus
-
-    def neg(self, a):
-        return (-a) % self.modulus
-
-    def mul(self, a, b):
-        return (a * b) % self.modulus
-
-    def scalar_mul(self, q, a):
-        q = Fraction(q)
-        if q.denominator != 1:
-            raise NeedsRationalCoefficients(
-                f"cannot scale by {q} over {self.name}")
-        return (q.numerator * a) % self.modulus
-
-    def is_unit(self, a):
-        return math.gcd(a % self.modulus, self.modulus) == 1
-
-    def invert(self, a):
-        if not self.is_unit(a):
-            raise NotAUnit(f"{a} is not a unit of {self.name}")
-        return pow(a % self.modulus, -1, self.modulus)
+    add, mul, invert = CoeffRing.add, CoeffRing.mul, CoeffRing.invert
 
     def clear(self, values):
         return [a % self.modulus for a in values], 1
@@ -622,13 +593,13 @@ class IntegersMod(CoeffRing):
     def invert_vectors(self, vecs, den, n):
         det, adj = fraction_free([vecs[i:i + n] for i in range(0, n * n, n)])
         m = self.modulus
-        if not self.is_unit(det):
+        if math.gcd(det, m) != 1:
             raise NotAUnit(f"matrix determinant {det % m} is not a unit of {self.name}")
         dinv = pow(det, -1, m)
         return [x * dinv % m for row in adj for x in row], 1
 
     def mat_is_invertible(self, rows):
-        return self.is_unit(fraction_free(rows, inverse=False)[0])
+        return math.gcd(fraction_free(rows, inverse=False)[0], self.modulus) == 1
 
     def random_element(self, rng):
         return rng.randrange(self.modulus)
@@ -690,16 +661,7 @@ class RationalMatrixRing(_RepresentedRing):
                 for r in range(k) for c in range(k)]
         return (lambda vec: [sum(map(operator.mul, row, vec)) for row in rows]), abs(det)
 
-    def add(self, a, b):
-        return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-    def neg(self, a):
-        return tuple(tuple(-x for x in row) for row in a)
-
-    def mul(self, a, b):
-        return self._view_mul(a, b)
-
-    invert = CoeffRing.invert
+    add, mul, invert = CoeffRing.add, CoeffRing.mul, CoeffRing.invert
 
     def clear(self, values):
         """Each matrix as its k*k entries, row by row."""
@@ -732,13 +694,6 @@ class RationalMatrixRing(_RepresentedRing):
 
     def divide_vector(self, vec, g):
         return [x // g for x in vec]
-
-    def is_zero(self, a):
-        return not any(map(any, a))
-
-    def scalar_mul(self, q, a):
-        q = Fraction(q)
-        return tuple(tuple(q * x for x in row) for row in a)
 
     def _rep(self, vec):
         k = self.size
@@ -782,8 +737,7 @@ class _BasisAlgebra(CoeffRing):
     subclass supplies the key of 1 (`one`), `_keys()` (the basis),
     `_key_name`/`_parse_key` (a key's literal name and back) and
     `_trace_label` (the trace bucket of a key); automorphisms are
-    permutations acting on keys. Subclasses restate `add` in their own body,
-    as for `_RepresentedRing.invert`."""
+    permutations acting on keys."""
 
     contains_rationals = True
     _sort_key = None
@@ -821,22 +775,10 @@ class _BasisAlgebra(CoeffRing):
     def divide_vector(self, vec, g):
         return [(k, c // g) for k, c in vec]
 
-    def add(self, a, b):
-        return self._canon(a + b)
-
     def clear(self, values):
         """Each element as its (basis key, integer) pairs."""
         den = math.lcm(*[c.denominator for a in values for _, c in a])
         return [[(k, c.numerator * (den // c.denominator)) for k, c in a] for a in values], den
-
-    def neg(self, a):
-        return tuple((k, -c) for k, c in a)
-
-    def scalar_mul(self, q, a):
-        q = Fraction(q)
-        if q == 0:
-            return ()
-        return tuple((k, q * c) for k, c in a)
 
     def trace(self, a):
         return dict(sorted(sum_by_key((self._trace_label(k), c) for k, c in a).items()))
@@ -897,12 +839,7 @@ class GroupAlgebra(_BasisAlgebra, _RepresentedRing):
             raise ValueError(f"{perm} is not an automorphism of {self.group.name}")
         return self._register_permutation(name, perm, "gperm", lambda p, g: p[g])
 
-    add = _BasisAlgebra.add
-
-    def mul(self, a, b):
-        return self._view_mul(a, b)
-
-    invert = CoeffRing.invert
+    add, mul, invert = CoeffRing.add, CoeffRing.mul, CoeffRing.invert
 
     def dot(self, lefts, rights):
         """The (element, integer) pairs of the sum, through the group table."""
@@ -1036,10 +973,7 @@ class TruncatedFreeAlgebra(_BasisAlgebra):
     def scalar_part(self, a) -> Fraction:
         return a[0][1] if a and a[0][0] == () else Fraction(0)  # () sorts first
 
-    add = _BasisAlgebra.add
-
-    def mul(self, a, b):
-        return self._view_mul(a, b)
+    add, mul, invert = CoeffRing.add, CoeffRing.mul, CoeffRing.invert
 
     def dot(self, lefts, rights):
         """The (word, integer) pairs of the sum; words above max_degree drop."""
@@ -1054,11 +988,7 @@ class TruncatedFreeAlgebra(_BasisAlgebra):
                     acc[k] = acc.get(k, 0) + x * y
         return sorted([(k, c) for k, c in acc.items() if c], key=self._sort_key)
 
-    def is_unit(self, a):
-        return self.scalar_part(a) != 0
-
     _non_unit = "zero scalar part: non-unit of {}"
-    invert = CoeffRing.invert
 
     def invert_vectors(self, vecs, den, n):
         """Through the series matrix over Q<<gens>> of the (word, integer) pairs."""

@@ -188,7 +188,7 @@ class SeriesRing:
             word = (self.word_from_str(word) if isinstance(word, str)
                     else self.normalize_word(tuple(word)))
             if len(word) <= self.order:
-                acc[word] = A.add(acc.get(word, A.zero), c)
+                acc[word] = A.add(acc[word], c) if word in acc else c
         return TwistedSeries(self, {w: c for w, c in acc.items() if not A.is_zero(c)})
 
     def zero(self) -> "TwistedSeries":

@@ -211,6 +211,34 @@ def test_exit_code_1_on_bad_input(capsys, ring_file, tmp_path):
     assert exc.value.code == 0
 
 
+
+def test_only_selftest_takes_a_seed(capsys, qring, tmp_path):
+    # the computing ops draw nothing at random: --seed and a job's "seed" are
+    # refused there (exit 1), and selftest still reads both
+    code, out, err = run_cli(capsys, "inv", "--seed", "1", "--ring", qring, '1+w("x")')
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "UsageError"
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"op": "inv", "ring": QRING_DOC, "series": ["1"], "seed": 1}))
+    code, out, err = run_cli(capsys, "run", str(job))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "ValidationError"
+    job.write_text(json.dumps({"op": "selftest", "suite": "novikov", "seed": 7,
+                               "order": 1, "trials": 1}))
+    code, out, err = run_cli(capsys, "run", str(job))
+    assert code == 0 and err == "" and json.loads(out)["seed"] == 7
+    code, out, _ = run_cli(capsys, "selftest", "novikov", "--seed", "7", "--order", "1",
+                           "--trials", "1")
+    assert code == 0 and json.loads(out)["seed"] == 7
+
+
+def test_selftest_golden(capsys):
+    # the property registry's report at the documented seed, byte for byte
+    want = (GOLDENS / "selftest_all_out.json").read_text()
+    code, out, _ = run_cli(capsys, "selftest", "all", "--seed", "42", "--order", "4",
+                           "--trials", "10")
+    assert code == 0 and out == want
+
 def test_integers_past_the_int_string_digit_limit(capsys, qring, ring_file):
     # Python refuses to convert ints of more than `limit` digits to or from
     # str. An exact result that long is still printed; a literal that long is

@@ -14,6 +14,7 @@ from twistdet import (
     RingMismatch,
     SeriesRing,
     c_generator,
+    commutator_as_c_generator,
     coset_probably_equal,
     cyc_log,
     endo_class_invariant,
@@ -21,6 +22,7 @@ from twistdet import (
     render_series,
     vaserstein_transform,
 )
+import twistdet.rings as rings_module
 from twistdet.kgroup import least_rotation
 from twistdet.novikov import OrbitCountReport
 from twistdet.randgen import random_fiber_one, random_flavor_pair
@@ -105,6 +107,34 @@ def test_not_invertible_rejected(qq):
     with pytest.raises(NotInvertible):
         c_generator(a, b, flavor="b_unit")
 
+
+
+def test_each_unit_is_eliminated_once(monkeypatch, m2):
+    # the check that 1+ba is a unit is its inversion, which the generator
+    # then uses: one fraction-free elimination, not a unit test and then an
+    # inverse; the inverse is no field of the record
+    R = one_letter(m2, 3, twist="swap")
+    x = R.letter("x")
+    b = R.lift(m2.parse_element_literal("1,2;3,4")) + x
+    calls = []
+    eliminate = rings_module.fraction_free
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eliminate(*args, **kwargs)
+    monkeypatch.setattr(rings_module, "fraction_free", counted)
+    g = c_generator(x, b, "a_in_kernel")
+    assert len(calls) == 1
+    record = CGenerator(x, b, "a_in_kernel")
+    assert record.element() == g and record == CGenerator(x, b, "a_in_kernel")
+    assert "_ba_inverse" not in repr(record)
+    minus_one = R.lift(m2.parse_element_literal("-1,0;0,-1"))
+    with pytest.raises(NotInvertible, match=r"^1 \+ ba is not invertible$"):
+        c_generator(R.one(), minus_one, "b_unit")
+    with pytest.raises(NotInvertible, match=r"^1 \+ ba is not invertible$"):
+        vaserstein_transform(R.one(), minus_one, R.zero())
+    with pytest.raises(NotInvertible, match=r"^beta is not a unit$"):
+        commutator_as_c_generator(R.one(), x)
 
 def test_random_generators_land_in_fiber(free_yz, m2):
     assert_folded("annihilation", [two_letter(free_yz, 3), two_letter(m2, 3)], 5,

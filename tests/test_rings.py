@@ -10,6 +10,7 @@ from twistdet import (
     GroupAlgebra,
     IntegersMod,
     LiteralSyntaxError,
+    NeedsRationalCoefficients,
     NotAUnit,
     RationalField,
     RationalMatrixRing,
@@ -398,3 +399,78 @@ def test_s3_products_with_fractional_coefficients():
     b = ring.parse_element_literal("-2+1/5*g3+g5")
     assert ring.mul(ring.mul(a, b), ring.invert(b)) == a
     assert ring.mul(a, ring.invert(a)) == ring.one
+
+
+# -- value arithmetic against plain-Fraction references -------------------------
+#
+# A value is read as a map key -> Fraction off its own format: () for Q and
+# Z/6, (row, column) for M2(Q), the group element for Q[C4] and the word for
+# Q<y,z>/deg>2. The references compute on those maps.
+
+KEYS = {"Q": [()], "Z/6": [()], "M2(Q)": [(i, j) for i in range(2) for j in range(2)],
+        "Q[C4]": list(range(4)),
+        "Q<y,z>/deg>2": [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]}
+
+
+def entries(A, a) -> dict:
+    if A.kind == "matrix":
+        pairs = [((i, j), x) for i, row in enumerate(a) for j, x in enumerate(row)]
+    elif A.kind in ("group_algebra", "free_trunc"):
+        pairs = a
+    else:
+        pairs = [((), a)]
+    return {k: F(c) for k, c in pairs if c}
+
+
+def value(A, d):
+    """The canonical value of the map d."""
+    if A.kind == "matrix":
+        return tuple(tuple(F(d.get((i, j), 0)) for j in range(2)) for i in range(2))
+    if A.kind in ("group_algebra", "free_trunc"):
+        order = (lambda w: (len(w), w)) if A.kind == "free_trunc" else None
+        return tuple((k, F(d[k])) for k in sorted(d, key=order) if d[k])
+    if A.kind == "int_mod":
+        return int(d.get((), 0)) % 6
+    return F(d.get((), 0))
+
+
+def ref_product(A, x, y) -> dict:
+    if A.kind == "matrix":
+        return entries(A, ref_mat_mul(value(A, x), value(A, y)))
+    out = {}
+    for k, c in x.items():
+        for h, e in y.items():
+            key = (k + h) % 4 if A.kind == "group_algebra" else k + h  # C4, or words
+            if A.kind != "group_algebra" and len(key) > 2:
+                continue
+            out[key] = out.get(key, 0) + c * e
+    return out
+
+
+@pytest.mark.parametrize("name", list(KEYS))
+def test_value_ops_match_fraction_references(name, qq, z6, m2, qc4, free_yz):
+    A = {"Q": qq, "Z/6": z6, "M2(Q)": m2, "Q[C4]": qc4, "Q<y,z>/deg>2": free_yz}[name]
+    assert A.name == name
+    rng = random.Random(23)
+    dens = (1,) if A is z6 else (1, 2, 3, 5)
+    draws = [A.zero, A.one] + [
+        value(A, {k: F(rng.randint(-4, 4), rng.choice(dens))
+                  for k in rng.sample(KEYS[name], rng.randint(1, len(KEYS[name])))})
+        for _ in range(10)]
+    for a in draws:
+        x = entries(A, a)
+        assert A.is_zero(a) == (not x)
+        assert A.neg(a) == value(A, {k: -c for k, c in x.items()})
+        for q in (0, -3, F(2, 3)):
+            if A is z6 and q == F(2, 3):
+                continue
+            assert A.scalar_mul(q, a) == value(A, {k: q * c for k, c in x.items()})
+        for b in draws:
+            y = entries(A, b)
+            keys = x.keys() | y.keys()
+            assert A.add(a, b) == value(A, {k: x.get(k, 0) + y.get(k, 0) for k in keys})
+            assert A.sub(a, b) == value(A, {k: x.get(k, 0) - y.get(k, 0) for k in keys})
+            assert A.mul(a, b) == value(A, ref_product(A, x, y))
+            assert A.is_zero(A.sub(a, a)) and not A.is_zero(A.add(A.sub(a, a), A.one))
+    with pytest.raises(NeedsRationalCoefficients, match=r"^cannot scale by 1/2 over Z/6$"):
+        z6.scalar_mul(F(1, 2), z6.one)
