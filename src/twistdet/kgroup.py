@@ -172,23 +172,25 @@ class CycLogVector(Record):
 def cyc_log(u: TwistedSeries) -> CycLogVector:
     """Trace-projected logarithm onto cyclic word classes.
 
-    Each log term a*w contributes trace(move_right(prefix, a)) to the bucket
-    of w's least rotation, where prefix is the part of w rotated to the end.
-    Untwisted rings never adjust the coefficient.
+    Each log term a*w contributes trace(b) to the bucket of w's least
+    rotation, where b is a moved right past the prefix of w rotated to the
+    end (as a vector; untwisted words leave it as it is), then rebuilt once.
     """
     ring = u.ring
     A = ring.coeff
     if not A.contains_rationals:
         raise NeedsTrace(f"{A.name} has no rational-valued trace")
-    if not A.is_one(u.augmentation()):
+    if not u.augmentation_is_one():
         raise AugmentationNotOne("cyc_log needs augmentation exactly 1")
 
     def buckets():
-        for word, coeff in formal_log(u).terms.items():
+        log = formal_log(u)
+        for word, vec in log.vecs.items():
             if word:
                 r = least_rotation(word)
                 key = ring.word_to_str(word[r:] + word[:r])
-                for label, val in A.trace(ring.move_right(word[:r], coeff)).items():
+                moved, den = ring._moved(word[:r], {(): vec}, log.den, right=True)
+                for label, val in A.trace(A.rebuild(moved[()], den)).items():
                     yield (label, key), val
     return CycLogVector(ring.order, sum_by_key(buckets()))
 

@@ -177,7 +177,7 @@ def mat_invert(m: SeriesMatrix) -> SeriesMatrix:
                                       else R._zero_vec for e in entries], den, n)
     except NotAUnit:
         raise NotInvertible(f"augmentation matrix is not invertible over {A.name}") from None
-    lift = [TwistedSeries._make(R, {(): v} if A.nonzero(v) else {}, den) for v in vecs]
+    lift = [TwistedSeries(R, {(): v} if A.nonzero(v) else {}, den) for v in vecs]
     split = [[e.graded_parts() for e in row] for row in m.rows]
     parts = [SeriesMatrix(R, [[e[d] for e in row] for row in split]) for d in range(R.order + 1)]
     return graded_inverse(parts, SeriesMatrix(R, [lift[i:i + n] for i in range(0, n * n, n)]))

@@ -17,6 +17,7 @@ z^k (`SeriesRing._moved`), so z*b = xi^-1(b)*z here as in the series ring.
 from __future__ import annotations
 
 from .errors import (
+    AugmentationNotUnit,
     ClassRegroupIncompatible,
     InternalInvariantError,
     LeadingCoeffNotUnit,
@@ -34,8 +35,8 @@ def _z_times(base: TwistedSeries, k: int, order: int) -> TwistedSeries:
     letters, and z^-k is stripped off base's left."""
     ring = base.ring.with_order(order)
     vecs, den = ring._moved((0,) * abs(k), base.vecs, base.den, right=k < 0)
-    return TwistedSeries._make(ring, {(0,) * (len(w) + k): v for w, v in vecs.items()
-                                      if len(w) + k <= order}, den)
+    return TwistedSeries(ring, {(0,) * (len(w) + k): v for w, v in vecs.items()
+                                if len(w) + k <= order}, den)
 
 
 def _z_conjugate(base: TwistedSeries, k: int, order: int) -> TwistedSeries:
@@ -43,7 +44,7 @@ def _z_conjugate(base: TwistedSeries, k: int, order: int) -> TwistedSeries:
     moved left past z^k, on its own word."""
     ring = base.ring.with_order(order)
     vecs, den = ring._moved((0,) * k, base.vecs, base.den)
-    return TwistedSeries._make(ring, {w: v for w, v in vecs.items() if len(w) <= order}, den)
+    return TwistedSeries(ring, {w: v for w, v in vecs.items() if len(w) <= order}, den)
 
 
 class NovikovSeries:
@@ -131,7 +132,7 @@ class NovikovSeries:
         vecs, den = A.clear(list(nonzero.values()))
         vecs = {(0,) * (d + shift): v for d, v in zip(nonzero, vecs) if A.nonzero(v)}
         vecs, den = ring._moved((0,) * shift, vecs, den)
-        return NovikovSeries(TwistedSeries._make(ring, vecs, den), shift)
+        return NovikovSeries(TwistedSeries(ring, vecs, den), shift)
 
 
 def _common_ring(u: NovikovSeries, v: NovikovSeries):
@@ -176,17 +177,17 @@ def nov_invert(u: NovikovSeries, max_shift=None) -> NovikovSeries:
     ring = u.base.ring
     A = ring.coeff
     j = min(map(len, u.base.vecs))
-    lead = u.base.coefficient((0,) * j)
-    if not A.is_unit(lead):
+    try:  # the body's augmentation is the leading coefficient, twisted
+        inv_body = _z_times(u.base, -j, ring.order - j).inverse()
+    except AugmentationNotUnit:
         raise LeadingCoeffNotUnit(
-            f"leading coefficient at degree {j - u.shift} is not a unit of {A.name}")
-    inv_body = _z_times(u.base, -j, ring.order - j).inverse()
+            f"leading coefficient at degree {j - u.shift} is not a unit of {A.name}") from None
     t = u.shift - j
     if t >= 0:
         if t > inv_body.ring.order:
             raise WindowUnderflow(
                 "the inverse starts beyond the representable window")
-        monomial = TwistedSeries._make(inv_body.ring, {(0,) * t: ring._one_vec})
+        monomial = TwistedSeries(inv_body.ring, {(0,) * t: ring._one_vec})
         result = NovikovSeries(inv_body * monomial, 0)
     else:
         if max_shift is not None and -t > max_shift:
@@ -204,7 +205,7 @@ def w1_invariant(u: NovikovSeries) -> CycLogVector:
     """cyc_log of u for u in 1 + A[[z]]z (shift 0, constant term 1)."""
     if u.shift != 0:
         raise NotInWOne("element has negative z-degrees")
-    if not u.base.ring.coeff.is_one(u.base.augmentation()):
+    if not u.base.augmentation_is_one():
         raise NotInWOne("constant term is not 1")
     return cyc_log(u.base)
 

@@ -776,9 +776,11 @@ class _BasisAlgebra(CoeffRing):
         return [(k, c // g) for k, c in vec]
 
     def clear(self, values):
-        """Each element as its (basis key, integer) pairs."""
+        """Each element as its (basis key, integer) pairs, in canonical form
+        (sorted, keys distinct, no zero) however its pairs were given."""
         den = math.lcm(*[c.denominator for a in values for _, c in a])
-        return [[(k, c.numerator * (den // c.denominator)) for k, c in a] for a in values], den
+        return [self._merge((k, c.numerator * (den // c.denominator)) for k, c in a)
+                for a in values], den
 
     def trace(self, a):
         return dict(sorted(sum_by_key((self._trace_label(k), c) for k, c in a).items()))
@@ -995,7 +997,7 @@ class TruncatedFreeAlgebra(_BasisAlgebra):
         from .matrices import SeriesMatrix, mat_invert
         from .series import TwistedSeries
         R = self._series_ring
-        entries = [TwistedSeries._make(R, dict(v), den) for v in vecs]
+        entries = [TwistedSeries(R, dict(v), den) for v in vecs]
         try:
             inv = mat_invert(SeriesMatrix(R, [entries[i:i + n] for i in range(0, n * n, n)]))
         except NotInvertible:

@@ -9,9 +9,10 @@ automorphisms of its letters right-to-left.
 
 A series is held in the coefficient ring's Z-linear view (rings.py), after
 FLINT's fmpq_poly layout: integer vectors over one positive denominator, in
-canonical form (TwistedSeries). Chains of products, inverses, LDU splits and
-logs stay in it; values (`terms`) are built on first read, for literals,
-traces and documents. Every product is one kernel, `sums_of_products`: the
+canonical form (TwistedSeries, built from vectors only); values enter once,
+cleared in `SeriesRing.from_terms`. Products, inverses, LDU splits and logs
+stay in it; values (`terms`) are built on first read, for literals, traces
+and documents. Every product is one kernel, `sums_of_products`: the
 pairs' vectors are gathered per output word (named by an integer code, so no
 word tuple is built or hashed per pair), summed by one integer `dot` and
 reduced once per output series. Each series keeps its kernel rows (words
@@ -129,7 +130,7 @@ class SeriesRing:
     def twist_key(self, word: tuple) -> tuple:
         """The ids of the twisted letters of `word`, in order.
 
-        move_left(word, b) depends on the word only through this key; an
+        _moved(word, ...) depends on the word only through this key; an
         untwisted word has the empty key.
         """
         ids = self._twist_ids
@@ -156,24 +157,10 @@ class SeriesRing:
             info = self._infos[word] = (len(word), word, code, scale, key)
         return info
 
-    def move_left(self, word: tuple, b):
-        """Coefficient b moved from the right of `word` to its left: the inverse
-        twists of its twisted letters, right-to-left, per x * b = xi_x^{-1}(b) * x."""
-        twists = self._inverse_twists
-        for j in reversed(self.twist_key(word)):
-            b = twists[j].apply(b)
-        return b
-
-    def move_right(self, word: tuple, a):
-        """The inverse of move_left: a * w = w * move_right(w, a)."""
-        twists = self._inverse_twists
-        for j in self.twist_key(word):
-            a = twists[j].inverse.apply(a)
-        return a
-
     def _moved(self, word: tuple, vecs: dict, den: int, right: bool = False) -> tuple:
-        """(vecs, den) of the coefficients vecs / den moved as by move_left (by
-        move_right if `right`), through the view actions alone."""
+        """(vecs, den) of the coefficients vecs / den moved leftward past `word`
+        (x * b = xi_x^{-1}(b) * x, last letter first), or rightward if `right`
+        (a * w = w * b for b the moved a), by the view actions alone."""
         autos = [self._inverse_twists[j] for j in self.twist_key(word)]
         for auto in ([a.inverse for a in autos] if right else reversed(autos)):
             vecs = {w: auto.act(v) for w, v in vecs.items()}
@@ -182,6 +169,8 @@ class SeriesRing:
 
     # -- constructors ---------------------------------------------------------
     def from_terms(self, terms) -> "TwistedSeries":
+        """The series of (word, value) pairs or a word -> value map: values of a
+        repeated word are summed, then all are cleared in one `clear`."""
         A = self.coeff
         acc: dict[tuple, object] = {}
         for word, c in (terms.items() if isinstance(terms, dict) else terms):
@@ -189,68 +178,47 @@ class SeriesRing:
                     else self.normalize_word(tuple(word)))
             if len(word) <= self.order:
                 acc[word] = A.add(acc[word], c) if word in acc else c
-        return TwistedSeries(self, {w: c for w, c in acc.items() if not A.is_zero(c)})
+        vecs, den = A.clear(list(acc.values()))
+        return TwistedSeries(self, {w: v for w, v in zip(acc, vecs) if A.nonzero(v)}, den)
 
     def zero(self) -> "TwistedSeries":
-        return TwistedSeries._make(self, {})
+        return TwistedSeries(self, {})
 
     def one(self) -> "TwistedSeries":
-        return TwistedSeries._make(self, {(): self._one_vec})
+        return TwistedSeries(self, {(): self._one_vec})
 
     def lift(self, a) -> "TwistedSeries":
         """The section of the augmentation: a constant series."""
-        return TwistedSeries(self, {} if self.coeff.is_zero(a) else {(): a})
+        return self.from_terms([((), a)])
 
     def letter(self, name: str) -> "TwistedSeries":
         idx = self.letter_index(name)
         if self.order < 1:
             return self.zero()
-        return TwistedSeries._make(self, {(idx,): self._one_vec})
+        return TwistedSeries(self, {(idx,): self._one_vec})
 
 
 class TwistedSeries:
     """An element of a SeriesRing: `vecs` maps each word to a nonzero vector
     of the coefficient ring's view, all over one denominator `den`, in
     canonical form (den > 0, the gcd of den and every entry is 1; over Z/m,
-    den = 1), so == is exact however a series was built. Values given to the
-    constructor are cleared on first use and dropped; `terms`, word -> value,
-    is built on first read."""
+    den = 1), so == is exact however a series was built. The one constructor
+    takes vectors; values enter through SeriesRing.from_terms. `terms`,
+    word -> value, is built on first read."""
 
-    __slots__ = ("ring", "_vecs", "_den", "_terms", "_rows")
+    __slots__ = ("ring", "vecs", "den", "_terms", "_rows")
 
-    def __init__(self, ring: SeriesRing, terms: dict):
-        """The series of a map word -> nonzero value."""
-        self.ring, self._terms, self._vecs, self._den, self._rows = ring, terms, None, 1, None
-
-    @classmethod
-    def _make(cls, ring: SeriesRing, vecs: dict, den: int = 1) -> "TwistedSeries":
+    def __init__(self, ring: SeriesRing, vecs: dict, den: int = 1):
         """The series vecs / den (nonzero vectors, den > 0), reduced to canonical form."""
-        s = object.__new__(cls)
-        s.ring, s._terms, s._rows = ring, None, None
-        s._vecs, s._den = _reduced(ring.coeff, vecs, den)
-        return s
-
-    @property
-    def vecs(self) -> dict:
-        if self._vecs is None:  # built from values: clear them, once
-            A, terms = self.ring.coeff, self._terms
-            vecs, self._den = A.clear(list(terms.values()))
-            self._vecs = {w: v for w, v in zip(terms, vecs) if A.nonzero(v)}
-            self._terms = None
-        return self._vecs
-
-    @property
-    def den(self) -> int:
-        if self._vecs is None:
-            self.vecs  # noqa: B018 (clearing the values sets _den)
-        return self._den
+        self.ring, self._terms, self._rows = ring, None, None
+        self.vecs, self.den = _reduced(ring.coeff, vecs, den)
 
     @property
     def terms(self) -> dict:
         """word -> nonzero value, built on first read."""
         if self._terms is None:
             rebuild, den = self.ring.coeff.rebuild, self.den
-            self._terms = {w: rebuild(v, den) for w, v in self._vecs.items()}
+            self._terms = {w: rebuild(v, den) for w, v in self.vecs.items()}
         return self._terms
 
     def _kernel_rows(self) -> list:
@@ -305,7 +273,7 @@ class TwistedSeries:
         return self._copy()._add_in_place(other)
 
     def _copy(self) -> "TwistedSeries":
-        return TwistedSeries._make(self.ring, dict(self.vecs), self.den)
+        return TwistedSeries(self.ring, dict(self.vecs), self.den)
 
     def _add_in_place(self, other: "TwistedSeries") -> "TwistedSeries":
         """self + other, written into self: only for a series that its caller
@@ -326,7 +294,7 @@ class TwistedSeries:
                 acc[w] = v
             else:
                 del acc[w]
-        self._vecs, self._den = _reduced(A, acc, den)
+        self.vecs, self.den = _reduced(A, acc, den)
         self._terms = self._rows = None
         return self
 
@@ -346,7 +314,7 @@ class TwistedSeries:
             return self.ring.zero()
         scale, nonzero, n = A.scale_vector, A.nonzero, q.numerator
         vecs = {w: v for w, v in ((w, scale(v, n)) for w, v in self.vecs.items()) if nonzero(v)}
-        return TwistedSeries._make(self.ring, vecs, self.den * q.denominator)
+        return TwistedSeries(self.ring, vecs, self.den * q.denominator)
 
     # -- multiplication ----------------------------------------------------------
     def __mul__(self, other: "TwistedSeries") -> "TwistedSeries":
@@ -369,8 +337,8 @@ class TwistedSeries:
     # -- truncation ----------------------------------------------------------------
     def truncated(self, order: int) -> "TwistedSeries":
         ring = self.ring.with_order(order)
-        return TwistedSeries._make(ring, {w: v for w, v in self.vecs.items() if len(w) <= order},
-                                   self.den)
+        return TwistedSeries(ring, {w: v for w, v in self.vecs.items() if len(w) <= order},
+                             self.den)
 
     # -- inversion -------------------------------------------------------------------
     def graded_parts(self) -> list["TwistedSeries"]:
@@ -378,7 +346,7 @@ class TwistedSeries:
         buckets = [{} for _ in range(self.ring.order + 1)]
         for w, v in self.vecs.items():
             buckets[len(w)][w] = v
-        return [TwistedSeries._make(self.ring, b, self.den) for b in buckets]
+        return [TwistedSeries(self.ring, b, self.den) for b in buckets]
 
     def inverse(self) -> "TwistedSeries":
         """Two-sided inverse; needs eps of the series to be a unit of A."""
@@ -388,7 +356,7 @@ class TwistedSeries:
         except NotAUnit:
             raise AugmentationNotUnit(f"augmentation {A.element_to_literal(self.augmentation())} "
                                       f"is not a unit of {A.name}") from None
-        return graded_inverse(self.graded_parts(), TwistedSeries._make(self.ring, {(): vec}, den))
+        return graded_inverse(self.graded_parts(), TwistedSeries(self.ring, {(): vec}, den))
 
 
 def _reduced(A, vecs: dict, den: int) -> tuple:
@@ -493,7 +461,7 @@ def sums_of_products(R: SeriesRing, sums: list, top=None) -> list:
             if nonzero(vec):
                 word = v + w
                 out[tuple(sorted(word)) if commute else word] = vec
-        results.append(TwistedSeries._make(R, out, den))
+        results.append(TwistedSeries(R, out, den))
     return results
 
 

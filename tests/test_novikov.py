@@ -19,6 +19,7 @@ from twistdet import (
     w1_invariant,
 )
 
+from twistdet import rings as rings_module
 from twistdet.selftest import m2_nonintegral
 
 from conftest import assert_folded
@@ -208,6 +209,28 @@ def test_invert_rejects_non_unit_leading(z6):
     u = NovikovSeries(R.lift(2) + R.letter("z"))
     with pytest.raises(LeadingCoeffNotUnit):
         nov_invert(u)
+
+
+def test_invert_eliminates_once(monkeypatch, m2):
+    # z^-1 * [1,2;3,4] + 1 over swap-twisted M2(Q): the leading coefficient is
+    # inverted by one fraction-free elimination, with no unit test first, and
+    # a singular one still gets the error it had
+    R = zring(m2, 3, twist="swap")
+    f = m2.parse_element_literal
+    u = NovikovSeries.from_degree_map(R, {-1: f("1,2;3,4"), 0: m2.one})
+    singular = NovikovSeries.from_degree_map(R, {-1: f("1,1;1,1"), 0: m2.one})
+    calls = []
+    eliminate = rings_module.fraction_free
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eliminate(*args, **kwargs)
+    monkeypatch.setattr(rings_module, "fraction_free", counted)
+    nov_invert(u)
+    assert len(calls) == 1
+    with pytest.raises(LeadingCoeffNotUnit,
+                       match=r"^leading coefficient at degree -1 is not a unit of M2\(Q\)$"):
+        nov_invert(singular)
 
 
 def test_invert_roundtrip_twisted(qc4):

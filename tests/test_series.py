@@ -74,12 +74,21 @@ def test_twist_relation(m2):
     assert R.lift(a) * x == x * R.lift(m2.automorphism("swap").apply(a))
 
 
-def test_move_left_move_right_inverse(m2):
-    R = SeriesRing(m2, alphabet=("x", "y"), twist={"x": "swap"}, order=4)
-    a = tuple(tuple(F(v) for v in row) for row in [[0, 1], [2, 5]])
-    for word in ((0,), (0, 1), (1, 0, 0)):
-        assert R.move_left(word, R.move_right(word, a)) == a
-        assert R.move_right(word, R.move_left(word, a)) == a
+def test_moved_left_and_right_are_inverse():
+    # p is not an involution, so a move the wrong way round shows; each word
+    # has two twisted letters, and a leftward move past it is p^-1 twice
+    A = m2_nonintegral()
+    R = SeriesRing(A, alphabet=("x", "y"), twist={"x": "p"}, order=4)
+    a = A.parse_element_literal("0,1;2,5")
+    (vec,), den = A.clear([a])
+    back = A.automorphism("p").inverse
+    for word in ((0, 0), (0, 1, 0), (1, 0, 1, 0)):
+        left, right = R._moved(word, {(): vec}, den), R._moved(word, {(): vec}, den, right=True)
+        assert A.rebuild(left[0][()], left[1]) == back.apply(back.apply(a))
+        assert A.rebuild(right[0][()], right[1]) != A.rebuild(left[0][()], left[1])
+        for moved, there in ((left, False), (right, True)):
+            vecs, d = R._moved(word, *moved, right=not there)
+            assert A.rebuild(vecs[()], d) == a
 
 
 def test_twisted_word_product(m2):
@@ -192,6 +201,14 @@ def test_cross_ring_operations_rejected(qq):
 # past the left word one letter at a time. Log, exp and series-matrix products
 # are built on it; inverses are checked with it from both sides.
 
+def moved_left(R, word, b):
+    """b moved from the right of word to its left, x * b = xi_x^-1(b) * x, by
+    the values of each letter's automorphism, last letter first."""
+    for i in reversed(word):
+        b = R.coeff.automorphism(R.twist_names[i]).inverse.apply(b)
+    return b
+
+
 def all_pairs_product(s, t):
     """s*t by definition: every pair of terms, each right coefficient moved
     leftward past the left word one letter at a time."""
@@ -203,7 +220,7 @@ def all_pairs_product(s, t):
             if len(v) + len(w) > R.order:
                 continue
             word = R.normalize_word(v + w)
-            acc[word] = A.add(acc.get(word, A.zero), A.mul(a, R.move_left(v, b)))
+            acc[word] = A.add(acc.get(word, A.zero), A.mul(a, moved_left(R, v, b)))
     return {w: c for w, c in acc.items() if c != A.zero}
 
 
@@ -236,7 +253,7 @@ def kernel_rings(qq, m2, m2_two_twists):
 
 
 def ref_mul(s, t):
-    return TwistedSeries(s.ring, all_pairs_product(s, t))
+    return s.ring.from_terms(all_pairs_product(s, t))
 
 
 def ref_add(s, t):
@@ -244,7 +261,7 @@ def ref_add(s, t):
     acc = dict(s.terms)
     for w, c in t.terms.items():
         acc[w] = A.add(acc.get(w, A.zero), c)
-    return TwistedSeries(s.ring, {w: c for w, c in acc.items() if not A.is_zero(c)})
+    return s.ring.from_terms(acc)
 
 
 def ref_power_sum(theta, coeff):
@@ -270,7 +287,7 @@ def ref_mat_mul(a, b):
 
 
 def dense_kernel(R, rng):
-    return TwistedSeries(R, {w: c for w, c in dense_series(R, rng, R.order).terms.items() if w})
+    return R.from_terms({w: c for w, c in dense_series(R, rng, R.order).terms.items() if w})
 
 
 def test_product_matches_all_pairs_reference(qq, m2, m2_two_twists):
@@ -511,10 +528,27 @@ def assert_canonical(s):
         assert s.den == 1 and all(0 <= v < A.modulus for v in s.vecs.values())
 
 
+def hand_built(R):
+    """(series, its value) pairs whose series is built from values that are
+    not canonical: over Q[C4] pairs unsorted, a repeated key and a zero
+    coefficient; over Q<y,z>/deg>2 the product y * (yz + y), with yz + y
+    unsorted, as values and as series (yyz drops, yy stays)."""
+    A = R.coeff
+    if A.kind == "group_algebra":
+        return [(R.lift(((2, F(1)), (0, F(3)))), ((0, F(3)), (2, F(1)))),
+                (R.lift(((1, F(1)), (1, F(2)))), ((1, F(3)),)),
+                (R.lift(((0, F(1)), (3, F(0)))), ((0, F(1)),))]
+    if A.kind == "free_trunc":
+        y, yz, yy = ((A.word("y"), F(1)),), (A.word("yz"), F(1)), ((A.word("yy"), F(1)),)
+        return [(R.lift(A.mul(y, (yz, y[0]))), yy), (R.lift(y) * R.lift((yz, y[0])), yy)]
+    return []
+
+
 @pytest.mark.parametrize("ring", five_rings(), ids=lambda R: R.coeff.kind)
 def test_equality_does_not_depend_on_construction(ring):
-    # a series built through the kernel equals the same element built from
-    # its values, and reads the same terms, support and literal
+    # a series built through the kernel, or from values that are not in
+    # canonical form, equals the same element built from its canonical
+    # values, and reads the same terms, support and literal
     R, A = ring, ring.coeff
     rng = random.Random(7)
 
@@ -535,15 +569,18 @@ def test_equality_does_not_depend_on_construction(ring):
         if A.contains_rationals:
             w = random_fiber_one(R, rng, terms=4)
             agree(formal_exp(formal_log(w)), w)
+    for built, value in hand_built(R):
+        agree(built, R.lift(value))
 
 
 @pytest.mark.parametrize("make,twist", [(m2_swap, "swap"), (qc4_inv, "inv")])
 def test_inverse_and_log_stay_in_the_integer_view(monkeypatch, make, twist):
-    # an order-4 inverse and a formal log clear only the operand built from
-    # values, and build no value until .terms or augmentation() is read
+    # an operand built from values is cleared once, by from_terms; an order-4
+    # inverse and a formal log of it clear nothing more and build no value
+    # until .terms or augmentation() is read
     A = make()
     R = one_letter(A, 4, twist=twist)
-    u = random_fiber_one(R, random.Random(11), terms=5)
+    terms = dict(random_fiber_one(R, random.Random(11), terms=5).terms)
     cleared, rebuilt = [], []
     clear, rebuild = A.clear, A.rebuild
 
@@ -556,11 +593,11 @@ def test_inverse_and_log_stay_in_the_integer_view(monkeypatch, make, twist):
         return rebuild(vec, den)
     monkeypatch.setattr(A, "clear", counted_clear)
     monkeypatch.setattr(A, "rebuild", counted_rebuild)
-    values = list(u.terms.values())
+    u = R.from_terms(terms)
     inv, log = u.inverse(), formal_log(u)
-    assert cleared == [values] and rebuilt == []
+    assert cleared == [list(terms.values())] and rebuilt == []
     assert inv.augmentation() == A.one and len(rebuilt) == 1
     del rebuilt[:]
     words = len(inv.terms) + len(log.terms)
     assert len(rebuilt) == words and inv.terms == inv.terms  # built once, on first read
-    assert len(rebuilt) == words and cleared == [values]
+    assert len(rebuilt) == words and cleared == [list(terms.values())]
