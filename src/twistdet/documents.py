@@ -105,12 +105,16 @@ def coeff_matrix_from_doc(ring: CoeffRing, rows):
 
 
 def novikov_from_doc(ring: SeriesRing, doc: dict) -> NovikovSeries:
-    degrees = {}
+    degrees, keys = {}, {}
     for key, literal in doc["degrees"].items():
         try:
             d = int(key)
         except ValueError:
             raise LiteralSyntaxError(f"bad z-degree {quoted(key)}") from None
+        if d in keys:
+            raise LiteralSyntaxError(
+                f"z-degree keys {quoted(keys[d])} and {quoted(key)} name one degree, {d}")
+        keys[d] = key
         degrees[d] = ring.coeff.parse_element_literal(literal)
     return NovikovSeries.from_degree_map(ring, degrees)
 

@@ -117,7 +117,8 @@ class NovikovSeries:
 
     @staticmethod
     def from_degree_map(ring: SeriesRing, degrees: dict) -> "NovikovSeries":
-        """Build from {z-degree: coefficient}; negative degrees set the shift."""
+        """Build from {z-degree: coefficient}; negative degrees set the shift.
+        The window, of the ring's order, holds z^0 and every degree given."""
         if len(ring.alphabet) != 1:
             raise RingMismatch("Novikov elements need a one-letter series ring")
         A = ring.coeff
@@ -125,9 +126,9 @@ class NovikovSeries:
         if not nonzero:
             return NovikovSeries(ring.zero(), 0)
         shift = max(0, -min(nonzero))
-        if max(nonzero) + shift > ring.order:
+        if max(0, *nonzero) + shift > ring.order:  # the window holds z^0 too
             raise WindowUnderflow(
-                f"degrees {min(nonzero)}..{max(nonzero)} span more than "
+                f"degrees {min(nonzero)}..{max(nonzero)} and 0 span more than "
                 f"order {ring.order} allows")
         vecs, den = A.clear(list(nonzero.values()))
         vecs = {(0,) * (d + shift): v for d, v in zip(nonzero, vecs) if A.nonzero(v)}

@@ -63,13 +63,15 @@ of Q[G] or Q<gens>/deg>N relabels the (key, integer) pairs (factor 1);
 Q, M_k(Q), Q[G] and Z/m, is one `fraction_free` elimination of integers,
 of which only the entries read back are built.
 The layers above also share `Record` (their result records),
-`rational_sum_literal` and `twisted_conjugacy_classes` from here.
+`twisted_conjugacy_classes`, and the one writer and the one reader of
+signed-sum literals, `rational_sum_literal` and `signed_terms`, from here.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -130,6 +132,51 @@ def rational_sum_literal(terms) -> str:
         else:
             parts.append(f"{frac_str(q)}*{name}")
     return "+".join(parts).replace("+-", "-") if parts else "0"
+
+
+# one token of a signed-sum literal, after any white space ("bad": any other character)
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<rat>\d+(?:/\d+)?)
+  | w\(\s*"(?P<word>[^"]*)"\s*\)
+  | \[(?P<elem>[^\]]*)\]
+  | (?P<name>[^\s\d+\-*/()\[\]"][^\s+\-*/()\[\]"]*)
+  | (?P<op>[-+*])
+  | (?P<bad>\S))""", re.VERBOSE)
+
+
+def signed_terms(text: str) -> list[tuple[Fraction, list[tuple[str, str]]]]:
+    """Read a literal of the form `rational_sum_literal` writes: a signed sum
+    of '*'-products of factors. A run of signs may start it, and each later
+    term follows one '+' or '-'. Each term is (q, factors): q is its sign
+    times its rational factors (written anywhere in the term), and factors
+    are its other factors in written order, as (kind, text) pairs of kind
+    "word" (w("text")), "elem" ([text]) or "name"."""
+    terms, q, factors, last = [], Fraction(1), [], "start"  # last: "start", "op" or "factor"
+    for m in _TOKEN.finditer(text):
+        kind, val = m.lastgroup, m[m.lastgroup]
+        if kind == "bad":
+            raise LiteralSyntaxError(f"bad character {val!r} in {quoted(text)}")
+        if kind != "op":
+            if last == "factor":
+                raise LiteralSyntaxError(f"missing '*' before {quoted(val)} in {quoted(text)}")
+            if kind == "rat":
+                q *= frac_from_str(val)
+            else:
+                factors.append((kind, val))
+            last = "factor"
+        elif last == "factor":  # '*' leads to the next factor, a sign to the next term
+            if val != "*":
+                terms.append((q, factors))
+                q, factors = Fraction(-1 if val == "-" else 1), []
+            last = "op"
+        elif last == "start" and val != "*":
+            q = -q if val == "-" else q
+        else:
+            raise LiteralSyntaxError(f"misplaced {val!r} in {quoted(text)}")
+    if last != "factor":
+        raise LiteralSyntaxError(f"incomplete literal {quoted(text)}")
+    terms.append((q, factors))
+    return terms
 
 
 def sum_by_key(pairs) -> dict:
@@ -801,12 +848,14 @@ class _BasisAlgebra(CoeffRing):
         return rational_sum_literal((self._key_name(k), c) for k, c in a)
 
     def parse_element_literal(self, text):
-        acc = self.zero
-        for sign, body in _split_terms(text):
-            q, name = _split_coeff(body)
-            basis = self.one if name is None else ((self._parse_key(name), Fraction(1)),)
-            acc = self.add(acc, self.scalar_mul(sign * q, basis))
-        return acc
+        """A signed sum (`signed_terms`) of terms q times at most one basis name."""
+        pairs = []
+        for q, factors in signed_terms(text):
+            if [kind for kind, _ in factors] not in ([], ["name"]):
+                raise LiteralSyntaxError(
+                    f"a term of a {self.name} literal is q or q*name: {quoted(text)}")
+            pairs.append((self._parse_key(factors[0][1]) if factors else self.one[0][0], q))
+        return self._canon(pairs)
 
 
 class GroupAlgebra(_BasisAlgebra, _RepresentedRing):
@@ -828,6 +877,7 @@ class GroupAlgebra(_BasisAlgebra, _RepresentedRing):
         self._dim = group.order
         self.name = f"Q[{group.name}]"
         self.one = ((group.identity, Fraction(1)),)
+        self._index = {name: g for g, name in enumerate(group.names)}
         self._classes = group.conjugacy_classes()
         self._class_label = {}
         for cls in self._classes:
@@ -877,15 +927,10 @@ class GroupAlgebra(_BasisAlgebra, _RepresentedRing):
         return self.group.names[g]
 
     def _parse_key(self, name):
-        if not name.startswith("g"):
-            raise LiteralSyntaxError(f"bad group element name {quoted(name)}")
-        try:
-            idx = int(name[1:])
-        except ValueError:
-            raise LiteralSyntaxError(f"bad group element name {quoted(name)}") from None
-        if not (0 <= idx < self.group.order):
-            raise LiteralSyntaxError(f"group element {quoted(name)} out of range")
-        return idx
+        if name not in self._index:
+            raise LiteralSyntaxError(f"no element of {self.group.name} is named {quoted(name)} "
+                                     f"(g0 to g{self.group.order - 1})")
+        return self._index[name]
 
     def _trace_label(self, g):
         return self._class_label[g]
@@ -1032,45 +1077,4 @@ class TruncatedFreeAlgebra(_BasisAlgebra):
 
     def signature(self):
         return ("free_trunc", self.generators, self.max_degree, self.twists())
-
-
-def _split_terms(text: str) -> list[tuple[int, str]]:
-    """Split 'a+b-c' into [(1,'a'), (1,'b'), (-1,'c')] at top level."""
-    text = text.strip()
-    if not text:
-        raise LiteralSyntaxError("empty coefficient literal")
-    terms = []
-    sign, buf = 1, []
-    start = True
-    for ch in text:
-        if ch in "+-" and not start:
-            body = "".join(buf).strip()
-            if not body:
-                raise LiteralSyntaxError(f"dangling sign in {quoted(text)}")
-            terms.append((sign, body))
-            sign, buf = (1 if ch == "+" else -1), []
-        elif ch in "+-" and start:
-            sign = sign * (1 if ch == "+" else -1)
-        else:
-            buf.append(ch)
-            start = False
-    body = "".join(buf).strip()
-    if not body:
-        raise LiteralSyntaxError(f"dangling sign in {quoted(text)}")
-    terms.append((sign, body))
-    return terms
-
-
-def _split_coeff(body: str) -> tuple[Fraction, Optional[str]]:
-    """Split 'q*name' / 'q' / 'name' into (q, name-or-None)."""
-    body = body.strip()
-    if "*" in body:
-        qtext, name = body.split("*", 1)
-        return frac_from_str(qtext), name.strip()
-    if body and (body[0].isdigit() or body[0] in "/."):
-        return frac_from_str(body), None
-    try:
-        return frac_from_str(body), None
-    except LiteralSyntaxError:
-        return Fraction(1), body
 

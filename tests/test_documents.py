@@ -121,6 +121,11 @@ def test_novikov_doc_bad_degree_key(qc2):
     from twistdet import LiteralSyntaxError
     with pytest.raises(LiteralSyntaxError):
         novikov_from_doc(R, {"degrees": {"one": "g1"}})
+    # two keys of one degree, in either order: neither is dropped silently
+    for degrees in ({"0": "1", "1": "5", "01": "-1"}, {"0": "1", "01": "-1", "1": "5"}):
+        with pytest.raises(LiteralSyntaxError) as exc:
+            novikov_from_doc(R, {"degrees": degrees})
+        assert "'1'" in str(exc.value) and "'01'" in str(exc.value)
 
 
 def test_cyclog_doc_shape(qq):

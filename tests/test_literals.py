@@ -56,7 +56,7 @@ def test_roundtrip_random(qq, m2, qc4, free_yz):
 
 def test_parse_errors(qq):
     R = SeriesRing(qq, order=3)
-    for text in ('w("q")', "1+", "&", 'w("x")*w("x")', "1**2"):
+    for text in ('w("q")', "1+", "&", 'w("x")*w("x")', "1**2", '1+-w("x")'):
         with pytest.raises(LiteralSyntaxError):
             parse_series(text, R)
     # brackets are element literals, legal over Q too

@@ -117,6 +117,9 @@ def test_from_degree_map_roundtrip(qq):
     from twistdet import WindowUnderflow
     with pytest.raises(WindowUnderflow):
         NovikovSeries.from_degree_map(R, {-3: F(1), 3: F(1)})
+    # the window holds z^0: a degree below -order is refused before any work
+    with pytest.raises(WindowUnderflow):
+        NovikovSeries.from_degree_map(zring(qq, 3), {-1000000: F(1)})
 
 
 # -- arithmetic --------------------------------------------------------------

@@ -201,12 +201,35 @@ def test_literal_roundtrip_all_rings(qq, z6, m2, qc2, free_yz):
             assert ring.parse_element_literal(text) == a, (ring.name, text)
 
 
-def test_bad_literals_raise(qq, qc2):
-    for text in ("", "1//2", "g9", "1++2"):
+def test_bad_literals_raise(qq, qc2, free_yz):
+    for text in ("", "1//2", "g9", "1++2", "g01"):
         with pytest.raises(LiteralSyntaxError):
             qc2.parse_element_literal(text)
     with pytest.raises(LiteralSyntaxError):
         qq.parse_element_literal("x")
+    # a sign after '*', a trailing '*', decimals and exponents
+    for text in ("2*-y", "y+2*", "2*", "1.5*y", "1e3*y"):
+        with pytest.raises(LiteralSyntaxError):
+            free_yz.parse_element_literal(text)
+    # a group element has one name: g10, not g1_0 or g010
+    with pytest.raises(LiteralSyntaxError):
+        GroupAlgebra(cyclic_group(12)).parse_element_literal("g1_0")
+
+
+def test_rationals_stand_anywhere_in_an_element_term(free_yz):
+    f = free_yz.parse_element_literal
+    assert f("y*2") == f("2*y")
+    assert f("2*3*y") == f("6*y")
+
+
+def test_element_literals_are_read_without_the_integer_view(monkeypatch, qc4, free_yz):
+    # the (key, q) pairs of a literal are canonicalised once; no value is
+    # cleared into the integer view on the way
+    for ring, text in ((qc4, "g0+g1-2*g2+g3"), (free_yz, "1+y+2*z-yz+3/2*zz")):
+        cleared, clear = [], ring.clear
+        monkeypatch.setattr(ring, "clear", lambda values: cleared.append(values) or clear(values))
+        assert ring.element_to_literal(ring.parse_element_literal(text)) == text
+        assert cleared == []
 
 
 def test_ring_classes_define_benchmark_hooks(qq, z6, m2, qc2, free_yz):
