@@ -214,8 +214,8 @@ def execute_job(job: dict):
     raise LiteralSyntaxError(f"unknown operation {op!r}")
 
 
-def _add_common(sub, ring_required=True):
-    sub.add_argument("--ring", required=ring_required,
+def _add_common(sub):
+    sub.add_argument("--ring", required=True,
                      help="path to a series-ring JSON document")
     sub.add_argument("--order", type=int, default=None,
                      help="override the ring document's truncation order")

@@ -116,6 +116,9 @@ def novikov_from_doc(ring: SeriesRing, doc: dict) -> NovikovSeries:
                 f"z-degree keys {quoted(keys[d])} and {quoted(key)} name one degree, {d}")
         keys[d] = key
         degrees[d] = ring.coeff.parse_element_literal(literal)
+    for d, key in keys.items():
+        if key != str(d):
+            raise LiteralSyntaxError(f"z-degree {quoted(key)} is not written as {quoted(str(d))}")
     return NovikovSeries.from_degree_map(ring, degrees)
 
 
@@ -228,60 +231,40 @@ def _one_of(names) -> dict:
     return {"type": "string", "pattern": f"^({'|'.join(names)})(?!\\n)$"}
 
 
-_OPERAND_SCHEMAS = {
-    "inv": {"series": ([_SERIES], 1)},
-    "mul": {"series": ([_SERIES], (2, None))},
-    "log": {"series": ([_SERIES], 1)},
-    "ldu": {"matrix": (_SERIES_MATRIX, None)},
-    "det": {"matrix": (_SERIES_MATRIX, None)},
-    "cgen": {"series": ([_SERIES], 2), "flavor": (_one_of(FLAVORS), None)},
-    "vaserstein": {"series": ([_SERIES], 3)},
-    "cyclog": {"series": ([_SERIES], 1)},
-    "coset": {"series": ([_SERIES], 2)},
-    "endoclass": {"alpha": (_COEFF_MATRIX, None)},
-    "addcheck": {"alpha": (_COEFF_MATRIX, None), "alpha2": (_COEFF_MATRIX, None),
-                 "coupling": (_COEFF_MATRIX, None)},
-    "novikov": {"novikov": (_NOVIKOV, None),
-                "lefschetz": ({"type": "boolean"}, None)},
-    "selftest": {"suite": (_one_of(SUITE_NAMES), None)},
+def _literals(n: int) -> dict:
+    return {"type": "array", "items": _SERIES, "minItems": n, "maxItems": n}
+
+
+def _on_ring(**operands) -> dict:
+    return {"ring": SERIES_RING_SCHEMA, "out": {"type": "string"}, **operands}
+
+
+# {op: {job key: schema}}, keys in the order a job schema lists them after "op"
+_OPERANDS = {
+    "inv": _on_ring(series=_literals(1)),
+    "mul": _on_ring(series={"type": "array", "items": _SERIES, "minItems": 2}),
+    "log": _on_ring(series=_literals(1)),
+    "ldu": _on_ring(matrix=_SERIES_MATRIX),
+    "det": _on_ring(matrix=_SERIES_MATRIX),
+    "cgen": _on_ring(series=_literals(2), flavor=_one_of(FLAVORS)),
+    "vaserstein": _on_ring(series=_literals(3)),
+    "cyclog": _on_ring(series=_literals(1)),
+    "coset": _on_ring(series=_literals(2)),
+    "endoclass": _on_ring(alpha=_COEFF_MATRIX),
+    "addcheck": _on_ring(alpha=_COEFF_MATRIX, alpha2=_COEFF_MATRIX, coupling=_COEFF_MATRIX),
+    "novikov": _on_ring(novikov=_NOVIKOV, lefschetz={"type": "boolean"}),
+    "selftest": {"out": {"type": "string"}, "suite": _one_of(SUITE_NAMES),
+                 "seed": {"type": "integer", "minimum": 0},
+                 "order": {"type": "integer", "minimum": 0},
+                 "trials": {"type": "integer", "minimum": 1}},
 }
-
-
-def _op_branch(op: str) -> dict:
-    operands = _OPERAND_SCHEMAS[op]
-    props = {"op": {"const": op},
-             "ring": SERIES_RING_SCHEMA,
-             "out": {"type": "string"}}
-    required = ["op", "ring"]
-    for key, (schema, count) in operands.items():
-        if isinstance(schema, list):
-            item = schema[0]
-            entry = {"type": "array", "items": item}
-            if isinstance(count, int):
-                entry["minItems"] = entry["maxItems"] = count
-            elif isinstance(count, tuple):
-                lo, hi = count
-                entry["minItems"] = lo
-                if hi is not None:
-                    entry["maxItems"] = hi
-            props[key] = entry
-            required.append(key)
-        else:
-            props[key] = schema
-            if key not in ("flavor", "lefschetz"):
-                required.append(key)
-    if op == "selftest":
-        required.remove("ring")
-        props.pop("ring")
-        props["seed"] = {"type": "integer", "minimum": 0}
-        props["order"] = {"type": "integer", "minimum": 0}
-        props["trials"] = {"type": "integer", "minimum": 1}
-    return {"type": "object", "properties": props,
-            "required": required, "additionalProperties": False}
-
+_OPTIONAL = ("out", "flavor", "lefschetz", "seed", "order", "trials")
 
 # One schema per job op; a job is valid when it matches the schema of its op.
-OP_SCHEMAS = {op: _op_branch(op) for op in sorted(_OPERAND_SCHEMAS)}
+OP_SCHEMAS = {op: {"type": "object", "properties": {"op": {"const": op}, **keys},
+                   "required": ["op", *(key for key in keys if key not in _OPTIONAL)],
+                   "additionalProperties": False}
+              for op, keys in sorted(_OPERANDS.items())}
 
 JOB_SCHEMA = {"oneOf": list(OP_SCHEMAS.values())}
 

@@ -93,9 +93,6 @@ class SeriesMatrix:
     def augmentation(self):
         return tuple(tuple(e.augmentation() for e in row) for row in self.rows)
 
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.rows for e in row)
-
     def __eq__(self, other):
         return (isinstance(other, SeriesMatrix) and self.ring == other.ring
                 and self.rows == other.rows)

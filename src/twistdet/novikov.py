@@ -130,10 +130,8 @@ class NovikovSeries:
             raise WindowUnderflow(
                 f"degrees {min(nonzero)}..{max(nonzero)} and 0 span more than "
                 f"order {ring.order} allows")
-        vecs, den = A.clear(list(nonzero.values()))
-        vecs = {(0,) * (d + shift): v for d, v in zip(nonzero, vecs) if A.nonzero(v)}
-        vecs, den = ring._moved((0,) * shift, vecs, den)
-        return NovikovSeries(TwistedSeries(ring, vecs, den), shift)
+        base = ring.from_terms({(0,) * (d + shift): c for d, c in nonzero.items()})
+        return NovikovSeries(_z_conjugate(base, shift, ring.order), shift)
 
 
 def _common_ring(u: NovikovSeries, v: NovikovSeries):
@@ -243,28 +241,22 @@ def orbit_counts(u: NovikovSeries, lefschetz: bool = False) -> OrbitCountReport:
             f"orbit counting needs group-algebra coefficients, got {A.name}")
     group = A.group
     auto = A.automorphism(u.base.ring.twist_names[0])
-    if auto.data == ("id",):
-        perm = tuple(range(group.order))
-    elif auto.data[0] == "gperm":
-        perm = auto.data[1]
-    else:
-        raise ClassRegroupIncompatible(
-            f"twist {auto.name!r} is not induced by a group automorphism")
+    # a group algebra's twists are "id" and those of register_group_automorphism
+    perm = auto.data[1] if auto.data[0] == "gperm" else range(group.order)
     w = w1_invariant(u)
     plain = {group.names[min(cls)]: cls for cls in group.conjugacy_classes()}
+    class_at = {}  # z-degree n -> {element: its xi^n-twisted class}
+    for n in {len(word) for _, word in w.entries}:
+        class_at[n] = {g: t for t in twisted_conjugacy_classes(group, perm, n) for g in t}
     pairs = []
-    degrees = {len(word) for _, word in w.entries}
-    twisted_at: dict[int, list] = {n: twisted_conjugacy_classes(group, perm, n)
-                                   for n in degrees}
     for (label, word), q in w.entries.items():
-        n = len(word)
-        cls = plain[label]
-        hits = [t for t in twisted_at[n] if cls & t]
-        if len(hits) != 1 or not cls <= hits[0]:
+        n, cls = len(word), plain[label]
+        hit = class_at[n][min(cls)]
+        if not cls <= hit:
             raise ClassRegroupIncompatible(
                 f"plain class {label} splits across xi^{n}-twisted classes; "
                 "per-element counts were already merged")
-        pairs.append(((n, group.names[min(hits[0])]), q * n if lefschetz else q))
+        pairs.append(((n, group.names[min(hit)]), q * n if lefschetz else q))
     return OrbitCountReport(order=u.base.ring.order, group_name=group.name,
                             twist_name=auto.name, lefschetz=lefschetz,
                             entries=sum_by_key(pairs))

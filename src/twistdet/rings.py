@@ -977,6 +977,9 @@ class TruncatedFreeAlgebra(_BasisAlgebra):
         gens = tuple(generators)
         if not gens or any(len(g) != 1 for g in gens) or len(set(gens)) != len(gens):
             raise ValueError("generators must be distinct single characters")
+        for g in gens:  # each word must read back as one name of a literal
+            if getattr(_TOKEN.fullmatch(g), "lastgroup", None) != "name":
+                raise ValueError(f"generator {g!r} cannot start a name in a literal")
         if max_degree < 1:
             raise ValueError("max_degree must be >= 1")
         self.generators = gens

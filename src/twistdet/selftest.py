@@ -554,8 +554,7 @@ for _tag, _build, _name in (("M2(Q):swap", m2_swap, "swap"), ("M2(Q):p", m2_noni
          "xi(a) == P a P^-1, or xi permutes the basis keys; xi^-1(xi(a)) == a",
          _twist_definition, [(_tag, coeffs(_build))], shapes=((_name,), (_name + "^-1",)))
 
-SUITE_NAMES = ("rings", "ldu", "dieudonne-commutative", "cgroup", "cyclog",
-               "novikov", "all")
+SUITE_NAMES = (*dict.fromkeys(c.suite for c in REGISTRY), "all")
 
 
 def run_check(check: Check, seed: int, order: int, trials: int) -> dict:

@@ -12,6 +12,7 @@ import pytest
 import twistdet
 from twistdet.cli import main, validate_job
 from twistdet.errors import ValidationError
+from twistdet.selftest import qs3_conj
 from twistdet.series import TwistedSeries
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
@@ -317,9 +318,13 @@ def test_long_literals_are_clipped_in_errors(capsys, ring_file, ring, argv):
     ({"coeff": {"kind": "matrix", "size": 2,
                 "conjugations": {"id": [["0", "1"], ["1", "0"]]}},
       "alphabet": ["x"], "twist": {"x": "id"}, "order": 2}, "ValueError", "'id'"),
+    # a generator no element literal can name: the word "1" would read back as 1
+    ({"coeff": {"kind": "free_trunc", "generators": ["1", "y"], "max_degree": 2,
+                "permutations": {"flip": [1, 0]}},
+      "alphabet": ["x"], "twist": {"x": "flip"}, "order": 2}, "ValueError", "'1'"),
 ], ids=["order-3.0", "modulus-12.0", "size-2.0", "max_degree-2.0", "conjugation-1x1",
         "conjugation-ragged", "conjugation-singular", "twist-stray-letter",
-        "automorphism-named-id"])
+        "automorphism-named-id", "generator-1"])
 def test_exit_code_1_on_bad_ring(capsys, ring_file, ring, error_type, fragment):
     code, out, err = run_cli(capsys, "inv", "--ring", ring_file(ring), '1+w("x")')
     assert code == 1 and out == ""
@@ -354,6 +359,22 @@ def test_exit_code_2_on_domain_error(capsys, qring, ring_file):
                              '1+[-12*g1+12*g3]*w("xx")')
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["type"] == "NeedsTrace"
+
+
+def test_exit_code_2_when_a_class_splits_across_twisted_classes(capsys, ring_file):
+    # Q[S3] twisted by conjugation with a 3-cycle: at z-degree 1 the plain class
+    # of the 3-cycle g3 is not inside one twisted class. ROADMAP item 1(c) will
+    # replace these classes; until then the regrouping is refused.
+    A = qs3_conj()
+    ring = ring_file({"coeff": {"kind": "group_algebra",
+                                "group": {"name": "S3", "table": A.group.table},
+                                "automorphisms": {"conj": A.automorphism("conj").data[1]}},
+                      "alphabet": ["z"], "twist": {"z": "conj"}, "order": 3})
+    code, out, err = run_cli(capsys, "novikov", "--ring", ring,
+                             json.dumps({"degrees": {"0": "1", "1": "-1*g3"}}))
+    error = json.loads(err)["error"]
+    assert code == 2 and out == "" and error["type"] == "ClassRegroupIncompatible"
+    assert error["message"].startswith("plain class g3 splits across xi^1-twisted classes")
 
 
 @pytest.mark.parametrize("suite,kind,message", [
@@ -394,6 +415,53 @@ def test_run_rejects_unknown_op(capsys, tmp_path):
     p.write_text(json.dumps({"op": "frobnicate"}))
     code, _, err = run_cli(capsys, "run", str(p))
     assert code == 1
+
+
+_FREE_DOC = {"coeff": {"kind": "free_trunc", "generators": ["y", "z"], "max_degree": 4},
+             "alphabet": ["x"], "order": 2}
+_C2_DOC = {"coeff": {"kind": "group_algebra", "group": {"name": "C2", "table": [[0, 1], [1, 0]]}},
+           "alphabet": ["z"], "order": 3}
+_MATRIX = [['1+w("x")', 'w("x")'], ['w("x")', '1+w("x")']]
+_NOVIKOV = {"degrees": {"0": "1", "1": "-1*g1"}}
+
+
+# (flag-form argv less --ring, the ring document, the job's other keys); a
+# job's "ring" key, where given, is the ring document with --order applied
+FLAG_AND_RUN = [
+    (["inv", '1+w("x")'], QRING_DOC, {"series": ['1+w("x")']}),
+    (["inv", '1+w("x")', "--order", "5"], QRING_DOC,
+     {"ring": {**QRING_DOC, "order": 5}, "series": ['1+w("x")']}),
+    (["mul", '1+w("x")', '1-w("x")', "2"], QRING_DOC, {"series": ['1+w("x")', '1-w("x")', "2"]}),
+    (["log", '1+w("x")'], QRING_DOC, {"series": ['1+w("x")']}),
+    (["ldu", json.dumps(_MATRIX)], QRING_DOC, {"matrix": _MATRIX}),
+    (["det", json.dumps(_MATRIX)], QRING_DOC, {"matrix": _MATRIX}),
+    (["cgen", '[z+yz]*w("x")', "[1-y+yy]"], _FREE_DOC, {"series": ['[z+yz]*w("x")', "[1-y+yy]"]}),
+    (["cgen", "--flavor", "a_in_kernel", '[z+yz]*w("x")', "[1-y+yy]"], _FREE_DOC,
+     {"series": ['[z+yz]*w("x")', "[1-y+yy]"], "flavor": "a_in_kernel"}),
+    (["vaserstein", 'w("x")', '[y]*w("x")', "2"], _FREE_DOC,
+     {"series": ['w("x")', '[y]*w("x")', "2"]}),
+    (["cyclog", '1+w("x")'], QRING_DOC, {"series": ['1+w("x")']}),
+    (["coset", '1+w("x")', "1"], QRING_DOC, {"series": ['1+w("x")', "1"]}),
+    (["endoclass", '[["0","1"],["0","0"]]'], QRING_DOC, {"alpha": [["0", "1"], ["0", "0"]]}),
+    (["addcheck", '[["1"]]', '[["1"]]', '[["5"]]'], QRING_DOC,
+     {"alpha": [["1"]], "alpha2": [["1"]], "coupling": [["5"]]}),
+    (["novikov", json.dumps(_NOVIKOV)], _C2_DOC, {"novikov": _NOVIKOV}),
+    (["novikov", json.dumps(_NOVIKOV), "--lefschetz"], _C2_DOC,
+     {"novikov": _NOVIKOV, "lefschetz": True}),
+    (["selftest", "novikov", "--seed", "3", "--order", "3", "--trials", "1"], None,
+     {"suite": "novikov", "seed": 3, "order": 3, "trials": 1}),
+]
+
+
+@pytest.mark.parametrize("argv, ring, body", FLAG_AND_RUN, ids=[
+    "".join([argv[0], *(a for a in argv if a.startswith("--"))]) for argv, _, _ in FLAG_AND_RUN])
+def test_flag_and_run_forms_agree(capsys, ring_file, tmp_path, argv, ring, body):
+    job = {"op": argv[0], **({"ring": ring} if ring else {}), **body}
+    flag = run_cli(capsys, *argv, *(["--ring", ring_file(ring)] if ring else []))
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    assert flag[0] == 0 and flag[1]
+    assert run_cli(capsys, "run", str(path)) == flag
 
 
 def test_no_meta_schema_check_per_job(capsys, qring, monkeypatch):

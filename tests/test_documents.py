@@ -1,5 +1,7 @@
 import contextlib
 import copy
+import json
+import pathlib
 import random
 
 import jsonschema
@@ -126,6 +128,18 @@ def test_novikov_doc_bad_degree_key(qc2):
         with pytest.raises(LiteralSyntaxError) as exc:
             novikov_from_doc(R, {"degrees": degrees})
         assert "'1'" in str(exc.value) and "'01'" in str(exc.value)
+    # a key is read only as it would be written: str(int(key))
+    for key in ("1_0", "+1", " 1", "-0"):
+        with pytest.raises(LiteralSyntaxError) as exc:
+            novikov_from_doc(R, {"degrees": {key: "g1"}})
+        assert repr(key) in str(exc.value)
+
+
+def test_op_schemas_golden():
+    # key order decides which of two equally relevant errors validate reports
+    want = (pathlib.Path(__file__).parent / "goldens" / "op_schemas.json").read_text()
+    assert json.dumps(OP_SCHEMAS, indent=2) + "\n" == want
+    assert JOB_SCHEMA == {"oneOf": list(OP_SCHEMAS.values())}
 
 
 def test_cyclog_doc_shape(qq):

@@ -20,7 +20,7 @@ from twistdet import (
 )
 
 from twistdet import rings as rings_module
-from twistdet.selftest import m2_nonintegral
+from twistdet.selftest import m2_nonintegral, qs3_conj
 
 from conftest import assert_folded
 
@@ -303,6 +303,18 @@ def test_orbit_counts_needs_group_algebra(qq):
     u = NovikovSeries(R.one() - R.letter("z"))
     with pytest.raises(ClassRegroupIncompatible):
         orbit_counts(u)
+
+
+def test_orbit_counts_refuses_a_class_split_by_the_twist():
+    # Q[S3] twisted by conjugation with a 3-cycle: at z-degree 1 the plain class
+    # of the 3-cycle g3 meets two twisted classes, and w1 has already merged its
+    # elements. ROADMAP item 1(c) will replace these classes.
+    A = qs3_conj()
+    R = zring(A, 3, twist="conj")
+    g3 = R.lift(A.parse_element_literal("g3"))
+    with pytest.raises(ClassRegroupIncompatible,
+                       match=r"^plain class g3 splits across xi\^1-twisted classes; "):
+        orbit_counts(NovikovSeries(R.one() - g3 * R.letter("z")))
 
 
 def test_orbit_report_sorted_items(qc2):
