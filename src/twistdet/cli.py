@@ -13,7 +13,10 @@ compare the interpreter with jsonschema and check the schemas themselves
 against the draft 2020-12 meta-schema. A schema error's message names the
 failing JSON path. An integral float such as 3.0 is not an integer.
 
-Series operands are literal strings like '1+[g1]*w("x")'. Matrix and
+Every job op's subcommand, and the job its command line builds, come from
+documents._OPERANDS: each job key there is read from the parsed argument of
+the same name, and --order overrides the ring's order. Series operands are
+literal strings like '1+[g1]*w("x")', one positional per literal. Matrix and
 Novikov operands are JSON, given inline or as @path to read a file.
 """
 
@@ -21,9 +24,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
+from functools import reduce
 
 from .documents import (
+    _OPERANDS,
     OP_SCHEMAS,
     canonical_json,
     coeff_matrix_from_doc,
@@ -101,42 +107,17 @@ def _load_json_arg(text: str):
 
 
 def _build_job(args) -> dict:
-    op = args.op
-    if op == "selftest":
-        job = {"op": "selftest", "suite": args.suite}
-        if args.seed is not None:
-            job["seed"] = args.seed
-        if args.order is not None:
-            job["order"] = args.order
-        if args.trials is not None:
-            job["trials"] = args.trials
-        return job
-    ring_doc = _load_json_arg("@" + args.ring)
-    if args.order is not None and isinstance(ring_doc, dict):
-        ring_doc = {**ring_doc, "order": args.order}
-    job = {"op": op, "ring": ring_doc}
-    if op in ("inv", "log", "cyclog"):
-        job["series"] = [args.series]
-    elif op == "mul":
-        job["series"] = list(args.series)
-    elif op in ("cgen", "coset"):
-        job["series"] = [args.a, args.b]
-        if op == "cgen" and args.flavor is not None:
-            job["flavor"] = args.flavor
-    elif op == "vaserstein":
-        job["series"] = [args.a, args.b, args.c]
-    elif op in ("ldu", "det"):
-        job["matrix"] = _load_json_arg(args.matrix)
-    elif op == "endoclass":
-        job["alpha"] = _load_json_arg(args.alpha)
-    elif op == "addcheck":
-        job["alpha"] = _load_json_arg(args.alpha)
-        job["alpha2"] = _load_json_arg(args.alpha2)
-        job["coupling"] = _load_json_arg(args.coupling)
-    elif op == "novikov":
-        job["novikov"] = _load_json_arg(args.series)
-        if args.lefschetz:
-            job["lefschetz"] = True
+    job = {"op": args.op}
+    for key in _OPERANDS[args.op]:
+        value = getattr(args, key)
+        if key == "ring":
+            value = _load_json_arg("@" + value)
+            if args.order is not None and isinstance(value, dict):
+                value = {**value, "order": args.order}
+        elif key not in _ARGUMENTS and key != "series":
+            value = _load_json_arg(value)
+        if value is not None:
+            job[key] = value
     return job
 
 
@@ -149,78 +130,47 @@ def execute_job(job: dict):
                           trials=job.get("trials", 10))
         return {"op": "selftest", **report}, 0 if report["passed"] else 2
     ring = series_ring_from_doc(job["ring"])
-    if op == "inv":
-        s = parse_series(job["series"][0], ring)
-        return {"op": "inv", "result": render_series(s.inverse())}, 0
-    if op == "mul":
-        acc = parse_series(job["series"][0], ring)
-        for text in job["series"][1:]:
-            acc = acc * parse_series(text, ring)
-        return {"op": "mul", "result": render_series(acc)}, 0
-    if op == "log":
-        s = parse_series(job["series"][0], ring)
-        return {"op": "log", "result": render_series(formal_log(s))}, 0
-    if op == "ldu":
-        m = matrix_from_doc(ring, job["matrix"])
-        f = ldu_decompose(m)
-        return {"op": "ldu",
-                "l": matrix_to_doc(f.l),
-                "d1": render_series(f.d1),
-                "d2": matrix_to_doc(f.d2),
-                "u": matrix_to_doc(f.u),
-                "recomposes": f.recompose() == m}, 0
-    if op == "det":
-        m = matrix_from_doc(ring, job["matrix"])
-        return {"op": "det", "det": render_series(dieudonne_det(m))}, 0
-    if op == "cgen":
-        flavor = job.get("flavor", FLAVOR_AB_BA_KERNEL)
-        a = parse_series(job["series"][0], ring)
-        b = parse_series(job["series"][1], ring)
-        return {"op": "cgen", "flavor": flavor,
-                "result": render_series(c_generator(a, b, flavor))}, 0
-    if op == "vaserstein":
-        a, b, c = (parse_series(t, ring) for t in job["series"])
-        b2, ok = vaserstein_transform(a, b, c)
-        return {"op": "vaserstein", "b_prime": render_series(b2),
-                "check": ok}, 0
-    if op == "cyclog":
+    if op == "cyclog":  # refused before its literal is read
         refuse_twisted_trace(ring, "cyclog needs")
-        s = parse_series(job["series"][0], ring)
-        return {"op": "cyclog", **cyclog_to_doc(cyc_log(s))}, 0
-    if op == "coset":
-        u = parse_series(job["series"][0], ring)
-        v = parse_series(job["series"][1], ring)
-        return {"op": "coset", "verdict": coset_probably_equal(u, v)}, 0
-    if op == "endoclass":
-        alpha = coeff_matrix_from_doc(ring.coeff, job["alpha"])
-        result = endo_class_invariant(ring.coeff, alpha, ring.order)
-        return {"op": "endoclass", "order": ring.order,
-                "result": render_series(result)}, 0
-    if op == "addcheck":
-        alpha = coeff_matrix_from_doc(ring.coeff, job["alpha"])
-        alpha2 = coeff_matrix_from_doc(ring.coeff, job["alpha2"])
-        coupling = coeff_matrix_from_doc(ring.coeff, job["coupling"])
-        equal = exact_sequence_additivity_check(ring.coeff, alpha, alpha2,
-                                                coupling, ring.order)
-        return {"op": "addcheck", "equal": equal}, 0
-    if op == "novikov":
+    s = [parse_series(text, ring) for text in job.get("series", ())]
+    m = matrix_from_doc(ring, job["matrix"]) if "matrix" in job else None
+    alphas = [coeff_matrix_from_doc(ring.coeff, job[key])
+              for key in ("alpha", "alpha2", "coupling") if key in job]
+    if op == "inv":
+        doc = {"result": render_series(s[0].inverse())}
+    elif op == "mul":
+        doc = {"result": render_series(reduce(operator.mul, s))}
+    elif op == "log":
+        doc = {"result": render_series(formal_log(s[0]))}
+    elif op == "ldu":
+        f = ldu_decompose(m)
+        doc = {"l": matrix_to_doc(f.l), "d1": render_series(f.d1),
+               "d2": matrix_to_doc(f.d2), "u": matrix_to_doc(f.u),
+               "recomposes": f.recompose() == m}
+    elif op == "det":
+        doc = {"det": render_series(dieudonne_det(m))}
+    elif op == "cgen":
+        flavor = job.get("flavor", FLAVOR_AB_BA_KERNEL)
+        doc = {"flavor": flavor, "result": render_series(c_generator(*s, flavor))}
+    elif op == "vaserstein":
+        b2, ok = vaserstein_transform(*s)
+        doc = {"b_prime": render_series(b2), "check": ok}
+    elif op == "cyclog":
+        doc = cyclog_to_doc(cyc_log(s[0]))
+    elif op == "coset":
+        doc = {"verdict": coset_probably_equal(*s)}
+    elif op == "endoclass":
+        result = endo_class_invariant(ring.coeff, *alphas, ring.order)
+        doc = {"order": ring.order, "result": render_series(result)}
+    elif op == "addcheck":
+        doc = {"equal": exact_sequence_additivity_check(ring.coeff, *alphas, ring.order)}
+    else:  # novikov
         u = novikov_from_doc(ring, job["novikov"])
         lefschetz = job.get("lefschetz", False)
-        doc = {"op": "novikov", "lefschetz": lefschetz,
-               "w1": cyclog_to_doc(w1_invariant(u))}
+        doc = {"lefschetz": lefschetz, "w1": cyclog_to_doc(w1_invariant(u))}
         if ring.coeff.kind == "group_algebra":
             doc["orbits"] = orbit_report_to_doc(orbit_counts(u, lefschetz))
-        return doc, 0
-    raise LiteralSyntaxError(f"unknown operation {op!r}")
-
-
-def _add_common(sub):
-    sub.add_argument("--ring", required=True,
-                     help="path to a series-ring JSON document")
-    sub.add_argument("--order", type=int, default=None,
-                     help="override the ring document's truncation order")
-    sub.add_argument("--out", default=None,
-                     help="write the output document here instead of stdout")
+    return {"op": op, **doc}, 0
 
 
 class UsageError(ValueError):
@@ -232,60 +182,59 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+_HELP = {"inv": "invert a series",
+         "mul": "product of two or more series",
+         "log": "formal logarithm of a series",
+         "ldu": "LDU factors of an augmentation-1 matrix",
+         "det": "recursive determinant of such a matrix",
+         "cgen": "(1+ab)(1+ba)^-1 for a flavored pair",
+         "vaserstein": "replace b by b+c+bac, check equality",
+         "cyclog": "cyclic-word logarithm vector",
+         "coset": "one-sided coset distinctness test",
+         "endoclass": "determinant invariant of 1-alpha*x",
+         "addcheck": "block-triangular determinant additivity",
+         "novikov": "w1 invariant and orbit counts",
+         "selftest": "run a named property suite"}
+
+# job key -> its command line arguments; every other key is a positional: one
+# per series literal, or one JSON document (inline or @file)
+_ARGUMENTS = {
+    "ring": [("--ring", {"required": True, "help": "path to a series-ring JSON document"}),
+             ("--order", {"type": int,
+                          "help": "override the ring document's truncation order"})],
+    "out": [("--out", {"help": "write the output document here instead of stdout"})],
+    "flavor": [("--flavor", {"choices": FLAVORS})],
+    "lefschetz": [("--lefschetz", {"action": "store_true", "default": None,
+                                   "help": "multiply degree-n buckets by n"})],
+    "suite": [("suite", {"choices": SUITE_NAMES})],
+    "seed": [("--seed", {"type": int})],
+    "order": [("--order", {"type": int})],
+    "trials": [("--trials", {"type": int})],
+}
+_JSON_HELP = {"matrix": "JSON rows of series literals, or @file",
+              "novikov": 'JSON {"degrees": {...}}, or @file'}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="twistdet",
         description="Exact invariants of truncated twisted power series")
     subs = parser.add_subparsers(dest="op", required=True)
-
-    for name, text in (("inv", "invert a series"),
-                       ("log", "formal logarithm of a series"),
-                       ("cyclog", "cyclic-word logarithm vector")):
-        p = subs.add_parser(name, help=text)
-        p.add_argument("series")
-        _add_common(p)
-    p = subs.add_parser("mul", help="product of two or more series")
-    p.add_argument("series", nargs="+")
-    _add_common(p)
-    for name, text in (("ldu", "LDU factors of an augmentation-1 matrix"),
-                       ("det", "recursive determinant of such a matrix")):
-        p = subs.add_parser(name, help=text)
-        p.add_argument("matrix", help="JSON rows of series literals, or @file")
-        _add_common(p)
-    p = subs.add_parser("cgen", help="(1+ab)(1+ba)^-1 for a flavored pair")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--flavor", choices=FLAVORS, default=None)
-    _add_common(p)
-    p = subs.add_parser("vaserstein", help="replace b by b+c+bac, check equality")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("c")
-    _add_common(p)
-    p = subs.add_parser("coset", help="one-sided coset distinctness test")
-    p.add_argument("a")
-    p.add_argument("b")
-    _add_common(p)
-    p = subs.add_parser("endoclass", help="determinant invariant of 1-alpha*x")
-    p.add_argument("alpha", help="JSON rows of coefficient literals, or @file")
-    _add_common(p)
-    p = subs.add_parser("addcheck",
-                        help="block-triangular determinant additivity")
-    p.add_argument("alpha")
-    p.add_argument("alpha2")
-    p.add_argument("coupling")
-    _add_common(p)
-    p = subs.add_parser("novikov", help="w1 invariant and orbit counts")
-    p.add_argument("series", help='JSON {"degrees": {...}}, or @file')
-    p.add_argument("--lefschetz", action="store_true",
-                   help="multiply degree-n buckets by n")
-    _add_common(p)
-    p = subs.add_parser("selftest", help="run a named property suite")
-    p.add_argument("suite", choices=SUITE_NAMES)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--out", default=None)
+    for op, keys in _OPERANDS.items():
+        p = subs.add_parser(op, help=_HELP[op])
+        for key, schema in keys.items():
+            if key in _ARGUMENTS:
+                for name, kwargs in _ARGUMENTS[key]:
+                    p.add_argument(name, **kwargs)
+            elif key != "series":
+                p.add_argument(key, help=_JSON_HELP.get(
+                    key, "JSON rows of coefficient literals, or @file"))
+            elif "maxItems" not in schema:
+                p.add_argument("series", nargs="+")
+            else:  # one positional per literal, so options may sit between them
+                n = schema["maxItems"]
+                for name in ("series",) if n == 1 else "abc"[:n]:
+                    p.add_argument("series", action="append", metavar=name)
     p = subs.add_parser("run", help="execute a job document")
     p.add_argument("job", help="path to a job JSON file")
     p.add_argument("--out", default=None)
@@ -304,20 +253,13 @@ def _emit(doc: dict, out_path) -> None:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.op == "run":
-            job = _load_json_arg("@" + args.job)
-            out_path = args.out or (job.get("out") if isinstance(job, dict) else None)
-        else:
-            job = _build_job(args)
-            out_path = args.out
+        job = _load_json_arg("@" + args.job) if args.op == "run" else _build_job(args)
+        out_path = args.out or (job.get("out") if isinstance(job, dict) else None)
         validate_job(job)
         doc, code = execute_job(job)
         _emit(doc, out_path)
-    except (ValidationError, json.JSONDecodeError,
-            LiteralSyntaxError, ValueError) as exc:
-        _emit_error(exc)
-        return 1
-    except OSError as exc:
+    except (LiteralSyntaxError, ValueError, OSError) as exc:
+        # ValidationError, JSONDecodeError and UsageError are ValueErrors
         _emit_error(exc)
         return 1
     except InternalInvariantError as exc:

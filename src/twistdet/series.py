@@ -47,7 +47,7 @@ from .errors import (
     NotAUnit,
     RingMismatch,
 )
-from .rings import CoeffRing
+from .rings import _TOKEN, CoeffRing
 
 
 def _grlex(word: tuple) -> tuple:
@@ -62,6 +62,9 @@ class SeriesRing:
         alphabet = tuple(alphabet)
         if any(len(a) != 1 for a in alphabet) or len(set(alphabet)) != len(alphabet):
             raise ValueError("alphabet letters must be distinct single characters")
+        for a in alphabet:  # each word must read back inside one w("...") factor
+            if getattr(_TOKEN.fullmatch(f'w("{a}")'), "lastgroup", None) != "word":
+                raise ValueError(f"letter {a!r} cannot be written in a w(\"...\") factor")
         if order < 0:
             raise ValueError("order must be >= 0")
         twist = twist or {}

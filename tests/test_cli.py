@@ -1,7 +1,9 @@
+import argparse
 import importlib.util
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -10,7 +12,8 @@ import jsonschema
 import pytest
 
 import twistdet
-from twistdet.cli import main, validate_job
+from twistdet.cli import build_parser, main, validate_job
+from twistdet.documents import OP_SCHEMAS
 from twistdet.errors import ValidationError
 from twistdet.selftest import qs3_conj
 from twistdet.series import TwistedSeries
@@ -200,13 +203,19 @@ def test_exit_code_1_on_bad_input(capsys, ring_file, tmp_path):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["message"].endswith("JSON nested too deeply")
-    # usage errors: an unknown suite or flavor, a missing --ring
+    # usage errors: an unknown suite or flavor, a missing --ring, too few operands
     for argv in (["selftest", "bogus"],
                  ["cgen", "--flavor", "nope", "--ring", ring, "1", "1"],
-                 ["inv", "1"]):
+                 ["inv", "1"],
+                 ["vaserstein", "--ring", ring, "1", "1"],
+                 ["addcheck", "--ring", ring, '[["1"]]', '[["1"]]'],
+                 ["mul", "--ring", ring]):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["type"] == "UsageError"
+    # every job op has a subcommand, and run is the only other one
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subs.choices) == set(OP_SCHEMAS) | {"run"}
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
@@ -322,9 +331,12 @@ def test_long_literals_are_clipped_in_errors(capsys, ring_file, ring, argv):
     ({"coeff": {"kind": "free_trunc", "generators": ["1", "y"], "max_degree": 2,
                 "permutations": {"flip": [1, 0]}},
       "alphabet": ["x"], "twist": {"x": "flip"}, "order": 2}, "ValueError", "'1'"),
+    # a letter no w("...") factor can hold: no series literal could name its words
+    ({"coeff": {"kind": "rational"}, "alphabet": ['"'], "order": 2}, "ValueError",
+     "letter '\"'"),
 ], ids=["order-3.0", "modulus-12.0", "size-2.0", "max_degree-2.0", "conjugation-1x1",
         "conjugation-ragged", "conjugation-singular", "twist-stray-letter",
-        "automorphism-named-id", "generator-1"])
+        "automorphism-named-id", "generator-1", "letter-quote"])
 def test_exit_code_1_on_bad_ring(capsys, ring_file, ring, error_type, fragment):
     code, out, err = run_cli(capsys, "inv", "--ring", ring_file(ring), '1+w("x")')
     assert code == 1 and out == ""
@@ -440,6 +452,11 @@ FLAG_AND_RUN = [
      {"series": ['[z+yz]*w("x")', "[1-y+yy]"], "flavor": "a_in_kernel"}),
     (["vaserstein", 'w("x")', '[y]*w("x")', "2"], _FREE_DOC,
      {"series": ['w("x")', '[y]*w("x")', "2"]}),
+    # options between the operands
+    (["cgen", '[z+yz]*w("x")', "--flavor", "a_in_kernel", "[1-y+yy]"], _FREE_DOC,
+     {"series": ['[z+yz]*w("x")', "[1-y+yy]"], "flavor": "a_in_kernel"}),
+    (["vaserstein", 'w("x")', "--order", "1", '[y]*w("x")', "2"], _FREE_DOC,
+     {"ring": {**_FREE_DOC, "order": 1}, "series": ['w("x")', '[y]*w("x")', "2"]}),
     (["cyclog", '1+w("x")'], QRING_DOC, {"series": ['1+w("x")']}),
     (["coset", '1+w("x")', "1"], QRING_DOC, {"series": ['1+w("x")', "1"]}),
     (["endoclass", '[["0","1"],["0","0"]]'], QRING_DOC, {"alpha": [["0", "1"], ["0", "0"]]}),
@@ -453,8 +470,18 @@ FLAG_AND_RUN = [
 ]
 
 
-@pytest.mark.parametrize("argv, ring, body", FLAG_AND_RUN, ids=[
-    "".join([argv[0], *(a for a in argv if a.startswith("--"))]) for argv, _, _ in FLAG_AND_RUN])
+def _form_id(argv):
+    # the op and its flags; "-between" marks a flag written between two operands
+    parts = [argv[0]]
+    for i, a in enumerate(argv):
+        if a.startswith("--"):
+            between = 1 < i < len(argv) - 2 and not argv[i + 2].startswith("--")
+            parts.append(a + "-between" * between)
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("argv, ring, body", FLAG_AND_RUN,
+                         ids=[_form_id(argv) for argv, _, _ in FLAG_AND_RUN])
 def test_flag_and_run_forms_agree(capsys, ring_file, tmp_path, argv, ring, body):
     job = {"op": argv[0], **({"ring": ring} if ring else {}), **body}
     flag = run_cli(capsys, *argv, *(["--ring", ring_file(ring)] if ring else []))
@@ -462,6 +489,17 @@ def test_flag_and_run_forms_agree(capsys, ring_file, tmp_path, argv, ring, body)
     path.write_text(json.dumps(job))
     assert flag[0] == 0 and flag[1]
     assert run_cli(capsys, "run", str(path)) == flag
+
+
+def test_readme_command_lines_parse():
+    # every twistdet line of the README's CLI block is a command line the parser
+    # takes; nothing is run, so no ring or operand file is read
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("twistdet ")]
+    assert {shlex.split(line)[1] for line in lines} == set(OP_SCHEMAS) | {"run"}
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
 
 
 def test_no_meta_schema_check_per_job(capsys, qring, monkeypatch):
