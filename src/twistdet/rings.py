@@ -22,7 +22,9 @@ document layers call:
   and `nonzero`, `content`, `divide_vector` and `invert_vectors` (of an
   n x n matrix of vectors) serve the series layer;
 - `emat_identity`, `emat_mul`, `mat_is_invertible` and `mat_invert` on
-  square matrices (tuples of rows) of elements;
+  square matrices (tuples of rows) of elements, defined once, in
+  `CoeffRing`: `mat_is_invertible` (and so `is_unit`) is whether the
+  elimination of `invert_vectors` succeeds, with no second test;
 - `random_element`, `random_unit` and `random_central` for sampling;
 - `element_to_literal` and `parse_element_literal`, the only way elements
   are read and written (rationals through `frac_str` and `frac_from_str`,
@@ -42,12 +44,11 @@ concrete class restates `add`, `mul` and `invert` by one alias line, because
 perfbench/spans.py wraps them per class through vars(cls).
 
 Rings represented over Q share two bases. `_RepresentedRing` (Q, M_k(Q)
-and Q[G]) decides invertible matrices over the ring by the determinant of
-their block image under a faithful representation into M_d(Q), and inverts
-them by one elimination of it. `_BasisAlgebra` (Q[G] and Q<gens>/deg>N)
-holds the sparse (basis key, integer) view and its read-back, the
-trace by basis-key label, random units, element literals and permutation
-automorphisms.
+and Q[G]) inverts matrices over the ring by one elimination of their block
+image under a faithful representation into M_d(Q). `_BasisAlgebra` (Q[G]
+and Q<gens>/deg>N) holds the sparse (basis key, integer) view and its
+read-back, the trace by basis-key label, random units, element literals and
+permutation automorphisms.
 
 Values are Fractions, but products and inverses work on integers, through
 the view (after FLINT's fmpq_poly layout: integer numerators over one
@@ -61,7 +62,8 @@ an M_k(Q) conjugation by P is one precomputed k*k x k*k integer matrix
 of Q[G] or Q<gens>/deg>N relabels the (key, integer) pairs (factor 1);
 `RingAutomorphism.apply` is clear, act and `rebuild`. Every inverse, over
 Q, M_k(Q), Q[G] and Z/m, is one `fraction_free` elimination of integers,
-of which only the entries read back are built.
+of which only the entries read back are built; it is also the one
+invertibility test.
 The layers above also share `Record` (their result records),
 `twisted_conjugacy_classes`, and the one writer and the one reader of
 signed-sum literals, `rational_sum_literal` and `signed_terms`, from here.
@@ -83,10 +85,21 @@ from .errors import (LiteralSyntaxError, NeedsRationalCoefficients, NeedsTrace, 
 
 
 def frac_from_str(text: str) -> Fraction:
+    """The rational `n` or `n/d` (ASCII digits, an optional leading '-')."""
+    return _read_numeral(r"-?[0-9]+(?:/[0-9]+)?", Fraction, "rational", text)
+
+
+def _read_numeral(grammar: str, convert: Callable, kind: str, text: str):
+    """convert(text) for a text that `grammar` matches in full, but for white
+    space around it; any other text, d = 0 in n/d and a numeral past the
+    int-string digit limit are bad `kind` literals."""
+    numeral = text.strip()
     try:
-        return Fraction(text.strip())
+        if re.fullmatch(grammar, numeral):
+            return convert(numeral)
     except (ValueError, ZeroDivisionError) as exc:
-        raise _bad_literal("rational", text) from exc
+        raise _bad_literal(kind, text) from exc
+    raise _bad_literal(kind, text)
 
 
 def quoted(text: str) -> str:
@@ -136,7 +149,7 @@ def rational_sum_literal(terms) -> str:
 
 # one token of a signed-sum literal, after any white space ("bad": any other character)
 _TOKEN = re.compile(r"""\s*(?:
-    (?P<rat>\d+(?:/\d+)?)
+    (?P<rat>[0-9]+(?:/[0-9]+)?)
   | w\(\s*"(?P<word>[^"]*)"\s*\)
   | \[(?P<elem>[^\]]*)\]
   | (?P<name>[^\s\d+\-*/()\[\]"][^\s+\-*/()\[\]"]*)
@@ -239,24 +252,17 @@ class RingAutomorphism:
 
 
 # ---------------------------------------------------------------------------
-# Integer kernels for rational matrices (shared by several rings)
+# The integer kernel for rational matrices (shared by several rings)
 
-def _clear(rows) -> tuple[list, int]:
-    """Integer rows N and one denominator d (the lcm of the entries') with rows = N/d."""
-    den = math.lcm(*[x.denominator for row in rows for x in row])
-    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
-
-
-def fraction_free(rows, inverse: bool = True) -> tuple[int, Optional[list]]:
+def fraction_free(rows) -> tuple[int, Optional[list]]:
     """(det M, adj M) of a square integer matrix M, so M * adj M = det M * I, by
     fraction-free Gauss-Jordan elimination (Bareiss 1968): a step replaces each
     row r by (p*r - f*pivot_row) / (previous pivot), an exact division, and the
-    last pivot is det M up to the sign of the row swaps. inverse=False only
-    eliminates below the pivots, without the identity half, for det M alone;
-    adj is None then, and whenever det M = 0."""
+    last pivot is det M up to the sign of the row swaps. adj is None when
+    det M = 0. Every inverse over the five rings is one such elimination (over
+    Q<gens>/deg>N, of the scalar part), and so is every invertibility test."""
     n = len(rows)
-    m = [list(row) + [int(i == j) for j in range(n if inverse else 0)]
-         for i, row in enumerate(rows)]
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     sign, prev = 1, 1
     for k in range(n):
         piv = next((r for r in range(k, n) if m[r][k]), None)
@@ -267,13 +273,11 @@ def fraction_free(rows, inverse: bool = True) -> tuple[int, Optional[list]]:
             sign = -sign
         pivot_row = m[k]
         p = pivot_row[k]
-        for i in range(0 if inverse else k + 1, n):
+        for i in range(n):
             if i != k:
                 f = m[i][k]
                 m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], pivot_row)]
         prev = p
-    if not inverse:
-        return sign * prev, None
     return sign * prev, [[sign * x for x in row[n:]] for row in m]
 
 
@@ -488,7 +492,13 @@ class CoeffRing:
                      for i in range(0, len(va), n))
 
     def mat_is_invertible(self, rows) -> bool:
-        raise NotImplementedError
+        """Whether `invert_vectors` inverts the matrix: the elimination that
+        inverts is the one test."""
+        try:
+            self.invert_vectors(*self.clear([x for row in rows for x in row]), len(rows))
+        except NotAUnit:
+            return False
+        return True
 
     def mat_invert(self, rows):
         n = len(rows)
@@ -533,9 +543,9 @@ class _RepresentedRing(CoeffRing):
     """A ring with a faithful representation over Q: `_rep(vec)` is the d x d
     integer matrix (d = `_dim`) of a vector, and `_unrep(big, r, c)` reads a
     vector back from the d x d block of the integer matrix `big` at rows r..,
-    columns c... A matrix M = N/d is invertible iff det of N's block image is
-    not 0, and M^-1 = d adj(N)/det(N) is one fraction-free elimination, of
-    which only the read-back entries are kept."""
+    columns c... A matrix M = N/d is inverted by one fraction-free elimination
+    of N's block image, M^-1 = d adj(N)/det(N), of which only the read-back
+    entries are kept; it is refused (NotAUnit) when det(N) = 0."""
 
     def _image(self, vecs, n: int) -> list:
         """The integer block image of the n x n matrix of vectors vecs."""
@@ -544,10 +554,6 @@ class _RepresentedRing(CoeffRing):
             reps = [self._rep(v) for v in vecs[i:i + n]]
             big.extend([x for rep in reps for x in rep[r]] for r in range(self._dim))
         return big
-
-    def mat_is_invertible(self, rows):
-        vecs, _ = self.clear([x for row in rows for x in row])
-        return fraction_free(self._image(vecs, len(rows)), inverse=False)[0] != 0
 
     def invert_vectors(self, vecs, den, n):
         det, adj = fraction_free(self._image(vecs, n))
@@ -645,9 +651,6 @@ class IntegersMod(CoeffRing):
         dinv = pow(det, -1, m)
         return [x * dinv % m for row in adj for x in row], 1
 
-    def mat_is_invertible(self, rows):
-        return math.gcd(fraction_free(rows, inverse=False)[0], self.modulus) == 1
-
     def random_element(self, rng):
         return rng.randrange(self.modulus)
 
@@ -655,10 +658,7 @@ class IntegersMod(CoeffRing):
         return str(a % self.modulus)
 
     def parse_element_literal(self, text):
-        try:
-            return int(text.strip()) % self.modulus
-        except ValueError as exc:
-            raise _bad_literal("Z/m", text) from exc
+        return _read_numeral(r"-?[0-9]+", int, "Z/m", text) % self.modulus
 
     def signature(self):
         return ("zmod", self.modulus)
@@ -701,7 +701,7 @@ class RationalMatrixRing(_RepresentedRing):
         matrix applied to a's entries, and factor is |det N| (the sign of
         det N goes into the matrix)."""
         k = self.size
-        n = _clear(p)[0]
+        n = self._rep(self.clear((p,))[0][0])
         det, adj = fraction_free(n)
         sign = 1 if det > 0 else -1
         rows = [[sign * n[r][i] * adj[j][c] for i in range(k) for j in range(k)]
@@ -1020,9 +1020,6 @@ class TruncatedFreeAlgebra(_BasisAlgebra):
         r = least_rotation(w)
         return self.word_str(w[r:] + w[:r]) if w else "1"
 
-    def scalar_part(self, a) -> Fraction:
-        return a[0][1] if a and a[0][0] == () else Fraction(0)  # () sorts first
-
     add, mul, invert = CoeffRing.add, CoeffRing.mul, CoeffRing.invert
 
     def dot(self, lefts, rights):
@@ -1054,10 +1051,6 @@ class TruncatedFreeAlgebra(_BasisAlgebra):
         d = math.lcm(*[e.den for e in out])
         return [self.scale_vector(sorted(e.vecs.items(), key=self._sort_key), d // e.den)
                 for e in out], d
-
-    def mat_is_invertible(self, rows):
-        scalars = _clear([[self.scalar_part(x) for x in row] for row in rows])[0]
-        return fraction_free(scalars, inverse=False)[0] != 0
 
     def all_words(self, min_len: int = 0) -> list[tuple]:
         words: list[tuple] = []

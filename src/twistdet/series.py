@@ -18,14 +18,16 @@ word tuple is built or hashed per pair), summed by one integer `dot` and
 reduced once per output series. Each series keeps its kernel rows (words
 with codes and twist keys, shortest first), so a left word's inner loop ends
 at the first right word that would overshoot the order. A word's move
-depends only on its twist key, the ids of its twisted letters (letters
-sharing an automorphism share an id): untwisted words move nothing, and
-within one call each (key, right word) is moved once, through the twists'
-view actions (rings.RingAutomorphism), reusing the move of the key's suffix,
-and only if it fits under the order. A series product, a whole series-matrix
-product, the products -inv0 * part that start an inverse (of a series or a
-series matrix), each degree of that inverse, the entries of l and u in an
-LDU split and each step of Horner's rule for log/exp are one kernel call.
+depends only on its twist key, the inverse twists of its twisted letters
+(RingAutomorphism objects; letters twisted alike share one): untwisted words
+move nothing, and within one call a right operand's rows are moved past a
+key when a left word with that key first meets them, each (key, right word)
+once, through the twists' view actions, reusing the move of the key's
+suffix, and only as far as the order less the key's length. A series
+product, a whole series-matrix product, the products -inv0 * part that
+start an inverse (of a series or a series matrix), each degree of that
+inverse, the entries of l and u in an LDU split and each step of Horner's
+rule for log/exp are one kernel call.
 
 The augmentation eps reads off the empty-word coefficient; it is a ring map
 onto A with section lift(). A series is invertible exactly when eps of it is
@@ -72,11 +74,10 @@ class SeriesRing:
         if stray:
             raise ValueError(f"twist names letters not in the alphabet: {stray}")
         names = tuple(twist.get(a, "id") for a in alphabet)
-        # Twist keys for the product: each twisted letter maps to an id, and
-        # letters twisted by one automorphism share it; _inverse_twists[id]
-        # is that automorphism's inverse.
-        ids = {n: k for k, n in enumerate(dict.fromkeys(n for n in names if n != "id"))}
-        self._inverse_twists = tuple(coeff.automorphism(n).inverse for n in ids)
+        # each twisted letter's inverse twist: one registry object per name,
+        # so letters twisted alike share it
+        self._inverse_by_letter = {i: coeff.automorphism(n).inverse
+                                   for i, n in enumerate(names) if n != "id"}
         self.coeff = coeff
         self.alphabet = alphabet
         self.twist_names = names
@@ -85,9 +86,7 @@ class SeriesRing:
         if self.letters_commute and any(n != "id" for n in names):
             raise ValueError("commuting letters require identity twists")
         self._letter_index = {a: i for i, a in enumerate(alphabet)}
-        self._twist_ids = {i: ids[n] for i, n in enumerate(names) if n != "id"}
         self._infos: dict[tuple, tuple] = {}
-        self._key_factors: dict[tuple, int] = {}
         (self._zero_vec, self._one_vec), _ = coeff.clear((coeff.zero, coeff.one))
 
     # -- identity ------------------------------------------------------------
@@ -131,20 +130,19 @@ class SeriesRing:
         return tuple(sorted(word)) if self.letters_commute else word
 
     def twist_key(self, word: tuple) -> tuple:
-        """The ids of the twisted letters of `word`, in order.
+        """The inverse twists (RingAutomorphism objects) of the twisted letters
+        of `word`, in order.
 
         _moved(word, ...) depends on the word only through this key; an
         untwisted word has the empty key.
         """
-        ids = self._twist_ids
-        return tuple(ids[i] for i in word if i in ids)
+        inverse = self._inverse_by_letter
+        return tuple(inverse[i] for i in word if i in inverse)
 
     def _word_info(self, word: tuple) -> tuple:
         """(length, word, code, scale, twist key) of a word, memoized. The code
         is an integer that names the word (its normal form, if letters
-        commute), and code(v + w) = code(v) * scale(w) + code(w). It also
-        records the key's factor in _key_factors: the product of its inverse
-        twists' factors."""
+        commute), and code(v + w) = code(v) * scale(w) + code(w)."""
         info = self._infos.get(word)
         if info is None:
             if self.letters_commute:  # exponents, in base order + 1
@@ -154,18 +152,15 @@ class SeriesRing:
                 for i in word:
                     code = code * base + i + 1
                 scale = base ** len(word)
-            key = self.twist_key(word)
-            if key not in self._key_factors:
-                self._key_factors[key] = math.prod(self._inverse_twists[j].factor for j in key)
-            info = self._infos[word] = (len(word), word, code, scale, key)
+            info = self._infos[word] = (len(word), word, code, scale, self.twist_key(word))
         return info
 
     def _moved(self, word: tuple, vecs: dict, den: int, right: bool = False) -> tuple:
         """(vecs, den) of the coefficients vecs / den moved leftward past `word`
         (x * b = xi_x^{-1}(b) * x, last letter first), or rightward if `right`
         (a * w = w * b for b the moved a), by the view actions alone."""
-        autos = [self._inverse_twists[j] for j in self.twist_key(word)]
-        for auto in ([a.inverse for a in autos] if right else reversed(autos)):
+        key = self.twist_key(word)
+        for auto in ([a.inverse for a in key] if right else reversed(key)):
             vecs = {w: auto.act(v) for w, v in vecs.items()}
             den *= auto.factor
         return vecs, den
@@ -380,75 +375,55 @@ def sums_of_products(R: SeriesRing, sums: list, top=None) -> list:
     at degree `top` (at most, and by default, R.order).
 
     Left vectors are brought over dl, the lcm of the left denominators, and
-    right ones over dr. A right vector is moved leftward past each twist key
-    of the left words it meets, if its word fits under that key, by the view
-    actions (`act`) of the key's inverse twists (a memo per operand keeps
-    the move through each suffix of a key). A move through key K stands over
-    F_K (the product of its twists' factors) times the denominator, so right
-    vectors are scaled to dr * L, L the lcm of the F_K met. Each output word
-    is one `A.dot` over dl * dr * L; for a left word v the inner loop stops
-    at the first right word w with |v| + |w| > top."""
+    right ones over dr. A move through twist key K (the inverse twists of a
+    left word's twisted letters) stands over F_K, the product of its twists'
+    factors, times the denominator, so right vectors are scaled to dr * L, L
+    the lcm of F_K over the keys of the left words within `top`. The first
+    time a left word with key K meets a right operand, that operand's rows are
+    moved leftward past K by the view actions (`act`) of K's twists (a memo
+    per operand keeps the move through each suffix of a key), scaled, and cut
+    at top - |K|. Each output word is one `A.dot` over dl * dr * L; for a
+    left word v the inner loop stops at the first right word w with
+    |v| + |w| > top."""
     A, top = R.coeff, R.order if top is None else top
-    # the most room a left operand's words leave under each twist key; a right
-    # operand needs, under each key, the most room of any left one it meets
     left: dict = {}
-    need: dict = {}
-    seen: dict = {}  # every key a left word has
+    right: dict = {}  # id(t) -> (t, its rows by key, its move memo)
     for pairs in sums:
         for s, t in pairs:
-            entry = left.get(id(s))
-            if entry is None:
-                rows, reach = s._kernel_rows(), {}
-                for (lv, _, _, _, key), _ in rows:
-                    if lv > top:
-                        break
-                    if key not in reach:
-                        reach[key] = top - lv
-                entry = left[id(s)] = (s, rows, reach)
-                seen.update(reach)
-            keys = need.setdefault(id(t), (t, {}))[1]
-            for key, room in entry[2].items():
-                if keys.get(key, -1) < room:
-                    keys[key] = room
+            if id(s) not in left:
+                left[id(s)] = (s, s._kernel_rows())
+            if id(t) not in right:
+                right[id(t)] = (t, {}, {})
+    factors = {}  # the key of every left word within top -> F_K
+    for _, rows in left.values():
+        for (lv, _, _, _, key), _ in rows:
+            if lv > top:
+                break
+            if key not in factors:
+                factors[key] = math.prod(auto.factor for auto in key)
     scale_vector = A.scale_vector
-    dl = math.lcm(*[s.den for s, _, _ in left.values()])
-    for i, (s, rows, reach) in left.items():
+    dl = math.lcm(*[s.den for s, _ in left.values()])
+    for i, (s, rows) in left.items():
         if s.den != dl:
-            left[i] = (s, [(info, scale_vector(a, dl // s.den)) for info, a in rows], reach)
-    twists, factor = R._inverse_twists, R._key_factors
-    scale = math.lcm(*map(factor.__getitem__, seen))
-    dr = math.lcm(*[t.den for t, _ in need.values()])
-    # a right operand's rows under each key: moved, scaled and cut at its room
-    right: dict = {}
-    for i, (t, keys) in need.items():
-        rows, memo = t._kernel_rows(), {}
-        by_key = right[i] = {}
-        for key, room in keys.items():
-            times = dr // t.den * (scale // factor[key])
-            if times == 1 and not key:
-                by_key[key] = rows
-                continue
-            moved = by_key[key] = []
-            for info, b in rows:
-                if info[0] > room:
-                    break
-                if key:
-                    b = _move(twists, key, info[1], b, memo)
-                if times != 1:
-                    b = scale_vector(b, times)
-                moved.append((info, b))
+            left[i] = (s, [(info, scale_vector(a, dl // s.den)) for info, a in rows])
+    scale = math.lcm(*factors.values())
+    dr = math.lcm(*[t.den for t, _, _ in right.values()])
     dot, nonzero, den = A.dot, A.nonzero, dl * dr * scale
     commute = R.letters_commute
     results = []
     for pairs in sums:
         gathered: dict = {}
         for s, t in pairs:
-            by_key = right[id(t)]
+            _, by_key, memo = right[id(t)]
             for (lv, v, cv, _, key), a in left[id(s)][1]:
                 room = top - lv
                 if room < 0:
                     break
-                for (lw, w, cw, sw, _), b in by_key[key]:
+                moved = by_key.get(key)
+                if moved is None:
+                    times = dr // t.den * (scale // factors[key])
+                    moved = by_key[key] = _moved_rows(t, key, times, top - len(key), memo)
+                for (lw, w, cw, sw, _), b in moved:
                     if lw > room:
                         break
                     code = cv * sw + cw
@@ -468,15 +443,33 @@ def sums_of_products(R: SeriesRing, sums: list, top=None) -> list:
     return results
 
 
-def _move(twists, key: tuple, w: tuple, b, memo: dict):
+def _moved_rows(t: TwistedSeries, key: tuple, times: int, room: int, memo: dict) -> list:
+    """t's kernel rows of length at most `room`, each vector moved leftward
+    past `key` and scaled by `times`."""
+    rows = t._kernel_rows()
+    if times == 1 and not key:
+        return rows
+    scale_vector, moved = t.ring.coeff.scale_vector, []
+    for info, b in rows:
+        if info[0] > room:
+            break
+        if key:
+            b = _move(key, info[1], b, memo)
+        if times != 1:
+            b = scale_vector(b, times)
+        moved.append((info, b))
+    return moved
+
+
+def _move(key: tuple, w: tuple, b, memo: dict):
     """The vector b of a right word w moved leftward past the nonempty twist
-    key: the view actions of the key's inverse twists, last letter first.
-    Since the move through key is twists[key[0]] after the move through
-    key[1:], `memo` (the operand's own) keeps every suffix's move."""
+    key: the view actions of the key's automorphisms, last letter first.
+    Since the move through key is key[0] after the move through key[1:],
+    `memo` (the operand's own) keeps every suffix's move."""
     vec = memo.get((key, w))
     if vec is None:
         rest = key[1:]
-        vec = memo[key, w] = twists[key[0]].act(_move(twists, rest, w, b, memo) if rest else b)
+        vec = memo[key, w] = key[0].act(_move(rest, w, b, memo) if rest else b)
     return vec
 
 

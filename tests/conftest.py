@@ -3,6 +3,7 @@ import sys
 import pytest
 
 from twistdet import IntegersMod, RationalField, SeriesRing
+from twistdet import rings as rings_module
 from twistdet.selftest import REGISTRY, free_yz, m2_swap, qc2, qc4_inv
 
 
@@ -14,6 +15,20 @@ def qq():
 @pytest.fixture
 def z6():
     return IntegersMod(6)
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """A list that gets the rows of each `rings.fraction_free` call, the one
+    elimination behind every inverse and invertibility test."""
+    calls = []
+    eliminate = rings_module.fraction_free
+
+    def counted(rows):
+        calls.append(rows)
+        return eliminate(rows)
+    monkeypatch.setattr(rings_module, "fraction_free", counted)
+    return calls
 
 
 m2 = pytest.fixture(m2_swap, name="m2")

@@ -19,7 +19,6 @@ from twistdet import (
     w1_invariant,
 )
 
-from twistdet import rings as rings_module
 from twistdet.selftest import m2_nonintegral, qs3_conj
 
 from conftest import assert_folded
@@ -214,7 +213,7 @@ def test_invert_rejects_non_unit_leading(z6):
         nov_invert(u)
 
 
-def test_invert_eliminates_once(monkeypatch, m2):
+def test_invert_eliminates_once(m2, eliminations):
     # z^-1 * [1,2;3,4] + 1 over swap-twisted M2(Q): the leading coefficient is
     # inverted by one fraction-free elimination, with no unit test first, and
     # a singular one still gets the error it had
@@ -222,15 +221,8 @@ def test_invert_eliminates_once(monkeypatch, m2):
     f = m2.parse_element_literal
     u = NovikovSeries.from_degree_map(R, {-1: f("1,2;3,4"), 0: m2.one})
     singular = NovikovSeries.from_degree_map(R, {-1: f("1,1;1,1"), 0: m2.one})
-    calls = []
-    eliminate = rings_module.fraction_free
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return eliminate(*args, **kwargs)
-    monkeypatch.setattr(rings_module, "fraction_free", counted)
     nov_invert(u)
-    assert len(calls) == 1
+    assert len(eliminations) == 1
     with pytest.raises(LeadingCoeffNotUnit,
                        match=r"^leading coefficient at degree -1 is not a unit of M2\(Q\)$"):
         nov_invert(singular)

@@ -14,7 +14,10 @@ from twistdet import (
     NotAUnit,
     RationalField,
     RationalMatrixRing,
+    SeriesRing,
+    TruncatedFreeAlgebra,
     cyclic_group,
+    parse_series,
 )
 from twistdet.rings import fraction_free
 
@@ -201,7 +204,7 @@ def test_literal_roundtrip_all_rings(qq, z6, m2, qc2, free_yz):
             assert ring.parse_element_literal(text) == a, (ring.name, text)
 
 
-def test_bad_literals_raise(qq, qc2, free_yz):
+def test_bad_literals_raise(qq, z6, m2, qc2, free_yz):
     for text in ("", "1//2", "g9", "1++2", "g01"):
         with pytest.raises(LiteralSyntaxError):
             qc2.parse_element_literal(text)
@@ -214,6 +217,22 @@ def test_bad_literals_raise(qq, qc2, free_yz):
     # a group element has one name: g10, not g1_0 or g010
     with pytest.raises(LiteralSyntaxError):
         GroupAlgebra(cyclic_group(12)).parse_element_literal("g1_0")
+    # a numeral is n or n/d in ASCII digits with an optional '-', bracketed or
+    # bare: no decimal point, exponent, '_', '+' or other digits
+    R = SeriesRing(qq, order=2)
+    for text in ("1.5", "1e2", "1_0", " +2 ", "\u0663", "1e-1"):
+        for parse in (qq.parse_element_literal, lambda t: parse_series(f'[{t}]*w("x")', R)):
+            with pytest.raises(LiteralSyntaxError):
+                parse(text)
+    for text in ("1_1", "+1", "1.0", "\u0663"):
+        with pytest.raises(LiteralSyntaxError):
+            z6.parse_element_literal(text)
+    for parse, text in ((lambda t: parse_series(t, R), "\u0663"),
+                        (m2.parse_element_literal, "1.5,0;0,1"),
+                        (free_yz.parse_element_literal, "\u0663*y")):
+        with pytest.raises(LiteralSyntaxError):
+            parse(text)
+    assert qq.parse_element_literal(" -3/4 ") == F(-3, 4) and z6.parse_element_literal(" -1 ") == 5
 
 
 def test_rationals_stand_anywhere_in_an_element_term(free_yz):
@@ -319,7 +338,6 @@ def test_fraction_free_edge_cases(rows):
     ([[2, 0], [0, 3]], 6), ([[1, 2], [2, 4]], 0), ([], 1)])
 def test_fraction_free_gives_determinant_and_adjugate(rows, det):
     n = len(rows)
-    assert fraction_free(rows, inverse=False) == (det, None)
     got, adj = fraction_free(rows)
     assert got == det == ref_det(rows)
     if det:
@@ -384,6 +402,70 @@ def test_matrix_ring_products_match_fractions():
             assert ring.is_unit(a) == (expected is not None)
             if expected is not None:
                 assert ring.invert(a) == expected
+
+
+def regular_block_image(A, rows):
+    """The block image in M_d(Q) of a matrix over Q (1 x 1 blocks), M_k(Q)
+    (itself) or Q[G] (the left regular representation, from the group table:
+    column h of a's block holds a * g_h)."""
+    def block(a):
+        if A.kind == "rational":
+            return [[a]]
+        if A.kind == "matrix":
+            return [list(row) for row in a]
+        n, table = A.group.order, A.group.table
+        mat = [[F(0)] * n for _ in range(n)]
+        for g, c in a:
+            for h in range(n):
+                mat[table[g][h]][h] += c
+        return mat
+    big = []
+    for row in rows:
+        blocks = [block(a) for a in row]
+        big.extend([x for b in blocks for x in b[r]] for r in range(len(blocks[0])))
+    return big
+
+
+def ref_invertible(A, rows) -> bool:
+    if A.kind == "int_mod":
+        return ref_zmod_invert(rows, A.modulus) is not None
+    if A.kind == "free_trunc":  # a unit iff its scalar part is
+        return ref_invert([[dict(a).get((), F(0)) for a in row] for row in rows]) is not None
+    return ref_invert(regular_block_image(A, rows)) is not None
+
+
+INVERTIBILITY_RINGS = {
+    "Q": RationalField, "Z/12": lambda: IntegersMod(12), "M2(Q)": lambda: RationalMatrixRing(2),
+    "Q[C4]": lambda: GroupAlgebra(cyclic_group(4)), "Q[S3]": lambda: GroupAlgebra(s3()),
+    "Q<y,z>/deg>2": lambda: TruncatedFreeAlgebra("yz", 2),
+    "Q<y,z>/deg>3": lambda: TruncatedFreeAlgebra("yz", 3)}
+
+
+@pytest.mark.parametrize("name", list(INVERTIBILITY_RINGS))
+def test_invertibility_matches_independent_references(name, eliminations):
+    # is_unit and mat_is_invertible against a reference that does not call
+    # the ring, on 1x1 to 3x3 draws that are invertible and that are not;
+    # each answer is one fraction-free elimination
+    A = INVERTIBILITY_RINGS[name]()
+    assert A.name == name
+    rng, outcomes = random.Random(29), {1: set(), 2: set(), 3: set()}
+
+    def draw():
+        pick = rng.random()
+        if pick < 0.3:
+            return A.zero
+        return A.random_unit(rng) if pick < 0.6 else A.random_element(rng)
+    for trial in range(60):
+        n = 1 + trial % 3
+        rows = tuple(tuple(draw() for _ in range(n)) for _ in range(n))
+        expected = ref_invertible(A, rows)
+        outcomes[n].add(expected)
+        del eliminations[:]
+        assert A.mat_is_invertible(rows) == expected, rows
+        assert len(eliminations) == 1
+        if n == 1:
+            assert A.is_unit(rows[0][0]) == expected and len(eliminations) == 2
+    assert all(seen == {True, False} for seen in outcomes.values()), outcomes
 
 
 def test_conjugation_by_non_integral_matrix():
