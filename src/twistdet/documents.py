@@ -151,7 +151,7 @@ def orbit_report_to_doc(r: OrbitCountReport) -> dict:
 
 # -- schemas ------------------------------------------------------------------------
 
-_FRACTION = {"type": "string", "pattern": r"^-?\d+(/\d+)?$"}
+_FRACTION = {"type": "string", "pattern": r"^-?[0-9]+(/[0-9]+)?(?!\n)$"}
 _PERM = {"type": "array", "items": {"type": "integer", "minimum": 0}}
 
 RING_SCHEMA = {

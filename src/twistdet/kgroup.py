@@ -102,11 +102,11 @@ def vaserstein_transform(a: TwistedSeries, b: TwistedSeries, c: TwistedSeries):
     ring = a.ring
     if b.ring != ring or c.ring != ring:
         raise RingMismatch("a, b, c must share one series ring")
-    if a * c != c * a:
+    ac = a * c
+    if ac != c * a:
         raise CommutationFailed("a and c do not commute")
     A = ring.coeff
     one = ring.one()
-    ac = a * c
     if not A.is_unit(A.add(A.one, ac.augmentation())):
         raise NotInvertible("1 + ac is not invertible")
     ba_inverse = _inverse(one + b * a, "1 + ba is not invertible")

@@ -11,8 +11,6 @@ upper-triangular assemblies) covered by the checks below.
 
 from __future__ import annotations
 
-import math
-
 from .errors import (
     AugmentationNotIdentity,
     DimensionMismatch,
@@ -21,7 +19,7 @@ from .errors import (
     RingMismatch,
 )
 from .rings import Record
-from .series import SeriesRing, TwistedSeries, graded_inverse, sums_of_products
+from .series import SeriesRing, TwistedSeries, inverse_entries, sums_of_products
 
 
 class SeriesMatrix:
@@ -133,19 +131,11 @@ class SeriesMatrix:
         if self.ncols != other.nrows:
             raise DimensionMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        return SeriesMatrix.sums(self.ring, [[(self, other)]])[0]
-
-    @staticmethod
-    def sums(ring: SeriesRing, sums: list) -> list:
-        """[sum of a*b over pairs, for pairs in sums], for nonempty lists of
-        (a, b) pairs of matrices of one shape pair each, in one kernel call:
-        entry (i, j) of a sum adds every a_it * b_tj."""
-        shapes = [(pairs[0][0].nrows, pairs[0][1].ncols) for pairs in sums]
-        entries = iter(sums_of_products(ring, [
-            [(a.rows[i][t], b.rows[t][j]) for a, b in pairs for t in range(a.ncols)]
-            for pairs, (n, m) in zip(sums, shapes) for i in range(n) for j in range(m)]))
-        return [SeriesMatrix(ring, [[next(entries) for _ in range(m)] for _ in range(n)])
-                for n, m in shapes]
+        # the whole product in one kernel call: entry (i, j) sums a_it * b_tj
+        m, inner = other.ncols, range(self.ncols)
+        entries = sums_of_products(self.ring, [[(row[t], other.rows[t][j]) for t in inner]
+                                               for row in self.rows for j in range(m)])
+        return SeriesMatrix(self.ring, [entries[i * m:(i + 1) * m] for i in range(self.nrows)])
 
 
 def augmentation_is_identity(m: SeriesMatrix) -> bool:
@@ -163,21 +153,16 @@ def mat_is_invertible(m: SeriesMatrix) -> bool:
 
 
 def mat_invert(m: SeriesMatrix) -> SeriesMatrix:
-    """Inverse, degree by degree from the inverse of the augmentation."""
+    """Inverse, from the inverse of the augmentation by one solve pass over
+    the degrees (series.inverse_entries)."""
     if not m.is_square():
         raise DimensionMismatch("only square matrices can be inverted")
     R, n = m.ring, m.nrows
-    A, entries = R.coeff, [e for row in m.rows for e in row]
-    den = math.lcm(*[e.den for e in entries])
     try:
-        vecs, den = A.invert_vectors([A.scale_vector(e.vecs[()], den // e.den) if () in e.vecs
-                                      else R._zero_vec for e in entries], den, n)
+        entries = inverse_entries(R, [e for row in m.rows for e in row])
     except NotAUnit:
-        raise NotInvertible(f"augmentation matrix is not invertible over {A.name}") from None
-    lift = [TwistedSeries(R, {(): v} if A.nonzero(v) else {}, den) for v in vecs]
-    split = [[e.graded_parts() for e in row] for row in m.rows]
-    parts = [SeriesMatrix(R, [[e[d] for e in row] for row in split]) for d in range(R.order + 1)]
-    return graded_inverse(parts, SeriesMatrix(R, [lift[i:i + n] for i in range(0, n * n, n)]))
+        raise NotInvertible(f"augmentation matrix is not invertible over {R.coeff.name}") from None
+    return SeriesMatrix(R, [entries[i:i + n] for i in range(0, n * n, n)])
 
 
 class LduFactors(Record):

@@ -12,7 +12,7 @@ FLINT's fmpq_poly layout: integer vectors over one positive denominator, in
 canonical form (TwistedSeries, built from vectors only); values enter once,
 cleared in `SeriesRing.from_terms`. Products, inverses, LDU splits and logs
 stay in it; values (`terms`) are built on first read, for literals, traces
-and documents. Every product is one kernel, `sums_of_products`: the
+and documents. Every product goes through one pair loop, `_convolve`: the
 pairs' vectors are gathered per output word (named by an integer code, so no
 word tuple is built or hashed per pair), summed by one integer `dot` and
 reduced once per output series. Each series keeps its kernel rows (words
@@ -24,21 +24,24 @@ move nothing, and within one call a right operand's rows are moved past a
 key when a left word with that key first meets them, each (key, right word)
 once, through the twists' view actions, reusing the move of the key's
 suffix, and only as far as the order less the key's length. A series
-product, a whole series-matrix product, the products -inv0 * part that
-start an inverse (of a series or a series matrix), each degree of that
-inverse, the entries of l and u in an LDU split and each step of Horner's
-rule for log/exp are one kernel call.
+product, a whole series-matrix product, the products -inv0 * x+ that start
+an inverse (of a series or a series matrix), the entries of l and u in an
+LDU split and each step of Horner's rule for log/exp are one kernel call,
+`sums_of_products`.
 
 The augmentation eps reads off the empty-word coefficient; it is a ring map
 onto A with section lift(). A series is invertible exactly when eps of it is
 a unit of A (the ring is local over the augmentation), and because the
 augmentation ideal is nilpotent at any finite order the inverse is fixed
-degree by degree from eps^{-1} (graded_inverse, shared with series matrices).
+degree by degree from eps^{-1}: all its degrees are one solve pass,
+`_solve`, over the rows of -inv0 * x+, shared with series matrices
+(`inverse_entries`).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -319,11 +322,6 @@ class TwistedSeries:
         self._check_ring(other)
         return sums_of_products(self.ring, [[(self, other)]])[0]
 
-    @staticmethod
-    def sums(R: SeriesRing, sums: list) -> list:
-        """sums_of_products(R, sums): one kernel call."""
-        return sums_of_products(R, sums)
-
     def power(self, k: int) -> "TwistedSeries":
         if k < 0:
             raise ValueError("negative power; use inverse() first")
@@ -339,22 +337,14 @@ class TwistedSeries:
                              self.den)
 
     # -- inversion -------------------------------------------------------------------
-    def graded_parts(self) -> list["TwistedSeries"]:
-        """The homogeneous components by word length, degrees 0..order."""
-        buckets = [{} for _ in range(self.ring.order + 1)]
-        for w, v in self.vecs.items():
-            buckets[len(w)][w] = v
-        return [TwistedSeries(self.ring, b, self.den) for b in buckets]
-
     def inverse(self) -> "TwistedSeries":
         """Two-sided inverse; needs eps of the series to be a unit of A."""
         A = self.ring.coeff
         try:
-            (vec,), den = A.invert_vectors([self.vecs.get((), self.ring._zero_vec)], self.den, 1)
+            return inverse_entries(self.ring, [self])[0]
         except NotAUnit:
             raise AugmentationNotUnit(f"augmentation {A.element_to_literal(self.augmentation())} "
                                       f"is not a unit of {A.name}") from None
-        return graded_inverse(self.graded_parts(), TwistedSeries(self.ring, {(): vec}, den))
 
 
 def _reduced(A, vecs: dict, den: int) -> tuple:
@@ -378,78 +368,99 @@ def sums_of_products(R: SeriesRing, sums: list, top=None) -> list:
     right ones over dr. A move through twist key K (the inverse twists of a
     left word's twisted letters) stands over F_K, the product of its twists'
     factors, times the denominator, so right vectors are scaled to dr * L, L
-    the lcm of F_K over the keys of the left words within `top`. The first
-    time a left word with key K meets a right operand, that operand's rows are
-    moved leftward past K by the view actions (`act`) of K's twists (a memo
-    per operand keeps the move through each suffix of a key), scaled, and cut
-    at top - |K|. Each output word is one `A.dot` over dl * dr * L; for a
-    left word v the inner loop stops at the first right word w with
-    |v| + |w| > top."""
+    the lcm of F_K over the keys of the left words within `top`, and each
+    output word is one `A.dot` over dl * dr * L (`_convolve`)."""
     A, top = R.coeff, R.order if top is None else top
-    left: dict = {}
-    right: dict = {}  # id(t) -> (t, its rows by key, its move memo)
+    left, right = {}, {}  # by id: the operand, then its rows (left) or right operand
     for pairs in sums:
         for s, t in pairs:
-            if id(s) not in left:
-                left[id(s)] = (s, s._kernel_rows())
-            if id(t) not in right:
-                right[id(t)] = (t, {}, {})
-    factors = {}  # the key of every left word within top -> F_K
-    for _, rows in left.values():
-        for (lv, _, _, _, key), _ in rows:
-            if lv > top:
-                break
-            if key not in factors:
-                factors[key] = math.prod(auto.factor for auto in key)
+            left[id(s)] = s
+            right[id(t)] = t
     scale_vector = A.scale_vector
-    dl = math.lcm(*[s.den for s, _ in left.values()])
-    for i, (s, rows) in left.items():
-        if s.den != dl:
-            left[i] = (s, [(info, scale_vector(a, dl // s.den)) for info, a in rows])
+    dl = math.lcm(*map(_den, left.values()))
+    for i, s in left.items():
+        left[i] = s._kernel_rows() if s.den == dl else [
+            (info, scale_vector(a, dl // s.den)) for info, a in s._kernel_rows()]
+    factors = _key_factors(left.values(), top)
     scale = math.lcm(*factors.values())
-    dr = math.lcm(*[t.den for t, _, _ in right.values()])
-    dot, nonzero, den = A.dot, A.nonzero, dl * dr * scale
-    commute = R.letters_commute
-    results = []
+    dr = math.lcm(*map(_den, right.values()))
+    for i, t in right.items():
+        right[i] = ({}, t._kernel_rows(), dr // t.den, {})
+    den, results = dl * dr * scale, []
     for pairs in sums:
-        gathered: dict = {}
-        for s, t in pairs:
-            _, by_key, memo = right[id(t)]
-            for (lv, v, cv, _, key), a in left[id(s)][1]:
-                room = top - lv
-                if room < 0:
-                    break
-                moved = by_key.get(key)
-                if moved is None:
-                    times = dr // t.den * (scale // factors[key])
-                    moved = by_key[key] = _moved_rows(t, key, times, top - len(key), memo)
-                for (lw, w, cw, sw, _), b in moved:
-                    if lw > room:
-                        break
-                    code = cv * sw + cw
-                    both = gathered.get(code)
-                    if both is None:
-                        gathered[code] = (v, w, [a], [b])
-                    else:
-                        both[2].append(a)
-                        both[3].append(b)
-        out = {}
-        for v, w, xs, ys in gathered.values():
-            vec = dot(xs, ys)
-            if nonzero(vec):
-                word = v + w
-                out[tuple(sorted(word)) if commute else word] = vec
+        out = _convolve(R, [(left[id(s)], right[id(t)]) for s, t in pairs], top, factors, scale)
         results.append(TwistedSeries(R, out, den))
     return results
 
 
-def _moved_rows(t: TwistedSeries, key: tuple, times: int, room: int, memo: dict) -> list:
-    """t's kernel rows of length at most `room`, each vector moved leftward
-    past `key` and scaled by `times`."""
-    rows = t._kernel_rows()
-    if times == 1 and not key:
-        return rows
-    scale_vector, moved = t.ring.coeff.scale_vector, []
+_den = operator.attrgetter("den")
+
+
+def _key_factors(row_lists, top: int) -> dict:
+    """key -> F_K, the product of K's twists' factors, over the keys of the
+    kernel rows within `top` in the lists of rows."""
+    factors = {}
+    for rows in row_lists:
+        for (lv, _, _, _, key), _ in rows:
+            if lv > top:
+                break
+            if key not in factors:
+                f = 1
+                for auto in key:
+                    f *= auto.factor
+                factors[key] = f
+    return factors
+
+
+def _convolve(R: SeriesRing, pairs: list, room: int, factors: dict, scale: int) -> dict:
+    """word -> nonzero vector of the sum, over (left rows, right operand)
+    pairs, of each left row (length lv, key K) times each right row of length
+    at most room - lv: the kernel's one pair loop.
+
+    A right operand is (its rows by key, its kernel rows, times, its memo).
+    The first time a left row with key K meets it, its rows are moved
+    leftward past K by the view actions (`act`) of K's twists (the memo
+    keeps the move through each suffix of a key, for all keys), scaled by
+    times * scale / factors[K], and cut at room - |K|. The pairs' vectors are
+    gathered per output word, named by its code (so no word tuple is built
+    or hashed per pair), and summed by one `A.dot`. Rows are shortest first,
+    so a left row's inner loop stops at the first right row that
+    overshoots."""
+    A, gathered = R.coeff, {}
+    for rows, (by_key, right_rows, times, memo) in pairs:
+        for (lv, v, cv, _, key), a in rows:
+            rest = room - lv
+            if rest < 0:
+                break
+            moved = by_key.get(key)
+            if moved is None:
+                k_times = times * (scale // factors[key])
+                moved = by_key[key] = (right_rows if k_times == 1 and not key else _moved_rows(
+                    A, right_rows, key, k_times, room - len(key), memo))
+            for (lw, w, cw, sw, _), b in moved:
+                if lw > rest:
+                    break
+                code = cv * sw + cw
+                both = gathered.get(code)
+                if both is None:
+                    gathered[code] = (v, w, [a], [b])
+                else:
+                    both[2].append(a)
+                    both[3].append(b)
+    commute, out = R.letters_commute, {}
+    dot, nonzero = A.dot, A.nonzero
+    for v, w, xs, ys in gathered.values():
+        vec = dot(xs, ys)
+        if nonzero(vec):
+            word = v + w
+            out[tuple(sorted(word)) if commute else word] = vec
+    return out
+
+
+def _moved_rows(A, rows: list, key: tuple, times: int, room: int, memo: dict) -> list:
+    """The rows of length at most `room`, each vector moved leftward past
+    `key` and scaled by `times`."""
+    scale_vector, moved = A.scale_vector, []
     for info, b in rows:
         if info[0] > room:
             break
@@ -473,25 +484,84 @@ def _move(key: tuple, w: tuple, b, memo: dict):
     return vec
 
 
-def graded_inverse(parts: list, inv0):
-    """The inverse of x = sum(parts), parts[d] of degree d, from inv0 = parts[0]^-1.
+def inverse_entries(R: SeriesRing, x: list) -> list:
+    """The entries of x^-1, row-major, for the n x n matrix x of series of R
+    given by its n*n row-major entries (a series is the case n = 1); raises
+    NotAUnit when eps(x) is not invertible over A.
 
-    Its components are out[0] = inv0 and
-    out[d] = -inv0 * sum_{k=1..d} parts[k]*out[d-k], so x * sum(out) = 1; in a
-    ring local over the augmentation this right inverse is two-sided. The
-    products q[k] = -inv0 * parts[k] are one call of the kernel (through the
-    `sums` of series or of series matrices), and each out[d] is one more,
-    over the pairs (q[k], out[d-k]). The total is accumulated into inv0,
-    which must be the caller's own.
-    """
-    sums, ring, neg0 = type(inv0).sums, inv0.ring, -inv0
-    q = [None] + sums(ring, [[(neg0, part)] for part in parts[1:]])
-    out = [inv0]
-    for d in range(1, len(parts)):
-        out.append(sums(ring, [[(q[k], out[d - k]) for k in range(1, d + 1)]])[0])
-    for part in out[1:]:
-        inv0._add_in_place(part)
-    return inv0
+    inv0 = eps(x)^-1 is one `A.invert_vectors` elimination, and y = x^-1
+    solves y = inv0 + q*y for q = -inv0 * x+, x+ = x - eps(x), so that
+    x*y = 1; in a ring local over the augmentation this right inverse is
+    two-sided. q is one kernel call and the degrees of y one `_solve` pass."""
+    A, n = R.coeff, math.isqrt(len(x))
+    den = math.lcm(*map(_den, x))
+    vecs, den = A.invert_vectors([A.scale_vector(e.vecs[()], den // e.den) if () in e.vecs
+                                  else R._zero_vec for e in x], den, n)
+    y0 = [{(): v} if A.nonzero(v) else {} for v in vecs]
+    neg0 = [TwistedSeries(R, {w: A.scale_vector(v, -1) for w, v in e.items()}, den) for e in y0]
+    plus = [TwistedSeries(R, {w: v for w, v in e.vecs.items() if w}, e.den) for e in x]
+    q = sums_of_products(R, [[(neg0[i + t], plus[t * n + j]) for t in range(n)]
+                             for i in range(0, n * n, n) for j in range(n)])
+    return _solve(R, q, y0, den)
+
+
+def _solve(R: SeriesRing, q: list, y0: list, den: int) -> list:
+    """The entries of y = y0/den + q*y, row-major n x n, for entries q of
+    augmentation 0 and constant y0/den: y_0 = y0/den and
+    y_d = sum_{k=1..d} q_k * y_{d-k} for d = 1..N, in one pass.
+
+    q's rows are read once, over dq (the lcm of q's denominators), with the
+    factors F_K of their keys, and L is the lcm of the F_K. Each y_d is kept
+    with one reduced denominator den_d, and each of its entries is one right
+    operand of `_convolve`, whose rows are moved and scaled to den_d * L
+    under each key once, for every later degree. At degree d the rows of q
+    of length k meet only y_{d-k}, so each is scaled once, by D / den_{d-k}
+    for D the lcm of those den_{d-k}, and y_d is one `_convolve` per entry
+    over dq * D * L. The degrees are merged once at the end."""
+    A, top, n = R.coeff, R.order, math.isqrt(len(q))
+    scale, info = A.scale_vector, R._word_info
+    dq = math.lcm(*map(_den, q))
+    left = []  # per entry of q: length -> its rows of that length, over dq
+    for e in q:
+        by_len: dict = {}
+        for row in (e._kernel_rows() if e.den == dq else
+                    [(i, scale(a, dq // e.den)) for i, a in e._kernel_rows()]):
+            by_len.setdefault(row[0][0], []).append(row)
+        left.append(by_len)
+    lengths = {k for by_len in left for k in by_len}
+    factors = _key_factors([e._kernel_rows() for e in q], top)
+    L = math.lcm(*factors.values())
+    entries, den = _reduced_all(A, y0, den)
+    ys, dens, right = [entries], [den], []  # y_d's entries, den_d, and right operands
+    for d in range(1, top + 1):
+        right.append([({}, [(info(w), v) for w, v in e.items()], 1, {}) for e in ys[-1]])
+        D = math.lcm(*[dens[d - k] for k in lengths if k <= d])
+        scaled = [{k: rows if D == dens[d - k] else
+                   [(i, scale(a, D // dens[d - k])) for i, a in rows]
+                   for k, rows in by_len.items() if k <= d} for by_len in left]
+        entries, den = _reduced_all(A, [
+            _convolve(R, [(rows, right[d - k][t * n + j])
+                          for t in range(n) for k, rows in scaled[i + t].items()], d, factors, L)
+            for i in range(0, n * n, n) for j in range(n)], dq * D * L)
+        ys.append(entries)
+        dens.append(den)
+    result = []
+    for idx in range(n * n):
+        parts = [(entries[idx], den) for entries, den in zip(ys, dens) if entries[idx]]
+        total, vecs = math.lcm(*[den for _, den in parts]), {}
+        for e, den in parts:
+            vecs.update(e if den == total else {w: scale(v, total // den) for w, v in e.items()})
+        result.append(TwistedSeries(R, vecs, total))
+    return result
+
+
+def _reduced_all(A, entries: list, den: int) -> tuple:
+    """(entries, den) for word -> vector maps over one den, divided by the gcd
+    of den and every entry of their vectors."""
+    g = math.gcd(den, *[A.content(v) for vecs in entries for v in vecs.values()])
+    if g != 1:
+        entries = [{w: A.divide_vector(v, g) for w, v in vecs.items()} for vecs in entries]
+    return entries, den // g
 
 
 def _power_sum(theta: TwistedSeries, coeff) -> TwistedSeries:

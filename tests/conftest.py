@@ -3,7 +3,9 @@ import sys
 import pytest
 
 from twistdet import IntegersMod, RationalField, SeriesRing
+from twistdet import matrices as matrices_module
 from twistdet import rings as rings_module
+from twistdet import series as series_module
 from twistdet.selftest import REGISTRY, free_yz, m2_swap, qc2, qc4_inv
 
 
@@ -28,6 +30,28 @@ def eliminations(monkeypatch):
         calls.append(rows)
         return eliminate(rows)
     monkeypatch.setattr(rings_module, "fraction_free", counted)
+    return calls
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """A list that gets ("product", sums) for each call of the product kernel
+    `series.sums_of_products` (through series.py's name for it and through
+    the one matrices.py imports), and ("solve", q) for each solve pass of an
+    inverse, `series._solve`, with its n*n entries q."""
+    calls = []
+    kernel, solve = series_module.sums_of_products, series_module._solve
+
+    def product(R, sums, *args, **kwargs):
+        calls.append(("product", sums))
+        return kernel(R, sums, *args, **kwargs)
+
+    def solved(R, q, *args):
+        calls.append(("solve", q))
+        return solve(R, q, *args)
+    monkeypatch.setattr(series_module, "sums_of_products", product)
+    monkeypatch.setattr(matrices_module, "sums_of_products", product)
+    monkeypatch.setattr(series_module, "_solve", solved)
     return calls
 
 

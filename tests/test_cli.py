@@ -320,6 +320,15 @@ def test_long_literals_are_clipped_in_errors(capsys, ring_file, ring, argv):
                 "conjugations": {"p": [["1", "1"], ["1", "1"]]}},
       "alphabet": ["x"], "twist": {"x": "p"}, "order": 2}, "ValueError",
      "conjugating matrix must be invertible"),
+    # conjugation entries the numeral reader would refuse are refused by the schema
+    ({"coeff": {"kind": "matrix", "size": 2,
+                "conjugations": {"p": [["\u0663", "0"], ["0", "1"]]}},
+      "alphabet": ["x"], "twist": {"x": "p"}, "order": 2}, "ValidationError",
+     "$.ring.coeff.conjugations.p[0][0]: '\u0663' does not match"),
+    ({"coeff": {"kind": "matrix", "size": 2,
+                "conjugations": {"p": [["3\n", "0"], ["0", "1"]]}},
+      "alphabet": ["x"], "twist": {"x": "p"}, "order": 2}, "ValidationError",
+     "$.ring.coeff.conjugations.p[0][0]: '3\\n' does not match"),
     # a twist for a letter that is not in the alphabet
     ({"coeff": {"kind": "rational"}, "alphabet": ["x"], "twist": {"q": "swap"},
       "order": 2}, "ValueError", "'q'"),
@@ -335,7 +344,8 @@ def test_long_literals_are_clipped_in_errors(capsys, ring_file, ring, argv):
     ({"coeff": {"kind": "rational"}, "alphabet": ['"'], "order": 2}, "ValueError",
      "letter '\"'"),
 ], ids=["order-3.0", "modulus-12.0", "size-2.0", "max_degree-2.0", "conjugation-1x1",
-        "conjugation-ragged", "conjugation-singular", "twist-stray-letter",
+        "conjugation-ragged", "conjugation-singular", "conjugation-non-ascii-digit",
+        "conjugation-trailing-newline", "twist-stray-letter",
         "automorphism-named-id", "generator-1", "letter-quote"])
 def test_exit_code_1_on_bad_ring(capsys, ring_file, ring, error_type, fragment):
     code, out, err = run_cli(capsys, "inv", "--ring", ring_file(ring), '1+w("x")')

@@ -145,6 +145,18 @@ def test_vaserstein_frozen(qq):
     assert b2 == x + c + (x * x).scale(F(2))
 
 
+def test_vaserstein_computes_ac_once(kernel_calls, qq):
+    R = SeriesRing(qq, order=4)
+    x, c = R.letter("x"), R.lift(F(2))
+    vaserstein_transform(x, x, c)
+    # nine products: a*c and c*a (the commutation test), b*a, b*ac, b'*a,
+    # a*b, a*b' and the two with the inverses; and per inverse one product
+    # and one solve pass
+    assert [tag for tag, _ in kernel_calls].count("product") == 11
+    assert [tag for tag, _ in kernel_calls].count("solve") == 2
+    assert sum(sums == [[(x, c)]] for tag, sums in kernel_calls if tag == "product") == 1
+
+
 def test_vaserstein_needs_commuting_c(m2):
     R = one_letter(m2, 3)
     a = R.lift(m2.parse_element_literal("0,1;0,0"))

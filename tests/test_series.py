@@ -24,7 +24,6 @@ from twistdet import (
     mat_invert,
 )
 from twistdet import matrices as matrices_module
-from twistdet import series as series_module
 from twistdet.randgen import (
     random_fiber_one,
     random_invertible_matrix,
@@ -337,6 +336,45 @@ def test_series_matrices_match_per_pair_reference(qq, m2, m2_two_twists):
                 assert ref_mat_mul(u, inv) == ident == ref_mat_mul(inv, u), R
 
 
+def _sparse_invertible_matrix(R, rng, words):
+    """A 3x3 matrix with an invertible augmentation, whose entries' other
+    terms sit at `words` only (so that its inverse stays small)."""
+    A = R.coeff
+    while True:
+        aug = [[A.random_element(rng) for _ in range(3)] for _ in range(3)]
+        if A.mat_is_invertible(tuple(map(tuple, aug))):
+            return SeriesMatrix(R, [[R.from_terms([((), c)] + [(w, A.random_element(rng))
+                                                               for w in words])
+                                     for c in row] for row in aug])
+
+
+def test_solve_pass_matches_per_pair_reference(qq):
+    rng = random.Random(29)
+    z101, z12 = IntegersMod(101), IntegersMod(12)
+    q20, r40, r6 = one_letter(qq, 20), one_letter(z101, 40), one_letter(z12, 6)
+    units = [
+        # the constant 3/2 makes the denominators grow at every degree
+        q20.from_terms([((), F(3, 2))] + [("x" * d, F(rng.randint(-5, 5), rng.randint(1, 4)))
+                                          for d in range(1, 21)]),
+        r40.from_terms([("x" * d, rng.randrange(1, 101)) for d in range(41)]),
+        # q1*y1 = 4 and q2*y0 = -4 cancel, so degree 2 of the inverse is empty (and 5 too)
+        r6.from_terms([((), 1), ("x", 2), ("xx", 4)]),
+    ]
+    for u in units:
+        inv, R = u.inverse(), u.ring
+        assert ref_mul(u, inv) == R.one() == ref_mul(inv, u), R
+        assert inv == R.from_terms(inv.terms)
+    assert sorted({len(w) for w in units[2].inverse().vecs}) == [0, 1, 3, 4, 6]
+    # keys of factors 36 (xy) and 216 (yyy) meet in the pass
+    p = SeriesRing(m2_nonintegral(), alphabet=("x", "y"), twist={"x": "p", "y": "p^-1"},
+                   order=12)
+    for m in (random_invertible_matrix(one_letter(z101, 12), rng, 3),
+              _sparse_invertible_matrix(p, rng, ["xy", "yyy"])):
+        inv, ident = mat_invert(m), SeriesMatrix.identity(m.ring, 3)
+        assert ref_mat_mul(m, inv) == ident == ref_mat_mul(inv, m), m.ring
+        assert all(e == m.ring.from_terms(e.terms) for row in inv.rows for e in row)
+
+
 def test_kernel_sums_that_cancel_leave_no_zero_terms(qq, m2):
     R = SeriesRing(qq, alphabet=("x", "y"), order=3)
     s = R.from_terms([((), 1), ("x", F(1, 2)), ("xy", F(-2, 3))])
@@ -383,33 +421,20 @@ def test_kernel_makes_no_per_pair_ring_calls(monkeypatch, qq, m2, m2_two_twists)
         assert ref_mul(u, inv) == R.one() and ref_mat_mul(m, m_inv) == SeriesMatrix.identity(R, 2)
 
 
-def count_kernel_calls(monkeypatch):
-    """A list that gets one entry per call of the kernel, through series.py's
-    name for it and through the one matrices.py imports."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return kernel(*args, **kwargs)
-    kernel = series_module.sums_of_products
-    monkeypatch.setattr(series_module, "sums_of_products", counted)
-    monkeypatch.setattr(matrices_module, "sums_of_products", counted)
-    return calls
-
-
 @pytest.mark.parametrize("order", [0, 1, 4, 7])
-def test_inverse_makes_one_kernel_call_per_degree_and_one_more(monkeypatch, m2, order):
-    # all the products -inv0 * part are one call, then one call per degree;
-    # for series and for series matrices alike
+def test_inverse_makes_one_product_call_and_one_solve_pass(kernel_calls, m2, order):
+    # the products -inv0 * x+ are one kernel call and the degrees of the
+    # inverse one solve pass, for series and for series matrices alike
     rng = random.Random(order)
     R = SeriesRing(m2, alphabet=("x", "y"), twist={"x": "swap"}, order=order)
     u, m = random_unit(R, rng, terms=6), random_invertible_matrix(R, rng, 3)
-    calls = count_kernel_calls(monkeypatch)
-    u.inverse()
-    assert len(calls) == order + 1
-    del calls[:]
-    mat_invert(m)
-    assert len(calls) == order + 1
+    for invert, x, n in ((TwistedSeries.inverse, u, 1), (mat_invert, m, 3)):
+        del kernel_calls[:]
+        invert(x)
+        assert [tag for tag, _ in kernel_calls] == ["product", "solve"]
+        (_, sums), (_, q) = kernel_calls
+        assert [len(pairs) for pairs in sums] == [n] * (n * n)
+        assert len(q) == n * n
 
 
 def test_inverse_eliminates_once_over_m2(m2, eliminations):
@@ -433,14 +458,13 @@ def test_inverse_eliminates_once_over_m2(m2, eliminations):
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
-def test_ldu_computes_l_and_u_in_one_kernel_call(monkeypatch, qq, n):
+def test_ldu_inverts_pivot_by_one_solve_pass_and_l_u_in_one_call(kernel_calls, qq, n):
     R = SeriesRing(qq, alphabet=("x", "y"), order=3)
     m = random_unipotent_matrix(R, random.Random(n), n)
-    calls = count_kernel_calls(monkeypatch)
     ldu_decompose(m)
-    # the inverse of the pivot (order + 1 calls), then l and u, then d2
-    assert len(calls) == R.order + 1 + 2
-    assert len(calls[-2][1]) == 2 * (n - 1)
+    # the inverse of the pivot (one product, one solve pass), then l and u, then d2
+    assert [tag for tag, _ in kernel_calls] == ["product", "solve", "product", "product"]
+    assert len(kernel_calls[2][1]) == 2 * (n - 1)
 
 
 def test_letters_sharing_a_twist_share_a_key(m2, m2_two_twists):
