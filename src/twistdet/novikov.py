@@ -158,18 +158,15 @@ def nov_sub(u: NovikovSeries, v: NovikovSeries) -> NovikovSeries:
     return nov_add(u, nov_neg(v))
 
 
-def nov_mul(u: NovikovSeries, v: NovikovSeries, max_shift=None) -> NovikovSeries:
+def nov_mul(u: NovikovSeries, v: NovikovSeries) -> NovikovSeries:
     """z^-(s+t) * (z^t u.base z^-t) * v.base; window = min of operands."""
     _common_ring(u, v)
     shift = u.shift + v.shift
-    if max_shift is not None and shift > max_shift:
-        raise WindowUnderflow(
-            f"product needs {shift} negative degrees, window allows {max_shift}")
     order = min(u.base.ring.order, v.base.ring.order)
     return NovikovSeries(_z_conjugate(u.base, v.shift, order) * v.base.truncated(order), shift)
 
 
-def nov_invert(u: NovikovSeries, max_shift=None) -> NovikovSeries:
+def nov_invert(u: NovikovSeries) -> NovikovSeries:
     """Inverse when the lowest-degree coefficient is a unit of A."""
     if u.is_zero():
         raise LeadingCoeffNotUnit("zero has no inverse")
@@ -189,9 +186,6 @@ def nov_invert(u: NovikovSeries, max_shift=None) -> NovikovSeries:
         monomial = TwistedSeries(inv_body.ring, {(0,) * t: ring._one_vec})
         result = NovikovSeries(inv_body * monomial, 0)
     else:
-        if max_shift is not None and -t > max_shift:
-            raise WindowUnderflow(
-                f"inverse needs {-t} negative degrees, window allows {max_shift}")
         # inv_body * z^t = z^t * (z^-t inv_body z^t)
         result = NovikovSeries(_z_conjugate(inv_body, -t, inv_body.ring.order), -t)
     check = nov_mul(u, result)

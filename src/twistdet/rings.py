@@ -63,7 +63,9 @@ of Q[G] or Q<gens>/deg>N relabels the (key, integer) pairs (factor 1);
 `RingAutomorphism.apply` is clear, act and `rebuild`. Every inverse, over
 Q, M_k(Q), Q[G] and Z/m, is one `fraction_free` elimination of integers,
 of which only the entries read back are built; it is also the one
-invertibility test.
+invertibility test. Units and matrices over Q<gens>/deg>N go through
+`series.inverse_entries` over Q<<gens>>, whose one elimination is of the
+scalar part.
 The layers above also share `Record` (their result records),
 `twisted_conjugacy_classes`, and the one writer and the one reader of
 signed-sum literals, `rational_sum_literal` and `signed_terms`, from here.
@@ -80,8 +82,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from .errors import (LiteralSyntaxError, NeedsRationalCoefficients, NeedsTrace, NotAUnit,
-                     NotInvertible)
+from .errors import LiteralSyntaxError, NeedsRationalCoefficients, NeedsTrace, NotAUnit
 
 
 def frac_from_str(text: str) -> Fraction:
@@ -260,7 +261,8 @@ def fraction_free(rows) -> tuple[int, Optional[list]]:
     row r by (p*r - f*pivot_row) / (previous pivot), an exact division, and the
     last pivot is det M up to the sign of the row swaps. adj is None when
     det M = 0. Every inverse over the five rings is one such elimination (over
-    Q<gens>/deg>N, of the scalar part), and so is every invertibility test."""
+    Q<gens>/deg>N, by `series.inverse_entries` over Q<<gens>>, whose one
+    elimination is of the scalar part), and so is every invertibility test."""
     n = len(rows)
     m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     sign, prev = 1, 1
@@ -377,10 +379,13 @@ class CoeffRing:
                 f"ring {self.name} has no automorphism named {quoted(name)}") from None
 
     def _register_pair(self, name, data, act, factor, inv_data, inv_act, inv_factor):
-        """Register `name` and its inverse `name^-1` from their view actions."""
+        """Register `name` and its inverse `name^-1`, neither yet taken, from their actions."""
         if name == "id":
             # every layer reads a twist named "id" as the identity
             raise ValueError("'id' names the identity automorphism")
+        for taken in (name, name + "^-1"):
+            if taken in self.automorphisms:
+                raise ValueError(f"automorphism {quoted(taken)} is already registered")
         fwd = RingAutomorphism(self, name, data, act, factor)
         bwd = RingAutomorphism(self, name + "^-1", inv_data, inv_act, inv_factor)
         fwd.inverse, bwd.inverse = bwd, fwd
@@ -962,10 +967,12 @@ class TruncatedFreeAlgebra(_BasisAlgebra):
 
     Elements: graded-lex sorted tuples of (word, nonzero Fraction) where a
     word is a tuple of generator indices. Units are elements with nonzero
-    scalar part. As a word -> Fraction map an element is also a series of the
-    untwisted ring Q<<gens>> at order max_degree, and products and inverses
-    (of elements and of matrices) are computed there. The trace is the
-    projection onto cyclic word classes, labelled by least rotation.
+    scalar part. Products multiply the (word, integer) pairs in `dot`. As a
+    word -> Fraction map an element is also a series of the untwisted ring
+    Q<<gens>> at order max_degree, and only inverses (of elements and of
+    matrices) go through the solve pass there, `series.inverse_entries`. The
+    trace is the projection onto cyclic word classes, labelled by least
+    rotation.
     Automorphisms: permutations of the generators.
     """
 
@@ -1038,16 +1045,13 @@ class TruncatedFreeAlgebra(_BasisAlgebra):
     _non_unit = "zero scalar part: non-unit of {}"
 
     def invert_vectors(self, vecs, den, n):
-        """Through the series matrix over Q<<gens>> of the (word, integer) pairs."""
-        from .matrices import SeriesMatrix, mat_invert
-        from .series import TwistedSeries
+        """By `inverse_entries` over Q<<gens>> of the (word, integer) pairs."""
+        from .series import TwistedSeries, inverse_entries
         R = self._series_ring
-        entries = [TwistedSeries(R, dict(v), den) for v in vecs]
         try:
-            inv = mat_invert(SeriesMatrix(R, [entries[i:i + n] for i in range(0, n * n, n)]))
-        except NotInvertible:
+            out = inverse_entries(R, [TwistedSeries(R, dict(v), den) for v in vecs])
+        except NotAUnit:
             raise NotAUnit(f"matrix has singular scalar part over {self.name}") from None
-        out = [e for row in inv.rows for e in row]
         d = math.lcm(*[e.den for e in out])
         return [self.scale_vector(sorted(e.vecs.items(), key=self._sort_key), d // e.den)
                 for e in out], d

@@ -364,25 +364,20 @@ def sums_of_products(R: SeriesRing, sums: list, top=None) -> list:
     of R: one convolution in the coefficient ring's integer view, truncated
     at degree `top` (at most, and by default, R.order).
 
-    Left vectors are brought over dl, the lcm of the left denominators, and
-    right ones over dr. A move through twist key K (the inverse twists of a
-    left word's twisted letters) stands over F_K, the product of its twists'
-    factors, times the denominator, so right vectors are scaled to dr * L, L
-    the lcm of F_K over the keys of the left words within `top`, and each
-    output word is one `A.dot` over dl * dr * L (`_convolve`)."""
+    Left vectors are brought over dl, the lcm of the left denominators
+    (`_left_rows`), and right ones over dr. A move through twist key K (the
+    inverse twists of a left word's twisted letters) stands over F_K, the
+    product of its twists' factors, times the denominator, so right vectors
+    are scaled to dr * L, L the lcm of F_K over the keys of the left words
+    within `top`, and each output word is one `A.dot` over dl * dr * L
+    (`_convolve`)."""
     A, top = R.coeff, R.order if top is None else top
     left, right = {}, {}  # by id: the operand, then its rows (left) or right operand
     for pairs in sums:
         for s, t in pairs:
             left[id(s)] = s
             right[id(t)] = t
-    scale_vector = A.scale_vector
-    dl = math.lcm(*map(_den, left.values()))
-    for i, s in left.items():
-        left[i] = s._kernel_rows() if s.den == dl else [
-            (info, scale_vector(a, dl // s.den)) for info, a in s._kernel_rows()]
-    factors = _key_factors(left.values(), top)
-    scale = math.lcm(*factors.values())
+    dl, factors, scale = _left_rows(A, left, top)
     dr = math.lcm(*map(_den, right.values()))
     for i, t in right.items():
         right[i] = ({}, t._kernel_rows(), dr // t.den, {})
@@ -396,11 +391,15 @@ def sums_of_products(R: SeriesRing, sums: list, top=None) -> list:
 _den = operator.attrgetter("den")
 
 
-def _key_factors(row_lists, top: int) -> dict:
-    """key -> F_K, the product of K's twists' factors, over the keys of the
-    kernel rows within `top` in the lists of rows."""
+def _left_rows(A, left: dict, top: int) -> tuple:
+    """Replace each left operand of a kernel call, the values of `left`, by
+    its kernel rows over den, the lcm of their denominators, and return
+    (den, factors, L): key -> F_K, the product of K's twists' factors, over
+    the keys of the rows within `top`, and L, the lcm of the F_K."""
+    scale_vector, den = A.scale_vector, math.lcm(*map(_den, left.values()))
     factors = {}
-    for rows in row_lists:
+    for i, s in left.items():
+        rows = s._kernel_rows()
         for (lv, _, _, _, key), _ in rows:
             if lv > top:
                 break
@@ -409,7 +408,9 @@ def _key_factors(row_lists, top: int) -> dict:
                 for auto in key:
                     f *= auto.factor
                 factors[key] = f
-    return factors
+        left[i] = rows if s.den == den else [
+            (info, scale_vector(a, den // s.den)) for info, a in rows]
+    return den, factors, math.lcm(*factors.values())
 
 
 def _convolve(R: SeriesRing, pairs: list, room: int, factors: dict, scale: int) -> dict:
@@ -510,27 +511,24 @@ def _solve(R: SeriesRing, q: list, y0: list, den: int) -> list:
     augmentation 0 and constant y0/den: y_0 = y0/den and
     y_d = sum_{k=1..d} q_k * y_{d-k} for d = 1..N, in one pass.
 
-    q's rows are read once, over dq (the lcm of q's denominators), with the
-    factors F_K of their keys, and L is the lcm of the F_K. Each y_d is kept
-    with one reduced denominator den_d, and each of its entries is one right
-    operand of `_convolve`, whose rows are moved and scaled to den_d * L
-    under each key once, for every later degree. At degree d the rows of q
-    of length k meet only y_{d-k}, so each is scaled once, by D / den_{d-k}
-    for D the lcm of those den_{d-k}, and y_d is one `_convolve` per entry
-    over dq * D * L. The degrees are merged once at the end."""
+    q's rows are read once, as a product's left operands are (`_left_rows`):
+    over dq, the lcm of q's denominators, with the factors F_K of their keys
+    and L, the lcm of the F_K. Each y_d is kept with one reduced denominator
+    den_d, and each of its entries is one right operand of `_convolve`,
+    whose rows are moved and scaled to den_d * L under each key once, for
+    every later degree. At degree d the rows of q of length k meet only
+    y_{d-k}, so each is scaled once, by D / den_{d-k} for D the lcm of those
+    den_{d-k}, and y_d is one `_convolve` per entry over dq * D * L. The
+    degrees are merged once at the end."""
     A, top, n = R.coeff, R.order, math.isqrt(len(q))
     scale, info = A.scale_vector, R._word_info
-    dq = math.lcm(*map(_den, q))
-    left = []  # per entry of q: length -> its rows of that length, over dq
-    for e in q:
-        by_len: dict = {}
-        for row in (e._kernel_rows() if e.den == dq else
-                    [(i, scale(a, dq // e.den)) for i, a in e._kernel_rows()]):
+    left = dict(enumerate(q))  # per entry of q: length -> its rows of that length, over dq
+    dq, factors, L = _left_rows(A, left, top)
+    for i, rows in left.items():
+        by_len = left[i] = {}
+        for row in rows:
             by_len.setdefault(row[0][0], []).append(row)
-        left.append(by_len)
-    lengths = {k for by_len in left for k in by_len}
-    factors = _key_factors([e._kernel_rows() for e in q], top)
-    L = math.lcm(*factors.values())
+    lengths = {k for by_len in left.values() for k in by_len}
     entries, den = _reduced_all(A, y0, den)
     ys, dens, right = [entries], [den], []  # y_d's entries, den_d, and right operands
     for d in range(1, top + 1):
@@ -538,7 +536,7 @@ def _solve(R: SeriesRing, q: list, y0: list, den: int) -> list:
         D = math.lcm(*[dens[d - k] for k in lengths if k <= d])
         scaled = [{k: rows if D == dens[d - k] else
                    [(i, scale(a, D // dens[d - k])) for i, a in rows]
-                   for k, rows in by_len.items() if k <= d} for by_len in left]
+                   for k, rows in by_len.items() if k <= d} for by_len in left.values()]
         entries, den = _reduced_all(A, [
             _convolve(R, [(rows, right[d - k][t * n + j])
                           for t in range(n) for k, rows in scaled[i + t].items()], d, factors, L)

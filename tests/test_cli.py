@@ -336,6 +336,11 @@ def test_long_literals_are_clipped_in_errors(capsys, ring_file, ring, argv):
     ({"coeff": {"kind": "matrix", "size": 2,
                 "conjugations": {"id": [["0", "1"], ["1", "0"]]}},
       "alphabet": ["x"], "twist": {"x": "id"}, "order": 2}, "ValueError", "'id'"),
+    # registering "a" registers its inverse "a^-1", so the document's own "a^-1" is refused
+    ({"coeff": {"kind": "matrix", "size": 2,
+                "conjugations": {"a": [["0", "1"], ["1", "0"]], "a^-1": [["1", "1"], ["0", "1"]]}},
+      "alphabet": ["x"], "twist": {"x": "a^-1"}, "order": 2}, "ValueError",
+     "automorphism 'a^-1' is already registered"),
     # a generator no element literal can name: the word "1" would read back as 1
     ({"coeff": {"kind": "free_trunc", "generators": ["1", "y"], "max_degree": 2,
                 "permutations": {"flip": [1, 0]}},
@@ -346,7 +351,7 @@ def test_long_literals_are_clipped_in_errors(capsys, ring_file, ring, argv):
 ], ids=["order-3.0", "modulus-12.0", "size-2.0", "max_degree-2.0", "conjugation-1x1",
         "conjugation-ragged", "conjugation-singular", "conjugation-non-ascii-digit",
         "conjugation-trailing-newline", "twist-stray-letter",
-        "automorphism-named-id", "generator-1", "letter-quote"])
+        "automorphism-named-id", "automorphism-named-an-inverse", "generator-1", "letter-quote"])
 def test_exit_code_1_on_bad_ring(capsys, ring_file, ring, error_type, fragment):
     code, out, err = run_cli(capsys, "inv", "--ring", ring_file(ring), '1+w("x")')
     assert code == 1 and out == ""

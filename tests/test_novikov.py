@@ -150,7 +150,7 @@ def test_mul_twisted_monomials(qc4):
     g1 = R.lift(qc4.parse_element_literal("g1"))
     u = NovikovSeries(g1, shift=1)                 # z^-1 g1
     v = NovikovSeries(g1, shift=1)
-    p = nov_mul(u, v, max_shift=2)
+    p = nov_mul(u, v)
     # z^-1 g1 z^-1 g1 = z^-2 inv(g1) g1 = z^-2 (g3 g1) = z^-2 g0
     assert p.shift == 2 and p.coefficient(-2) == qc4.one
 
@@ -165,14 +165,6 @@ def test_mul_twisted_monomials_under_twist(m2p, left, right, expect):
     assert p_read(nov_mul(u, v)) == expect
 
 
-def test_mul_window_underflow(qq):
-    R = zring(qq, 3)
-    u = NovikovSeries(R.one(), shift=2)
-    with pytest.raises(Exception) as exc:
-        nov_mul(u, u, max_shift=3)
-    assert type(exc.value).__name__ == "WindowUnderflow"
-
-
 def test_invert_frozen_monomial(qc2):
     # (g z)^-1 = z^-1 g over Q[C2], identity twist
     R = zring(qc2, 3)
@@ -181,7 +173,7 @@ def test_invert_frozen_monomial(qc2):
     v = nov_invert(u)
     assert v.shift == 1
     assert v.coefficient(-1) == qc2.parse_element_literal("g1")
-    assert nov_mul(u, v, max_shift=3).matches_one_on_window()
+    assert nov_mul(u, v).matches_one_on_window()
 
 
 def test_invert_frozen_strip(qq):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 from itertools import permutations
 
@@ -109,6 +110,25 @@ def test_automorphisms_cannot_take_the_identitys_name(qc4, free_yz):
     with pytest.raises(ValueError, match="'id'"):
         free_yz.register_generator_permutation("id", [1, 0])
     assert m2.automorphism("id").apply(m2.one) == m2.one
+
+
+def test_automorphisms_cannot_take_a_registered_name(qc4, free_yz):
+    # registering "a" registers "a^-1" too; neither name is ever replaced
+    m2 = RationalMatrixRing(2)
+    a = m2.register_conjugation("a", [[0, 1], [1, 0]])
+    for name in ("a", "a^-1"):
+        with pytest.raises(ValueError, match=re.escape(f"automorphism '{name}' is already")):
+            m2.register_conjugation(name, [[1, 1], [0, 1]])
+    assert m2.automorphism("a") is a and m2.automorphism("a^-1") is a.inverse
+    m2.register_conjugation("b^-1", [[1, 1], [0, 1]])
+    with pytest.raises(ValueError, match=r"automorphism 'b\^-1' is already"):
+        m2.register_conjugation("b", [[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="'inv' is already registered"):
+        qc4.register_group_automorphism("inv", [0, 1, 2, 3])
+    with pytest.raises(ValueError, match="'flip' is already registered"):
+        free_yz.register_generator_permutation("flip", [0, 1])
+    assert qc4.automorphism("inv").data == ("gperm", (0, 3, 2, 1))
+    assert free_yz.automorphism("flip").data == ("fperm", (1, 0))
 
 
 # -- group algebras ----------------------------------------------------------

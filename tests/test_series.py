@@ -504,6 +504,25 @@ def test_free_algebra_matrix_inverse_eliminates_once(eliminations):
         A.mat_invert(((f("y"), f("1")), (f("z"), f("1+y"))))
 
 
+def test_free_algebra_inverses_skip_the_matrix_layer(monkeypatch, kernel_calls):
+    # a unit and a 2x2 matrix over Q<y,z>/deg>2 each go straight to
+    # inverse_entries over Q<<y,z>>: one product kernel call and one solve pass
+    def refuse(m):
+        raise AssertionError("matrices.mat_invert reached")
+    monkeypatch.setattr(matrices_module, "mat_invert", refuse)
+    A = free_yz(2)
+    f = A.parse_element_literal
+    u = f("2+y-3*zy")
+    inv_u = A.invert(u)
+    assert [kind for kind, _ in kernel_calls] == ["product", "solve"]
+    assert A.mul(u, inv_u) == A.one == A.mul(inv_u, u)
+    kernel_calls.clear()
+    rows = ((f("1+y"), f("z")), (f("2*yz"), f("3-z")))
+    inv = A.mat_invert(rows)
+    assert [kind for kind, _ in kernel_calls] == ["product", "solve"]
+    assert A.emat_mul(rows, inv) == A.emat_identity(2) == A.emat_mul(inv, rows)
+
+
 def test_rearrange_check_eliminates_twice(m2, eliminations):
     # 1 - b(1+ab)^-1 a == (1+ba)^-1 needs the two inverses and nothing else
     R = one_letter(m2, 3, twist="swap")
