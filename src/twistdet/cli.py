@@ -167,9 +167,10 @@ def execute_job(job: dict):
     else:  # novikov
         u = novikov_from_doc(ring, job["novikov"])
         lefschetz = job.get("lefschetz", False)
-        doc = {"lefschetz": lefschetz, "w1": cyclog_to_doc(w1_invariant(u))}
+        w1 = w1_invariant(u)
+        doc = {"lefschetz": lefschetz, "w1": cyclog_to_doc(w1)}
         if ring.coeff.kind == "group_algebra":
-            doc["orbits"] = orbit_report_to_doc(orbit_counts(u, lefschetz))
+            doc["orbits"] = orbit_report_to_doc(orbit_counts(u, lefschetz, w1))
     return {"op": op, **doc}, 0
 
 

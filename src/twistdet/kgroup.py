@@ -10,6 +10,9 @@ The converse direction is not claimed anywhere in this package.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 from .errors import (
     AugmentationNotOne,
     AugmentationNotUnit,
@@ -174,7 +177,11 @@ def cyc_log(u: TwistedSeries) -> CycLogVector:
 
     Each log term a*w contributes trace(b) to the bucket of w's least
     rotation, where b is a moved right past the prefix of w rotated to the
-    end (as a vector; untwisted words leave it as it is), then rebuilt once.
+    end (untwisted words leave it as it is). All of it stays in the integer
+    view: b is a's vector moved by the view actions, over the log's
+    denominator times the moves' factors, and `trace_vector` gives its
+    integer trace by label. A bucket sums its integers per moved
+    denominator and builds one Fraction at the end.
     """
     ring = u.ring
     A = ring.coeff
@@ -182,17 +189,21 @@ def cyc_log(u: TwistedSeries) -> CycLogVector:
         raise NeedsTrace(f"{A.name} has no rational-valued trace")
     if not u.augmentation_is_one():
         raise AugmentationNotOne("cyc_log needs augmentation exactly 1")
-
-    def buckets():
-        log = formal_log(u)
-        for word, vec in log.vecs.items():
-            if word:
-                r = least_rotation(word)
-                key = ring.word_to_str(word[r:] + word[:r])
-                moved, den = ring._moved(word[:r], {(): vec}, log.den, right=True)
-                for label, val in A.trace(A.rebuild(moved[()], den)).items():
-                    yield (label, key), val
-    return CycLogVector(ring.order, sum_by_key(buckets()))
+    log = formal_log(u)
+    sums: dict = {}  # (label, class) -> {moved denominator: integer sum}
+    for word, vec in log.vecs.items():
+        if word:
+            r = least_rotation(word)
+            key = ring.word_to_str(word[r:] + word[:r])
+            moved, den = ring._moved(word[:r], {(): vec}, log.den, right=True)
+            for label, t in A.trace_vector(moved[()]).items():
+                by_den = sums.setdefault((label, key), {})
+                by_den[den] = by_den.get(den, 0) + t
+    entries = {}
+    for bucket, by_den in sums.items():
+        den = math.lcm(*by_den)
+        entries[bucket] = Fraction(sum(t * (den // d) for d, t in by_den.items()), den)
+    return CycLogVector(ring.order, entries)
 
 
 def refuse_twisted_trace(ring: SeriesRing, subject: str):

@@ -3,7 +3,9 @@
 The determinant-like invariant D is defined for square matrices whose
 augmentation is the identity: D of a 1x1 matrix is its entry, and otherwise
 D(M) = d1 * D(d2) where (l, d1, d2, u) is the LDU factorization obtained by
-always pivoting at the (1,1) entry. The value is a canonical representative;
+always pivoting at the (1,1) entry. D computes only d1 = a11 and the Schur
+complement d2 = a22 - a21 a11^-1 a12, never l; `ldu_decompose` shares the
+Schur complement step. The value is a canonical representative;
 it is only an invariant modulo the commutator subgroup treated in kgroup,
 except in the exactly-multiplicative cases (commutative coefficients, block
 upper-triangular assemblies) covered by the checks below.
@@ -192,19 +194,31 @@ def ldu_decompose(m: SeriesMatrix) -> LduFactors:
         raise AugmentationNotIdentity("LDU needs augmentation equal to the identity")
     a11 = m.entry(0, 0)
     a11_inv = a11.inverse()
-    a21 = m.submatrix(slice(1, None), slice(0, 1))
-    a22 = m.submatrix(slice(1, None), slice(1, None))
     # the entries of l and u, one kernel call
-    lu = sums_of_products(m.ring, [[(row[0], a11_inv)] for row in a21.rows]
+    lu = sums_of_products(m.ring, [[(row[0], a11_inv)] for row in m.rows[1:]]
                           + [[(a11_inv, e)] for e in m.rows[0][1:]])
     l = SeriesMatrix(m.ring, [[e] for e in lu[:m.nrows - 1]])
     u = SeriesMatrix(m.ring, [lu[m.nrows - 1:]])
-    d2 = a22 - a21 * u
+    d2 = _schur_complement(m, [e.scale(-1) for e in u.rows[0]])
     return LduFactors(l=l, d1=a11, d2=d2, u=u)
 
 
+def _schur_complement(m: SeriesMatrix, neg_u: list) -> SeriesMatrix:
+    """d2 = a22 - a21 * u for the entries of -u = -a11^-1 * a12: one kernel
+    call, with a22 folded in as (a22_ij, 1) pairs."""
+    R, one, n = m.ring, m.ring.one(), len(neg_u)
+    entries = sums_of_products(R, [[(row[j + 1], one), (row[0], v)]
+                                   for row in m.rows[1:] for j, v in enumerate(neg_u)])
+    return SeriesMatrix(R, [entries[i:i + n] for i in range(0, n * n, n)])
+
+
 def dieudonne_det(m: SeriesMatrix) -> TwistedSeries:
-    """D(M) for augmentation-identity M: entry if 1x1, else d1 * D(d2)."""
+    """D(M) for augmentation-identity M: the entry if 1x1, else a11 * D(d2).
+
+    Each step is the LDU step at the (1,1) pivot without l, which D never
+    reads: the pivot's inverse (one product and one solve pass), -u =
+    -a11^-1 * a12 in one kernel call, and d2 = a22 - a21 * u in another
+    (`_schur_complement`)."""
     if not m.is_square() or m.nrows < 1:
         raise DimensionMismatch("determinant needs a nonempty square matrix")
     if not augmentation_is_identity(m):
@@ -214,10 +228,12 @@ def dieudonne_det(m: SeriesMatrix) -> TwistedSeries:
 
 
 def _det_rec(m: SeriesMatrix) -> TwistedSeries:
+    a11 = m.entry(0, 0)
     if m.nrows == 1:
-        return m.entry(0, 0)
-    f = ldu_decompose(m)
-    return f.d1 * _det_rec(f.d2)
+        return a11
+    neg_inv = a11.inverse().scale(-1)
+    neg_u = sums_of_products(m.ring, [[(neg_inv, e)] for e in m.rows[0][1:]])
+    return a11 * _det_rec(_schur_complement(m, neg_u))
 
 
 def det_stabilize(m: SeriesMatrix, extra: int) -> TwistedSeries:

@@ -227,8 +227,10 @@ class OrbitCountReport(Record):
         return sorted(self.entries.items())
 
 
-def orbit_counts(u: NovikovSeries, lefschetz: bool = False) -> OrbitCountReport:
-    """Regroup w1_invariant buckets by twisted conjugacy at each z-degree."""
+def orbit_counts(u: NovikovSeries, lefschetz: bool = False,
+                 w1: CycLogVector | None = None) -> OrbitCountReport:
+    """Regroup w1_invariant buckets by twisted conjugacy at each z-degree;
+    `w1`, when given, is w1_invariant(u), already computed by the caller."""
     A = u.base.ring.coeff
     if A.kind != "group_algebra":
         raise ClassRegroupIncompatible(
@@ -237,7 +239,7 @@ def orbit_counts(u: NovikovSeries, lefschetz: bool = False) -> OrbitCountReport:
     auto = A.automorphism(u.base.ring.twist_names[0])
     # a group algebra's twists are "id" and those of register_group_automorphism
     perm = auto.data[1] if auto.data[0] == "gperm" else range(group.order)
-    w = w1_invariant(u)
+    w = w1_invariant(u) if w1 is None else w1
     plain = {group.names[min(cls)]: cls for cls in group.conjugacy_classes()}
     class_at = {}  # z-degree n -> {element: its xi^n-twisted class}
     for n in {len(word) for _, word in w.entries}:

@@ -10,7 +10,8 @@ The contract, `CoeffRing`, is what the series, matrix, K-group, Novikov and
 document layers call:
 - `zero`, `one`, `name`, `kind` and `contains_rationals`, the one capability
   flag: Q sits in the centre, so the ring scales by rationals and has a
-  rational-valued `trace(a)` (a dict label -> Fraction, zeros dropped);
+  rational-valued `trace(a)` (a dict label -> Fraction, zeros dropped),
+  defined once, in `CoeffRing`, as clear, `trace_vector` and divide;
 - `add`, `neg`, `sub`, `mul`, `scalar_mul`, `is_zero`, `is_one`, `is_unit`
   and `invert` on elements, defined once, in `CoeffRing`, through the view;
 - the Z-linear view: `clear` turns a list of values into integer vectors
@@ -39,7 +40,9 @@ document layers call:
   fixed denominator factor.
 
 A ring kind supplies only its basis and view (`clear`, `dot`, `rebuild` and
-the vector helpers), its twist actions, its literals and its trace. Each
+the vector helpers), its twist actions, its literals and its trace on the
+view, `trace_vector` (integer sums by label; Q's one label is "1", M_k(Q)'s
+"tr", the diagonal sum, and a basis algebra's its keys' `_trace_label`). Each
 concrete class restates `add`, `mul` and `invert` by one alias line, because
 perfbench/spans.py wraps them per class through vars(cls).
 
@@ -442,6 +445,14 @@ class CoeffRing:
             raise NotAUnit(self._non_unit.format(self.name)) from None
 
     def trace(self, a) -> dict:
+        """label -> nonzero Fraction: a's cleared vector through
+        `trace_vector`, each sum over the denominator."""
+        (vec,), den = self.clear((a,))
+        return {label: Fraction(t, den) for label, t in self.trace_vector(vec).items()}
+
+    def trace_vector(self, vec) -> dict:
+        """label -> nonzero integer, sorted by label: the trace of a vector
+        from clear or dot (over that vector's denominator)."""
         raise NeedsTrace(f"ring {self.name} has no trace")
 
     # -- the Z-linear view (overridden; the defaults are an integer's) ---------
@@ -583,8 +594,8 @@ class RationalField(_RepresentedRing):
 
     add, mul, invert = CoeffRing.add, CoeffRing.mul, CoeffRing.invert
 
-    def trace(self, a):
-        return {} if a == 0 else {"1": Fraction(a)}
+    def trace_vector(self, vec):
+        return {"1": vec} if vec else {}
 
     def clear(self, values):
         den = math.lcm(*[c.denominator for c in values])
@@ -755,9 +766,9 @@ class RationalMatrixRing(_RepresentedRing):
         k = self.size
         return [big[r0 + r][c0 + c] for r in range(k) for c in range(k)]
 
-    def trace(self, a):
-        t = sum((a[i][i] for i in range(self.size)), Fraction(0))
-        return {} if t == 0 else {"tr": t}
+    def trace_vector(self, vec):
+        t = sum(vec[::self.size + 1])  # the diagonal entries
+        return {"tr": t} if t else {}
 
     def random_element(self, rng):
         return tuple(tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2)))
@@ -834,8 +845,8 @@ class _BasisAlgebra(CoeffRing):
         return [self._merge((k, c.numerator * (den // c.denominator)) for k, c in a)
                 for a in values], den
 
-    def trace(self, a):
-        return dict(sorted(sum_by_key((self._trace_label(k), c) for k, c in a).items()))
+    def trace_vector(self, vec):
+        return dict(sorted(sum_by_key((self._trace_label(k), c) for k, c in vec).items()))
 
     def random_element(self, rng):
         keys = self._keys()

@@ -26,8 +26,11 @@ once, through the twists' view actions, reusing the move of the key's
 suffix, and only as far as the order less the key's length. A series
 product, a whole series-matrix product, the products -inv0 * x+ that start
 an inverse (of a series or a series matrix), the entries of l and u in an
-LDU split and each step of Horner's rule for log/exp are one kernel call,
-`sums_of_products`.
+LDU split and its Schur complement are one kernel call, `sums_of_products`.
+Log and exp are one power-sum pass, `_power_sum`: theta's rows are set up
+once, as a product's left operands are, and each step of Horner's rule is
+one `_convolve` on a raw (vecs, den) map, with no series built between
+steps.
 
 The augmentation eps reads off the empty-word coefficient; it is a ring map
 onto A with section lift(). A series is invertible exactly when eps of it is
@@ -228,7 +231,7 @@ class TwistedSeries:
         if self._rows is None:
             info = self.ring._word_info
             rows = [(info(w), v) for w, v in self.vecs.items()]
-            self._rows = sorted(rows, key=lambda row: row[0][0])
+            self._rows = sorted(rows, key=_row_length)
         return self._rows
 
     # -- basics ---------------------------------------------------------------
@@ -389,6 +392,11 @@ def sums_of_products(R: SeriesRing, sums: list, top=None) -> list:
 
 
 _den = operator.attrgetter("den")
+
+
+def _row_length(row) -> int:
+    """The word length of a kernel row."""
+    return row[0][0]
 
 
 def _left_rows(A, left: dict, top: int) -> tuple:
@@ -564,16 +572,28 @@ def _reduced_all(A, entries: list, den: int) -> tuple:
 
 def _power_sum(theta: TwistedSeries, coeff) -> TwistedSeries:
     """sum_{k=1..N} coeff(k) * theta^k for theta of augmentation 0, by Horner's
-    rule: h = coeff(k) + theta*h for k = N down to 1, then theta*h. Only the
-    degrees up to N - k of the h at k reach the order, so its product stops
-    there, and the rational coefficients are only ever added to the constant
-    term."""
+    rule inside the kernel: from h = 0, h = theta*h + coeff(k) for k = N down
+    to 1, then theta*h. theta's rows are set up once (`_left_rows`); h stays
+    a raw (vecs, den) map, coeff(k) goes into its constant vector, and each
+    step is one `_convolve` cut at degree N - k, since only the degrees up to
+    N - k of the h at k reach the order."""
     R, n = theta.ring, theta.ring.order
-    h = R.zero()
-    for k in range(n, 0, -1):
-        h = sums_of_products(R, [[(theta, h)]], top=n - k)[0]
-        h._add_in_place(R.one().scale(coeff(k)))
-    return theta * h
+    A, info = R.coeff, R._word_info
+    left = {0: theta}
+    dt, factors, scale = _left_rows(A, left, n)
+    vecs, den = {}, 1
+    for k in range(n, -1, -1):
+        rows = sorted([(info(w), v) for w, v in vecs.items()], key=_row_length)
+        vecs = _convolve(R, [(left[0], ({}, rows, 1, {}))], n - k, factors, scale)
+        den *= dt * scale
+        if not k:
+            return TwistedSeries(R, vecs, den)
+        c = coeff(k)
+        total = math.lcm(den, c.denominator)
+        if total != den:
+            vecs = {w: A.scale_vector(v, total // den) for w, v in vecs.items()}
+        vecs[()] = A.scale_vector(R._one_vec, c.numerator * (total // c.denominator))
+        vecs, den = _reduced(A, vecs, total)
 
 
 def formal_log(u: TwistedSeries) -> TwistedSeries:

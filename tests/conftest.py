@@ -37,10 +37,12 @@ def eliminations(monkeypatch):
 def kernel_calls(monkeypatch):
     """A list that gets ("product", sums) for each call of the product kernel
     `series.sums_of_products` (through series.py's name for it and through
-    the one matrices.py imports), and ("solve", q) for each solve pass of an
-    inverse, `series._solve`, with its n*n entries q."""
+    the one matrices.py imports), ("solve", q) for each solve pass of an
+    inverse, `series._solve`, with its n*n entries q, and ("power", theta)
+    for each power-sum pass of a log or exp, `series._power_sum`."""
     calls = []
-    kernel, solve = series_module.sums_of_products, series_module._solve
+    kernel, solve, power = (series_module.sums_of_products, series_module._solve,
+                            series_module._power_sum)
 
     def product(R, sums, *args, **kwargs):
         calls.append(("product", sums))
@@ -49,9 +51,14 @@ def kernel_calls(monkeypatch):
     def solved(R, q, *args):
         calls.append(("solve", q))
         return solve(R, q, *args)
+
+    def powered(theta, coeff):
+        calls.append(("power", theta))
+        return power(theta, coeff)
     monkeypatch.setattr(series_module, "sums_of_products", product)
     monkeypatch.setattr(matrices_module, "sums_of_products", product)
     monkeypatch.setattr(series_module, "_solve", solved)
+    monkeypatch.setattr(series_module, "_power_sum", powered)
     return calls
 
 

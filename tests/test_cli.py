@@ -664,3 +664,18 @@ def test_golden_arithmetic_stdout(capsys, stem):
     want = (GOLDENS / f"{stem}_out.json").read_text()
     code, out, _ = run_cli(capsys, "run", str(GOLDENS / f"{stem}_job.json"))
     assert code == 0 and out == want
+
+
+def test_novikov_job_takes_one_log(capsys, monkeypatch):
+    # a novikov job over a group algebra computes w1 once, for "w1" and for
+    # its orbit counts
+    logs, log = [], twistdet.kgroup.formal_log
+
+    def counted(u):
+        logs.append(u)
+        return log(u)
+    monkeypatch.setattr(twistdet.kgroup, "formal_log", counted)
+    want = (GOLDENS / "novikov_group_algebra_out.json").read_text()
+    code, out, _ = run_cli(capsys, "run", str(GOLDENS / "novikov_group_algebra_job.json"))
+    assert code == 0 and out == want
+    assert len(logs) == 1

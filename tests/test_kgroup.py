@@ -9,6 +9,7 @@ from twistdet import (
     CGenerator,
     CycLogVector,
     FlavorViolated,
+    IntegersMod,
     NeedsTrace,
     NotInvertible,
     RingMismatch,
@@ -18,6 +19,7 @@ from twistdet import (
     coset_probably_equal,
     cyc_log,
     endo_class_invariant,
+    formal_log,
     parse_series,
     render_series,
     vaserstein_transform,
@@ -25,6 +27,9 @@ from twistdet import (
 from twistdet.kgroup import least_rotation
 from twistdet.novikov import OrbitCountReport
 from twistdet.randgen import random_fiber_one, random_flavor_pair
+from twistdet.rings import RationalField, sum_by_key
+from twistdet.selftest import free_yz as make_free_yz
+from twistdet.selftest import m2_nonintegral, m2_swap, m3_cyclic, qc4_inv, qs3_conj
 
 from conftest import assert_folded, one_letter, two_letter
 
@@ -209,6 +214,86 @@ def test_cyc_log_requires_fiber_and_trace(qq, z6):
     Rz = SeriesRing(z6, order=2)
     with pytest.raises(NeedsTrace):
         cyc_log(Rz.one() + Rz.letter("x"))
+
+
+# -- the integer trace against the value trace ---------------------------------------
+# The reference is the bucket code from before the trace moved to the integer
+# view: each moved log coefficient is rebuilt into a value and traced there.
+
+def ref_value_trace(A, a) -> dict:
+    if A.kind == "rational":
+        return {} if a == 0 else {"1": F(a)}
+    if A.kind == "matrix":
+        t = sum((a[i][i] for i in range(A.size)), F(0))
+        return {} if t == 0 else {"tr": t}
+    return dict(sorted(sum_by_key((A._trace_label(k), c) for k, c in a).items()))
+
+
+def ref_cyc_log(u) -> CycLogVector:
+    ring, A = u.ring, u.ring.coeff
+
+    def buckets():
+        log = formal_log(u)
+        for word, vec in log.vecs.items():
+            if word:
+                r = least_rotation(word)
+                key = ring.word_to_str(word[r:] + word[:r])
+                moved, den = ring._moved(word[:r], {(): vec}, log.den, right=True)
+                for label, val in ref_value_trace(A, A.rebuild(moved[()], den)).items():
+                    yield (label, key), val
+    return CycLogVector(ring.order, sum_by_key(buckets()))
+
+
+TRACE_RINGS = [
+    two_letter(RationalField(), 4),
+    two_letter(m2_swap(), 4),
+    two_letter(m2_swap(), 3, twist={"x": "swap"}),
+    one_letter(m3_cyclic(), 4, twist="cyc"),
+    two_letter(qc4_inv(), 4, twist={"x": "inv"}),
+    two_letter(qs3_conj(), 3),
+    one_letter(qs3_conj(), 4, twist="conj"),
+    two_letter(make_free_yz(), 4),
+    two_letter(make_free_yz(), 3, twist={"y": "flip"}),
+    # x's move by p = [[2,1],[0,1/3]] puts a coefficient over 6 times its
+    # denominator, so buckets sum terms over different moved denominators
+    two_letter(m2_nonintegral(), 4, twist={"x": "p"}),
+    two_letter(m2_nonintegral(), 3, twist={"x": "p", "y": "p^-1"}),
+]
+
+
+@pytest.mark.parametrize("ring", TRACE_RINGS,
+                         ids=lambda R: f"{R.coeff.name}:{'/'.join(R.twist_names)}")
+def test_integer_trace_matches_value_trace(ring):
+    R, A, rng = ring, ring.coeff, random.Random(41)
+    for a in [A.zero, A.one] + [A.random_element(rng) for _ in range(20)]:
+        assert A.trace(a) == ref_value_trace(A, a), a
+    for _ in range(4):
+        u = random_fiber_one(R, rng, terms=6)
+        assert cyc_log(u).entries == ref_cyc_log(u).entries, (R, u)
+
+
+def test_cyc_log_bucket_sums_over_moved_denominators():
+    # over M2(Q):p the log terms at xxy, xyx and yxx share the bucket xxy,
+    # and only xyx is moved (past xy), over 6 times the log's denominator
+    A = m2_nonintegral()
+    R = two_letter(A, 3, twist={"x": "p"})
+    g = A.parse_element_literal
+    u = R.from_terms([((), A.one), ("xxy", g("1,2;0,3")), ("xyx", g("1/2,0;1,1")),
+                      ("yxx", g("0,1;1/5,0"))])
+    log = formal_log(u)
+    dens = {R._moved(w[:least_rotation(w)], {}, log.den, right=True)[1]
+            for w in map(R.word_from_str, ("xxy", "xyx", "yxx"))}
+    assert dens == {log.den, 6 * log.den}
+    assert cyc_log(u).entries == ref_cyc_log(u).entries
+    assert ("tr", "xxy") in cyc_log(u).entries
+
+
+def test_trace_needs_rational_coefficients():
+    z6 = IntegersMod(6)
+    with pytest.raises(NeedsTrace, match=r"^ring Z/6 has no trace$"):
+        z6.trace(1)
+    with pytest.raises(NeedsTrace):
+        z6.trace_vector(1)
 
 
 def test_cyc_log_additive(free_yz, m2):

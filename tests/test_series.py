@@ -18,12 +18,14 @@ from twistdet import (
     SeriesMatrix,
     SeriesRing,
     TwistedSeries,
+    dieudonne_det,
     formal_exp,
     formal_log,
     ldu_decompose,
     mat_invert,
 )
 from twistdet import matrices as matrices_module
+from twistdet import series as series_module
 from twistdet.randgen import (
     random_fiber_one,
     random_invertible_matrix,
@@ -306,7 +308,8 @@ def test_product_matches_all_pairs_reference(qq, m2, m2_two_twists):
 
 def test_inverse_log_exp_match_per_pair_reference(qq, m2, m2_two_twists):
     rng = random.Random(17)
-    for R in kernel_rings(qq, m2, m2_two_twists):
+    edge_orders = [one_letter(qq, order) for order in (0, 1, 20)]
+    for R in kernel_rings(qq, m2, m2_two_twists) + edge_orders:
         A, one = R.coeff, R.one()
         units = [random_unit(R, rng, terms=5) for _ in range(3)]
         units.append(R.lift(A.random_unit(rng)) + dense_kernel(R, rng))
@@ -321,6 +324,34 @@ def test_inverse_log_exp_match_per_pair_reference(qq, m2, m2_two_twists):
                     k, lambda n: F(1, math.factorial(n))))
             k = dense_kernel(R, rng)
             assert formal_log(one + k) == ref_power_sum(k, lambda n: F((-1) ** (n + 1), n))
+
+
+@pytest.mark.parametrize("order", [0, 1, 4, 6])
+def test_log_and_exp_set_theta_up_once_and_run_order_plus_one_pair_loops(
+        monkeypatch, kernel_calls, m2, order):
+    # Horner's rule runs inside the kernel: theta's rows are set up once, and
+    # each of its N + 1 steps is one pair loop, cut at degree N - k for
+    # k = N down to 0, with no product kernel call
+    R, rng = two_letter(m2, order, twist={"x": "swap"}), random.Random(order)
+    setups, loops = [], []
+    left_rows, convolve = series_module._left_rows, series_module._convolve
+
+    def counted_rows(A, left, top):
+        setups.append(list(left.values()))
+        return left_rows(A, left, top)
+
+    def counted_convolve(R, pairs, room, *args):
+        loops.append(room)
+        return convolve(R, pairs, room, *args)
+    monkeypatch.setattr(series_module, "_left_rows", counted_rows)
+    monkeypatch.setattr(series_module, "_convolve", counted_convolve)
+    u, k = random_fiber_one(R, rng, terms=5), random_kernel(R, rng, terms=5)
+    for f, arg, theta in ((formal_log, u, u - R.one()), (formal_exp, k, k)):
+        del kernel_calls[:], setups[:], loops[:]
+        f(arg)
+        assert kernel_calls == [("power", theta)]
+        assert setups == [[theta]]
+        assert loops == list(range(order + 1))
 
 
 def test_series_matrices_match_per_pair_reference(qq, m2, m2_two_twists):
@@ -465,6 +496,44 @@ def test_ldu_inverts_pivot_by_one_solve_pass_and_l_u_in_one_call(kernel_calls, q
     # the inverse of the pivot (one product, one solve pass), then l and u, then d2
     assert [tag for tag, _ in kernel_calls] == ["product", "solve", "product", "product"]
     assert len(kernel_calls[2][1]) == 2 * (n - 1)
+
+
+def ref_schur(m):
+    """d2 = a22 - a21 a11^-1 a12 of m by per-pair products."""
+    R = m.ring
+    inv = m.rows[0][0].inverse()
+    return SeriesMatrix(R, [[ref_add(e, ref_mul(ref_mul(row[0], inv), a).scale(-1))
+                             for e, a in zip(row[1:], m.rows[0][1:])] for row in m.rows[1:]])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_det_steps_compute_no_l(kernel_calls, m2, n):
+    # each step of D: the pivot's inverse (one product, one solve pass), -u =
+    # -a11^-1 a12 in one call, and d2 = a22 - a21 u in one call with a22
+    # folded in as (a22_ij, 1) pairs; then the products a11 * D(d2). No call
+    # carries the sums of l = a21 a11^-1.
+    R = two_letter(m2, 3, twist={"x": "swap"})
+    m = random_unipotent_matrix(R, random.Random(n), n, terms=3)
+    det = dieudonne_det(m)
+    calls = list(kernel_calls)
+    assert [tag for tag, _ in calls] == (["product", "solve", "product", "product"] * (n - 1)
+                                         + ["product"] * (n - 1))
+    one, step, pivots = R.one(), m, []
+    for i in range(n - 1):
+        (_, u_sums), (_, d2_sums) = calls[4 * i + 2:4 * i + 4]
+        a11, inv = step.rows[0][0], step.rows[0][0].inverse()
+        assert u_sums == [[(-inv, a)] for a in step.rows[0][1:]]
+        neg_u = [ref_mul(inv, a).scale(-1) for a in step.rows[0][1:]]
+        assert d2_sums == [[(row[j + 1], one), (row[0], v)]
+                           for row in step.rows[1:] for j, v in enumerate(neg_u)]
+        assert not any(t == inv for tag, sums in calls if tag == "product"
+                       for pairs in sums for _, t in pairs)
+        pivots.append(a11)
+        step = ref_schur(step)
+    want = step.rows[0][0]
+    for a11 in reversed(pivots):
+        want = ref_mul(a11, want)
+    assert det == want
 
 
 def test_letters_sharing_a_twist_share_a_key(m2, m2_two_twists):
