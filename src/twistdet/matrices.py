@@ -87,9 +87,6 @@ class SeriesMatrix:
     def entry(self, i: int, j: int) -> TwistedSeries:
         return self.rows[i][j]
 
-    def submatrix(self, row_slice, col_slice) -> "SeriesMatrix":
-        return SeriesMatrix(self.ring, [row[col_slice] for row in self.rows[row_slice]])
-
     def augmentation(self):
         return tuple(tuple(e.augmentation() for e in row) for row in self.rows)
 
@@ -156,7 +153,8 @@ def mat_is_invertible(m: SeriesMatrix) -> bool:
 
 def mat_invert(m: SeriesMatrix) -> SeriesMatrix:
     """Inverse, from the inverse of the augmentation by one solve pass over
-    the degrees (series.inverse_entries)."""
+    the degrees (series.inverse_entries), which reads q = -inv0 * x+ off the
+    entries' own rows and makes no product kernel call."""
     if not m.is_square():
         raise DimensionMismatch("only square matrices can be inverted")
     R, n = m.ring, m.nrows
@@ -216,7 +214,7 @@ def dieudonne_det(m: SeriesMatrix) -> TwistedSeries:
     """D(M) for augmentation-identity M: the entry if 1x1, else a11 * D(d2).
 
     Each step is the LDU step at the (1,1) pivot without l, which D never
-    reads: the pivot's inverse (one product and one solve pass), -u =
+    reads: the pivot's inverse (one solve pass, no product), -u =
     -a11^-1 * a12 in one kernel call, and d2 = a22 - a21 * u in another
     (`_schur_complement`)."""
     if not m.is_square() or m.nrows < 1:

@@ -67,8 +67,8 @@ of Q[G] or Q<gens>/deg>N relabels the (key, integer) pairs (factor 1);
 Q, M_k(Q), Q[G] and Z/m, is one `fraction_free` elimination of integers,
 of which only the entries read back are built; it is also the one
 invertibility test. Units and matrices over Q<gens>/deg>N go through
-`series.inverse_entries` over Q<<gens>>, whose one elimination is of the
-scalar part.
+`series.inverse_entries` over Q<<gens>>: one elimination, of the scalar
+part, and one solve pass over the element's own (word, integer) pairs.
 The layers above also share `Record` (their result records),
 `twisted_conjugacy_classes`, and the one writer and the one reader of
 signed-sum literals, `rational_sum_literal` and `signed_terms`, from here.
@@ -265,7 +265,8 @@ def fraction_free(rows) -> tuple[int, Optional[list]]:
     last pivot is det M up to the sign of the row swaps. adj is None when
     det M = 0. Every inverse over the five rings is one such elimination (over
     Q<gens>/deg>N, by `series.inverse_entries` over Q<<gens>>, whose one
-    elimination is of the scalar part), and so is every invertibility test."""
+    elimination is of the scalar part and whose degrees are one solve pass
+    with no product), and so is every invertibility test."""
     n = len(rows)
     m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     sign, prev = 1, 1
@@ -981,7 +982,8 @@ class TruncatedFreeAlgebra(_BasisAlgebra):
     scalar part. Products multiply the (word, integer) pairs in `dot`. As a
     word -> Fraction map an element is also a series of the untwisted ring
     Q<<gens>> at order max_degree, and only inverses (of elements and of
-    matrices) go through the solve pass there, `series.inverse_entries`. The
+    matrices) go through it: `series.inverse_entries` eliminates the scalar
+    part once and solves the degrees in one pass, with no product. The
     trace is the projection onto cyclic word classes, labelled by least
     rotation.
     Automorphisms: permutations of the generators.

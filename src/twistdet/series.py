@@ -24,9 +24,8 @@ move nothing, and within one call a right operand's rows are moved past a
 key when a left word with that key first meets them, each (key, right word)
 once, through the twists' view actions, reusing the move of the key's
 suffix, and only as far as the order less the key's length. A series
-product, a whole series-matrix product, the products -inv0 * x+ that start
-an inverse (of a series or a series matrix), the entries of l and u in an
-LDU split and its Schur complement are one kernel call, `sums_of_products`.
+product, a whole series-matrix product, the entries of l and u in an LDU
+split and its Schur complement are one kernel call, `sums_of_products`.
 Log and exp are one power-sum pass, `_power_sum`: theta's rows are set up
 once, as a product's left operands are, and each step of Horner's rule is
 one `_convolve` on a raw (vecs, den) map, with no series built between
@@ -36,9 +35,10 @@ The augmentation eps reads off the empty-word coefficient; it is a ring map
 onto A with section lift(). A series is invertible exactly when eps of it is
 a unit of A (the ring is local over the augmentation), and because the
 augmentation ideal is nilpotent at any finite order the inverse is fixed
-degree by degree from eps^{-1}: all its degrees are one solve pass,
-`_solve`, over the rows of -inv0 * x+, shared with series matrices
-(`inverse_entries`).
+degree by degree from inv0 = eps^{-1}: all its degrees are one solve pass,
+`_solve`, shared with series matrices (`inverse_entries`). It makes no
+kernel call: the rows of q = -inv0 * x+ are x's own kernel rows, each
+vector times a constant, and degree d stands over den * g^d for one g.
 """
 
 from __future__ import annotations
@@ -400,10 +400,11 @@ def _row_length(row) -> int:
 
 
 def _left_rows(A, left: dict, top: int) -> tuple:
-    """Replace each left operand of a kernel call, the values of `left`, by
-    its kernel rows over den, the lcm of their denominators, and return
-    (den, factors, L): key -> F_K, the product of K's twists' factors, over
-    the keys of the rows within `top`, and L, the lcm of the F_K."""
+    """Replace each left operand of a kernel call, a power sum or an inverse,
+    the values of `left`, by its kernel rows over den, the lcm of their
+    denominators, and return (den, factors, L): key -> F_K, the product of
+    K's twists' factors, over the keys of the rows within `top`, and L, the
+    lcm of the F_K."""
     scale_vector, den = A.scale_vector, math.lcm(*map(_den, left.values()))
     factors = {}
     for i, s in left.items():
@@ -498,76 +499,75 @@ def inverse_entries(R: SeriesRing, x: list) -> list:
     given by its n*n row-major entries (a series is the case n = 1); raises
     NotAUnit when eps(x) is not invertible over A.
 
-    inv0 = eps(x)^-1 is one `A.invert_vectors` elimination, and y = x^-1
-    solves y = inv0 + q*y for q = -inv0 * x+, x+ = x - eps(x), so that
-    x*y = 1; in a ring local over the augmentation this right inverse is
-    two-sided. q is one kernel call and the degrees of y one `_solve` pass."""
-    A, n = R.coeff, math.isqrt(len(x))
-    den = math.lcm(*map(_den, x))
-    vecs, den = A.invert_vectors([A.scale_vector(e.vecs[()], den // e.den) if () in e.vecs
-                                  else R._zero_vec for e in x], den, n)
-    y0 = [{(): v} if A.nonzero(v) else {} for v in vecs]
-    neg0 = [TwistedSeries(R, {w: A.scale_vector(v, -1) for w, v in e.items()}, den) for e in y0]
-    plus = [TwistedSeries(R, {w: v for w, v in e.vecs.items() if w}, e.den) for e in x]
-    q = sums_of_products(R, [[(neg0[i + t], plus[t * n + j]) for t in range(n)]
-                             for i in range(0, n * n, n) for j in range(n)])
-    return _solve(R, q, y0, den)
+    y = x^-1 solves y = inv0 + q*y for inv0 = eps(x)^-1 and q = -inv0 * x+,
+    x+ = x - eps(x), so that x*y = 1; in a ring local over the augmentation
+    this right inverse is two-sided. x's kernel rows are read once, over dx,
+    the lcm of x's denominators (`_left_rows`, which also gives the factors
+    F_K of their keys and L, their lcm), and inv0, over den, is one
+    `A.invert_vectors` of their constant rows. inv0 is constant, so q_ij has
+    the words of the x+_sj, each vector one `A.dot` over the s of
+    sum_s (-inv0)_is * x+_sj: one comprehension over x_sj's rows when one s
+    contributes, as for every series. For g = den * dx * L, a row of length
+    k is scaled by g^(k-1), folded into the (-inv0)_is, so that it stands
+    over g^k / L, and the degrees of y are one `_solve` pass."""
+    A, n, top = R.coeff, math.isqrt(len(x)), R.order
+    rows = dict(enumerate(x))
+    dx, factors, L = _left_rows(A, rows, top)
+    inv0, den = A.invert_vectors([r[0][1] if r and not r[0][0][0] else R._zero_vec
+                                  for r in rows.values()], dx, n)
+    g, scale, dot, nonzero = den * dx * L, A.scale_vector, A.dot, A.nonzero
+    neg = {k: [scale(v, -g ** (k - 1)) for v in inv0] for k in range(1, top + 1)}
+    q = []
+    for i in range(0, n * n, n):
+        ss = [s for s in range(n) if nonzero(inv0[i + s])]
+        for j in range(n):
+            if len(ss) == 1:
+                s = ss[0]
+                q.append([(info, dot([neg[info[0]][i + s]], [a]))
+                          for info, a in rows[s * n + j] if info[0]])
+                continue
+            gathered = {}  # code -> (info, the (-inv0)_is g^(k-1), the x+_sj vectors)
+            for s in ss:
+                for info, a in rows[s * n + j]:
+                    if info[0]:
+                        _, cs, xs = gathered.setdefault(info[2], (info, [], []))
+                        cs.append(neg[info[0]][i + s])
+                        xs.append(a)
+            q.append([(info, v) for info, cs, xs in gathered.values()
+                      if nonzero(v := dot(cs, xs))])
+    return _solve(R, q, inv0, den, g, factors, L)
 
 
-def _solve(R: SeriesRing, q: list, y0: list, den: int) -> list:
-    """The entries of y = y0/den + q*y, row-major n x n, for entries q of
-    augmentation 0 and constant y0/den: y_0 = y0/den and
-    y_d = sum_{k=1..d} q_k * y_{d-k} for d = 1..N, in one pass.
+def _solve(R: SeriesRing, q: list, y0: list, den: int, g: int, factors: dict, L: int) -> list:
+    """The entries of y, row-major n x n, with y = y0/den + q*y: y_0 =
+    y0/den and y_d = sum_{k=1..d} q_k * y_{d-k} for d = 1..N, in one pass.
 
-    q's rows are read once, as a product's left operands are (`_left_rows`):
-    over dq, the lcm of q's denominators, with the factors F_K of their keys
-    and L, the lcm of the F_K. Each y_d is kept with one reduced denominator
-    den_d, and each of its entries is one right operand of `_convolve`,
-    whose rows are moved and scaled to den_d * L under each key once, for
-    every later degree. At degree d the rows of q of length k meet only
-    y_{d-k}, so each is scaled once, by D / den_{d-k} for D the lcm of those
-    den_{d-k}, and y_d is one `_convolve` per entry over dq * D * L. The
-    degrees are merged once at the end."""
-    A, top, n = R.coeff, R.order, math.isqrt(len(q))
-    scale, info = A.scale_vector, R._word_info
-    left = dict(enumerate(q))  # per entry of q: length -> its rows of that length, over dq
-    dq, factors, L = _left_rows(A, left, top)
-    for i, rows in left.items():
-        by_len = left[i] = {}
+    q holds per entry the kernel rows of augmentation 0, of a left operand
+    whose keys' factors are `factors` (their lcm L), with a row of length k
+    over g^k / L. So each y_d stands over den * g^d: a row of length k
+    meets only y_{d-k}, whose rows are moved under each key and scaled to
+    L / F_K once for every later degree, and y_d is one `_convolve` per
+    entry, with nothing rescaled or reduced. The degrees are merged once,
+    over den * g^N, and reduced by the TwistedSeries constructor."""
+    A, top, n, info = R.coeff, R.order, math.isqrt(len(q)), R._word_info
+    left = []  # per entry of q: length -> its rows of that length
+    for rows in q:
+        by_len = {}
         for row in rows:
             by_len.setdefault(row[0][0], []).append(row)
-    lengths = {k for by_len in left.values() for k in by_len}
-    entries, den = _reduced_all(A, y0, den)
-    ys, dens, right = [entries], [den], []  # y_d's entries, den_d, and right operands
+        left.append(by_len)
+    ys, right = [[{(): v} if A.nonzero(v) else {} for v in y0]], []
     for d in range(1, top + 1):
         right.append([({}, [(info(w), v) for w, v in e.items()], 1, {}) for e in ys[-1]])
-        D = math.lcm(*[dens[d - k] for k in lengths if k <= d])
-        scaled = [{k: rows if D == dens[d - k] else
-                   [(i, scale(a, D // dens[d - k])) for i, a in rows]
-                   for k, rows in by_len.items() if k <= d} for by_len in left.values()]
-        entries, den = _reduced_all(A, [
-            _convolve(R, [(rows, right[d - k][t * n + j])
-                          for t in range(n) for k, rows in scaled[i + t].items()], d, factors, L)
-            for i in range(0, n * n, n) for j in range(n)], dq * D * L)
-        ys.append(entries)
-        dens.append(den)
-    result = []
-    for idx in range(n * n):
-        parts = [(entries[idx], den) for entries, den in zip(ys, dens) if entries[idx]]
-        total, vecs = math.lcm(*[den for _, den in parts]), {}
-        for e, den in parts:
-            vecs.update(e if den == total else {w: scale(v, total // den) for w, v in e.items()})
-        result.append(TwistedSeries(R, vecs, total))
-    return result
-
-
-def _reduced_all(A, entries: list, den: int) -> tuple:
-    """(entries, den) for word -> vector maps over one den, divided by the gcd
-    of den and every entry of their vectors."""
-    g = math.gcd(den, *[A.content(v) for vecs in entries for v in vecs.values()])
-    if g != 1:
-        entries = [{w: A.divide_vector(v, g) for w, v in vecs.items()} for vecs in entries]
-    return entries, den // g
+        ys.append([_convolve(R, [(rows, right[d - k][t * n + j]) for t in range(n)
+                                 for k, rows in left[i + t].items() if k <= d], d, factors, L)
+                   for i in range(0, n * n, n) for j in range(n)])
+    scale, merged = A.scale_vector, [{} for _ in y0]
+    for d, entries in enumerate(ys):
+        times = g ** (top - d)
+        for vecs, e in zip(merged, entries):
+            vecs.update(e if times == 1 else {w: scale(v, times) for w, v in e.items()})
+    return [TwistedSeries(R, vecs, den * g ** top) for vecs in merged]
 
 
 def _power_sum(theta: TwistedSeries, coeff) -> TwistedSeries:

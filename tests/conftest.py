@@ -38,7 +38,8 @@ def kernel_calls(monkeypatch):
     """A list that gets ("product", sums) for each call of the product kernel
     `series.sums_of_products` (through series.py's name for it and through
     the one matrices.py imports), ("solve", q) for each solve pass of an
-    inverse, `series._solve`, with its n*n entries q, and ("power", theta)
+    inverse, `series._solve`, with the kernel rows of its n*n entries q
+    (one list per entry), and ("power", theta)
     for each power-sum pass of a log or exp, `series._power_sum`."""
     calls = []
     kernel, solve, power = (series_module.sums_of_products, series_module._solve,

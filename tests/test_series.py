@@ -406,6 +406,61 @@ def test_solve_pass_matches_per_pair_reference(qq):
         assert all(e == m.ring.from_terms(e.terms) for row in inv.rows for e in row)
 
 
+def _coeff_over(A, rng, d):
+    """A random element, divided by d over a ring containing Q."""
+    a = A.random_element(rng)
+    return A.scalar_mul(F(1, d), a) if A.contains_rationals else a
+
+
+def _permuted_matrix(R, rng, perm, unit, words, dens):
+    """The n x n matrix with the constant `unit` at (i, perm[i]) and none
+    elsewhere, every entry with terms at `words` over the denominator
+    dens[k] for the k-th entry, so the entries' denominators differ."""
+    A, n = R.coeff, len(perm)
+    return SeriesMatrix(R, [[R.from_terms([((), unit if perm[i] == j else A.zero)]
+                                          + [(w, _coeff_over(A, rng, dens[(i * n + j) % len(dens)]))
+                                             for w in words])
+                             for j in range(n)] for i in range(n)])
+
+
+def test_inverse_over_one_geometric_denominator_matches_reference(qq):
+    # an inverse solved over den * g^d at degree d: g = den * dx * L is not 1
+    # (dx an lcm of differing denominators, L = 6 from the keys of p and
+    # p^-1), or is 1 (Z/12); under a permutation constant an entry's first
+    # kernel row is not the empty word
+    rng = random.Random(31)
+    z12, p = IntegersMod(12), m2_nonintegral()
+    q40, z12_2 = one_letter(qq, 40), two_letter(z12, 5)
+    pp = two_letter(p, 6, twist={"x": "p", "y": "p^-1"})
+    assert p.automorphism("p").factor == p.automorphism("p^-1").factor == 6
+    units = [
+        q40.from_terms([((), F(17, 19))] + [("x" * d, F(rng.randint(-5, 5), rng.randint(1, 13)))
+                                            for d in range(1, 41)]),
+        z12_2.from_terms([((), 7), ("x", 6), ("y", 4), ("xy", 3), ("yxy", 9)]),
+        pp.from_terms([((), p.parse_element_literal("1,2;0,3"))]
+                      + [(w, _coeff_over(p, rng, d))
+                         for w, d in (("x", 5), ("y", 3), ("xy", 7), ("yy", 2), ("xyx", 1))]),
+    ]
+    for u in units:
+        inv, R = u.inverse(), u.ring
+        assert ref_mul(u, inv) == R.one() == ref_mul(inv, u), R
+        assert inv == R.from_terms(inv.terms), R
+    matrices = [
+        _permuted_matrix(two_letter(qq, 4), rng, (1, 2, 0), F(3, 2), ["x", "yx"], (1, 2, 3, 5, 7)),
+        _permuted_matrix(pp, rng, (1, 0), p.parse_element_literal("2,1;1,1"), ["x", "yy"],
+                         (1, 5, 3)),
+        _permuted_matrix(one_letter(z12, 6), rng, (1, 0), 5, ["x", "xx"], (1,)),
+        _permuted_matrix(two_letter(z12, 3), rng, (2, 0, 1), 11, ["y", "xy"], (1,)),
+    ]
+    for m in matrices:
+        R, entries = m.ring, [e for row in m.rows for e in row]
+        assert any(e.vecs and () not in e.vecs for e in entries)
+        assert len({e.den for e in entries}) > 1 or not R.coeff.contains_rationals
+        inv, ident = mat_invert(m), SeriesMatrix.identity(R, m.nrows)
+        assert ref_mat_mul(m, inv) == ident == ref_mat_mul(inv, m), R
+        assert all(e == R.from_terms(e.terms) for row in inv.rows for e in row), R
+
+
 def test_kernel_sums_that_cancel_leave_no_zero_terms(qq, m2):
     R = SeriesRing(qq, alphabet=("x", "y"), order=3)
     s = R.from_terms([((), 1), ("x", F(1, 2)), ("xy", F(-2, 3))])
@@ -453,19 +508,30 @@ def test_kernel_makes_no_per_pair_ring_calls(monkeypatch, qq, m2, m2_two_twists)
 
 
 @pytest.mark.parametrize("order", [0, 1, 4, 7])
-def test_inverse_makes_one_product_call_and_one_solve_pass(kernel_calls, m2, order):
-    # the products -inv0 * x+ are one kernel call and the degrees of the
-    # inverse one solve pass, for series and for series matrices alike
-    rng = random.Random(order)
+def test_inverse_makes_one_solve_pass_and_no_product_call(monkeypatch, kernel_calls, m2, order):
+    # x's own entries are set up as kernel rows once, the rows of
+    # q = -inv0 * x+ are read off them with no product kernel call, and the
+    # degrees of the inverse are one solve pass, for series and for series
+    # matrices alike
+    rng, setups = random.Random(order), []
     R = SeriesRing(m2, alphabet=("x", "y"), twist={"x": "swap"}, order=order)
     u, m = random_unit(R, rng, terms=6), random_invertible_matrix(R, rng, 3)
-    for invert, x, n in ((TwistedSeries.inverse, u, 1), (mat_invert, m, 3)):
-        del kernel_calls[:]
+    left_rows = series_module._left_rows
+
+    def counted_rows(A, left, top):
+        setups.append(list(left.values()))
+        return left_rows(A, left, top)
+    monkeypatch.setattr(series_module, "_left_rows", counted_rows)
+    for invert, x, entries in ((TwistedSeries.inverse, u, [u]),
+                               (mat_invert, m, [e for row in m.rows for e in row])):
+        del kernel_calls[:], setups[:]
         invert(x)
-        assert [tag for tag, _ in kernel_calls] == ["product", "solve"]
-        (_, sums), (_, q) = kernel_calls
-        assert [len(pairs) for pairs in sums] == [n] * (n * n)
-        assert len(q) == n * n
+        assert [tag for tag, _ in kernel_calls] == ["solve"]
+        (_, q), = kernel_calls
+        assert len(q) == len(entries)
+        assert all(info[0] for rows in q for info, _ in rows)  # q has augmentation 0
+        assert len(setups) == 1 and len(setups[0]) == len(entries)
+        assert all(s is e for s, e in zip(setups[0], entries))
 
 
 def test_inverse_eliminates_once_over_m2(m2, eliminations):
@@ -493,9 +559,9 @@ def test_ldu_inverts_pivot_by_one_solve_pass_and_l_u_in_one_call(kernel_calls, q
     R = SeriesRing(qq, alphabet=("x", "y"), order=3)
     m = random_unipotent_matrix(R, random.Random(n), n)
     ldu_decompose(m)
-    # the inverse of the pivot (one product, one solve pass), then l and u, then d2
-    assert [tag for tag, _ in kernel_calls] == ["product", "solve", "product", "product"]
-    assert len(kernel_calls[2][1]) == 2 * (n - 1)
+    # the inverse of the pivot (one solve pass), then l and u, then d2
+    assert [tag for tag, _ in kernel_calls] == ["solve", "product", "product"]
+    assert len(kernel_calls[1][1]) == 2 * (n - 1)
 
 
 def ref_schur(m):
@@ -508,19 +574,19 @@ def ref_schur(m):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_det_steps_compute_no_l(kernel_calls, m2, n):
-    # each step of D: the pivot's inverse (one product, one solve pass), -u =
-    # -a11^-1 a12 in one call, and d2 = a22 - a21 u in one call with a22
-    # folded in as (a22_ij, 1) pairs; then the products a11 * D(d2). No call
-    # carries the sums of l = a21 a11^-1.
+    # each step of D: the pivot's inverse (one solve pass), -u = -a11^-1 a12
+    # in one call, and d2 = a22 - a21 u in one call with a22 folded in as
+    # (a22_ij, 1) pairs; then the products a11 * D(d2). No call carries the
+    # sums of l = a21 a11^-1.
     R = two_letter(m2, 3, twist={"x": "swap"})
     m = random_unipotent_matrix(R, random.Random(n), n, terms=3)
     det = dieudonne_det(m)
     calls = list(kernel_calls)
-    assert [tag for tag, _ in calls] == (["product", "solve", "product", "product"] * (n - 1)
+    assert [tag for tag, _ in calls] == (["solve", "product", "product"] * (n - 1)
                                          + ["product"] * (n - 1))
     one, step, pivots = R.one(), m, []
     for i in range(n - 1):
-        (_, u_sums), (_, d2_sums) = calls[4 * i + 2:4 * i + 4]
+        (_, u_sums), (_, d2_sums) = calls[3 * i + 1:3 * i + 3]
         a11, inv = step.rows[0][0], step.rows[0][0].inverse()
         assert u_sums == [[(-inv, a)] for a in step.rows[0][1:]]
         neg_u = [ref_mul(inv, a).scale(-1) for a in step.rows[0][1:]]
@@ -575,7 +641,7 @@ def test_free_algebra_matrix_inverse_eliminates_once(eliminations):
 
 def test_free_algebra_inverses_skip_the_matrix_layer(monkeypatch, kernel_calls):
     # a unit and a 2x2 matrix over Q<y,z>/deg>2 each go straight to
-    # inverse_entries over Q<<y,z>>: one product kernel call and one solve pass
+    # inverse_entries over Q<<y,z>>: one solve pass and no product kernel call
     def refuse(m):
         raise AssertionError("matrices.mat_invert reached")
     monkeypatch.setattr(matrices_module, "mat_invert", refuse)
@@ -583,12 +649,12 @@ def test_free_algebra_inverses_skip_the_matrix_layer(monkeypatch, kernel_calls):
     f = A.parse_element_literal
     u = f("2+y-3*zy")
     inv_u = A.invert(u)
-    assert [kind for kind, _ in kernel_calls] == ["product", "solve"]
+    assert [kind for kind, _ in kernel_calls] == ["solve"]
     assert A.mul(u, inv_u) == A.one == A.mul(inv_u, u)
     kernel_calls.clear()
     rows = ((f("1+y"), f("z")), (f("2*yz"), f("3-z")))
     inv = A.mat_invert(rows)
-    assert [kind for kind, _ in kernel_calls] == ["product", "solve"]
+    assert [kind for kind, _ in kernel_calls] == ["solve"]
     assert A.emat_mul(rows, inv) == A.emat_identity(2) == A.emat_mul(inv, rows)
 
 
