@@ -16,20 +16,21 @@ and documents. Every product goes through one pair loop, `_convolve`: the
 pairs' vectors are gathered per output word (named by an integer code, so no
 word tuple is built or hashed per pair), summed by one integer `dot` and
 reduced once per output series. Each series keeps its kernel rows (words
-with codes and twist keys, shortest first), so a left word's inner loop ends
-at the first right word that would overshoot the order. A word's move
-depends only on its twist key, the inverse twists of its twisted letters
-(RingAutomorphism objects; letters twisted alike share one): untwisted words
-move nothing, and within one call a right operand's rows are moved past a
-key when a left word with that key first meets them, each (key, right word)
-once, through the twists' view actions, reusing the move of the key's
-suffix, and only as far as the order less the key's length. A series
-product, a whole series-matrix product, the entries of l and u in an LDU
-split and its Schur complement are one kernel call, `sums_of_products`.
-Log and exp are one power-sum pass, `_power_sum`: theta's rows are set up
-once, as a product's left operands are, and each step of Horner's rule is
-one `_convolve` on a raw (vecs, den) map, with no series built between
-steps.
+with codes and twist keys, shortest first). Consecutive left rows of one
+length and twist key form a run, and a run's inner loop ends at the first
+right word that would overshoot the order. A word's move depends only on
+its twist key, the inverse twists of its twisted letters (RingAutomorphism
+objects; letters twisted alike share one): untwisted words move nothing.
+Left vectors carry the scale a move needs (`_left_rows`), so a right row
+moved past a key depends on nothing else, and a right operand keeps its
+moved rows for the whole operation: each (key, right word) is moved once,
+through the twists' view actions, reusing the move of the key's suffix,
+when a left word with that key first reaches it. A series product, a whole
+series-matrix product, the entries of l and u in an LDU split and its Schur
+complement are one kernel call, `sums_of_products`. Log and exp are one
+power-sum pass, `_power_sum`: each step of Horner's rule, h = h*theta + c_k,
+is one `_convolve` with theta the right operand of every step, so theta's
+rows are moved past each key once for the pass.
 
 The augmentation eps reads off the empty-word coefficient; it is a ring map
 onto A with section lift(). A series is invertible exactly when eps of it is
@@ -39,6 +40,9 @@ degree by degree from inv0 = eps^{-1}: all its degrees are one solve pass,
 `_solve`, shared with series matrices (`inverse_entries`). It makes no
 kernel call: the rows of q = -inv0 * x+ are x's own kernel rows, each
 vector times a constant, and degree d stands over den * g^d for one g.
+Each degree of each entry is one `_convolve` that reads exactly that
+degree, of n pairs, one per right operand, an entry of y that grows by a
+degree at a time.
 """
 
 from __future__ import annotations
@@ -84,6 +88,8 @@ class SeriesRing:
         # so letters twisted alike share it
         self._inverse_by_letter = {i: coeff.automorphism(n).inverse
                                    for i, n in enumerate(names) if n != "id"}
+        # whether a move can raise a denominator (`_left_rows`)
+        self._scaled_moves = any(a.factor != 1 for a in self._inverse_by_letter.values())
         self.coeff = coeff
         self.alphabet = alphabet
         self.twist_names = names
@@ -367,26 +373,25 @@ def sums_of_products(R: SeriesRing, sums: list, top=None) -> list:
     of R: one convolution in the coefficient ring's integer view, truncated
     at degree `top` (at most, and by default, R.order).
 
-    Left vectors are brought over dl, the lcm of the left denominators
-    (`_left_rows`), and right ones over dr. A move through twist key K (the
-    inverse twists of a left word's twisted letters) stands over F_K, the
-    product of its twists' factors, times the denominator, so right vectors
-    are scaled to dr * L, L the lcm of F_K over the keys of the left words
-    within `top`, and each output word is one `A.dot` over dl * dr * L
-    (`_convolve`)."""
+    Left vectors are brought over dl, the lcm of the left denominators, and
+    each is scaled by L / F_K, for F_K the product of the twists' factors of
+    its word's key K and L the lcm of the F_K over the left words within
+    `top` (`_left_rows`). Right vectors are brought over dr, and a move
+    through K adds F_K to their denominator, so each output word is one
+    `A.dot` over dl * dr * L (`_convolve`)."""
     A, top = R.coeff, R.order if top is None else top
     left, right = {}, {}  # by id: the operand, then its rows (left) or right operand
     for pairs in sums:
         for s, t in pairs:
             left[id(s)] = s
             right[id(t)] = t
-    dl, factors, scale = _left_rows(A, left, top)
+    dl, L = _left_rows(R, left, top)
     dr = math.lcm(*map(_den, right.values()))
     for i, t in right.items():
-        right[i] = ({}, t._kernel_rows(), dr // t.den, {})
-    den, results = dl * dr * scale, []
+        right[i] = ({}, t._kernel_rows(), None, dr // t.den, {})
+    den, results = dl * dr * L, []
     for pairs in sums:
-        out = _convolve(R, [(left[id(s)], right[id(t)]) for s, t in pairs], top, factors, scale)
+        out = _convolve(R, [(left[id(s)], right[id(t)]) for s, t in pairs], 0, top)
         results.append(TwistedSeries(R, out, den))
     return results
 
@@ -399,17 +404,19 @@ def _row_length(row) -> int:
     return row[0][0]
 
 
-def _left_rows(A, left: dict, top: int) -> tuple:
-    """Replace each left operand of a kernel call, a power sum or an inverse,
-    the values of `left`, by its kernel rows over den, the lcm of their
-    denominators, and return (den, factors, L): key -> F_K, the product of
-    K's twists' factors, over the keys of the rows within `top`, and L, the
-    lcm of the F_K."""
-    scale_vector, den = A.scale_vector, math.lcm(*map(_den, left.values()))
-    factors = {}
-    for i, s in left.items():
-        rows = s._kernel_rows()
-        for (lv, _, _, _, key), _ in rows:
+def _left_rows(R: SeriesRing, left: dict, top: int) -> tuple:
+    """Replace each left operand of a kernel call, a power-sum step or an
+    inverse, the values of `left`, by its kernel rows within `top`, each
+    vector over den, the lcm of their denominators, and scaled by L / F_K,
+    for F_K the product of the twists' factors of the row's key K and L the
+    lcm of the F_K; return (den, L). A right row moved past K then stands
+    over F_K times its own denominator, so every pair of a sum stands over
+    den * L times the right denominator, whatever the key. Where every twist
+    has factor 1, so has every key, and the keys are not read."""
+    scale_vector, den = R.coeff.scale_vector, math.lcm(*map(_den, left.values()))
+    factors = {}  # key -> F_K; a key it leaves out has F_K = 1
+    for s in left.values() if R._scaled_moves else ():
+        for (lv, _, _, _, key), _ in s._kernel_rows():
             if lv > top:
                 break
             if key not in factors:
@@ -417,37 +424,61 @@ def _left_rows(A, left: dict, top: int) -> tuple:
                 for auto in key:
                     f *= auto.factor
                 factors[key] = f
-        left[i] = rows if s.den == den else [
-            (info, scale_vector(a, den // s.den)) for info, a in rows]
-    return den, factors, math.lcm(*factors.values())
-
-
-def _convolve(R: SeriesRing, pairs: list, room: int, factors: dict, scale: int) -> dict:
-    """word -> nonzero vector of the sum, over (left rows, right operand)
-    pairs, of each left row (length lv, key K) times each right row of length
-    at most room - lv: the kernel's one pair loop.
-
-    A right operand is (its rows by key, its kernel rows, times, its memo).
-    The first time a left row with key K meets it, its rows are moved
-    leftward past K by the view actions (`act`) of K's twists (the memo
-    keeps the move through each suffix of a key, for all keys), scaled by
-    times * scale / factors[K], and cut at room - |K|. The pairs' vectors are
-    gathered per output word, named by its code (so no word tuple is built
-    or hashed per pair), and summed by one `A.dot`. Rows are shortest first,
-    so a left row's inner loop stops at the first right row that
-    overshoots."""
-    A, gathered = R.coeff, {}
-    for rows, (by_key, right_rows, times, memo) in pairs:
-        for (lv, v, cv, _, key), a in rows:
-            rest = room - lv
-            if rest < 0:
+    L = math.lcm(*factors.values())
+    uniform = min(factors.values(), default=1) == L
+    for i, s in left.items():
+        rows, times = s._kernel_rows(), den // s.den
+        if times == 1 and uniform:
+            left[i] = rows
+            continue
+        scaled = left[i] = []
+        for info, a in rows:
+            if info[0] > top:
                 break
-            moved = by_key.get(key)
-            if moved is None:
-                k_times = times * (scale // factors[key])
-                moved = by_key[key] = (right_rows if k_times == 1 and not key else _moved_rows(
-                    A, right_rows, key, k_times, room - len(key), memo))
-            for (lw, w, cw, sw, _), b in moved:
+            t = times * (L // factors.get(info[4], 1))
+            scaled.append((info, a if t == 1 else scale_vector(a, t)))
+    return den, L
+
+
+def _convolve(R: SeriesRing, pairs: list, lo: int, room: int) -> dict:
+    """word -> nonzero vector of the sum, over (left rows, right operand)
+    pairs, of each left row (length lv, key K) times each right row of
+    length lo - lv .. room - lv: the kernel's one pair loop. Left rows are
+    shortest first and their vectors already scaled (`_left_rows`).
+
+    A right operand is (its moved rows by key, its kernel rows, starts,
+    times, its memo of moves). Its rows moved leftward past K by the view
+    actions (`act`) of K's twists and scaled by times are kept for as long
+    as the operand lives, one list per key, extended as far as a left row
+    first reads: each (key, right row) is moved once (the memo also keeps
+    the move through each suffix of a key, for all keys). Consecutive left
+    rows of one length and key form a run, which looks its moved rows up
+    once; rows are shortest first, so a run's inner loop ends at the first
+    right row that overshoots room - lv. A run shorter than lo starts at
+    the offset of length lo - lv: starts[m] counts the right rows of length
+    below m, up to m = room + 1 - lv (an operand read only from degree 0
+    needs none). The pairs' vectors are gathered per output word, named by
+    its code (so no word tuple is built or hashed per pair), and summed by
+    one `A.dot`."""
+    A, gathered = R.coeff, {}
+    for rows, (by_key, right_rows, starts, times, memo) in pairs:
+        run_lv = run_key = None
+        for (lv, v, cv, _, key), a in rows:
+            if lv != run_lv or key != run_key:
+                rest = room - lv
+                if rest < 0:
+                    break
+                if key != run_key:  # a longer run of the same key reads less
+                    moved = by_key.get(key)
+                    if moved is None:
+                        moved = by_key[key] = right_rows if times == 1 and not key else []
+                    done = len(moved)
+                    if done < len(right_rows) and right_rows[done][0][0] <= rest:
+                        moved += _moved_rows(A, right_rows[done:], key, times, rest, memo)
+                    run_key = key
+                run_lv = lv
+                run = moved if lo <= lv else moved[starts[lo - lv]:starts[rest + 1]]
+            for (lw, w, cw, sw, _), b in run:
                 if lw > rest:
                     break
                 code = cv * sw + cw
@@ -501,21 +532,22 @@ def inverse_entries(R: SeriesRing, x: list) -> list:
 
     y = x^-1 solves y = inv0 + q*y for inv0 = eps(x)^-1 and q = -inv0 * x+,
     x+ = x - eps(x), so that x*y = 1; in a ring local over the augmentation
-    this right inverse is two-sided. x's kernel rows are read once, over dx,
-    the lcm of x's denominators (`_left_rows`, which also gives the factors
-    F_K of their keys and L, their lcm), and inv0, over den, is one
-    `A.invert_vectors` of their constant rows. inv0 is constant, so q_ij has
-    the words of the x+_sj, each vector one `A.dot` over the s of
+    this right inverse is two-sided. inv0, over den, is one
+    `A.invert_vectors` of x's constant terms over dx, the lcm of x's
+    denominators. x's kernel rows are read once, over dx and scaled by
+    L / F_K (`_left_rows`, which also gives L). inv0 is constant, so q_ij
+    has the words of the x+_sj, each vector one `A.dot` over the s of
     sum_s (-inv0)_is * x+_sj: one comprehension over x_sj's rows when one s
     contributes, as for every series. For g = den * dx * L, a row of length
     k is scaled by g^(k-1), folded into the (-inv0)_is, so that it stands
-    over g^k / L, and the degrees of y are one `_solve` pass."""
+    over g^k / F_K, and the degrees of y are one `_solve` pass."""
     A, n, top = R.coeff, math.isqrt(len(x)), R.order
+    scale, dot, nonzero = A.scale_vector, A.dot, A.nonzero
     rows = dict(enumerate(x))
-    dx, factors, L = _left_rows(A, rows, top)
-    inv0, den = A.invert_vectors([r[0][1] if r and not r[0][0][0] else R._zero_vec
-                                  for r in rows.values()], dx, n)
-    g, scale, dot, nonzero = den * dx * L, A.scale_vector, A.dot, A.nonzero
+    dx, L = _left_rows(R, rows, top)
+    inv0, den = A.invert_vectors([scale(e.vecs[()], dx // e.den) if () in e.vecs
+                                  else R._zero_vec for e in x], dx, n)
+    g = den * dx * L
     neg = {k: [scale(v, -g ** (k - 1)) for v in inv0] for k in range(1, top + 1)}
     q = []
     for i in range(0, n * n, n):
@@ -533,35 +565,34 @@ def inverse_entries(R: SeriesRing, x: list) -> list:
                         _, cs, xs = gathered.setdefault(info[2], (info, [], []))
                         cs.append(neg[info[0]][i + s])
                         xs.append(a)
-            q.append([(info, v) for info, cs, xs in gathered.values()
-                      if nonzero(v := dot(cs, xs))])
-    return _solve(R, q, inv0, den, g, factors, L)
+            q.append(sorted([(info, v) for info, cs, xs in gathered.values()
+                             if nonzero(v := dot(cs, xs))], key=_row_length))
+    return _solve(R, q, inv0, den, g)
 
 
-def _solve(R: SeriesRing, q: list, y0: list, den: int, g: int, factors: dict, L: int) -> list:
+def _solve(R: SeriesRing, q: list, y0: list, den: int, g: int) -> list:
     """The entries of y, row-major n x n, with y = y0/den + q*y: y_0 =
     y0/den and y_d = sum_{k=1..d} q_k * y_{d-k} for d = 1..N, in one pass.
 
-    q holds per entry the kernel rows of augmentation 0, of a left operand
-    whose keys' factors are `factors` (their lcm L), with a row of length k
-    over g^k / L. So each y_d stands over den * g^d: a row of length k
-    meets only y_{d-k}, whose rows are moved under each key and scaled to
-    L / F_K once for every later degree, and y_d is one `_convolve` per
-    entry, with nothing rescaled or reduced. The degrees are merged once,
-    over den * g^N, and reduced by the TwistedSeries constructor."""
+    q holds per entry the kernel rows, shortest first, of augmentation 0 of
+    a left operand with a row of length k and key K over g^k / F_K. So each
+    y_d stands over den * g^d: a row of length k meets only y_{d-k}, moved
+    past K, and y_d_ij is one `_convolve` of the n pairs (q_it, y_tj) that
+    reads exactly degree d. Each y_tj is one right operand for the whole
+    pass, to which each degree's rows are appended as it is solved, so its
+    rows are moved past each key once. Nothing is rescaled or reduced
+    between degrees; they are merged once, over den * g^N, and reduced by
+    the TwistedSeries constructor."""
     A, top, n, info = R.coeff, R.order, math.isqrt(len(q)), R._word_info
-    left = []  # per entry of q: length -> its rows of that length
-    for rows in q:
-        by_len = {}
-        for row in rows:
-            by_len.setdefault(row[0][0], []).append(row)
-        left.append(by_len)
-    ys, right = [[{(): v} if A.nonzero(v) else {} for v in y0]], []
+    ys = [[{(): v} if A.nonzero(v) else {} for v in y0]]
+    right = [({}, [], [0], 1, {}) for _ in y0]  # y's entries, grown a degree at a time
+    pairs = [[(q[i + t], right[t * n + j]) for t in range(n)]
+             for i in range(0, n * n, n) for j in range(n)]
     for d in range(1, top + 1):
-        right.append([({}, [(info(w), v) for w, v in e.items()], 1, {}) for e in ys[-1]])
-        ys.append([_convolve(R, [(rows, right[d - k][t * n + j]) for t in range(n)
-                                 for k, rows in left[i + t].items() if k <= d], d, factors, L)
-                   for i in range(0, n * n, n) for j in range(n)])
+        for (_, rows, starts, _, _), e in zip(right, ys[-1]):
+            rows += [(info(w), v) for w, v in e.items()]
+            starts.append(len(rows))
+        ys.append([_convolve(R, entry, d, d) for entry in pairs])
     scale, merged = A.scale_vector, [{} for _ in y0]
     for d, entries in enumerate(ys):
         times = g ** (top - d)
@@ -572,20 +603,21 @@ def _solve(R: SeriesRing, q: list, y0: list, den: int, g: int, factors: dict, L:
 
 def _power_sum(theta: TwistedSeries, coeff) -> TwistedSeries:
     """sum_{k=1..N} coeff(k) * theta^k for theta of augmentation 0, by Horner's
-    rule inside the kernel: from h = 0, h = theta*h + coeff(k) for k = N down
-    to 1, then theta*h. theta's rows are set up once (`_left_rows`); h stays
-    a raw (vecs, den) map, coeff(k) goes into its constant vector, and each
-    step is one `_convolve` cut at degree N - k, since only the degrees up to
-    N - k of the h at k reach the order."""
+    rule inside the kernel: from h = 0, h = h*theta + coeff(k) for k = N down
+    to 1, then h*theta. h is a polynomial in theta with rational
+    coefficients, so it commutes with theta, and theta is the one right
+    operand of every step: its rows are moved past each key of h once for
+    the whole pass. Each step is one `_convolve` cut at degree N - k, since
+    only the degrees up to N - k of the h at k reach the order, with h's
+    rows set up as left rows (`_left_rows`) and coeff(k) put into its
+    constant vector."""
     R, n = theta.ring, theta.ring.order
-    A, info = R.coeff, R._word_info
-    left = {0: theta}
-    dt, factors, scale = _left_rows(A, left, n)
-    vecs, den = {}, 1
+    A, right, h = R.coeff, ({}, theta._kernel_rows(), None, 1, {}), R.zero()
     for k in range(n, -1, -1):
-        rows = sorted([(info(w), v) for w, v in vecs.items()], key=_row_length)
-        vecs = _convolve(R, [(left[0], ({}, rows, 1, {}))], n - k, factors, scale)
-        den *= dt * scale
+        left = {0: h}
+        dh, L = _left_rows(R, left, n - k)
+        vecs = _convolve(R, [(left[0], right)], 0, n - k)
+        den = dh * theta.den * L
         if not k:
             return TwistedSeries(R, vecs, den)
         c = coeff(k)
@@ -593,7 +625,7 @@ def _power_sum(theta: TwistedSeries, coeff) -> TwistedSeries:
         if total != den:
             vecs = {w: A.scale_vector(v, total // den) for w, v in vecs.items()}
         vecs[()] = A.scale_vector(R._one_vec, c.numerator * (total // c.denominator))
-        vecs, den = _reduced(A, vecs, total)
+        h = TwistedSeries(R, vecs, total)
 
 
 def formal_log(u: TwistedSeries) -> TwistedSeries:

@@ -39,8 +39,10 @@ def kernel_calls(monkeypatch):
     `series.sums_of_products` (through series.py's name for it and through
     the one matrices.py imports), ("solve", q) for each solve pass of an
     inverse, `series._solve`, with the kernel rows of its n*n entries q
-    (one list per entry), and ("power", theta)
-    for each power-sum pass of a log or exp, `series._power_sum`."""
+    (one list per entry, shortest first, each vector scaled as a left row),
+    and ("power", theta) for each power-sum pass of a log or exp,
+    `series._power_sum`, whose every Horner step has theta as its right
+    operand."""
     calls = []
     kernel, solve, power = (series_module.sums_of_products, series_module._solve,
                             series_module._power_sum)

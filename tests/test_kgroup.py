@@ -287,6 +287,42 @@ def test_cyc_log_bucket_sums_over_moved_denominators():
     assert ("tr", "xxy") in cyc_log(u).entries
 
 
+def euler_oracle(u) -> dict:
+    """The buckets of cyc_log(u) on an untwisted ring, without a log: E is
+    the Euler derivation (w -> |w| w) and tr is cyclic, so the degree-n part
+    of tr(E(log u)) = n tr((log u)_n) is that of tr(u^-1 E(u)). u^-1 E(u) is
+    multiplied out pair by pair over values, and each bucket is 1/n of its
+    cyclic projection."""
+    R, A = u.ring, u.ring.coeff
+    inv = u.inverse()
+    product = {}
+    for v, a in inv.terms.items():
+        for w, b in u.terms.items():
+            if w and len(v) + len(w) <= R.order:
+                word = v + w
+                term = A.mul(a, A.scalar_mul(len(w), b))
+                product[word] = A.add(product.get(word, A.zero), term)
+    buckets = {}
+    for word, c in product.items():
+        r = least_rotation(word)
+        for label, t in A.trace(c).items():
+            key = (label, R.word_to_str(word[r:] + word[:r]))
+            buckets[key] = buckets.get(key, 0) + t / len(word)
+    return {k: v for k, v in buckets.items() if v}
+
+
+@pytest.mark.parametrize("coeff", [RationalField(), m2_swap(), qc4_inv()],
+                         ids=lambda A: A.name)
+def test_cyc_log_matches_euler_derivation_oracle(coeff):
+    R, rng, degrees = two_letter(coeff, 5), random.Random(47), set()
+    for _ in range(20):
+        u = random_fiber_one(R, rng, terms=6)
+        want = euler_oracle(u)
+        assert cyc_log(u).entries == want, u
+        degrees |= {len(necklace) for _, necklace in want}
+    assert degrees == {1, 2, 3, 4, 5}
+
+
 def test_trace_needs_rational_coefficients():
     z6 = IntegersMod(6)
     with pytest.raises(NeedsTrace, match=r"^ring Z/6 has no trace$"):

@@ -329,20 +329,21 @@ def test_inverse_log_exp_match_per_pair_reference(qq, m2, m2_two_twists):
 @pytest.mark.parametrize("order", [0, 1, 4, 6])
 def test_log_and_exp_set_theta_up_once_and_run_order_plus_one_pair_loops(
         monkeypatch, kernel_calls, m2, order):
-    # Horner's rule runs inside the kernel: theta's rows are set up once, and
-    # each of its N + 1 steps is one pair loop, cut at degree N - k for
-    # k = N down to 0, with no product kernel call
+    # Horner's rule runs inside the kernel as h = h*theta + c_k: theta is
+    # set up once, as the one right operand of all N + 1 steps, each one pair
+    # loop cut at degree N - k for k = N down to 0, with h's rows (starting
+    # from 0) as its left rows and no product kernel call
     R, rng = two_letter(m2, order, twist={"x": "swap"}), random.Random(order)
     setups, loops = [], []
     left_rows, convolve = series_module._left_rows, series_module._convolve
 
-    def counted_rows(A, left, top):
+    def counted_rows(R, left, top):
         setups.append(list(left.values()))
-        return left_rows(A, left, top)
+        return left_rows(R, left, top)
 
-    def counted_convolve(R, pairs, room, *args):
-        loops.append(room)
-        return convolve(R, pairs, room, *args)
+    def counted_convolve(R, pairs, *args):
+        loops.append((*args[:2], [right for _, right in pairs]))
+        return convolve(R, pairs, *args)
     monkeypatch.setattr(series_module, "_left_rows", counted_rows)
     monkeypatch.setattr(series_module, "_convolve", counted_convolve)
     u, k = random_fiber_one(R, rng, terms=5), random_kernel(R, rng, terms=5)
@@ -350,8 +351,108 @@ def test_log_and_exp_set_theta_up_once_and_run_order_plus_one_pair_loops(
         del kernel_calls[:], setups[:], loops[:]
         f(arg)
         assert kernel_calls == [("power", theta)]
-        assert setups == [[theta]]
-        assert loops == list(range(order + 1))
+        assert [(lo, room) for lo, room, _ in loops] == [(0, room) for room in range(order + 1)]
+        assert len({tuple(map(id, rights)) for _, _, rights in loops}) == 1
+        assert [rows for _, _, ((_, rows, *_),) in loops[:1]] == [theta._kernel_rows()]
+        assert len(setups) == order + 1 and all(len(ops) == 1 for ops in setups)
+        assert setups[0] == [R.zero()]
+
+
+def _recorded_moves(monkeypatch):
+    """A list that gets (memo id, key, word) for each right row that
+    `series._moved_rows` moves; the memo is the right operand's own."""
+    moves, moved_rows = [], series_module._moved_rows
+
+    def recorded(A, rows, key, *args):
+        moved = moved_rows(A, rows, key, *args)
+        moves.extend((id(args[-1]), key, info[1]) for info, _ in moved if key)
+        return moved
+    monkeypatch.setattr(series_module, "_moved_rows", recorded)
+    return moves
+
+
+def test_log_and_exp_move_each_theta_row_past_each_key_once(monkeypatch, m2):
+    # theta is the right operand of every Horner step, so over M2(Q):swap at
+    # order 6 each (key, theta word) is moved at most once per log or exp,
+    # and only theta's words are moved
+    R, rng = two_letter(m2, 6, twist={"x": "swap"}), random.Random(6)
+    moves = _recorded_moves(monkeypatch)
+    u, k = random_fiber_one(R, rng, terms=6), random_kernel(R, rng, terms=6)
+    for f, arg, theta in ((formal_log, u, u - R.one()), (formal_exp, k, k)):
+        del moves[:]
+        f(arg)
+        pairs = [(key, w) for _, key, w in moves]
+        assert pairs and len(pairs) == len(set(pairs))
+        assert {w for _, w in pairs} <= set(theta.vecs)
+
+
+def test_solve_pass_reads_n_pairs_per_entry_and_moves_each_y_row_once(monkeypatch, m2):
+    # each degree d of each entry of a 3x3 inverse is one pair loop over the
+    # n pairs (q_it, y_tj) that reads exactly degree d, and each (key, word)
+    # of an entry of y is moved at most once in the whole inverse
+    R, rng = two_letter(m2, 5, twist={"x": "swap"}), random.Random(41)
+    m = random_invertible_matrix(R, rng, 3)
+    calls, convolve = [], series_module._convolve
+
+    def counted_convolve(R, pairs, *args):
+        calls.append((len(pairs), *args[:2]))
+        return convolve(R, pairs, *args)
+    monkeypatch.setattr(series_module, "_convolve", counted_convolve)
+    moves = _recorded_moves(monkeypatch)
+    inv = mat_invert(m)
+    assert calls == [(3, d, d) for d in range(1, R.order + 1) for _ in range(9)]
+    assert moves and len(moves) == len(set(moves))
+    monkeypatch.undo()
+    assert ref_mat_mul(m, inv) == SeriesMatrix.identity(R, 3)
+
+
+def _dense_unit_matrix(R, rng, n):
+    """An n x n matrix of dense series whose augmentation is the identity
+    plus a strictly upper triangular part, so it is invertible."""
+    A = R.coeff
+    return SeriesMatrix(R, [[R.lift(A.one if i == j else A.random_element(rng) if j > i
+                                    else A.zero) + dense_kernel(R, rng)
+                             for j in range(n)] for i in range(n)])
+
+
+def test_persistent_right_operands_match_reference(qq):
+    # right operands that keep their moved rows for a whole operation, on
+    # both sides of the reference products
+    rng = random.Random(43)
+    p, z12 = m2_nonintegral(), IntegersMod(12)
+    pp = two_letter(p, 8, twist={"x": "p", "y": "p^-1"})
+    # the key of yyy (factor 216) first meets y at degree 3 and that of
+    # xyxy at degree 4; L > 1 over the keys of x, yyy and xyxy
+    u = pp.from_terms([((), p.parse_element_literal("2,1;0,1"))]
+                      + [(w, _coeff_over(p, rng, d)) for w, d in (("x", 5), ("yyy", 3),
+                                                                   ("xyxy", 7))])
+    inv = u.inverse()
+    assert ref_mul(u, inv) == pp.one() == ref_mul(inv, u)
+    # over Z/12 an entry of the inverse is empty at some degree
+    z = one_letter(z12, 6)
+    m = SeriesMatrix(z, [[z.from_terms([((), 1), ("x", 2), ("xx", 4)]), z.from_terms([("x", 6)])],
+                         [z.zero(), z.from_terms([((), 5), ("xxx", 3)])]])
+    inv_m = mat_invert(m)
+    assert ref_mat_mul(m, inv_m) == SeriesMatrix.identity(z, 2) == ref_mat_mul(inv_m, m)
+    assert any(e.vecs and not any(len(w) == d for w in e.vecs)
+               for row in inv_m.rows for e in row for d in range(1, 6))
+    # 3x3 matrices on one commuting letter, as in the dense benchmark cells
+    for A, order in ((IntegersMod(101), 12), (qq, 6)):
+        R = SeriesRing(A, alphabet=("x",), order=order, letters_commute=True)
+        a = _dense_unit_matrix(R, rng, 3)
+        inv_a = mat_invert(a)
+        assert ref_mat_mul(a, inv_a) == SeriesMatrix.identity(R, 3) == ref_mat_mul(inv_a, a)
+        b = _dense_unit_matrix(R, rng, 3)
+        assert a * b == ref_mat_mul(a, b)
+    # log and exp over M2(Q):p at order 6, where the keys of h have factors 6^k
+    P = one_letter(p, 6, twist="p")
+    one = P.one()
+    for _ in range(3):
+        f, k = random_fiber_one(P, rng, terms=5), random_kernel(P, rng, terms=5)
+        assert formal_log(f) == ref_power_sum(f - one, lambda n: F((-1) ** (n + 1), n))
+        assert formal_exp(k) == ref_add(one, ref_power_sum(k, lambda n: F(1, math.factorial(n))))
+    d = dense_kernel(P, rng)
+    assert formal_log(one + d) == ref_power_sum(d, lambda n: F((-1) ** (n + 1), n))
 
 
 def test_series_matrices_match_per_pair_reference(qq, m2, m2_two_twists):
@@ -518,9 +619,9 @@ def test_inverse_makes_one_solve_pass_and_no_product_call(monkeypatch, kernel_ca
     u, m = random_unit(R, rng, terms=6), random_invertible_matrix(R, rng, 3)
     left_rows = series_module._left_rows
 
-    def counted_rows(A, left, top):
+    def counted_rows(R, left, top):
         setups.append(list(left.values()))
-        return left_rows(A, left, top)
+        return left_rows(R, left, top)
     monkeypatch.setattr(series_module, "_left_rows", counted_rows)
     for invert, x, entries in ((TwistedSeries.inverse, u, [u]),
                                (mat_invert, m, [e for row in m.rows for e in row])):
