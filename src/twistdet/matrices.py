@@ -105,19 +105,11 @@ class SeriesMatrix:
             raise RingMismatch("matrices live in different rings")
 
     def __add__(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        copy = [[e._copy() for e in row] for row in self.rows]
-        return SeriesMatrix(self.ring, copy)._add_in_place(other)
-
-    def _add_in_place(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        """self + other, written into self's entries: only for a matrix that its
-        caller built, whose entries are its own and distinct."""
         self._check(other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch("shape mismatch in matrix addition")
-        for ra, rb in zip(self.rows, other.rows):
-            for a, b in zip(ra, rb):
-                a._add_in_place(b)
-        return self
+        return SeriesMatrix(self.ring, [[a + b for a, b in zip(ra, rb)]
+                                        for ra, rb in zip(self.rows, other.rows)])
 
     def __neg__(self) -> "SeriesMatrix":
         return SeriesMatrix(self.ring, [[-a for a in row] for row in self.rows])

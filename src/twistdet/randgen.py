@@ -17,11 +17,10 @@ from .matrices import SeriesMatrix
 from .series import SeriesRing, TwistedSeries
 
 
-def random_word(ring: SeriesRing, rng, max_len=None) -> tuple:
-    top = ring.order if max_len is None else min(max_len, ring.order)
-    if top < 1:
+def random_word(ring: SeriesRing, rng) -> tuple:
+    if ring.order < 1:
         return ()
-    length = rng.randint(1, top)
+    length = rng.randint(1, ring.order)
     return ring.normalize_word(tuple(rng.randrange(len(ring.alphabet))
                                      for _ in range(length)))
 

@@ -213,8 +213,9 @@ class TwistedSeries:
     of the coefficient ring's view, all over one denominator `den`, in
     canonical form (den > 0, the gcd of den and every entry is 1; over Z/m,
     den = 1), so == is exact however a series was built. The one constructor
-    takes vectors; values enter through SeriesRing.from_terms. `terms`,
-    word -> value, is built on first read."""
+    takes vectors; values enter through SeriesRing.from_terms. A series is
+    never written after its constructor returns, so `terms`, word -> value,
+    and the kernel rows, built on first read, stay valid for its life."""
 
     __slots__ = ("ring", "vecs", "den", "_terms", "_rows")
 
@@ -232,8 +233,8 @@ class TwistedSeries:
         return self._terms
 
     def _kernel_rows(self) -> list:
-        """A row (_word_info(w), vector) per word w, shortest words first, kept
-        until the series changes."""
+        """A row (_word_info(w), vector) per word w, shortest words first, built
+        on first read."""
         if self._rows is None:
             info = self.ring._word_info
             rows = [(info(w), v) for w, v in self.vecs.items()]
@@ -280,33 +281,25 @@ class TwistedSeries:
 
     # -- linear structure -------------------------------------------------------
     def __add__(self, other: "TwistedSeries") -> "TwistedSeries":
-        return self._copy()._add_in_place(other)
-
-    def _copy(self) -> "TwistedSeries":
-        return TwistedSeries(self.ring, dict(self.vecs), self.den)
-
-    def _add_in_place(self, other: "TwistedSeries") -> "TwistedSeries":
-        """self + other, written into self: only for a series that its caller
-        built and shares with no one, such as a running sum."""
+        """Both operands' vectors brought over the lcm of their denominators
+        into a new map, reduced once by the constructor."""
         self._check_ring(other)
         A = self.ring.coeff
         add, nonzero, scale = A.add_vectors, A.nonzero, A.scale_vector
-        acc, den = self.vecs, math.lcm(self.den, other.den)
-        if den != self.den:
-            times = den // self.den
-            for w, v in acc.items():
-                acc[w] = scale(v, times)
+        den = math.lcm(self.den, other.den)
+        times = den // self.den
+        acc = ({w: scale(v, times) for w, v in self.vecs.items()} if times != 1
+               else dict(self.vecs))
         times = den // other.den
         for w, v in other.vecs.items():
             v = scale(v, times) if times != 1 else v
-            v = add(acc[w], v) if w in acc else v
-            if nonzero(v):
-                acc[w] = v
-            else:
-                del acc[w]
-        self.vecs, self.den = _reduced(A, acc, den)
-        self._terms = self._rows = None
-        return self
+            if w in acc:
+                v = add(acc[w], v)
+                if not nonzero(v):
+                    del acc[w]
+                    continue
+            acc[w] = v
+        return TwistedSeries(self.ring, acc, den)
 
     def __neg__(self) -> "TwistedSeries":
         return self.scale(-1)
@@ -368,30 +361,29 @@ def _reduced(A, vecs: dict, den: int) -> tuple:
     return vecs, den // g
 
 
-def sums_of_products(R: SeriesRing, sums: list, top=None) -> list:
+def sums_of_products(R: SeriesRing, sums: list) -> list:
     """[sum of s*t over pairs, for pairs in sums], for lists of (s, t) series
     of R: one convolution in the coefficient ring's integer view, truncated
-    at degree `top` (at most, and by default, R.order).
+    at R.order.
 
     Left vectors are brought over dl, the lcm of the left denominators, and
     each is scaled by L / F_K, for F_K the product of the twists' factors of
-    its word's key K and L the lcm of the F_K over the left words within
-    `top` (`_left_rows`). Right vectors are brought over dr, and a move
-    through K adds F_K to their denominator, so each output word is one
-    `A.dot` over dl * dr * L (`_convolve`)."""
-    A, top = R.coeff, R.order if top is None else top
+    its word's key K and L the lcm of the F_K over the left words
+    (`_left_rows`). Right vectors are brought over dr, and a move through K
+    adds F_K to their denominator, so each output word is one `A.dot` over
+    dl * dr * L (`_convolve`)."""
     left, right = {}, {}  # by id: the operand, then its rows (left) or right operand
     for pairs in sums:
         for s, t in pairs:
             left[id(s)] = s
             right[id(t)] = t
-    dl, L = _left_rows(R, left, top)
+    dl, L = _left_rows(R, left)
     dr = math.lcm(*map(_den, right.values()))
     for i, t in right.items():
         right[i] = ({}, t._kernel_rows(), None, dr // t.den, {})
     den, results = dl * dr * L, []
     for pairs in sums:
-        out = _convolve(R, [(left[id(s)], right[id(t)]) for s, t in pairs], 0, top)
+        out = _convolve(R, [(left[id(s)], right[id(t)]) for s, t in pairs], 0, R.order)
         results.append(TwistedSeries(R, out, den))
     return results
 
@@ -404,21 +396,19 @@ def _row_length(row) -> int:
     return row[0][0]
 
 
-def _left_rows(R: SeriesRing, left: dict, top: int) -> tuple:
+def _left_rows(R: SeriesRing, left: dict) -> tuple:
     """Replace each left operand of a kernel call, a power-sum step or an
-    inverse, the values of `left`, by its kernel rows within `top`, each
-    vector over den, the lcm of their denominators, and scaled by L / F_K,
-    for F_K the product of the twists' factors of the row's key K and L the
-    lcm of the F_K; return (den, L). A right row moved past K then stands
-    over F_K times its own denominator, so every pair of a sum stands over
-    den * L times the right denominator, whatever the key. Where every twist
-    has factor 1, so has every key, and the keys are not read."""
+    inverse, the values of `left`, by its kernel rows, each vector over den,
+    the lcm of their denominators, and scaled by L / F_K, for F_K the
+    product of the twists' factors of the row's key K and L the lcm of the
+    F_K; return (den, L). A right row moved past K then stands over F_K
+    times its own denominator, so every pair of a sum stands over den * L
+    times the right denominator, whatever the key. Where every twist has
+    factor 1, so has every key, and the keys are not read."""
     scale_vector, den = R.coeff.scale_vector, math.lcm(*map(_den, left.values()))
     factors = {}  # key -> F_K; a key it leaves out has F_K = 1
     for s in left.values() if R._scaled_moves else ():
-        for (lv, _, _, _, key), _ in s._kernel_rows():
-            if lv > top:
-                break
+        for (_, _, _, _, key), _ in s._kernel_rows():
             if key not in factors:
                 f = 1
                 for auto in key:
@@ -433,8 +423,6 @@ def _left_rows(R: SeriesRing, left: dict, top: int) -> tuple:
             continue
         scaled = left[i] = []
         for info, a in rows:
-            if info[0] > top:
-                break
             t = times * (L // factors.get(info[4], 1))
             scaled.append((info, a if t == 1 else scale_vector(a, t)))
     return den, L
@@ -544,7 +532,7 @@ def inverse_entries(R: SeriesRing, x: list) -> list:
     A, n, top = R.coeff, math.isqrt(len(x)), R.order
     scale, dot, nonzero = A.scale_vector, A.dot, A.nonzero
     rows = dict(enumerate(x))
-    dx, L = _left_rows(R, rows, top)
+    dx, L = _left_rows(R, rows)
     inv0, den = A.invert_vectors([scale(e.vecs[()], dx // e.den) if () in e.vecs
                                   else R._zero_vec for e in x], dx, n)
     g = den * dx * L
@@ -615,7 +603,7 @@ def _power_sum(theta: TwistedSeries, coeff) -> TwistedSeries:
     A, right, h = R.coeff, ({}, theta._kernel_rows(), None, 1, {}), R.zero()
     for k in range(n, -1, -1):
         left = {0: h}
-        dh, L = _left_rows(R, left, n - k)
+        dh, L = _left_rows(R, left)
         vecs = _convolve(R, [(left[0], right)], 0, n - k)
         den = dh * theta.den * L
         if not k:

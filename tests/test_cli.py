@@ -679,3 +679,19 @@ def test_novikov_job_takes_one_log(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "run", str(GOLDENS / "novikov_group_algebra_job.json"))
     assert code == 0 and out == want
     assert len(logs) == 1
+
+
+@pytest.mark.parametrize("coeff, literal, message", [
+    ({"kind": "matrix", "size": 2}, "[1,2;3]",
+     "matrix literal must have 2 rows of 2 entries"),
+    ({"kind": "group_algebra", "group": {"name": "C2", "table": [[0, 1], [1, 0]]}},
+     "[g1*g1]", "a term of a Q[C2] literal is q or q*name: 'g1*g1'"),
+    ({"kind": "free_trunc", "generators": ["y", "z"], "max_degree": 2}, "[1+q]",
+     "unknown generator 'q'"),
+], ids=["matrix-shape", "group-term", "free-generator"])
+def test_exit_code_1_on_bad_coefficient_literal(capsys, ring_file, coeff, literal, message):
+    ring = ring_file({"coeff": coeff, "order": 2})
+    code, out, err = run_cli(capsys, "inv", "--ring", ring, literal)
+    assert code == 1 and out == ""
+    assert err == ('{\n  "error": {\n    "type": "LiteralSyntaxError",\n'
+                   f'    "message": "{message}"\n  }}\n}}\n')

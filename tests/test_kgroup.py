@@ -8,6 +8,7 @@ from twistdet import (
     AugmentationNotOne,
     CGenerator,
     CycLogVector,
+    DimensionMismatch,
     FlavorViolated,
     IntegersMod,
     NeedsTrace,
@@ -19,6 +20,7 @@ from twistdet import (
     coset_probably_equal,
     cyc_log,
     endo_class_invariant,
+    exact_sequence_additivity_check,
     formal_log,
     parse_series,
     render_series,
@@ -396,3 +398,31 @@ def test_endo_invariant_frozen(qq):
     # swap matrix: det(1 - ax) = 1 - x^2
     assert poly(endo_class_invariant(qq, [[F(0), F(1)], [F(1), F(0)]], 4)) \
         == {0: F(1), 2: F(-1)}
+
+
+# -- typed errors -------------------------------------------------------------
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda R, S: vaserstein_transform(R.letter("x"), S.letter("x"), R.letter("x")),
+     RingMismatch, "a, b, c must share one series ring"),
+    (lambda R, S: commutator_as_c_generator(R.one(), S.one()),
+     RingMismatch, "alpha and beta live in different series rings"),
+    (lambda R, S: CycLogVector(3, {}) + CycLogVector(4, {}),
+     RingMismatch, "cannot add cyclic-log vectors of different orders"),
+    (lambda R, S: coset_probably_equal(R.one(), S.one()),
+     RingMismatch, "u and v live in different series rings"),
+    (lambda R, S: endo_class_invariant(R.coeff, [[F(1), F(2)]], 3),
+     DimensionMismatch, "alpha must be square and nonempty"),
+    (lambda R, S: endo_class_invariant(R.coeff, [], 3),
+     DimensionMismatch, "alpha must be square and nonempty"),
+    (lambda R, S: exact_sequence_additivity_check(R.coeff, [[F(1)]], [[F(1)]],
+                                                  [[F(1), F(2)]], 3),
+     DimensionMismatch, "coupling must be 1x1"),
+], ids=["vaserstein-rings", "commutator-rings", "cyclog-orders", "coset-rings",
+        "alpha-not-square", "alpha-empty", "coupling-shape"])
+def test_kgroup_errors(qq, make, error, message):
+    # R and S differ only in their order
+    R, S = SeriesRing(qq, order=3), SeriesRing(qq, order=4)
+    with pytest.raises(error) as caught:
+        make(R, S)
+    assert str(caught.value) == message

@@ -6,12 +6,16 @@ import pytest
 from twistdet import (
     AugmentationNotIdentity,
     DimensionMismatch,
+    RingMismatch,
     SeriesMatrix,
     SeriesRing,
     det_stabilize,
     dieudonne_det,
     exact_sequence_additivity_check,
     ldu_decompose,
+    mat_invert,
+    rearrange_inverses_check,
+    whitehead_identity_check,
 )
 from twistdet.randgen import random_kernel_matrix, random_unipotent_matrix
 
@@ -133,3 +137,45 @@ def test_additivity_random_couplings(qq, m2):
     # alpha 2x2, alpha2 1x1, a 2x1 coupling; shape (k, n, m) draws over ring k
     for k, coeff in enumerate((qq, m2)):
         assert_folded("endo-additivity", [one_letter(coeff, 4)], 6, shapes=[(k, 2, 1)])
+
+
+# -- typed errors ----------------------------------------------------------------
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda R, S: SeriesMatrix(R, [[R.one(), R.one()], [R.one()]]),
+     DimensionMismatch, "ragged matrix"),
+    (lambda R, S: SeriesMatrix(R, [[S.one()]]),
+     RingMismatch, "matrix entries must share the matrix ring"),
+    (lambda R, S: SeriesMatrix(R, [[1]]),
+     RingMismatch, "matrix entries must share the matrix ring"),
+    (lambda R, S: SeriesMatrix.block([[SeriesMatrix.identity(R, 2),
+                                       SeriesMatrix.identity(R, 1)]]),
+     DimensionMismatch, "block row heights differ"),
+    (lambda R, S: SeriesMatrix.block([[SeriesMatrix.identity(R, 2)],
+                                      [SeriesMatrix.identity(R, 1)]]),
+     DimensionMismatch, "block column widths differ"),
+    (lambda R, S: SeriesMatrix.identity(R, 2) + SeriesMatrix.identity(S, 2),
+     RingMismatch, "matrices live in different rings"),
+    (lambda R, S: mat_invert(SeriesMatrix.zero(R, 2, 1)),
+     DimensionMismatch, "only square matrices can be inverted"),
+    (lambda R, S: dieudonne_det(SeriesMatrix.zero(R, 1, 2)),
+     DimensionMismatch, "determinant needs a nonempty square matrix"),
+    (lambda R, S: dieudonne_det(SeriesMatrix(R, [])),
+     DimensionMismatch, "determinant needs a nonempty square matrix"),
+    (lambda R, S: det_stabilize(SeriesMatrix.identity(R, 1), -1),
+     DimensionMismatch, "padding size must be >= 0"),
+    (lambda R, S: whitehead_identity_check(SeriesMatrix.zero(R, 2, 1),
+                                           SeriesMatrix.zero(R, 2, 1)),
+     DimensionMismatch, "need a: n x m and b: m x n"),
+    (lambda R, S: rearrange_inverses_check(SeriesMatrix.zero(R, 2, 1),
+                                           SeriesMatrix.zero(R, 2, 1)),
+     DimensionMismatch, "need a: n x m and b: m x n"),
+], ids=["ragged", "entry-ring", "entry-not-a-series", "block-heights", "block-widths",
+        "add-rings", "invert-non-square", "det-non-square", "det-empty",
+        "negative-padding", "whitehead-shapes", "rearrange-shapes"])
+def test_matrix_errors(qq, make, error, message):
+    # R and S differ only in their order
+    R, S = SeriesRing(qq, order=2), SeriesRing(qq, order=3)
+    with pytest.raises(error) as caught:
+        make(R, S)
+    assert str(caught.value) == message

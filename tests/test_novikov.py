@@ -8,7 +8,9 @@ from twistdet import (
     NotInWOne,
     NovikovSeries,
     OrbitCountReport,
+    RingMismatch,
     SeriesRing,
+    WindowUnderflow,
     cyclic_group,
     nov_add,
     nov_invert,
@@ -307,3 +309,27 @@ def test_orbit_report_sorted_items(qc2):
     rep = orbit_counts(NovikovSeries(R.one() - g * R.letter("z")))
     keys = [k for k, _ in rep.sorted_items()]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda R, R2: nov_invert(NovikovSeries(R.zero())),
+     LeadingCoeffNotUnit, "zero has no inverse"),
+    (lambda R, R2: nov_invert(NovikovSeries(R.one(), 3)),
+     WindowUnderflow, "the inverse starts beyond the representable window"),
+    (lambda R, R2: NovikovSeries(R2.one()),
+     RingMismatch, "Novikov elements need a one-letter series ring"),
+    (lambda R, R2: NovikovSeries.from_degree_map(R2, {0: F(1)}),
+     RingMismatch, "Novikov elements need a one-letter series ring"),
+    (lambda R, R2: NovikovSeries(R.one(), -1),
+     ValueError, "shift must be >= 0"),
+    (lambda R, R2: nov_add(NovikovSeries(R.one()),
+                           NovikovSeries(zring(m2_nonintegral(), 2).one())),
+     RingMismatch, "Novikov operands live over different rings"),
+], ids=["invert-zero", "inverse-past-window", "two-letters", "two-letter-degree-map",
+        "negative-shift", "different-rings"])
+def test_novikov_errors(qq, make, error, message):
+    # R is Q<<z>> at order 2; R2 has two letters
+    R, R2 = zring(qq, 2), SeriesRing(qq, alphabet=("y", "z"), order=2)
+    with pytest.raises(error) as caught:
+        make(R, R2)
+    assert str(caught.value) == message

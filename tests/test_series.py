@@ -337,9 +337,9 @@ def test_log_and_exp_set_theta_up_once_and_run_order_plus_one_pair_loops(
     setups, loops = [], []
     left_rows, convolve = series_module._left_rows, series_module._convolve
 
-    def counted_rows(R, left, top):
+    def counted_rows(R, left):
         setups.append(list(left.values()))
-        return left_rows(R, left, top)
+        return left_rows(R, left)
 
     def counted_convolve(R, pairs, *args):
         loops.append((*args[:2], [right for _, right in pairs]))
@@ -619,9 +619,9 @@ def test_inverse_makes_one_solve_pass_and_no_product_call(monkeypatch, kernel_ca
     u, m = random_unit(R, rng, terms=6), random_invertible_matrix(R, rng, 3)
     left_rows = series_module._left_rows
 
-    def counted_rows(R, left, top):
+    def counted_rows(R, left):
         setups.append(list(left.values()))
-        return left_rows(R, left, top)
+        return left_rows(R, left)
     monkeypatch.setattr(series_module, "_left_rows", counted_rows)
     for invert, x, entries in ((TwistedSeries.inverse, u, [u]),
                                (mat_invert, m, [e for row in m.rows for e in row])):
@@ -863,3 +863,86 @@ def test_inverse_and_log_stay_in_the_integer_view(monkeypatch, make, twist):
     words = len(inv.terms) + len(log.terms)
     assert len(rebuilt) == words and inv.terms == inv.terms  # built once, on first read
     assert len(rebuilt) == words and cleared == [list(terms.values())]
+
+
+# -- series values are immutable --------------------------------------------------
+
+def _state(s):
+    """What a series reads: vectors, denominator, and both caches, each read
+    (so built) first."""
+    return dict(s.vecs), s.den, dict(s.terms), list(s._kernel_rows())
+
+
+def ref_neg(s):
+    A = s.ring.coeff
+    return s.ring.from_terms({w: A.neg(c) for w, c in s.terms.items()})
+
+
+def _addition_operands(R, rng):
+    """(a, b) pairs: over Q and M2(Q) with differing denominators; b = a;
+    b = -a, whose sum cancels to zero; and b partly cancelling a."""
+    a, b = random_series(R, rng, terms=5), random_series(R, rng, terms=5)
+    if R.coeff.contains_rationals:
+        a, b = a.scale(F(1, 6)), b.scale(F(5, 4))
+        assert a.den != b.den
+    minus_a = ref_neg(a)
+    partly = R.from_terms({**minus_a.terms, (1,): R.coeff.one})
+    return [(a, b), (a, a), (a, minus_a), (b, partly)]
+
+
+def immutability_rings():
+    return [SeriesRing(RationalField(), ("x", "y"), order=3),
+            SeriesRing(IntegersMod(12), ("x", "y"), order=3),
+            SeriesRing(m2_nonintegral(), ("x", "y"), twist={"x": "p"}, order=3)]
+
+
+@pytest.mark.parametrize("R", immutability_rings(), ids=repr)
+def test_add_sub_and_neg_leave_their_operands_alone(R):
+    for a, b in _addition_operands(R, random.Random(5)):
+        before = [_state(a), _state(b)]
+        for op, ref in ((lambda: a + b, lambda: ref_add(a, b)),
+                        (lambda: a - b, lambda: ref_add(a, ref_neg(b))),
+                        (lambda: -a, lambda: ref_add(R.zero(), ref_neg(a)))):
+            got = op()
+            assert [_state(a), _state(b)] == before
+            assert got == ref()
+            assert_canonical(got)
+
+
+@pytest.mark.parametrize("R", immutability_rings(), ids=repr)
+def test_matrix_add_and_sub_leave_their_operands_alone(R):
+    # entries shared within a matrix and between the operands stay as built
+    (a, b), _, (_, minus_a), (_, partly) = _addition_operands(R, random.Random(9))
+    m = SeriesMatrix(R, [[a, b], [b, a]])
+    n = SeriesMatrix(R, [[minus_a, partly], [R.zero(), a]])
+    for x, y in ((m, n), (m, m), (n, SeriesMatrix.identity(R, 2))):
+        before = [_state(e) for z in (x, y) for row in z.rows for e in row]
+        for op, ref in ((lambda: x + y, ref_add),
+                        (lambda: x - y, lambda s, t: ref_add(s, ref_neg(t)))):
+            got = op()
+            assert [_state(e) for z in (x, y) for row in z.rows for e in row] == before
+            assert got.rows == tuple(tuple(ref(s, t) for s, t in zip(rx, ry))
+                                     for rx, ry in zip(x.rows, y.rows))
+
+
+# -- typed errors ------------------------------------------------------------------
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: formal_exp(one_letter(IntegersMod(6), 2).letter("x")),
+     NeedsRationalCoefficients, "formal exp needs Q inside Z/6"),
+    (lambda: formal_exp(one_letter(RationalField(), 2).one()),
+     AugmentationNotOne, "formal exp needs augmentation exactly 0"),
+    (lambda: one_letter(IntegersMod(12), 2).letter("x").scale(F(1, 2)),
+     NeedsRationalCoefficients, "cannot scale by 1/2 over Z/12"),
+    (lambda: one_letter(RationalField(), 2).letter("x").power(-1),
+     ValueError, "negative power; use inverse() first"),
+    (lambda: SeriesRing(RationalField(), ("x", "x"), order=2),
+     ValueError, "alphabet letters must be distinct single characters"),
+    (lambda: SeriesRing(RationalField(), ("x",), order=-1),
+     ValueError, "order must be >= 0"),
+], ids=["exp-over-z6", "exp-of-a-unit", "half-over-z12", "negative-power",
+        "repeated-letter", "negative-order"])
+def test_series_errors(make, error, message):
+    with pytest.raises(error) as caught:
+        make()
+    assert str(caught.value) == message
