@@ -191,7 +191,7 @@ RING_SCHEMA = {
                         "generators": {"type": "array",
                                        "items": {"type": "string",
                                                  "minLength": 1, "maxLength": 1}},
-                        "max_degree": {"type": "integer", "minimum": 0},
+                        "max_degree": {"type": "integer", "minimum": 1},
                         "permutations": {"type": "object",
                                          "additionalProperties": _PERM}},
          "required": ["kind", "generators", "max_degree"],

@@ -11,7 +11,9 @@ coefficient kept is exact. A zero base keeps its shift: the object then
 asserts only that the window [-shift, order-shift] vanishes.
 
 Coefficients cross powers of z only through the series ring's moves past
-z^k (`SeriesRing._moved`), so z*b = xi^-1(b)*z here as in the series ring.
+z^k (`SeriesRing._moved`), so z*b = xi^-1(b)*z here as in the series ring:
+one helper, `_z`, forms z^k * base * z^m for the normal form, sums,
+products and inverses.
 """
 
 from __future__ import annotations
@@ -30,21 +32,15 @@ from .rings import Record, sum_by_key, twisted_conjugacy_classes
 from .series import SeriesRing, TwistedSeries
 
 
-def _z_times(base: TwistedSeries, k: int, order: int) -> TwistedSeries:
-    """z^k * base at `order`. For k < 0 every word of base has at least -k
-    letters, and z^-k is stripped off base's left."""
+def _z(base: TwistedSeries, k: int, m: int, order: int) -> TwistedSeries:
+    """z^k * base * z^m at `order`: each coefficient of base moved leftward
+    past z^k (rightward past z^-k for k < 0), then each word's length changed
+    by k + m. For k + m < 0 every word of base has at least -(k + m)
+    letters."""
     ring = base.ring.with_order(order)
     vecs, den = ring._moved((0,) * abs(k), base.vecs, base.den, right=k < 0)
-    return TwistedSeries(ring, {(0,) * (len(w) + k): v for w, v in vecs.items()
-                                if len(w) + k <= order}, den)
-
-
-def _z_conjugate(base: TwistedSeries, k: int, order: int) -> TwistedSeries:
-    """z^k * base * z^-k at `order`, for k >= 0: each coefficient of base
-    moved left past z^k, on its own word."""
-    ring = base.ring.with_order(order)
-    vecs, den = ring._moved((0,) * k, base.vecs, base.den)
-    return TwistedSeries(ring, {w: v for w, v in vecs.items() if len(w) <= order}, den)
+    return TwistedSeries(ring, {(0,) * (len(w) + k + m): v for w, v in vecs.items()
+                                if len(w) + k + m <= order}, den)
 
 
 class NovikovSeries:
@@ -60,7 +56,7 @@ class NovikovSeries:
             raise ValueError("shift must be >= 0")
         j = min(shift, *map(len, base.vecs)) if base.vecs else 0
         if j:
-            base, shift = _z_times(base, -j, ring.order - j), shift - j
+            base, shift = _z(base, -j, 0, ring.order - j), shift - j
         self.base = base
         self.shift = shift
 
@@ -131,7 +127,7 @@ class NovikovSeries:
                 f"degrees {min(nonzero)}..{max(nonzero)} and 0 span more than "
                 f"order {ring.order} allows")
         base = ring.from_terms({(0,) * (d + shift): c for d, c in nonzero.items()})
-        return NovikovSeries(_z_conjugate(base, shift, ring.order), shift)
+        return NovikovSeries(_z(base, shift, -shift, ring.order), shift)
 
 
 def _common_ring(u: NovikovSeries, v: NovikovSeries):
@@ -146,8 +142,8 @@ def nov_add(u: NovikovSeries, v: NovikovSeries) -> NovikovSeries:
     shift = max(u.shift, v.shift)
     order = min(u.base.ring.order + (shift - u.shift),
                 v.base.ring.order + (shift - v.shift))
-    return NovikovSeries(_z_times(u.base, shift - u.shift, order)
-                         + _z_times(v.base, shift - v.shift, order), shift)
+    return NovikovSeries(_z(u.base, shift - u.shift, 0, order)
+                         + _z(v.base, shift - v.shift, 0, order), shift)
 
 
 def nov_neg(u: NovikovSeries) -> NovikovSeries:
@@ -163,7 +159,7 @@ def nov_mul(u: NovikovSeries, v: NovikovSeries) -> NovikovSeries:
     _common_ring(u, v)
     shift = u.shift + v.shift
     order = min(u.base.ring.order, v.base.ring.order)
-    return NovikovSeries(_z_conjugate(u.base, v.shift, order) * v.base.truncated(order), shift)
+    return NovikovSeries(_z(u.base, v.shift, -v.shift, order) * v.base.truncated(order), shift)
 
 
 def nov_invert(u: NovikovSeries) -> NovikovSeries:
@@ -174,20 +170,16 @@ def nov_invert(u: NovikovSeries) -> NovikovSeries:
     A = ring.coeff
     j = min(map(len, u.base.vecs))
     try:  # the body's augmentation is the leading coefficient, twisted
-        inv_body = _z_times(u.base, -j, ring.order - j).inverse()
+        inv_body = _z(u.base, -j, 0, ring.order - j).inverse()
     except AugmentationNotUnit:
         raise LeadingCoeffNotUnit(
             f"leading coefficient at degree {j - u.shift} is not a unit of {A.name}") from None
-    t = u.shift - j
-    if t >= 0:
-        if t > inv_body.ring.order:
-            raise WindowUnderflow(
-                "the inverse starts beyond the representable window")
-        monomial = TwistedSeries(inv_body.ring, {(0,) * t: ring._one_vec})
-        result = NovikovSeries(inv_body * monomial, 0)
-    else:
-        # inv_body * z^t = z^t * (z^-t inv_body z^t)
-        result = NovikovSeries(_z_conjugate(inv_body, -t, inv_body.ring.order), -t)
+    t, order = u.shift - j, inv_body.ring.order
+    if t > order:
+        raise WindowUnderflow("the inverse starts beyond the representable window")
+    # inv_body * z^t = z^-s * (z^s inv_body z^t) for s = max(-t, 0)
+    s = max(-t, 0)
+    result = NovikovSeries(_z(inv_body, s, t, order), s)
     check = nov_mul(u, result)
     if not check.matches_one_on_window():
         raise InternalInvariantError("inverse failed its multiply-back check")

@@ -22,12 +22,14 @@ right word that would overshoot the order. A word's move depends only on
 its twist key, the inverse twists of its twisted letters (RingAutomorphism
 objects; letters twisted alike share one): untwisted words move nothing.
 Left vectors carry the scale a move needs (`_left_rows`), so a right row
-moved past a key depends on nothing else, and a right operand keeps its
-moved rows for the whole operation: each (key, right word) is moved once,
-through the twists' view actions, reusing the move of the key's suffix,
-when a left word with that key first reaches it. A series product, a whole
-series-matrix product, the entries of l and u in an LDU split and its Schur
-complement are one kernel call, `sums_of_products`. Log and exp are one
+moved past a key depends on nothing else, and a right operand keeps one
+move table for the whole operation: its rows moved past each key, each
+list extended in a loop from that of the key's next shorter suffix
+(`_moved_rows`), so each (key, right word) is moved once, through the
+twists' view actions, when a left word with that key first reaches it. A
+series product, a whole series-matrix product, the entries of l and u in
+an LDU split and its Schur complement are one kernel call,
+`sums_of_products`. Log and exp are one
 power-sum pass, `_power_sum`: each step of Horner's rule, h = h*theta + c_k,
 is one `_convolve` with theta the right operand of every step, so theta's
 rows are moved past each key once for the pass.
@@ -152,9 +154,9 @@ class SeriesRing:
         return tuple(inverse[i] for i in word if i in inverse)
 
     def _word_info(self, word: tuple) -> tuple:
-        """(length, word, code, scale, twist key) of a word, memoized. The code
-        is an integer that names the word (its normal form, if letters
-        commute), and code(v + w) = code(v) * scale(w) + code(w)."""
+        """(length, word, code, scale, twist key) of a word, built once per
+        word. The code is an integer that names the word (its normal form, if
+        letters commute), and code(v + w) = code(v) * scale(w) + code(w)."""
         info = self._infos.get(word)
         if info is None:
             if self.letters_commute:  # exponents, in base order + 1
@@ -369,9 +371,10 @@ def sums_of_products(R: SeriesRing, sums: list) -> list:
     Left vectors are brought over dl, the lcm of the left denominators, and
     each is scaled by L / F_K, for F_K the product of the twists' factors of
     its word's key K and L the lcm of the F_K over the left words
-    (`_left_rows`). Right vectors are brought over dr, and a move through K
-    adds F_K to their denominator, so each output word is one `A.dot` over
-    dl * dr * L (`_convolve`)."""
+    (`_left_rows`). Right rows are brought over dr, the lcm of the right
+    denominators, once per call, as the base of each right operand's move
+    table; a move through K adds F_K to their denominator, so each output
+    word is one `A.dot` over dl * dr * L (`_convolve`)."""
     left, right = {}, {}  # by id: the operand, then its rows (left) or right operand
     for pairs in sums:
         for s, t in pairs:
@@ -379,8 +382,12 @@ def sums_of_products(R: SeriesRing, sums: list) -> list:
             right[id(t)] = t
     dl, L = _left_rows(R, left)
     dr = math.lcm(*map(_den, right.values()))
+    scale_vector = R.coeff.scale_vector
     for i, t in right.items():
-        right[i] = ({}, t._kernel_rows(), None, dr // t.den, {})
+        rows, times = t._kernel_rows(), dr // t.den
+        if times != 1:
+            rows = [(info, scale_vector(b, times)) for info, b in rows]
+        right[i] = ({(): rows}, None)
     den, results = dl * dr * L, []
     for pairs in sums:
         out = _convolve(R, [(left[id(s)], right[id(t)]) for s, t in pairs], 0, R.order)
@@ -434,22 +441,20 @@ def _convolve(R: SeriesRing, pairs: list, lo: int, room: int) -> dict:
     length lo - lv .. room - lv: the kernel's one pair loop. Left rows are
     shortest first and their vectors already scaled (`_left_rows`).
 
-    A right operand is (its moved rows by key, its kernel rows, starts,
-    times, its memo of moves). Its rows moved leftward past K by the view
-    actions (`act`) of K's twists and scaled by times are kept for as long
-    as the operand lives, one list per key, extended as far as a left row
-    first reads: each (key, right row) is moved once (the memo also keeps
-    the move through each suffix of a key, for all keys). Consecutive left
-    rows of one length and key form a run, which looks its moved rows up
-    once; rows are shortest first, so a run's inner loop ends at the first
-    right row that overshoots room - lv. A run shorter than lo starts at
-    the offset of length lo - lv: starts[m] counts the right rows of length
-    below m, up to m = room + 1 - lv (an operand read only from degree 0
-    needs none). The pairs' vectors are gathered per output word, named by
-    its code (so no word tuple is built or hashed per pair), and summed by
-    one `A.dot`."""
+    A right operand is (by_key, starts). by_key is its move table: by_key[()]
+    holds its kernel rows, over the right denominator of the call, and
+    by_key[K] those rows moved leftward past K, as far as a left row has
+    read them (`_moved_rows`); the table lives as long as the operand, so
+    each (key, right row) is moved once. Consecutive left rows of one length
+    and key form a run, which looks its moved rows up once; rows are
+    shortest first, so a run's inner loop ends at the first right row that
+    overshoots room - lv. A run shorter than lo starts at the offset of
+    length lo - lv: starts[m] counts the right rows of length below m, up to
+    m = room + 1 - lv (an operand read only from degree 0 needs none). The
+    pairs' vectors are gathered per output word, named by its code (so no
+    word tuple is built or hashed per pair), and summed by one `A.dot`."""
     A, gathered = R.coeff, {}
-    for rows, (by_key, right_rows, starts, times, memo) in pairs:
+    for rows, (by_key, starts) in pairs:
         run_lv = run_key = None
         for (lv, v, cv, _, key), a in rows:
             if lv != run_lv or key != run_key:
@@ -457,13 +462,7 @@ def _convolve(R: SeriesRing, pairs: list, lo: int, room: int) -> dict:
                 if rest < 0:
                     break
                 if key != run_key:  # a longer run of the same key reads less
-                    moved = by_key.get(key)
-                    if moved is None:
-                        moved = by_key[key] = right_rows if times == 1 and not key else []
-                    done = len(moved)
-                    if done < len(right_rows) and right_rows[done][0][0] <= rest:
-                        moved += _moved_rows(A, right_rows[done:], key, times, rest, memo)
-                    run_key = key
+                    moved, run_key = _moved_rows(by_key, key, rest), key
                 run_lv = lv
                 run = moved if lo <= lv else moved[starts[lo - lv]:starts[rest + 1]]
             for (lw, w, cw, sw, _), b in run:
@@ -486,31 +485,28 @@ def _convolve(R: SeriesRing, pairs: list, lo: int, room: int) -> dict:
     return out
 
 
-def _moved_rows(A, rows: list, key: tuple, times: int, room: int, memo: dict) -> list:
-    """The rows of length at most `room`, each vector moved leftward past
-    `key` and scaled by `times`."""
-    scale_vector, moved = A.scale_vector, []
-    for info, b in rows:
-        if info[0] > room:
-            break
-        if key:
-            b = _move(key, info[1], b, memo)
-        if times != 1:
-            b = scale_vector(b, times)
-        moved.append((info, b))
+def _moved_rows(by_key: dict, key: tuple, room: int) -> list:
+    """by_key[key], first extended to every row of by_key[()] of length at
+    most `room`: the rows moved leftward past `key` by the view actions of
+    its twists, last letter first. The move past key[i:] is key[i] after the
+    move past key[i+1:], so each suffix of key, shortest first, is extended
+    from the next shorter one's list, and each (suffix, row) is moved once.
+    A list that already reaches `room` is returned at once (so does the
+    list of each suffix of key, which is no shorter), so the suffixes of a
+    key are sliced and hashed only when rows remain to move."""
+    rows, moved = by_key[()], by_key.get(key)
+    if moved is not None and (len(moved) == len(rows) or rows[len(moved)][0][0] > room):
+        return moved
+    moved = rows
+    for i in range(len(key) - 1, -1, -1):
+        shorter, act = moved, key[i].act
+        moved = by_key.setdefault(key[i:], [])
+        for j in range(len(moved), len(shorter)):
+            info, b = shorter[j]
+            if info[0] > room:
+                break
+            moved.append((info, act(b)))
     return moved
-
-
-def _move(key: tuple, w: tuple, b, memo: dict):
-    """The vector b of a right word w moved leftward past the nonempty twist
-    key: the view actions of the key's automorphisms, last letter first.
-    Since the move through key is key[0] after the move through key[1:],
-    `memo` (the operand's own) keeps every suffix's move."""
-    vec = memo.get((key, w))
-    if vec is None:
-        rest = key[1:]
-        vec = memo[key, w] = key[0].act(_move(rest, w, b, memo) if rest else b)
-    return vec
 
 
 def inverse_entries(R: SeriesRing, x: list) -> list:
@@ -573,11 +569,12 @@ def _solve(R: SeriesRing, q: list, y0: list, den: int, g: int) -> list:
     the TwistedSeries constructor."""
     A, top, n, info = R.coeff, R.order, math.isqrt(len(q)), R._word_info
     ys = [[{(): v} if A.nonzero(v) else {} for v in y0]]
-    right = [({}, [], [0], 1, {}) for _ in y0]  # y's entries, grown a degree at a time
+    right = [({(): []}, [0]) for _ in y0]  # y's entries, grown a degree at a time
     pairs = [[(q[i + t], right[t * n + j]) for t in range(n)]
              for i in range(0, n * n, n) for j in range(n)]
     for d in range(1, top + 1):
-        for (_, rows, starts, _, _), e in zip(right, ys[-1]):
+        for (by_key, starts), e in zip(right, ys[-1]):
+            rows = by_key[()]
             rows += [(info(w), v) for w, v in e.items()]
             starts.append(len(rows))
         ys.append([_convolve(R, entry, d, d) for entry in pairs])
@@ -600,7 +597,7 @@ def _power_sum(theta: TwistedSeries, coeff) -> TwistedSeries:
     rows set up as left rows (`_left_rows`) and coeff(k) put into its
     constant vector."""
     R, n = theta.ring, theta.ring.order
-    A, right, h = R.coeff, ({}, theta._kernel_rows(), None, 1, {}), R.zero()
+    A, right, h = R.coeff, ({(): theta._kernel_rows()}, None), R.zero()
     for k in range(n, -1, -1):
         left = {0: h}
         dh, L = _left_rows(R, left)

@@ -309,6 +309,11 @@ def test_long_literals_are_clipped_in_errors(capsys, ring_file, ring, argv):
      "$.ring.coeff:"),
     ({"coeff": {"kind": "free_trunc", "generators": ["y"], "max_degree": 2.0},
       "order": 2}, "ValidationError", "$.ring.coeff:"),
+    # the schema refuses a max_degree the ring would refuse
+    ({"coeff": {"kind": "free_trunc", "generators": ["y", "z"], "max_degree": 0},
+      "order": 2}, "ValidationError",
+     "$.ring.coeff: {'kind': 'free_trunc', 'generators': ['y', 'z'], 'max_degree': 0} "
+     "is not valid under any of the given schemas"),
     # conjugating matrices of the wrong size, and ragged ones
     ({"coeff": {"kind": "matrix", "size": 2, "conjugations": {"p": [["1"]]}},
       "alphabet": ["x"], "twist": {"x": "p"}, "order": 2}, "ValueError", "2x2"),
@@ -348,7 +353,8 @@ def test_long_literals_are_clipped_in_errors(capsys, ring_file, ring, argv):
     # a letter no w("...") factor can hold: no series literal could name its words
     ({"coeff": {"kind": "rational"}, "alphabet": ['"'], "order": 2}, "ValueError",
      "letter '\"'"),
-], ids=["order-3.0", "modulus-12.0", "size-2.0", "max_degree-2.0", "conjugation-1x1",
+], ids=["order-3.0", "modulus-12.0", "size-2.0", "max_degree-2.0", "max_degree-0",
+        "conjugation-1x1",
         "conjugation-ragged", "conjugation-singular", "conjugation-non-ascii-digit",
         "conjugation-trailing-newline", "twist-stray-letter",
         "automorphism-named-id", "automorphism-named-an-inverse", "generator-1", "letter-quote"])

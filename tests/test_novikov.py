@@ -333,3 +333,10 @@ def test_novikov_errors(qq, make, error, message):
     with pytest.raises(error) as caught:
         make(R, R2)
     assert str(caught.value) == message
+
+
+def test_degree_map_of_zeros_is_zero(qq):
+    # zero coefficients set no shift, even at degrees outside the window
+    R = zring(qq, 2)
+    u = NovikovSeries.from_degree_map(R, {-5: F(0), 0: F(0), 9: F(0)})
+    assert u == NovikovSeries(R.zero(), 0) and u.is_zero() and u.shift == 0

@@ -1,4 +1,4 @@
-"""Every entry of the property registry (twistdet.selftest.REGISTRY), one test
+"""Every entry of the property registry (REGISTRY in twistdet/selftest.py), one test
 per check and ring, with the trials conftest.TRIALS asks of it."""
 
 import pytest

@@ -138,6 +138,25 @@ def test_group_table_validation():
         FiniteGroup([[0, 1], [1, 1]])  # not a bijection in row 1
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: FiniteGroup([[0, 1], [1]]), "group table must be square and nonempty"),
+    (lambda: FiniteGroup([]), "group table must be square and nonempty"),
+    (lambda: FiniteGroup([[0, 1], [1, 2]]), "group table entries out of range"),
+    (lambda: FiniteGroup([[0, 0], [0, 0]]), "group table has no unique identity"),
+    # identity 0 and x*x = 0 for each x, but (1*1)*2 = 2 and 1*(1*2) = 1
+    (lambda: FiniteGroup([[0, 1, 2], [1, 0, 0], [2, 0, 0]]), "group table is not associative"),
+    (lambda: IntegersMod(1), "modulus must be >= 2"),
+    (lambda: RationalMatrixRing(0), "matrix size must be >= 1"),
+    (lambda: TruncatedFreeAlgebra(("y", "y"), 2), "generators must be distinct single characters"),
+    (lambda: TruncatedFreeAlgebra(("y", "z"), 0), "max_degree must be >= 1"),
+], ids=["ragged-table", "empty-table", "entry-out-of-range", "no-identity", "not-associative",
+        "modulus-1", "size-0", "repeated-generator", "max-degree-0"])
+def test_ring_constructor_errors(make, message):
+    with pytest.raises(ValueError) as caught:
+        make()
+    assert str(caught.value) == message
+
+
 def s3():
     perms = sorted(permutations(range(3)))
     compose = lambda p, q: tuple(p[q[k]] for k in range(3))

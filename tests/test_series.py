@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +11,7 @@ from twistdet import (
     AugmentationNotOne,
     AugmentationNotUnit,
     IntegersMod,
+    LiteralSyntaxError,
     NeedsRationalCoefficients,
     NotAUnit,
     NotInvertible,
@@ -26,6 +29,7 @@ from twistdet import (
 )
 from twistdet import matrices as matrices_module
 from twistdet import series as series_module
+from twistdet.cli import main
 from twistdet.randgen import (
     random_fiber_one,
     random_invertible_matrix,
@@ -353,19 +357,23 @@ def test_log_and_exp_set_theta_up_once_and_run_order_plus_one_pair_loops(
         assert kernel_calls == [("power", theta)]
         assert [(lo, room) for lo, room, _ in loops] == [(0, room) for room in range(order + 1)]
         assert len({tuple(map(id, rights)) for _, _, rights in loops}) == 1
-        assert [rows for _, _, ((_, rows, *_),) in loops[:1]] == [theta._kernel_rows()]
+        assert [by_key[()] for _, _, ((by_key, _),) in loops[:1]] == [theta._kernel_rows()]
         assert len(setups) == order + 1 and all(len(ops) == 1 for ops in setups)
         assert setups[0] == [R.zero()]
 
 
 def _recorded_moves(monkeypatch):
-    """A list that gets (memo id, key, word) for each right row that
-    `series._moved_rows` moves; the memo is the right operand's own."""
+    """A list that gets (table id, key, word) for each row that
+    `series._moved_rows` appends to by_key[key], for a right operand's move
+    table by_key and each nonempty key of it: the key asked for and the
+    suffixes it is extended from."""
     moves, moved_rows = [], series_module._moved_rows
 
-    def recorded(A, rows, key, *args):
-        moved = moved_rows(A, rows, key, *args)
-        moves.extend((id(args[-1]), key, info[1]) for info, _ in moved if key)
+    def recorded(by_key, key, room):
+        done = {k: len(rows) for k, rows in by_key.items()}
+        moved = moved_rows(by_key, key, room)
+        moves.extend((id(by_key), k, info[1]) for k, rows in by_key.items() if k
+                     for info, _ in rows[done.get(k, 0):])
         return moved
     monkeypatch.setattr(series_module, "_moved_rows", recorded)
     return moves
@@ -404,6 +412,64 @@ def test_solve_pass_reads_n_pairs_per_entry_and_moves_each_y_row_once(monkeypatc
     assert moves and len(moves) == len(set(moves))
     monkeypatch.undo()
     assert ref_mat_mul(m, inv) == SeriesMatrix.identity(R, 3)
+
+
+@pytest.mark.parametrize("twists", ["swap,shear", "p"])
+def test_matrix_product_moves_each_right_row_past_each_key_once(monkeypatch, m2_two_twists,
+                                                                twists):
+    # a 3x3 product is one sums_of_products call; each right entry, over its
+    # own denominator, keeps one move table for the call, so each (entry,
+    # key, word) is moved at most once however many left rows share the key
+    rng = random.Random(47)
+    if twists == "p":  # moves past p raise denominators by 6 a letter
+        R = one_letter(m2_nonintegral(), 6, twist="p")
+    else:
+        R = two_letter(m2_two_twists, 4, twist={"x": "swap", "y": "shear"})
+    a = random_kernel_matrix(R, rng, 3, 3, 5) + SeriesMatrix.identity(R, 3)
+    b = SeriesMatrix(R, [[random_series(R, rng, terms=5).scale(F(1, 2 + i + j))
+                          for j in range(3)] for i in range(3)])
+    assert len({e.den for row in b.rows for e in row}) > 1
+    calls, kernel = [], series_module.sums_of_products
+
+    def counted(R, sums):
+        calls.append(len(sums))
+        return kernel(R, sums)
+    monkeypatch.setattr(matrices_module, "sums_of_products", counted)
+    moves = _recorded_moves(monkeypatch)
+    product = a * b
+    assert calls == [9]
+    assert moves and len(moves) == len(set(moves))
+    assert len({table for table, _, _ in moves}) <= 9  # one table per right entry
+    assert {w for _, _, w in moves} <= {w for row in b.rows for e in row for w in e.vecs}
+    monkeypatch.undo()
+    assert product == ref_mat_mul(a, b)
+
+
+@pytest.mark.parametrize("n", [1100, 1101])
+def test_words_longer_than_the_recursion_limit(capsys, tmp_path, m2, n):
+    # a coefficient crosses a word of n twisted letters by n view actions in
+    # a loop, so products and inverses take words longer than the recursion
+    # limit; over M2(Q):swap, moving past x^n swaps rows and columns n times
+    assert n > sys.getrecursionlimit()
+    R, word = one_letter(m2, 1200, twist="swap"), "x" * n
+    c, c_inv = (m2.parse_element_literal(e) for e in ("1,2;3,4", "-2,1;3/2,-1/2"))
+    moved = c if n % 2 == 0 else m2.parse_element_literal("4,3;2,1")
+    w = R.from_terms({word: m2.one})
+    assert w * R.lift(c) == R.from_terms({word: moved})
+    # (c_inv * (1 + w))^-1 = (1 - w) * c = c - moved * w
+    assert (R.lift(c_inv) + R.from_terms({word: c_inv})).inverse() == \
+        R.from_terms({(): c, word: m2.neg(moved)})
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps({"coeff": {"kind": "matrix", "size": 2, "conjugations": {
+        "swap": [["0", "1"], ["1", "0"]]}}, "alphabet": ["x"], "twist": {"x": "swap"},
+        "order": 1200}))
+    lit, neg = ("1,2;3,4", "-1,-2;-3,-4") if n % 2 == 0 else ("4,3;2,1", "-4,-3;-2,-1")
+    for argv, result in ((["mul", f'w("{word}")', "[1,2;3,4]"], f'[{lit}]*w("{word}")'),
+                         (["inv", f'[-2,1;3/2,-1/2]+[-2,1;3/2,-1/2]*w("{word}")'],
+                          f'[1,2;3,4]+[{neg}]*w("{word}")')):
+        assert main([argv[0], "--ring", str(ring), *argv[1:]]) == 0
+        out = capsys.readouterr()
+        assert out.err == "" and json.loads(out.out)["result"] == result
 
 
 def _dense_unit_matrix(R, rng, n):
@@ -946,3 +1012,12 @@ def test_series_errors(make, error, message):
     with pytest.raises(error) as caught:
         make()
     assert str(caught.value) == message
+
+
+def test_letters_at_order_0_are_zero(qq):
+    # no word of one letter fits, but an unknown letter is still refused
+    R = one_letter(qq, 0)
+    assert R.letter("x") == R.zero()
+    with pytest.raises(LiteralSyntaxError) as caught:
+        R.letter("q")
+    assert str(caught.value) == "unknown letter 'q'"
