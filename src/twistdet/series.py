@@ -34,6 +34,19 @@ power-sum pass, `_power_sum`: each step of Horner's rule, h = h*theta + c_k,
 is one `_convolve` with theta the right operand of every step, so theta's
 rows are moved past each key once for the pass.
 
+A ring of one untwisted letter has only the words x^d: nothing moves, and
+a word's code, the runs and the move tables do no work. There the kernel
+pairs terms by degree alone (`SeriesRing._by_degree`, read off the
+alphabet and the twist; there is no switch). Each output degree of a
+product, a Schur complement or a Horner step is one `A.dot` of the pairs
+it gathers (`_convolve_by_degree`), and the solve pass keeps each entry of
+y as a list by degree (`_solve_by_degree`). One operand of a pair is read
+row by row and the other by degree (`_pairs_at`): rows that fill most of
+their degrees are read by one slice per degree, and sparse rows one at a
+time, so a sparse operand costs a step per row and degree, not per degree
+squared. The integers summed are the word path's, so every output is the
+same.
+
 The augmentation eps reads off the empty-word coefficient; it is a ring map
 onto A with section lift(). A series is invertible exactly when eps of it is
 a unit of A (the ring is local over the augmentation), and because the
@@ -44,11 +57,13 @@ kernel call: the rows of q = -inv0 * x+ are x's own kernel rows, each
 vector times a constant, and degree d stands over den * g^d for one g.
 Each degree of each entry is one `_convolve` that reads exactly that
 degree, of n pairs, one per right operand, an entry of y that grows by a
-degree at a time.
+degree at a time; over one untwisted letter it is one `A.dot` of the pairs
+(q_it row of degree k, y_tj[d - k]), with no `_convolve` call.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from fractions import Fraction
@@ -92,6 +107,9 @@ class SeriesRing:
                                    for i, n in enumerate(names) if n != "id"}
         # whether a move can raise a denominator (`_left_rows`)
         self._scaled_moves = any(a.factor != 1 for a in self._inverse_by_letter.values())
+        # whether every word is x^d, so the kernel pairs terms by degree
+        # alone (`_convolve`, `_solve`)
+        self._by_degree = len(alphabet) == 1 and not self._inverse_by_letter
         self.coeff = coeff
         self.alphabet = alphabet
         self.twist_names = names
@@ -452,7 +470,12 @@ def _convolve(R: SeriesRing, pairs: list, lo: int, room: int) -> dict:
     length lo - lv: starts[m] counts the right rows of length below m, up to
     m = room + 1 - lv (an operand read only from degree 0 needs none). The
     pairs' vectors are gathered per output word, named by its code (so no
-    word tuple is built or hashed per pair), and summed by one `A.dot`."""
+    word tuple is built or hashed per pair), and summed by one `A.dot`.
+
+    Over one untwisted letter none of this does any work, and the pairs
+    are gathered by degree instead (`_convolve_by_degree`)."""
+    if R._by_degree:
+        return _convolve_by_degree(R, pairs, lo, room)
     A, gathered = R.coeff, {}
     for rows, (by_key, starts) in pairs:
         run_lv = run_key = None
@@ -483,6 +506,81 @@ def _convolve(R: SeriesRing, pairs: list, lo: int, room: int) -> dict:
             word = v + w
             out[tuple(sorted(word)) if commute else word] = vec
     return out
+
+
+def _convolve_by_degree(R: SeriesRing, pairs: list, lo: int, room: int) -> dict:
+    """_convolve where every word is x^d: each output degree is one `A.dot`
+    of the pairs it gathers by degree (`_pairs_at`). Of each (left rows,
+    right operand) pair, the operand of fewer rows is read row by row and
+    the other by degree."""
+    zero, sides = R._zero_vec, []
+    for rows, (by_key, _) in pairs:
+        right = by_key[()]
+        left_by_rows = len(rows) <= len(right)
+        by_rows, other = (rows, right) if left_by_rows else (right, rows)
+        if not by_rows or not other or other[0][0][0] > room:
+            continue
+        dense = [zero] * (min(other[-1][0][0], room) + 1)
+        for info, v in other:
+            if info[0] > room:
+                break
+            dense[info[0]] = v
+        sides.append((*_by_rows(by_rows, zero), dense, other[0][0][0], left_by_rows))
+    dot, nonzero, out = R.coeff.dot, R.coeff.nonzero, {}
+    for d in range(lo, room + 1):
+        xs, ys = _pairs_at(d, sides)
+        if xs:
+            vec = dot(xs, ys)
+            if nonzero(vec):
+                out[(0,) * d] = vec
+    return out
+
+
+def _by_rows(rows: list, zero) -> tuple:
+    """(k0, k1, vectors, degrees) of kernel rows of degrees k0 .. k1, to be
+    read row by row (`_pairs_at`). Rows that fill more than half of those
+    degrees are a run: their vectors by degree from k1 down to k0, each gap
+    a zero vector, and degrees None."""
+    k0, k1 = rows[0][0][0], rows[-1][0][0]
+    if 2 * len(rows) <= k1 - k0 + 1:
+        return k0, k1, [v for _, v in rows], [info[0] for info, _ in rows]
+    vs = [zero] * (k1 - k0 + 1)
+    for info, v in rows:
+        vs[k1 - info[0]] = v
+    return k0, k1, vs, None
+
+
+def _pairs_at(d: int, sides: list) -> tuple:
+    """(lefts, rights): the pairs of degree d over `sides`, each (k0, k1,
+    vectors, degrees, dense, lowest, left_by_rows). The rows (k, v) of a
+    series read row by row, its first four items from `_by_rows`, meet
+    dense[d - k] for d - k from `lowest` to the end of dense, where dense[m]
+    is the vector of degree m of a series read by degree (zero where it has
+    none); left_by_rows says which of the two is the left factor. A run and
+    dense are read by one slice each."""
+    xs = ys = ()
+    for k0, k1, vs, ks, dense, lowest, left_by_rows in sides:
+        a, b = d + 1 - len(dense), d - lowest  # the degrees k that meet dense
+        if a < k0:
+            a = k0
+        if b > k1:
+            b = k1
+        if a > b:
+            continue
+        if ks is None:
+            vecs, read = vs[k1 - b:k1 - a + 1], dense[d - b:d - a + 1]
+        else:
+            i, j = bisect.bisect_left(ks, a), bisect.bisect_right(ks, b)
+            vecs, read = vs[i:j], [dense[d - k] for k in ks[i:j]]
+        if not xs:  # both are new lists
+            xs, ys = (vecs, read) if left_by_rows else (read, vecs)
+        elif left_by_rows:
+            xs += vecs
+            ys += read
+        else:
+            xs += read
+            ys += vecs
+    return xs, ys
 
 
 def _moved_rows(by_key: dict, key: tuple, room: int) -> list:
@@ -566,7 +664,11 @@ def _solve(R: SeriesRing, q: list, y0: list, den: int, g: int) -> list:
     pass, to which each degree's rows are appended as it is solved, so its
     rows are moved past each key once. Nothing is rescaled or reduced
     between degrees; they are merged once, over den * g^N, and reduced by
-    the TwistedSeries constructor."""
+    the TwistedSeries constructor. Over one untwisted letter the same q
+    and the same bookkeeping solve each degree by one `A.dot` per entry,
+    with no `_convolve` call (`_solve_by_degree`)."""
+    if R._by_degree:
+        return _solve_by_degree(R, q, y0, den, g)
     A, top, n, info = R.coeff, R.order, math.isqrt(len(q)), R._word_info
     ys = [[{(): v} if A.nonzero(v) else {} for v in y0]]
     right = [({(): []}, [0]) for _ in y0]  # y's entries, grown a degree at a time
@@ -584,6 +686,27 @@ def _solve(R: SeriesRing, q: list, y0: list, den: int, g: int) -> list:
         for vecs, e in zip(merged, entries):
             vecs.update(e if times == 1 else {w: scale(v, times) for w, v in e.items()})
     return [TwistedSeries(R, vecs, den * g ** top) for vecs in merged]
+
+
+def _solve_by_degree(R: SeriesRing, q: list, y0: list, den: int, g: int) -> list:
+    """_solve where every word is x^d: each entry of y is a list by degree,
+    and y_d_ij is one `A.dot` of the pairs (q_it row of degree k, y_tj[d - k])
+    over t and the rows of q_it (`_pairs_at`, q read row by row)."""
+    A, top, n = R.coeff, R.order, math.isqrt(len(q))
+    dot, zero = A.dot, R._zero_vec
+    q = [_by_rows(rows, zero) if rows else None for rows in q]
+    ys = [[v] for v in y0]
+    sides = [[(*q[i + t], ys[t * n + j], 0, True) for t in range(n) if q[i + t]]
+             for i in range(0, n * n, n) for j in range(n)]
+    for d in range(1, top + 1):
+        for y, entry in zip(ys, sides):
+            xs, bs = _pairs_at(d, entry)
+            y.append(dot(xs, bs) if xs else zero)
+    scale, nonzero = A.scale_vector, A.nonzero
+    times = [g ** (top - d) for d in range(top + 1)]
+    return [TwistedSeries(R, {(0,) * d: v if times[d] == 1 else scale(v, times[d])
+                              for d, v in enumerate(y) if nonzero(v)}, den * g ** top)
+            for y in ys]
 
 
 def _power_sum(theta: TwistedSeries, coeff) -> TwistedSeries:

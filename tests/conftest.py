@@ -6,7 +6,7 @@ from twistdet import IntegersMod, RationalField, SeriesRing
 from twistdet import matrices as matrices_module
 from twistdet import rings as rings_module
 from twistdet import series as series_module
-from twistdet.selftest import REGISTRY, free_yz, m2_swap, qc2, qc4_inv
+from twistdet.selftest import REGISTRY, free_yz, m2_swap, m2_two_twists, qc2, qc4_inv
 
 
 @pytest.fixture
@@ -69,6 +69,7 @@ m2 = pytest.fixture(m2_swap, name="m2")
 qc2 = pytest.fixture(qc2, name="qc2")
 qc4 = pytest.fixture(qc4_inv, name="qc4")
 free_yz = pytest.fixture(free_yz, name="free_yz")
+m2_two_twists = pytest.fixture(m2_two_twists, name="m2_two_twists")
 
 
 def one_letter(coeff, order, twist=None):

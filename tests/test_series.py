@@ -234,9 +234,6 @@ def dense_series(R, rng, max_len):
     return R.from_terms([(w, R.coeff.random_element(rng)) for w in words])
 
 
-m2_two_twists = pytest.fixture(m2_two_twists)
-
-
 def kernel_rings(qq, m2, m2_two_twists):
     z12 = IntegersMod(12)
     xy = ("x", "y")
@@ -257,6 +254,13 @@ def kernel_rings(qq, m2, m2_two_twists):
         SeriesRing(m2_nonintegral(), alphabet=xy, twist={"x": "p"}, order=4),
         # p and p^-1 both have factor 6, so keys with factors 6 and 36 meet in one sum
         SeriesRing(m2_nonintegral(), alphabet=xy, twist={"x": "p", "y": "p^-1"}, order=3),
+        # one untwisted letter: the kernel pairs terms by degree
+        SeriesRing(z12, alphabet=("x",), order=12),
+        SeriesRing(qq, alphabet=("x",), order=8),
+        SeriesRing(m2, alphabet=("x",), order=5),
+        SeriesRing(qc4_inv(), alphabet=("x",), order=5),
+        SeriesRing(free_yz(), alphabet=("x",), order=4),
+        SeriesRing(qq, alphabet=("x",), order=6, letters_commute=True),
     ]
 
 
@@ -412,6 +416,68 @@ def test_solve_pass_reads_n_pairs_per_entry_and_moves_each_y_row_once(monkeypatc
     assert moves and len(moves) == len(set(moves))
     monkeypatch.undo()
     assert ref_mat_mul(m, inv) == SeriesMatrix.identity(R, 3)
+
+
+def _solve_dots(monkeypatch):
+    """A list that gets the number of pairs of each `A.dot` call made inside
+    a solve pass, `series._solve`; `series._convolve` and
+    `series._moved_rows` refuse to run."""
+    calls, solve = [], series_module._solve
+
+    def counted_solve(R, *args):
+        A, dot = R.coeff, R.coeff.dot
+
+        def counted(xs, ys):
+            calls.append(len(xs))
+            return dot(xs, ys)
+        A.dot = counted
+        try:
+            return solve(R, *args)
+        finally:
+            del A.dot
+
+    def refuse(*args):
+        raise AssertionError("the word path reached")
+    monkeypatch.setattr(series_module, "_solve", counted_solve)
+    monkeypatch.setattr(series_module, "_convolve", refuse)
+    monkeypatch.setattr(series_module, "_moved_rows", refuse)
+    return calls
+
+
+@pytest.mark.parametrize("make", [lambda: IntegersMod(101), RationalField, m2_two_twists,
+                                  qc4_inv], ids=["Z/101", "Q", "M2(Q)", "Q[C4]"])
+def test_untwisted_one_letter_solve_is_one_dot_per_entry_and_degree(monkeypatch, make):
+    # over one untwisted letter an inverse and a mat_invert solve by degree:
+    # no `_convolve` call, no move table, and at most one A.dot per (entry,
+    # output degree)
+    rng = random.Random(53)
+    R = one_letter(make(), 8)
+    u, m = R.lift(R.coeff.random_unit(rng)) + dense_kernel(R, rng), _dense_unit_matrix(R, rng, 3)
+    calls = _solve_dots(monkeypatch)
+    inv = u.inverse()
+    assert 0 < len(calls) <= R.order
+    del calls[:]
+    m_inv = mat_invert(m)
+    assert 0 < len(calls) <= 9 * R.order
+    monkeypatch.undo()
+    assert ref_mul(u, inv) == R.one() == ref_mul(inv, u)
+    assert ref_mat_mul(m, m_inv) == SeriesMatrix.identity(R, 3) == ref_mat_mul(m_inv, m)
+
+
+@pytest.mark.parametrize("A, c", [(IntegersMod(101), 7), (RationalField(), F(3, 2))],
+                         ids=["Z/101", "Q"])
+def test_sparse_one_letter_inverse_visits_order_times_terms_pairs(monkeypatch, A, c):
+    # (1 + c*x^300)^-1 = 1 - c*x^300 + c^2*x^600 at order 600: q has one
+    # row, so the solve pass visits at most one pair per degree, not the
+    # order^2 / 2 a list of q by degree would
+    R = one_letter(A, 600)
+    u = R.from_terms({(): 1, "x" * 300: c})
+    calls = _solve_dots(monkeypatch)
+    inv = u.inverse()
+    assert 0 < sum(calls) <= R.order and len(calls) <= R.order
+    monkeypatch.undo()
+    assert inv == R.from_terms({(): 1, "x" * 300: -c, "x" * 600: c * c})
+    assert ref_mul(u, inv) == R.one() == ref_mul(inv, u)
 
 
 @pytest.mark.parametrize("twists", ["swap,shear", "p"])
