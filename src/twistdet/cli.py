@@ -129,7 +129,10 @@ def execute_job(job: dict):
                           order=job.get("order", 4),
                           trials=job.get("trials", 10))
         return {"op": "selftest", **report}, 0 if report["passed"] else 2
-    ring = series_ring_from_doc(job["ring"])
+    try:
+        ring = series_ring_from_doc(job["ring"])
+    except ValidationError as exc:
+        raise exc.under("ring") from None
     if op == "cyclog":  # refused before its literal is read
         refuse_twisted_trace(ring, "cyclog needs")
     s = [parse_series(text, ring) for text in job.get("series", ())]

@@ -32,7 +32,7 @@ from .rings import (
     quoted,
 )
 from .selftest import SUITE_NAMES
-from .series import SeriesRing, TwistedSeries
+from .series import SeriesRing, TwistedSeries, series_ring_refusal
 
 
 def canonical_json(doc) -> str:
@@ -42,29 +42,42 @@ def canonical_json(doc) -> str:
 # -- coefficient rings ---------------------------------------------------------
 
 def coeff_ring_from_doc(doc: dict) -> CoeffRing:
+    """The coefficient ring a document describes. A ring constructor's
+    refusal is raised as a ValidationError naming the field it refuses."""
     kind = doc["kind"]
     if kind == "rational":
         return RationalField()
     if kind == "int_mod":
-        return IntegersMod(doc["modulus"])
+        return _built(("modulus",), IntegersMod, doc["modulus"])
     if kind == "matrix":
-        ring = RationalMatrixRing(doc["size"])
+        ring = _built(("size",), RationalMatrixRing, doc["size"])
         for name, mat in sorted(doc.get("conjugations", {}).items()):
-            ring.register_conjugation(name, [[_frac(x) for x in row] for row in mat])
+            _built(("conjugations", name), ring.register_conjugation, name,
+                   [[_frac(x) for x in row] for row in mat])
         return ring
     if kind == "group_algebra":
         g = doc["group"]
-        group = FiniteGroup(g["table"], name=g.get("name", "G"))
+        group = _built(("group", "table"), FiniteGroup, g["table"], g.get("name", "G"))
         ring = GroupAlgebra(group)
         for name, perm in sorted(doc.get("automorphisms", {}).items()):
-            ring.register_group_automorphism(name, perm)
+            _built(("automorphisms", name), ring.register_group_automorphism, name, perm)
         return ring
     if kind == "free_trunc":
-        ring = TruncatedFreeAlgebra(tuple(doc["generators"]), doc["max_degree"])
+        ring = _built(("generators",), TruncatedFreeAlgebra, tuple(doc["generators"]),
+                      doc["max_degree"])
         for name, perm in sorted(doc.get("permutations", {}).items()):
-            ring.register_generator_permutation(name, perm)
+            _built(("permutations", name), ring.register_generator_permutation, name, perm)
         return ring
     raise LiteralSyntaxError(f"unknown coefficient ring kind {kind!r}")
+
+
+def _built(path: tuple, build, *args):
+    """build(*args), with its ValueError raised as a ValidationError that
+    names the document field at `path`."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ValidationError(str(exc), path) from None
 
 
 def _frac(x):
@@ -74,12 +87,20 @@ def _frac(x):
 # -- series rings ----------------------------------------------------------------
 
 def series_ring_from_doc(doc: dict) -> SeriesRing:
-    coeff = coeff_ring_from_doc(doc["coeff"])
-    return SeriesRing(coeff,
-                      alphabet=tuple(doc.get("alphabet", ["x"])),
-                      twist=doc.get("twist") or {},
-                      order=doc["order"],
-                      letters_commute=doc.get("letters_commute", False))
+    """The series ring a document describes; a field that a ring
+    constructor refuses raises a ValidationError that names it."""
+    try:
+        coeff = coeff_ring_from_doc(doc["coeff"])
+    except ValidationError as exc:
+        raise exc.under("coeff") from None
+    alphabet, twist = tuple(doc.get("alphabet", ["x"])), doc.get("twist") or {}
+    order, commute = doc["order"], doc.get("letters_commute", False)
+    refused = series_ring_refusal(alphabet, twist, order, commute)
+    if refused is not None:
+        path, message = refused
+        raise ValidationError(message, path)
+    return SeriesRing(coeff, alphabet=alphabet, twist=twist, order=order,
+                      letters_commute=commute)
 
 
 # -- operands ---------------------------------------------------------------------

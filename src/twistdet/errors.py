@@ -88,7 +88,8 @@ _PLAIN_KEY = re.compile(r"^[a-zA-Z][a-zA-Z0-9_]*$")
 
 
 class ValidationError(ValueError):
-    """A JSON document does not match its schema.
+    """A JSON document does not match its schema, or describes a ring that
+    cannot be built.
 
     `path` holds the keys and indices from the document's root to the failing
     value; `json_path` spells it the way jsonschema does, e.g. `$.ring.order`.
@@ -98,6 +99,10 @@ class ValidationError(ValueError):
         super().__init__(message)
         self.message = message
         self.path = tuple(path)
+
+    def under(self, *keys) -> "ValidationError":
+        """The same error for its document found at `keys` of a larger one."""
+        return ValidationError(self.message, (*keys, *self.path))
 
     @property
     def json_path(self) -> str:

@@ -194,11 +194,12 @@ def ldu_decompose(m: SeriesMatrix) -> LduFactors:
 
 
 def _schur_complement(m: SeriesMatrix, neg_u: list) -> SeriesMatrix:
-    """d2 = a22 - a21 * u for the entries of -u = -a11^-1 * a12: one kernel
-    call, with a22 folded in as (a22_ij, 1) pairs."""
-    R, one, n = m.ring, m.ring.one(), len(neg_u)
-    entries = sums_of_products(R, [[(row[j + 1], one), (row[0], v)]
-                                   for row in m.rows[1:] for j, v in enumerate(neg_u)])
+    """d2 = a22 - a21 * u for the entries of -u = -a11^-1 * a12: the
+    products a21 * -u in one kernel call, each added to its entry of a22."""
+    R, n = m.ring, len(neg_u)
+    products = sums_of_products(R, [[(row[0], v)] for row in m.rows[1:] for v in neg_u])
+    a22 = [e for row in m.rows[1:] for e in row[1:]]
+    entries = [a + p for a, p in zip(a22, products)]
     return SeriesMatrix(R, [entries[i:i + n] for i in range(0, n * n, n)])
 
 

@@ -12,40 +12,53 @@ FLINT's fmpq_poly layout: integer vectors over one positive denominator, in
 canonical form (TwistedSeries, built from vectors only); values enter once,
 cleared in `SeriesRing.from_terms`. Products, inverses, LDU splits and logs
 stay in it; values (`terms`) are built on first read, for literals, traces
-and documents. Every product goes through one pair loop, `_convolve`: the
-pairs' vectors are gathered per output word (named by an integer code, so no
-word tuple is built or hashed per pair), summed by one integer `dot` and
-reduced once per output series. Each series keeps its kernel rows (words
-with codes and twist keys, shortest first). Consecutive left rows of one
-length and twist key form a run, and a run's inner loop ends at the first
-right word that would overshoot the order. A word's move depends only on
-its twist key, the inverse twists of its twisted letters (RingAutomorphism
-objects; letters twisted alike share one): untwisted words move nothing.
-Left vectors carry the scale a move needs (`_left_rows`), so a right row
-moved past a key depends on nothing else, and a right operand keeps one
-move table for the whole operation: its rows moved past each key, each
-list extended in a loop from that of the key's next shorter suffix
-(`_moved_rows`), so each (key, right word) is moved once, through the
-twists' view actions, when a left word with that key first reaches it. A
-series product, a whole series-matrix product, the entries of l and u in
-an LDU split and its Schur complement are one kernel call,
-`sums_of_products`. Log and exp are one
-power-sum pass, `_power_sum`: each step of Horner's rule, h = h*theta + c_k,
-is one `_convolve` with theta the right operand of every step, so theta's
-rows are moved past each key once for the pass.
+and documents.
 
-A ring of one untwisted letter has only the words x^d: nothing moves, and
-a word's code, the runs and the move tables do no work. There the kernel
-pairs terms by degree alone (`SeriesRing._by_degree`, read off the
-alphabet and the twist; there is no switch). Each output degree of a
-product, a Schur complement or a Horner step is one `A.dot` of the pairs
-it gathers (`_convolve_by_degree`), and the solve pass keeps each entry of
-y as a list by degree (`_solve_by_degree`). One operand of a pair is read
-row by row and the other by degree (`_pairs_at`): rows that fill most of
-their degrees are read by one slice per degree, and sparse rows one at a
-time, so a sparse operand costs a step per row and degree, not per degree
-squared. The integers summed are the word path's, so every output is the
-same.
+A ring of one letter has only the words x^d, and a coefficient moves past
+x^k by xi^-k, the letter's inverse twist k times: a*x^i * b*x^j =
+a*xi^-i(b) * x^(i+j). There the kernel pairs terms by degree
+(`SeriesRing._by_degree`, read off the alphabet; there is no switch). Each
+output degree of a product or a Schur complement is one `A.dot` of the
+pairs it gathers (`_convolve_by_degree`), and the solve pass keeps each
+entry of y as a list by degree (`_solve_by_degree`). One operand of a pair
+is read row by row and the other by degree (`_pairs_at`): rows that fill
+most of their degrees are read by one slice per degree, and sparse rows
+one at a time, so a sparse operand costs a step per row and degree, not
+per degree squared. Over a twisted letter the left is read row by row,
+and a right operand keeps its vectors by degree moved by xi^-k as one list
+per shift k, each built from the list of shift k - 1 by the twist's view
+action, in a loop, and only as far as a left degree reads it
+(`_extend_shifts`), so each (shift, right degree) is moved once per
+operation; left vectors carry L / F^k for a twist of factor F, so a moved
+vector depends on its shift alone. Log and exp are one Horner pass on lists
+by degree (`_power_sum_by_degree`): degree d of h*theta is one `A.dot` of
+h[:d] and the diagonal [xi^-i(theta_{d-i})], built once per pass, with one
+gcd reduction per step and no series built between steps.
+
+A ring of two or more letters takes the word path. Every product goes
+through one pair loop, `_convolve`: the pairs' vectors are gathered per
+output word (named by an integer code, so no word tuple is built or hashed
+per pair), summed by one integer `dot` and reduced once per output series.
+Each series keeps its kernel rows (words with codes and twist keys,
+shortest first). Consecutive left rows of one length and twist key form a
+run, and a run's inner loop ends at the first right word that would
+overshoot the order. A word's move depends only on its twist key, the
+inverse twists of its twisted letters (RingAutomorphism objects; letters
+twisted alike share one): untwisted words move nothing. Left vectors carry
+the scale a move needs (`_left_rows`), so a right row moved past a key
+depends on nothing else, and a right operand keeps one move table for the
+whole operation: its rows moved past each key, each list extended in a
+loop from that of the key's next shorter suffix (`_moved_rows`), so each
+(key, right word) is moved once, through the twists' view actions, when a
+left word with that key first reaches it. Log and exp are one power-sum
+pass, `_power_sum`: each step of Horner's rule, h = h*theta + c_k, is one
+`_convolve` with theta the right operand of every step, so theta's rows
+are moved past each key once for the pass.
+
+On either path a series product, a whole series-matrix product and the
+entries of l and u in an LDU split are one kernel call,
+`sums_of_products`, and so are the products a21 * u of a Schur
+complement. Series are canonical, so no output depends on the path.
 
 The augmentation eps reads off the empty-word coefficient; it is a ring map
 onto A with section lift(). A series is invertible exactly when eps of it is
@@ -57,8 +70,8 @@ kernel call: the rows of q = -inv0 * x+ are x's own kernel rows, each
 vector times a constant, and degree d stands over den * g^d for one g.
 Each degree of each entry is one `_convolve` that reads exactly that
 degree, of n pairs, one per right operand, an entry of y that grows by a
-degree at a time; over one untwisted letter it is one `A.dot` of the pairs
-(q_it row of degree k, y_tj[d - k]), with no `_convolve` call.
+degree at a time; over one letter it is one `A.dot` of the pairs (q_it
+row of degree k, y_tj[d - k] moved by xi^-k), with no `_convolve` call.
 """
 
 from __future__ import annotations
@@ -83,23 +96,33 @@ def _grlex(word: tuple) -> tuple:
     return (len(word), word)
 
 
+def series_ring_refusal(alphabet: tuple, twist: dict, order: int, letters_commute) -> tuple:
+    """(path, message) for the first argument that SeriesRing refuses, the
+    path naming it as a field of a series ring document, or None."""
+    if any(len(a) != 1 for a in alphabet) or len(set(alphabet)) != len(alphabet):
+        return ("alphabet",), "alphabet letters must be distinct single characters"
+    for i, a in enumerate(alphabet):  # each word must read back inside one w("...") factor
+        if getattr(_TOKEN.fullmatch(f'w("{a}")'), "lastgroup", None) != "word":
+            return ("alphabet", i), f"letter {a!r} cannot be written in a w(\"...\") factor"
+    if order < 0:
+        return ("order",), "order must be >= 0"
+    stray = sorted(set(twist) - set(alphabet))
+    if stray:
+        return ("twist", stray[0]), f"twist names letters not in the alphabet: {stray}"
+    if letters_commute and any(n != "id" for n in twist.values()):
+        return ("letters_commute",), "commuting letters require identity twists"
+    return None
+
+
 class SeriesRing:
     """A_xi<<X>> truncated at total word length `order`."""
 
     def __init__(self, coeff: CoeffRing, alphabet=("x",), twist=None, order=4,
                  letters_commute=False):
-        alphabet = tuple(alphabet)
-        if any(len(a) != 1 for a in alphabet) or len(set(alphabet)) != len(alphabet):
-            raise ValueError("alphabet letters must be distinct single characters")
-        for a in alphabet:  # each word must read back inside one w("...") factor
-            if getattr(_TOKEN.fullmatch(f'w("{a}")'), "lastgroup", None) != "word":
-                raise ValueError(f"letter {a!r} cannot be written in a w(\"...\") factor")
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        twist = twist or {}
-        stray = sorted(set(twist) - set(alphabet))
-        if stray:
-            raise ValueError(f"twist names letters not in the alphabet: {stray}")
+        alphabet, twist = tuple(alphabet), twist or {}
+        refused = series_ring_refusal(alphabet, twist, order, letters_commute)
+        if refused is not None:
+            raise ValueError(refused[1])
         names = tuple(twist.get(a, "id") for a in alphabet)
         # each twisted letter's inverse twist: one registry object per name,
         # so letters twisted alike share it
@@ -108,15 +131,15 @@ class SeriesRing:
         # whether a move can raise a denominator (`_left_rows`)
         self._scaled_moves = any(a.factor != 1 for a in self._inverse_by_letter.values())
         # whether every word is x^d, so the kernel pairs terms by degree
-        # alone (`_convolve`, `_solve`)
-        self._by_degree = len(alphabet) == 1 and not self._inverse_by_letter
+        # alone, and a move past x^k is k view actions of the one letter's
+        # inverse twist, `_shift` (None if the letter is untwisted)
+        self._by_degree = len(alphabet) == 1
+        self._shift = self._inverse_by_letter.get(0) if self._by_degree else None
         self.coeff = coeff
         self.alphabet = alphabet
         self.twist_names = names
         self.order = order
         self.letters_commute = bool(letters_commute)
-        if self.letters_commute and any(n != "id" for n in names):
-            raise ValueError("commuting letters require identity twists")
         self._letter_index = {a: i for i, a in enumerate(alphabet)}
         self._infos: dict[tuple, tuple] = {}
         (self._zero_vec, self._one_vec), _ = coeff.clear((coeff.zero, coeff.one))
@@ -253,12 +276,16 @@ class TwistedSeries:
         return self._terms
 
     def _kernel_rows(self) -> list:
-        """A row (_word_info(w), vector) per word w, shortest words first, built
-        on first read."""
+        """The kernel rows, shortest words first, built on first read: over
+        one letter a row (d, vector) per word x^d, else a row
+        (_word_info(w), vector) per word w."""
         if self._rows is None:
-            info = self.ring._word_info
-            rows = [(info(w), v) for w, v in self.vecs.items()]
-            self._rows = sorted(rows, key=_row_length)
+            if self.ring._by_degree:
+                self._rows = sorted([(len(w), v) for w, v in self.vecs.items()], key=_first)
+            else:
+                info = self.ring._word_info
+                self._rows = sorted([(info(w), v) for w, v in self.vecs.items()],
+                                    key=_row_length)
         return self._rows
 
     # -- basics ---------------------------------------------------------------
@@ -371,14 +398,20 @@ class TwistedSeries:
 
 def _reduced(A, vecs: dict, den: int) -> tuple:
     """(vecs, den) divided by the gcd of den and every entry of the vectors."""
-    g = den
-    for v in vecs.values():
-        if g == 1:
-            break
-        g = math.gcd(g, A.content(v))
+    g = _content(A, vecs.values(), den)
     if g != 1:
         vecs = {w: A.divide_vector(v, g) for w, v in vecs.items()}
     return vecs, den // g
+
+
+def _content(A, vectors, den: int) -> int:
+    """The gcd of den and every entry of the vectors."""
+    g = den
+    for v in vectors:
+        if g == 1:
+            break
+        g = math.gcd(g, A.content(v))
+    return g
 
 
 def sums_of_products(R: SeriesRing, sums: list) -> list:
@@ -390,9 +423,10 @@ def sums_of_products(R: SeriesRing, sums: list) -> list:
     each is scaled by L / F_K, for F_K the product of the twists' factors of
     its word's key K and L the lcm of the F_K over the left words
     (`_left_rows`). Right rows are brought over dr, the lcm of the right
-    denominators, once per call, as the base of each right operand's move
-    table; a move through K adds F_K to their denominator, so each output
-    word is one `A.dot` over dl * dr * L (`_convolve`)."""
+    denominators, once per call, as the base of each right operand's moves;
+    a move through K adds F_K to their denominator, so each output word is
+    one `A.dot` over dl * dr * L (`_convolve`, or `_convolve_by_degree` over
+    one letter)."""
     left, right = {}, {}  # by id: the operand, then its rows (left) or right operand
     for pairs in sums:
         for s, t in pairs:
@@ -405,40 +439,46 @@ def sums_of_products(R: SeriesRing, sums: list) -> list:
         rows, times = t._kernel_rows(), dr // t.den
         if times != 1:
             rows = [(info, scale_vector(b, times)) for info, b in rows]
-        right[i] = ({(): rows}, None)
-    den, results = dl * dr * L, []
-    for pairs in sums:
-        out = _convolve(R, [(left[id(s)], right[id(t)]) for s, t in pairs], 0, R.order)
-        results.append(TwistedSeries(R, out, den))
-    return results
+        right[i] = rows if R._by_degree else ({(): rows}, None)
+    den = dl * dr * L
+    if R._by_degree:
+        out = _convolve_by_degree(R, [[(left[id(s)], right[id(t)]) for s, t in pairs]
+                                      for pairs in sums])
+        return [TwistedSeries(R, vecs, den) for vecs in out]
+    return [TwistedSeries(R, _convolve(R, [(left[id(s)], right[id(t)]) for s, t in pairs],
+                                       0, R.order), den) for pairs in sums]
 
 
 _den = operator.attrgetter("den")
+_first = operator.itemgetter(0)
+_row_key = operator.itemgetter(4)  # of a word-path row's info: its twist key
 
 
 def _row_length(row) -> int:
-    """The word length of a kernel row."""
+    """The word length of a kernel row of the word path."""
     return row[0][0]
 
 
 def _left_rows(R: SeriesRing, left: dict) -> tuple:
-    """Replace each left operand of a kernel call, a power-sum step or an
-    inverse, the values of `left`, by its kernel rows, each vector over den,
-    the lcm of their denominators, and scaled by L / F_K, for F_K the
-    product of the twists' factors of the row's key K and L the lcm of the
-    F_K; return (den, L). A right row moved past K then stands over F_K
-    times its own denominator, so every pair of a sum stands over den * L
-    times the right denominator, whatever the key. Where every twist has
-    factor 1, so has every key, and the keys are not read."""
+    """Replace each left operand of a kernel call, a power-sum step of the
+    word path or an inverse, the values of `left`, by its kernel rows, each
+    vector over den, the lcm of their denominators, and scaled by L / F_K,
+    for F_K the product of the twists' factors of the row's key K and L the
+    lcm of the F_K; return (den, L). A right row moved past K then stands
+    over F_K times its own denominator, so every pair of a sum stands over
+    den * L times the right denominator, whatever the key. Over one letter
+    the key of x^k is read as k, and F_K is F^k for F the factor of the
+    letter's inverse twist. Where every twist has factor 1, so has every
+    key, and the keys are not read."""
     scale_vector, den = R.coeff.scale_vector, math.lcm(*map(_den, left.values()))
-    factors = {}  # key -> F_K; a key it leaves out has F_K = 1
+    key = int if R._by_degree else _row_key  # a degree row's info is its degree
+    factors = {}  # key -> F_K of every left row, where a twist has factor F != 1
     for s in left.values() if R._scaled_moves else ():
-        for (_, _, _, _, key), _ in s._kernel_rows():
-            if key not in factors:
-                f = 1
-                for auto in key:
-                    f *= auto.factor
-                factors[key] = f
+        for info, _ in s._kernel_rows():
+            k = key(info)
+            if k not in factors:
+                factors[k] = (R._shift.factor ** k if R._by_degree
+                              else math.prod(auto.factor for auto in k))
     L = math.lcm(*factors.values())
     uniform = min(factors.values(), default=1) == L
     for i, s in left.items():
@@ -448,7 +488,7 @@ def _left_rows(R: SeriesRing, left: dict) -> tuple:
             continue
         scaled = left[i] = []
         for info, a in rows:
-            t = times * (L // factors.get(info[4], 1))
+            t = times * (L // factors[key(info)]) if factors else times
             scaled.append((info, a if t == 1 else scale_vector(a, t)))
     return den, L
 
@@ -456,8 +496,9 @@ def _left_rows(R: SeriesRing, left: dict) -> tuple:
 def _convolve(R: SeriesRing, pairs: list, lo: int, room: int) -> dict:
     """word -> nonzero vector of the sum, over (left rows, right operand)
     pairs, of each left row (length lv, key K) times each right row of
-    length lo - lv .. room - lv: the kernel's one pair loop. Left rows are
-    shortest first and their vectors already scaled (`_left_rows`).
+    length lo - lv .. room - lv: the pair loop of rings of two or more
+    letters. Left rows are shortest first and their vectors already scaled
+    (`_left_rows`).
 
     A right operand is (by_key, starts). by_key is its move table: by_key[()]
     holds its kernel rows, over the right denominator of the call, and
@@ -470,12 +511,7 @@ def _convolve(R: SeriesRing, pairs: list, lo: int, room: int) -> dict:
     length lo - lv: starts[m] counts the right rows of length below m, up to
     m = room + 1 - lv (an operand read only from degree 0 needs none). The
     pairs' vectors are gathered per output word, named by its code (so no
-    word tuple is built or hashed per pair), and summed by one `A.dot`.
-
-    Over one untwisted letter none of this does any work, and the pairs
-    are gathered by degree instead (`_convolve_by_degree`)."""
-    if R._by_degree:
-        return _convolve_by_degree(R, pairs, lo, room)
+    word tuple is built or hashed per pair), and summed by one `A.dot`."""
     A, gathered = R.coeff, {}
     for rows, (by_key, starts) in pairs:
         run_lv = run_key = None
@@ -508,58 +544,95 @@ def _convolve(R: SeriesRing, pairs: list, lo: int, room: int) -> dict:
     return out
 
 
-def _convolve_by_degree(R: SeriesRing, pairs: list, lo: int, room: int) -> dict:
-    """_convolve where every word is x^d: each output degree is one `A.dot`
-    of the pairs it gathers by degree (`_pairs_at`). Of each (left rows,
-    right operand) pair, the operand of fewer rows is read row by row and
-    the other by degree."""
-    zero, sides = R._zero_vec, []
-    for rows, (by_key, _) in pairs:
-        right = by_key[()]
-        left_by_rows = len(rows) <= len(right)
-        by_rows, other = (rows, right) if left_by_rows else (right, rows)
-        if not by_rows or not other or other[0][0][0] > room:
-            continue
-        dense = [zero] * (min(other[-1][0][0], room) + 1)
-        for info, v in other:
-            if info[0] > room:
-                break
-            dense[info[0]] = v
-        sides.append((*_by_rows(by_rows, zero), dense, other[0][0][0], left_by_rows))
-    dot, nonzero, out = R.coeff.dot, R.coeff.nonzero, {}
-    for d in range(lo, room + 1):
-        xs, ys = _pairs_at(d, sides)
-        if xs:
-            vec = dot(xs, ys)
-            if nonzero(vec):
-                out[(0,) * d] = vec
+def _convolve_by_degree(R: SeriesRing, sums: list) -> list:
+    """The pair loop over one letter, where every word is x^d: [word ->
+    nonzero vector of the sum] for each list of (left rows, right rows)
+    pairs, rows (d, vector) shortest first and left vectors scaled
+    (`_left_rows`). Each output degree of a sum is one `A.dot` of the pairs
+    it gathers by degree (`_pairs_at`).
+
+    A left row of degree k meets the right operand moved past x^k, by
+    xi^-k. Over a twisted letter each right operand keeps its vectors by
+    degree moved by xi^-k as one list per shift k, built for the left
+    degrees that read it (`_extend_shifts`), so each (shift, right degree)
+    is moved once per call, and each pair's left is read row by row. Over
+    an untwisted letter nothing moves, and of each pair the operand of
+    fewer rows is read row by row and the other by degree."""
+    room, zero, shift = R.order, R._zero_vec, R._shift
+    moves, by_sum = {}, []  # id of right rows -> (their shift lists, the left degrees read)
+    for pairs in sums:
+        sides, lowest = [], room + 1  # and the lowest output degree of a pair
+        for rows, right in pairs:
+            if not rows or not right or rows[0][0] + right[0][0] > room:
+                continue
+            lowest = min(lowest, rows[0][0] + right[0][0])
+            if shift is not None:
+                entry = moves.get(id(right))
+                if entry is None:
+                    entry = moves[id(right)] = ([_vectors_by_degree(right, room, zero)], set())
+                entry[1].update(map(_first, rows))
+                sides.append((*_by_rows(rows, None), entry[0][0], right[0][0], True, entry[0]))
+            elif len(rows) <= len(right):
+                sides.append((*_by_rows(rows, zero), _vectors_by_degree(right, room, zero),
+                              right[0][0], True, None))
+            else:
+                sides.append((*_by_rows(right, zero), _vectors_by_degree(rows, room, zero),
+                              rows[0][0], False, None))
+        by_sum.append((lowest, sides))
+    for shifts, reads in moves.values():
+        _extend_shifts(shifts, shift.act, sorted(reads), room, zero)
+    dot, nonzero, out = R.coeff.dot, R.coeff.nonzero, []
+    for lowest, sides in by_sum:
+        vecs = {}
+        for d in range(lowest, room + 1):
+            xs, ys = _pairs_at(d, sides)
+            if xs:
+                vec = dot(xs, ys)
+                if nonzero(vec):
+                    vecs[(0,) * d] = vec
+        out.append(vecs)
     return out
 
 
+def _vectors_by_degree(rows: list, room: int, zero) -> list:
+    """The vectors of rows (d, vector), shortest first, by degree up to
+    `room` or the last row: zero where there is no row."""
+    dense = [zero] * (min(rows[-1][0], room) + 1)
+    for k, v in rows:
+        if k > room:
+            break
+        dense[k] = v
+    return dense
+
+
 def _by_rows(rows: list, zero) -> tuple:
-    """(k0, k1, vectors, degrees) of kernel rows of degrees k0 .. k1, to be
-    read row by row (`_pairs_at`). Rows that fill more than half of those
-    degrees are a run: their vectors by degree from k1 down to k0, each gap
-    a zero vector, and degrees None."""
-    k0, k1 = rows[0][0][0], rows[-1][0][0]
-    if 2 * len(rows) <= k1 - k0 + 1:
-        return k0, k1, [v for _, v in rows], [info[0] for info, _ in rows]
+    """(k0, k1, vectors, degrees) of rows (d, vector) of degrees k0 .. k1,
+    to be read row by row (`_pairs_at`). Where a zero vector is given, rows
+    that fill more than half of those degrees are a run: their vectors by
+    degree from k1 down to k0, each gap that zero vector, and degrees None.
+    Rows moved by shift (zero None) are never a run, so no gap moves."""
+    k0, k1 = rows[0][0], rows[-1][0]
+    if zero is None or 2 * len(rows) <= k1 - k0 + 1:
+        return k0, k1, [v for _, v in rows], [k for k, _ in rows]
     vs = [zero] * (k1 - k0 + 1)
-    for info, v in rows:
-        vs[k1 - info[0]] = v
+    for k, v in rows:
+        vs[k1 - k] = v
     return k0, k1, vs, None
 
 
 def _pairs_at(d: int, sides: list) -> tuple:
     """(lefts, rights): the pairs of degree d over `sides`, each (k0, k1,
-    vectors, degrees, dense, lowest, left_by_rows). The rows (k, v) of a
-    series read row by row, its first four items from `_by_rows`, meet
+    vectors, degrees, dense, lowest, left_by_rows, shifts). The rows (k, v)
+    of a series read row by row, its first four items from `_by_rows`, meet
     dense[d - k] for d - k from `lowest` to the end of dense, where dense[m]
     is the vector of degree m of a series read by degree (zero where it has
     none); left_by_rows says which of the two is the left factor. A run and
-    dense are read by one slice each."""
+    dense are read by one slice each. Over a twisted letter the left is read
+    row by row and never as a run, and a left row of degree k meets
+    shifts[k][d - k], the right vector of degree d - k moved by xi^-k
+    (`_extend_shifts`); shifts is None over an untwisted one."""
     xs = ys = ()
-    for k0, k1, vs, ks, dense, lowest, left_by_rows in sides:
+    for k0, k1, vs, ks, dense, lowest, left_by_rows, shifts in sides:
         a, b = d + 1 - len(dense), d - lowest  # the degrees k that meet dense
         if a < k0:
             a = k0
@@ -568,10 +641,13 @@ def _pairs_at(d: int, sides: list) -> tuple:
         if a > b:
             continue
         if ks is None:
-            vecs, read = vs[k1 - b:k1 - a + 1], dense[d - b:d - a + 1]
+            vecs = vs[k1 - b:k1 - a + 1]
+            read = dense[d - b:d - a + 1]
         else:
             i, j = bisect.bisect_left(ks, a), bisect.bisect_right(ks, b)
-            vecs, read = vs[i:j], [dense[d - k] for k in ks[i:j]]
+            vecs = vs[i:j]
+            read = ([dense[d - k] for k in ks[i:j]] if shifts is None
+                    else [shifts[k][d - k] for k in ks[i:j]])
         if not xs:  # both are new lists
             xs, ys = (vecs, read) if left_by_rows else (read, vecs)
         elif left_by_rows:
@@ -581,6 +657,34 @@ def _pairs_at(d: int, sides: list) -> tuple:
             xs += read
             ys += vecs
     return xs, ys
+
+
+def _extend_shifts(shifts: list, act, reads, room: int, zero) -> None:
+    """Extend the shift lists of a right operand over one twisted letter:
+    shifts[0] holds its vectors by degree, and shifts[i] those vectors moved
+    leftward past x^i, by xi^-i, each list extended from that of shift i - 1
+    by one view action (`act`) per vector, in a loop. For each left degree
+    k of `reads`, ascending, shifts[1..k] reach degree room - k, as far as
+    shifts[0] goes, so a shift is built only up to the largest degree that
+    a left degree reads through it, and each (shift, degree) is moved once
+    however often this is called as shifts[0] grows. The vector `zero`
+    (that object) is not acted on."""
+    size, i = len(shifts[0]), 1
+    for k in reads:
+        end = room + 1 - k if room - k < size else size
+        if end <= 0:
+            break
+        if k < len(shifts) and len(shifts[k]) >= end:  # so are shifts[1..k]
+            i = k + 1
+            continue
+        while i <= k:
+            if i == len(shifts):
+                shifts.append([])
+            moved, shorter = shifts[i], shifts[i - 1]
+            for j in range(len(moved), end):
+                v = shorter[j]
+                moved.append(v if v is zero else act(v))
+            i += 1
 
 
 def _moved_rows(by_key: dict, key: tuple, room: int) -> list:
@@ -625,6 +729,7 @@ def inverse_entries(R: SeriesRing, x: list) -> list:
     over g^k / F_K, and the degrees of y are one `_solve` pass."""
     A, n, top = R.coeff, math.isqrt(len(x)), R.order
     scale, dot, nonzero = A.scale_vector, A.dot, A.nonzero
+    by_degree = R._by_degree  # a row's info is then its degree, which names its word
     rows = dict(enumerate(x))
     dx, L = _left_rows(R, rows)
     inv0, den = A.invert_vectors([scale(e.vecs[()], dx // e.den) if () in e.vecs
@@ -637,18 +742,21 @@ def inverse_entries(R: SeriesRing, x: list) -> list:
         for j in range(n):
             if len(ss) == 1:
                 s = ss[0]
-                q.append([(info, dot([neg[info[0]][i + s]], [a]))
-                          for info, a in rows[s * n + j] if info[0]])
+                q.append([(info, dot([neg[k][i + s]], [a])) for info, a in rows[s * n + j]
+                          if (k := info if by_degree else info[0])])
                 continue
             gathered = {}  # code -> (info, the (-inv0)_is g^(k-1), the x+_sj vectors)
             for s in ss:
                 for info, a in rows[s * n + j]:
-                    if info[0]:
-                        _, cs, xs = gathered.setdefault(info[2], (info, [], []))
-                        cs.append(neg[info[0]][i + s])
+                    k = info if by_degree else info[0]
+                    if k:
+                        _, cs, xs = gathered.setdefault(info if by_degree else info[2],
+                                                        (info, [], []))
+                        cs.append(neg[k][i + s])
                         xs.append(a)
             q.append(sorted([(info, v) for info, cs, xs in gathered.values()
-                             if nonzero(v := dot(cs, xs))], key=_row_length))
+                             if nonzero(v := dot(cs, xs))],
+                            key=_first if by_degree else _row_length))
     return _solve(R, q, inv0, den, g)
 
 
@@ -664,9 +772,9 @@ def _solve(R: SeriesRing, q: list, y0: list, den: int, g: int) -> list:
     pass, to which each degree's rows are appended as it is solved, so its
     rows are moved past each key once. Nothing is rescaled or reduced
     between degrees; they are merged once, over den * g^N, and reduced by
-    the TwistedSeries constructor. Over one untwisted letter the same q
-    and the same bookkeeping solve each degree by one `A.dot` per entry,
-    with no `_convolve` call (`_solve_by_degree`)."""
+    the TwistedSeries constructor. Over one letter the same q and the same
+    bookkeeping solve each degree by one `A.dot` per entry, with no
+    `_convolve` call (`_solve_by_degree`)."""
     if R._by_degree:
         return _solve_by_degree(R, q, y0, den, g)
     A, top, n, info = R.coeff, R.order, math.isqrt(len(q)), R._word_info
@@ -689,16 +797,25 @@ def _solve(R: SeriesRing, q: list, y0: list, den: int, g: int) -> list:
 
 
 def _solve_by_degree(R: SeriesRing, q: list, y0: list, den: int, g: int) -> list:
-    """_solve where every word is x^d: each entry of y is a list by degree,
-    and y_d_ij is one `A.dot` of the pairs (q_it row of degree k, y_tj[d - k])
-    over t and the rows of q_it (`_pairs_at`, q read row by row)."""
-    A, top, n = R.coeff, R.order, math.isqrt(len(q))
+    """_solve over one letter: each entry of y is a list by degree, and
+    y_d_ij is one `A.dot` of the pairs (q_it row of degree k, y_tj[d - k]
+    moved by xi^-k) over t and the rows of q_it (`_pairs_at`, q read row by
+    row). Over a twisted letter each y_tj keeps its shift lists for the
+    pass, extended as each degree is solved for the degrees of the q_it
+    (`_extend_shifts`), so each (shift, degree of y_tj) is moved once."""
+    A, top, n, shift = R.coeff, R.order, math.isqrt(len(q)), R._shift
     dot, zero = A.dot, R._zero_vec
-    q = [_by_rows(rows, zero) if rows else None for rows in q]
     ys = [[v] for v in y0]
-    sides = [[(*q[i + t], ys[t * n + j], 0, True) for t in range(n) if q[i + t]]
+    shifts = [None if shift is None else [y] for y in ys]
+    if shift is not None:  # the degrees that read each y_tj, for every j
+        reads = [sorted({k for i in range(0, n * n, n) for k, _ in q[i + t]}) for t in range(n)]
+    q = [_by_rows(rows, zero if shift is None else None) if rows else None for rows in q]
+    sides = [[(*q[i + t], ys[t * n + j], 0, True, shifts[t * n + j]) for t in range(n) if q[i + t]]
              for i in range(0, n * n, n) for j in range(n)]
     for d in range(1, top + 1):
+        if shift is not None:
+            for e, moved in enumerate(shifts):
+                _extend_shifts(moved, shift.act, reads[e // n], top, zero)
         for y, entry in zip(ys, sides):
             xs, bs = _pairs_at(d, entry)
             y.append(dot(xs, bs) if xs else zero)
@@ -718,8 +835,11 @@ def _power_sum(theta: TwistedSeries, coeff) -> TwistedSeries:
     the whole pass. Each step is one `_convolve` cut at degree N - k, since
     only the degrees up to N - k of the h at k reach the order, with h's
     rows set up as left rows (`_left_rows`) and coeff(k) put into its
-    constant vector."""
+    constant vector. Over one letter the pass runs on lists by degree
+    (`_power_sum_by_degree`)."""
     R, n = theta.ring, theta.ring.order
+    if R._by_degree:
+        return _power_sum_by_degree(theta, coeff)
     A, right, h = R.coeff, ({(): theta._kernel_rows()}, None), R.zero()
     for k in range(n, -1, -1):
         left = {0: h}
@@ -734,6 +854,48 @@ def _power_sum(theta: TwistedSeries, coeff) -> TwistedSeries:
             vecs = {w: A.scale_vector(v, total // den) for w, v in vecs.items()}
         vecs[()] = A.scale_vector(R._one_vec, c.numerator * (total // c.denominator))
         h = TwistedSeries(R, vecs, total)
+
+
+def _power_sum_by_degree(theta: TwistedSeries, coeff) -> TwistedSeries:
+    """_power_sum over one letter, on lists by degree: degree d of h*theta is
+    sum_{i<d} h_i * xi^-i(theta_{d-i}), one `A.dot` of h[:d] and the
+    diagonal [xi^-i(theta_{d-i}) for i < d]. The diagonals are built once
+    for the pass from theta's shift lists (`_extend_shifts`), so each
+    (shift, degree of theta) is moved once; over a twist of factor F, entry
+    i of a diagonal is scaled by F^(N-1-i), so that all stand over F^(N-1)
+    times theta's denominator. Each step adds coeff(k) to the constant and
+    divides by the gcd, as the TwistedSeries constructor does; no series is
+    built between steps."""
+    R, n = theta.ring, theta.ring.order
+    A, zero, shift = R.coeff, R._zero_vec, R._shift
+    dot, scale = A.dot, A.scale_vector
+    dense = [zero] * (n + 1)
+    for w, v in theta.vecs.items():
+        dense[len(w)] = v
+    if shift is None:
+        dtheta, diagonals = theta.den, [dense[d:0:-1] for d in range(n + 1)]
+    else:
+        shifts, f = [dense], shift.factor
+        _extend_shifts(shifts, shift.act, range(n), n, zero)
+        dtheta = theta.den * f ** max(n - 1, 0)
+        diagonals = [[shifts[i][d - i] for i in range(d)] for d in range(n + 1)]
+        if f != 1:
+            diagonals = [[v if v is zero else scale(v, f ** (n - 1 - i))
+                          for i, v in enumerate(diag)] for diag in diagonals]
+    h, dh = [], 1
+    for k in range(n, -1, -1):
+        vecs, den = [dot(h[:d], diagonals[d]) for d in range(1, n - k + 1)], dh * dtheta
+        if not k:
+            nonzero = A.nonzero
+            return TwistedSeries(R, {(0,) * d: v for d, v in enumerate(vecs, 1) if nonzero(v)},
+                                 den)
+        c = coeff(k)
+        total = math.lcm(den, c.denominator)
+        if total != den:
+            vecs = [scale(v, total // den) for v in vecs]
+        vecs.insert(0, scale(R._one_vec, c.numerator * (total // c.denominator)))
+        g = _content(A, vecs, total)
+        h, dh = [A.divide_vector(v, g) for v in vecs] if g != 1 else vecs, total // g
 
 
 def formal_log(u: TwistedSeries) -> TwistedSeries:

@@ -316,15 +316,17 @@ def test_long_literals_are_clipped_in_errors(capsys, ring_file, ring, argv):
      "is not valid under any of the given schemas"),
     # conjugating matrices of the wrong size, and ragged ones
     ({"coeff": {"kind": "matrix", "size": 2, "conjugations": {"p": [["1"]]}},
-      "alphabet": ["x"], "twist": {"x": "p"}, "order": 2}, "ValueError", "2x2"),
+      "alphabet": ["x"], "twist": {"x": "p"}, "order": 2}, "ValidationError",
+     "$.ring.coeff.conjugations.p: conjugating matrix must be 2x2"),
     ({"coeff": {"kind": "matrix", "size": 2,
                 "conjugations": {"p": [["0", "1"], ["1"]]}},
-      "alphabet": ["x"], "twist": {"x": "p"}, "order": 2}, "ValueError", "2x2"),
+      "alphabet": ["x"], "twist": {"x": "p"}, "order": 2}, "ValidationError",
+     "$.ring.coeff.conjugations.p: conjugating matrix must be 2x2"),
     # a singular conjugating matrix defines no automorphism either
     ({"coeff": {"kind": "matrix", "size": 2,
                 "conjugations": {"p": [["1", "1"], ["1", "1"]]}},
-      "alphabet": ["x"], "twist": {"x": "p"}, "order": 2}, "ValueError",
-     "conjugating matrix must be invertible"),
+      "alphabet": ["x"], "twist": {"x": "p"}, "order": 2}, "ValidationError",
+     "$.ring.coeff.conjugations.p: conjugating matrix must be invertible"),
     # conjugation entries the numeral reader would refuse are refused by the schema
     ({"coeff": {"kind": "matrix", "size": 2,
                 "conjugations": {"p": [["\u0663", "0"], ["0", "1"]]}},
@@ -336,28 +338,52 @@ def test_long_literals_are_clipped_in_errors(capsys, ring_file, ring, argv):
      "$.ring.coeff.conjugations.p[0][0]: '3\\n' does not match"),
     # a twist for a letter that is not in the alphabet
     ({"coeff": {"kind": "rational"}, "alphabet": ["x"], "twist": {"q": "swap"},
-      "order": 2}, "ValueError", "'q'"),
+      "order": 2}, "ValidationError", "$.ring.twist.q: twist names letters not in the "
+     "alphabet: ['q']"),
     # an automorphism registered under the identity's name
     ({"coeff": {"kind": "matrix", "size": 2,
                 "conjugations": {"id": [["0", "1"], ["1", "0"]]}},
-      "alphabet": ["x"], "twist": {"x": "id"}, "order": 2}, "ValueError", "'id'"),
+      "alphabet": ["x"], "twist": {"x": "id"}, "order": 2}, "ValidationError",
+     "$.ring.coeff.conjugations.id: 'id' names the identity automorphism"),
     # registering "a" registers its inverse "a^-1", so the document's own "a^-1" is refused
     ({"coeff": {"kind": "matrix", "size": 2,
                 "conjugations": {"a": [["0", "1"], ["1", "0"]], "a^-1": [["1", "1"], ["0", "1"]]}},
-      "alphabet": ["x"], "twist": {"x": "a^-1"}, "order": 2}, "ValueError",
-     "automorphism 'a^-1' is already registered"),
+      "alphabet": ["x"], "twist": {"x": "a^-1"}, "order": 2}, "ValidationError",
+     "$.ring.coeff.conjugations['a^-1']: automorphism 'a^-1' is already registered"),
     # a generator no element literal can name: the word "1" would read back as 1
     ({"coeff": {"kind": "free_trunc", "generators": ["1", "y"], "max_degree": 2,
                 "permutations": {"flip": [1, 0]}},
-      "alphabet": ["x"], "twist": {"x": "flip"}, "order": 2}, "ValueError", "'1'"),
+      "alphabet": ["x"], "twist": {"x": "flip"}, "order": 2}, "ValidationError",
+     "$.ring.coeff.generators: generator '1'"),
     # a letter no w("...") factor can hold: no series literal could name its words
-    ({"coeff": {"kind": "rational"}, "alphabet": ['"'], "order": 2}, "ValueError",
-     "letter '\"'"),
+    ({"coeff": {"kind": "rational"}, "alphabet": ['"'], "order": 2}, "ValidationError",
+     "$.ring.alphabet[0]: letter '\"'"),
+    # a table that is no group, and permutations that are no automorphisms
+    ({"coeff": {"kind": "group_algebra", "group": {"table": [[0, 1, 2], [1, 0, 2], [2, 2, 0]]}},
+      "order": 2}, "ValidationError", "$.ring.coeff.group.table: group table is not associative"),
+    ({"coeff": {"kind": "group_algebra",
+                "group": {"name": "C4", "table": [[(i + j) % 4 for j in range(4)]
+                                                  for i in range(4)]},
+                "automorphisms": {"bad": [0, 2, 1, 3]}},
+      "alphabet": ["x"], "twist": {"x": "bad"}, "order": 2}, "ValidationError",
+     "$.ring.coeff.automorphisms.bad: (0, 2, 1, 3) is not an automorphism of C4"),
+    ({"coeff": {"kind": "free_trunc", "generators": ["y", "z"], "max_degree": 2,
+                "permutations": {"flip": [0, 0]}},
+      "alphabet": ["x"], "twist": {"x": "flip"}, "order": 2}, "ValidationError",
+     "$.ring.coeff.permutations.flip: bad generator permutation"),
+    # a repeated letter, and commuting letters with a twist
+    ({"coeff": {"kind": "rational"}, "alphabet": ["x", "x"], "order": 2}, "ValidationError",
+     "$.ring.alphabet: alphabet letters must be distinct"),
+    ({"coeff": {"kind": "matrix", "size": 2, "conjugations": {"s": [["0", "1"], ["1", "0"]]}},
+      "alphabet": ["x", "y"], "twist": {"x": "s"}, "letters_commute": True, "order": 2},
+     "ValidationError", "$.ring.letters_commute: commuting letters require identity twists"),
 ], ids=["order-3.0", "modulus-12.0", "size-2.0", "max_degree-2.0", "max_degree-0",
         "conjugation-1x1",
         "conjugation-ragged", "conjugation-singular", "conjugation-non-ascii-digit",
         "conjugation-trailing-newline", "twist-stray-letter",
-        "automorphism-named-id", "automorphism-named-an-inverse", "generator-1", "letter-quote"])
+        "automorphism-named-id", "automorphism-named-an-inverse", "generator-1", "letter-quote",
+        "group-not-associative", "automorphism-not-a-group-map", "generator-permutation-bad",
+        "letter-repeated", "commuting-twisted-letters"])
 def test_exit_code_1_on_bad_ring(capsys, ring_file, ring, error_type, fragment):
     code, out, err = run_cli(capsys, "inv", "--ring", ring_file(ring), '1+w("x")')
     assert code == 1 and out == ""

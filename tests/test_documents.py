@@ -99,6 +99,23 @@ def test_series_ring_doc_roundtrip():
     assert plain != SeriesRing(RationalField(), ("x",), order=2, letters_commute=True)
 
 
+@pytest.mark.parametrize("doc, path", [
+    ({"coeff": {"kind": "matrix", "size": 2, "conjugations": {"p": [["1", "1"], ["1", "1"]]}},
+      "order": 2}, ("coeff", "conjugations", "p")),
+    ({"coeff": {"kind": "group_algebra", "group": {"table": [[0, 1], [1, 1]]}}, "order": 2},
+     ("coeff", "group", "table")),
+    ({"coeff": {"kind": "rational"}, "alphabet": ["x"], "twist": {"y": "swap"}, "order": 2},
+     ("twist", "y")),
+], ids=["singular-conjugation", "group-table", "stray-twist"])
+def test_ring_refusals_name_their_field(doc, path):
+    # a field a ring constructor refuses raises a ValidationError whose path
+    # starts at the ring document; its message is the constructor's
+    with pytest.raises(ValidationError) as caught:
+        series_ring_from_doc(doc)
+    assert caught.value.path == path
+    assert caught.value.under("ring").path == ("ring", *path)
+
+
 def test_series_and_matrix_docs(qq):
     R = SeriesRing(qq, alphabet=("x", "y"), order=3)
     rng = random.Random(61)

@@ -254,6 +254,11 @@ def kernel_rings(qq, m2, m2_two_twists):
         SeriesRing(m2_nonintegral(), alphabet=xy, twist={"x": "p"}, order=4),
         # p and p^-1 both have factor 6, so keys with factors 6 and 36 meet in one sum
         SeriesRing(m2_nonintegral(), alphabet=xy, twist={"x": "p", "y": "p^-1"}, order=3),
+        # one twisted letter, at orders that cross several shifts: the
+        # kernel pairs terms by degree and moves by shift (M2(Q):p above too)
+        SeriesRing(m2, alphabet=("x",), twist={"x": "swap"}, order=8),
+        SeriesRing(m2_two_twists, alphabet=("x",), twist={"x": "shear"}, order=8),
+        SeriesRing(qc4_inv(), alphabet=("x",), twist={"x": "inv"}, order=6),
         # one untwisted letter: the kernel pairs terms by degree
         SeriesRing(z12, alphabet=("x",), order=12),
         SeriesRing(qq, alphabet=("x",), order=8),
@@ -418,42 +423,52 @@ def test_solve_pass_reads_n_pairs_per_entry_and_moves_each_y_row_once(monkeypatc
     assert ref_mat_mul(m, inv) == SeriesMatrix.identity(R, 3)
 
 
-def _solve_dots(monkeypatch):
-    """A list that gets the number of pairs of each `A.dot` call made inside
-    a solve pass, `series._solve`; `series._convolve` and
-    `series._moved_rows` refuse to run."""
-    calls, solve = [], series_module._solve
+def _word_path(*args):
+    raise AssertionError("the word path reached")
 
-    def counted_solve(R, *args):
-        A, dot = R.coeff, R.coeff.dot
+
+def _dots_in(monkeypatch, name):
+    """A list that gets the number of pairs of each `A.dot` call made inside
+    `series.<name>`, a solve pass (`_solve`) or a log or exp pass
+    (`_power_sum`); `series._convolve` and `series._moved_rows`, the word
+    path's pair loop and move table, refuse to run."""
+    calls, run = [], getattr(series_module, name)
+
+    def counted_run(first, *args):
+        A = (first if isinstance(first, SeriesRing) else first.ring).coeff
+        dot = A.dot
 
         def counted(xs, ys):
             calls.append(len(xs))
             return dot(xs, ys)
         A.dot = counted
         try:
-            return solve(R, *args)
+            return run(first, *args)
         finally:
             del A.dot
 
-    def refuse(*args):
-        raise AssertionError("the word path reached")
-    monkeypatch.setattr(series_module, "_solve", counted_solve)
-    monkeypatch.setattr(series_module, "_convolve", refuse)
-    monkeypatch.setattr(series_module, "_moved_rows", refuse)
+    monkeypatch.setattr(series_module, name, counted_run)
+    monkeypatch.setattr(series_module, "_convolve", _word_path)
+    monkeypatch.setattr(series_module, "_moved_rows", _word_path)
     return calls
 
 
-@pytest.mark.parametrize("make", [lambda: IntegersMod(101), RationalField, m2_two_twists,
-                                  qc4_inv], ids=["Z/101", "Q", "M2(Q)", "Q[C4]"])
-def test_untwisted_one_letter_solve_is_one_dot_per_entry_and_degree(monkeypatch, make):
-    # over one untwisted letter an inverse and a mat_invert solve by degree:
-    # no `_convolve` call, no move table, and at most one A.dot per (entry,
-    # output degree)
+ONE_LETTER_COEFFS = [(lambda: IntegersMod(101), None), (RationalField, None),
+                     (m2_two_twists, None), (qc4_inv, None), (m2_two_twists, "swap"),
+                     (m2_two_twists, "shear"), (m2_nonintegral, "p"), (qc4_inv, "inv")]
+ONE_LETTER_IDS = ["Z/101", "Q", "M2(Q)", "Q[C4]", "M2(Q):swap", "M2(Q):shear", "M2(Q):p",
+                  "Q[C4]:inv"]
+
+
+@pytest.mark.parametrize("make, twist", ONE_LETTER_COEFFS, ids=ONE_LETTER_IDS)
+def test_one_letter_solve_is_one_dot_per_entry_and_degree(monkeypatch, make, twist):
+    # over one letter, twisted or not, an inverse and a mat_invert solve by
+    # degree: no `_convolve` call, no move table, and at most one A.dot per
+    # (entry, output degree)
     rng = random.Random(53)
-    R = one_letter(make(), 8)
+    R = one_letter(make(), 8, twist=twist)
     u, m = R.lift(R.coeff.random_unit(rng)) + dense_kernel(R, rng), _dense_unit_matrix(R, rng, 3)
-    calls = _solve_dots(monkeypatch)
+    calls = _dots_in(monkeypatch, "_solve")
     inv = u.inverse()
     assert 0 < len(calls) <= R.order
     del calls[:]
@@ -464,6 +479,30 @@ def test_untwisted_one_letter_solve_is_one_dot_per_entry_and_degree(monkeypatch,
     assert ref_mat_mul(m, m_inv) == SeriesMatrix.identity(R, 3) == ref_mat_mul(m_inv, m)
 
 
+@pytest.mark.parametrize("make, twist", ONE_LETTER_COEFFS[1:], ids=ONE_LETTER_IDS[1:])
+def test_one_letter_log_and_exp_are_one_dot_per_step_and_degree(monkeypatch, make, twist):
+    # over one letter a log or exp is one Horner pass on lists by degree: at
+    # most one A.dot per (step, output degree), N(N + 1)/2 in all, with no
+    # word-path pair loop or move table and no kernel rows of h or theta
+    R = one_letter(make(), 8, twist=twist)
+    rng, one = random.Random(59), R.one()
+    u, k = one + dense_kernel(R, rng), dense_kernel(R, rng)
+    calls = _dots_in(monkeypatch, "_power_sum")
+    monkeypatch.setattr(TwistedSeries, "_kernel_rows", _no_kernel_rows)
+    log = formal_log(u)
+    assert 0 < len(calls) <= R.order * (R.order + 1) // 2
+    del calls[:]
+    exp = formal_exp(k)
+    assert 0 < len(calls) <= R.order * (R.order + 1) // 2
+    monkeypatch.undo()
+    assert log == ref_power_sum(u - one, lambda n: F((-1) ** (n + 1), n))
+    assert exp == ref_add(one, ref_power_sum(k, lambda n: F(1, math.factorial(n))))
+
+
+def _no_kernel_rows(s):
+    raise AssertionError("kernel rows built")
+
+
 @pytest.mark.parametrize("A, c", [(IntegersMod(101), 7), (RationalField(), F(3, 2))],
                          ids=["Z/101", "Q"])
 def test_sparse_one_letter_inverse_visits_order_times_terms_pairs(monkeypatch, A, c):
@@ -472,7 +511,7 @@ def test_sparse_one_letter_inverse_visits_order_times_terms_pairs(monkeypatch, A
     # order^2 / 2 a list of q by degree would
     R = one_letter(A, 600)
     u = R.from_terms({(): 1, "x" * 300: c})
-    calls = _solve_dots(monkeypatch)
+    calls = _dots_in(monkeypatch, "_solve")
     inv = u.inverse()
     assert 0 < sum(calls) <= R.order and len(calls) <= R.order
     monkeypatch.undo()
@@ -480,17 +519,14 @@ def test_sparse_one_letter_inverse_visits_order_times_terms_pairs(monkeypatch, A
     assert ref_mul(u, inv) == R.one() == ref_mul(inv, u)
 
 
-@pytest.mark.parametrize("twists", ["swap,shear", "p"])
+@pytest.mark.parametrize("twists", ["swap,shear"])
 def test_matrix_product_moves_each_right_row_past_each_key_once(monkeypatch, m2_two_twists,
                                                                 twists):
     # a 3x3 product is one sums_of_products call; each right entry, over its
     # own denominator, keeps one move table for the call, so each (entry,
     # key, word) is moved at most once however many left rows share the key
     rng = random.Random(47)
-    if twists == "p":  # moves past p raise denominators by 6 a letter
-        R = one_letter(m2_nonintegral(), 6, twist="p")
-    else:
-        R = two_letter(m2_two_twists, 4, twist={"x": "swap", "y": "shear"})
+    R = two_letter(m2_two_twists, 4, twist={"x": "swap", "y": "shear"})
     a = random_kernel_matrix(R, rng, 3, 3, 5) + SeriesMatrix.identity(R, 3)
     b = SeriesMatrix(R, [[random_series(R, rng, terms=5).scale(F(1, 2 + i + j))
                           for j in range(3)] for i in range(3)])
@@ -507,6 +543,79 @@ def test_matrix_product_moves_each_right_row_past_each_key_once(monkeypatch, m2_
     assert moves and len(moves) == len(set(moves))
     assert len({table for table, _, _ in moves}) <= 9  # one table per right entry
     assert {w for _, _, w in moves} <= {w for row in b.rows for e in row for w in e.vecs}
+    monkeypatch.undo()
+    assert product == ref_mat_mul(a, b)
+
+
+def _recorded_shifts(monkeypatch):
+    """[tables, acts]: tables gets, by id, the shift lists of each right
+    operand that `series._extend_shifts` extends, and acts counts the view
+    actions it makes; the word path's pair loop and move table,
+    `series._convolve` and `series._moved_rows`, refuse to run."""
+    record, extend = [{}, 0], series_module._extend_shifts
+
+    def recorded(shifts, act, *args):
+        record[0][id(shifts)] = shifts
+
+        def counted(v):
+            record[1] += 1
+            return act(v)
+        extend(shifts, counted, *args)
+
+    monkeypatch.setattr(series_module, "_extend_shifts", recorded)
+    monkeypatch.setattr(series_module, "_convolve", _word_path)
+    monkeypatch.setattr(series_module, "_moved_rows", _word_path)
+    return record
+
+
+def _moved_entries(tables, zero):
+    """(shift lists id, shift i, degree j) of each entry of a shift i >= 1
+    moved from a vector other than the object `zero`, which is carried
+    over and not moved."""
+    return [(t, i, j) for t, shifts in tables.items() for i in range(1, len(shifts))
+            for j in range(len(shifts[i])) if shifts[i - 1][j] is not zero]
+
+
+@pytest.mark.parametrize("make, twist, order", [(m2_two_twists, "swap", 8),
+                                                (m2_two_twists, "shear", 8),
+                                                (m2_nonintegral, "p", 6), (qc4_inv, "inv", 6)],
+                         ids=["M2(Q):swap", "M2(Q):shear", "M2(Q):p", "Q[C4]:inv"])
+def test_one_letter_moves_each_right_degree_by_each_shift_once(monkeypatch, make, twist, order):
+    # over one twisted letter a right operand keeps one list per shift k of
+    # its vectors moved by xi^-k, so in a 3x3 product (one sums_of_products
+    # call, each right entry over its own denominator), in the solve pass
+    # of a 3x3 mat_invert and in a log or exp pass, each (right operand,
+    # shift, degree) is moved at most once: there are as many view actions
+    # as moved entries. Only the degrees an operand has are moved; over
+    # M2(Q):p each move raises a denominator by 6
+    rng = random.Random(47)
+    R = one_letter(make(), order, twist=twist)
+    a = random_kernel_matrix(R, rng, 3, 3, 5) + SeriesMatrix.identity(R, 3)
+    b = SeriesMatrix(R, [[random_series(R, rng, terms=5).scale(F(1, 2 + i + j))
+                          for j in range(3)] for i in range(3)])
+    assert len({e.den for row in b.rows for e in row}) > 1
+    m, u = _dense_unit_matrix(R, rng, 3), R.one() + dense_kernel(R, rng)
+    calls, kernel = [], series_module.sums_of_products
+
+    def counted(R, sums):
+        calls.append(len(sums))
+        return kernel(R, sums)
+    monkeypatch.setattr(matrices_module, "sums_of_products", counted)
+    record = _recorded_shifts(monkeypatch)
+    product = a * b
+    moved = _moved_entries(record[0], R._zero_vec)
+    assert calls == [9]
+    assert moved and record[1] == len(moved)
+    assert len(record[0]) <= 9  # one set of shift lists per right entry
+    assert {j for _, _, j in moved} <= {len(w) for row in b.rows for e in row for w in e.vecs}
+    theta = u - R.one()
+    for op in (lambda: mat_invert(m), lambda: formal_log(u), lambda: formal_exp(theta)):
+        record[0].clear()
+        record[1] = 0
+        op()
+        moved = _moved_entries(record[0], R._zero_vec)
+        assert moved and record[1] == len(moved)
+    assert {j for _, _, j in moved} <= {len(w) for w in theta.vecs}
     monkeypatch.undo()
     assert product == ref_mat_mul(a, b)
 
@@ -808,23 +917,22 @@ def ref_schur(m):
 @pytest.mark.parametrize("n", [2, 3])
 def test_det_steps_compute_no_l(kernel_calls, m2, n):
     # each step of D: the pivot's inverse (one solve pass), -u = -a11^-1 a12
-    # in one call, and d2 = a22 - a21 u in one call with a22 folded in as
-    # (a22_ij, 1) pairs; then the products a11 * D(d2). No call carries the
-    # sums of l = a21 a11^-1.
+    # in one call, and the products a21 * -u of d2 = a22 - a21 u in one
+    # call, each added to its entry of a22; then the products a11 * D(d2).
+    # No call carries the sums of l = a21 a11^-1.
     R = two_letter(m2, 3, twist={"x": "swap"})
     m = random_unipotent_matrix(R, random.Random(n), n, terms=3)
     det = dieudonne_det(m)
     calls = list(kernel_calls)
     assert [tag for tag, _ in calls] == (["solve", "product", "product"] * (n - 1)
                                          + ["product"] * (n - 1))
-    one, step, pivots = R.one(), m, []
+    step, pivots = m, []
     for i in range(n - 1):
         (_, u_sums), (_, d2_sums) = calls[3 * i + 1:3 * i + 3]
         a11, inv = step.rows[0][0], step.rows[0][0].inverse()
         assert u_sums == [[(-inv, a)] for a in step.rows[0][1:]]
         neg_u = [ref_mul(inv, a).scale(-1) for a in step.rows[0][1:]]
-        assert d2_sums == [[(row[j + 1], one), (row[0], v)]
-                           for row in step.rows[1:] for j, v in enumerate(neg_u)]
+        assert d2_sums == [[(row[0], v)] for row in step.rows[1:] for v in neg_u]
         assert not any(t == inv for tag, sums in calls if tag == "product"
                        for pairs in sums for _, t in pairs)
         pivots.append(a11)
@@ -833,6 +941,27 @@ def test_det_steps_compute_no_l(kernel_calls, m2, n):
     for a11 in reversed(pivots):
         want = ref_mul(a11, want)
     assert det == want
+
+
+@pytest.mark.parametrize("make, twist, order", [(m2_two_twists, "swap", 8),
+                                                (m2_two_twists, "shear", 8), (qc4_inv, "inv", 6),
+                                                (m2_nonintegral, "p", 4)],
+                         ids=["M2(Q):swap", "M2(Q):shear", "Q[C4]:inv", "M2(Q):p"])
+def test_twisted_one_letter_ldu_and_det_match_reference(monkeypatch, make, twist, order):
+    # LDU and D over one twisted letter, whose pivot inverses, products and
+    # Schur complements all take the degree path (the word path's pair loop
+    # and move table refuse to run), against per-pair products
+    for name in ("_convolve", "_moved_rows"):
+        monkeypatch.setattr(series_module, name, _word_path)
+    R = one_letter(make(), order, twist=twist)
+    m = random_unipotent_matrix(R, random.Random(order), 3, terms=4)
+    a11, inv = m.rows[0][0], m.rows[0][0].inverse()
+    assert ref_mul(a11, inv) == R.one() == ref_mul(inv, a11)
+    f, d2 = ldu_decompose(m), ref_schur(m)
+    assert f.l.rows == tuple((ref_mul(row[0], inv),) for row in m.rows[1:])
+    assert f.u.rows == (tuple(ref_mul(inv, a) for a in m.rows[0][1:]),)
+    assert f.d1 == a11 and f.d2 == d2
+    assert dieudonne_det(m) == ref_mul(a11, ref_mul(d2.rows[0][0], ref_schur(d2).rows[0][0]))
 
 
 def test_letters_sharing_a_twist_share_a_key(m2, m2_two_twists):
