@@ -17,23 +17,27 @@ and documents.
 A ring of one letter has only the words x^d, and a coefficient moves past
 x^k by xi^-k, the letter's inverse twist k times: a*x^i * b*x^j =
 a*xi^-i(b) * x^(i+j). There the kernel pairs terms by degree
-(`SeriesRing._by_degree`, read off the alphabet; there is no switch). Each
-output degree of a product or a Schur complement is one `A.dot` of the
-pairs it gathers (`_convolve_by_degree`), and the solve pass keeps each
-entry of y as a list by degree (`_solve_by_degree`). One operand of a pair
-is read row by row and the other by degree (`_pairs_at`): rows that fill
-most of their degrees are read by one slice per degree, and sparse rows
-one at a time, so a sparse operand costs a step per row and degree, not
-per degree squared. Over a twisted letter the left is read row by row,
-and a right operand keeps its vectors by degree moved by xi^-k as one list
-per shift k, each built from the list of shift k - 1 by the twist's view
-action, in a loop, and only as far as a left degree reads it
-(`_extend_shifts`), so each (shift, right degree) is moved once per
-operation; left vectors carry L / F^k for a twist of factor F, so a moved
-vector depends on its shift alone. Log and exp are one Horner pass on lists
-by degree (`_power_sum_by_degree`): degree d of h*theta is one `A.dot` of
-h[:d] and the diagonal [xi^-i(theta_{d-i})], built once per pass, with one
-gcd reduction per step and no series built between steps.
+(`SeriesRing._by_degree`, read off the alphabet; there is no switch), and
+a right operand has one form, its diagonals (`_diagonals`): entry k of
+diagonal d is its vector of degree d - k moved by xi^-k, the one that a
+left term of degree k meets in output degree d, at flat[origin[d] - k] of
+one flat list. Over an untwisted letter the diagonals overlap, and the
+flat list is the operand's vectors by degree. Over a twisted letter
+diagonal d is diagonal d - 1 moved once by the twist's view action, in a
+loop, up to reach, the highest left degree that reads the operand, so
+each (shift, degree) is moved once per operation; left vectors carry
+L / F^k for a twist of factor F, so a moved vector depends on its shift
+alone. Each output degree of a product or a Schur complement, up to the
+order or the highest degree its operands reach, is one `A.dot` of the
+pairs it gathers (`_convolve_by_degree`), and the solve pass grows each
+entry of y by one diagonal per degree (`_solve_by_degree`). A left is read
+by one rule (`_pairs_at`): one that fills more than half of its degrees is
+a run, read with a diagonal by one slice each, and a sparse one row by
+row, so it costs a step per row and degree, not per degree squared. Log
+and exp are one Horner pass on lists by degree (`_power_sum_by_degree`):
+degree d of h*theta is one `A.dot` of h[:d] and a slice of theta's
+diagonal d, built once per pass, with one gcd reduction per step and no
+series built between steps.
 
 A ring of two or more letters takes the word path. Every product goes
 through one pair loop, `_convolve`: the pairs' vectors are gathered per
@@ -548,43 +552,47 @@ def _convolve_by_degree(R: SeriesRing, sums: list) -> list:
     """The pair loop over one letter, where every word is x^d: [word ->
     nonzero vector of the sum] for each list of (left rows, right rows)
     pairs, rows (d, vector) shortest first and left vectors scaled
-    (`_left_rows`). Each output degree of a sum is one `A.dot` of the pairs
-    it gathers by degree (`_pairs_at`).
-
-    A left row of degree k meets the right operand moved past x^k, by
-    xi^-k. Over a twisted letter each right operand keeps its vectors by
-    degree moved by xi^-k as one list per shift k, built for the left
-    degrees that read it (`_extend_shifts`), so each (shift, right degree)
-    is moved once per call, and each pair's left is read row by row. Over
-    an untwisted letter nothing moves, and of each pair the operand of
-    fewer rows is read row by row and the other by degree."""
-    room, zero, shift = R.order, R._zero_vec, R._shift
-    moves, by_sum = {}, []  # id of right rows -> (their shift lists, the left degrees read)
+    (`_left_rows`). A left row of degree k meets the right operand moved by
+    xi^-k, so each right operand is held in its diagonal form
+    (`_diagonals`), built once per call through its reach, the highest left
+    degree of the call that reads it. Each output degree of a sum, up to the
+    order or the highest left degree plus right degree of its pairs, is one
+    `A.dot` of the pairs it gathers (`_pairs_at`)."""
+    room, zero = R.order, R._zero_vec
+    rights, by_sum = {}, []  # id of right rows -> [rows, reach], then (flat, origin, low, top)
     for pairs in sums:
-        sides, lowest = [], room + 1  # and the lowest output degree of a pair
+        reads, lowest, highest = [], room + 1, 0
         for rows, right in pairs:
-            if not rows or not right or rows[0][0] + right[0][0] > room:
+            if not rows or not right:
                 continue
-            lowest = min(lowest, rows[0][0] + right[0][0])
-            if shift is not None:
-                entry = moves.get(id(right))
-                if entry is None:
-                    entry = moves[id(right)] = ([_vectors_by_degree(right, room, zero)], set())
-                entry[1].update(map(_first, rows))
-                sides.append((*_by_rows(rows, None), entry[0][0], right[0][0], True, entry[0]))
-            elif len(rows) <= len(right):
-                sides.append((*_by_rows(rows, zero), _vectors_by_degree(right, room, zero),
-                              right[0][0], True, None))
-            else:
-                sides.append((*_by_rows(right, zero), _vectors_by_degree(rows, room, zero),
-                              rows[0][0], False, None))
-        by_sum.append((lowest, sides))
-    for shifts, reads in moves.values():
-        _extend_shifts(shifts, shift.act, sorted(reads), room, zero)
+            lo, hi = rows[0][0] + right[0][0], rows[-1][0] + right[-1][0]  # its output degrees
+            if lo > room:
+                continue
+            entry = rights.get(id(right))
+            if entry is None:
+                entry = rights[id(right)] = [right, rows[-1][0]]
+            elif rows[-1][0] > entry[1]:
+                entry[1] = rows[-1][0]
+            reads.append((rows, entry))
+            if lo < lowest:
+                lowest = lo
+            if hi > highest:
+                highest = hi
+        by_sum.append((reads, lowest, min(highest, room)))
+    for entry in rights.values():
+        rows, reach = entry
+        low, top = rows[0][0], rows[-1][0]
+        dense = [zero] * (top + 1)
+        for k, v in rows:
+            dense[k] = v
+        reach = min(reach, room - low)
+        entry[:] = *_diagonals(R, dense, reach, min(room, reach + top)), low, top
     dot, nonzero, out = R.coeff.dot, R.coeff.nonzero, []
-    for lowest, sides in by_sum:
-        vecs = {}
-        for d in range(lowest, room + 1):
+    for reads, lowest, highest in by_sum:
+        sides, vecs = [], {}
+        for rows, entry in reads:
+            sides.append((*_by_rows(rows, zero), *entry))
+        for d in range(lowest, highest + 1):
             xs, ys = _pairs_at(d, sides)
             if xs:
                 vec = dot(xs, ys)
@@ -594,25 +602,44 @@ def _convolve_by_degree(R: SeriesRing, sums: list) -> list:
     return out
 
 
-def _vectors_by_degree(rows: list, room: int, zero) -> list:
-    """The vectors of rows (d, vector), shortest first, by degree up to
-    `room` or the last row: zero where there is no row."""
-    dense = [zero] * (min(rows[-1][0], room) + 1)
-    for k, v in rows:
-        if k > room:
-            break
-        dense[k] = v
-    return dense
+def _diagonals(R: SeriesRing, dense: list, reach: int, end: int, form=None) -> tuple:
+    """The diagonal form (flat, origin), through diagonal `end`, of a right
+    operand over one letter whose vectors by degree are `dense` (the zero
+    vector where it has none) and that left degrees up to `reach` read;
+    `form`, if given, is extended in place. Entry k of diagonal d is the
+    vector of degree d - k moved by xi^-k, and it is flat[origin[d] - k].
+
+    Over an untwisted letter the diagonals overlap: flat is dense itself and
+    origin[d] = d, and nothing is copied or moved. Over a twisted letter
+    diagonal d holds its entries min(d, reach) down to the lowest of degree
+    at most top = len(dense) - 1, each entry k >= 1 one view action on entry
+    k - 1 of diagonal d - 1 (the zero vector, that object, is carried as it
+    is), in a loop, so each (shift, degree) is moved once; then entry 0,
+    dense[d], where d <= top. A solve pass grows y by a degree at a time, so
+    it extends the form of y by a diagonal per degree and puts entry 0, y_d,
+    at flat[origin[d]] itself."""
+    if R._shift is None:
+        return dense, list(range(end + 1))
+    flat, origin = form or ([], [])
+    act, zero, top = R._shift.act, R._zero_vec, len(dense) - 1
+    for d in range(len(origin), end + 1):
+        lo = max(1, d - top)  # entries below lo have degrees above top: zero
+        if d:
+            o = origin[-1]
+            flat += [v if v is zero else act(v) for v in flat[o - min(d, reach) + 1:o - lo + 2]]
+        origin.append(len(flat) + lo - 1)
+        if d <= top:
+            flat.append(dense[d])
+    return flat, origin
 
 
 def _by_rows(rows: list, zero) -> tuple:
-    """(k0, k1, vectors, degrees) of rows (d, vector) of degrees k0 .. k1,
-    to be read row by row (`_pairs_at`). Where a zero vector is given, rows
-    that fill more than half of those degrees are a run: their vectors by
-    degree from k1 down to k0, each gap that zero vector, and degrees None.
-    Rows moved by shift (zero None) are never a run, so no gap moves."""
+    """(k0, k1, vectors, degrees) of left rows (d, vector) of degrees k0 ..
+    k1 (`_pairs_at`): rows that fill more than half of those degrees are a
+    run, their vectors by degree from k1 down to k0, each gap the vector
+    `zero`, and degrees None; other rows are read one at a time."""
     k0, k1 = rows[0][0], rows[-1][0]
-    if zero is None or 2 * len(rows) <= k1 - k0 + 1:
+    if 2 * len(rows) <= k1 - k0 + 1:
         return k0, k1, [v for _, v in rows], [k for k, _ in rows]
     vs = [zero] * (k1 - k0 + 1)
     for k, v in rows:
@@ -622,69 +649,33 @@ def _by_rows(rows: list, zero) -> tuple:
 
 def _pairs_at(d: int, sides: list) -> tuple:
     """(lefts, rights): the pairs of degree d over `sides`, each (k0, k1,
-    vectors, degrees, dense, lowest, left_by_rows, shifts). The rows (k, v)
-    of a series read row by row, its first four items from `_by_rows`, meet
-    dense[d - k] for d - k from `lowest` to the end of dense, where dense[m]
-    is the vector of degree m of a series read by degree (zero where it has
-    none); left_by_rows says which of the two is the left factor. A run and
-    dense are read by one slice each. Over a twisted letter the left is read
-    row by row and never as a run, and a left row of degree k meets
-    shifts[k][d - k], the right vector of degree d - k moved by xi^-k
-    (`_extend_shifts`); shifts is None over an untwisted one."""
+    vectors, degrees, flat, origin, low, top): the first four items from
+    `_by_rows`, of a left operand of degrees k0 .. k1, and the diagonal form
+    (`_diagonals`) of a right operand of degrees low .. top. A left row of
+    degree k meets entry k of diagonal d, flat[origin[d] - k], for d - k
+    from low to top: a run is read with the diagonal by one slice each, and
+    rows one at a time."""
     xs = ys = ()
-    for k0, k1, vs, ks, dense, lowest, left_by_rows, shifts in sides:
-        a, b = d + 1 - len(dense), d - lowest  # the degrees k that meet dense
+    for k0, k1, vs, ks, flat, origin, low, top in sides:
+        a, b = d - top, d - low  # the degrees k that meet the right operand
         if a < k0:
             a = k0
         if b > k1:
             b = k1
         if a > b:
             continue
+        o = origin[d]
         if ks is None:
-            vecs = vs[k1 - b:k1 - a + 1]
-            read = dense[d - b:d - a + 1]
+            vecs, read = vs[k1 - b:k1 - a + 1], flat[o - b:o - a + 1]
         else:
             i, j = bisect.bisect_left(ks, a), bisect.bisect_right(ks, b)
-            vecs = vs[i:j]
-            read = ([dense[d - k] for k in ks[i:j]] if shifts is None
-                    else [shifts[k][d - k] for k in ks[i:j]])
-        if not xs:  # both are new lists
-            xs, ys = (vecs, read) if left_by_rows else (read, vecs)
-        elif left_by_rows:
+            vecs, read = vs[i:j], [flat[o - k] for k in ks[i:j]]
+        if xs:
             xs += vecs
             ys += read
-        else:
-            xs += read
-            ys += vecs
+        else:  # both are new lists
+            xs, ys = vecs, read
     return xs, ys
-
-
-def _extend_shifts(shifts: list, act, reads, room: int, zero) -> None:
-    """Extend the shift lists of a right operand over one twisted letter:
-    shifts[0] holds its vectors by degree, and shifts[i] those vectors moved
-    leftward past x^i, by xi^-i, each list extended from that of shift i - 1
-    by one view action (`act`) per vector, in a loop. For each left degree
-    k of `reads`, ascending, shifts[1..k] reach degree room - k, as far as
-    shifts[0] goes, so a shift is built only up to the largest degree that
-    a left degree reads through it, and each (shift, degree) is moved once
-    however often this is called as shifts[0] grows. The vector `zero`
-    (that object) is not acted on."""
-    size, i = len(shifts[0]), 1
-    for k in reads:
-        end = room + 1 - k if room - k < size else size
-        if end <= 0:
-            break
-        if k < len(shifts) and len(shifts[k]) >= end:  # so are shifts[1..k]
-            i = k + 1
-            continue
-        while i <= k:
-            if i == len(shifts):
-                shifts.append([])
-            moved, shorter = shifts[i], shifts[i - 1]
-            for j in range(len(moved), end):
-                v = shorter[j]
-                moved.append(v if v is zero else act(v))
-            i += 1
 
 
 def _moved_rows(by_key: dict, key: tuple, room: int) -> list:
@@ -798,27 +789,33 @@ def _solve(R: SeriesRing, q: list, y0: list, den: int, g: int) -> list:
 
 def _solve_by_degree(R: SeriesRing, q: list, y0: list, den: int, g: int) -> list:
     """_solve over one letter: each entry of y is a list by degree, and
-    y_d_ij is one `A.dot` of the pairs (q_it row of degree k, y_tj[d - k]
-    moved by xi^-k) over t and the rows of q_it (`_pairs_at`, q read row by
-    row). Over a twisted letter each y_tj keeps its shift lists for the
-    pass, extended as each degree is solved for the degrees of the q_it
-    (`_extend_shifts`), so each (shift, degree of y_tj) is moved once."""
-    A, top, n, shift = R.coeff, R.order, math.isqrt(len(q)), R._shift
+    y_d_ij is one `A.dot` of the pairs (q_it row of degree k, entry k of
+    diagonal d of y_tj) over t and the rows of q_it (`_pairs_at`). Each y_tj
+    grows one diagonal per degree through its reach, the highest degree of
+    the q_it (`_diagonals`), so each (shift, degree of y_tj) is moved once."""
+    A, top, n, twisted = R.coeff, R.order, math.isqrt(len(q)), R._shift is not None
     dot, zero = A.dot, R._zero_vec
     ys = [[v] for v in y0]
-    shifts = [None if shift is None else [y] for y in ys]
-    if shift is not None:  # the degrees that read each y_tj, for every j
-        reads = [sorted({k for i in range(0, n * n, n) for k, _ in q[i + t]}) for t in range(n)]
-    q = [_by_rows(rows, zero if shift is None else None) if rows else None for rows in q]
-    sides = [[(*q[i + t], ys[t * n + j], 0, True, shifts[t * n + j]) for t in range(n) if q[i + t]]
+    reach = [0] * n  # of y_tj, for every j: the highest degree of the q_it
+    for e, rows in enumerate(q):
+        if rows and rows[-1][0] > reach[e % n]:
+            reach[e % n] = rows[-1][0]
+    # y grows a degree at a time: its diagonals, where they are not y itself,
+    # are built a diagonal per degree, from diagonal 0
+    forms = [_diagonals(R, y, reach[e // n], 0 if twisted else top) for e, y in enumerate(ys)]
+    q = [_by_rows(rows, zero) if rows else None for rows in q]
+    sides = [[(*q[i + t], *forms[t * n + j], 0, top) for t in range(n) if q[i + t]]
              for i in range(0, n * n, n) for j in range(n)]
     for d in range(1, top + 1):
-        if shift is not None:
-            for e, moved in enumerate(shifts):
-                _extend_shifts(moved, shift.act, reads[e // n], top, zero)
+        if twisted:
+            for e, (y, form) in enumerate(zip(ys, forms)):
+                _diagonals(R, y, reach[e // n], d, form)
         for y, entry in zip(ys, sides):
             xs, bs = _pairs_at(d, entry)
             y.append(dot(xs, bs) if xs else zero)
+        if twisted:  # y_d is entry 0 of diagonal d
+            for (flat, _), y in zip(forms, ys):
+                flat.append(y[-1])
     scale, nonzero = A.scale_vector, A.nonzero
     times = [g ** (top - d) for d in range(top + 1)]
     return [TwistedSeries(R, {(0,) * d: v if times[d] == 1 else scale(v, times[d])
@@ -858,33 +855,29 @@ def _power_sum(theta: TwistedSeries, coeff) -> TwistedSeries:
 
 def _power_sum_by_degree(theta: TwistedSeries, coeff) -> TwistedSeries:
     """_power_sum over one letter, on lists by degree: degree d of h*theta is
-    sum_{i<d} h_i * xi^-i(theta_{d-i}), one `A.dot` of h[:d] and the
-    diagonal [xi^-i(theta_{d-i}) for i < d]. The diagonals are built once
-    for the pass from theta's shift lists (`_extend_shifts`), so each
-    (shift, degree of theta) is moved once; over a twist of factor F, entry
-    i of a diagonal is scaled by F^(N-1-i), so that all stand over F^(N-1)
-    times theta's denominator. Each step adds coeff(k) to the constant and
-    divides by the gcd, as the TwistedSeries constructor does; no series is
-    built between steps."""
+    sum_{i<d} h_i * xi^-i(theta_{d-i}), one `A.dot` of h[:d], kept highest
+    degree first, and one slice of diagonal d of theta. theta's diagonals
+    are built once for the pass, through reach N - 1 (`_diagonals`), so each
+    (shift, degree of theta) is moved once; over a twist of factor F, h_i is
+    scaled by F^(N-1-i), as `_left_rows` scales a left row, so that every
+    pair stands over F^(N-1) times theta's denominator. Each step adds
+    coeff(k) to the constant and divides by the gcd, as the TwistedSeries
+    constructor does; no series is built between steps."""
     R, n = theta.ring, theta.ring.order
     A, zero, shift = R.coeff, R._zero_vec, R._shift
     dot, scale = A.dot, A.scale_vector
     dense = [zero] * (n + 1)
     for w, v in theta.vecs.items():
         dense[len(w)] = v
-    if shift is None:
-        dtheta, diagonals = theta.den, [dense[d:0:-1] for d in range(n + 1)]
-    else:
-        shifts, f = [dense], shift.factor
-        _extend_shifts(shifts, shift.act, range(n), n, zero)
-        dtheta = theta.den * f ** max(n - 1, 0)
-        diagonals = [[shifts[i][d - i] for i in range(d)] for d in range(n + 1)]
-        if f != 1:
-            diagonals = [[v if v is zero else scale(v, f ** (n - 1 - i))
-                          for i, v in enumerate(diag)] for diag in diagonals]
-    h, dh = [], 1
+    reach, f = max(n - 1, 0), 1 if shift is None else shift.factor
+    flat, origin = _diagonals(R, dense, reach, n)
+    diagonals = [flat[o - d + 1:o + 1] for d, o in enumerate(origin)]  # entries d-1 .. 0
+    h, dh, dtheta = [], 1, theta.den * f ** reach  # h by degree, highest first
     for k in range(n, -1, -1):
-        vecs, den = [dot(h[:d], diagonals[d]) for d in range(1, n - k + 1)], dh * dtheta
+        m = len(h) - 1
+        left = h if f == 1 else [scale(v, f ** (reach - m + j)) for j, v in enumerate(h)]
+        vecs = [dot(left[m - d + 1:], diagonals[d]) for d in range(1, n - k + 1)]
+        den = dh * dtheta
         if not k:
             nonzero = A.nonzero
             return TwistedSeries(R, {(0,) * d: v for d, v in enumerate(vecs, 1) if nonzero(v)},
@@ -893,7 +886,8 @@ def _power_sum_by_degree(theta: TwistedSeries, coeff) -> TwistedSeries:
         total = math.lcm(den, c.denominator)
         if total != den:
             vecs = [scale(v, total // den) for v in vecs]
-        vecs.insert(0, scale(R._one_vec, c.numerator * (total // c.denominator)))
+        vecs.reverse()
+        vecs.append(scale(R._one_vec, c.numerator * (total // c.denominator)))
         g = _content(A, vecs, total)
         h, dh = [A.divide_vector(v, g) for v in vecs] if g != 1 else vecs, total // g
 

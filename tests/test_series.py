@@ -547,33 +547,38 @@ def test_matrix_product_moves_each_right_row_past_each_key_once(monkeypatch, m2_
     assert product == ref_mat_mul(a, b)
 
 
-def _recorded_shifts(monkeypatch):
-    """[tables, acts]: tables gets, by id, the shift lists of each right
-    operand that `series._extend_shifts` extends, and acts counts the view
-    actions it makes; the word path's pair loop and move table,
-    `series._convolve` and `series._moved_rows`, refuse to run."""
-    record, extend = [{}, 0], series_module._extend_shifts
+def _recorded_diagonals(monkeypatch, R):
+    """[forms, acts]: forms gets, by id of its flat list, (form, vectors by
+    degree, reach, end) of each right operand whose diagonal form
+    `series._diagonals` builds or extends, as of its last call, and acts
+    counts the view actions of the letter's inverse twist; the word path's
+    pair loop and move table, `series._convolve` and `series._moved_rows`,
+    refuse to run."""
+    record, build, act = [{}, 0], series_module._diagonals, R._shift.act
 
-    def recorded(shifts, act, *args):
-        record[0][id(shifts)] = shifts
+    def recorded(R, dense, reach, end, form=None):
+        form = build(R, dense, reach, end, form)
+        record[0][id(form[0])] = (form, dense, reach, end)
+        return form
 
-        def counted(v):
-            record[1] += 1
-            return act(v)
-        extend(shifts, counted, *args)
-
-    monkeypatch.setattr(series_module, "_extend_shifts", recorded)
+    def counted(v):
+        record[1] += 1
+        return act(v)
+    monkeypatch.setattr(series_module, "_diagonals", recorded)
+    monkeypatch.setattr(R._shift, "act", counted)
     monkeypatch.setattr(series_module, "_convolve", _word_path)
     monkeypatch.setattr(series_module, "_moved_rows", _word_path)
     return record
 
 
-def _moved_entries(tables, zero):
-    """(shift lists id, shift i, degree j) of each entry of a shift i >= 1
-    moved from a vector other than the object `zero`, which is carried
-    over and not moved."""
-    return [(t, i, j) for t, shifts in tables.items() for i in range(1, len(shifts))
-            for j in range(len(shifts[i])) if shifts[i - 1][j] is not zero]
+def _moved_entries(forms, zero, reach=None):
+    """(flat list id, degree j, shift k) of each entry of the recorded
+    diagonal forms that is a vector of degree j moved by k >= 1 shifts, up
+    to the form's reach (or `reach`) and its last diagonal: the vector
+    `zero` (that object) is carried over and not moved."""
+    return [(f, j, k) for f, (_, dense, most, end) in forms.items()
+            for j, v in enumerate(dense) if v is not zero
+            for k in range(1, (most if reach is None else reach) + 1) if j + k <= end]
 
 
 @pytest.mark.parametrize("make, twist, order", [(m2_two_twists, "swap", 8),
@@ -581,13 +586,14 @@ def _moved_entries(tables, zero):
                                                 (m2_nonintegral, "p", 6), (qc4_inv, "inv", 6)],
                          ids=["M2(Q):swap", "M2(Q):shear", "M2(Q):p", "Q[C4]:inv"])
 def test_one_letter_moves_each_right_degree_by_each_shift_once(monkeypatch, make, twist, order):
-    # over one twisted letter a right operand keeps one list per shift k of
-    # its vectors moved by xi^-k, so in a 3x3 product (one sums_of_products
-    # call, each right entry over its own denominator), in the solve pass
-    # of a 3x3 mat_invert and in a log or exp pass, each (right operand,
-    # shift, degree) is moved at most once: there are as many view actions
-    # as moved entries. Only the degrees an operand has are moved; over
-    # M2(Q):p each move raises a denominator by 6
+    # over one twisted letter a right operand is held by its diagonals, entry
+    # k of diagonal d its vector of degree d - k moved by xi^-k, so in a 3x3
+    # product (one sums_of_products call, each right entry over its own
+    # denominator), in the solve pass of a 3x3 mat_invert and in a log or
+    # exp pass, each (right operand, degree, shift) is moved at most once:
+    # there are as many view actions as moved entries. Only the degrees an
+    # operand has are moved, and a sparse left moves none past its highest
+    # degree; over M2(Q):p each move raises a denominator by 6
     rng = random.Random(47)
     R = one_letter(make(), order, twist=twist)
     a = random_kernel_matrix(R, rng, 3, 3, 5) + SeriesMatrix.identity(R, 3)
@@ -595,29 +601,108 @@ def test_one_letter_moves_each_right_degree_by_each_shift_once(monkeypatch, make
                           for j in range(3)] for i in range(3)])
     assert len({e.den for row in b.rows for e in row}) > 1
     m, u = _dense_unit_matrix(R, rng, 3), R.one() + dense_kernel(R, rng)
+    sparse, dense = R.from_terms({(): R.coeff.one, "xx": R.coeff.one}), dense_series(R, rng, order)
     calls, kernel = [], series_module.sums_of_products
 
     def counted(R, sums):
         calls.append(len(sums))
         return kernel(R, sums)
     monkeypatch.setattr(matrices_module, "sums_of_products", counted)
-    record = _recorded_shifts(monkeypatch)
+    record = _recorded_diagonals(monkeypatch, R)
     product = a * b
     moved = _moved_entries(record[0], R._zero_vec)
     assert calls == [9]
     assert moved and record[1] == len(moved)
-    assert len(record[0]) <= 9  # one set of shift lists per right entry
-    assert {j for _, _, j in moved} <= {len(w) for row in b.rows for e in row for w in e.vecs}
+    assert len(record[0]) <= 9  # one diagonal form per right entry
+    assert {j for _, j, _ in moved} <= {len(w) for row in b.rows for e in row for w in e.vecs}
     theta = u - R.one()
-    for op in (lambda: mat_invert(m), lambda: formal_log(u), lambda: formal_exp(theta)):
+    for op, forms in ((lambda: mat_invert(m), 9), (lambda: formal_log(u), 1),
+                      (lambda: formal_exp(theta), 1)):
         record[0].clear()
         record[1] = 0
         op()
         moved = _moved_entries(record[0], R._zero_vec)
-        assert moved and record[1] == len(moved)
-    assert {j for _, _, j in moved} <= {len(w) for w in theta.vecs}
+        assert moved and record[1] == len(moved) and len(record[0]) == forms
+    assert {j for _, j, _ in moved} <= {len(w) for w in theta.vecs}
+    record[0].clear()
+    record[1] = 0
+    sparse_product = sparse * dense
+    moved = _moved_entries(record[0], R._zero_vec, reach=2)
+    assert moved and record[1] == len(moved)
     monkeypatch.undo()
-    assert product == ref_mat_mul(a, b)
+    assert product == ref_mat_mul(a, b) and sparse_product == ref_mul(sparse, dense)
+
+
+@pytest.mark.parametrize("twist", [None, "swap"], ids=["M2(Q)", "M2(Q):swap"])
+def test_one_letter_product_reads_only_degrees_its_operands_reach(monkeypatch, m2, twist):
+    # at order 10^6 a product of two 2-term series reads the output degrees
+    # up to the sum of its operands' highest degrees, 3 of them here, not
+    # every degree up to the order
+    R = one_letter(m2, 10 ** 6, twist=twist)
+    f = m2.parse_element_literal
+    s = R.from_terms({(): f("1,2;3,4"), "x": f("0,1;2,0")})
+    t = R.from_terms({(): f("2,0;1,1"), "x": f("1,1;0,3")})
+    degrees, pairs_at = [], series_module._pairs_at
+
+    def counted(d, sides):
+        degrees.append(d)
+        return pairs_at(d, sides)
+    monkeypatch.setattr(series_module, "_pairs_at", counted)
+    product = s * t
+    assert 0 < len(degrees) <= 3
+    monkeypatch.undo()
+    assert product == ref_mul(s, t)
+
+
+def _gapped(R, rng, const, degrees=(1, 2, 4, 5, 7)):
+    """const plus random terms at `degrees`, which fill more than half of
+    their span and leave gaps (3 and 6 by default)."""
+    A = R.coeff
+    return R.from_terms([((), const)] + [("x" * d, A.random_element(rng)) for d in degrees])
+
+
+@pytest.mark.parametrize("make, twist", [(m2_nonintegral, "p"), (qc4_inv, "inv")],
+                         ids=["M2(Q):p", "Q[C4]:inv"])
+def test_twisted_lefts_with_gaps_are_read_as_runs(monkeypatch, make, twist):
+    # a left operand over one twisted letter that fills more than half of
+    # its degrees is read as a run, gaps and all, against the diagonals of
+    # the right: in a product, in the solve pass of a 3x3 mat_invert whose
+    # q has gaps, in LDU and D (whose Schur complements take the same pair
+    # loop), and in log and exp. Over M2(Q):p (factor 6) left degree k is
+    # scaled by L / 6^k, so the scaling meets the run's gaps
+    rng, A = random.Random(61), make()
+    R = one_letter(A, 8, twist=twist)
+    runs, by_rows = [], series_module._by_rows
+
+    def recorded(rows, zero):
+        side = by_rows(rows, zero)
+        if side[3] is None and any(v is zero for v in side[2]):
+            runs.append(side[:2])
+        return side
+    monkeypatch.setattr(series_module, "_by_rows", recorded)
+    s, t = _gapped(R, rng, A.random_element(rng)), dense_series(R, rng, 8)
+    product = s * t
+    assert runs
+    m = SeriesMatrix(R, [[_gapped(R, rng, A.one if i == j else A.zero) for j in range(3)]
+                         for i in range(3)])
+    del runs[:]
+    m_inv = mat_invert(m)
+    assert runs
+    del runs[:]
+    f, det = ldu_decompose(m), dieudonne_det(m)
+    assert runs
+    one, k = R.one(), _gapped(R, rng, A.zero)
+    log, exp = formal_log(one + k), formal_exp(k)
+    monkeypatch.undo()
+    assert product == ref_mul(s, t)
+    assert ref_mat_mul(m, m_inv) == SeriesMatrix.identity(R, 3) == ref_mat_mul(m_inv, m)
+    a11, inv, d2 = m.rows[0][0], m.rows[0][0].inverse(), ref_schur(m)
+    assert f.l.rows == tuple((ref_mul(row[0], inv),) for row in m.rows[1:])
+    assert f.u.rows == (tuple(ref_mul(inv, a) for a in m.rows[0][1:]),)
+    assert f.d1 == a11 and f.d2 == d2
+    assert det == ref_mul(a11, ref_mul(d2.rows[0][0], ref_schur(d2).rows[0][0]))
+    assert log == ref_power_sum(k, lambda n: F((-1) ** (n + 1), n))
+    assert exp == ref_add(one, ref_power_sum(k, lambda n: F(1, math.factorial(n))))
 
 
 @pytest.mark.parametrize("n", [1100, 1101])
