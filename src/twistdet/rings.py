@@ -18,10 +18,15 @@ document layers call:
   over one shared denominator, `dot` computes the integer vector of a sum
   of products sum_i x_i * y_i, and `rebuild` is the one read-back: it turns
   a vector from either (or an automorphism's action on one) and a
-  denominator back into a value. Vectors are canonical (`clear`, `dot`,
-  `act`, `add_vectors` and `scale_vector` drop zero entries and sort keys),
-  and `nonzero`, `content`, `divide_vector` and `invert_vectors` (of an
-  n x n matrix of vectors) serve the series layer;
+  denominator back into a value. Each vector has one form, so equal values
+  over one denominator have equal vectors: Q's is one integer, and Z/m's
+  one integer in [0, m) (their `view_modulus` is 0 and m, and the word
+  path folds their products, series.py); M_k(Q)'s is a list of its k*k
+  entries, zeros kept; a basis algebra's is its (key, integer) pairs, from
+  which `clear`, `dot`, `act`, `add_vectors` and `scale_vector` drop zero
+  entries and whose keys they sort. `nonzero`, `content`, `divide_vector`
+  and `invert_vectors` (of an n x n matrix of vectors) serve the series
+  layer;
 - `emat_identity`, `emat_mul`, `mat_is_invertible` and `mat_invert` on
   square matrices (tuples of rows) of elements, defined once, in
   `CoeffRing`: `mat_is_invertible` (and so `is_unit`) is whether the
@@ -59,16 +64,20 @@ shared denominator), and series keep their coefficients in it (series.py).
 Z/m has denominator 1 and reduces mod m once per output entry; Q's vector
 is the numerator, M_k(Q)'s the k*k entries row by row, Q[G]'s and
 Q<gens>/deg>N's their (basis key, integer) pairs, multiplied through the
-group table or by word concatenation. Automorphisms act on the view too:
-an M_k(Q) conjugation by P is one precomputed k*k x k*k integer matrix
-(a -> N a adj(N) for N = d P integral, factor |det N|), and a permutation
-of Q[G] or Q<gens>/deg>N relabels the (key, integer) pairs (factor 1);
-`RingAutomorphism.apply` is clear, act and `rebuild`. Every inverse, over
-Q, M_k(Q), Q[G] and Z/m, is one `fraction_free` elimination of integers,
-of which only the entries read back are built; it is also the one
-invertibility test. Units and matrices over Q<gens>/deg>N go through
-`series.inverse_entries` over Q<<gens>>: one elimination, of the scalar
-part, and one solve pass over the element's own (word, integer) pairs.
+group table or by word concatenation. M_k(Q) multiplies through index
+tables: `dot` of n pairs reads both sides' flat entries through the two
+tables of n, built on first use and kept on the ring, so the n*k products
+of each output entry are one run of one `map`. Automorphisms act on the
+view too: an M_k(Q) conjugation by P reads one flat k*k x k*k integer
+table (a -> N a adj(N) for N = d P integral, factor |det N|) the same way,
+and a permutation of Q[G] or Q<gens>/deg>N relabels the (key, integer)
+pairs (factor 1); `RingAutomorphism.apply` is clear, act and `rebuild`.
+Every inverse, over Q, M_k(Q), Q[G] and Z/m, is one `fraction_free`
+elimination of integers, of which only the entries read back are built;
+it is also the one invertibility test. Units and matrices over
+Q<gens>/deg>N go through `series.inverse_entries` over Q<<gens>>: one
+elimination, of the scalar part, and one solve pass over the element's
+own (word, integer) pairs.
 The layers above also share `Record` (their result records),
 `twisted_conjugacy_classes`, and the one writer and the one reader of
 signed-sum literals, `rational_sum_literal` and `signed_terms`, from here.
@@ -474,6 +483,12 @@ class CoeffRing:
 
     nonzero = bool  # whether a canonical vector is not 0
 
+    # where the view is one integer (Q, Z/m): the modulus that reduces a sum
+    # of products, 0 where none does; None where a vector is more than one
+    # integer. The word path's pair loop folds each pair into one integer per
+    # output word on such a view (`series._convolve`)
+    view_modulus = None
+
     def scale_vector(self, vec, s: int):
         """s * vec, for an integer s != 0."""
         return vec * s
@@ -594,6 +609,7 @@ class RationalField(_RepresentedRing):
         self.one = Fraction(1)
 
     add, mul, invert = CoeffRing.add, CoeffRing.mul, CoeffRing.invert
+    view_modulus = 0
 
     def trace_vector(self, vec):
         return {"1": vec} if vec else {}
@@ -638,7 +654,7 @@ class IntegersMod(CoeffRing):
         super().__init__()
         if modulus < 2:
             raise ValueError("modulus must be >= 2")
-        self.modulus = modulus
+        self.modulus = self.view_modulus = modulus
         self.name = f"Z/{modulus}"
         self.zero = 0
         self.one = 1 % modulus
@@ -697,6 +713,7 @@ class RationalMatrixRing(_RepresentedRing):
         if size < 1:
             raise ValueError("matrix size must be >= 1")
         self.size = self._dim = size
+        self._dot_tables: dict[int, tuple] = {}  # pair count -> `_dot_table`
         self.name = f"M{size}(Q)"
         self.zero = tuple(tuple(Fraction(0) for _ in range(size)) for _ in range(size))
         self.one = tuple(tuple(Fraction(int(i == j)) for j in range(size)) for i in range(size))
@@ -714,16 +731,23 @@ class RationalMatrixRing(_RepresentedRing):
 
     def _conjugation(self, p) -> tuple:
         """(act, factor) of a -> p a p^-1 on the view. With N = d p integral,
-        p a p^-1 = N a adj(N) / det N: act is one precomputed k*k x k*k integer
-        matrix applied to a's entries, and factor is |det N| (the sign of
-        det N goes into the matrix)."""
+        p a p^-1 = N a adj(N) / det N, and factor is |det N| (the sign of
+        det N goes into the table). act reads one flat k*k x k*k integer
+        table, row-major, whose row e holds the coefficients of a's entries
+        in entry e of the image: the table times a's entries repeated k*k
+        times is one `map`, and each entry of the image sums one run of k*k
+        of its products."""
         k = self.size
+        kk = k * k
         n = self._rep(self.clear((p,))[0][0])
         det, adj = fraction_free(n)
         sign = 1 if det > 0 else -1
-        rows = [[sign * n[r][i] * adj[j][c] for i in range(k) for j in range(k)]
-                for r in range(k) for c in range(k)]
-        return (lambda vec: [sum(map(operator.mul, row, vec)) for row in rows]), abs(det)
+        table = [sign * n[r][i] * adj[j][c]
+                 for r in range(k) for c in range(k) for i in range(k) for j in range(k)]
+
+        def act(vec):
+            return list(map(sum, zip(*[map(operator.mul, table, vec * kk)] * kk)))
+        return act, abs(det)
 
     add, mul, invert = CoeffRing.add, CoeffRing.mul, CoeffRing.invert
 
@@ -734,12 +758,42 @@ class RationalMatrixRing(_RepresentedRing):
                 for a in values], den
 
     def dot(self, lefts, rights):
-        # entry (r, c) is one dot product of row r of the left operands, laid
-        # side by side, with column c of the right ones, stacked
+        """Entry (r, c) is the sum over the n pairs of row r of the left times
+        column c of the right. The pairs' entries are laid side by side in one
+        flat list per side, read through the two index tables of n
+        (`_dot_table`, built on first use and kept on the ring), multiplied by
+        one `map`, and each entry sums one run of n*k of the products. More
+        than _DOT_PAIRS pairs are read in runs of that many, each one `dot`."""
+        n = len(lefts)
+        if n > _DOT_PAIRS:
+            return list(map(sum, zip(*[self.dot(lefts[i:i + _DOT_PAIRS], rights[i:i + _DOT_PAIRS])
+                                       for i in range(0, n, _DOT_PAIRS)])))
+        tables = self._dot_tables.get(n)
+        if tables is None:
+            tables = self._dot_tables[n] = self._dot_table(n)
+        left, right = tables
+        if n == 1:
+            xs, ys = lefts[0], rights[0]
+        else:
+            xs, ys = [x for a in lefts for x in a], [y for b in rights for y in b]
+        return list(map(sum, zip(*[map(operator.mul, left(xs), right(ys))] * (n * self.size))))
+
+    def _dot_table(self, n: int) -> tuple:
+        """(left, right): getters of the flat lists of n pairs (`dot`) that
+        give, entry (r, c) after entry, for each pair i and each j < k, pair
+        i's left entry (r, j) and right entry (j, c). Over k = 1 the tables
+        are the identity, and both getters are `tuple`: an
+        operator.itemgetter of one index would return the bare item."""
         k = self.size
-        rows = [[x for a in lefts for x in a[r:r + k]] for r in range(0, k * k, k)]
-        cols = [[y for b in rights for y in b[c::k]] for c in range(k)]
-        return [sum(map(operator.mul, row, col)) for row in rows for col in cols]
+        if k == 1:
+            return tuple, tuple
+        kk = k * k
+        pairs = range(0, n * kk, kk)
+        left = [i + r + j for r in range(0, kk, k) for _ in range(k) for i in pairs
+                for j in range(k)]
+        right = [i + j * k + c for _ in range(k) for c in range(k) for i in pairs
+                 for j in range(k)]
+        return operator.itemgetter(*left), operator.itemgetter(*right)
 
     def rebuild(self, vec, den):
         k = self.size
@@ -787,6 +841,12 @@ class RationalMatrixRing(_RepresentedRing):
 
     def signature(self):
         return ("matrix", self.size, self.twists())
+
+
+# the most pairs that RationalMatrixRing.dot reads through one pair of index
+# tables, so that a ring keeps at most this many pairs of tables, whatever the
+# order of its series
+_DOT_PAIRS = 32
 
 
 def _mat_key(rows) -> tuple:

@@ -40,9 +40,13 @@ diagonal d, built once per pass, with one gcd reduction per step and no
 series built between steps.
 
 A ring of two or more letters takes the word path. Every product goes
-through one pair loop, `_convolve`: the pairs' vectors are gathered per
-output word (named by an integer code, so no word tuple is built or hashed
-per pair), summed by one integer `dot` and reduced once per output series.
+through one pair loop, `_convolve`, which sums the pairs per output word,
+named by an integer code (so no word tuple is built or hashed per pair).
+Where the coefficient view is one integer, over Q and Z/m (read off the
+ring's `view_modulus`; there is no switch), each pair's product is folded
+into one running integer per output word, reduced mod m once when it is
+read; over any other ring the pairs' vectors are gathered per output word
+and summed by one `A.dot`. Each output series is reduced once.
 Each series keeps its kernel rows (words with codes and twist keys,
 shortest first). Consecutive left rows of one length and twist key form a
 run, and a run's inner loop ends at the first right word that would
@@ -429,8 +433,8 @@ def sums_of_products(R: SeriesRing, sums: list) -> list:
     (`_left_rows`). Right rows are brought over dr, the lcm of the right
     denominators, once per call, as the base of each right operand's moves;
     a move through K adds F_K to their denominator, so each output word is
-    one `A.dot` over dl * dr * L (`_convolve`, or `_convolve_by_degree` over
-    one letter)."""
+    one sum of products over dl * dr * L (`_convolve`, or
+    `_convolve_by_degree` over one letter)."""
     left, right = {}, {}  # by id: the operand, then its rows (left) or right operand
     for pairs in sums:
         for s, t in pairs:
@@ -514,9 +518,14 @@ def _convolve(R: SeriesRing, pairs: list, lo: int, room: int) -> dict:
     overshoots room - lv. A run shorter than lo starts at the offset of
     length lo - lv: starts[m] counts the right rows of length below m, up to
     m = room + 1 - lv (an operand read only from degree 0 needs none). The
-    pairs' vectors are gathered per output word, named by its code (so no
-    word tuple is built or hashed per pair), and summed by one `A.dot`."""
-    A, gathered = R.coeff, {}
+    pairs are summed per output word, named by its code (so no word tuple
+    is built or hashed per pair). Over a view of one integer (`view_modulus`
+    not None) each pair's product is added to the word's running integer,
+    reduced by the modulus, if any, when it is read; over any other view
+    the pairs' vectors are gathered per word and summed by one `A.dot`."""
+    A, gathered = R.coeff, {}  # code -> [v, w, sum] or (v, w, lefts, rights)
+    modulus = A.view_modulus
+    fold = modulus is not None
     for rows, (by_key, starts) in pairs:
         run_lv = run_key = None
         for (lv, v, cv, _, key), a in rows:
@@ -528,6 +537,17 @@ def _convolve(R: SeriesRing, pairs: list, lo: int, room: int) -> dict:
                     moved, run_key = _moved_rows(by_key, key, rest), key
                 run_lv = lv
                 run = moved if lo <= lv else moved[starts[lo - lv]:starts[rest + 1]]
+            if fold:
+                for (lw, w, cw, sw, _), b in run:
+                    if lw > rest:
+                        break
+                    code = cv * sw + cw
+                    acc = gathered.get(code)
+                    if acc is None:
+                        gathered[code] = [v, w, a * b]
+                    else:
+                        acc[2] += a * b
+                continue
             for (lw, w, cw, sw, _), b in run:
                 if lw > rest:
                     break
@@ -538,10 +558,13 @@ def _convolve(R: SeriesRing, pairs: list, lo: int, room: int) -> dict:
                 else:
                     both[2].append(a)
                     both[3].append(b)
-    commute, out = R.letters_commute, {}
-    dot, nonzero = A.dot, A.nonzero
-    for v, w, xs, ys in gathered.values():
-        vec = dot(xs, ys)
+    if fold:
+        sums = ((v, w, s % modulus if modulus else s) for v, w, s in gathered.values())
+    else:
+        dot = A.dot
+        sums = ((v, w, dot(xs, ys)) for v, w, xs, ys in gathered.values())
+    commute, nonzero, out = R.letters_commute, A.nonzero, {}
+    for v, w, vec in sums:
         if nonzero(vec):
             word = v + w
             out[tuple(sorted(word)) if commute else word] = vec

@@ -441,6 +441,36 @@ def test_matrix_ring_products_match_fractions():
             assert ring.is_unit(a) == (expected is not None)
             if expected is not None:
                 assert ring.invert(a) == expected
+        # dot of n pairs reads both sides through the index tables of n; past
+        # 32 pairs it reads them 32 at a time, so no larger table is built
+        for n in [*range(1, 13), 33, 70]:
+            lefts = [random_rational_matrix(rng, k) for _ in range(n)]
+            rights = [random_rational_matrix(rng, k) for _ in range(n)]
+            products = [ref_mat_mul(a, b) for a, b in zip(lefts, rights)]
+            want = tuple(tuple(sum((m[r][c] for m in products), F(0)) for c in range(k))
+                         for r in range(k))
+            (xs, dl), (ys, dr) = ring.clear(lefts), ring.clear(rights)
+            for _ in range(2):  # building the tables of n, then reading them
+                assert ring.rebuild(ring.dot(xs, ys), dl * dr) == want, (k, n)
+        assert max(ring._dot_tables) == 32
+
+
+@pytest.mark.parametrize("k, p", [(2, [[0, 1], [1, 0]]), (2, [[1, 1], [0, 1]]),
+                                  (3, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])],
+                         ids=["swap", "shear", "cyc"])
+def test_conjugations_match_fractions(k, p):
+    # each entry of the image reads one row of the conjugation's flat table;
+    # the non-integral p = [[2, 1], [0, 1/3]] is checked the same way by
+    # test_conjugation_by_non_integral_matrix
+    ring = RationalMatrixRing(k)
+    conj = ring.register_conjugation("c", p)
+    p = tuple(tuple(F(x) for x in row) for row in p)
+    pinv = ref_invert(p)
+    rng = random.Random(k)
+    for _ in range(30):
+        a = random_rational_matrix(rng, k)
+        assert conj.apply(a) == ref_mat_mul(ref_mat_mul(p, a), pinv)
+        assert conj.inverse.apply(a) == ref_mat_mul(ref_mat_mul(pinv, a), p)
 
 
 def regular_block_image(A, rows):

@@ -909,6 +909,65 @@ def test_kernel_sums_that_cancel_leave_no_zero_terms(qq, m2):
     assert (v * w).terms == ref_mul(v, w).terms == {(): 1, (0,): 8, (1,): 7, (1, 0): 8}
 
 
+FOLD_RINGS = [(RationalField, False), (lambda: IntegersMod(7), False),
+              (lambda: IntegersMod(12), False), (RationalField, True)]
+
+
+@pytest.mark.parametrize("make, commute", FOLD_RINGS, ids=["Q", "Z/7", "Z/12", "Q-commuting"])
+def test_one_integer_views_fold_pairs_and_drop_words_that_cancel(monkeypatch, make, commute):
+    # over Q and Z/m the word path folds each pair into one integer per output
+    # word, with no A.dot call, and a word whose pairs sum to 0 (over Z/m to
+    # a nonzero multiple of m) is absent from products, inverses, Schur
+    # complements and logs
+    R = SeriesRing(make(), alphabet=("x", "y"), order=4, letters_commute=commute)
+    A, rng, one = R.coeff, random.Random(29), R.one()
+    xy = R.word_from_str("xy")
+    s, t = one + dense_kernel(R, rng), dense_series(R, rng, R.order)
+    t = t - R.from_terms([(xy, ref_mul(s, t).coefficient(xy))])
+    pairs = [a * b for u, a in s.terms.items() for v, b in t.terms.items()
+             if R.normalize_word(u + v) == xy]
+    assert sum(map(bool, pairs)) > 1 and sum(pairs) % getattr(A, "modulus", 1) == 0
+    assert bool(sum(pairs)) == isinstance(A, IntegersMod)
+    calls, dot = [], A.dot
+    monkeypatch.setattr(A, "dot", lambda xs, ys: calls.append(len(xs)) or dot(xs, ys))
+    product = s * t
+    assert calls == []
+    monkeypatch.undo()
+    assert product == ref_mul(s, t) and xy not in product.vecs
+    # the solve pass turns the dense inverse of a sparse e back into e
+    e = SeriesMatrix(R, [[R.from_terms([((), 1), ("x", 3)]), R.from_terms([("y", 5)])],
+                         [R.from_terms([("xy", 2)]), R.from_terms([((), 1), ("yx", 4)])]])
+    inv, ident = mat_invert(e), SeriesMatrix.identity(R, 2)
+    assert ref_mat_mul(e, inv) == ident == ref_mat_mul(inv, e)
+    assert len([w for row in inv.rows for x in row for w in x.vecs]) > 10
+    assert mat_invert(inv) == e
+    # d2 = a22 - a21 a11^-1 a12 is the sparse c: every other word cancels
+    c, a21 = R.from_terms([((), 1), ("x", 2)]), dense_kernel(R, rng)
+    a12 = t - R.lift(t.augmentation())
+    a22 = ref_add(ref_mul(ref_mul(a21, s.inverse()), a12), c)
+    m = SeriesMatrix(R, [[s, a12], [a21, a22]])
+    assert ref_schur(m).rows[0][0] == c
+    assert dieudonne_det(m) == ref_mul(s, c)
+    if A.contains_rationals:  # log turns the dense exp of a sparse k back into k
+        k = R.from_terms([("x", 1), ("y", F(1, 2)), ("xy", F(-2, 3))])
+        u = ref_add(one, ref_power_sum(k, lambda n: F(1, math.factorial(n))))
+        assert formal_exp(k) == u and len(u.vecs) > 10
+        assert formal_log(u) == k == ref_power_sum(u - one, lambda n: F((-1) ** (n + 1), n))
+
+
+def test_word_path_dots_other_views_once_per_output_word(monkeypatch, m2):
+    # over M2(Q) the pairs of each output word are gathered for one A.dot
+    R, rng = two_letter(m2, 4, twist={"x": "swap"}), random.Random(31)
+    s, t = dense_series(R, rng, 3), random_series(R, rng, terms=5)
+    pairs = [u + v for u in s.vecs for v in t.vecs if len(u) + len(v) <= R.order]
+    calls, dot = [], m2.dot
+    monkeypatch.setattr(m2, "dot", lambda xs, ys: calls.append(len(xs)) or dot(xs, ys))
+    product = s * t
+    assert len(calls) == len(set(pairs)) and sum(calls) == len(pairs)
+    monkeypatch.undo()
+    assert product == ref_mul(s, t)
+
+
 def _forbidden(*args):
     raise AssertionError("a per-pair coefficient call")
 
