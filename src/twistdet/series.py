@@ -63,6 +63,30 @@ pass, `_power_sum`: each step of Horner's rule, h = h*theta + c_k, is one
 `_convolve` with theta the right operand of every step, so theta's rows
 are moved past each key once for the pass.
 
+Over Q and Z/m on letters that do not commute, where nothing moves, the
+word path holds an operand by length blocks (`SeriesRing._blocks`, read off
+the ring; there is no switch). A word's index reads its letters as base-k
+digits, and its code is that index plus (k^l - 1) / (k - 1) for a word of
+length l, so it comes with the word's info. By the half rule that
+`_by_rows` applies on one letter, a length whose rows fill more than half
+of its k^l words is a dense block, the list of its k^l integers by index
+with 0 in the gaps, and any other length stays as rows (`_split`). Since
+index(v + w) = index(v) * k^j + index(w) for |w| = j, the pairs of a dense
+block of length i and one of length j are their Kronecker product, one
+comprehension added into the dense accumulator of length i + j; every
+other pair of blocks goes through the pair loop, whose sums are then
+added into the accumulator of their length (`_convolve_blocks`). So the
+loop multiplies the same pairs as before, plus fewer than 3 zero fills for
+each of them: a pair of dense blocks has more than k^(i+j) / 4 nonzero
+pairs, so an accumulator of k^d entries, and the ring's list of the k^d
+words that reads it out, exist only where a pair of dense blocks puts at
+least k^d / 4 pairs into it. A product, Schur complement, solve pass or
+Horner pass holds its operands by blocks only where a Kronecker product
+can reach `_KRONECKER_MIN` entries: below that a product of lists costs
+more than the pairs it replaces. The solve pass grows each entry of y by
+one block per degree (`_grow_blocks`), and a Horner step keeps h in blocks
+for the next step with one gcd and no series built (`_horner_blocks`).
+
 On either path a series product, a whole series-matrix product and the
 entries of l and u in an LDU split are one kernel call,
 `sums_of_products`, and so are the products a21 * u of a Schur
@@ -75,7 +99,8 @@ augmentation ideal is nilpotent at any finite order the inverse is fixed
 degree by degree from inv0 = eps^{-1}: all its degrees are one solve pass,
 `_solve`, shared with series matrices (`inverse_entries`). It makes no
 kernel call: the rows of q = -inv0 * x+ are x's own kernel rows, each
-vector times a constant, and degree d stands over den * g^d for one g.
+vector times a constant (over Q and Z/m an integer product, with no
+`A.dot`), and degree d stands over den * g^d for one g.
 Each degree of each entry is one `_convolve` that reads exactly that
 degree, of n pairs, one per right operand, an entry of y that grows by a
 degree at a time; over one letter it is one `A.dot` of the pairs (q_it
@@ -85,6 +110,7 @@ row of degree k, y_tj[d - k] moved by xi^-k), with no `_convolve` call.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -98,6 +124,17 @@ from .errors import (
     RingMismatch,
 )
 from .rings import _TOKEN, CoeffRing
+
+
+# The fewest products, k^(i + j), of a pair of dense blocks of lengths i
+# and j for which a kernel call sums its pairs of dense blocks as Kronecker
+# products (`_convolve_blocks`): below it the fixed cost of a product of
+# lists outweighs its saving per pair, and every pair goes through the pair
+# loop. Measured with Python 3.11.7 on an Intel Xeon: dense two-letter
+# operands over Q ran products, inverses and logs x1.07-1.59 slower by
+# blocks at orders 1-4 (at most 16 words of a length) and x0.86-0.91 faster
+# at order 5 (32).
+_KRONECKER_MIN = 32
 
 
 def _grlex(word: tuple) -> tuple:
@@ -143,6 +180,19 @@ class SeriesRing:
         # inverse twist, `_shift` (None if the letter is untwisted)
         self._by_degree = len(alphabet) == 1
         self._shift = self._inverse_by_letter.get(0) if self._by_degree else None
+        # where the word path holds operands by length blocks (`_split`),
+        # over letters that do not commute and a one-integer view, where
+        # nothing moves, at an order whose k^N words can make a Kronecker
+        # product of `_KRONECKER_MIN` entries (k^n passes it at n = its bit
+        # length, so no power above that is taken): k // 2 + 1, the fewest
+        # terms of positive length that fill more than half of the k^l words
+        # of a length l >= 1, so an operand with fewer has no dense block
+        # beyond its constant; else 0
+        k = len(alphabet)
+        self._blocks = (k // 2 + 1 if k > 1 and not letters_commute and not self._inverse_by_letter
+                        and coeff.view_modulus is not None
+                        and k ** min(order, _KRONECKER_MIN.bit_length()) >= _KRONECKER_MIN
+                        else 0)
         self.coeff = coeff
         self.alphabet = alphabet
         self.twist_names = names
@@ -150,6 +200,7 @@ class SeriesRing:
         self.letters_commute = bool(letters_commute)
         self._letter_index = {a: i for i, a in enumerate(alphabet)}
         self._infos: dict[tuple, tuple] = {}
+        self._words_by_length: dict[int, list] = {}
         (self._zero_vec, self._one_vec), _ = coeff.clear((coeff.zero, coeff.one))
 
     # -- identity ------------------------------------------------------------
@@ -205,18 +256,36 @@ class SeriesRing:
     def _word_info(self, word: tuple) -> tuple:
         """(length, word, code, scale, twist key) of a word, built once per
         word. The code is an integer that names the word (its normal form, if
-        letters commute), and code(v + w) = code(v) * scale(w) + code(w)."""
+        letters commute), and code(v + w) = code(v) * scale(w) + code(w).
+        Where letters do not commute, the letters are the digits 1..k in base
+        k, so the words of length l have the codes from (k^l - 1) / (k - 1)
+        on, each that offset plus its index, its letters read as base-k
+        digits 0..k-1 (`_split`)."""
         info = self._infos.get(word)
         if info is None:
             if self.letters_commute:  # exponents, in base order + 1
                 code, scale = sum((self.order + 1) ** i for i in word), 1
-            else:  # letters as the digits 1..k, in base k + 1
-                base, code = len(self.alphabet) + 1, 0
+            else:
+                base, code = len(self.alphabet), 0
                 for i in word:
                     code = code * base + i + 1
                 scale = base ** len(word)
             info = self._infos[word] = (len(word), word, code, scale, self.twist_key(word))
         return info
+
+    def _length_words(self, length: int) -> list:
+        """The k^length words of a length, by index (`_split`), built once
+        per ring and length."""
+        words = self._words_by_length.get(length)
+        if words is None:
+            words = self._words_by_length[length] = list(
+                itertools.product(range(len(self.alphabet)), repeat=length))
+        return words
+
+    def _length_rows(self, length: int, block: list) -> list:
+        """The kernel rows of the nonzero entries of a dense block."""
+        info = self._word_info
+        return [(info(w), x) for w, x in zip(self._length_words(length), block) if x]
 
     def _moved(self, word: tuple, vecs: dict, den: int, right: bool = False) -> tuple:
         """(vecs, den) of the coefficients vecs / den moved leftward past `word`
@@ -268,11 +337,11 @@ class TwistedSeries:
     never written after its constructor returns, so `terms`, word -> value,
     and the kernel rows, built on first read, stay valid for its life."""
 
-    __slots__ = ("ring", "vecs", "den", "_terms", "_rows")
+    __slots__ = ("ring", "vecs", "den", "_terms", "_rows", "_row_blocks")
 
     def __init__(self, ring: SeriesRing, vecs: dict, den: int = 1):
         """The series vecs / den (nonzero vectors, den > 0), reduced to canonical form."""
-        self.ring, self._terms, self._rows = ring, None, None
+        self.ring, self._terms, self._rows, self._row_blocks = ring, None, None, None
         self.vecs, self.den = _reduced(ring.coeff, vecs, den)
 
     @property
@@ -408,12 +477,19 @@ def _reduced(A, vecs: dict, den: int) -> tuple:
     """(vecs, den) divided by the gcd of den and every entry of the vectors."""
     g = _content(A, vecs.values(), den)
     if g != 1:
-        vecs = {w: A.divide_vector(v, g) for w, v in vecs.items()}
+        if A.view_modulus is not None:  # a vector is one integer
+            vecs = {w: v // g for w, v in vecs.items()}
+        else:
+            vecs = {w: A.divide_vector(v, g) for w, v in vecs.items()}
     return vecs, den // g
 
 
 def _content(A, vectors, den: int) -> int:
     """The gcd of den and every entry of the vectors."""
+    if den == 1:
+        return 1
+    if A.view_modulus is not None:  # a vector is one integer
+        return math.gcd(den, *vectors)
     g = den
     for v in vectors:
         if g == 1:
@@ -434,12 +510,22 @@ def sums_of_products(R: SeriesRing, sums: list) -> list:
     denominators, once per call, as the base of each right operand's moves;
     a move through K adds F_K to their denominator, so each output word is
     one sum of products over dl * dr * L (`_convolve`, or
-    `_convolve_by_degree` over one letter)."""
+    `_convolve_by_degree` over one letter). On a ring that holds operands
+    by blocks, a call where an operand has a dense block beyond its constant
+    and a pair of dense blocks makes a Kronecker product of at least
+    `_KRONECKER_MIN` entries sums by blocks (`_convolve_blocks`); each
+    series keeps its blocks beside its rows (`_blocks`)."""
     left, right = {}, {}  # by id: the operand, then its rows (left) or right operand
     for pairs in sums:
         for s, t in pairs:
             left[id(s)] = s
             right[id(t)] = t
+    blocks = operands = None
+    if R._blocks:  # whether an operand can have a dense block beyond its constant
+        for s in (*left.values(), *right.values()):
+            if len(s.vecs) - (() in s.vecs) >= R._blocks:
+                blocks, operands = True, dict(left)
+                break
     dl, L = _left_rows(R, left)
     dr = math.lcm(*map(_den, right.values()))
     scale_vector = R.coeff.scale_vector
@@ -447,12 +533,23 @@ def sums_of_products(R: SeriesRing, sums: list) -> list:
         rows, times = t._kernel_rows(), dr // t.den
         if times != 1:
             rows = [(info, scale_vector(b, times)) for info, b in rows]
-        right[i] = rows if R._by_degree else ({(): rows}, None)
+        right[i] = (rows if R._by_degree else _blocks(R, t, rows) if blocks
+                    else ({(): rows}, None))
     den = dl * dr * L
     if R._by_degree:
         out = _convolve_by_degree(R, [[(left[id(s)], right[id(t)]) for s, t in pairs]
                                       for pairs in sums])
         return [TwistedSeries(R, vecs, den) for vecs in out]
+    if blocks:
+        left = {i: _blocks(R, operands[i], rows) for i, rows in left.items()}
+        if any(_kronecker_pays(R, [(left[id(s)], right[id(t)]) for s, t in pairs], R.order)
+               for pairs in sums):
+            return [TwistedSeries(R, _block_sums(R, *_convolve_blocks(
+                R, [(left[id(s)], right[id(t)]) for s, t in pairs], 0, R.order)), den)
+                for pairs in sums]
+        # every pair in the pair loop, on the operands' rows
+        left = {i: form[2][0][()] for i, form in left.items()}
+        right = {i: form[2] for i, form in right.items()}
     return [TwistedSeries(R, _convolve(R, [(left[id(s)], right[id(t)]) for s, t in pairs],
                                        0, R.order), den) for pairs in sums]
 
@@ -501,7 +598,7 @@ def _left_rows(R: SeriesRing, left: dict) -> tuple:
     return den, L
 
 
-def _convolve(R: SeriesRing, pairs: list, lo: int, room: int) -> dict:
+def _convolve(R: SeriesRing, pairs: list, lo: int, room: int, accs=None) -> dict:
     """word -> nonzero vector of the sum, over (left rows, right operand)
     pairs, of each left row (length lv, key K) times each right row of
     length lo - lv .. room - lv: the pair loop of rings of two or more
@@ -522,7 +619,9 @@ def _convolve(R: SeriesRing, pairs: list, lo: int, room: int) -> dict:
     is built or hashed per pair). Over a view of one integer (`view_modulus`
     not None) each pair's product is added to the word's running integer,
     reduced by the modulus, if any, when it is read; over any other view
-    the pairs' vectors are gathered per word and summed by one `A.dot`."""
+    the pairs' vectors are gathered per word and summed by one `A.dot`.
+    Over operands held by blocks, the sums of each length that has a dense
+    accumulator in `accs` (`_convolve_blocks`) are added into it instead."""
     A, gathered = R.coeff, {}  # code -> [v, w, sum] or (v, w, lefts, rights)
     modulus = A.view_modulus
     fold = modulus is not None
@@ -558,6 +657,16 @@ def _convolve(R: SeriesRing, pairs: list, lo: int, room: int) -> dict:
                 else:
                     both[2].append(a)
                     both[3].append(b)
+    if accs:  # index = code - (k^d - 1) / (k - 1) on a word of length d
+        k, rest = len(R.alphabet), {}
+        offsets = {d: (k ** d - 1) // (k - 1) for d in accs}
+        for code, entry in gathered.items():
+            d = len(entry[0]) + len(entry[1])
+            if d in offsets:
+                accs[d][code - offsets[d]] += entry[2]
+            else:
+                rest[code] = entry
+        gathered = rest
     if fold:
         sums = ((v, w, s % modulus if modulus else s) for v, w, s in gathered.values())
     else:
@@ -569,6 +678,101 @@ def _convolve(R: SeriesRing, pairs: list, lo: int, room: int) -> dict:
             word = v + w
             out[tuple(sorted(word)) if commute else word] = vec
     return out
+
+
+def _split(R: SeriesRing, rows: list) -> tuple:
+    """(dense, inside, sparse): the length blocks of kernel rows of a ring
+    that holds its operands by blocks (`SeriesRing._blocks`), shortest
+    first. A length whose rows fill more than half of its k^l words is
+    dense: dense[l], in order of length, is the list of its k^l integers by
+    index (a word's code less (k^l - 1) / (k - 1), `SeriesRing._word_info`),
+    each gap 0, and its rows are inside. The rows of the other lengths are
+    sparse. Rows of either kind stay shortest first."""
+    k, lengths, spans = len(R.alphabet), [info[0] for info, _ in rows], []
+    i, n = 0, len(rows)
+    while i < n:  # the spans of the dense lengths; where 2^l > 2n, k^l is not taken
+        j = bisect.bisect_right(lengths, lengths[i], i)
+        if lengths[i] <= n.bit_length() and 2 * (j - i) > k ** lengths[i]:
+            spans.append((i, j))
+        i = j
+    if not spans:
+        return {}, [], rows
+    dense, inside, sparse, i = {}, [], [], 0
+    for start, end in spans:
+        size = k ** lengths[start]
+        block, offset = [0] * size, (size - 1) // (k - 1)
+        for info, a in rows[start:end]:
+            block[info[2] - offset] = a
+        dense[lengths[start]] = block
+        inside += rows[start:end]
+        sparse += rows[i:start]
+        i = end
+    return dense, inside, sparse + rows[i:]
+
+
+def _operand_blocks(R: SeriesRing, rows: list) -> tuple:
+    """(dense, inside, every, sparse) of an operand held by blocks, read
+    from degree 0: `_split` of its rows, with all its rows and its sparse
+    rows each as a right operand ({(): rows}, None) of `_convolve`."""
+    dense, inside, sparse = _split(R, rows)
+    return dense, inside, ({(): rows}, None), ({(): sparse}, None)
+
+
+def _blocks(R: SeriesRing, s: TwistedSeries, rows: list) -> tuple:
+    """`_operand_blocks` of rows, the kernel rows of s or a scaled copy of
+    them: those of s's own rows are built once and kept on s."""
+    if rows is not s._rows:
+        return _operand_blocks(R, rows)
+    if s._row_blocks is None:
+        s._row_blocks = _operand_blocks(R, rows)
+    return s._row_blocks
+
+
+def _kronecker_pays(R: SeriesRing, pairs: list, room: int) -> bool:
+    """Whether a pair of dense blocks of (left, right) pairs of operands held
+    by blocks (`_operand_blocks`) makes a Kronecker product of at least
+    `_KRONECKER_MIN` entries within length `room`."""
+    k = len(R.alphabet)
+    return any(k ** (i + j) >= _KRONECKER_MIN for (dense, *_), (right_dense, *_) in pairs
+               for i in dense for j in right_dense if i + j <= room)
+
+
+def _convolve_blocks(R: SeriesRing, pairs: list, lo: int, room: int) -> tuple:
+    """(accs, vecs): `_convolve` over (left, right) pairs of operands held
+    by blocks (`_operand_blocks`), where accs maps a length to its dense
+    accumulator, the sums of its words by index, not yet reduced, and vecs
+    each other word to its nonzero vector (`_block_sums` joins them). A
+    pair of dense blocks of lengths i and j, lo <= i + j <= room, is summed
+    as their Kronecker product into the accumulator of length i + j, since
+    index(v + w) = index(v) * k^j + index(w). The left's inside rows meet
+    the right's sparse rows, and the left's sparse rows all of the right's
+    rows, in the pair loop of `_convolve`, whose sums are added into the
+    accumulator of their length where there is one."""
+    accs, looped = {}, []
+    for (dense, inside, _, (sparse, _)), (right_dense, _, every, right_sparse) in pairs:
+        for i, a in dense.items():
+            for j, b in right_dense.items():
+                if lo <= i + j <= room:
+                    terms = [x * y for x in a for y in b]
+                    acc = accs.get(i + j)
+                    accs[i + j] = terms if acc is None else list(map(operator.add, acc, terms))
+        if inside and right_sparse[0][()]:
+            looped.append((inside, right_sparse))
+        if sparse[()]:
+            looped.append((sparse[()], every))
+    return accs, _convolve(R, looped, lo, room, accs)
+
+
+def _block_sums(R: SeriesRing, accs: dict, vecs: dict) -> dict:
+    """vecs, word -> nonzero vector, with the nonzero sums of the dense
+    accumulators accs (`_convolve_blocks`) added by word, each accumulator
+    first reduced in place by the modulus, if any."""
+    modulus = R.coeff.view_modulus
+    for d, acc in accs.items():
+        if modulus:
+            acc = accs[d] = [x % modulus for x in acc]
+        vecs.update({w: x for w, x in zip(R._length_words(d), acc) if x})
+    return vecs
 
 
 def _convolve_by_degree(R: SeriesRing, sums: list) -> list:
@@ -737,12 +941,13 @@ def inverse_entries(R: SeriesRing, x: list) -> list:
     denominators. x's kernel rows are read once, over dx and scaled by
     L / F_K (`_left_rows`, which also gives L). inv0 is constant, so q_ij
     has the words of the x+_sj, each vector one `A.dot` over the s of
-    sum_s (-inv0)_is * x+_sj: one comprehension over x_sj's rows when one s
-    contributes, as for every series. For g = den * dx * L, a row of length
+    sum_s (-inv0)_is * x+_sj, over a one-integer view a sum of integer
+    products: one comprehension over x_sj's rows when one s contributes,
+    as for every series. For g = den * dx * L, a row of length
     k is scaled by g^(k-1), folded into the (-inv0)_is, so that it stands
     over g^k / F_K, and the degrees of y are one `_solve` pass."""
     A, n, top = R.coeff, math.isqrt(len(x)), R.order
-    scale, dot, nonzero = A.scale_vector, A.dot, A.nonzero
+    scale, dot, nonzero, modulus = A.scale_vector, A.dot, A.nonzero, A.view_modulus
     by_degree = R._by_degree  # a row's info is then its degree, which names its word
     rows = dict(enumerate(x))
     dx, L = _left_rows(R, rows)
@@ -750,26 +955,32 @@ def inverse_entries(R: SeriesRing, x: list) -> list:
                                   else R._zero_vec for e in x], dx, n)
     g = den * dx * L
     neg = {k: [scale(v, -g ** (k - 1)) for v in inv0] for k in range(1, top + 1)}
-    q = []
+    fold, q = modulus is not None, []  # fold: a vector is one integer
     for i in range(0, n * n, n):
         ss = [s for s in range(n) if nonzero(inv0[i + s])]
         for j in range(n):
             if len(ss) == 1:
                 s = ss[0]
-                q.append([(info, dot([neg[k][i + s]], [a])) for info, a in rows[s * n + j]
-                          if (k := info if by_degree else info[0])])
+                q.append([(info, neg[k][i + s] * a if fold else dot([neg[k][i + s]], [a]))
+                          for info, a in rows[s * n + j] if (k := info if by_degree else info[0])])
                 continue
-            gathered = {}  # code -> (info, the (-inv0)_is g^(k-1), the x+_sj vectors)
+            # code -> [info, sum of the products] over a one-integer view, else
+            # (info, the (-inv0)_is g^(k-1), the x+_sj vectors)
+            gathered = {}
             for s in ss:
                 for info, a in rows[s * n + j]:
                     k = info if by_degree else info[0]
                     if k:
-                        _, cs, xs = gathered.setdefault(info if by_degree else info[2],
-                                                        (info, [], []))
+                        code = info if by_degree else info[2]
+                        if fold:
+                            gathered.setdefault(code, [info, 0])[1] += neg[k][i + s] * a
+                            continue
+                        _, cs, xs = gathered.setdefault(code, (info, [], []))
                         cs.append(neg[k][i + s])
                         xs.append(a)
-            q.append(sorted([(info, v) for info, cs, xs in gathered.values()
-                             if nonzero(v := dot(cs, xs))],
+            sums = (((info, v % modulus if modulus else v) for info, v in gathered.values())
+                    if fold else ((info, dot(cs, xs)) for info, cs, xs in gathered.values()))
+            q.append(sorted([(info, v) for info, v in sums if nonzero(v)],
                             key=_first if by_degree else _row_length))
     return _solve(R, q, inv0, den, g)
 
@@ -786,17 +997,36 @@ def _solve(R: SeriesRing, q: list, y0: list, den: int, g: int) -> list:
     pass, to which each degree's rows are appended as it is solved, so its
     rows are moved past each key once. Nothing is rescaled or reduced
     between degrees; they are merged once, over den * g^N, and reduced by
-    the TwistedSeries constructor. Over one letter the same q and the same
-    bookkeeping solve each degree by one `A.dot` per entry, with no
-    `_convolve` call (`_solve_by_degree`)."""
+    the TwistedSeries constructor. Where the ring holds operands by blocks
+    and q has a dense block, q is held by blocks and y grows one block per
+    degree (`_grow_blocks`), and each degree is one `_convolve_blocks`. Over
+    one letter the same q and the same bookkeeping solve each degree by one
+    `A.dot` per entry, with no `_convolve` call (`_solve_by_degree`)."""
     if R._by_degree:
         return _solve_by_degree(R, q, y0, den, g)
     A, top, n, info = R.coeff, R.order, math.isqrt(len(q)), R._word_info
     ys = [[{(): v} if A.nonzero(v) else {} for v in y0]]
-    right = [({(): []}, [0]) for _ in y0]  # y's entries, grown a degree at a time
+    # y's entries, grown a degree at a time; where q has a dense block, by
+    # blocks, a block per degree (`_grow_blocks`)
+    split = ([_operand_blocks(R, rows) for rows in q]
+             if R._blocks and any(len(rows) >= R._blocks for rows in q) else ())
+    blocks = any(form[0] for form in split)
+    if blocks:
+        q, right = split, [({}, None, ({(): []}, [0]), ({(): []}, [0])) for _ in y0]
+        every = any(form[3][0][()] for form in q)  # whether q's sparse rows read all of y
+    else:
+        right = [({(): []}, [0]) for _ in y0]
     pairs = [[(q[i + t], right[t * n + j]) for t in range(n)]
              for i in range(0, n * n, n) for j in range(n)]
+    accs = [{} for _ in y0]  # over blocks: the accumulators of each entry's last degree
     for d in range(1, top + 1):
+        if blocks:
+            for r, e, acc in zip(right, ys[-1], accs):
+                _grow_blocks(R, r, d - 1, acc.get(d - 1), e, every)
+            sums = [_convolve_blocks(R, entry, d, d) for entry in pairs]
+            accs = [acc for acc, _ in sums]
+            ys.append([_block_sums(R, acc, vecs) for acc, vecs in sums])
+            continue
         for (by_key, starts), e in zip(right, ys[-1]):
             rows = by_key[()]
             rows += [(info(w), v) for w, v in e.items()]
@@ -808,6 +1038,28 @@ def _solve(R: SeriesRing, q: list, y0: list, den: int, g: int) -> list:
         for vecs, e in zip(merged, entries):
             vecs.update(e if times == 1 else {w: scale(v, times) for w, v in e.items()})
     return [TwistedSeries(R, vecs, den * g ** top) for vecs in merged]
+
+
+def _grow_blocks(R: SeriesRing, right: tuple, d: int, acc, vecs: dict, every: bool):
+    """Append degree d of an entry of y, its vectors vecs, or its dense
+    accumulator acc, reduced (`_block_sums`), where it has one, to its right
+    operand held by blocks (`_operand_blocks`): a dense block by the rule of
+    `_split`, or sparse rows; its rows go to all its rows too, which are
+    read only if `every` (q has sparse rows) where the degree is dense."""
+    dense, _, (every_rows, every_starts), (sparse, starts) = right
+    if acc is not None and 2 * (len(acc) - acc.count(0)) > len(acc):
+        dense[d], rows = acc, R._length_rows(d, acc) if every else ()
+    else:
+        info = R._word_info
+        rows = ([(info(w), v) for w, v in vecs.items()] if acc is None
+                else R._length_rows(d, acc))
+        if 2 * len(rows) > len(R.alphabet) ** d:
+            dense.update(_split(R, rows)[0])
+        else:
+            sparse[()] += rows
+    every_rows[()] += rows
+    every_starts.append(len(every_rows[()]))
+    starts.append(len(sparse[()]))
 
 
 def _solve_by_degree(R: SeriesRing, q: list, y0: list, den: int, g: int) -> list:
@@ -855,25 +1107,67 @@ def _power_sum(theta: TwistedSeries, coeff) -> TwistedSeries:
     the whole pass. Each step is one `_convolve` cut at degree N - k, since
     only the degrees up to N - k of the h at k reach the order, with h's
     rows set up as left rows (`_left_rows`) and coeff(k) put into its
-    constant vector. Over one letter the pass runs on lists by degree
-    (`_power_sum_by_degree`)."""
+    constant vector. Where the ring holds operands by blocks and theta has a
+    dense block, each step is one `_convolve_blocks` and h stays in blocks
+    between steps (`_horner_blocks`). Over one letter the pass runs on lists
+    by degree (`_power_sum_by_degree`)."""
     R, n = theta.ring, theta.ring.order
     if R._by_degree:
         return _power_sum_by_degree(theta, coeff)
-    A, right, h = R.coeff, ({(): theta._kernel_rows()}, None), R.zero()
+    A, rows, h, dh = R.coeff, theta._kernel_rows(), R.zero(), 1
+    blocks = R._blocks and len(rows) >= R._blocks and _blocks(R, theta, rows)[0]
+    if blocks:  # h held by blocks from step to step, with no series built
+        right, h = _blocks(R, theta, rows), _operand_blocks(R, [])
+        inside = bool(right[3][0][()])  # whether theta's sparse rows meet h's dense blocks
+    else:
+        right = ({(): rows}, None)
     for k in range(n, -1, -1):
-        left = {0: h}
-        dh, L = _left_rows(R, left)
-        vecs = _convolve(R, [(left[0], right)], 0, n - k)
-        den = dh * theta.den * L
+        if blocks:
+            accs, vecs = _convolve_blocks(R, [(h, right)], 0, n - k)
+            den = dh * theta.den
+        else:
+            left = {0: h}
+            dh, L = _left_rows(R, left)
+            vecs = _convolve(R, [(left[0], right)], 0, n - k)
+            den = dh * theta.den * L
         if not k:
-            return TwistedSeries(R, vecs, den)
+            return TwistedSeries(R, _block_sums(R, accs, vecs) if blocks else vecs, den)
         c = coeff(k)
         total = math.lcm(den, c.denominator)
+        const = c.numerator * (total // c.denominator)
+        if blocks:
+            h, dh = _horner_blocks(R, accs, vecs, total // den, const, total, inside)
+            continue
         if total != den:
             vecs = {w: A.scale_vector(v, total // den) for w, v in vecs.items()}
-        vecs[()] = A.scale_vector(R._one_vec, c.numerator * (total // c.denominator))
+        vecs[()] = A.scale_vector(R._one_vec, const)
         h = TwistedSeries(R, vecs, total)
+
+
+def _horner_blocks(R: SeriesRing, accs: dict, vecs: dict, times: int, const: int, total: int,
+                   inside: bool) -> tuple:
+    """(h, den): h*theta + c of a Horner step over Q held by blocks, as the
+    next step's left operand (`_operand_blocks`), from the sums of h*theta
+    (accs and vecs, `_convolve_blocks`) times `times` and the constant
+    const, over total, all divided by their gcd with total: one gcd per
+    step. Each length is dense or rows by the rule of `_split`; the inside
+    rows of the dense blocks are built only if `inside`."""
+    g = math.gcd(total, const, times * math.gcd(*vecs.values(),
+                                                *[math.gcd(*acc) for acc in accs.values()]))
+    info = R._word_info
+    dense, _, sparse = _split(R, sorted([(info(w), x * times // g) for w, x in vecs.items()],
+                                        key=_row_length))
+    dense[0] = [const // g]
+    for d, acc in accs.items():
+        if times != g:
+            acc = [x * times // g for x in acc]
+        if 2 * (len(acc) - acc.count(0)) > len(acc):
+            dense[d] = acc
+        else:
+            sparse += R._length_rows(d, acc)
+    dense = dict(sorted(dense.items()))
+    rows = [row for d, a in dense.items() for row in R._length_rows(d, a)] if inside else []
+    return (dense, rows, None, ({(): sorted(sparse, key=_row_length)}, None)), total // g
 
 
 def _power_sum_by_degree(theta: TwistedSeries, coeff) -> TwistedSeries:

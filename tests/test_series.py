@@ -519,6 +519,47 @@ def test_sparse_one_letter_inverse_visits_order_times_terms_pairs(monkeypatch, A
     assert ref_mul(u, inv) == R.one() == ref_mul(inv, u)
 
 
+def _dense_allocations(monkeypatch):
+    """A list that gets the size of each dense block (`series._split`) and
+    each dense accumulator (`series._convolve_blocks`) of positive length."""
+    sizes, split, convolve_blocks = [], series_module._split, series_module._convolve_blocks
+
+    def recorded_split(R, rows):
+        out = split(R, rows)
+        sizes.extend(len(block) for length, block in out[0].items() if length)
+        return out
+
+    def recorded_convolve(R, pairs, lo, room):
+        accs, vecs = convolve_blocks(R, pairs, lo, room)
+        sizes.extend(len(acc) for length, acc in accs.items() if length)
+        return accs, vecs
+    monkeypatch.setattr(series_module, "_split", recorded_split)
+    monkeypatch.setattr(series_module, "_convolve_blocks", recorded_convolve)
+    return sizes
+
+
+@pytest.mark.parametrize("A, c", [(IntegersMod(101), 7), (RationalField(), F(3, 2))],
+                         ids=["Z/101", "Q"])
+def test_sparse_two_letter_work_makes_no_dense_block(monkeypatch, A, c):
+    # at order 16 a dense block of y would hold 2^16 entries: sparse work
+    # over two letters holds no dense block or accumulator beyond constants
+    R = two_letter(A, 16)
+    u = R.from_terms({(): 1, "xyxy": c})
+    s = R.from_terms({(): 1, "xyx": 2, "yyyyy": 3})
+    t = R.from_terms({(): 1, "xxx": c, "yxyx": -1})
+    sizes = _dense_allocations(monkeypatch)
+    inv, product = u.inverse(), s * t
+    log = formal_log(R.one() + R.from_terms({"xy": 1, "yyy": c})) if A.contains_rationals else None
+    assert sizes == []
+    monkeypatch.undo()
+    assert R._blocks  # the ring holds operands by blocks where they are dense
+    assert inv == R.from_terms({"xyxy" * i: (-c) ** i for i in range(5)})
+    assert product == ref_mul(s, t)
+    if log is not None:
+        k = R.from_terms({"xy": 1, "yyy": c})
+        assert log == ref_power_sum(k, lambda n: F((-1) ** (n + 1), n))
+
+
 @pytest.mark.parametrize("twists", ["swap,shear"])
 def test_matrix_product_moves_each_right_row_past_each_key_once(monkeypatch, m2_two_twists,
                                                                 twists):
@@ -966,6 +1007,140 @@ def test_word_path_dots_other_views_once_per_output_word(monkeypatch, m2):
     assert len(calls) == len(set(pairs)) and sum(calls) == len(pairs)
     monkeypatch.undo()
     assert product == ref_mul(s, t)
+
+
+# -- the block loop: dense length blocks as Kronecker products ----------------------
+# Over Q and Z/m, on two or more letters that do not commute, a length whose
+# rows fill more than half of its k^l words is a dense block, and a pair of
+# dense blocks is summed as their Kronecker product.
+
+BLOCK_RINGS = [(RationalField, "xy", 5), (RationalField, "xyz", 4),
+               (lambda: IntegersMod(7), "xy", 5), (lambda: IntegersMod(7), "xyz", 4),
+               (lambda: IntegersMod(12), "xy", 5), (lambda: IntegersMod(12), "xyz", 4)]
+BLOCK_IDS = ["Q-xy", "Q-xyz", "Z/7-xy", "Z/7-xyz", "Z/12-xy", "Z/12-xyz"]
+BLOCK_KINDS = ("full", "half", "over", "sparse")
+
+
+def _nonzero_element(A, rng):
+    a = A.random_element(rng)
+    while a == A.zero:
+        a = A.random_element(rng)
+    return a
+
+
+def _mixed_blocks(R, rng, shift, const):
+    """A series with constant const, whose block of each length l < N is of
+    kind BLOCK_KINDS[(l + shift) % 4]: all k^l words (full), exactly half of
+    them, rounded down (half, which reads as rows), one word more (over, a
+    dense block with zeros), or one word (sparse); length N has one word."""
+    A, k, terms = R.coeff, len(R.alphabet), [((), const)]
+    for length in range(1, R.order + 1):
+        words = list(itertools.product(range(k), repeat=length))
+        kind = BLOCK_KINDS[(length + shift) % 4] if length < R.order else "sparse"
+        count = {"full": len(words), "half": len(words) // 2, "over": len(words) // 2 + 1,
+                 "sparse": 1}[kind]
+        terms += [(w, _nonzero_element(A, rng)) for w in rng.sample(words, count)]
+    return R.from_terms(terms)
+
+
+def _counted_kernel_calls(monkeypatch, name):
+    """A list that gets one entry per call of `series.<name>`."""
+    calls, run = [], getattr(series_module, name)
+
+    def counted(*args):
+        calls.append(None)
+        return run(*args)
+    monkeypatch.setattr(series_module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("make, letters, order", BLOCK_RINGS, ids=BLOCK_IDS)
+def test_block_loop_matches_per_pair_reference(monkeypatch, make, letters, order):
+    # operands mix full, exactly-half, just-over-half and sparse blocks;
+    # products, a 3x3 matrix product, D, inverses, 2x2 and 3x3 mat_inverts
+    # and (over Q) log and exp match the per-pair references
+    R = SeriesRing(make(), alphabet=tuple(letters), order=order)
+    A, rng, one = R.coeff, random.Random(order * 10 + len(letters)), R.one()
+    ops = [_mixed_blocks(R, rng, shift, A.one) for shift in range(4)]
+    for shift, s in enumerate(ops):  # full and over are dense blocks, half and sparse rows
+        dense, _, _ = series_module._split(R, s._kernel_rows())
+        assert sorted(dense) == [0] + [length for length in range(1, order) if
+                                       BLOCK_KINDS[(length + shift) % 4] in ("full", "over")]
+    calls = _counted_kernel_calls(monkeypatch, "_convolve_blocks")
+    for i, j in ((0, 1), (2, 3), (0, 2), (1, 3)):
+        assert ops[i] * ops[j] == ref_mul(ops[i], ops[j])
+    assert calls
+    del calls[:]
+    a = SeriesMatrix(R, [[ops[(i + j) % 4] for j in range(3)] for i in range(3)])
+    b = SeriesMatrix(R, [[ops[(i + 2 * j + 1) % 4] for j in range(3)] for i in range(3)])
+    assert a * b == ref_mat_mul(a, b) and calls
+    del calls[:]
+    m = SeriesMatrix(R, [[ops[0], ops[1] - one], [ops[2] - one, ops[3]]])
+    assert dieudonne_det(m) == ref_mul(ops[0], ref_schur(m).rows[0][0]) and calls
+    del calls[:]
+    for u in ops:
+        inv = u.inverse()
+        assert ref_mul(u, inv) == one == ref_mul(inv, u)
+    assert calls
+    del calls[:]
+    for n in (2, 3):  # augmentation: the identity plus a strictly upper part
+        m = SeriesMatrix(R, [[ops[(i + j) % 4] - one + R.lift(
+            A.one if i == j else A.random_element(rng) if j > i else A.zero)
+            for j in range(n)] for i in range(n)])
+        assert ref_mat_mul(m, mat_invert(m)) == SeriesMatrix.identity(R, n)
+    assert calls
+    if A.contains_rationals:
+        del calls[:]
+        k = ops[1] - one
+        assert formal_log(one + k) == ref_power_sum(k, lambda n: F((-1) ** (n + 1), n))
+        assert formal_exp(k) == ref_add(one, ref_power_sum(k, lambda n: F(1, math.factorial(n))))
+        assert calls
+
+
+@pytest.mark.parametrize("make, letters, order", BLOCK_RINGS[4:], ids=BLOCK_IDS[4:])
+def test_block_loop_drops_a_word_whose_pairs_sum_to_a_multiple_of_m(monkeypatch, make, letters,
+                                                                    order):
+    # over Z/12 a word of a dense accumulator whose pairs sum to a nonzero
+    # multiple of 12 is absent from the product
+    R = SeriesRing(make(), alphabet=tuple(letters), order=order)
+    rng = random.Random(61)
+    s = _mixed_blocks(R, rng, 0, 1)
+    dense_s, _, _ = series_module._split(R, s._kernel_rows())
+    for shift in (1, 2, 3):  # a t whose dense blocks make a Kronecker product with s's
+        t = _mixed_blocks(R, rng, shift, 1)
+        dense_t, _, _ = series_module._split(R, t._kernel_rows())
+        length = max(i + j for i in dense_s for j in dense_t if i and j and i + j <= R.order)
+        if len(letters) ** length >= series_module._KRONECKER_MIN:
+            break
+    for w in itertools.product(range(len(letters)), repeat=length):
+        c = t.coefficient(w)
+        t2 = t - R.from_terms([(w, ref_mul(s, t).coefficient(w))])
+        pairs = [a * b for u, a in s.terms.items() for v, b in t2.terms.items() if u + v == w]
+        if sum(pairs) and c != t2.coefficient(w) and t2.coefficient(w):
+            break
+    assert sum(map(bool, pairs)) > 1 and sum(pairs) % 12 == 0 and sum(pairs)
+    calls = _counted_kernel_calls(monkeypatch, "_convolve_blocks")
+    product = s * t2
+    assert calls and product == ref_mul(s, t2) and w not in product.vecs
+
+
+@pytest.mark.parametrize("make", [RationalField, lambda: IntegersMod(101)], ids=["Q", "Z/101"])
+def test_dense_two_letter_inverses_make_no_dot_call(monkeypatch, make):
+    # over a one-integer view, q = -inv0 * x+ is x's blocks times one integer
+    # per length, and the solve pass sums by blocks: no A.dot call, for a
+    # series and for a 2x2 matrix whose inv0 has two nonzero entries per row
+    R, rng = two_letter(make(), 6), random.Random(67)
+    A = R.coeff
+    u = R.lift(A.one) + dense_kernel(R, rng)
+    m = SeriesMatrix(R, [[R.lift(A.one) + dense_kernel(R, rng), R.lift(A.one) + dense_kernel(R, rng)],
+                         [R.lift(A.zero) + dense_kernel(R, rng), R.lift(A.one + A.one) + dense_kernel(R, rng)]])
+    monkeypatch.setattr(A, "dot", _forbidden)
+    calls = _counted_kernel_calls(monkeypatch, "_convolve_blocks")
+    inv, m_inv = u.inverse(), mat_invert(m)
+    assert calls
+    monkeypatch.undo()
+    assert ref_mul(u, inv) == R.one() == ref_mul(inv, u)
+    assert ref_mat_mul(m, m_inv) == SeriesMatrix.identity(R, 2)
 
 
 def _forbidden(*args):
