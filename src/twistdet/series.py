@@ -63,29 +63,27 @@ pass, `_power_sum`: each step of Horner's rule, h = h*theta + c_k, is one
 `_convolve` with theta the right operand of every step, so theta's rows
 are moved past each key once for the pass.
 
-Over Q and Z/m on letters that do not commute, where nothing moves, the
-word path holds an operand by length blocks (`SeriesRing._blocks`, read off
-the ring; there is no switch). A word's index reads its letters as base-k
-digits, and its code is that index plus (k^l - 1) / (k - 1) for a word of
-length l, so it comes with the word's info. By the half rule that
-`_by_rows` applies on one letter, a length whose rows fill more than half
-of its k^l words is a dense block, the list of its k^l integers by index
-with 0 in the gaps, and any other length stays as rows (`_split`). Since
-index(v + w) = index(v) * k^j + index(w) for |w| = j, the pairs of a dense
-block of length i and one of length j are their Kronecker product, one
-comprehension added into the dense accumulator of length i + j; every
-other pair of blocks goes through the pair loop, whose sums are then
-added into the accumulator of their length (`_convolve_blocks`). So the
-loop multiplies the same pairs as before, plus fewer than 3 zero fills for
-each of them: a pair of dense blocks has more than k^(i+j) / 4 nonzero
-pairs, so an accumulator of k^d entries, and the ring's list of the k^d
-words that reads it out, exist only where a pair of dense blocks puts at
-least k^d / 4 pairs into it. A product, Schur complement, solve pass or
-Horner pass holds its operands by blocks only where a Kronecker product
-can reach `_KRONECKER_MIN` entries: below that a product of lists costs
-more than the pairs it replaces. The solve pass grows each entry of y by
-one block per degree (`_grow_blocks`), and a Horner step keeps h in blocks
-for the next step with one gcd and no series built (`_horner_blocks`).
+Over Q and Z/m on letters that do not commute, where nothing moves, a
+ring whose k^N words can make a Kronecker product of `_KRONECKER_MIN`
+entries has a length-block view (`SeriesRing._blocks`, read off the ring;
+there is no switch). A word's index reads its letters as base-k digits,
+and its code is that index plus (k^l - 1) / (k - 1) for a word of length
+l, so it comes with the word's info. By the half rule that `_by_rows`
+applies on one letter, an operand is dense when each of its lengths fills
+more than half of its k^l words, and the view holds it as (length, block)
+rows, each block the list of that length's k^l integers by index. Since
+index(v + w) = index(v) * k^j + index(w) for |w| = j, the pairs of blocks
+of lengths i and j are their Kronecker product, so the view is a
+coefficient ring for the one-letter drivers, with a length for a degree:
+a product or Schur complement whose operands are all dense, and whose
+Kronecker products can reach `_KRONECKER_MIN` entries, is one
+`_convolve_by_degree`, an inverse whose q is dense one `_solve_by_degree`,
+and a log or exp of a dense theta one `_power_sum_by_degree`. A gap in a
+run is the empty block, which the view's `dot` skips. A solve or Horner
+pass that makes a length that is not empty and not dense (`thin`) starts
+again on the word path, so no block is held that fills half or less of
+its words beyond the one that shows it. Every other call runs wholly on
+the word path; no operand is held as blocks and rows at once.
 
 On either path a series product, a whole series-matrix product and the
 entries of l and u in an LDU split are one kernel call,
@@ -126,19 +124,33 @@ from .errors import (
 from .rings import _TOKEN, CoeffRing
 
 
-# The fewest products, k^(i + j), of a pair of dense blocks of lengths i
-# and j for which a kernel call sums its pairs of dense blocks as Kronecker
-# products (`_convolve_blocks`): below it the fixed cost of a product of
-# lists outweighs its saving per pair, and every pair goes through the pair
-# loop. Measured with Python 3.11.7 on an Intel Xeon: dense two-letter
-# operands over Q ran products, inverses and logs x1.07-1.59 slower by
-# blocks at orders 1-4 (at most 16 words of a length) and x0.86-0.91 faster
-# at order 5 (32).
+# The fewest products, k^(i + j), of a pair of blocks of lengths i and j
+# for which a product of dense operands runs on the length-block view
+# (`_block_view`), and the fewest words k^N of a ring that has one: below
+# it the fixed cost of a product of lists outweighs its saving per pair,
+# and the call runs on the word path. Measured with Python 3.11.7 on an
+# Intel Xeon: dense two-letter operands over Q ran products, inverses and
+# logs x1.07-1.59 slower by blocks at orders 1-4 (at most 16 words of a
+# length) and x0.86-0.91 faster at order 5 (32).
 _KRONECKER_MIN = 32
 
 
 def _grlex(word: tuple) -> tuple:
     return (len(word), word)
+
+
+def _word_code(word: tuple, base: int) -> int:
+    """The code of a word whose letters are the digits 1..base in base
+    `base`, built by halves, code(v + w) = code(v) * base^|w| + code(w), so
+    a long word costs no digit-by-digit loop on a growing integer."""
+    if len(word) > 64:
+        half = len(word) // 2
+        return (_word_code(word[:half], base) * base ** (len(word) - half)
+                + _word_code(word[half:], base))
+    code = 0
+    for i in word:
+        code = code * base + i + 1
+    return code
 
 
 def series_ring_refusal(alphabet: tuple, twist: dict, order: int, letters_commute) -> tuple:
@@ -180,19 +192,17 @@ class SeriesRing:
         # inverse twist, `_shift` (None if the letter is untwisted)
         self._by_degree = len(alphabet) == 1
         self._shift = self._inverse_by_letter.get(0) if self._by_degree else None
-        # where the word path holds operands by length blocks (`_split`),
-        # over letters that do not commute and a one-integer view, where
-        # nothing moves, at an order whose k^N words can make a Kronecker
-        # product of `_KRONECKER_MIN` entries (k^n passes it at n = its bit
-        # length, so no power above that is taken): k // 2 + 1, the fewest
-        # terms of positive length that fill more than half of the k^l words
-        # of a length l >= 1, so an operand with fewer has no dense block
-        # beyond its constant; else 0
+        # the length-block view (`_LengthBlocks`), on which dense operands
+        # run through the degree drivers: over letters that do not commute and
+        # a one-integer view, where nothing moves, at an order whose k^N words
+        # can make a Kronecker product of `_KRONECKER_MIN` entries (k^n passes
+        # it at n = its bit length, so no power above that is taken); else None
         k = len(alphabet)
-        self._blocks = (k // 2 + 1 if k > 1 and not letters_commute and not self._inverse_by_letter
+        self._blocks = (_LengthBlocks(k, coeff.view_modulus)
+                        if k > 1 and not letters_commute and not self._inverse_by_letter
                         and coeff.view_modulus is not None
                         and k ** min(order, _KRONECKER_MIN.bit_length()) >= _KRONECKER_MIN
-                        else 0)
+                        else None)
         self.coeff = coeff
         self.alphabet = alphabet
         self.twist_names = names
@@ -200,7 +210,6 @@ class SeriesRing:
         self.letters_commute = bool(letters_commute)
         self._letter_index = {a: i for i, a in enumerate(alphabet)}
         self._infos: dict[tuple, tuple] = {}
-        self._words_by_length: dict[int, list] = {}
         (self._zero_vec, self._one_vec), _ = coeff.clear((coeff.zero, coeff.one))
 
     # -- identity ------------------------------------------------------------
@@ -258,34 +267,18 @@ class SeriesRing:
         word. The code is an integer that names the word (its normal form, if
         letters commute), and code(v + w) = code(v) * scale(w) + code(w).
         Where letters do not commute, the letters are the digits 1..k in base
-        k, so the words of length l have the codes from (k^l - 1) / (k - 1)
-        on, each that offset plus its index, its letters read as base-k
-        digits 0..k-1 (`_split`)."""
+        k (`_word_code`), so the words of length l have the codes from
+        (k^l - 1) / (k - 1) on, each that offset plus its index, its letters
+        read as base-k digits 0..k-1 (`_LengthBlocks`)."""
         info = self._infos.get(word)
         if info is None:
             if self.letters_commute:  # exponents, in base order + 1
                 code, scale = sum((self.order + 1) ** i for i in word), 1
             else:
-                base, code = len(self.alphabet), 0
-                for i in word:
-                    code = code * base + i + 1
-                scale = base ** len(word)
+                base = len(self.alphabet)
+                code, scale = _word_code(word, base), base ** len(word)
             info = self._infos[word] = (len(word), word, code, scale, self.twist_key(word))
         return info
-
-    def _length_words(self, length: int) -> list:
-        """The k^length words of a length, by index (`_split`), built once
-        per ring and length."""
-        words = self._words_by_length.get(length)
-        if words is None:
-            words = self._words_by_length[length] = list(
-                itertools.product(range(len(self.alphabet)), repeat=length))
-        return words
-
-    def _length_rows(self, length: int, block: list) -> list:
-        """The kernel rows of the nonzero entries of a dense block."""
-        info = self._word_info
-        return [(info(w), x) for w, x in zip(self._length_words(length), block) if x]
 
     def _moved(self, word: tuple, vecs: dict, den: int, right: bool = False) -> tuple:
         """(vecs, den) of the coefficients vecs / den moved leftward past `word`
@@ -337,11 +330,11 @@ class TwistedSeries:
     never written after its constructor returns, so `terms`, word -> value,
     and the kernel rows, built on first read, stay valid for its life."""
 
-    __slots__ = ("ring", "vecs", "den", "_terms", "_rows", "_row_blocks")
+    __slots__ = ("ring", "vecs", "den", "_terms", "_rows", "_blocks")
 
     def __init__(self, ring: SeriesRing, vecs: dict, den: int = 1):
         """The series vecs / den (nonzero vectors, den > 0), reduced to canonical form."""
-        self.ring, self._terms, self._rows, self._row_blocks = ring, None, None, None
+        self.ring, self._terms, self._rows, self._blocks = ring, None, None, None
         self.vecs, self.den = _reduced(ring.coeff, vecs, den)
 
     @property
@@ -364,6 +357,16 @@ class TwistedSeries:
                 self._rows = sorted([(info(w), v) for w, v in self.vecs.items()],
                                     key=_row_length)
         return self._rows
+
+    def _length_blocks(self):
+        """On a block ring, the series' blocks by length if it is dense, else
+        False (`_LengthBlocks.blocks`), built on first read."""
+        if self._blocks is None:
+            V, n = self.ring._blocks, len(self.vecs) - (() in self.vecs)
+            # k // 2 or fewer terms of positive length fill no length l >= 1 past
+            # half of its k^l words, so a tiny series is read off its size
+            self._blocks = False if 0 < n <= V.k // 2 else V.blocks(self._kernel_rows())
+        return self._blocks
 
     # -- basics ---------------------------------------------------------------
     def support(self) -> list[tuple]:
@@ -498,6 +501,84 @@ def _content(A, vectors, den: int) -> int:
     return g
 
 
+class _LengthBlocks:
+    """The length-block view of a block ring (`SeriesRing._blocks`), which
+    stands in for the coefficient ring on the degree drivers when every
+    operand is dense: a vector of degree l is a block, the list of the k^l
+    integers of the words of length l by index, or the gap (), which `dot`
+    skips and `content` and `divide_vector` read as zero. Since index(v + w)
+    = index(v) * k^j + index(w) for |w| = j, the pairs of a block of length
+    i and one of length j are their Kronecker product."""
+
+    zero, one, nonzero, view_modulus = (), [1], bool, None
+
+    def __init__(self, k: int, modulus: int):
+        self.k, self.modulus, self._words = k, modulus, {}
+        # the shortest length whose k^l words make `_KRONECKER_MIN` products
+        self.reach = next(d for d in itertools.count() if k ** d >= _KRONECKER_MIN)
+
+    def blocks(self, rows: list):
+        """[(length, block)] of kernel rows of the word path, shortest first,
+        if every length they have fills more than half of its k^l words
+        (they are dense), each block its k^l integers by index (a word's code
+        less (k^l - 1) / (k - 1), `SeriesRing._word_info`) with 0 in the
+        gaps; else False."""
+        k, lengths, spans = self.k, [info[0] for info, _ in rows], []
+        i, n = 0, len(rows)
+        while i < n:
+            l, j = lengths[i], bisect.bisect_right(lengths, lengths[i], i)
+            # 2c < 2^l <= k^l from l = the bit length of 2c on: k^l is not taken
+            if l >= (2 * (j - i)).bit_length() or 2 * (j - i) <= k ** l:
+                return False
+            spans.append((l, i, j))
+            i = j
+        out = []
+        for l, i, j in spans:
+            block, offset = [0] * k ** l, (k ** l - 1) // (k - 1)
+            for info, a in rows[i:j]:
+                block[info[2] - offset] = a
+            out.append((l, block))
+        return out
+
+    def dot(self, lefts, rights):
+        """The block of sum_i lefts[i] * rights[i], all of one length, each
+        term a Kronecker product, reduced by the modulus, if any, once; the
+        gap if it is all zero."""
+        acc = None
+        for a, b in zip(lefts, rights):
+            if a and b:
+                terms = [x * y for x in a for y in b]
+                acc = terms if acc is None else list(map(operator.add, acc, terms))
+        if acc is not None and self.modulus:
+            acc = [x % self.modulus for x in acc]
+        return acc if acc is not None and any(acc) else ()
+
+    def scale_vector(self, vec, s: int):
+        return [x * s for x in vec]
+
+    def content(self, vec) -> int:
+        return math.gcd(*vec)
+
+    def divide_vector(self, vec, g: int):
+        return [x // g for x in vec]
+
+    def thin(self, block) -> bool:
+        """Whether a block is not the gap and fills at most half its words:
+        a degree driver's output that is no longer dense."""
+        return bool(block) and 2 * (len(block) - block.count(0)) <= len(block)
+
+    def terms(self, blocks) -> dict:
+        """word -> nonzero integer of (length, block) pairs; the k^l words of
+        a length are built once per ring and length."""
+        words, out = self._words, {}
+        for l, block in blocks:
+            if block:
+                if l not in words:
+                    words[l] = list(itertools.product(range(self.k), repeat=l))
+                out.update({w: x for w, x in zip(words[l], block) if x})
+        return out
+
+
 def sums_of_products(R: SeriesRing, sums: list) -> list:
     """[sum of s*t over pairs, for pairs in sums], for lists of (s, t) series
     of R: one convolution in the coefficient ring's integer view, truncated
@@ -510,48 +591,44 @@ def sums_of_products(R: SeriesRing, sums: list) -> list:
     denominators, once per call, as the base of each right operand's moves;
     a move through K adds F_K to their denominator, so each output word is
     one sum of products over dl * dr * L (`_convolve`, or
-    `_convolve_by_degree` over one letter). On a ring that holds operands
-    by blocks, a call where an operand has a dense block beyond its constant
-    and a pair of dense blocks makes a Kronecker product of at least
-    `_KRONECKER_MIN` entries sums by blocks (`_convolve_blocks`); each
-    series keeps its blocks beside its rows (`_blocks`)."""
+    `_convolve_by_degree` over one letter). On a block ring a call whose
+    operands are all dense, and can make a Kronecker product of at least
+    `_KRONECKER_MIN` entries, runs on `_convolve_by_degree` over the
+    length-block view (`_block_view`)."""
     left, right = {}, {}  # by id: the operand, then its rows (left) or right operand
     for pairs in sums:
         for s, t in pairs:
             left[id(s)] = s
             right[id(t)] = t
-    blocks = operands = None
-    if R._blocks:  # whether an operand can have a dense block beyond its constant
-        for s in (*left.values(), *right.values()):
-            if len(s.vecs) - (() in s.vecs) >= R._blocks:
-                blocks, operands = True, dict(left)
-                break
-    dl, L = _left_rows(R, left)
+    V = R._blocks and _block_view(R, sums)
+    dl, L = _left_rows(R, left, V)
     dr = math.lcm(*map(_den, right.values()))
-    scale_vector = R.coeff.scale_vector
+    scale_vector = (V or R.coeff).scale_vector
     for i, t in right.items():
-        rows, times = t._kernel_rows(), dr // t.den
+        rows, times = t._length_blocks() if V else t._kernel_rows(), dr // t.den
         if times != 1:
             rows = [(info, scale_vector(b, times)) for info, b in rows]
-        right[i] = (rows if R._by_degree else _blocks(R, t, rows) if blocks
-                    else ({(): rows}, None))
+        right[i] = rows if R._by_degree or V else ({(): rows}, None)
     den = dl * dr * L
-    if R._by_degree:
+    if R._by_degree or V:
         out = _convolve_by_degree(R, [[(left[id(s)], right[id(t)]) for s, t in pairs]
-                                      for pairs in sums])
+                                      for pairs in sums], V)
         return [TwistedSeries(R, vecs, den) for vecs in out]
-    if blocks:
-        left = {i: _blocks(R, operands[i], rows) for i, rows in left.items()}
-        if any(_kronecker_pays(R, [(left[id(s)], right[id(t)]) for s, t in pairs], R.order)
-               for pairs in sums):
-            return [TwistedSeries(R, _block_sums(R, *_convolve_blocks(
-                R, [(left[id(s)], right[id(t)]) for s, t in pairs], 0, R.order)), den)
-                for pairs in sums]
-        # every pair in the pair loop, on the operands' rows
-        left = {i: form[2][0][()] for i, form in left.items()}
-        right = {i: form[2] for i, form in right.items()}
     return [TwistedSeries(R, _convolve(R, [(left[id(s)], right[id(t)]) for s, t in pairs],
                                        0, R.order), den) for pairs in sums]
+
+
+def _block_view(R: SeriesRing, sums: list):
+    """R's length-block view if every operand of the (s, t) pairs of sums is
+    dense and a pair of their lengths i and j makes a Kronecker product of
+    at least `_KRONECKER_MIN` entries within the order, else None."""
+    V, pays = R._blocks, False
+    for pairs in sums:
+        for s, t in pairs:
+            if (a := s._length_blocks()) is False or (b := t._length_blocks()) is False:
+                return None
+            pays = pays or any(V.reach <= i + j <= R.order for i, _ in a for j, _ in b)
+    return V if pays else None
 
 
 _den = operator.attrgetter("den")
@@ -564,18 +641,19 @@ def _row_length(row) -> int:
     return row[0][0]
 
 
-def _left_rows(R: SeriesRing, left: dict) -> tuple:
+def _left_rows(R: SeriesRing, left: dict, V=None) -> tuple:
     """Replace each left operand of a kernel call, a power-sum step of the
-    word path or an inverse, the values of `left`, by its kernel rows, each
-    vector over den, the lcm of their denominators, and scaled by L / F_K,
-    for F_K the product of the twists' factors of the row's key K and L the
-    lcm of the F_K; return (den, L). A right row moved past K then stands
+    word path or an inverse, the values of `left`, by its kernel rows (its
+    blocks by length over a length-block view V), each vector over den, the
+    lcm of their denominators, and scaled by L / F_K, for F_K the product of
+    the twists' factors of the row's key K and L the lcm of the F_K; return
+    (den, L). A right row moved past K then stands
     over F_K times its own denominator, so every pair of a sum stands over
     den * L times the right denominator, whatever the key. Over one letter
     the key of x^k is read as k, and F_K is F^k for F the factor of the
     letter's inverse twist. Where every twist has factor 1, so has every
     key, and the keys are not read."""
-    scale_vector, den = R.coeff.scale_vector, math.lcm(*map(_den, left.values()))
+    scale_vector, den = (V or R.coeff).scale_vector, math.lcm(*map(_den, left.values()))
     key = int if R._by_degree else _row_key  # a degree row's info is its degree
     factors = {}  # key -> F_K of every left row, where a twist has factor F != 1
     for s in left.values() if R._scaled_moves else ():
@@ -587,7 +665,7 @@ def _left_rows(R: SeriesRing, left: dict) -> tuple:
     L = math.lcm(*factors.values())
     uniform = min(factors.values(), default=1) == L
     for i, s in left.items():
-        rows, times = s._kernel_rows(), den // s.den
+        rows, times = s._length_blocks() if V else s._kernel_rows(), den // s.den
         if times == 1 and uniform:
             left[i] = rows
             continue
@@ -598,7 +676,7 @@ def _left_rows(R: SeriesRing, left: dict) -> tuple:
     return den, L
 
 
-def _convolve(R: SeriesRing, pairs: list, lo: int, room: int, accs=None) -> dict:
+def _convolve(R: SeriesRing, pairs: list, lo: int, room: int) -> dict:
     """word -> nonzero vector of the sum, over (left rows, right operand)
     pairs, of each left row (length lv, key K) times each right row of
     length lo - lv .. room - lv: the pair loop of rings of two or more
@@ -619,9 +697,7 @@ def _convolve(R: SeriesRing, pairs: list, lo: int, room: int, accs=None) -> dict
     is built or hashed per pair). Over a view of one integer (`view_modulus`
     not None) each pair's product is added to the word's running integer,
     reduced by the modulus, if any, when it is read; over any other view
-    the pairs' vectors are gathered per word and summed by one `A.dot`.
-    Over operands held by blocks, the sums of each length that has a dense
-    accumulator in `accs` (`_convolve_blocks`) are added into it instead."""
+    the pairs' vectors are gathered per word and summed by one `A.dot`."""
     A, gathered = R.coeff, {}  # code -> [v, w, sum] or (v, w, lefts, rights)
     modulus = A.view_modulus
     fold = modulus is not None
@@ -657,16 +733,6 @@ def _convolve(R: SeriesRing, pairs: list, lo: int, room: int, accs=None) -> dict
                 else:
                     both[2].append(a)
                     both[3].append(b)
-    if accs:  # index = code - (k^d - 1) / (k - 1) on a word of length d
-        k, rest = len(R.alphabet), {}
-        offsets = {d: (k ** d - 1) // (k - 1) for d in accs}
-        for code, entry in gathered.items():
-            d = len(entry[0]) + len(entry[1])
-            if d in offsets:
-                accs[d][code - offsets[d]] += entry[2]
-            else:
-                rest[code] = entry
-        gathered = rest
     if fold:
         sums = ((v, w, s % modulus if modulus else s) for v, w, s in gathered.values())
     else:
@@ -680,112 +746,18 @@ def _convolve(R: SeriesRing, pairs: list, lo: int, room: int, accs=None) -> dict
     return out
 
 
-def _split(R: SeriesRing, rows: list) -> tuple:
-    """(dense, inside, sparse): the length blocks of kernel rows of a ring
-    that holds its operands by blocks (`SeriesRing._blocks`), shortest
-    first. A length whose rows fill more than half of its k^l words is
-    dense: dense[l], in order of length, is the list of its k^l integers by
-    index (a word's code less (k^l - 1) / (k - 1), `SeriesRing._word_info`),
-    each gap 0, and its rows are inside. The rows of the other lengths are
-    sparse. Rows of either kind stay shortest first."""
-    k, lengths, spans = len(R.alphabet), [info[0] for info, _ in rows], []
-    i, n = 0, len(rows)
-    while i < n:  # the spans of the dense lengths; where 2^l > 2n, k^l is not taken
-        j = bisect.bisect_right(lengths, lengths[i], i)
-        if lengths[i] <= n.bit_length() and 2 * (j - i) > k ** lengths[i]:
-            spans.append((i, j))
-        i = j
-    if not spans:
-        return {}, [], rows
-    dense, inside, sparse, i = {}, [], [], 0
-    for start, end in spans:
-        size = k ** lengths[start]
-        block, offset = [0] * size, (size - 1) // (k - 1)
-        for info, a in rows[start:end]:
-            block[info[2] - offset] = a
-        dense[lengths[start]] = block
-        inside += rows[start:end]
-        sparse += rows[i:start]
-        i = end
-    return dense, inside, sparse + rows[i:]
-
-
-def _operand_blocks(R: SeriesRing, rows: list) -> tuple:
-    """(dense, inside, every, sparse) of an operand held by blocks, read
-    from degree 0: `_split` of its rows, with all its rows and its sparse
-    rows each as a right operand ({(): rows}, None) of `_convolve`."""
-    dense, inside, sparse = _split(R, rows)
-    return dense, inside, ({(): rows}, None), ({(): sparse}, None)
-
-
-def _blocks(R: SeriesRing, s: TwistedSeries, rows: list) -> tuple:
-    """`_operand_blocks` of rows, the kernel rows of s or a scaled copy of
-    them: those of s's own rows are built once and kept on s."""
-    if rows is not s._rows:
-        return _operand_blocks(R, rows)
-    if s._row_blocks is None:
-        s._row_blocks = _operand_blocks(R, rows)
-    return s._row_blocks
-
-
-def _kronecker_pays(R: SeriesRing, pairs: list, room: int) -> bool:
-    """Whether a pair of dense blocks of (left, right) pairs of operands held
-    by blocks (`_operand_blocks`) makes a Kronecker product of at least
-    `_KRONECKER_MIN` entries within length `room`."""
-    k = len(R.alphabet)
-    return any(k ** (i + j) >= _KRONECKER_MIN for (dense, *_), (right_dense, *_) in pairs
-               for i in dense for j in right_dense if i + j <= room)
-
-
-def _convolve_blocks(R: SeriesRing, pairs: list, lo: int, room: int) -> tuple:
-    """(accs, vecs): `_convolve` over (left, right) pairs of operands held
-    by blocks (`_operand_blocks`), where accs maps a length to its dense
-    accumulator, the sums of its words by index, not yet reduced, and vecs
-    each other word to its nonzero vector (`_block_sums` joins them). A
-    pair of dense blocks of lengths i and j, lo <= i + j <= room, is summed
-    as their Kronecker product into the accumulator of length i + j, since
-    index(v + w) = index(v) * k^j + index(w). The left's inside rows meet
-    the right's sparse rows, and the left's sparse rows all of the right's
-    rows, in the pair loop of `_convolve`, whose sums are added into the
-    accumulator of their length where there is one."""
-    accs, looped = {}, []
-    for (dense, inside, _, (sparse, _)), (right_dense, _, every, right_sparse) in pairs:
-        for i, a in dense.items():
-            for j, b in right_dense.items():
-                if lo <= i + j <= room:
-                    terms = [x * y for x in a for y in b]
-                    acc = accs.get(i + j)
-                    accs[i + j] = terms if acc is None else list(map(operator.add, acc, terms))
-        if inside and right_sparse[0][()]:
-            looped.append((inside, right_sparse))
-        if sparse[()]:
-            looped.append((sparse[()], every))
-    return accs, _convolve(R, looped, lo, room, accs)
-
-
-def _block_sums(R: SeriesRing, accs: dict, vecs: dict) -> dict:
-    """vecs, word -> nonzero vector, with the nonzero sums of the dense
-    accumulators accs (`_convolve_blocks`) added by word, each accumulator
-    first reduced in place by the modulus, if any."""
-    modulus = R.coeff.view_modulus
-    for d, acc in accs.items():
-        if modulus:
-            acc = accs[d] = [x % modulus for x in acc]
-        vecs.update({w: x for w, x in zip(R._length_words(d), acc) if x})
-    return vecs
-
-
-def _convolve_by_degree(R: SeriesRing, sums: list) -> list:
-    """The pair loop over one letter, where every word is x^d: [word ->
-    nonzero vector of the sum] for each list of (left rows, right rows)
-    pairs, rows (d, vector) shortest first and left vectors scaled
-    (`_left_rows`). A left row of degree k meets the right operand moved by
-    xi^-k, so each right operand is held in its diagonal form
-    (`_diagonals`), built once per call through its reach, the highest left
-    degree of the call that reads it. Each output degree of a sum, up to the
-    order or the highest left degree plus right degree of its pairs, is one
-    `A.dot` of the pairs it gathers (`_pairs_at`)."""
-    room, zero = R.order, R._zero_vec
+def _convolve_by_degree(R: SeriesRing, sums: list, V=None) -> list:
+    """The pair loop over one letter, where every word is x^d, or over the
+    length-block view V, where a degree is a length: [word -> nonzero vector
+    of the sum] for each list of (left rows, right rows) pairs, rows (d,
+    vector) shortest first and left vectors scaled (`_left_rows`). A left
+    row of degree k meets the right operand moved by xi^-k, so each right
+    operand is held in its diagonal form (`_diagonals`), built once per call
+    through its reach, the highest left degree of the call that reads it.
+    Each output degree of a sum, up to the order or the highest left degree
+    plus right degree of its pairs, is one `A.dot` of the pairs it gathers
+    (`_pairs_at`)."""
+    room, zero = R.order, R._zero_vec if V is None else V.zero
     rights, by_sum = {}, []  # id of right rows -> [rows, reach], then (flat, origin, low, top)
     for pairs in sums:
         reads, lowest, highest = [], room + 1, 0
@@ -814,7 +786,8 @@ def _convolve_by_degree(R: SeriesRing, sums: list) -> list:
             dense[k] = v
         reach = min(reach, room - low)
         entry[:] = *_diagonals(R, dense, reach, min(room, reach + top)), low, top
-    dot, nonzero, out = R.coeff.dot, R.coeff.nonzero, []
+    A, out = V or R.coeff, []
+    dot, nonzero = A.dot, A.nonzero
     for reads, lowest, highest in by_sum:
         sides, vecs = [], {}
         for rows, entry in reads:
@@ -824,8 +797,8 @@ def _convolve_by_degree(R: SeriesRing, sums: list) -> list:
             if xs:
                 vec = dot(xs, ys)
                 if nonzero(vec):
-                    vecs[(0,) * d] = vec
-        out.append(vecs)
+                    vecs[d if V else (0,) * d] = vec
+        out.append(V.terms(vecs.items()) if V else vecs)
     return out
 
 
@@ -997,36 +970,27 @@ def _solve(R: SeriesRing, q: list, y0: list, den: int, g: int) -> list:
     pass, to which each degree's rows are appended as it is solved, so its
     rows are moved past each key once. Nothing is rescaled or reduced
     between degrees; they are merged once, over den * g^N, and reduced by
-    the TwistedSeries constructor. Where the ring holds operands by blocks
-    and q has a dense block, q is held by blocks and y grows one block per
-    degree (`_grow_blocks`), and each degree is one `_convolve_blocks`. Over
-    one letter the same q and the same bookkeeping solve each degree by one
-    `A.dot` per entry, with no `_convolve` call (`_solve_by_degree`)."""
+    the TwistedSeries constructor. Over one letter the same q and the same
+    bookkeeping solve each degree by one `A.dot` per entry, with no
+    `_convolve` call (`_solve_by_degree`), and so they do on a block ring
+    where every entry of q is dense, over the length-block view, unless a
+    degree of y is not (`_LengthBlocks.thin`): then the pass starts again
+    here."""
     if R._by_degree:
         return _solve_by_degree(R, q, y0, den, g)
+    V = R._blocks
+    if V:
+        blocks = [V.blocks(rows) for rows in q]
+        if all(b is not False for b in blocks):
+            y = _solve_by_degree(R, blocks, [[v] if v else V.zero for v in y0], den, g, V)
+            if y is not None:
+                return y
     A, top, n, info = R.coeff, R.order, math.isqrt(len(q)), R._word_info
     ys = [[{(): v} if A.nonzero(v) else {} for v in y0]]
-    # y's entries, grown a degree at a time; where q has a dense block, by
-    # blocks, a block per degree (`_grow_blocks`)
-    split = ([_operand_blocks(R, rows) for rows in q]
-             if R._blocks and any(len(rows) >= R._blocks for rows in q) else ())
-    blocks = any(form[0] for form in split)
-    if blocks:
-        q, right = split, [({}, None, ({(): []}, [0]), ({(): []}, [0])) for _ in y0]
-        every = any(form[3][0][()] for form in q)  # whether q's sparse rows read all of y
-    else:
-        right = [({(): []}, [0]) for _ in y0]
+    right = [({(): []}, [0]) for _ in y0]  # y's entries, grown a degree at a time
     pairs = [[(q[i + t], right[t * n + j]) for t in range(n)]
              for i in range(0, n * n, n) for j in range(n)]
-    accs = [{} for _ in y0]  # over blocks: the accumulators of each entry's last degree
     for d in range(1, top + 1):
-        if blocks:
-            for r, e, acc in zip(right, ys[-1], accs):
-                _grow_blocks(R, r, d - 1, acc.get(d - 1), e, every)
-            sums = [_convolve_blocks(R, entry, d, d) for entry in pairs]
-            accs = [acc for acc, _ in sums]
-            ys.append([_block_sums(R, acc, vecs) for acc, vecs in sums])
-            continue
         for (by_key, starts), e in zip(right, ys[-1]):
             rows = by_key[()]
             rows += [(info(w), v) for w, v in e.items()]
@@ -1040,36 +1004,16 @@ def _solve(R: SeriesRing, q: list, y0: list, den: int, g: int) -> list:
     return [TwistedSeries(R, vecs, den * g ** top) for vecs in merged]
 
 
-def _grow_blocks(R: SeriesRing, right: tuple, d: int, acc, vecs: dict, every: bool):
-    """Append degree d of an entry of y, its vectors vecs, or its dense
-    accumulator acc, reduced (`_block_sums`), where it has one, to its right
-    operand held by blocks (`_operand_blocks`): a dense block by the rule of
-    `_split`, or sparse rows; its rows go to all its rows too, which are
-    read only if `every` (q has sparse rows) where the degree is dense."""
-    dense, _, (every_rows, every_starts), (sparse, starts) = right
-    if acc is not None and 2 * (len(acc) - acc.count(0)) > len(acc):
-        dense[d], rows = acc, R._length_rows(d, acc) if every else ()
-    else:
-        info = R._word_info
-        rows = ([(info(w), v) for w, v in vecs.items()] if acc is None
-                else R._length_rows(d, acc))
-        if 2 * len(rows) > len(R.alphabet) ** d:
-            dense.update(_split(R, rows)[0])
-        else:
-            sparse[()] += rows
-    every_rows[()] += rows
-    every_starts.append(len(every_rows[()]))
-    starts.append(len(sparse[()]))
-
-
-def _solve_by_degree(R: SeriesRing, q: list, y0: list, den: int, g: int) -> list:
-    """_solve over one letter: each entry of y is a list by degree, and
-    y_d_ij is one `A.dot` of the pairs (q_it row of degree k, entry k of
-    diagonal d of y_tj) over t and the rows of q_it (`_pairs_at`). Each y_tj
-    grows one diagonal per degree through its reach, the highest degree of
-    the q_it (`_diagonals`), so each (shift, degree of y_tj) is moved once."""
-    A, top, n, twisted = R.coeff, R.order, math.isqrt(len(q)), R._shift is not None
-    dot, zero = A.dot, R._zero_vec
+def _solve_by_degree(R: SeriesRing, q: list, y0: list, den: int, g: int, V=None):
+    """_solve over one letter, or over the length-block view V: each entry
+    of y is a list by degree, and y_d_ij is one `A.dot` of the pairs (q_it
+    row of degree k, entry k of diagonal d of y_tj) over t and the rows of
+    q_it (`_pairs_at`). Each y_tj grows one diagonal per degree through its
+    reach, the highest degree of the q_it (`_diagonals`), so each (shift,
+    degree of y_tj) is moved once. Over V, None as soon as a degree of y is
+    thin."""
+    A, top, n, twisted = V or R.coeff, R.order, math.isqrt(len(q)), R._shift is not None
+    dot, zero = A.dot, R._zero_vec if V is None else V.zero
     ys = [[v] for v in y0]
     reach = [0] * n  # of y_tj, for every j: the highest degree of the q_it
     for e, rows in enumerate(q):
@@ -1091,8 +1035,14 @@ def _solve_by_degree(R: SeriesRing, q: list, y0: list, den: int, g: int) -> list
         if twisted:  # y_d is entry 0 of diagonal d
             for (flat, _), y in zip(forms, ys):
                 flat.append(y[-1])
+        if V and any(V.thin(y[-1]) for y in ys):
+            return None
     scale, nonzero = A.scale_vector, A.nonzero
     times = [g ** (top - d) for d in range(top + 1)]
+    if V:
+        return [TwistedSeries(R, V.terms((d, v if times[d] == 1 else scale(v, times[d]))
+                                         for d, v in enumerate(y)), den * g ** top)
+                for y in ys]
     return [TwistedSeries(R, {(0,) * d: v if times[d] == 1 else scale(v, times[d])
                               for d, v in enumerate(y) if nonzero(v)}, den * g ** top)
             for y in ys]
@@ -1107,85 +1057,56 @@ def _power_sum(theta: TwistedSeries, coeff) -> TwistedSeries:
     the whole pass. Each step is one `_convolve` cut at degree N - k, since
     only the degrees up to N - k of the h at k reach the order, with h's
     rows set up as left rows (`_left_rows`) and coeff(k) put into its
-    constant vector. Where the ring holds operands by blocks and theta has a
-    dense block, each step is one `_convolve_blocks` and h stays in blocks
-    between steps (`_horner_blocks`). Over one letter the pass runs on lists
-    by degree (`_power_sum_by_degree`)."""
+    constant vector. Over one letter the pass runs on lists by degree
+    (`_power_sum_by_degree`), and so it does on a block ring where theta is
+    dense, over the length-block view, unless a degree of h*theta is not
+    (`_LengthBlocks.thin`): then the pass starts again here."""
     R, n = theta.ring, theta.ring.order
     if R._by_degree:
         return _power_sum_by_degree(theta, coeff)
-    A, rows, h, dh = R.coeff, theta._kernel_rows(), R.zero(), 1
-    blocks = R._blocks and len(rows) >= R._blocks and _blocks(R, theta, rows)[0]
-    if blocks:  # h held by blocks from step to step, with no series built
-        right, h = _blocks(R, theta, rows), _operand_blocks(R, [])
-        inside = bool(right[3][0][()])  # whether theta's sparse rows meet h's dense blocks
-    else:
-        right = ({(): rows}, None)
+    if R._blocks and theta._length_blocks() is not False:
+        h = _power_sum_by_degree(theta, coeff, R._blocks)
+        if h is not None:
+            return h
+    A, right, h = R.coeff, ({(): theta._kernel_rows()}, None), R.zero()
     for k in range(n, -1, -1):
-        if blocks:
-            accs, vecs = _convolve_blocks(R, [(h, right)], 0, n - k)
-            den = dh * theta.den
-        else:
-            left = {0: h}
-            dh, L = _left_rows(R, left)
-            vecs = _convolve(R, [(left[0], right)], 0, n - k)
-            den = dh * theta.den * L
+        left = {0: h}
+        dh, L = _left_rows(R, left)
+        vecs = _convolve(R, [(left[0], right)], 0, n - k)
+        den = dh * theta.den * L
         if not k:
-            return TwistedSeries(R, _block_sums(R, accs, vecs) if blocks else vecs, den)
+            return TwistedSeries(R, vecs, den)
         c = coeff(k)
         total = math.lcm(den, c.denominator)
-        const = c.numerator * (total // c.denominator)
-        if blocks:
-            h, dh = _horner_blocks(R, accs, vecs, total // den, const, total, inside)
-            continue
         if total != den:
             vecs = {w: A.scale_vector(v, total // den) for w, v in vecs.items()}
-        vecs[()] = A.scale_vector(R._one_vec, const)
+        vecs[()] = A.scale_vector(R._one_vec, c.numerator * (total // c.denominator))
         h = TwistedSeries(R, vecs, total)
 
 
-def _horner_blocks(R: SeriesRing, accs: dict, vecs: dict, times: int, const: int, total: int,
-                   inside: bool) -> tuple:
-    """(h, den): h*theta + c of a Horner step over Q held by blocks, as the
-    next step's left operand (`_operand_blocks`), from the sums of h*theta
-    (accs and vecs, `_convolve_blocks`) times `times` and the constant
-    const, over total, all divided by their gcd with total: one gcd per
-    step. Each length is dense or rows by the rule of `_split`; the inside
-    rows of the dense blocks are built only if `inside`."""
-    g = math.gcd(total, const, times * math.gcd(*vecs.values(),
-                                                *[math.gcd(*acc) for acc in accs.values()]))
-    info = R._word_info
-    dense, _, sparse = _split(R, sorted([(info(w), x * times // g) for w, x in vecs.items()],
-                                        key=_row_length))
-    dense[0] = [const // g]
-    for d, acc in accs.items():
-        if times != g:
-            acc = [x * times // g for x in acc]
-        if 2 * (len(acc) - acc.count(0)) > len(acc):
-            dense[d] = acc
-        else:
-            sparse += R._length_rows(d, acc)
-    dense = dict(sorted(dense.items()))
-    rows = [row for d, a in dense.items() for row in R._length_rows(d, a)] if inside else []
-    return (dense, rows, None, ({(): sorted(sparse, key=_row_length)}, None)), total // g
-
-
-def _power_sum_by_degree(theta: TwistedSeries, coeff) -> TwistedSeries:
-    """_power_sum over one letter, on lists by degree: degree d of h*theta is
-    sum_{i<d} h_i * xi^-i(theta_{d-i}), one `A.dot` of h[:d], kept highest
-    degree first, and one slice of diagonal d of theta. theta's diagonals
-    are built once for the pass, through reach N - 1 (`_diagonals`), so each
-    (shift, degree of theta) is moved once; over a twist of factor F, h_i is
-    scaled by F^(N-1-i), as `_left_rows` scales a left row, so that every
-    pair stands over F^(N-1) times theta's denominator. Each step adds
-    coeff(k) to the constant and divides by the gcd, as the TwistedSeries
-    constructor does; no series is built between steps."""
+def _power_sum_by_degree(theta: TwistedSeries, coeff, V=None):
+    """_power_sum over one letter, or over the length-block view V, on lists
+    by degree: degree d of h*theta is sum_{i<d} h_i * xi^-i(theta_{d-i}),
+    one `A.dot` of h[:d], kept highest degree first, and one slice of
+    diagonal d of theta. theta's diagonals are built once for the pass,
+    through reach N - 1 (`_diagonals`), so each (shift, degree of theta) is
+    moved once; over a twist of factor F, h_i is scaled by F^(N-1-i), as
+    `_left_rows` scales a left row, so that every pair stands over F^(N-1)
+    times theta's denominator. Each step adds coeff(k) to the constant and
+    divides by the gcd, as the TwistedSeries constructor does; no series is
+    built between steps. Over V, None as soon as a degree of h*theta is
+    thin."""
     R, n = theta.ring, theta.ring.order
-    A, zero, shift = R.coeff, R._zero_vec, R._shift
+    A, zero, one = (R.coeff, R._zero_vec, R._one_vec) if V is None else (V, V.zero, V.one)
+    shift = R._shift
     dot, scale = A.dot, A.scale_vector
     dense = [zero] * (n + 1)
-    for w, v in theta.vecs.items():
-        dense[len(w)] = v
+    if V is None:
+        for w, v in theta.vecs.items():
+            dense[len(w)] = v
+    else:
+        for d, v in theta._length_blocks():
+            dense[d] = v
     reach, f = max(n - 1, 0), 1 if shift is None else shift.factor
     flat, origin = _diagonals(R, dense, reach, n)
     diagonals = [flat[o - d + 1:o + 1] for d, o in enumerate(origin)]  # entries d-1 .. 0
@@ -1195,7 +1116,11 @@ def _power_sum_by_degree(theta: TwistedSeries, coeff) -> TwistedSeries:
         left = h if f == 1 else [scale(v, f ** (reach - m + j)) for j, v in enumerate(h)]
         vecs = [dot(left[m - d + 1:], diagonals[d]) for d in range(1, n - k + 1)]
         den = dh * dtheta
+        if V and any(map(V.thin, vecs)):
+            return None
         if not k:
+            if V:
+                return TwistedSeries(R, V.terms(enumerate(vecs, 1)), den)
             nonzero = A.nonzero
             return TwistedSeries(R, {(0,) * d: v for d, v in enumerate(vecs, 1) if nonzero(v)},
                                  den)
@@ -1204,7 +1129,7 @@ def _power_sum_by_degree(theta: TwistedSeries, coeff) -> TwistedSeries:
         if total != den:
             vecs = [scale(v, total // den) for v in vecs]
         vecs.reverse()
-        vecs.append(scale(R._one_vec, c.numerator * (total // c.denominator)))
+        vecs.append(scale(one, c.numerator * (total // c.denominator)))
         g = _content(A, vecs, total)
         h, dh = [A.divide_vector(v, g) for v in vecs] if g != 1 else vecs, total // g
 

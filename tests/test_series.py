@@ -3,6 +3,7 @@ import json
 import math
 import random
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -520,21 +521,25 @@ def test_sparse_one_letter_inverse_visits_order_times_terms_pairs(monkeypatch, A
 
 
 def _dense_allocations(monkeypatch):
-    """A list that gets the size of each dense block (`series._split`) and
-    each dense accumulator (`series._convolve_blocks`) of positive length."""
-    sizes, split, convolve_blocks = [], series_module._split, series_module._convolve_blocks
+    """A list that gets the size of each block of positive length that a
+    length-block view builds: an operand's or q's blocks
+    (`series._LengthBlocks.blocks`) and each sum of Kronecker products
+    (`series._LengthBlocks.dot`)."""
+    sizes, view = [], series_module._LengthBlocks
+    blocks, dot = view.blocks, view.dot
 
-    def recorded_split(R, rows):
-        out = split(R, rows)
-        sizes.extend(len(block) for length, block in out[0].items() if length)
+    def recorded_blocks(V, rows):
+        out = blocks(V, rows)
+        sizes.extend(len(block) for length, block in out or () if length)
         return out
 
-    def recorded_convolve(R, pairs, lo, room):
-        accs, vecs = convolve_blocks(R, pairs, lo, room)
-        sizes.extend(len(acc) for length, acc in accs.items() if length)
-        return accs, vecs
-    monkeypatch.setattr(series_module, "_split", recorded_split)
-    monkeypatch.setattr(series_module, "_convolve_blocks", recorded_convolve)
+    def recorded_dot(V, xs, ys):
+        out = dot(V, xs, ys)
+        if len(out) > 1:  # a block of length 0 has one entry
+            sizes.append(len(out))
+        return out
+    monkeypatch.setattr(view, "blocks", recorded_blocks)
+    monkeypatch.setattr(view, "dot", recorded_dot)
     return sizes
 
 
@@ -552,7 +557,7 @@ def test_sparse_two_letter_work_makes_no_dense_block(monkeypatch, A, c):
     log = formal_log(R.one() + R.from_terms({"xy": 1, "yyy": c})) if A.contains_rationals else None
     assert sizes == []
     monkeypatch.undo()
-    assert R._blocks  # the ring holds operands by blocks where they are dense
+    assert R._blocks  # the ring runs dense operands on its length-block view
     assert inv == R.from_terms({"xyxy" * i: (-c) ** i for i in range(5)})
     assert product == ref_mul(s, t)
     if log is not None:
@@ -1009,10 +1014,12 @@ def test_word_path_dots_other_views_once_per_output_word(monkeypatch, m2):
     assert product == ref_mul(s, t)
 
 
-# -- the block loop: dense length blocks as Kronecker products ----------------------
-# Over Q and Z/m, on two or more letters that do not commute, a length whose
-# rows fill more than half of its k^l words is a dense block, and a pair of
-# dense blocks is summed as their Kronecker product.
+# -- the length-block view: dense operands as Kronecker products by length -------
+# Over Q and Z/m, on two or more letters that do not commute, an operand
+# whose every length fills more than half of its k^l words is dense; a call
+# whose operands are all dense runs on the degree drivers over the
+# length-block view, where a pair of blocks is their Kronecker product, and
+# any other call on the word path.
 
 BLOCK_RINGS = [(RationalField, "xy", 5), (RationalField, "xyz", 4),
                (lambda: IntegersMod(7), "xy", 5), (lambda: IntegersMod(7), "xyz", 4),
@@ -1028,119 +1035,199 @@ def _nonzero_element(A, rng):
     return a
 
 
-def _mixed_blocks(R, rng, shift, const):
-    """A series with constant const, whose block of each length l < N is of
-    kind BLOCK_KINDS[(l + shift) % 4]: all k^l words (full), exactly half of
-    them, rounded down (half, which reads as rows), one word more (over, a
-    dense block with zeros), or one word (sparse); length N has one word."""
+def _series_of_kinds(R, rng, const, kinds):
+    """A series with constant const whose length l >= 1 is of kind
+    kinds[l - 1]: all k^l words (full), exactly half of them, rounded down
+    (half), one word more (over), or one word (sparse)."""
     A, k, terms = R.coeff, len(R.alphabet), [((), const)]
-    for length in range(1, R.order + 1):
+    for length, kind in enumerate(kinds, 1):
         words = list(itertools.product(range(k), repeat=length))
-        kind = BLOCK_KINDS[(length + shift) % 4] if length < R.order else "sparse"
         count = {"full": len(words), "half": len(words) // 2, "over": len(words) // 2 + 1,
                  "sparse": 1}[kind]
         terms += [(w, _nonzero_element(A, rng)) for w in rng.sample(words, count)]
     return R.from_terms(terms)
 
 
-def _counted_kernel_calls(monkeypatch, name):
-    """A list that gets one entry per call of `series.<name>`."""
-    calls, run = [], getattr(series_module, name)
+def _mixed_blocks(R, rng, shift, const):
+    """A series whose length l < N is of kind BLOCK_KINDS[(l + shift) % 4]
+    and whose length N has one word: it is not dense."""
+    kinds = [BLOCK_KINDS[(length + shift) % 4] for length in range(1, R.order)]
+    return _series_of_kinds(R, rng, const, kinds + ["sparse"])
 
-    def counted(*args):
+
+def _dense_blocks(R, rng, shift, const):
+    """A dense series, whose lengths 1..N are full and over in turn."""
+    return _series_of_kinds(R, rng, const, [("full", "over")[(length + shift) % 2]
+                                            for length in range(1, R.order + 1)])
+
+
+def _counted_view_dots(monkeypatch):
+    """A list that gets one entry per sum of Kronecker products
+    (`series._LengthBlocks.dot`)."""
+    calls, dot = [], series_module._LengthBlocks.dot
+
+    def counted(V, xs, ys):
         calls.append(None)
-        return run(*args)
-    monkeypatch.setattr(series_module, name, counted)
+        return dot(V, xs, ys)
+    monkeypatch.setattr(series_module._LengthBlocks, "dot", counted)
     return calls
+
+
+def _view_passes(monkeypatch):
+    """A list that gets, for each solve or Horner pass on the degree drivers
+    (on a block ring, over its length-block view), whether it ran to the end
+    (False where it met a thin length and left the pass to the word path)."""
+    passes = []
+    for name in ("_solve_by_degree", "_power_sum_by_degree"):
+        def recorded(*args, run=getattr(series_module, name)):
+            out = run(*args)
+            passes.append(out is not None)
+            return out
+        monkeypatch.setattr(series_module, name, recorded)
+    return passes
 
 
 @pytest.mark.parametrize("make, letters, order", BLOCK_RINGS, ids=BLOCK_IDS)
 def test_block_loop_matches_per_pair_reference(monkeypatch, make, letters, order):
-    # operands mix full, exactly-half, just-over-half and sparse blocks;
+    # mixed operands (full, exactly-half, just-over-half and sparse lengths)
+    # run on the word path, with no Kronecker product, and dense ones (full
+    # and just-over-half lengths) on the length-block view: on both,
     # products, a 3x3 matrix product, D, inverses, 2x2 and 3x3 mat_inverts
     # and (over Q) log and exp match the per-pair references
     R = SeriesRing(make(), alphabet=tuple(letters), order=order)
     A, rng, one = R.coeff, random.Random(order * 10 + len(letters)), R.one()
-    ops = [_mixed_blocks(R, rng, shift, A.one) for shift in range(4)]
-    for shift, s in enumerate(ops):  # full and over are dense blocks, half and sparse rows
-        dense, _, _ = series_module._split(R, s._kernel_rows())
-        assert sorted(dense) == [0] + [length for length in range(1, order) if
-                                       BLOCK_KINDS[(length + shift) % 4] in ("full", "over")]
-    calls = _counted_kernel_calls(monkeypatch, "_convolve_blocks")
-    for i, j in ((0, 1), (2, 3), (0, 2), (1, 3)):
-        assert ops[i] * ops[j] == ref_mul(ops[i], ops[j])
-    assert calls
-    del calls[:]
-    a = SeriesMatrix(R, [[ops[(i + j) % 4] for j in range(3)] for i in range(3)])
-    b = SeriesMatrix(R, [[ops[(i + 2 * j + 1) % 4] for j in range(3)] for i in range(3)])
-    assert a * b == ref_mat_mul(a, b) and calls
-    del calls[:]
-    m = SeriesMatrix(R, [[ops[0], ops[1] - one], [ops[2] - one, ops[3]]])
-    assert dieudonne_det(m) == ref_mul(ops[0], ref_schur(m).rows[0][0]) and calls
-    del calls[:]
-    for u in ops:
-        inv = u.inverse()
-        assert ref_mul(u, inv) == one == ref_mul(inv, u)
-    assert calls
-    del calls[:]
-    for n in (2, 3):  # augmentation: the identity plus a strictly upper part
-        m = SeriesMatrix(R, [[ops[(i + j) % 4] - one + R.lift(
-            A.one if i == j else A.random_element(rng) if j > i else A.zero)
-            for j in range(n)] for i in range(n)])
-        assert ref_mat_mul(m, mat_invert(m)) == SeriesMatrix.identity(R, n)
-    assert calls
-    if A.contains_rationals:
+    mixed = [_mixed_blocks(R, rng, shift, A.one) for shift in range(4)]
+    dense = [_dense_blocks(R, rng, shift, A.one) for shift in range(4)]
+    assert all(s._length_blocks() is False for s in mixed)
+    assert all([d for d, _ in s._length_blocks()] == list(range(order + 1)) for s in dense)
+    calls = _counted_view_dots(monkeypatch)
+    for ops in (mixed, dense):
+        on_view = ops is dense
+        for i, j in ((0, 1), (2, 3), (0, 2), (1, 3)):
+            assert ops[i] * ops[j] == ref_mul(ops[i], ops[j])
+        assert bool(calls) == on_view
         del calls[:]
-        k = ops[1] - one
-        assert formal_log(one + k) == ref_power_sum(k, lambda n: F((-1) ** (n + 1), n))
-        assert formal_exp(k) == ref_add(one, ref_power_sum(k, lambda n: F(1, math.factorial(n))))
-        assert calls
+        a = SeriesMatrix(R, [[ops[(i + j) % 4] for j in range(3)] for i in range(3)])
+        b = SeriesMatrix(R, [[ops[(i + 2 * j + 1) % 4] for j in range(3)] for i in range(3)])
+        assert a * b == ref_mat_mul(a, b) and bool(calls) == on_view
+        del calls[:]
+        m = SeriesMatrix(R, [[ops[0], ops[1] - one], [ops[2] - one, ops[3]]])
+        assert dieudonne_det(m) == ref_mul(ops[0], ref_schur(m).rows[0][0])
+        assert bool(calls) == on_view
+        del calls[:]
+        for u in ops:
+            inv = u.inverse()
+            assert ref_mul(u, inv) == one == ref_mul(inv, u)
+        assert bool(calls) == on_view
+        del calls[:]
+        # augmentation: the identity plus a strictly upper part, which for the
+        # dense operands is 0, as a sum of their kernels can cancel a word
+        # and leave q = -inv0 * x+ thin
+        for n in (2, 3):
+            m = SeriesMatrix(R, [[ops[(i + j) % 4] - one + R.lift(
+                A.one if i == j else A.random_element(rng) if j > i and not on_view
+                else A.zero) for j in range(n)] for i in range(n)])
+            assert ref_mat_mul(m, mat_invert(m)) == SeriesMatrix.identity(R, n)
+        assert bool(calls) == on_view
+        del calls[:]
+        if A.contains_rationals:
+            k = ops[1] - one
+            assert formal_log(one + k) == ref_power_sum(k, lambda n: F((-1) ** (n + 1), n))
+            assert formal_exp(k) == ref_add(one, ref_power_sum(k, lambda n: F(1, math.factorial(n))))
+            assert bool(calls) == on_view
+            del calls[:]
 
 
 @pytest.mark.parametrize("make, letters, order", BLOCK_RINGS[4:], ids=BLOCK_IDS[4:])
 def test_block_loop_drops_a_word_whose_pairs_sum_to_a_multiple_of_m(monkeypatch, make, letters,
                                                                     order):
-    # over Z/12 a word of a dense accumulator whose pairs sum to a nonzero
-    # multiple of 12 is absent from the product
+    # over Z/12 a word of length N whose pairs sum to a nonzero multiple of
+    # 12 is absent from the product: on the word path for mixed operands,
+    # and from a sum of Kronecker products on the length-block view for
+    # dense ones
     R = SeriesRing(make(), alphabet=tuple(letters), order=order)
     rng = random.Random(61)
-    s = _mixed_blocks(R, rng, 0, 1)
-    dense_s, _, _ = series_module._split(R, s._kernel_rows())
-    for shift in (1, 2, 3):  # a t whose dense blocks make a Kronecker product with s's
-        t = _mixed_blocks(R, rng, shift, 1)
-        dense_t, _, _ = series_module._split(R, t._kernel_rows())
-        length = max(i + j for i in dense_s for j in dense_t if i and j and i + j <= R.order)
-        if len(letters) ** length >= series_module._KRONECKER_MIN:
-            break
-    for w in itertools.product(range(len(letters)), repeat=length):
-        c = t.coefficient(w)
-        t2 = t - R.from_terms([(w, ref_mul(s, t).coefficient(w))])
-        pairs = [a * b for u, a in s.terms.items() for v, b in t2.terms.items() if u + v == w]
-        if sum(pairs) and c != t2.coefficient(w) and t2.coefficient(w):
-            break
-    assert sum(map(bool, pairs)) > 1 and sum(pairs) % 12 == 0 and sum(pairs)
-    calls = _counted_kernel_calls(monkeypatch, "_convolve_blocks")
-    product = s * t2
-    assert calls and product == ref_mul(s, t2) and w not in product.vecs
+    for blocks in (_mixed_blocks, _dense_blocks):
+        s, t = blocks(R, rng, 0, 1), blocks(R, rng, 1, 1)
+        for w in itertools.product(range(len(letters)), repeat=R.order):
+            c = t.coefficient(w)
+            t2 = t - R.from_terms([(w, ref_mul(s, t).coefficient(w))])
+            pairs = [a * b for u, a in s.terms.items() for v, b in t2.terms.items() if u + v == w]
+            if sum(pairs) and c != t2.coefficient(w) and t2.coefficient(w):
+                break
+        assert sum(map(bool, pairs)) > 1 and sum(pairs) % 12 == 0 and sum(pairs)
+        dense = blocks is _dense_blocks
+        assert (s._length_blocks() is not False) == (t2._length_blocks() is not False) == dense
+        calls = _counted_view_dots(monkeypatch)
+        product = s * t2
+        monkeypatch.undo()
+        assert bool(calls) == dense
+        assert product == ref_mul(s, t2) and w not in product.vecs
 
 
 @pytest.mark.parametrize("make", [RationalField, lambda: IntegersMod(101)], ids=["Q", "Z/101"])
 def test_dense_two_letter_inverses_make_no_dot_call(monkeypatch, make):
-    # over a one-integer view, q = -inv0 * x+ is x's blocks times one integer
-    # per length, and the solve pass sums by blocks: no A.dot call, for a
-    # series and for a 2x2 matrix whose inv0 has two nonzero entries per row
+    # over a one-integer view, q = -inv0 * x+ is x's rows times one integer
+    # per length, and the solve pass runs to the end on the length-block
+    # view: no A.dot call, for a series and for a 2x2 matrix whose inv0 has
+    # two nonzero entries per row
     R, rng = two_letter(make(), 6), random.Random(67)
     A = R.coeff
     u = R.lift(A.one) + dense_kernel(R, rng)
     m = SeriesMatrix(R, [[R.lift(A.one) + dense_kernel(R, rng), R.lift(A.one) + dense_kernel(R, rng)],
                          [R.lift(A.zero) + dense_kernel(R, rng), R.lift(A.one + A.one) + dense_kernel(R, rng)]])
     monkeypatch.setattr(A, "dot", _forbidden)
-    calls = _counted_kernel_calls(monkeypatch, "_convolve_blocks")
+    passes = _view_passes(monkeypatch)
     inv, m_inv = u.inverse(), mat_invert(m)
-    assert calls
+    assert passes == [True, True]
     monkeypatch.undo()
     assert ref_mul(u, inv) == R.one() == ref_mul(inv, u)
     assert ref_mat_mul(m, m_inv) == SeriesMatrix.identity(R, 2)
+
+
+def test_passes_that_meet_a_thin_length_fall_back_to_the_word_path(monkeypatch):
+    # over Q<x,y,z>@5, q = -(x + y) of an inverse and theta = x + y of a log
+    # are dense, but their square fills 4 of 9 words at length 2: each pass
+    # starts again on the word path, with no block above length 2
+    R = SeriesRing(RationalField(), alphabet=("x", "y", "z"), order=5)
+    u, one = R.from_terms({(): 1, "x": 1, "y": 1}), R.one()
+    sizes, passes = _dense_allocations(monkeypatch), _view_passes(monkeypatch)
+    inv, log = u.inverse(), formal_log(u)
+    assert passes == [False, False] and sizes and max(sizes) <= 3 ** 2
+    monkeypatch.undo()
+    assert ref_mul(u, inv) == one == ref_mul(inv, u)
+    assert log == ref_power_sum(u - one, lambda n: F((-1) ** (n + 1), n))
+
+
+def test_dense_q_with_a_thin_y_falls_back_to_the_word_path(monkeypatch):
+    # over Z/12<x,y>@16, q = -(2x + 6y) is dense, y_1 = -(2x + 6y) too, but
+    # y_2 = 4xx fills 1 of 4 words: the solve pass starts again on the word
+    # path, with no block above length 2, and
+    # (1 + 2x + 6y)^-1 = 1 + 6y + sum_n (-2)^n x^n
+    R = two_letter(IntegersMod(12), 16)
+    u = R.from_terms({"": 1, "x": 2, "y": 6})
+    sizes, passes = _dense_allocations(monkeypatch), _view_passes(monkeypatch)
+    inv = u.inverse()
+    assert passes == [False] and sizes and max(sizes) <= 2 ** 2
+    monkeypatch.undo()
+    assert inv == R.from_terms({"y": 6, **{"x" * n: (-2) ** n for n in range(R.order + 1)}})
+
+
+def test_word_codes_are_built_by_halves(qq):
+    # a word's code is its letters 1..k read in base k, built by halves: the
+    # same integer as a letter-by-letter loop, and a 200,000-letter word
+    # takes no quadratic time (the loop took 3.5 s on an Intel Xeon)
+    R, rng = SeriesRing(qq, alphabet=("x", "y", "z"), order=10 ** 6), random.Random(71)
+    for n in (0, 1, 2, 63, 64, 65, 129, 1000, 3001):
+        word = tuple(rng.randrange(3) for _ in range(n))
+        code = 0
+        for i in word:
+            code = code * 3 + i + 1
+        assert R._word_info(word)[2:4] == (code, 3 ** n)
+    word = tuple(rng.randrange(3) for _ in range(200_000))
+    start = time.perf_counter()
+    R._word_info(word)
+    assert time.perf_counter() - start < 0.5
 
 
 def _forbidden(*args):
