@@ -226,15 +226,23 @@ def coset_probably_equal(u: TwistedSeries, v: TwistedSeries) -> str:
 
 def one_minus_alpha_x(coeff, alpha, order: int) -> SeriesMatrix:
     """1 - alpha*x over the untwisted one-letter series ring at the given
-    order, for alpha a square matrix over the coefficient ring."""
+    order, for alpha a square matrix over the coefficient ring. 1 and
+    alpha are cleared once, and each entry is built from their vectors over
+    that den: 1 on the diagonal, and -alpha_ij at x."""
     alpha = tuple(tuple(row) for row in alpha)
     n = len(alpha)
     if n == 0 or any(len(row) != n for row in alpha):
         raise DimensionMismatch("alpha must be square and nonempty")
     ring = SeriesRing(coeff, ("x",), order=order)
-    return SeriesMatrix(ring, [[ring.from_terms([((), coeff.one if i == j else coeff.zero),
-                                                 ((0,), coeff.neg(alpha[i][j]))])
-                                for j in range(n)] for i in range(n)])
+    (one, *vecs), den = coeff.clear([coeff.one, *(a for row in alpha for a in row)])
+    scale, nonzero = coeff.scale_vector, coeff.nonzero
+
+    def entry(e: int) -> TwistedSeries:
+        terms = {(): one} if e % (n + 1) == 0 else {}
+        if order and nonzero(vecs[e]):
+            terms[(0,)] = scale(vecs[e], -1)
+        return TwistedSeries(ring, terms, den)
+    return SeriesMatrix(ring, [[entry(i + j) for j in range(n)] for i in range(0, n * n, n)])
 
 
 def endo_class_invariant(coeff, alpha, order: int) -> TwistedSeries:

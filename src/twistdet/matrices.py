@@ -21,7 +21,13 @@ from .errors import (
     RingMismatch,
 )
 from .rings import Record
-from .series import SeriesRing, TwistedSeries, inverse_entries, sums_of_products
+from .series import (
+    SeriesRing,
+    TwistedSeries,
+    constant_is_identity,
+    inverse_entries,
+    sums_of_products,
+)
 
 
 class SeriesMatrix:
@@ -130,10 +136,7 @@ class SeriesMatrix:
 
 
 def augmentation_is_identity(m: SeriesMatrix) -> bool:
-    if not m.is_square():
-        return False
-    return all(e.augmentation_is_one() if i == j else () not in e.vecs
-               for i, row in enumerate(m.rows) for j, e in enumerate(row))
+    return m.is_square() and constant_is_identity([e for row in m.rows for e in row])
 
 
 def mat_is_invertible(m: SeriesMatrix) -> bool:

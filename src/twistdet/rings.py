@@ -275,7 +275,9 @@ def fraction_free(rows) -> tuple[int, Optional[list]]:
     det M = 0. Every inverse over the five rings is one such elimination (over
     Q<gens>/deg>N, by `series.inverse_entries` over Q<<gens>>, whose one
     elimination is of the scalar part and whose degrees are one solve pass
-    with no product), and so is every invertibility test."""
+    with no product), and so is every invertibility test, but for an
+    identity scalar part over Q<gens>/deg>N: `inverse_entries` reads it as
+    its own inverse, so `is_unit` and `mat_is_invertible` make none there."""
     n = len(rows)
     m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     sign, prev = 1, 1

@@ -95,10 +95,16 @@ onto A with section lift(). A series is invertible exactly when eps of it is
 a unit of A (the ring is local over the augmentation), and because the
 augmentation ideal is nilpotent at any finite order the inverse is fixed
 degree by degree from inv0 = eps^{-1}: all its degrees are one solve pass,
-`_solve`, shared with series matrices (`inverse_entries`). It makes no
-kernel call: the rows of q = -inv0 * x+ are x's own kernel rows, each
-vector times a constant (over Q and Z/m an integer product, with no
-`A.dot`), and degree d stands over den * g^d for one g.
+`_solve`, shared with series matrices (`inverse_entries`). An identity
+constant term (a unit of augmentation 1, a matrix of augmentation
+identity) is inverted by reading it, inv0 = I, with no elimination, and
+q = -x+ is x's own kernel rows each scaled by an integer, with no
+`A.dot`; so `is_unit` and `mat_is_invertible` over Q<y,...>/deg>d make
+no elimination for an identity scalar part either. Any other constant is
+one `A.invert_vectors`. The pass makes no kernel call: the rows of
+q = -inv0 * x+ are x's own kernel rows, each vector times a constant
+(over Q and Z/m an integer product, with no `A.dot`), and degree d
+stands over den * g^d for one g.
 Each degree of each entry is one `_convolve` that reads exactly that
 degree, of n pairs, one per right operand, an entry of y that grows by a
 degree at a time; over one letter it is one `A.dot` of the pairs (q_it
@@ -902,6 +908,15 @@ def _moved_rows(by_key: dict, key: tuple, room: int) -> list:
     return moved
 
 
+def constant_is_identity(x: list) -> bool:
+    """Whether eps(x) = I for the n x n matrix x of series given by its n*n
+    row-major entries: each diagonal entry has augmentation 1, and no other
+    entry has a constant term."""
+    n = math.isqrt(len(x))
+    return all(e.augmentation_is_one() if i % (n + 1) == 0 else () not in e.vecs
+               for i, e in enumerate(x))
+
+
 def inverse_entries(R: SeriesRing, x: list) -> list:
     """The entries of x^-1, row-major, for the n x n matrix x of series of R
     given by its n*n row-major entries (a series is the case n = 1); raises
@@ -909,11 +924,15 @@ def inverse_entries(R: SeriesRing, x: list) -> list:
 
     y = x^-1 solves y = inv0 + q*y for inv0 = eps(x)^-1 and q = -inv0 * x+,
     x+ = x - eps(x), so that x*y = 1; in a ring local over the augmentation
-    this right inverse is two-sided. inv0, over den, is one
-    `A.invert_vectors` of x's constant terms over dx, the lcm of x's
-    denominators. x's kernel rows are read once, over dx and scaled by
-    L / F_K (`_left_rows`, which also gives L). inv0 is constant, so q_ij
-    has the words of the x+_sj, each vector one `A.dot` over the s of
+    this right inverse is two-sided. x's kernel rows are read once, over
+    dx, the lcm of x's denominators, and scaled by L / F_K (`_left_rows`,
+    which also gives L). Where eps(x) is the identity (each diagonal entry
+    has augmentation 1 and no other entry has a constant term), as for
+    every unit of augmentation 1, it is its own inverse and is read, with
+    no elimination: inv0 = I over den = 1, and q = -x+ is x's own rows,
+    each vector scaled by an integer. Else inv0, over den, is one
+    `A.invert_vectors` of x's constant terms over dx. inv0 is constant, so
+    q_ij has the words of the x+_sj, each vector one `A.dot` over the s of
     sum_s (-inv0)_is * x+_sj, over a one-integer view a sum of integer
     products: one comprehension over x_sj's rows when one s contributes,
     as for every series. For g = den * dx * L, a row of length
@@ -924,6 +943,13 @@ def inverse_entries(R: SeriesRing, x: list) -> list:
     by_degree = R._by_degree  # a row's info is then its degree, which names its word
     rows = dict(enumerate(x))
     dx, L = _left_rows(R, rows)
+    if constant_is_identity(x):
+        g = dx * L
+        neg = [0] + [-g ** k for k in range(top)]  # neg[k] = -g^(k-1)
+        return _solve(R, [[(info, scale(a, neg[k])) for info, a in rows[e]
+                           if (k := info if by_degree else info[0])] for e in range(n * n)],
+                      [R._one_vec if e % (n + 1) == 0 else R._zero_vec for e in range(n * n)],
+                      1, g)
     inv0, den = A.invert_vectors([scale(e.vecs[()], dx // e.den) if () in e.vecs
                                   else R._zero_vec for e in x], dx, n)
     g = den * dx * L

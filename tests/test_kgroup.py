@@ -26,7 +26,7 @@ from twistdet import (
     render_series,
     vaserstein_transform,
 )
-from twistdet.kgroup import least_rotation
+from twistdet.kgroup import least_rotation, one_minus_alpha_x
 from twistdet.novikov import OrbitCountReport
 from twistdet.randgen import random_fiber_one, random_flavor_pair
 from twistdet.rings import RationalField, sum_by_key
@@ -117,13 +117,18 @@ def test_not_invertible_rejected(qq):
 
 def test_each_unit_is_eliminated_once(m2, eliminations):
     # the check that 1+ba is a unit is its inversion, which the generator
-    # then uses: one fraction-free elimination, not a unit test and then an
-    # inverse; the inverse is no field of the record
+    # then uses: where eps(1+ba) is not 1, one fraction-free elimination,
+    # not a unit test and then an inverse; where it is 1 (a in the kernel,
+    # so 1+ba is in W1), none. The inverse is no field of the record
     R = one_letter(m2, 3, twist="swap")
     x = R.letter("x")
     b = R.lift(m2.parse_element_literal("1,2;3,4")) + x
-    g = c_generator(x, b, "a_in_kernel")
+    two = R.lift(m2.parse_element_literal("2,0;0,2")) + x  # eps(1+ba) = 1,0;0,1 + 2*(1,2;3,4)
+    c_generator(two, b, "one_plus_ba_unit")
     assert len(eliminations) == 1
+    del eliminations[:]
+    g = c_generator(x, b, "a_in_kernel")
+    assert len(eliminations) == 0
     record = CGenerator(x, b, "a_in_kernel")
     assert record.element() == g and record == CGenerator(x, b, "a_in_kernel")
     assert "_ba_inverse" not in repr(record)
@@ -398,6 +403,29 @@ def test_endo_invariant_frozen(qq):
     # swap matrix: det(1 - ax) = 1 - x^2
     assert poly(endo_class_invariant(qq, [[F(0), F(1)], [F(1), F(0)]], 4)) \
         == {0: F(1), 2: F(-1)}
+
+
+@pytest.mark.parametrize("order", [0, 1, 3])
+@pytest.mark.parametrize("make", [RationalField, lambda: IntegersMod(7), m2_swap, qc4_inv,
+                                  make_free_yz], ids=["Q", "Z/7", "M2(Q)", "Q[C4]", "Q<y,z>"])
+def test_pencil_entries_match_their_terms(make, order):
+    # each entry of 1 - alpha*x, built from alpha's cleared vectors, has the
+    # vectors and den of the series of its terms 1 or 0 and -alpha_ij at x,
+    # for alpha with zero entries, a zero row and all zero
+    A = make()
+    ring = SeriesRing(A, ("x",), order=order)
+    rng = random.Random(order)
+    alphas = [[[A.zero]], [[A.zero] * 2, [A.random_element(rng), A.one]]]
+    alphas += [[[A.zero if rng.random() < 0.3 else A.random_element(rng) for _ in range(n)]
+                for _ in range(n)] for n in (1, 2, 3, 3)]
+    for alpha in alphas:
+        m = one_minus_alpha_x(A, alpha, order)
+        assert m.ring == ring
+        for i, row in enumerate(m.rows):
+            for j, e in enumerate(row):
+                ref = ring.from_terms([((), A.one if i == j else A.zero),
+                                       ((0,), A.neg(alpha[i][j]))])
+                assert (e.vecs, e.den) == (ref.vecs, ref.den), (alpha, i, j)
 
 
 # -- typed errors -------------------------------------------------------------

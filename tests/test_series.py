@@ -1302,6 +1302,43 @@ def test_inverse_eliminates_once_over_m2(m2, eliminations):
         mat_invert(SeriesMatrix(R, [[singular]]))
 
 
+# the five coefficient kinds, each with the twist its letter x carries
+FIBER_RINGS = {"Q": (RationalField, None), "Z/7": (lambda: IntegersMod(7), None),
+               "M2(Q):swap": (m2_swap, "swap"), "Q[C4]:inv": (qc4_inv, "inv"),
+               "Q<y,z>/deg>2:flip": (free_yz, "flip")}
+
+
+@pytest.mark.parametrize("letters", [1, 2])
+@pytest.mark.parametrize("name", list(FIBER_RINGS))
+def test_identity_constants_are_inverted_with_no_elimination(name, letters, eliminations):
+    # a unit of augmentation 1, and a 2x2 or 3x3 series matrix of
+    # augmentation identity, is inverted by reading its constant term: no
+    # fraction-free elimination, an inverse on both sides, and exactly the
+    # inverse 2 * (2u)^-1, whose constant 2 is eliminated once
+    make, twist = FIBER_RINGS[name]
+    A = make()
+    R = (one_letter if letters == 1 else two_letter)(
+        A, 3, twist=twist if letters == 1 or twist is None else {"x": twist})
+    rng = random.Random(f"{name}/{letters}")
+    for _ in range(4):
+        u = random_fiber_one(R, rng)
+        del eliminations[:]
+        v = u.inverse()
+        assert len(eliminations) == 0
+        assert u * v == R.one() == v * u
+        assert u.scale(2).inverse().scale(2) == v and len(eliminations) == 1
+    for n in (2, 3):
+        m = random_unipotent_matrix(R, rng, n)
+        del eliminations[:]
+        inv = mat_invert(m)
+        assert len(eliminations) == 0
+        assert m * inv == SeriesMatrix.identity(R, n) == inv * m
+        double = SeriesMatrix(R, [[e.scale(2) for e in row] for row in m.rows])
+        halved = mat_invert(double).rows
+        assert SeriesMatrix(R, [[e.scale(2) for e in row] for row in halved]) == inv
+        assert len(eliminations) == 1
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_ldu_inverts_pivot_by_one_solve_pass_and_l_u_in_one_call(kernel_calls, qq, n):
     R = SeriesRing(qq, alphabet=("x", "y"), order=3)
