@@ -14,17 +14,25 @@ against the draft 2020-12 meta-schema. A schema error's message names the
 failing JSON path. An integral float such as 3.0 is not an integer.
 
 Every job op's subcommand, and the job its command line builds, come from
-documents._OPERANDS: each job key there is read from the parsed argument of
-the same name, and --order overrides the ring's order. Series operands are
-literal strings like '1+[g1]*w("x")', one positional per literal. Matrix and
+documents._OPERANDS: a job key in _OPTIONS is read from the option --key, and
+every other key from the operands, in table order; --order overrides the
+ring's order. parse_command_line reads the command line and no file;
+_build_job then reads the ring and the JSON operands. Series operands are
+literal strings like '1+[g1]*w("x")', one operand per literal. Matrix and
 Novikov operands are JSON, given inline or as @path to read a file.
+
+Options may stand before, between or after the operands, as --name value or
+--name=value, and are never abbreviated. '--' ends the options. Any other token
+that starts with '-' is an option, unless it is '-' alone, or names no option
+and is a negative number or holds a space, so a literal such as '-2+w("x")'
+goes after '--'. -h or --help prints plain-text usage and exits 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import operator
+import re
 import sys
 from functools import reduce
 
@@ -61,6 +69,7 @@ from .kgroup import (
 from .literals import parse_series, render_series
 from .matrices import dieudonne_det, ldu_decompose
 from .novikov import orbit_counts, w1_invariant
+from .rings import quoted
 from .selftest import SUITE_NAMES, selftest
 from .series import formal_log
 
@@ -106,15 +115,19 @@ def _load_json_arg(text: str):
         raise ValueError("JSON nested too deeply") from None
 
 
-def _build_job(args) -> dict:
-    job = {"op": args.op}
-    for key in _OPERANDS[args.op]:
-        value = getattr(args, key)
+def _build_job(op: str, values: dict):
+    """The job document of a parsed command line: a run's job file, or a job
+    of op's keys in _OPERANDS order. Reads the ring and every JSON operand."""
+    if op == "run":
+        return _load_json_arg("@" + values["job"])
+    job = {"op": op}
+    for key in _OPERANDS[op]:
+        value = values.get(key)
         if key == "ring":
             value = _load_json_arg("@" + value)
-            if args.order is not None and isinstance(value, dict):
-                value = {**value, "order": args.order}
-        elif key not in _ARGUMENTS and key != "series":
+            if "order" in values and isinstance(value, dict):
+                value = {**value, "order": values["order"]}
+        elif key not in _OPTIONS and key not in ("series", "suite"):
             value = _load_json_arg(value)
         if value is not None:
             job[key] = value
@@ -178,12 +191,8 @@ def execute_job(job: dict):
 
 
 class UsageError(ValueError):
-    """A command line argparse rejects; main reports it as a JSON error."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(f"{self.prog}: {message}")
+    """A command line that parse_command_line refuses; main reports it as a
+    JSON error."""
 
 
 _HELP = {"inv": "invert a series",
@@ -197,52 +206,161 @@ _HELP = {"inv": "invert a series",
          "coset": "one-sided coset distinctness test",
          "endoclass": "determinant invariant of 1-alpha*x",
          "addcheck": "block-triangular determinant additivity",
-         "novikov": "w1 invariant and orbit counts",
-         "selftest": "run a named property suite"}
+         "novikov": "w1 invariant and orbit counts; --lefschetz multiplies "
+                    "degree-n buckets by n",
+         "selftest": "run a named property suite",
+         "run": "execute a job document"}
 
-# job key -> its command line arguments; every other key is a positional: one
-# per series literal, or one JSON document (inline or @file)
-_ARGUMENTS = {
-    "ring": [("--ring", {"required": True, "help": "path to a series-ring JSON document"}),
-             ("--order", {"type": int,
-                          "help": "override the ring document's truncation order"})],
-    "out": [("--out", {"help": "write the output document here instead of stdout"})],
-    "flavor": [("--flavor", {"choices": FLAVORS})],
-    "lefschetz": [("--lefschetz", {"action": "store_true", "default": None,
-                                   "help": "multiply degree-n buckets by n"})],
-    "suite": [("suite", {"choices": SUITE_NAMES})],
-    "seed": [("--seed", {"type": int})],
-    "order": [("--order", {"type": int})],
-    "trials": [("--trials", {"type": int})],
-}
-_JSON_HELP = {"matrix": "JSON rows of series literals, or @file",
-              "novikov": 'JSON {"degrees": {...}}, or @file'}
+# job key -> metavar of its option --key, None for a flag. A subcommand takes
+# the options of its job keys, and --order along with --ring.
+_OPTIONS = {"ring": "FILE", "order": "N", "out": "FILE", "flavor": "NAME",
+            "seed": "N", "trials": "N", "lefschetz": None}
+_INTS = ("order", "seed", "trials")
+_CHOICES = {"flavor": FLAVORS, "suite": SUITE_NAMES}
+_RUN = {"job": {}, "out": {}}  # the keys of run: a job file, and --out
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+_GRAMMAR = """\
+--ring FILE reads a series-ring JSON document and --order N overrides its
+truncation order; --out FILE writes the output document there, not to stdout.
+Series operands are literals such as '1+w("x")', one per operand; the other
+operands are JSON, inline or as @path. Options may come before, between or
+after the operands, as --name VALUE or --name=VALUE, and are never abbreviated.
+'--' ends the options, so an operand that starts with '-', such as
+'-2+w("x")', goes after it."""
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="twistdet",
-        description="Exact invariants of truncated twisted power series")
-    subs = parser.add_subparsers(dest="op", required=True)
-    for op, keys in _OPERANDS.items():
-        p = subs.add_parser(op, help=_HELP[op])
-        for key, schema in keys.items():
-            if key in _ARGUMENTS:
-                for name, kwargs in _ARGUMENTS[key]:
-                    p.add_argument(name, **kwargs)
-            elif key != "series":
-                p.add_argument(key, help=_JSON_HELP.get(
-                    key, "JSON rows of coefficient literals, or @file"))
-            elif "maxItems" not in schema:
-                p.add_argument("series", nargs="+")
-            else:  # one positional per literal, so options may sit between them
-                n = schema["maxItems"]
-                for name in ("series",) if n == 1 else "abc"[:n]:
-                    p.add_argument("series", action="append", metavar=name)
-    p = subs.add_parser("run", help="execute a job document")
-    p.add_argument("job", help="path to a job JSON file")
-    p.add_argument("--out", default=None)
-    return parser
+def parse_command_line(argv) -> tuple[str, dict]:
+    """Read a command line into (subcommand, {job key: value}); reads no file.
+
+    A value is the command line's string, a list of them for "series", an int
+    for --order, --seed and --trials, or True for --lefschetz. Raises
+    UsageError on an unknown subcommand or option, an option without its value,
+    a bad int or name, or too few or too many operands. -h or --help prints the
+    usage and raises SystemExit(0).
+    """
+    op = argv[0] if argv else None
+    if op in ("-h", "--help"):
+        _exit_with_help(None)
+    keys = _RUN if op == "run" else _OPERANDS.get(op)
+    if keys is None:
+        raise UsageError(f"twistdet: expected a subcommand ({', '.join(_HELP)}), "
+                         f"got {quoted(op) if argv else 'none'}")
+    prog = f"twistdet {op}"
+    names = _option_names(keys)
+    values, operands = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--":
+            operands.extend(tokens)
+        elif not _is_option(token, names):
+            operands.append(token)
+        else:
+            name, eq, value = token.partition("=")
+            key = names.get(name)
+            if key is None and name not in ("-h", "--help"):
+                raise UsageError(f"{prog}: unknown option {quoted(name)}; it takes "
+                                 f"{', '.join(names)}, and an operand that starts "
+                                 f"with '-' goes after '--'")
+            if key is None or _OPTIONS[key] is None:  # a flag
+                if eq:
+                    raise UsageError(f"{prog}: {name} takes no value")
+                if key is None:
+                    _exit_with_help(op)
+                values[key] = True
+                continue
+            if not eq:
+                value = next(tokens, "--")
+                if value == "--" or _is_option(value, names):
+                    raise UsageError(f"{prog}: {name} needs a value")
+            values[key] = _checked(prog, key, value)
+    for key, count in _operands(keys):
+        n = count or max(len(operands), 1)
+        if len(operands) < n:
+            raise UsageError(f"{prog}: missing {key} operand")
+        taken, operands = operands[:n], operands[n:]
+        values[key] = taken if key == "series" else _checked(prog, key, taken[0])
+    if operands:
+        raise UsageError(f"{prog}: unexpected operand {quoted(operands[0])}")
+    if "ring" in keys and "ring" not in values:
+        raise UsageError(f"{prog}: --ring is required")
+    return op, values
+
+
+def _option_names(keys) -> dict:
+    """{--name: job key} of the options a subcommand with these job keys takes."""
+    names = {}
+    for key in keys:
+        if key in _OPTIONS:
+            names["--" + key] = key
+        if key == "ring":
+            names["--order"] = "order"
+    return names
+
+
+def _operands(keys):
+    """Yield (job key, count) per operand key, in command-line order; a count
+    of None takes one literal or more."""
+    for key, schema in keys.items():
+        if key not in _OPTIONS:
+            yield key, schema.get("maxItems") if key == "series" else 1
+
+
+def _is_option(token: str, names) -> bool:
+    # as argparse reads it: a token that starts with "-" is an option unless
+    # it is "-" alone, or names no option and is a negative number or holds a space
+    if token.partition("=")[0] in names:
+        return True
+    return (len(token) > 1 and token[0] == "-" and " " not in token
+            and not _NEGATIVE_NUMBER.match(token))
+
+
+def _checked(prog: str, key: str, value: str):
+    """value as job key takes it: an int, or one of the names in _CHOICES."""
+    label = "--" + key if key in _OPTIONS else key
+    if key in _INTS:
+        try:
+            return int(value)
+        except ValueError:
+            raise UsageError(f"{prog}: {label} takes an integer, "
+                             f"not {quoted(value)}") from None
+    if key in _CHOICES and value not in _CHOICES[key]:
+        raise UsageError(f"{prog}: {label} is one of {', '.join(_CHOICES[key])}, "
+                         f"not {quoted(value)}")
+    return value
+
+
+def _exit_with_help(op) -> None:
+    sys.stdout.write(_usage(op))
+    raise SystemExit(0)
+
+
+def _usage(op) -> str:
+    """Plain-text help: the subcommands, or one subcommand's usage line."""
+    if op is None:
+        width = max(map(len, _HELP))
+        lines = ["usage: twistdet SUBCOMMAND [OPTIONS] OPERANDS...", "",
+                 "Exact invariants of truncated twisted power series.", "", "subcommands:",
+                 *(f"  {name:<{width}}  {text}" for name, text in _HELP.items()), "",
+                 "twistdet SUBCOMMAND --help shows the options and operands of one."]
+    else:
+        keys = _RUN if op == "run" else _OPERANDS[op]
+        words = [f"usage: twistdet {op}"]
+        for name, key in _option_names(keys).items():
+            shown = f"{name} {_metavar(key)}" if _OPTIONS[key] else name
+            words.append(shown if key == "ring" else f"[{shown}]")
+        for key, count in _operands(keys):
+            if key != "series":
+                words.append(_metavar(key) if key in _CHOICES else key)
+            elif count is None:
+                words.append("series [series ...]")
+            else:
+                words.append(" ".join(("series",) if count == 1 else "abc"[:count]))
+        lines = [" ".join(words), "", _HELP[op]]
+    return "\n".join([*lines, "", _GRAMMAR]) + "\n"
+
+
+def _metavar(key: str) -> str:
+    return "{" + ",".join(_CHOICES[key]) + "}" if key in _CHOICES else _OPTIONS[key]
 
 
 def _emit(doc: dict, out_path) -> None:
@@ -256,9 +374,9 @@ def _emit(doc: dict, out_path) -> None:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        job = _load_json_arg("@" + args.job) if args.op == "run" else _build_job(args)
-        out_path = args.out or (job.get("out") if isinstance(job, dict) else None)
+        op, values = parse_command_line(sys.argv[1:] if argv is None else argv)
+        job = _build_job(op, values)
+        out_path = values.get("out") or (job.get("out") if isinstance(job, dict) else None)
         validate_job(job)
         doc, code = execute_job(job)
         _emit(doc, out_path)

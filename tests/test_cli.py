@@ -1,4 +1,3 @@
-import argparse
 import importlib.util
 import json
 import os
@@ -12,7 +11,7 @@ import jsonschema
 import pytest
 
 import twistdet
-from twistdet.cli import build_parser, main, validate_job
+from twistdet.cli import UsageError, main, parse_command_line, validate_job
 from twistdet.documents import OP_SCHEMAS
 from twistdet.errors import ValidationError
 from twistdet.selftest import qs3_conj
@@ -214,12 +213,92 @@ def test_exit_code_1_on_bad_input(capsys, ring_file, tmp_path):
         assert code == 1 and out == ""
         assert json.loads(err)["error"]["type"] == "UsageError"
     # every job op has a subcommand, and run is the only other one
-    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert set(subs.choices) == set(OP_SCHEMAS) | {"run"}
+    for op in [*OP_SCHEMAS, "run"]:
+        with pytest.raises(SystemExit) as exc:
+            parse_command_line([op, "--help"])
+        assert exc.value.code == 0
+        capsys.readouterr()
+    with pytest.raises(UsageError) as exc:
+        parse_command_line(["frobnicate"])
+    named = str(exc.value).split("(", 1)[1].split(")", 1)[0]
+    assert set(named.split(", ")) == set(OP_SCHEMAS) | {"run"}
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
 
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    ([], "got none"),
+    (["frobnicate", "1"], "got 'frobnicate'"),
+    (["--ring", "{ring}", "inv", "1"], "got '--ring'"),
+    (["inv", "--ring", "{ring}", "--bogus", "1"], "unknown option '--bogus'"),
+    # an abbreviated option name is refused
+    (["inv", "--ri", "{ring}", "1"], "unknown option '--ri'"),
+    (["inv", "--ri={ring}", "1"], "unknown option '--ri'"),
+    (["inv", "1", "--ring"], "--ring needs a value"),
+    (["inv", "--ring", "--order", "2", "1"], "--ring needs a value"),
+    (["inv", "--ring", "{ring}", "--order", "x", "1"], "--order takes an integer, not 'x'"),
+    (["selftest", "all", "--trials=1.5"], "--trials takes an integer, not '1.5'"),
+    (["cgen", "--ring", "{ring}", "--flavor=nope", "1", "1"], "not 'nope'"),
+    (["novikov", "--ring", "{ring}", "{}", "--lefschetz=yes"], "--lefschetz takes no value"),
+    (["inv", "--ring", "{ring}", "1", "2"], "unexpected operand '2'"),
+    (["run", "job.json", "job.json"], "unexpected operand 'job.json'"),
+    (["vaserstein", "--ring", "{ring}", "1", "1"], "missing series operand"),
+    (["inv", "--ring", "{ring}", '-2+w("x")'], "unknown option '-2+w(\"x\")'"),
+], ids=["no-subcommand", "unknown-subcommand", "option-before-subcommand", "unknown-option",
+        "abbreviated", "abbreviated-equals", "no-value-at-end", "option-as-value", "order-x",
+        "trials-not-int", "flavor-equals-nope", "flag-with-value", "surplus-operand",
+        "surplus-job", "too-few-operands", "literal-with-minus"])
+def test_command_line_usage_errors(capsys, qring, argv, fragment):
+    # each is refused before any file is read, as one JSON UsageError
+    code, out, err = run_cli(capsys, *(a.replace("{ring}", qring) for a in argv))
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "UsageError"
+    assert fragment in error["message"]
+
+
+def test_command_line_grammar(capsys, qring):
+    # --name=value is --name value, wherever it stands among the operands
+    spaced = parse_command_line(["cgen", "--ring", qring, "w(\"x\")", "--flavor", "b_unit",
+                                 "--order", "2", "1"])
+    assert spaced == parse_command_line(["cgen", "w(\"x\")", "--flavor=b_unit",
+                                         f"--ring={qring}", "1", "--order=2"])
+    assert spaced == ("cgen", {"ring": qring, "flavor": "b_unit", "order": 2,
+                               "series": ['w("x")', "1"]})
+    # after --, a token that starts with "-" is an operand, even an option's name
+    assert parse_command_line(["inv", "--ring", qring, "--", '-2+w("x")']) == (
+        "inv", {"ring": qring, "series": ['-2+w("x")']})
+    assert parse_command_line(["cgen", "--ring", qring, "1", "--", "--flavor"])[1][
+        "series"] == ["1", "--flavor"]
+    # as argparse read them: "-" alone, a negative number and a token that
+    # holds a space are operands
+    for literal in ("-", "-2", "-1/2 + w(\"x\")"):
+        assert parse_command_line(["inv", "--ring", qring, literal])[1]["series"] == [literal]
+    code, out, err = run_cli(capsys, "mul", "--ring", qring, "--", '-2+w("x")', "-1")
+    assert code == 0 and err == ""
+    assert json.loads(out)["result"] == '2-w("x")'
+    # the last of a repeated option wins; a repeated flag is still True
+    assert parse_command_line(["novikov", "--ring", qring, "--lefschetz", "{}", "--order",
+                               "1", "--lefschetz", "--order=3"])[1] == {
+        "ring": qring, "lefschetz": True, "order": 3, "novikov": "{}"}
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"],
+                                  *([op, "--help"] for op in [*OP_SCHEMAS, "run"])],
+                         ids=["help", "h", *OP_SCHEMAS, "run"])
+def test_help_prints_text_and_exits_0(capsys, argv):
+    # help wins over a missing --ring or operand, and reads no file
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    cap = capsys.readouterr()
+    assert exc.value.code == 0 and cap.err == ""
+    assert cap.out.startswith("usage: twistdet ") and "--" in cap.out
+    if argv[0] in OP_SCHEMAS:
+        assert all(f"--{key}" in cap.out for key in ("ring", "flavor", "lefschetz", "seed",
+                                                      "trials", "out")
+                   if key in OP_SCHEMAS[argv[0]]["properties"])
 
 
 def test_only_selftest_takes_a_seed(capsys, qring, tmp_path):
@@ -546,7 +625,8 @@ def test_readme_command_lines_parse():
     lines = [line for line in block.splitlines() if line.startswith("twistdet ")]
     assert {shlex.split(line)[1] for line in lines} == set(OP_SCHEMAS) | {"run"}
     for line in lines:
-        build_parser().parse_args(shlex.split(line)[1:])
+        argv = shlex.split(line)[1:]
+        assert parse_command_line(argv)[0] == argv[0]
 
 
 def test_no_meta_schema_check_per_job(capsys, qring, monkeypatch):
@@ -592,6 +672,7 @@ def test_validate_job_rejects_nesting_too_deep_to_check():
     ["cgen", "--ring", "{ring}", 'w("x")', 'w("x")'],
     ["cyclog", "--ring", "{ring}", '1+w("x")'],
     ["novikov", "--ring", "{c2ring}", json.dumps({"degrees": {"0": "1", "1": "-1*g1"}})],
+    ["run", "{job}"],
 ])
 def test_cli_process_does_not_import_dataclasses(ring_file, argv):
     # spawned as the benchmark spawns a job; -X importtime lists on stderr every
@@ -599,7 +680,9 @@ def test_cli_process_does_not_import_dataclasses(ring_file, argv):
     rings = {"{ring}": ring_file(QRING_DOC),
              "{c2ring}": ring_file({"coeff": {"kind": "group_algebra", "group": {
                  "name": "C2", "table": [[0, 1], [1, 0]]}}, "alphabet": ["z"], "order": 3},
-                 name="c2.json")}
+                 name="c2.json"),
+             "{job}": ring_file({"op": "det", "ring": QRING_DOC, "matrix": [["1+w(\"x\")"]]},
+                                name="job.json")}
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(twistdet.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "twistdet.cli",
                            *(rings.get(a, a) for a in argv)],
@@ -608,7 +691,7 @@ def test_cli_process_does_not_import_dataclasses(ring_file, argv):
     imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
                 if line.startswith("import time:")}
     assert {"twistdet.kgroup", "twistdet.matrices", "twistdet.novikov"} <= imported
-    assert not imported & {"dataclasses", "inspect", "jsonschema"}
+    assert not imported & {"dataclasses", "inspect", "jsonschema", "argparse", "gettext"}
 
 
 @pytest.mark.parametrize("job, names", [

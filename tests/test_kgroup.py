@@ -177,6 +177,28 @@ def test_vaserstein_needs_commuting_c(m2):
     assert type(exc.value).__name__ == "CommutationFailed"
 
 
+def test_vaserstein_eliminates_nothing_when_a_is_in_the_kernel(m2, qc4, eliminations):
+    # eps(a) = 0 makes eps(ac) = 0, so 1 + eps(ac) = 1 needs no unit test, and
+    # 1+ba and 1+b'a have identity constants, which are inverted by reading them
+    for A in (m2, qc4):
+        R = one_letter(A, 3)
+        x = R.letter("x")
+        a = x + R.from_terms([("xx", A.one)])
+        b = R.lift(A.add(A.one, A.one)) + x
+        c = x.scale(F(3))
+        b2, ok = vaserstein_transform(a, b, c)
+        assert ok and b2 == b + c + b * a * c
+    assert len(eliminations) == 0
+
+
+def test_vaserstein_refuses_a_non_unit_one_plus_ac(qq, m2):
+    for A in (qq, m2):
+        R = one_letter(A, 2)
+        one = R.one()
+        with pytest.raises(NotInvertible, match=r"^1 \+ ac is not invertible$"):
+            vaserstein_transform(one, R.letter("x"), -one)
+
+
 def test_vaserstein_random(qq, qc4, free_yz):
     assert_folded("vaserstein", [two_letter(c, 3) for c in (qq, qc4, free_yz)], 8,
                   shapes=[("unit",)])
