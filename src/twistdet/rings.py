@@ -20,8 +20,9 @@ document layers call:
   a vector from either (or an automorphism's action on one) and a
   denominator back into a value. Each vector has one form, so equal values
   over one denominator have equal vectors: Q's is one integer, and Z/m's
-  one integer in [0, m) (their `view_modulus` is 0 and m, and the word
-  path folds their products, series.py); M_k(Q)'s is a list of its k*k
+  one integer in [0, m) (their `view_modulus` is 0 and m, which the
+  series layer reads for its length-block view and to invert a scalar
+  constant, series.py); M_k(Q)'s is a list of its k*k
   entries, zeros kept; a basis algebra's is its (key, integer) pairs, from
   which `clear`, `dot`, `act`, `add_vectors` and `scale_vector` drop zero
   entries and whose keys they sort. `nonzero`, `content`, `divide_vector`
@@ -75,9 +76,11 @@ pairs (factor 1); `RingAutomorphism.apply` is clear, act and `rebuild`.
 Every inverse, over Q, M_k(Q), Q[G] and Z/m, is one `fraction_free`
 elimination of integers, of which only the entries read back are built;
 it is also the one invertibility test. Units and matrices over
-Q<gens>/deg>N go through `series.inverse_entries` over Q<<gens>>: one
-elimination, of the scalar part, and one solve pass over the element's
-own (word, integer) pairs.
+Q<gens>/deg>N go through `series.inverse_entries` over Q<<gens>>: the
+scalar part of a unit, or of a matrix whose scalar part is the identity,
+is read and never eliminated, that of any other matrix is one
+elimination, and the degrees are one solve pass over the element's own
+(word, integer) pairs.
 The layers above also share `Record` (their result records),
 `twisted_conjugacy_classes`, and the one writer and the one reader of
 signed-sum literals, `rational_sum_literal` and `signed_terms`, from here.
@@ -272,12 +275,13 @@ def fraction_free(rows) -> tuple[int, Optional[list]]:
     fraction-free Gauss-Jordan elimination (Bareiss 1968): a step replaces each
     row r by (p*r - f*pivot_row) / (previous pivot), an exact division, and the
     last pivot is det M up to the sign of the row swaps. adj is None when
-    det M = 0. Every inverse over the five rings is one such elimination (over
-    Q<gens>/deg>N, by `series.inverse_entries` over Q<<gens>>, whose one
-    elimination is of the scalar part and whose degrees are one solve pass
-    with no product), and so is every invertibility test, but for an
-    identity scalar part over Q<gens>/deg>N: `inverse_entries` reads it as
-    its own inverse, so `is_unit` and `mat_is_invertible` make none there."""
+    det M = 0. Every inverse over Q, Z/m, M_k(Q) and Q[G] is one such
+    elimination, and so is every invertibility test. Over Q<gens>/deg>N
+    they go through `series.inverse_entries` over Q<<gens>>, whose degrees
+    are one solve pass with no product: it reads the scalar part of a unit,
+    and a scalar part that is the identity, with no elimination, so
+    `is_unit`, `invert` and those `mat_is_invertible` calls make none, and
+    eliminates the scalar part of any other matrix once."""
     n = len(rows)
     m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     sign, prev = 1, 1
@@ -487,8 +491,9 @@ class CoeffRing:
 
     # where the view is one integer (Q, Z/m): the modulus that reduces a sum
     # of products, 0 where none does; None where a vector is more than one
-    # integer. The word path's pair loop folds each pair into one integer per
-    # output word on such a view (`series._convolve`)
+    # integer. The series layer holds dense series over such a view as
+    # length blocks (`series._LengthBlocks`) and reads the constant of a
+    # series over it as a scalar to invert (`series.inverse_entries`)
     view_modulus = None
 
     def scale_vector(self, vec, s: int):
@@ -1044,8 +1049,10 @@ class TruncatedFreeAlgebra(_BasisAlgebra):
     scalar part. Products multiply the (word, integer) pairs in `dot`. As a
     word -> Fraction map an element is also a series of the untwisted ring
     Q<<gens>> at order max_degree, and only inverses (of elements and of
-    matrices) go through it: `series.inverse_entries` eliminates the scalar
-    part once and solves the degrees in one pass, with no product. The
+    matrices) go through it: `series.inverse_entries` reads the scalar part
+    of a unit, or a scalar part that is the identity, with no elimination,
+    eliminates that of any other matrix once, and solves the degrees in one
+    pass, with no product. The
     trace is the projection onto cyclic word classes, labelled by least
     rotation.
     Automorphisms: permutations of the generators.

@@ -41,12 +41,9 @@ series built between steps.
 
 A ring of two or more letters takes the word path. Every product goes
 through one pair loop, `_convolve`, which sums the pairs per output word,
-named by an integer code (so no word tuple is built or hashed per pair).
-Where the coefficient view is one integer, over Q and Z/m (read off the
-ring's `view_modulus`; there is no switch), each pair's product is folded
-into one running integer per output word, reduced mod m once when it is
-read; over any other ring the pairs' vectors are gathered per output word
-and summed by one `A.dot`. Each output series is reduced once.
+named by an integer code (so no word tuple is built or hashed per pair):
+the pairs' vectors are gathered per output word and summed by one
+`A.dot`, over every ring. Each output series is reduced once.
 Each series keeps its kernel rows (words with codes and twist keys,
 shortest first). Consecutive left rows of one length and twist key form a
 run, and a run's inner loop ends at the first right word that would
@@ -95,20 +92,22 @@ onto A with section lift(). A series is invertible exactly when eps of it is
 a unit of A (the ring is local over the augmentation), and because the
 augmentation ideal is nilpotent at any finite order the inverse is fixed
 degree by degree from inv0 = eps^{-1}: all its degrees are one solve pass,
-`_solve`, shared with series matrices (`inverse_entries`). An identity
-constant term (a unit of augmentation 1, a matrix of augmentation
-identity) is inverted by reading it, inv0 = I, with no elimination, and
-q = -x+ is x's own kernel rows each scaled by an integer, with no
-`A.dot`; so `is_unit` and `mat_is_invertible` over Q<y,...>/deg>d make
-no elimination for an identity scalar part either. Any other constant is
-one `A.invert_vectors`. The pass makes no kernel call: the rows of
-q = -inv0 * x+ are x's own kernel rows, each vector times a constant
-(over Q and Z/m an integer product, with no `A.dot`), and degree d
-stands over den * g^d for one g.
-Each degree of each entry is one `_convolve` that reads exactly that
-degree, of n pairs, one per right operand, an entry of y that grows by a
-degree at a time; over one letter it is one `A.dot` of the pairs (q_it
-row of degree k, y_tj[d - k] moved by xi^-k), with no `_convolve` call.
+`_solve`, shared with series matrices (`inverse_entries`). A scalar
+constant eps(x) = (c / dx) I, over x's denominator dx, is inverted by
+reading it, with no elimination: the identity (a unit of augmentation 1, a
+matrix of augmentation identity) over any ring, and the constant of any
+series over Q or Z/m, where inv0 is dx / c or c^-1 mod m; so `is_unit`
+over Q<y,...>/deg>d, and `mat_is_invertible` there of a 1 x 1 matrix or
+of an identity scalar part, make no elimination either. Then
+q = -inv0 * x+ is x's own kernel rows, each scaled by one integer. Any
+other constant is one `A.invert_vectors`, and each word of q is one
+`A.dot` over the nonzero entries of a row of inv0. Degree d of y stands
+over den * g^d for one g.
+The pass makes no kernel call: each degree of each entry is one
+`_convolve` that reads exactly that degree, of n pairs, one per right
+operand, an entry of y that grows by a degree at a time; over one letter
+it is one `A.dot` of the pairs (q_it row of degree k, y_tj[d - k] moved by
+xi^-k), with no `_convolve` call.
 """
 
 from __future__ import annotations
@@ -127,7 +126,7 @@ from .errors import (
     NotAUnit,
     RingMismatch,
 )
-from .rings import _TOKEN, CoeffRing
+from .rings import _TOKEN, CoeffRing, RationalMatrixRing
 
 
 # The fewest products, k^(i + j), of a pair of blocks of lengths i and j
@@ -559,14 +558,10 @@ class _LengthBlocks:
             acc = [x % self.modulus for x in acc]
         return acc if acc is not None and any(acc) else ()
 
-    def scale_vector(self, vec, s: int):
-        return [x * s for x in vec]
-
-    def content(self, vec) -> int:
-        return math.gcd(*vec)
-
-    def divide_vector(self, vec, g: int):
-        return [x // g for x in vec]
+    # a block is a list of integers, as an M_k(Q) vector is
+    scale_vector = RationalMatrixRing.scale_vector
+    content = RationalMatrixRing.content
+    divide_vector = RationalMatrixRing.divide_vector
 
     def thin(self, block) -> bool:
         """Whether a block is not the gap and fills at most half its words:
@@ -699,14 +694,9 @@ def _convolve(R: SeriesRing, pairs: list, lo: int, room: int) -> dict:
     overshoots room - lv. A run shorter than lo starts at the offset of
     length lo - lv: starts[m] counts the right rows of length below m, up to
     m = room + 1 - lv (an operand read only from degree 0 needs none). The
-    pairs are summed per output word, named by its code (so no word tuple
-    is built or hashed per pair). Over a view of one integer (`view_modulus`
-    not None) each pair's product is added to the word's running integer,
-    reduced by the modulus, if any, when it is read; over any other view
-    the pairs' vectors are gathered per word and summed by one `A.dot`."""
-    A, gathered = R.coeff, {}  # code -> [v, w, sum] or (v, w, lefts, rights)
-    modulus = A.view_modulus
-    fold = modulus is not None
+    pairs' vectors are gathered per output word, named by its code (so no
+    word tuple is built or hashed per pair), and summed by one `A.dot`."""
+    A, gathered = R.coeff, {}  # code -> (v, w, lefts, rights)
     for rows, (by_key, starts) in pairs:
         run_lv = run_key = None
         for (lv, v, cv, _, key), a in rows:
@@ -718,17 +708,6 @@ def _convolve(R: SeriesRing, pairs: list, lo: int, room: int) -> dict:
                     moved, run_key = _moved_rows(by_key, key, rest), key
                 run_lv = lv
                 run = moved if lo <= lv else moved[starts[lo - lv]:starts[rest + 1]]
-            if fold:
-                for (lw, w, cw, sw, _), b in run:
-                    if lw > rest:
-                        break
-                    code = cv * sw + cw
-                    acc = gathered.get(code)
-                    if acc is None:
-                        gathered[code] = [v, w, a * b]
-                    else:
-                        acc[2] += a * b
-                continue
             for (lw, w, cw, sw, _), b in run:
                 if lw > rest:
                     break
@@ -739,13 +718,9 @@ def _convolve(R: SeriesRing, pairs: list, lo: int, room: int) -> dict:
                 else:
                     both[2].append(a)
                     both[3].append(b)
-    if fold:
-        sums = ((v, w, s % modulus if modulus else s) for v, w, s in gathered.values())
-    else:
-        dot = A.dot
-        sums = ((v, w, dot(xs, ys)) for v, w, xs, ys in gathered.values())
-    commute, nonzero, out = R.letters_commute, A.nonzero, {}
-    for v, w, vec in sums:
+    dot, nonzero, commute, out = A.dot, A.nonzero, R.letters_commute, {}
+    for v, w, xs, ys in gathered.values():
+        vec = dot(xs, ys)
         if nonzero(vec):
             word = v + w
             out[tuple(sorted(word)) if commute else word] = vec
@@ -926,59 +901,59 @@ def inverse_entries(R: SeriesRing, x: list) -> list:
     x+ = x - eps(x), so that x*y = 1; in a ring local over the augmentation
     this right inverse is two-sided. x's kernel rows are read once, over
     dx, the lcm of x's denominators, and scaled by L / F_K (`_left_rows`,
-    which also gives L). Where eps(x) is the identity (each diagonal entry
-    has augmentation 1 and no other entry has a constant term), as for
-    every unit of augmentation 1, it is its own inverse and is read, with
-    no elimination: inv0 = I over den = 1, and q = -x+ is x's own rows,
-    each vector scaled by an integer. Else inv0, over den, is one
-    `A.invert_vectors` of x's constant terms over dx. inv0 is constant, so
-    q_ij has the words of the x+_sj, each vector one `A.dot` over the s of
-    sum_s (-inv0)_is * x+_sj, over a one-integer view a sum of integer
-    products: one comprehension over x_sj's rows when one s contributes,
-    as for every series. For g = den * dx * L, a row of length
-    k is scaled by g^(k-1), folded into the (-inv0)_is, so that it stands
-    over g^k / F_K, and the degrees of y are one `_solve` pass."""
+    which also gives L). A scalar constant, eps(x) = (c / dx) I, is read,
+    with no elimination: the identity (each diagonal entry has augmentation
+    1 and no other entry has a constant term, as for every unit of
+    augmentation 1), c = dx, over any ring and any n, and the constant of
+    every series over Q or Z/m. Over Q, inv0 = (dx / c) I in lowest terms,
+    and over Z/m, inv0 = c^-1 mod m (dx = 1); c = 0, or c not prime to m,
+    is not a unit. q is then x's own rows, each vector scaled by one
+    integer. Any other constant is one `A.invert_vectors` of x's constant
+    terms over dx, to inv0 over den, and each word of q_ij is one `A.dot`
+    over the s of sum_s (-inv0)_is * x+_sj. For g = den * dx * L, a row of
+    length k is scaled by g^(k-1), with the (-inv0)_is or the integer, so
+    that it stands over g^k / F_K, and the degrees of y are one `_solve`
+    pass."""
     A, n, top = R.coeff, math.isqrt(len(x)), R.order
-    scale, dot, nonzero, modulus = A.scale_vector, A.dot, A.nonzero, A.view_modulus
+    scale, nonzero, m = A.scale_vector, A.nonzero, A.view_modulus
     by_degree = R._by_degree  # a row's info is then its degree, which names its word
     rows = dict(enumerate(x))
     dx, L = _left_rows(R, rows)
-    if constant_is_identity(x):
-        g = dx * L
-        neg = [0] + [-g ** k for k in range(top)]  # neg[k] = -g^(k-1)
+    c = (dx if constant_is_identity(x)
+         else x[0].vecs.get((), 0) if n == 1 and m is not None else None)
+    if c is not None:
+        if m:
+            if math.gcd(c, m) != 1:
+                raise NotAUnit(f"{c} is not a unit of {A.name}")
+            p, den = pow(c, -1, m), 1
+        elif not c:
+            raise NotAUnit(f"zero constant over {A.name}")
+        else:
+            h = math.gcd(c, dx)
+            p, den = (dx if c > 0 else -dx) // h, abs(c) // h
+        g = den * dx * L
+        neg = [0] + [-p * g ** k for k in range(top)]  # neg[k] = -p * g^(k-1)
+        one = R._one_vec if p == 1 else scale(R._one_vec, p)
         return _solve(R, [[(info, scale(a, neg[k])) for info, a in rows[e]
                            if (k := info if by_degree else info[0])] for e in range(n * n)],
-                      [R._one_vec if e % (n + 1) == 0 else R._zero_vec for e in range(n * n)],
-                      1, g)
+                      [one if e % (n + 1) == 0 else R._zero_vec for e in range(n * n)],
+                      den, g)
     inv0, den = A.invert_vectors([scale(e.vecs[()], dx // e.den) if () in e.vecs
                                   else R._zero_vec for e in x], dx, n)
-    g = den * dx * L
+    g, dot, q = den * dx * L, A.dot, []
     neg = {k: [scale(v, -g ** (k - 1)) for v in inv0] for k in range(1, top + 1)}
-    fold, q = modulus is not None, []  # fold: a vector is one integer
     for i in range(0, n * n, n):
         ss = [s for s in range(n) if nonzero(inv0[i + s])]
         for j in range(n):
-            if len(ss) == 1:
-                s = ss[0]
-                q.append([(info, neg[k][i + s] * a if fold else dot([neg[k][i + s]], [a]))
-                          for info, a in rows[s * n + j] if (k := info if by_degree else info[0])])
-                continue
-            # code -> [info, sum of the products] over a one-integer view, else
-            # (info, the (-inv0)_is g^(k-1), the x+_sj vectors)
-            gathered = {}
+            gathered = {}  # code -> (info, the (-inv0)_is g^(k-1), the x+_sj vectors)
             for s in ss:
                 for info, a in rows[s * n + j]:
-                    k = info if by_degree else info[0]
-                    if k:
-                        code = info if by_degree else info[2]
-                        if fold:
-                            gathered.setdefault(code, [info, 0])[1] += neg[k][i + s] * a
-                            continue
-                        _, cs, xs = gathered.setdefault(code, (info, [], []))
+                    if k := info if by_degree else info[0]:
+                        _, cs, xs = gathered.setdefault(info if by_degree else info[2],
+                                                        (info, [], []))
                         cs.append(neg[k][i + s])
                         xs.append(a)
-            sums = (((info, v % modulus if modulus else v) for info, v in gathered.values())
-                    if fold else ((info, dot(cs, xs)) for info, cs, xs in gathered.values()))
+            sums = ((info, dot(cs, xs)) for info, cs, xs in gathered.values())
             q.append(sorted([(info, v) for info, v in sums if nonzero(v)],
                             key=_first if by_degree else _row_length))
     return _solve(R, q, inv0, den, g)

@@ -961,9 +961,9 @@ FOLD_RINGS = [(RationalField, False), (lambda: IntegersMod(7), False),
 
 @pytest.mark.parametrize("make, commute", FOLD_RINGS, ids=["Q", "Z/7", "Z/12", "Q-commuting"])
 def test_one_integer_views_fold_pairs_and_drop_words_that_cancel(monkeypatch, make, commute):
-    # over Q and Z/m the word path folds each pair into one integer per output
-    # word, with no A.dot call, and a word whose pairs sum to 0 (over Z/m to
-    # a nonzero multiple of m) is absent from products, inverses, Schur
+    # over Q and Z/m the word path sums each output word's pairs by one
+    # A.dot, as over every ring, and a word whose pairs sum to 0 (over Z/m
+    # to a nonzero multiple of m) is absent from products, inverses, Schur
     # complements and logs
     R = SeriesRing(make(), alphabet=("x", "y"), order=4, letters_commute=commute)
     A, rng, one = R.coeff, random.Random(29), R.one()
@@ -974,10 +974,12 @@ def test_one_integer_views_fold_pairs_and_drop_words_that_cancel(monkeypatch, ma
              if R.normalize_word(u + v) == xy]
     assert sum(map(bool, pairs)) > 1 and sum(pairs) % getattr(A, "modulus", 1) == 0
     assert bool(sum(pairs)) == isinstance(A, IntegersMod)
+    words = [R.normalize_word(u + v) for u in s.vecs for v in t.vecs
+             if len(u) + len(v) <= R.order]
     calls, dot = [], A.dot
     monkeypatch.setattr(A, "dot", lambda xs, ys: calls.append(len(xs)) or dot(xs, ys))
     product = s * t
-    assert calls == []
+    assert len(calls) == len(set(words)) and sum(calls) == len(words)
     monkeypatch.undo()
     assert product == ref_mul(s, t) and xy not in product.vecs
     # the solve pass turns the dense inverse of a sparse e back into e
@@ -1001,17 +1003,22 @@ def test_one_integer_views_fold_pairs_and_drop_words_that_cancel(monkeypatch, ma
         assert formal_log(u) == k == ref_power_sum(u - one, lambda n: F((-1) ** (n + 1), n))
 
 
-def test_word_path_dots_other_views_once_per_output_word(monkeypatch, m2):
-    # over M2(Q) the pairs of each output word are gathered for one A.dot
-    R, rng = two_letter(m2, 4, twist={"x": "swap"}), random.Random(31)
-    s, t = dense_series(R, rng, 3), random_series(R, rng, terms=5)
-    pairs = [u + v for u in s.vecs for v in t.vecs if len(u) + len(v) <= R.order]
-    calls, dot = [], m2.dot
-    monkeypatch.setattr(m2, "dot", lambda xs, ys: calls.append(len(xs)) or dot(xs, ys))
-    product = s * t
-    assert len(calls) == len(set(pairs)) and sum(calls) == len(pairs)
-    monkeypatch.undo()
-    assert product == ref_mul(s, t)
+def test_word_path_dots_other_views_once_per_output_word(monkeypatch):
+    # over every ring the pairs of each output word are gathered for one
+    # A.dot: M2(Q):swap, Q, Z/7 and Q on commuting letters
+    for A, twist, commute in ((m2_swap(), {"x": "swap"}, False), (RationalField(), None, False),
+                              (IntegersMod(7), None, False), (RationalField(), None, True)):
+        R = SeriesRing(A, alphabet=("x", "y"), twist=twist, order=4, letters_commute=commute)
+        rng = random.Random(31)
+        s, t = dense_series(R, rng, 3), random_series(R, rng, terms=5)
+        pairs = [R.normalize_word(u + v) for u in s.vecs for v in t.vecs
+                 if len(u) + len(v) <= R.order]
+        calls, dot = [], A.dot
+        monkeypatch.setattr(A, "dot", lambda xs, ys: calls.append(len(xs)) or dot(xs, ys))
+        product = s * t
+        assert len(calls) == len(set(pairs)) and sum(calls) == len(pairs)
+        monkeypatch.undo()
+        assert product == ref_mul(s, t)
 
 
 # -- the length-block view: dense operands as Kronecker products by length -------
@@ -1166,20 +1173,27 @@ def test_block_loop_drops_a_word_whose_pairs_sum_to_a_multiple_of_m(monkeypatch,
 
 
 @pytest.mark.parametrize("make", [RationalField, lambda: IntegersMod(101)], ids=["Q", "Z/101"])
-def test_dense_two_letter_inverses_make_no_dot_call(monkeypatch, make):
-    # over a one-integer view, q = -inv0 * x+ is x's rows times one integer
-    # per length, and the solve pass runs to the end on the length-block
-    # view: no A.dot call, for a series and for a 2x2 matrix whose inv0 has
-    # two nonzero entries per row
+def test_dense_two_letter_inverses_run_on_the_view(monkeypatch, make):
+    # over a one-integer view, q = -inv0 * x+ of a series is x's rows times
+    # one integer per length, with no A.dot call, and of a 2x2 matrix whose
+    # inv0 has two nonzero entries per row one A.dot per word of q; both
+    # solve passes run to the end on the length-block view
     R, rng = two_letter(make(), 6), random.Random(67)
     A = R.coeff
     u = R.lift(A.one) + dense_kernel(R, rng)
     m = SeriesMatrix(R, [[R.lift(A.one) + dense_kernel(R, rng), R.lift(A.one) + dense_kernel(R, rng)],
                          [R.lift(A.zero) + dense_kernel(R, rng), R.lift(A.one + A.one) + dense_kernel(R, rng)]])
-    monkeypatch.setattr(A, "dot", _forbidden)
+    calls, dot = [], A.dot
+    monkeypatch.setattr(A, "dot", lambda xs, ys: calls.append(len(xs)) or dot(xs, ys))
     passes = _view_passes(monkeypatch)
-    inv, m_inv = u.inverse(), mat_invert(m)
+    inv = u.inverse()
+    assert calls == []
+    m_inv = mat_invert(m)
     assert passes == [True, True]
+    # inv0 = [[1, -1/2], [0, 1/2]], so q_0j has the words of x+_0j and
+    # x+_1j and q_1j those of x+_1j, and each word of q is one A.dot
+    x = [{w for w in e.vecs if w} for row in m.rows for e in row]
+    assert len(calls) == sum(len(x[j] | x[2 + j]) + len(x[2 + j]) for j in range(2))
     monkeypatch.undo()
     assert ref_mul(u, inv) == R.one() == ref_mul(inv, u)
     assert ref_mat_mul(m, m_inv) == SeriesMatrix.identity(R, 2)
@@ -1314,7 +1328,9 @@ def test_identity_constants_are_inverted_with_no_elimination(name, letters, elim
     # a unit of augmentation 1, and a 2x2 or 3x3 series matrix of
     # augmentation identity, is inverted by reading its constant term: no
     # fraction-free elimination, an inverse on both sides, and exactly the
-    # inverse 2 * (2u)^-1, whose constant 2 is eliminated once
+    # inverse 2 * (2u)^-1, whose constant 2 is read too over Q, Z/7 and
+    # Q<y,z> (a series over Q<<y,z>>), and eliminated once elsewhere, as is
+    # the constant 2I of every matrix
     make, twist = FIBER_RINGS[name]
     A = make()
     R = (one_letter if letters == 1 else two_letter)(
@@ -1326,7 +1342,8 @@ def test_identity_constants_are_inverted_with_no_elimination(name, letters, elim
         v = u.inverse()
         assert len(eliminations) == 0
         assert u * v == R.one() == v * u
-        assert u.scale(2).inverse().scale(2) == v and len(eliminations) == 1
+        assert u.scale(2).inverse().scale(2) == v
+        assert len(eliminations) == (A.kind not in ("rational", "int_mod", "free_trunc"))
     for n in (2, 3):
         m = random_unipotent_matrix(R, rng, n)
         del eliminations[:]
@@ -1337,6 +1354,40 @@ def test_identity_constants_are_inverted_with_no_elimination(name, letters, elim
         halved = mat_invert(double).rows
         assert SeriesMatrix(R, [[e.scale(2) for e in row] for row in halved]) == inv
         assert len(eliminations) == 1
+
+
+@pytest.mark.parametrize("name, units, non_units",
+                         [("Q", ["2", "-3/2"], ["0"]), ("Z/12", ["5", "7", "11"], ["0", "4", "6"])],
+                         ids=["Q", "Z/12"])
+def test_scalar_constants_of_series_are_inverted_with_no_elimination(
+        capsys, tmp_path, eliminations, name, units, non_units):
+    # over Q and Z/m the constant c of a series is read, inv0 = 1/c or
+    # c^-1 mod m, with no fraction-free elimination; c = 0, or c not prime
+    # to m, is refused, and the CLI exits 2 with AugmentationNotUnit
+    A = RationalField() if name == "Q" else IntegersMod(12)
+    doc = {"coeff": {"kind": "rational"} if name == "Q" else {"kind": "int_mod", "modulus": 12},
+           "alphabet": ["x", "y"], "order": 3}
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps(doc))
+    rng = random.Random(name)
+    for letters in ("x", "xy"):
+        R = SeriesRing(A, alphabet=tuple(letters), order=3)
+        for c in units:
+            u = R.lift(A.parse_element_literal(c)) + random_kernel(R, rng)
+            del eliminations[:]
+            v = u.inverse()
+            assert len(eliminations) == 0
+            assert u * v == R.one() == v * u
+            assert ref_mul(u, v) == R.one() == ref_mul(v, u)
+        for c in non_units:
+            u = R.lift(A.parse_element_literal(c)) + random_kernel(R, rng)
+            with pytest.raises(AugmentationNotUnit, match=f"^augmentation {c} is not a unit"):
+                u.inverse()
+            assert len(eliminations) == 0
+    for c in non_units:
+        assert main(["inv", "--ring", str(ring), f'{c}+w("x")+2*w("xy")']) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and json.loads(out.err)["error"]["type"] == "AugmentationNotUnit"
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
