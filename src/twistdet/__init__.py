@@ -73,6 +73,5 @@ from .novikov import (
     twisted_conjugacy_classes,
     w1_invariant,
 )
-from .selftest import selftest
 
 __version__ = "0.1.0"

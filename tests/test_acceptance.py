@@ -35,7 +35,7 @@ from twistdet import (
     whitehead_identity_check,
 )
 from twistdet.cli import main as cli_main
-from twistdet.randgen import (
+from twistdet.selftest import (
     random_flavor_pair,
     random_kernel_matrix,
     random_unipotent_matrix,

@@ -26,7 +26,6 @@ from twistdet.documents import (
     validate,
 )
 from twistdet.errors import ValidationError
-from twistdet.randgen import random_series
 from twistdet.rings import (
     FiniteGroup,
     GroupAlgebra,
@@ -36,6 +35,7 @@ from twistdet.rings import (
     TruncatedFreeAlgebra,
     cyclic_group,
 )
+from twistdet.selftest import random_series
 
 
 RING_DOCS = [

@@ -28,10 +28,10 @@ from twistdet import (
 )
 from twistdet.kgroup import least_rotation, one_minus_alpha_x
 from twistdet.novikov import OrbitCountReport
-from twistdet.randgen import random_fiber_one, random_flavor_pair
 from twistdet.rings import RationalField, sum_by_key
 from twistdet.selftest import free_yz as make_free_yz
 from twistdet.selftest import m2_nonintegral, m2_swap, m3_cyclic, qc4_inv, qs3_conj
+from twistdet.selftest import random_fiber_one, random_flavor_pair
 
 from conftest import assert_folded, one_letter, two_letter
 

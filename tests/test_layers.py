@@ -1,4 +1,8 @@
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import twistdet
@@ -7,7 +11,7 @@ PACKAGE = Path(twistdet.__file__).parent
 # each module imports only modules of lower layers; modules of one layer do
 # not import each other
 LAYERS = [{"errors"}, {"rings"}, {"series"}, {"literals", "matrices"}, {"kgroup"},
-          {"novikov"}, {"randgen"}, {"selftest"}, {"documents"}, {"cli"}, {"__init__"}]
+          {"novikov"}, {"selftest"}, {"documents"}, {"cli"}, {"__init__"}]
 RANK = {name: rank for rank, layer in enumerate(LAYERS) for name in layer}
 # the only upward imports, each made inside a function: Q<gens>/deg>N inverts
 # in Q<<gens>>, and a series' repr is its literal
@@ -33,3 +37,22 @@ def test_modules_import_only_lower_layers():
                 assert (path.stem, target) in LAZY_UPWARD and not at_top, (path.stem, target)
                 upward.add((path.stem, target))
     assert upward == LAZY_UPWARD
+
+
+def test_selftest_names_the_registry_module():
+    # a fresh process, so no earlier test has imported the registry yet
+    code = textwrap.dedent("""
+        import sys, types
+        import twistdet
+        assert "twistdet.selftest" not in sys.modules, "imported by twistdet"
+        import twistdet.selftest as st
+        assert isinstance(st, types.ModuleType), type(st)
+        assert len(st.REGISTRY) == 106, len(st.REGISTRY)
+        assert st.selftest("rings", trials=1)["passed"] is True
+        from twistdet import selftest
+        assert selftest is st
+    """)
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -17,7 +17,7 @@ from twistdet import (
     rearrange_inverses_check,
     whitehead_identity_check,
 )
-from twistdet.randgen import random_kernel_matrix, random_unipotent_matrix
+from twistdet.selftest import random_kernel_matrix, random_unipotent_matrix
 
 from conftest import assert_folded, one_letter, two_letter
 

@@ -31,7 +31,12 @@ from twistdet import (
 from twistdet import matrices as matrices_module
 from twistdet import series as series_module
 from twistdet.cli import main
-from twistdet.randgen import (
+from twistdet.selftest import (
+    free_yz,
+    m2_nonintegral,
+    m2_swap,
+    m2_two_twists,
+    qc4_inv,
     random_fiber_one,
     random_invertible_matrix,
     random_kernel,
@@ -40,7 +45,6 @@ from twistdet.randgen import (
     random_unipotent_matrix,
     random_unit,
 )
-from twistdet.selftest import free_yz, m2_nonintegral, m2_swap, m2_two_twists, qc4_inv
 
 from conftest import assert_folded, one_letter, two_letter
 
