@@ -25,19 +25,19 @@ one flat list. Over an untwisted letter the diagonals overlap, and the
 flat list is the operand's vectors by degree. Over a twisted letter
 diagonal d is diagonal d - 1 moved once by the twist's view action, in a
 loop, up to reach, the highest left degree that reads the operand, so
-each (shift, degree) is moved once per operation; left vectors carry
-L / F^k for a twist of factor F, so a moved vector depends on its shift
-alone. Each output degree of a product or a Schur complement, up to the
-order or the highest degree its operands reach, is one `A.dot` of the
-pairs it gathers (`_convolve_by_degree`), and the solve pass grows each
-entry of y by one diagonal per degree (`_solve_by_degree`). A left is read
-by one rule (`_pairs_at`): one that fills more than half of its degrees is
-a run, read with a diagonal by one slice each, and a sparse one row by
-row, so it costs a step per row and degree, not per degree squared. Log
-and exp are one Horner pass on lists by degree (`_power_sum_by_degree`):
-degree d of h*theta is one `A.dot` of h[:d] and a slice of theta's
-diagonal d, built once per pass, with one gcd reduction per step and no
-series built between steps.
+each (shift, degree) is moved once per operation; a move divides by the
+twist's factor F (`_move`), exactly, since right vectors carry F^e for e
+the most shifts a call moves them by. Each output degree of a product or a
+Schur complement, up to the order or the highest degree its operands
+reach, is one `A.dot` of the pairs it gathers (`_convolve_by_degree`), and
+the solve pass grows each entry of y by one diagonal per degree
+(`_solve_by_degree`). A left is read by one rule (`_pairs_at`): one that
+fills more than half of its degrees is a run, read with a diagonal by one
+slice each, and a sparse one row by row, so it costs a step per row and
+degree, not per degree squared. Log and exp are one Horner pass on lists
+by degree (`_power_sum_by_degree`): degree d of h*theta is one `A.dot` of
+h[:d] and a slice of theta's diagonal d, built once per pass, with one gcd
+reduction per step and no series built between steps.
 
 A ring of two or more letters takes the word path. Every product goes
 through one pair loop, `_convolve`, which sums the pairs per output word,
@@ -49,16 +49,17 @@ shortest first). Consecutive left rows of one length and twist key form a
 run, and a run's inner loop ends at the first right word that would
 overshoot the order. A word's move depends only on its twist key, the
 inverse twists of its twisted letters (RingAutomorphism objects; letters
-twisted alike share one): untwisted words move nothing. Left vectors carry
-the scale a move needs (`_left_rows`), so a right row moved past a key
-depends on nothing else, and a right operand keeps one move table for the
-whole operation: its rows moved past each key, each list extended in a
-loop from that of the key's next shorter suffix (`_moved_rows`), so each
-(key, right word) is moved once, through the twists' view actions, when a
-left word with that key first reaches it. Log and exp are one power-sum
-pass, `_power_sum`: each step of Horner's rule, h = h*theta + c_k, is one
-`_convolve` with theta the right operand of every step, so theta's rows
-are moved past each key once for the pass.
+twisted alike share one): untwisted words move nothing. A move divides by
+the twists' factors (`_move`), and right vectors carry M, the lcm of the
+factors to the power of the longest left word, so it divides exactly, a
+moved row keeps its operand's denominator, and a right operand keeps one
+move table for the whole operation: its rows moved past each key, each
+list extended in a loop from that of the key's next shorter suffix
+(`_moved_rows`), so each (key, right word) is moved once, through the
+twists' view actions, when a left word with that key first reaches it. Log
+and exp are one power-sum pass, `_power_sum`: each step of Horner's rule,
+h = h*theta + c_k, is one `_convolve` with theta the right operand of
+every step, so theta's rows are moved past each key once for the pass.
 
 Over Q and Z/m on letters that do not commute, where nothing moves, a
 ring whose k^N words can make a Kronecker product of `_KRONECKER_MIN`
@@ -190,8 +191,9 @@ class SeriesRing:
         # so letters twisted alike share it
         self._inverse_by_letter = {i: coeff.automorphism(n).inverse
                                    for i, n in enumerate(names) if n != "id"}
-        # whether a move can raise a denominator (`_left_rows`)
-        self._scaled_moves = any(a.factor != 1 for a in self._inverse_by_letter.values())
+        # the lcm of their factors: a kernel call's right vectors carry a power
+        # of it, so each move divides by its factor exactly (`_move`)
+        self._factor = math.lcm(*(a.factor for a in self._inverse_by_letter.values()))
         # whether every word is x^d, so the kernel pairs terms by degree
         # alone, and a move past x^k is k view actions of the one letter's
         # inverse twist, `_shift` (None if the letter is untwisted)
@@ -466,6 +468,11 @@ class TwistedSeries:
 
     # -- truncation ----------------------------------------------------------------
     def truncated(self, order: int) -> "TwistedSeries":
+        """The series in its ring at `order`, words longer than that dropped;
+        an order above the ring's is refused, since the words between are
+        not known."""
+        if order > self.ring.order:
+            raise ValueError(f"cannot raise the order of a series of {self.ring!r} to {order}")
         ring = self.ring.with_order(order)
         return TwistedSeries(ring, {w: v for w, v in self.vecs.items() if len(w) <= order},
                              self.den)
@@ -586,35 +593,29 @@ def sums_of_products(R: SeriesRing, sums: list) -> list:
     at R.order.
 
     Left vectors are brought over dl, the lcm of the left denominators, and
-    each is scaled by L / F_K, for F_K the product of the twists' factors of
-    its word's key K and L the lcm of the F_K over the left words
-    (`_left_rows`). Right rows are brought over dr, the lcm of the right
-    denominators, once per call, as the base of each right operand's moves;
-    a move through K adds F_K to their denominator, so each output word is
-    one sum of products over dl * dr * L (`_convolve`, or
-    `_convolve_by_degree` over one letter). On a block ring a call whose
-    operands are all dense, and can make a Kronecker product of at least
-    `_KRONECKER_MIN` entries, runs on `_convolve_by_degree` over the
-    length-block view (`_block_view`)."""
+    right vectors over dr, the lcm of the right denominators, and scaled by
+    M = f^e, for f the lcm of the twists' factors and e the longest left
+    word (`_left_rows`), once per call. A move past a letter
+    divides by its twist's factor (`_move`), exactly, since a right vector
+    is moved past at most e letters, so each output word is one sum of
+    products over dl * dr * M (`_convolve`, or `_convolve_by_degree` over
+    one letter). On a block ring a call whose operands are all dense, and
+    can make a Kronecker product of at least `_KRONECKER_MIN` entries, runs
+    on `_convolve_by_degree` over the length-block view (`_block_view`)."""
     left, right = {}, {}  # by id: the operand, then its rows (left) or right operand
     for pairs in sums:
         for s, t in pairs:
             left[id(s)] = s
             right[id(t)] = t
-    V = R._blocks and _block_view(R, sums)
-    dl, L = _left_rows(R, left, V)
-    dr = math.lcm(*map(_den, right.values()))
-    scale_vector = (V or R.coeff).scale_vector
-    for i, t in right.items():
-        rows, times = t._length_blocks() if V else t._kernel_rows(), dr // t.den
-        if times != 1:
-            rows = [(info, scale_vector(b, times)) for info, b in rows]
-        right[i] = rows if R._by_degree or V else ({(): rows}, None)
-    den = dl * dr * L
+    f, V = R._factor, R._blocks and _block_view(R, sums)
+    M = f ** max((len(w) for s in left.values() for w in s.vecs), default=0) if f != 1 else 1
+    dl, dr = _left_rows(R, left, V), _left_rows(R, right, V, M)
+    den = dl * dr * M
     if R._by_degree or V:
         out = _convolve_by_degree(R, [[(left[id(s)], right[id(t)]) for s, t in pairs]
                                       for pairs in sums], V)
         return [TwistedSeries(R, vecs, den) for vecs in out]
+    right = {i: ({(): rows}, None) for i, rows in right.items()}
     return [TwistedSeries(R, _convolve(R, [(left[id(s)], right[id(t)]) for s, t in pairs],
                                        0, R.order), den) for pairs in sums]
 
@@ -634,7 +635,6 @@ def _block_view(R: SeriesRing, sums: list):
 
 _den = operator.attrgetter("den")
 _first = operator.itemgetter(0)
-_row_key = operator.itemgetter(4)  # of a word-path row's info: its twist key
 
 
 def _row_length(row) -> int:
@@ -642,51 +642,44 @@ def _row_length(row) -> int:
     return row[0][0]
 
 
-def _left_rows(R: SeriesRing, left: dict, V=None) -> tuple:
-    """Replace each left operand of a kernel call, a power-sum step of the
-    word path or an inverse, the values of `left`, by its kernel rows (its
-    blocks by length over a length-block view V), each vector over den, the
-    lcm of their denominators, and scaled by L / F_K, for F_K the product of
-    the twists' factors of the row's key K and L the lcm of the F_K; return
-    (den, L). A right row moved past K then stands
-    over F_K times its own denominator, so every pair of a sum stands over
-    den * L times the right denominator, whatever the key. Over one letter
-    the key of x^k is read as k, and F_K is F^k for F the factor of the
-    letter's inverse twist. Where every twist has factor 1, so has every
-    key, and the keys are not read."""
-    scale_vector, den = (V or R.coeff).scale_vector, math.lcm(*map(_den, left.values()))
-    key = int if R._by_degree else _row_key  # a degree row's info is its degree
-    factors = {}  # key -> F_K of every left row, where a twist has factor F != 1
-    for s in left.values() if R._scaled_moves else ():
-        for info, _ in s._kernel_rows():
-            k = key(info)
-            if k not in factors:
-                factors[k] = (R._shift.factor ** k if R._by_degree
-                              else math.prod(auto.factor for auto in k))
-    L = math.lcm(*factors.values())
-    uniform = min(factors.values(), default=1) == L
-    for i, s in left.items():
-        rows, times = s._length_blocks() if V else s._kernel_rows(), den // s.den
-        if times == 1 and uniform:
-            left[i] = rows
-            continue
-        scaled = left[i] = []
-        for info, a in rows:
-            t = times * (L // factors[key(info)]) if factors else times
-            scaled.append((info, a if t == 1 else scale_vector(a, t)))
-    return den, L
+def _left_rows(R: SeriesRing, ops: dict, V=None, times: int = 1) -> int:
+    """Replace each operand of a kernel call, a power-sum pass or an
+    inverse, the values of `ops`, by its kernel rows (its blocks by length
+    over a length-block view V), each vector brought over den, the lcm of
+    their denominators, and scaled by `times`; return den. Left operands
+    are set up with times 1, and right ones, which twists move, with times
+    M, a power of the lcm of the twists' factors large enough that each
+    move divides exactly (`_move`)."""
+    scale_vector, den = (V or R.coeff).scale_vector, math.lcm(*map(_den, ops.values()))
+    for i, s in ops.items():
+        rows, t = s._length_blocks() if V else s._kernel_rows(), den // s.den * times
+        ops[i] = rows if t == 1 else [(info, scale_vector(a, t)) for info, a in rows]
+    return den
+
+
+def _move(auto):
+    """The move of a vector past a letter twisted by `auto`, one of the
+    inverse twists: its view action, then, for a factor F != 1, one exact
+    division by F, so a moved vector stands over its own denominator. The
+    vector must carry a multiple of F, which the kernel's right vectors do
+    (`sums_of_products`)."""
+    act, f = auto.act, auto.factor
+    if f == 1:
+        return act
+    divide = auto.ring.divide_vector
+    return lambda v: divide(act(v), f)
 
 
 def _convolve(R: SeriesRing, pairs: list, lo: int, room: int) -> dict:
     """word -> nonzero vector of the sum, over (left rows, right operand)
     pairs, of each left row (length lv, key K) times each right row of
     length lo - lv .. room - lv: the pair loop of rings of two or more
-    letters. Left rows are shortest first and their vectors already scaled
-    (`_left_rows`).
+    letters. Left rows are shortest first (`_left_rows`).
 
     A right operand is (by_key, starts). by_key is its move table: by_key[()]
-    holds its kernel rows, over the right denominator of the call, and
-    by_key[K] those rows moved leftward past K, as far as a left row has
+    holds its kernel rows, over the right denominator of the call, times M
+    (`sums_of_products`), and by_key[K] those rows moved leftward past K, over
+    the same denominator (`_move`), as far as a left row has
     read them (`_moved_rows`); the table lives as long as the operand, so
     each (key, right row) is moved once. Consecutive left rows of one length
     and key form a run, which looks its moved rows up once; rows are
@@ -731,7 +724,7 @@ def _convolve_by_degree(R: SeriesRing, sums: list, V=None) -> list:
     """The pair loop over one letter, where every word is x^d, or over the
     length-block view V, where a degree is a length: [word -> nonzero vector
     of the sum] for each list of (left rows, right rows) pairs, rows (d,
-    vector) shortest first and left vectors scaled (`_left_rows`). A left
+    vector) shortest first, as `_left_rows` sets them up. A left
     row of degree k meets the right operand moved by xi^-k, so each right
     operand is held in its diagonal form (`_diagonals`), built once per call
     through its reach, the highest left degree of the call that reads it.
@@ -793,21 +786,21 @@ def _diagonals(R: SeriesRing, dense: list, reach: int, end: int, form=None) -> t
     Over an untwisted letter the diagonals overlap: flat is dense itself and
     origin[d] = d, and nothing is copied or moved. Over a twisted letter
     diagonal d holds its entries min(d, reach) down to the lowest of degree
-    at most top = len(dense) - 1, each entry k >= 1 one view action on entry
-    k - 1 of diagonal d - 1 (the zero vector, that object, is carried as it
-    is), in a loop, so each (shift, degree) is moved once; then entry 0,
-    dense[d], where d <= top. A solve pass grows y by a degree at a time, so
-    it extends the form of y by a diagonal per degree and puts entry 0, y_d,
-    at flat[origin[d]] itself."""
+    at most top = len(dense) - 1, each entry k >= 1 one move (`_move`) of
+    entry k - 1 of diagonal d - 1 (the zero vector, that object, is carried
+    as it is), in a loop, so each (shift, degree) is moved once; then entry
+    0, dense[d], where d <= top. A solve pass grows y by a degree at a time,
+    so it extends the form of y by a diagonal per degree and puts entry 0,
+    y_d, at flat[origin[d]] itself."""
     if R._shift is None:
         return dense, list(range(end + 1))
     flat, origin = form or ([], [])
-    act, zero, top = R._shift.act, R._zero_vec, len(dense) - 1
+    move, zero, top = _move(R._shift), R._zero_vec, len(dense) - 1
     for d in range(len(origin), end + 1):
         lo = max(1, d - top)  # entries below lo have degrees above top: zero
         if d:
             o = origin[-1]
-            flat += [v if v is zero else act(v) for v in flat[o - min(d, reach) + 1:o - lo + 2]]
+            flat += [v if v is zero else move(v) for v in flat[o - min(d, reach) + 1:o - lo + 2]]
         origin.append(len(flat) + lo - 1)
         if d <= top:
             flat.append(dense[d])
@@ -861,8 +854,8 @@ def _pairs_at(d: int, sides: list) -> tuple:
 
 def _moved_rows(by_key: dict, key: tuple, room: int) -> list:
     """by_key[key], first extended to every row of by_key[()] of length at
-    most `room`: the rows moved leftward past `key` by the view actions of
-    its twists, last letter first. The move past key[i:] is key[i] after the
+    most `room`: the rows moved leftward past `key` by its twists, last
+    letter first (`_move`). The move past key[i:] is key[i] after the
     move past key[i+1:], so each suffix of key, shortest first, is extended
     from the next shorter one's list, and each (suffix, row) is moved once.
     A list that already reaches `room` is returned at once (so does the
@@ -873,13 +866,13 @@ def _moved_rows(by_key: dict, key: tuple, room: int) -> list:
         return moved
     moved = rows
     for i in range(len(key) - 1, -1, -1):
-        shorter, act = moved, key[i].act
+        shorter, move = moved, _move(key[i])
         moved = by_key.setdefault(key[i:], [])
         for j in range(len(moved), len(shorter)):
             info, b = shorter[j]
             if info[0] > room:
                 break
-            moved.append((info, act(b)))
+            moved.append((info, move(b)))
     return moved
 
 
@@ -899,26 +892,24 @@ def inverse_entries(R: SeriesRing, x: list) -> list:
 
     y = x^-1 solves y = inv0 + q*y for inv0 = eps(x)^-1 and q = -inv0 * x+,
     x+ = x - eps(x), so that x*y = 1; in a ring local over the augmentation
-    this right inverse is two-sided. x's kernel rows are read once, over
-    dx, the lcm of x's denominators, and scaled by L / F_K (`_left_rows`,
-    which also gives L). A scalar constant, eps(x) = (c / dx) I, is read,
-    with no elimination: the identity (each diagonal entry has augmentation
-    1 and no other entry has a constant term, as for every unit of
-    augmentation 1), c = dx, over any ring and any n, and the constant of
-    every series over Q or Z/m. Over Q, inv0 = (dx / c) I in lowest terms,
-    and over Z/m, inv0 = c^-1 mod m (dx = 1); c = 0, or c not prime to m,
-    is not a unit. q is then x's own rows, each vector scaled by one
-    integer. Any other constant is one `A.invert_vectors` of x's constant
-    terms over dx, to inv0 over den, and each word of q_ij is one `A.dot`
-    over the s of sum_s (-inv0)_is * x+_sj. For g = den * dx * L, a row of
-    length k is scaled by g^(k-1), with the (-inv0)_is or the integer, so
-    that it stands over g^k / F_K, and the degrees of y are one `_solve`
-    pass."""
+    this right inverse is two-sided. x's kernel rows are read once, over dx,
+    the lcm of x's denominators (`_left_rows`). A scalar constant, eps(x) =
+    (c / dx) I, is read, with no elimination: the identity (each diagonal
+    entry has augmentation 1 and no other entry has a constant term, as for
+    every unit of augmentation 1), c = dx, over any ring and any n, and the
+    constant of every series over Q or Z/m. Over Q, inv0 = (dx / c) I in
+    lowest terms, and over Z/m, inv0 = c^-1 mod m (dx = 1); c = 0, or c not
+    prime to m, is not a unit. q is then x's own rows, each vector scaled by
+    one integer. Any other constant is one `A.invert_vectors` of x's
+    constant terms over dx, to inv0 over den, and each word of q_ij is one
+    `A.dot` over the s of sum_s (-inv0)_is * x+_sj. For g = den * dx, a row
+    of length k is scaled by g^(k-1), with the (-inv0)_is or the integer, so
+    that it stands over g^k, and the degrees of y are one `_solve` pass."""
     A, n, top = R.coeff, math.isqrt(len(x)), R.order
     scale, nonzero, m = A.scale_vector, A.nonzero, A.view_modulus
     by_degree = R._by_degree  # a row's info is then its degree, which names its word
     rows = dict(enumerate(x))
-    dx, L = _left_rows(R, rows)
+    dx = _left_rows(R, rows)
     c = (dx if constant_is_identity(x)
          else x[0].vecs.get((), 0) if n == 1 and m is not None else None)
     if c is not None:
@@ -931,7 +922,7 @@ def inverse_entries(R: SeriesRing, x: list) -> list:
         else:
             h = math.gcd(c, dx)
             p, den = (dx if c > 0 else -dx) // h, abs(c) // h
-        g = den * dx * L
+        g = den * dx
         neg = [0] + [-p * g ** k for k in range(top)]  # neg[k] = -p * g^(k-1)
         one = R._one_vec if p == 1 else scale(R._one_vec, p)
         return _solve(R, [[(info, scale(a, neg[k])) for info, a in rows[e]
@@ -940,7 +931,7 @@ def inverse_entries(R: SeriesRing, x: list) -> list:
                       den, g)
     inv0, den = A.invert_vectors([scale(e.vecs[()], dx // e.den) if () in e.vecs
                                   else R._zero_vec for e in x], dx, n)
-    g, dot, q = den * dx * L, A.dot, []
+    g, dot, q = den * dx, A.dot, []
     neg = {k: [scale(v, -g ** (k - 1)) for v in inv0] for k in range(1, top + 1)}
     for i in range(0, n * n, n):
         ss = [s for s in range(n) if nonzero(inv0[i + s])]
@@ -964,19 +955,24 @@ def _solve(R: SeriesRing, q: list, y0: list, den: int, g: int) -> list:
     y0/den and y_d = sum_{k=1..d} q_k * y_{d-k} for d = 1..N, in one pass.
 
     q holds per entry the kernel rows, shortest first, of augmentation 0 of
-    a left operand with a row of length k and key K over g^k / F_K. So each
-    y_d stands over den * g^d: a row of length k meets only y_{d-k}, moved
-    past K, and y_d_ij is one `_convolve` of the n pairs (q_it, y_tj) that
-    reads exactly degree d. Each y_tj is one right operand for the whole
-    pass, to which each degree's rows are appended as it is solved, so its
-    rows are moved past each key once. Nothing is rescaled or reduced
-    between degrees; they are merged once, over den * g^N, and reduced by
-    the TwistedSeries constructor. Over one letter the same q and the same
-    bookkeeping solve each degree by one `A.dot` per entry, with no
-    `_convolve` call (`_solve_by_degree`), and so they do on a block ring
-    where every entry of q is dense, over the length-block view, unless a
-    degree of y is not (`_LengthBlocks.thin`): then the pass starts again
-    here."""
+    a left operand with a row of length k over g^k. y0 is first scaled by
+    M = f^N, for f the lcm of the twists' factors, and den by M, so each
+    y_d stands over den * g^d and is a multiple of f^(N-d): a row of length
+    k meets only y_{d-k}, moved past its key, at most k letters, each move
+    dividing exactly by its factor (`_move`), and y_d_ij is one `_convolve`
+    of the n pairs (q_it, y_tj) that reads exactly degree d. Each y_tj is
+    one right operand for the whole pass, to which each degree's rows are
+    appended as it is solved, so its rows are moved past each key once.
+    Nothing is rescaled or reduced between degrees; they are merged once,
+    over den * g^N, and reduced by the TwistedSeries constructor. Over one
+    letter the same q and the same bookkeeping solve each degree by one
+    `A.dot` per entry, with no `_convolve` call (`_solve_by_degree`), and so
+    they do on a block ring where every entry of q is dense, over the
+    length-block view, unless a degree of y is not (`_LengthBlocks.thin`):
+    then the pass starts again here."""
+    M = R._factor ** R.order
+    if M != 1:
+        y0, den = [R.coeff.scale_vector(v, M) for v in y0], den * M
     if R._by_degree:
         return _solve_by_degree(R, q, y0, den, g)
     V = R._blocks
@@ -1054,14 +1050,16 @@ def _power_sum(theta: TwistedSeries, coeff) -> TwistedSeries:
     rule inside the kernel: from h = 0, h = h*theta + coeff(k) for k = N down
     to 1, then h*theta. h is a polynomial in theta with rational
     coefficients, so it commutes with theta, and theta is the one right
-    operand of every step: its rows are moved past each key of h once for
-    the whole pass. Each step is one `_convolve` cut at degree N - k, since
-    only the degrees up to N - k of the h at k reach the order, with h's
-    rows set up as left rows (`_left_rows`) and coeff(k) put into its
-    constant vector. Over one letter the pass runs on lists by degree
-    (`_power_sum_by_degree`), and so it does on a block ring where theta is
-    dense, over the length-block view, unless a degree of h*theta is not
-    (`_LengthBlocks.thin`): then the pass starts again here."""
+    operand of every step, set up once (`_left_rows`) with M = f^(N-1), for
+    f the lcm of the twists' factors, since h has words of at most N - 1
+    letters: its rows are moved past each key of h once for the whole pass.
+    Each step is one `_convolve` cut at degree N - k, since only the degrees
+    up to N - k of the h at k reach the order, with h's rows set up as left
+    rows (`_left_rows`) and coeff(k) put into its constant vector. Over one
+    letter the pass runs on lists by degree (`_power_sum_by_degree`), and so
+    it does on a block ring where theta is dense, over the length-block
+    view, unless a degree of h*theta is not (`_LengthBlocks.thin`): then the
+    pass starts again here."""
     R, n = theta.ring, theta.ring.order
     if R._by_degree:
         return _power_sum_by_degree(theta, coeff)
@@ -1069,12 +1067,13 @@ def _power_sum(theta: TwistedSeries, coeff) -> TwistedSeries:
         h = _power_sum_by_degree(theta, coeff, R._blocks)
         if h is not None:
             return h
-    A, right, h = R.coeff, ({(): theta._kernel_rows()}, None), R.zero()
+    A, M, right, h = R.coeff, R._factor ** max(n - 1, 0), {0: theta}, R.zero()
+    dtheta = _left_rows(R, right, None, M) * M
+    right = ({(): right[0]}, None)
     for k in range(n, -1, -1):
         left = {0: h}
-        dh, L = _left_rows(R, left)
+        den = _left_rows(R, left) * dtheta
         vecs = _convolve(R, [(left[0], right)], 0, n - k)
-        den = dh * theta.den * L
         if not k:
             return TwistedSeries(R, vecs, den)
         c = coeff(k)
@@ -1089,33 +1088,28 @@ def _power_sum_by_degree(theta: TwistedSeries, coeff, V=None):
     """_power_sum over one letter, or over the length-block view V, on lists
     by degree: degree d of h*theta is sum_{i<d} h_i * xi^-i(theta_{d-i}),
     one `A.dot` of h[:d], kept highest degree first, and one slice of
-    diagonal d of theta. theta's diagonals are built once for the pass,
-    through reach N - 1 (`_diagonals`), so each (shift, degree of theta) is
-    moved once; over a twist of factor F, h_i is scaled by F^(N-1-i), as
-    `_left_rows` scales a left row, so that every pair stands over F^(N-1)
-    times theta's denominator. Each step adds coeff(k) to the constant and
-    divides by the gcd, as the TwistedSeries constructor does; no series is
-    built between steps. Over V, None as soon as a degree of h*theta is
-    thin."""
+    diagonal d of theta. theta's vectors are scaled by M = F^(N-1), for F
+    the factor of the letter's inverse twist, and its diagonals are built
+    once for the pass, through reach N - 1 (`_diagonals`), so each (shift,
+    degree of theta) is moved once, each move dividing exactly by F
+    (`_move`), and every pair stands over M times theta's denominator. Each
+    step adds coeff(k) to the constant and divides by the gcd, as the
+    TwistedSeries constructor does; no series is built between steps. Over
+    V, None as soon as a degree of h*theta is thin."""
     R, n = theta.ring, theta.ring.order
     A, zero, one = (R.coeff, R._zero_vec, R._one_vec) if V is None else (V, V.zero, V.one)
-    shift = R._shift
     dot, scale = A.dot, A.scale_vector
-    dense = [zero] * (n + 1)
-    if V is None:
-        for w, v in theta.vecs.items():
-            dense[len(w)] = v
-    else:
-        for d, v in theta._length_blocks():
-            dense[d] = v
-    reach, f = max(n - 1, 0), 1 if shift is None else shift.factor
+    reach = max(n - 1, 0)
+    M, dense = R._factor ** reach, [zero] * (n + 1)
+    for d, v in theta._length_blocks() if V else ((len(w), v) for w, v in theta.vecs.items()):
+        dense[d] = v if M == 1 else scale(v, M)
+    dtheta = theta.den * M
     flat, origin = _diagonals(R, dense, reach, n)
     diagonals = [flat[o - d + 1:o + 1] for d, o in enumerate(origin)]  # entries d-1 .. 0
-    h, dh, dtheta = [], 1, theta.den * f ** reach  # h by degree, highest first
+    h, dh = [], 1  # h by degree, highest first
     for k in range(n, -1, -1):
         m = len(h) - 1
-        left = h if f == 1 else [scale(v, f ** (reach - m + j)) for j, v in enumerate(h)]
-        vecs = [dot(left[m - d + 1:], diagonals[d]) for d in range(1, n - k + 1)]
+        vecs = [dot(h[m - d + 1:], diagonals[d]) for d in range(1, n - k + 1)]
         den = dh * dtheta
         if V and any(map(V.thin, vecs)):
             return None

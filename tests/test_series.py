@@ -17,6 +17,7 @@ from twistdet import (
     NotAUnit,
     NotInvertible,
     RationalField,
+    RationalMatrixRing,
     RingAutomorphism,
     RingMismatch,
     SeriesMatrix,
@@ -197,6 +198,17 @@ def test_with_order_truncates(qq):
     assert R.with_order(2).order == 2
 
 
+def test_truncated_refuses_an_order_above_the_rings(qq):
+    # the inverse of 1 + x at order 2 knows nothing of degrees 3 to 5: read
+    # at order 5 it would be 1 - x + x^2, whose product with 1 + x is 1 + x^3
+    R = SeriesRing(qq, order=2)
+    inv = (R.one() + R.letter("x")).inverse()
+    with pytest.raises(ValueError, match="order"):
+        inv.truncated(5)
+    assert inv.truncated(2) == inv
+    assert poly(inv.truncated(1)) == {0: F(1), 1: F(-1)}
+
+
 def test_cross_ring_operations_rejected(qq):
     R3 = SeriesRing(qq, order=3)
     R4 = SeriesRing(qq, order=4)
@@ -271,7 +283,19 @@ def kernel_rings(qq, m2, m2_two_twists):
         SeriesRing(qc4_inv(), alphabet=("x",), order=5),
         SeriesRing(free_yz(), alphabet=("x",), order=4),
         SeriesRing(qq, alphabet=("x",), order=6, letters_commute=True),
+        # twists of distinct factors, 2 and 3: their lcm 6 is no factor of either
+        SeriesRing(m2_factors_2_3(), alphabet=xy, twist={"x": "two", "y": "three"}, order=4),
+        SeriesRing(m2_factors_2_3(), alphabet=("x",), twist={"x": "two"}, order=6),
     ]
+
+
+def m2_factors_2_3():
+    """M2(Q) with conjugations whose inverses have factors 2 and 3."""
+    ring = RationalMatrixRing(2)
+    ring.register_conjugation("two", [[2, 0], [0, 1]])
+    ring.register_conjugation("three", [[3, 1], [0, 1]])
+    assert [ring.automorphism(n).inverse.factor for n in ("two", "three")] == [2, 3]
+    return ring
 
 
 def ref_mul(s, t):
@@ -355,12 +379,14 @@ def test_log_and_exp_set_theta_up_once_and_run_order_plus_one_pair_loops(
     setups, loops = [], []
     left_rows, convolve = series_module._left_rows, series_module._convolve
 
-    def counted_rows(R, left):
-        setups.append(list(left.values()))
-        return left_rows(R, left)
+    def counted_rows(R, ops, *args):
+        operands = list(ops.values())
+        den = left_rows(R, ops, *args)
+        setups.append((operands, args, list(ops.values())))
+        return den
 
     def counted_convolve(R, pairs, *args):
-        loops.append((*args[:2], [right for _, right in pairs]))
+        loops.append((*args[:2], [right for _, right in pairs], [rows for rows, _ in pairs]))
         return convolve(R, pairs, *args)
     monkeypatch.setattr(series_module, "_left_rows", counted_rows)
     monkeypatch.setattr(series_module, "_convolve", counted_convolve)
@@ -369,11 +395,14 @@ def test_log_and_exp_set_theta_up_once_and_run_order_plus_one_pair_loops(
         del kernel_calls[:], setups[:], loops[:]
         f(arg)
         assert kernel_calls == [("power", theta)]
-        assert [(lo, room) for lo, room, _ in loops] == [(0, room) for room in range(order + 1)]
-        assert len({tuple(map(id, rights)) for _, _, rights in loops}) == 1
-        assert [by_key[()] for _, _, ((by_key, _),) in loops[:1]] == [theta._kernel_rows()]
-        assert len(setups) == order + 1 and all(len(ops) == 1 for ops in setups)
-        assert setups[0] == [R.zero()]
+        assert [(lo, room) for lo, room, *_ in loops] == [(0, room) for room in range(order + 1)]
+        assert len({tuple(map(id, rights)) for _, _, rights, _ in loops}) == 1
+        assert [by_key[()] for _, _, ((by_key, _),), _ in loops[:1]] == [theta._kernel_rows()]
+        (thetas, args, _), *steps = setups
+        assert thetas == [theta] and args == (None, 1)  # swap has factor 1, so M = 1
+        assert len(steps) == order + 1 and all(len(ops) == 1 and not args for ops, args, _ in steps)
+        assert steps[0][0] == [R.zero()]
+        assert all(rows is lefts[0] for (_, _, (rows,)), (*_, lefts) in zip(steps, loops))
 
 
 def _recorded_moves(monkeypatch):
