@@ -24,7 +24,6 @@ from .rings import Record
 from .series import (
     SeriesRing,
     TwistedSeries,
-    constant_is_identity,
     inverse_entries,
     sums_of_products,
 )
@@ -136,7 +135,10 @@ class SeriesMatrix:
 
 
 def augmentation_is_identity(m: SeriesMatrix) -> bool:
-    return m.is_square() and constant_is_identity([e for row in m.rows for e in row])
+    """Whether m is square and eps(m) = I: each diagonal entry has
+    augmentation 1, and no other entry has a constant term."""
+    return m.is_square() and all(e.augmentation_is_one() if i == j else () not in e.vecs
+                                 for i, row in enumerate(m.rows) for j, e in enumerate(row))
 
 
 def mat_is_invertible(m: SeriesMatrix) -> bool:

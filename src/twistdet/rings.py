@@ -22,7 +22,7 @@ document layers call:
   over one denominator have equal vectors: Q's is one integer, and Z/m's
   one integer in [0, m) (their `view_modulus` is 0 and m, which the
   series layer reads for its length-block view and to invert a scalar
-  constant, series.py); M_k(Q)'s is a list of its k*k
+  constant mod m, series.py); M_k(Q)'s is a list of its k*k
   entries, zeros kept; a basis algebra's is its (key, integer) pairs, from
   which `clear`, `dot`, `act`, `add_vectors` and `scale_vector` drop zero
   entries and whose keys they sort. `nonzero`, `content`, `divide_vector`
@@ -76,11 +76,9 @@ pairs (factor 1); `RingAutomorphism.apply` is clear, act and `rebuild`.
 Every inverse, over Q, M_k(Q), Q[G] and Z/m, is one `fraction_free`
 elimination of integers, of which only the entries read back are built;
 it is also the one invertibility test. Units and matrices over
-Q<gens>/deg>N go through `series.inverse_entries` over Q<<gens>>: the
-scalar part of a unit, or of a matrix whose scalar part is the identity,
-is read and never eliminated, that of any other matrix is one
-elimination, and the degrees are one solve pass over the element's own
-(word, integer) pairs.
+Q<gens>/deg>N go through `series.inverse_entries` over Q<<gens>>: a
+scalar part c I is read; any other scalar part is one elimination. The
+degrees are one solve pass over the element's own (word, integer) pairs.
 The layers above also share `Record` (their result records),
 `twisted_conjugacy_classes`, and the one writer and the one reader of
 signed-sum literals, `rational_sum_literal` and `signed_terms`, from here.
@@ -278,10 +276,8 @@ def fraction_free(rows) -> tuple[int, Optional[list]]:
     det M = 0. Every inverse over Q, Z/m, M_k(Q) and Q[G] is one such
     elimination, and so is every invertibility test. Over Q<gens>/deg>N
     they go through `series.inverse_entries` over Q<<gens>>, whose degrees
-    are one solve pass with no product: it reads the scalar part of a unit,
-    and a scalar part that is the identity, with no elimination, so
-    `is_unit`, `invert` and those `mat_is_invertible` calls make none, and
-    eliminates the scalar part of any other matrix once."""
+    are one solve pass with no product: a scalar part c I is read; any
+    other scalar part is one elimination."""
     n = len(rows)
     m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     sign, prev = 1, 1
@@ -492,8 +488,8 @@ class CoeffRing:
     # where the view is one integer (Q, Z/m): the modulus that reduces a sum
     # of products, 0 where none does; None where a vector is more than one
     # integer. The series layer holds dense series over such a view as
-    # length blocks (`series._LengthBlocks`) and reads the constant of a
-    # series over it as a scalar to invert (`series.inverse_entries`)
+    # length blocks (`series._LengthBlocks`), and inverts a scalar constant
+    # c I over Z/m as c^-1 mod m (`series.inverse_entries`)
     view_modulus = None
 
     def scale_vector(self, vec, s: int):
@@ -1049,12 +1045,10 @@ class TruncatedFreeAlgebra(_BasisAlgebra):
     scalar part. Products multiply the (word, integer) pairs in `dot`. As a
     word -> Fraction map an element is also a series of the untwisted ring
     Q<<gens>> at order max_degree, and only inverses (of elements and of
-    matrices) go through it: `series.inverse_entries` reads the scalar part
-    of a unit, or a scalar part that is the identity, with no elimination,
-    eliminates that of any other matrix once, and solves the degrees in one
-    pass, with no product. The
-    trace is the projection onto cyclic word classes, labelled by least
-    rotation.
+    matrices) go through it: in `series.inverse_entries` a scalar part c I
+    is read; any other scalar part is one elimination. The degrees are one
+    solve pass, with no product. The trace is the projection onto cyclic
+    word classes, labelled by least rotation.
     Automorphisms: permutations of the generators.
     """
 

@@ -93,15 +93,15 @@ onto A with section lift(). A series is invertible exactly when eps of it is
 a unit of A (the ring is local over the augmentation), and because the
 augmentation ideal is nilpotent at any finite order the inverse is fixed
 degree by degree from inv0 = eps^{-1}: all its degrees are one solve pass,
-`_solve`, shared with series matrices (`inverse_entries`). A scalar
-constant eps(x) = (c / dx) I, over x's denominator dx, is inverted by
-reading it, with no elimination: the identity (a unit of augmentation 1, a
-matrix of augmentation identity) over any ring, and the constant of any
-series over Q or Z/m, where inv0 is dx / c or c^-1 mod m; so `is_unit`
-over Q<y,...>/deg>d, and `mat_is_invertible` there of a 1 x 1 matrix or
-of an identity scalar part, make no elimination either. Then
-q = -inv0 * x+ is x's own kernel rows, each scaled by one integer. Any
-other constant is one `A.invert_vectors`, and each word of q is one
+`_solve`, shared with series matrices (`inverse_entries`). One rule
+picks how inv0 is found: a scalar constant c I is read; any other constant
+is one elimination. Over x's denominator dx, eps(x) = (c / dx) I for an
+integer c (among them the identity, the constant of every unit of
+augmentation 1 and of every matrix of augmentation identity) has inv0 =
+(dx / c) I, or c^-1 mod m over Z/m, and q = -inv0 * x+ is x's own kernel
+rows, each scaled by one integer; so `is_unit` over Q<y,...>/deg>d makes
+no elimination either.
+Any other constant is one `A.invert_vectors`, and each word of q is one
 `A.dot` over the nonzero entries of a row of inv0. Degree d of y stands
 over den * g^d for one g.
 The pass makes no kernel call: each degree of each entry is one
@@ -126,6 +126,7 @@ from .errors import (
     NeedsRationalCoefficients,
     NotAUnit,
     RingMismatch,
+    ValidationError,
 )
 from .rings import _TOKEN, CoeffRing, RationalMatrixRing
 
@@ -159,33 +160,30 @@ def _word_code(word: tuple, base: int) -> int:
     return code
 
 
-def series_ring_refusal(alphabet: tuple, twist: dict, order: int, letters_commute) -> tuple:
-    """(path, message) for the first argument that SeriesRing refuses, the
-    path naming it as a field of a series ring document, or None."""
-    if any(len(a) != 1 for a in alphabet) or len(set(alphabet)) != len(alphabet):
-        return ("alphabet",), "alphabet letters must be distinct single characters"
-    for i, a in enumerate(alphabet):  # each word must read back inside one w("...") factor
-        if getattr(_TOKEN.fullmatch(f'w("{a}")'), "lastgroup", None) != "word":
-            return ("alphabet", i), f"letter {a!r} cannot be written in a w(\"...\") factor"
-    if order < 0:
-        return ("order",), "order must be >= 0"
-    stray = sorted(set(twist) - set(alphabet))
-    if stray:
-        return ("twist", stray[0]), f"twist names letters not in the alphabet: {stray}"
-    if letters_commute and any(n != "id" for n in twist.values()):
-        return ("letters_commute",), "commuting letters require identity twists"
-    return None
-
-
 class SeriesRing:
-    """A_xi<<X>> truncated at total word length `order`."""
+    """A_xi<<X>> truncated at total word length `order`. An argument it
+    refuses raises ValidationError (a ValueError) whose path names it as a
+    field of a series ring document."""
 
     def __init__(self, coeff: CoeffRing, alphabet=("x",), twist=None, order=4,
                  letters_commute=False):
         alphabet, twist = tuple(alphabet), twist or {}
-        refused = series_ring_refusal(alphabet, twist, order, letters_commute)
-        if refused is not None:
-            raise ValueError(refused[1])
+        if any(len(a) != 1 for a in alphabet) or len(set(alphabet)) != len(alphabet):
+            raise ValidationError("alphabet letters must be distinct single characters",
+                                  ("alphabet",))
+        for i, a in enumerate(alphabet):  # each word must read back inside one w("...") factor
+            if getattr(_TOKEN.fullmatch(f'w("{a}")'), "lastgroup", None) != "word":
+                raise ValidationError(f"letter {a!r} cannot be written in a w(\"...\") factor",
+                                      ("alphabet", i))
+        if order < 0:
+            raise ValidationError("order must be >= 0", ("order",))
+        stray = sorted(set(twist) - set(alphabet))
+        if stray:
+            raise ValidationError(f"twist names letters not in the alphabet: {stray}",
+                                  ("twist", stray[0]))
+        if letters_commute and any(n != "id" for n in twist.values()):
+            raise ValidationError("commuting letters require identity twists",
+                                  ("letters_commute",))
         names = tuple(twist.get(a, "id") for a in alphabet)
         # each twisted letter's inverse twist: one registry object per name,
         # so letters twisted alike share it
@@ -876,15 +874,6 @@ def _moved_rows(by_key: dict, key: tuple, room: int) -> list:
     return moved
 
 
-def constant_is_identity(x: list) -> bool:
-    """Whether eps(x) = I for the n x n matrix x of series given by its n*n
-    row-major entries: each diagonal entry has augmentation 1, and no other
-    entry has a constant term."""
-    n = math.isqrt(len(x))
-    return all(e.augmentation_is_one() if i % (n + 1) == 0 else () not in e.vecs
-               for i, e in enumerate(x))
-
-
 def inverse_entries(R: SeriesRing, x: list) -> list:
     """The entries of x^-1, row-major, for the n x n matrix x of series of R
     given by its n*n row-major entries (a series is the case n = 1); raises
@@ -893,15 +882,13 @@ def inverse_entries(R: SeriesRing, x: list) -> list:
     y = x^-1 solves y = inv0 + q*y for inv0 = eps(x)^-1 and q = -inv0 * x+,
     x+ = x - eps(x), so that x*y = 1; in a ring local over the augmentation
     this right inverse is two-sided. x's kernel rows are read once, over dx,
-    the lcm of x's denominators (`_left_rows`). A scalar constant, eps(x) =
-    (c / dx) I, is read, with no elimination: the identity (each diagonal
-    entry has augmentation 1 and no other entry has a constant term, as for
-    every unit of augmentation 1), c = dx, over any ring and any n, and the
-    constant of every series over Q or Z/m. Over Q, inv0 = (dx / c) I in
-    lowest terms, and over Z/m, inv0 = c^-1 mod m (dx = 1); c = 0, or c not
-    prime to m, is not a unit. q is then x's own rows, each vector scaled by
-    one integer. Any other constant is one `A.invert_vectors` of x's
-    constant terms over dx, to inv0 over den, and each word of q_ij is one
+    the lcm of x's denominators (`_left_rows`), and so are its constant
+    terms. A scalar constant c I, over dx for an integer c, is read; any
+    other constant is one elimination. Over Z/m, inv0 = c^-1 mod m (dx =
+    1), and over a Q-algebra, inv0 = (dx / c) I in lowest terms; c = 0, or
+    c not prime to m, is not a unit. q is then x's own rows, each vector
+    scaled by one integer. Any other constant is one `A.invert_vectors` of
+    the constant terms over dx, to inv0 over den, and each word of q_ij is one
     `A.dot` over the s of sum_s (-inv0)_is * x+_sj. For g = den * dx, a row
     of length k is scaled by g^(k-1), with the (-inv0)_is or the integer, so
     that it stands over g^k, and the degrees of y are one `_solve` pass."""
@@ -910,9 +897,11 @@ def inverse_entries(R: SeriesRing, x: list) -> list:
     by_degree = R._by_degree  # a row's info is then its degree, which names its word
     rows = dict(enumerate(x))
     dx = _left_rows(R, rows)
-    c = (dx if constant_is_identity(x)
-         else x[0].vecs.get((), 0) if n == 1 and m is not None else None)
-    if c is not None:
+    consts = [scale(e.vecs[()], dx // e.den) if () in e.vecs else R._zero_vec for e in x]
+    c = A.content(consts[0])  # |c|, or c itself, if consts is c I
+    c = c if consts[0] == (scale(R._one_vec, c) if c else R._zero_vec) else -c
+    if consts == [scale(R._one_vec, c) if c and e % (n + 1) == 0 else R._zero_vec
+                  for e in range(n * n)]:
         if m:
             if math.gcd(c, m) != 1:
                 raise NotAUnit(f"{c} is not a unit of {A.name}")
@@ -929,8 +918,7 @@ def inverse_entries(R: SeriesRing, x: list) -> list:
                            if (k := info if by_degree else info[0])] for e in range(n * n)],
                       [one if e % (n + 1) == 0 else R._zero_vec for e in range(n * n)],
                       den, g)
-    inv0, den = A.invert_vectors([scale(e.vecs[()], dx // e.den) if () in e.vecs
-                                  else R._zero_vec for e in x], dx, n)
+    inv0, den = A.invert_vectors(consts, dx, n)
     g, dot, q = den * dx, A.dot, []
     neg = {k: [scale(v, -g ** (k - 1)) for v in inv0] for k in range(1, top + 1)}
     for i in range(0, n * n, n):

@@ -199,6 +199,17 @@ def test_vaserstein_refuses_a_non_unit_one_plus_ac(qq, m2):
             vaserstein_transform(one, R.letter("x"), -one)
 
 
+def test_vaserstein_tests_one_plus_ac_by_inverting_one_plus_b2a(qq, m2, eliminations):
+    # with a = c = 1 and b = x, eps(ac) = 1, and 1 + ac = 2 is tested only by
+    # the inversion of 1 + b'a = 2 + 2x, whose scalar constant is read
+    for A in (qq, m2):
+        R = one_letter(A, 3)
+        del eliminations[:]
+        b2, ok = vaserstein_transform(R.one(), R.letter("x"), R.one())
+        assert ok and b2 == R.one() + R.letter("x").scale(2)
+        assert len(eliminations) == 0
+
+
 def test_vaserstein_random(qq, qc4, free_yz):
     assert_folded("vaserstein", [two_letter(c, 3) for c in (qq, qc4, free_yz)], 8,
                   shapes=[("unit",)])

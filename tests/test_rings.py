@@ -515,8 +515,8 @@ def test_invertibility_matches_independent_references(name, eliminations):
     # is_unit and mat_is_invertible against a reference that does not call
     # the ring, on 1x1 to 3x3 draws that are invertible and that are not;
     # each answer is one fraction-free elimination, but over Q<y,z>/deg>d
-    # a 1x1 draw, or one whose scalar part is the identity, is inverted
-    # with none
+    # a draw whose scalar part is c I, for any c (every 1x1 draw), is
+    # inverted with none
     A = INVERTIBILITY_RINGS[name]()
     assert A.name == name
     rng, outcomes, counts = random.Random(29), {1: set(), 2: set(), 3: set()}, set()
@@ -531,9 +531,10 @@ def test_invertibility_matches_independent_references(name, eliminations):
         rows = tuple(tuple(draw() for _ in range(n)) for _ in range(n))
         expected = ref_invertible(A, rows)
         outcomes[n].add(expected)
-        once = not (A.kind == "free_trunc" and (n == 1 or all(dict(a).get((), 0) == (i == j)
-                                                              for i, row in enumerate(rows)
-                                                              for j, a in enumerate(row))))
+        c = dict(rows[0][0]).get((), 0) if A.kind == "free_trunc" else None
+        once = not (A.kind == "free_trunc" and all(dict(a).get((), 0) == (c if i == j else 0)
+                                                   for i, row in enumerate(rows)
+                                                   for j, a in enumerate(row)))
         del eliminations[:]
         assert A.mat_is_invertible(rows) == expected, rows
         assert len(eliminations) == once

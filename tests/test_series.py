@@ -32,6 +32,7 @@ from twistdet import (
 from twistdet import matrices as matrices_module
 from twistdet import series as series_module
 from twistdet.cli import main
+from twistdet.errors import ValidationError
 from twistdet.selftest import (
     free_yz,
     m2_nonintegral,
@@ -188,6 +189,14 @@ def test_commuting_letters_reject_twists(m2):
 def test_twist_of_a_letter_outside_the_alphabet_rejected(m2):
     with pytest.raises(ValueError, match="'q'"):
         SeriesRing(m2, alphabet=("x",), twist={"q": "swap"}, order=2)
+
+
+def test_a_repeated_letter_is_refused_with_its_document_path(qq):
+    # SeriesRing's own refusal names the field of a series ring document
+    with pytest.raises(ValidationError) as caught:
+        SeriesRing(qq, alphabet=("x", "y", "x"), order=2)
+    assert caught.value.path == ("alphabet",)
+    assert str(caught.value) == "alphabet letters must be distinct single characters"
 
 
 def test_with_order_truncates(qq):
@@ -1361,9 +1370,8 @@ def test_identity_constants_are_inverted_with_no_elimination(name, letters, elim
     # a unit of augmentation 1, and a 2x2 or 3x3 series matrix of
     # augmentation identity, is inverted by reading its constant term: no
     # fraction-free elimination, an inverse on both sides, and exactly the
-    # inverse 2 * (2u)^-1, whose constant 2 is read too over Q, Z/7 and
-    # Q<y,z> (a series over Q<<y,z>>), and eliminated once elsewhere, as is
-    # the constant 2I of every matrix
+    # inverse 2 * (2u)^-1, whose scalar constant 2, like the 2I of every
+    # matrix, is read too
     make, twist = FIBER_RINGS[name]
     A = make()
     R = (one_letter if letters == 1 else two_letter)(
@@ -1376,7 +1384,7 @@ def test_identity_constants_are_inverted_with_no_elimination(name, letters, elim
         assert len(eliminations) == 0
         assert u * v == R.one() == v * u
         assert u.scale(2).inverse().scale(2) == v
-        assert len(eliminations) == (A.kind not in ("rational", "int_mod", "free_trunc"))
+        assert len(eliminations) == 0
     for n in (2, 3):
         m = random_unipotent_matrix(R, rng, n)
         del eliminations[:]
@@ -1386,7 +1394,7 @@ def test_identity_constants_are_inverted_with_no_elimination(name, letters, elim
         double = SeriesMatrix(R, [[e.scale(2) for e in row] for row in m.rows])
         halved = mat_invert(double).rows
         assert SeriesMatrix(R, [[e.scale(2) for e in row] for row in halved]) == inv
-        assert len(eliminations) == 1
+        assert len(eliminations) == 0
 
 
 @pytest.mark.parametrize("name, units, non_units",
@@ -1421,6 +1429,55 @@ def test_scalar_constants_of_series_are_inverted_with_no_elimination(
         assert main(["inv", "--ring", str(ring), f'{c}+w("x")+2*w("xy")']) == 2
         out = capsys.readouterr()
         assert out.out == "" and json.loads(out.err)["error"]["type"] == "AugmentationNotUnit"
+
+
+# a ring, the twist of its letter x, and a scalar of it that is a unit, not 0 or 1
+SCALAR_RINGS = {"Q": (RationalField, None, "-3/2"), "Z/12": (lambda: IntegersMod(12), None, "5"),
+                "M2(Q):swap": (m2_swap, "swap", "-3/2"), "Q[C4]:inv": (qc4_inv, "inv", "-3/2"),
+                "Q<y,z>/deg>2:flip": (free_yz, "flip", "-3/2")}
+
+
+@pytest.mark.parametrize("name", list(SCALAR_RINGS))
+def test_scalar_matrix_constants_are_inverted_with_no_elimination(name, eliminations):
+    # a constant c I, for a scalar c that is neither 0 nor 1, is read with no
+    # fraction-free elimination, for a 1x1, 2x2 or 3x3 series matrix, and
+    # what is read is the inverse on both sides
+    make, twist, c = SCALAR_RINGS[name]
+    A = make()
+    scalar = A.scalar_mul(F(c), A.one)
+    rng = random.Random(name)
+    for R in (one_letter(A, 3, twist=twist), two_letter(A, 3, {"x": twist} if twist else None)):
+        for n in (1, 2, 3):
+            m = random_kernel_matrix(R, rng, n, n) + SeriesMatrix.lift(
+                R, [[scalar if i == j else A.zero for j in range(n)] for i in range(n)])
+            del eliminations[:]
+            inv = mat_invert(m)
+            assert len(eliminations) == 0
+            assert m * inv == SeriesMatrix.identity(R, n) == inv * m
+
+
+def test_non_unit_scalar_constants_are_refused_with_no_elimination(capsys, tmp_path,
+                                                                   eliminations, m2):
+    # 4I over Z/12 and 0 over M2(Q) are read and refused, with the errors an
+    # elimination gave them, and without one
+    del eliminations[:]  # those of m2's conjugation
+    R = two_letter(IntegersMod(12), 3)
+    four = R.lift(4)
+    with pytest.raises(NotInvertible,
+                       match=r"^augmentation matrix is not invertible over Z/12$"):
+        mat_invert(SeriesMatrix(R, [[four + R.letter("x"), R.letter("y")],
+                                    [R.letter("x") * R.letter("y"), four]]))
+    S = one_letter(m2, 3, twist="swap")
+    with pytest.raises(AugmentationNotUnit,
+                       match=r"^augmentation 0,0;0,0 is not a unit of M2\(Q\)$"):
+        (S.letter("x") + S.from_terms([("xx", m2.one)])).inverse()
+    assert len(eliminations) == 0
+    ring = tmp_path / "m2.json"
+    ring.write_text(json.dumps({"coeff": {"kind": "matrix", "size": 2}, "order": 3}))
+    assert main(["inv", "--ring", str(ring), '[0,0;0,0]+w("x")']) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and json.loads(out.err)["error"]["type"] == "AugmentationNotUnit"
+    assert len(eliminations) == 0
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
