@@ -36,7 +36,6 @@ from .literals import parse_series, render_series
 from .matrices import (
     LduFactors,
     SeriesMatrix,
-    det_stabilize,
     dieudonne_det,
     ldu_decompose,
     mat_invert,
@@ -68,7 +67,6 @@ from .novikov import (
     nov_invert,
     nov_mul,
     nov_neg,
-    nov_sub,
     orbit_counts,
     twisted_conjugacy_classes,
     w1_invariant,

@@ -56,8 +56,10 @@ class CGenerator(Record):
 
     The flavor names the defining condition the pair must satisfy. All
     flavors additionally require 1+ba to be a unit and the resulting element
-    to have augmentation 1, which pins eps(ab) = eps(ba). The check of 1+ba
-    is its inversion, kept (outside the record's fields) for `element`.
+    to have augmentation 1, which pins eps(ab) = eps(ba). The conditions are
+    read off the constant vectors of a and b and their one-pair `dot`s; only
+    `b_unit` reads eps(b) as a value, to test the caller's b. The check of
+    1+ba is its inversion, kept (outside the record's fields) for `element`.
     """
 
     __slots__ = ("a", "b", "flavor", "_ba_inverse")
@@ -69,20 +71,21 @@ class CGenerator(Record):
             raise RingMismatch("a and b live in different series rings")
         if flavor not in FLAVORS:
             raise FlavorViolated(f"unknown flavor {flavor!r}")
-        A = a.ring.coeff
-        ea, eb = a.augmentation(), b.augmentation()
-        e_ab = A.mul(ea, eb)
-        e_ba = A.mul(eb, ea)
-        if flavor == FLAVOR_A_KERNEL and not A.is_zero(ea):
+        R = a.ring
+        A, zero = R.coeff, R._zero_vec
+        ea, eb = a.vecs.get((), zero), b.vecs.get((), zero)
+        # both over a.den * b.den, so the vectors compare as the values do
+        e_ab, e_ba = A.dot((ea,), (eb,)), A.dot((eb,), (ea,))
+        if flavor == FLAVOR_A_KERNEL and A.nonzero(ea):
             raise FlavorViolated("flavor needs eps(a) = 0")
-        if flavor == FLAVOR_AB_BA_KERNEL and not (A.is_zero(e_ab) and A.is_zero(e_ba)):
+        if flavor == FLAVOR_AB_BA_KERNEL and (A.nonzero(e_ab) or A.nonzero(e_ba)):
             raise FlavorViolated("flavor needs eps(ab) = eps(ba) = 0")
-        if flavor == FLAVOR_BA_KERNEL and not A.is_zero(e_ba):
+        if flavor == FLAVOR_BA_KERNEL and A.nonzero(e_ba):
             raise FlavorViolated("flavor needs eps(ba) = 0")
-        if flavor == FLAVOR_B_UNIT and not A.is_unit(eb):
+        if flavor == FLAVOR_B_UNIT and not A.is_unit(b.augmentation()):
             raise FlavorViolated("flavor needs eps(b) to be a unit")
-        self._ba_inverse = _inverse(a.ring.one() + b * a, "1 + ba is not invertible")
-        if not A.is_zero(A.sub(e_ab, e_ba)):
+        self._ba_inverse = _inverse(R.one() + b * a, "1 + ba is not invertible")
+        if e_ab != e_ba:
             raise FlavorViolated(
                 "eps(ab) != eps(ba): the element would leave the augmentation fiber")
 

@@ -232,19 +232,6 @@ def _det_rec(m: SeriesMatrix) -> TwistedSeries:
     return a11 * _det_rec(_schur_complement(m, neg_u))
 
 
-def det_stabilize(m: SeriesMatrix, extra: int) -> TwistedSeries:
-    """D of m padded with an identity block of size `extra`."""
-    if extra < 0:
-        raise DimensionMismatch("padding size must be >= 0")
-    if extra == 0:
-        return dieudonne_det(m)
-    ring = m.ring
-    padded = SeriesMatrix.block(
-        [[m, SeriesMatrix.zero(ring, m.nrows, extra)],
-         [SeriesMatrix.zero(ring, extra, m.ncols), SeriesMatrix.identity(ring, extra)]])
-    return dieudonne_det(padded)
-
-
 def whitehead_identity_check(a: SeriesMatrix, b: SeriesMatrix) -> bool:
     """(1 -a; 0 1)(1+ab 0; 0 1)(1 0; b 1) == (1 0; b 1)(1 0; 0 1+ba)(1 -a; 0 1).
 

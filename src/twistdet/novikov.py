@@ -91,13 +91,12 @@ class NovikovSeries:
     def matches_one_on_window(self) -> bool:
         """True iff every represented coefficient agrees with the constant 1.
 
-        Weaker than is_one when the window misses degree 0."""
-        A = self.base.ring.coeff
-        for d in range(self.min_degree, self.max_degree + 1):
-            c = self.coefficient(d)
-            if not (A.is_one(c) if d == 0 else A.is_zero(c)):
-                return False
-        return True
+        Weaker than is_one when the window misses degree 0. Read off the
+        normal form: a nonzero base with shift > 0 has a nonzero coefficient
+        at -shift, and a move fixes 0 and 1, so at shift 0 the window is the
+        base, and at shift > 0 only a zero base whose window ends below 0
+        matches."""
+        return self.is_one() or (self.is_zero() and self.max_degree < 0)
 
     def __eq__(self, other):
         return (isinstance(other, NovikovSeries) and self.shift == other.shift
@@ -148,10 +147,6 @@ def nov_add(u: NovikovSeries, v: NovikovSeries) -> NovikovSeries:
 
 def nov_neg(u: NovikovSeries) -> NovikovSeries:
     return NovikovSeries(-u.base, u.shift)
-
-
-def nov_sub(u: NovikovSeries, v: NovikovSeries) -> NovikovSeries:
-    return nov_add(u, nov_neg(v))
 
 
 def nov_mul(u: NovikovSeries, v: NovikovSeries) -> NovikovSeries:

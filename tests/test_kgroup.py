@@ -145,6 +145,106 @@ def test_random_generators_land_in_fiber(free_yz, m2):
                   shapes=[(flavor,) for flavor in FLAVORS])
 
 
+def value_calls(monkeypatch, A):
+    """A list that gets the name of each outermost call of A's value ops
+    and of `is_unit`, wrapped on the instance."""
+    calls, depth = [], []
+
+    def wrap(name):
+        op = getattr(A, name)
+
+        def counted(*args):
+            if not depth:
+                calls.append(name)
+            depth.append(name)
+            try:
+                return op(*args)
+            finally:
+                depth.pop()
+        monkeypatch.setattr(A, name, counted)
+    for name in ("mul", "add", "scalar_mul", "rebuild", "is_unit"):
+        wrap(name)
+    return calls
+
+
+@pytest.mark.parametrize("make, twist", [
+    (lambda: IntegersMod(12), None), (m2_swap, None), (qc4_inv, {"x": "inv"}),
+    (make_free_yz, None)], ids=["Z/12", "M2(Q)", "Q[C4]:inv", "Q<y,z>/deg>2"])
+def test_flavor_conditions_read_off_constant_vectors(monkeypatch, make, twist):
+    # every flavor builds a valid pair without a value op on the coefficient
+    # ring; b_unit alone reads eps(b) as a value to test the caller's b
+    A = make()
+    R = two_letter(A, 3, twist=twist)
+    rng = random.Random(44)
+    for flavor in FLAVORS:
+        for _ in range(4):
+            a, b = random_flavor_pair(R, rng, flavor)
+            calls = value_calls(monkeypatch, A)
+            g = CGenerator(a, b, flavor)
+            assert calls == (["rebuild", "is_unit"] if flavor == "b_unit" else []), flavor
+            monkeypatch.undo()
+            assert g.element().augmentation_is_one()
+
+
+def _constants(coeff, left, right, order=2):
+    R = one_letter(coeff, order)
+    return (R.lift(coeff.parse_element_literal(left)),
+            R.lift(coeff.parse_element_literal(right)))
+
+
+@pytest.mark.parametrize("make, a, b, flavor, error, message", [
+    (m2_swap, "1,0;0,0", "0,1;0,0", "ba_in_kernel", FlavorViolated,
+     "eps(ab) != eps(ba): the element would leave the augmentation fiber"),
+    (m2_swap, "0,1;0,0", "0,0;1,0", "one_plus_ba_unit", FlavorViolated,
+     "eps(ab) != eps(ba): the element would leave the augmentation fiber"),
+    (m2_swap, "0,1;0,0", "1,0;0,0", "ab_ba_in_kernel", FlavorViolated,
+     "flavor needs eps(ab) = eps(ba) = 0"),
+    (m2_swap, "1,0;0,0", "0,1;0,0", "ab_ba_in_kernel", FlavorViolated,
+     "flavor needs eps(ab) = eps(ba) = 0"),
+    (m2_swap, "0,1;0,0", "1,0;0,0", "ba_in_kernel", FlavorViolated,
+     "flavor needs eps(ba) = 0"),
+    (m2_swap, "0,1;0,0", "1,1;1,1", "b_unit", FlavorViolated,
+     "flavor needs eps(b) to be a unit"),
+    (m2_swap, "1,0;0,0", "-1,0;0,-1", "b_unit", NotInvertible,
+     "1 + ba is not invertible"),
+    (m2_swap, "1,0;0,0", "0,0;0,0", "no_such_flavor", FlavorViolated,
+     "unknown flavor 'no_such_flavor'"),
+    # the flavor is checked before 1 + ba is inverted
+    (lambda: IntegersMod(12), "1", "-1", "a_in_kernel", FlavorViolated,
+     "flavor needs eps(a) = 0"),
+    (lambda: IntegersMod(12), "3", "5", "ab_ba_in_kernel", FlavorViolated,
+     "flavor needs eps(ab) = eps(ba) = 0"),
+    (lambda: IntegersMod(12), "3", "4", "b_unit", FlavorViolated,
+     "flavor needs eps(b) to be a unit"),
+    (qc4_inv, "g1", "g2-g0", "ba_in_kernel", FlavorViolated, "flavor needs eps(ba) = 0"),
+    (make_free_yz, "y", "z", "one_plus_ba_unit", FlavorViolated,
+     "eps(ab) != eps(ba): the element would leave the augmentation fiber"),
+    (make_free_yz, "y", "z", "ab_ba_in_kernel", FlavorViolated,
+     "flavor needs eps(ab) = eps(ba) = 0"),
+], ids=["M2-E11-E12-ba", "M2-E12-E21-unit", "M2-ab", "M2-ba-only", "M2-ba",
+        "M2-b-singular", "M2-one-plus-ba", "unknown", "Z12-a", "Z12-ab", "Z12-b",
+        "QC4-ba", "free-fiber", "free-ab"])
+def test_flavor_refusals_keep_type_and_message(make, a, b, flavor, error, message):
+    coeff = make()
+    a, b = _constants(coeff, a, b)
+    with pytest.raises(error) as caught:
+        CGenerator(a, b, flavor)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_flavor_pairs_in_the_kernel_build(qq):
+    # nonzero constants whose products vanish pass: over Z/12 a one-pair
+    # `dot` of 3 and 4 is reduced to 0 before it is tested
+    z12 = IntegersMod(12)
+    a, b = _constants(z12, "3", "4")
+    assert CGenerator(a, b, "ab_ba_in_kernel").element().is_one()
+    a, b = _constants(z12, "0", "5")
+    assert CGenerator(a, b, "a_in_kernel").element().is_one()
+    m2 = m2_swap()
+    a, b = _constants(m2, "0,1;0,0", "0,2;0,0")
+    assert CGenerator(a, b, "ab_ba_in_kernel").element().is_one()
+
+
 # -- vaserstein --------------------------------------------------------------
 
 def test_vaserstein_frozen(qq):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -15,13 +16,13 @@ from twistdet import (
     nov_add,
     nov_invert,
     nov_mul,
-    nov_sub,
+    nov_neg,
     orbit_counts,
     twisted_conjugacy_classes,
     w1_invariant,
 )
 
-from twistdet.selftest import m2_nonintegral, qs3_conj
+from twistdet.selftest import m2_nonintegral, qc4_inv, qs3_conj, random_unit
 
 from conftest import assert_folded
 
@@ -133,13 +134,14 @@ def test_add_aligns_windows(qq):
     s = nov_add(u, v)
     assert s.coefficient(-1) == F(1) and s.coefficient(1) == F(1)
     assert s.coefficient(0) == F(0)
-    d = nov_sub(s, v)
+    d = nov_add(s, nov_neg(v))
     assert d.coefficient(-1) == F(1) and d.coefficient(1) == F(0)
 
 
 @pytest.mark.parametrize("op, expect", [
     (nov_add, (2, 4, {0: "1,2;3,4", 1: "-1,0;6,4", 3: "0,1/6;0,0"})),
-    (nov_sub, (2, 4, {0: "1,2;3,4", 1: "1,2;-6,-4", 3: "0,-1/6;0,0"})),
+    (lambda u, v: nov_add(u, nov_neg(v)),
+     (2, 4, {0: "1,2;3,4", 1: "1,2;-6,-4", 3: "0,-1/6;0,0"})),
 ], ids=["add", "sub"])
 def test_add_aligns_windows_under_twist(m2p, op, expect):
     u = NovikovSeries(p_series(m2p, 4, {0: M2P_A, 1: M2P_B}), 2)    # z^-2 (a + b z)
@@ -226,6 +228,49 @@ def test_invert_roundtrip_twisted(qc4):
     # fiber-one draws (each the product of two) at every shift 0-2
     assert_folded("inverse-roundtrip", [zring(qc4, 4, twist="inv")], 3,
                   shapes=[(shift, "one") for shift in (0, 1, 2)])
+
+
+def reads_one(u):
+    """The per-degree reading: every coefficient of the window against 1."""
+    A = u.base.ring.coeff
+    return all(u.coefficient(d) == (A.one if d == 0 else A.zero)
+               for d in range(u.min_degree, u.max_degree + 1))
+
+
+def test_matches_one_reads_the_normal_form(monkeypatch, qq):
+    R = zring(qq, 3)
+    elements = [NovikovSeries(R.one()), NovikovSeries(R.one() + R.letter("z")),
+                NovikovSeries(R.one(), 2), NovikovSeries(R.zero(), 4),
+                NovikovSeries(R.zero(), 1)]
+    calls = []
+    read = NovikovSeries.coefficient
+    monkeypatch.setattr(NovikovSeries, "coefficient",
+                        lambda u, d: calls.append(d) or read(u, d))
+    assert [u.matches_one_on_window() for u in elements] == [True, False, False, True, False]
+    assert calls == []
+
+
+@pytest.mark.parametrize("make, twist", [(qc4_inv, "inv"), (m2_nonintegral, "p")],
+                         ids=["Q[C4]:inv", "M2(Q):p"])
+def test_matches_one_agrees_with_the_coefficients(make, twist):
+    # u * u^-1 at shifts 0-2, then each with one term added at a degree from
+    # -2 to the top of its window; and a zero base at every shift up to two
+    # past the order
+    A = make()
+    R = zring(A, 4, twist=twist)
+    rng = random.Random(44)
+    for shift in (0, 1, 2):
+        for _ in range(3):
+            u = NovikovSeries(random_unit(R, rng), shift)
+            p = nov_mul(u, nov_invert(u))
+            assert p.matches_one_on_window() and reads_one(p)
+            c = A.random_unit(rng)
+            for d in range(-2, p.max_degree + 1):
+                q = nov_add(p, NovikovSeries.from_degree_map(R, {d: c}))
+                assert not q.matches_one_on_window() and not reads_one(q), (shift, d)
+    for shift in range(R.order + 3):
+        u = NovikovSeries(R.zero(), shift)
+        assert u.matches_one_on_window() is reads_one(u) is (shift > R.order)
 
 
 # -- w1 ----------------------------------------------------------------------
